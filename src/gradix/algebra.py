@@ -64,9 +64,6 @@ class Algebra:
         f = self.field
         return tuple(f.mul(c, a) for a in x)
 
-    def is_zero_vec(self, x: Vec) -> bool:
-        return not any(x)
-
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i}"
 
@@ -363,17 +360,23 @@ def right_mult_matrix(alg: Algebra, v: Vec):
 
 # -- ideal closures ----------------------------------------------------------
 
+def _np_generators(alg: Algebra, maps=()) -> np.ndarray:
+    """The operators L_{e_j}, R_{e_j} followed by the extra maps, as int64."""
+    if not maps:
+        return alg._np_ops
+    p = alg.field.p
+    extra = np.array([[[int(c) % p for c in row] for row in m] for m in maps],
+                     dtype=np.int64)
+    return np.concatenate([alg._np_ops, extra])
+
+
 def _closure_np(alg: Algebra, seeds, maps=(), need_rank: int | None = None):
     """Batch fixpoint: repeatedly append all basis products (and extra maps)
     of the current row space, stopping when the rank stabilizes."""
     from .linalg import np_rref
     p = alg.field.p
     d = alg.dim
-    ops = alg._np_ops
-    if maps:
-        extra = np.array([[[int(c) % p for c in row] for row in m] for m in maps],
-                         dtype=np.int64)
-        ops = np.concatenate([ops, extra])
+    ops = _np_generators(alg, maps)
     rows = np.array([list(map(int, v)) for v in seeds], dtype=np.int64).reshape(-1, d)
     ech, piv = np_rref(rows, p)
     target = d if need_rank is None else need_rank
@@ -431,6 +434,9 @@ class SimplicityVerdict:
     witness: Vec | None   # generator of a proper nonzero invariant ideal
     mode: str             # "exact" or "randomized"
     checked: int
+    """Points the verdict settles: for an exact "simple" verdict every
+    projective point of A; for a witness, its position in the sweep order;
+    in randomized mode, the samples drawn."""
 
 
 def random_element(alg: Algebra, rng: random.Random, bound: int = 10) -> Vec:
@@ -445,25 +451,96 @@ def random_element(alg: Algebra, rng: random.Random, bound: int = 10) -> Vec:
     return alg.basis_vector(0)
 
 
+def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """x**e mod p for a stack of square int64 matrices, e >= 1."""
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else (out @ x) % p
+        e >>= 1
+        if e:
+            x = (x @ x) % p
+    return out
+
+
+def _density_irreducible(alg: Algebra, maps=()) -> bool:
+    """Jacobson density test over F_p (Holt & Rees, "Testing modules for
+    irreducibility", 1994): A is irreducible under the associative algebra M
+    generated by the L_{e_j}, R_{e_j} and the extra maps exactly when the
+    commutant C = End_M(A) is a division algebra of dimension k and
+    dim M = d^2 / k, that is M = End_C(A).
+
+    A is unital and every X in C commutes with the R_a, so X = L_c with
+    c = X(1); C is found as the c with [L_c, T] = 0 for every generator T.
+    Needs d^2 (p - 1)^2 < 2^63, the bound of the int64 products below."""
+    from .linalg import np_kernel, np_rref
+    p, d = alg.field.p, alg.dim
+    gens = _np_generators(alg, maps)
+    left = gens[:d]
+    # equations on c: one row per generator and matrix entry of [L_c, T]
+    comm = (np.einsum("iab,tbc->taci", left, gens) -
+            np.einsum("tab,ibc->taci", gens, left)) % p
+    cbasis, cpiv = np_rref(np_kernel(comm.reshape(-1, d), p), p)
+    k = len(cbasis)
+    if k > 1:
+        # C is commutative: c = X(1) commutes with A, as X L_a = L_a X at 1,
+        # so X Y (1) = c c' = c' c.  A commutative F_p-algebra is a field
+        # exactly when its Frobenius x -> x^p is injective and fixes only
+        # the prime field (Berlekamp)
+        xs = np.einsum("ki,iab->kab", cbasis, left) % p
+        unit = np.array([int(c) % p for c in alg.unit], dtype=np.int64)
+        frob = (_np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
+        if (len(np_rref(frob, p)[0]) < k or
+                len(np_rref(frob - np.eye(k, dtype=np.int64), p)[0]) != k - 1):
+            return False
+    target = d * d // k
+    ech, piv = np_rref(np.eye(d, dtype=np.int64).reshape(1, d * d), p)
+    frontier = ech
+    while len(ech) < target:
+        prods = np.einsum("tab,rbc->rtac", gens,
+                          frontier.reshape(-1, d, d)).reshape(-1, d * d) % p
+        new, npiv = np_rref(prods - prods[:, piv] @ ech, p)
+        if not len(new):
+            break
+        ech = np.concatenate([(ech - ech[:, npiv] @ new) % p, new])
+        piv = piv + npiv
+        frontier = new
+    return len(ech) == target
+
+
 def simple_under(alg: Algebra, maps=(), mode: str = "auto",
                  budget: int = 1_000_000, trials: int = 1000, seed: int = 0,
                  coeff_bound: int = 10) -> SimplicityVerdict:
     """Decide whether the only ideals closed under the extra maps are 0 and
-    the whole algebra.  Exact mode enumerates projective points over F_p;
-    randomized mode samples and can only refute or report no-counterexample."""
+    the whole algebra.
+
+    Exact mode (F_p only) refuses when A has more projective points than the
+    budget.  Otherwise the Jacobson density test decides irreducibility in
+    polynomial time, whenever the sweep would cost more than d^2 closures
+    and int64 holds its products; the sweep over the projective points then
+    runs only to name the first witness of a reducible algebra, and stays
+    the sole procedure for small or huge-prime cases.  Randomized mode
+    samples and can only refute or report no-counterexample."""
     if mode == "auto":
         mode = "exact" if alg.field.is_finite else "randomized"
     if mode == "exact":
         if not alg.field.is_finite:
             raise ExactModeUnavailable("exact enumeration needs a finite field")
-        total = projective_count(alg.field.p, alg.dim)
+        p, d = alg.field.p, alg.dim
+        total = projective_count(p, d)
         if total > budget:
             raise BudgetExceeded(f"{total} projective points exceed budget {budget}")
+        density = total > d * d and d * d * (p - 1) ** 2 < 2 ** 63
+        if density and _density_irreducible(alg, maps):
+            return SimplicityVerdict(True, None, "exact", total)
         checked = 0
-        for pt in projective_points(alg.field.p, alg.dim):
+        for pt in projective_points(p, d):
             checked += 1
             if not _closure_is_full(alg, pt, maps):
                 return SimplicityVerdict(False, pt, "exact", checked)
+        if density:
+            raise RuntimeError("density test found A reducible but the sweep "
+                               "found no proper invariant ideal")
         return SimplicityVerdict(True, None, "exact", checked)
     rng = random.Random(seed)
     for t in range(trials):

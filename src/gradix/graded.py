@@ -42,10 +42,38 @@ class Gradation:
 
 @dataclass(frozen=True)
 class GradedReport:
-    support: tuple[int, ...]
-    strong: bool
-    faithful: bool | None   # None when unchecked (rationals)
-    faithful_mode: str      # "exact" or "unchecked"
+    """Invariants of a validated gradation, each computed on first access:
+    constructors that only need the gradation never pay for them."""
+    algebra: Algebra
+    gradation: Gradation
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return self.gradation.support
+
+    @cached_property
+    def strong(self) -> bool:
+        """R_g R_h = R_{gh} for all g, h in the support."""
+        alg, grad = self.algebra, self.gradation
+        for g in grad.support:
+            rg = component_subspace(alg, grad, g)
+            for h in grad.support:
+                rh = component_subspace(alg, grad, h)
+                gh = component_subspace(alg, grad, grad.group.mul(g, h))
+                if subspace_product(alg, rg, rh) != gh:
+                    return False
+        return True
+
+    @cached_property
+    def faithful(self) -> bool | None:
+        """None when unchecked (rationals)."""
+        if not self.algebra.field.is_finite:
+            return None
+        return _faithful_exact(self.algebra, self.gradation)
+
+    @property
+    def faithful_mode(self) -> str:
+        return "exact" if self.algebra.field.is_finite else "unchecked"
 
 
 def homogeneous_component(alg: Algebra, grad: Gradation, v: Vec, g: int) -> Vec:
@@ -55,13 +83,6 @@ def homogeneous_component(alg: Algebra, grad: Gradation, v: Vec, g: int) -> Vec:
 
 def component_subspace(alg: Algebra, grad: Gradation, g: int) -> Subspace:
     idx = grad.indices_of(g)
-    return Subspace(alg.field, alg.dim,
-                    tuple(alg.basis_vector(i) for i in idx), idx)
-
-
-def subgroup_component_span(alg: Algebra, grad: Gradation, members) -> Subspace:
-    """R_H = sum of components over a set of group elements."""
-    idx = tuple(i for i, d in enumerate(grad.degrees) if d in set(members))
     return Subspace(alg.field, alg.dim,
                     tuple(alg.basis_vector(i) for i in idx), idx)
 
@@ -88,24 +109,7 @@ def validate_gradation(alg: Algebra, group: FiniteGroup,
         if c and degrees[i] != group.identity:
             raise UnitNotInIdentityComponent(f"unit has support at degree {degrees[i]}")
     grad = Gradation(group, degrees)
-
-    support = grad.support
-    strong = True
-    for g in support:
-        rg = component_subspace(alg, grad, g)
-        for h in support:
-            rh = component_subspace(alg, grad, h)
-            if subspace_product(alg, rg, rh) != component_subspace(alg, grad, group.mul(g, h)):
-                strong = False
-                break
-        if not strong:
-            break
-
-    if alg.field.is_finite:
-        faithful, mode = _faithful_exact(alg, grad), "exact"
-    else:
-        faithful, mode = None, "unchecked"
-    return grad, GradedReport(support, strong, faithful, mode)
+    return grad, GradedReport(alg, grad)
 
 
 def _faithful_exact(alg: Algebra, grad: Gradation) -> bool:

@@ -224,10 +224,6 @@ def mat_mul(field: FieldSpec, a: Sequence[Sequence[Scalar]],
     return tuple(tuple(_dot(field, row, col) for col in bt) for row in a)
 
 
-def mat_eq(a, b) -> bool:
-    return all(tuple(ra) == tuple(rb) for ra, rb in zip(a, b)) and len(a) == len(b)
-
-
 def identity_matrix(field: FieldSpec, n: int) -> Mat:
     return tuple(tuple(field.one if i == j else field.zero for j in range(n))
                  for i in range(n))

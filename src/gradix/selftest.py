@@ -76,6 +76,24 @@ def _matrix(rng, trials, maxlen):
     assert is_simple(a, mode="exact").simple
 
 
+@check("density test agrees with sweep")
+def _density(rng, trials, maxlen):
+    from .algebra import _closure_is_full, _density_irreducible
+    from .linalg import projective_points
+    f3 = prime_field(3)
+    cases = [(a, ()) for a in (matrix_algebra(f3, 2), product_algebra(f3, 3),
+                               quadratic_field_extension(f3))]
+    cases += [(random_unital_algebra(f3, rng.randint(2, 4), rng), ())
+              for _ in range(max(trials // 3, 4))]
+    a, _ = octonions(f3)
+    cases.append((a, (a.involution,)))
+    cases.append((product_algebra(f3, 2), (swap_matrix(f3),)))
+    for a, maps in cases:
+        sweep = all(_closure_is_full(a, pt, maps)
+                    for pt in projective_points(a.field.p, a.dim))
+        assert _density_irreducible(a, maps) == sweep, (a.dim, maps)
+
+
 @check("associator linearity identity")
 def _assoc_identity(rng, trials, maxlen):
     a, _ = octonions(prime_field(3))

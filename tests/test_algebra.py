@@ -2,15 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradix.algebra import (associator, center_is_field, commutator,
-                            conjugation_matrix, ideal_closure,
+from gradix import algebra
+from gradix.algebra import (SimplicityVerdict, associator, center_is_field,
+                            commutator, conjugation_matrix, ideal_closure,
                             is_associative, is_ring_automorphism, is_simple,
                             make_algebra, multiply, nucleus_and_center,
                             simple_under, subfield_check, two_sided_inverse)
-from gradix.catalog import (matrix_algebra, octonions, product_algebra,
+from gradix.catalog import (field_algebra, matrix_algebra, octonions,
+                            product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
                             random_unital_algebra, truncated_dual)
+from gradix.cayley import cayley_double
 from gradix.errors import (DimensionMismatch, ExactModeUnavailable,
                            ValidationError)
 from gradix.fields import prime_field, rationals
@@ -186,6 +191,66 @@ def test_simple_under_invariant_maps():
     swap = ((0, 1), (1, 0))
     assert not is_simple(alg, mode="exact").simple
     assert simple_under(alg, maps=(swap,), mode="exact").simple
+
+
+def sweep_verdict(alg, maps=()):
+    """The projective sweep alone: the reference for the density test."""
+    checked = 0
+    for pt in projective_points(alg.field.p, alg.dim):
+        checked += 1
+        if not algebra._closure_is_full(alg, pt, maps):
+            return SimplicityVerdict(False, pt, "exact", checked)
+    return SimplicityVerdict(True, None, "exact", checked)
+
+
+def assert_density_matches_sweep(alg, maps=()):
+    ref = sweep_verdict(alg, maps)
+    assert algebra._density_irreducible(alg, maps) == ref.simple
+    assert simple_under(alg, maps=maps, mode="exact") == ref
+
+
+PRIMES = st.sampled_from([2, 3, 5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES, st.integers(2, 5), st.integers(0, 2 ** 32))
+def test_density_matches_sweep_random_algebras(p, dim, seed):
+    assert_density_matches_sweep(
+        random_unital_algebra(prime_field(p), dim, random.Random(seed)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES, st.sampled_from([field_algebra, quadratic_field_extension,
+                                truncated_dual, product_with_swap]),
+       st.lists(st.integers(1, 4), min_size=1, max_size=2))
+def test_density_matches_sweep_cayley_doubles(p, base, mus):
+    f = prime_field(p)
+    alg = base(f)
+    for mu in mus:
+        if alg.dim * 2 > 4:
+            break
+        alg, _ = cayley_double(alg, mu % p or 1)
+    assert_density_matches_sweep(alg)
+    assert_density_matches_sweep(alg, (alg.involution,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES, st.integers(2, 4), st.randoms(use_true_random=False))
+def test_density_matches_sweep_permuted_products(p, n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    m = tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
+    assert_density_matches_sweep(product_algebra(prime_field(p), n), (m,))
+
+
+def test_huge_prime_skips_density(monkeypatch):
+    # d^2 (p - 1)^2 >= 2^63: the sweep alone decides, and finds e2 first
+    def refuse(alg, maps=()):
+        raise AssertionError("density test entered")
+    monkeypatch.setattr(algebra, "_density_irreducible", refuse)
+    alg = product_algebra(prime_field(2 ** 31 - 1), 2)
+    v = is_simple(alg, budget=2 ** 31)
+    assert (v.simple, v.witness, v.checked) == (False, (0, 1), 1)
 
 
 def test_randomized_mode_deterministic_and_consistent():
