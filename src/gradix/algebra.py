@@ -4,7 +4,8 @@ An algebra of dimension d stores its multiplication sparsely as entries
 (i, j, k, c) meaning e_i * e_j contains c * e_k; products of arbitrary
 vectors expand bilinearly.  No associativity or commutativity is assumed
 anywhere.  Dense per-basis operator tables are cached lazily for the
-closure loops, and over F_p those live in numpy (exact: int64 residues).
+closure loops, and over F_p those live in numpy (exact: residues held in
+int64 while products fit, Python ints past that; see `linalg.np_dtype`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import (BudgetExceeded, DimensionMismatch, ExactModeUnavailable,
                      ValidationError)
 from .fields import FieldSpec, Scalar
-from .linalg import (Subspace, Vec, kernel, mat_inverse, mat_vec,
+from .linalg import (Subspace, Vec, kernel, mat_inverse, mat_vec, np_dtype,
                      projective_count, projective_points, solve_affine)
 
 
@@ -93,9 +94,9 @@ class Algebra:
 
     @cached_property
     def _np_tensor(self) -> np.ndarray:
-        """C[i, j, k] over F_p as int64."""
+        """C[i, j, k] over F_p, in the dtype of rows of width dim."""
         assert self.field.is_finite
-        c = np.zeros((self.dim,) * 3, dtype=np.int64)
+        c = np.zeros((self.dim,) * 3, dtype=np_dtype(self.field.p, self.dim))
         for i, j, k, s in self.mult:
             c[i, j, k] = s % self.field.p
         return c
@@ -217,11 +218,6 @@ def associator(alg: Algebra, x: Vec, y: Vec, z: Vec) -> Vec:
                        alg.multiply(x, alg.multiply(y, z)))
 
 
-def brackets(alg: Algebra, x: Vec, y: Vec, z: Vec) -> tuple[Vec, Vec]:
-    """Commutator [x, y] and associator (x, y, z)."""
-    return commutator(alg, x, y), associator(alg, x, y, z)
-
-
 # -- nuclei and center ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -286,8 +282,7 @@ def nucleus_equation_rows(alg: Algebra) -> list:
     """Rows whose kernel is the nucleus; reused as membership constraints."""
     if alg.field.is_finite:
         left, middle, right, _ = _nucleus_blocks_np(alg)
-        return [tuple(int(x) for x in row)
-                for row in np.concatenate([left, middle, right])]
+        return np.concatenate([left, middle, right]).tolist()
     left, middle, right, _ = _nucleus_blocks_generic(alg)
     return left + middle + right
 
@@ -361,27 +356,25 @@ def right_mult_matrix(alg: Algebra, v: Vec):
 # -- ideal closures ----------------------------------------------------------
 
 def _np_generators(alg: Algebra, maps=()) -> np.ndarray:
-    """The operators L_{e_j}, R_{e_j} followed by the extra maps, as int64."""
-    if not maps:
+    """The operators L_{e_j}, R_{e_j} followed by the extra maps (matrices,
+    or one array stack), in the dtype of the structure tensor."""
+    if not len(maps):
         return alg._np_ops
-    p = alg.field.p
-    extra = np.array([[[int(c) % p for c in row] for row in m] for m in maps],
-                     dtype=np.int64)
+    extra = np.array(maps, dtype=alg._np_ops.dtype) % alg.field.p
     return np.concatenate([alg._np_ops, extra])
 
 
-def _closure_np(alg: Algebra, seeds, maps=(), need_rank: int | None = None):
-    """Batch fixpoint: repeatedly append all basis products (and extra maps)
-    of the current row space, stopping when the rank stabilizes."""
+def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
+    """Batch fixpoint: repeatedly append the images of the current row space
+    under every generator in the stack, stopping when the rank stabilizes."""
     from .linalg import np_rref
     p = alg.field.p
     d = alg.dim
-    ops = _np_generators(alg, maps)
-    rows = np.array([list(map(int, v)) for v in seeds], dtype=np.int64).reshape(-1, d)
+    rows = np.array([[int(c) for c in v] for v in seeds],
+                    dtype=gens.dtype).reshape(-1, d)
     ech, piv = np_rref(rows, p)
-    target = d if need_rank is None else need_rank
-    while ech.shape[0] < target:
-        prods = np.einsum("kij,rj->rki", ops, ech).reshape(-1, d) % p
+    while ech.shape[0] < d:
+        prods = np.einsum("kij,rj->rki", gens, ech).reshape(-1, d) % p
         nxt, npiv = np_rref(np.concatenate([ech, prods]), p)
         if nxt.shape[0] == ech.shape[0]:
             break
@@ -412,7 +405,7 @@ def ideal_closure(alg: Algebra, generators, maps=()) -> Subspace:
     maps, when given)."""
     gens = [alg.element(v) for v in generators]
     if alg.field.is_finite:
-        ech, piv = _closure_np(alg, gens, maps)
+        ech, piv = _closure_np(alg, gens, _np_generators(alg, maps))
         return Subspace(alg.field, alg.dim,
                         tuple(tuple(int(c) for c in row) for row in ech),
                         tuple(piv))
@@ -421,7 +414,7 @@ def ideal_closure(alg: Algebra, generators, maps=()) -> Subspace:
 
 def _closure_is_full(alg: Algebra, seed, maps=()) -> bool:
     if alg.field.is_finite:
-        ech, _ = _closure_np(alg, [seed], maps)
+        ech, _ = _closure_np(alg, [seed], _np_generators(alg, maps))
         return ech.shape[0] == alg.dim
     return _closure_generic(alg, [seed], maps).rank == alg.dim
 
@@ -434,21 +427,32 @@ class SimplicityVerdict:
     witness: Vec | None   # generator of a proper nonzero invariant ideal
     mode: str             # "exact" or "randomized"
     checked: int
-    """Points the verdict settles: for an exact "simple" verdict every
-    projective point of A; for a witness, its position in the sweep order;
-    in randomized mode, the samples drawn."""
+    """Points the verdict settles: for an exact "simple" verdict every point
+    of the sweep (the projective points of A; for a graded verdict, the
+    homogeneous points); for a witness, its position in the sweep order; in
+    randomized mode, the samples drawn."""
 
 
-def random_element(alg: Algebra, rng: random.Random, bound: int = 10) -> Vec:
+def random_element(alg: Algebra, rng: random.Random) -> Vec:
     f = alg.field
     for _ in range(64):
         if f.is_finite:
             v = tuple(rng.randrange(f.p) for _ in range(alg.dim))
         else:
-            v = tuple(f.coerce(rng.randint(-bound, bound)) for _ in range(alg.dim))
+            v = tuple(f.coerce(rng.randint(-10, 10)) for _ in range(alg.dim))
         if any(v):
             return v
     return alg.basis_vector(0)
+
+
+def coordinate_points(alg: Algebra, block):
+    """Projective points of the coordinate subspace spanned by the basis
+    vectors in `block`, embedded in A, in ascending lex order (F_p)."""
+    for coeffs in projective_points(alg.field.p, len(block)):
+        v = [alg.field.zero] * alg.dim
+        for c, i in zip(coeffs, block):
+            v[i] = c
+        yield tuple(v)
 
 
 def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -463,10 +467,10 @@ def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _density_irreducible(alg: Algebra, maps=()) -> bool:
+def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
     """Jacobson density test over F_p (Holt & Rees, "Testing modules for
     irreducibility", 1994): A is irreducible under the associative algebra M
-    generated by the L_{e_j}, R_{e_j} and the extra maps exactly when the
+    generated by the stack `gens` (from `_np_generators`) exactly when the
     commutant C = End_M(A) is a division algebra of dimension k and
     dim M = d^2 / k, that is M = End_C(A).
 
@@ -475,7 +479,6 @@ def _density_irreducible(alg: Algebra, maps=()) -> bool:
     Needs d^2 (p - 1)^2 < 2^63, the bound of the int64 products below."""
     from .linalg import np_kernel, np_rref
     p, d = alg.field.p, alg.dim
-    gens = _np_generators(alg, maps)
     left = gens[:d]
     # equations on c: one row per generator and matrix entry of [L_c, T]
     comm = (np.einsum("iab,tbc->taci", left, gens) -
@@ -508,43 +511,48 @@ def _density_irreducible(alg: Algebra, maps=()) -> bool:
     return len(ech) == target
 
 
-def simple_under(alg: Algebra, maps=(), mode: str = "auto",
-                 budget: int = 1_000_000, trials: int = 1000, seed: int = 0,
-                 coeff_bound: int = 10) -> SimplicityVerdict:
-    """Decide whether the only ideals closed under the extra maps are 0 and
-    the whole algebra.
+def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
+                   noun: str) -> SimplicityVerdict:
+    """The exact verdict of every simplicity notion: is A irreducible under
+    the L_{e_j}, R_{e_j} and the extra maps?  The sweep visits the projective
+    points of each coordinate block in turn and is refused past the budget.
+    Past d^2 points, when int64 holds its products, the density test
+    decides, and the sweep only names the witness of a reducible A."""
+    if not alg.field.is_finite:
+        raise ExactModeUnavailable("exact enumeration needs a finite field")
+    p, d = alg.field.p, alg.dim
+    total = sum(projective_count(p, len(block)) for block in blocks)
+    if total > budget:
+        raise BudgetExceeded(f"{total} {noun} points exceed budget {budget}")
+    gens = _np_generators(alg, maps)
+    density = total > d * d and d * d * (p - 1) ** 2 < 2 ** 63
+    if density and _density_irreducible(alg, gens):
+        return SimplicityVerdict(True, None, "exact", total)
+    points = (pt for block in blocks for pt in coordinate_points(alg, block))
+    for checked, pt in enumerate(points, 1):
+        if len(_closure_np(alg, [pt], gens)[0]) < d:
+            return SimplicityVerdict(False, pt, "exact", checked)
+    if density:
+        raise RuntimeError("density test found A reducible but the sweep "
+                           "found no proper invariant ideal")
+    return SimplicityVerdict(True, None, "exact", total)
 
-    Exact mode (F_p only) refuses when A has more projective points than the
-    budget.  Otherwise the Jacobson density test decides irreducibility in
-    polynomial time, whenever the sweep would cost more than d^2 closures
-    and int64 holds its products; the sweep over the projective points then
-    runs only to name the first witness of a reducible algebra, and stays
-    the sole procedure for small or huge-prime cases.  Randomized mode
-    samples and can only refute or report no-counterexample."""
+
+def simple_under(alg: Algebra, maps=(), mode: str = "auto",
+                 budget: int = 1_000_000, trials: int = 1000,
+                 seed: int = 0) -> SimplicityVerdict:
+    """Decide whether the only ideals closed under the extra maps are 0 and
+    the whole algebra.  Exact mode (F_p only) is `_exact_verdict` over the
+    projective points of A, decided by the Jacobson density test past d^2
+    of them.  Randomized mode samples and can only refute or report
+    no-counterexample."""
     if mode == "auto":
         mode = "exact" if alg.field.is_finite else "randomized"
     if mode == "exact":
-        if not alg.field.is_finite:
-            raise ExactModeUnavailable("exact enumeration needs a finite field")
-        p, d = alg.field.p, alg.dim
-        total = projective_count(p, d)
-        if total > budget:
-            raise BudgetExceeded(f"{total} projective points exceed budget {budget}")
-        density = total > d * d and d * d * (p - 1) ** 2 < 2 ** 63
-        if density and _density_irreducible(alg, maps):
-            return SimplicityVerdict(True, None, "exact", total)
-        checked = 0
-        for pt in projective_points(p, d):
-            checked += 1
-            if not _closure_is_full(alg, pt, maps):
-                return SimplicityVerdict(False, pt, "exact", checked)
-        if density:
-            raise RuntimeError("density test found A reducible but the sweep "
-                               "found no proper invariant ideal")
-        return SimplicityVerdict(True, None, "exact", checked)
+        return _exact_verdict(alg, maps, [range(alg.dim)], budget, "projective")
     rng = random.Random(seed)
     for t in range(trials):
-        v = random_element(alg, rng, coeff_bound)
+        v = random_element(alg, rng)
         if not _closure_is_full(alg, v, maps):
             return SimplicityVerdict(False, v, "randomized", t + 1)
     return SimplicityVerdict(True, None, "randomized", trials)

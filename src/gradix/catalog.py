@@ -147,6 +147,25 @@ def random_unital_algebra(field: FieldSpec, dim: int,
     return make_algebra(field, dim, entries, unit)
 
 
+def random_graded_algebra(field: FieldSpec, group: FiniteGroup, degrees,
+                          rng: random.Random) -> tuple[Algebra, Gradation]:
+    """Basis vector 0 is the unit and degrees[0] the identity; every other
+    product e_i e_j is uniform over the component of degree deg_i deg_j
+    (F_p only)."""
+    d = len(degrees)
+    entries = [(0, 0, 0, field.one)]
+    for j in range(1, d):
+        entries += [(0, j, j, field.one), (j, 0, j, field.one)]
+    for i in range(1, d):
+        for j in range(1, d):
+            gh = group.mul(degrees[i], degrees[j])
+            entries += [(i, j, k, rng.randrange(field.p))
+                        for k in range(d) if degrees[k] == gh]
+    alg = make_algebra(field, d, entries, (field.one,) + (field.zero,) * (d - 1))
+    grad, _ = validate_gradation(alg, group, degrees)
+    return alg, grad
+
+
 # -- named groups ----------------------------------------------------------------
 
 def named_group(name: str) -> FiniteGroup:

@@ -34,8 +34,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="randomized-mode sample count (default 1000)")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for randomized modes (default 0)")
-    sub.add_argument("--oracle-maxlen", type=int, default=None, dest="oracle_maxlen",
-                     help="word length bound for the span oracle (default 5)")
     sub.add_argument("--pretty", action="store_true",
                      help="human-readable output instead of JSON")
     sub.add_argument("--timing", action="store_true",
@@ -43,12 +41,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _apply_flags(doc: dict, args) -> dict:
-    for k in ("budget", "trials", "seed", "oracle_maxlen"):
-        v = getattr(args, k, None)
-        if v is not None:
-            doc["options"][k] = v
-    if getattr(args, "window", None):
-        doc["options"]["window"] = args.window
+    flags = {k: getattr(args, k) for k in ("budget", "trials", "seed", "window")
+             if getattr(args, k, None) is not None}
+    doc["options"] = jsonio.merge_options({**doc["options"], **flags})
     return doc
 
 

@@ -254,13 +254,11 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
 
 # -- simplicity and centers ------------------------------------------------------
 
-def is_G_simple(t: Algebra, sigma, mode: str = "exact",
-                budget: int = 1_000_000, trials: int = 1000,
-                seed: int = 0) -> SimplicityVerdict:
-    """No proper nonzero ideal of T closed under every sigma_g."""
+def is_G_simple(t: Algebra, sigma,
+                budget: int = 1_000_000) -> SimplicityVerdict:
+    """No proper nonzero ideal of T closed under every sigma_g (exact)."""
     maps = tuple(coerce_matrix(t.field, m, t.dim) for m in sigma)
-    return simple_under(t, maps=maps, mode=mode, budget=budget,
-                        trials=trials, seed=seed)
+    return simple_under(t, maps=maps, mode="exact", budget=budget)
 
 
 def fixed_subspace(t: Algebra, sigma) -> Subspace:

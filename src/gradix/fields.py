@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterator, Union
 
 from .errors import ExactModeUnavailable, ValidationError
@@ -56,9 +57,14 @@ class FieldSpec:
         return Fraction(1) if self.p is None else 1
 
     def coerce(self, x) -> Scalar:
-        """Normalize an int, Fraction, or scalar string into this field."""
+        """Normalize an int, Fraction, or scalar string into this field.
+        Anything else, floats and booleans included, is refused: a float
+        is inexact, and truncating it would give a silent wrong answer."""
         if isinstance(x, str):
             return self.parse(x)
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction, Integral)):
+            raise ValidationError(f"bad scalar {x!r}: expected an integer, "
+                                  "a fraction or a decimal string")
         if self.p is None:
             return Fraction(x)
         if isinstance(x, Fraction):

@@ -33,27 +33,78 @@ DEFAULT_OPTIONS = {
     "budget": 1_000_000,
     "trials": 1000,
     "seed": 0,
-    "oracle_maxlen": 5,
     "window": None,       # laurent center slice, [[lo, hi] per variable]
 }
 
 
 # -- parsing ---------------------------------------------------------------------
 
-def _need(obj: dict, key: str, where: str):
+def _need(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be an object")
     if key not in obj:
         raise ValidationError(f"{where}: missing field {key!r}")
     return obj[key]
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list")
+    return value
+
+
+def _int(value, where: str) -> int:
+    """An integer given as a JSON number or a decimal string; floats,
+    booleans and anything else are refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{where} must be an integer, got {value!r}")
+
+
+def _vector(f: FieldSpec, value, where: str) -> list:
+    return [f.coerce(c) for c in _list(value, where)]
+
+
+def _matrix(f: FieldSpec, value, where: str) -> list:
+    return [_vector(f, row, where) for row in _list(value, where)]
+
+
+def merge_options(options) -> dict:
+    """DEFAULT_OPTIONS overridden by `options`, every value checked: the one
+    validation site for request options, CLI flags and the defaults of a
+    bare payload."""
+    if not isinstance(options, dict):
+        raise ValidationError("options must be an object")
+    merged = dict(DEFAULT_OPTIONS)
+    for k, v in options.items():
+        if k not in DEFAULT_OPTIONS:
+            raise ValidationError(f"unknown option {k!r}")
+        merged[k] = v
+    for k in ("budget", "trials"):
+        merged[k] = _int(merged[k], f"option {k}")
+        if merged[k] <= 0:
+            raise ValidationError(f"option {k} must be positive")
+    merged["seed"] = _int(merged["seed"], "option seed")
+    if merged["window"] is not None:
+        merged["window"] = [[_int(b, "option window bound")
+                             for b in _list(pair, "option window pair")]
+                            for pair in _list(merged["window"], "option window")]
+        if any(len(pair) != 2 for pair in merged["window"]):
+            raise ValidationError("option window must hold [lo, hi] pairs")
+    return merged
+
+
 def parse_field(obj) -> FieldSpec:
-    if not isinstance(obj, dict):
-        raise ValidationError("field must be an object")
     kind = _need(obj, "kind", "field")
     if kind == "Q":
         return rationals()
     if kind == "Fp":
-        return prime_field(int(_need(obj, "p", "field")))
+        return prime_field(_int(_need(obj, "p", "field"), "field p"))
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
@@ -62,73 +113,66 @@ def parse_group(obj) -> FiniteGroup:
         return catalog.named_group(obj)
     if not isinstance(obj, dict):
         raise ValidationError("group must be an object or a name")
-    table = _need(obj, "table", "group")
+    table = [[_int(x, "group table entry") for x in _list(row, "group table row")]
+             for row in _list(_need(obj, "table", "group"), "group table")]
     labels = obj.get("elements")
     identity = obj.get("identity")
-    return validate_group(table, identity=identity, labels=labels)
+    if identity is not None:
+        identity = _int(identity, "group identity")
+    return validate_group(table, identity=identity,
+                          labels=None if labels is None
+                          else _list(labels, "group elements"))
 
 
 def parse_algebra(obj) -> Algebra:
-    if not isinstance(obj, dict):
-        raise ValidationError("algebra must be an object")
     f = parse_field(_need(obj, "field", "algebra"))
-    dim = int(_need(obj, "dim", "algebra"))
-    unit = [f.coerce(c) for c in _need(obj, "unit", "algebra")]
+    dim = _int(_need(obj, "dim", "algebra"), "algebra dim")
+    unit = _vector(f, _need(obj, "unit", "algebra"), "algebra unit")
     entries = []
-    for e in _need(obj, "mult", "algebra"):
-        entries.append((int(_need(e, "i", "mult entry")),
-                        int(_need(e, "j", "mult entry")),
-                        int(_need(e, "k", "mult entry")),
-                        f.coerce(_need(e, "c", "mult entry"))))
+    for e in _list(_need(obj, "mult", "algebra"), "algebra mult"):
+        entries.append([_int(_need(e, key, "mult entry"), "mult entry index")
+                        for key in "ijk"] + [f.coerce(_need(e, "c", "mult entry"))])
     invol = obj.get("involution")
     if invol is not None:
-        invol = [[f.coerce(c) for c in row] for row in invol]
+        invol = _matrix(f, invol, "algebra involution")
     labels = obj.get("labels")
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(str(s) for s in _list(labels, "algebra labels"))
     return make_algebra(f, dim, entries, unit, involution=invol, labels=labels)
 
 
 def parse_gradation(alg: Algebra, obj) -> tuple[Gradation, GradedReport]:
-    if not isinstance(obj, dict):
-        raise ValidationError("gradation must be an object")
     group = parse_group(_need(obj, "group", "gradation"))
-    degrees = _need(obj, "degrees", "gradation")
+    degrees = [_int(d, "gradation degree")
+               for d in _list(_need(obj, "degrees", "gradation"), "gradation degrees")]
     return validate_gradation(alg, group, degrees)
 
 
 def parse_crossed(obj) -> CrossedSystem:
-    if not isinstance(obj, dict):
-        raise ValidationError("crossed system must be an object")
     t = parse_algebra(_need(obj, "T", "crossed system"))
     g = parse_group(_need(obj, "G", "crossed system"))
     f = t.field
-    sigma = [[[f.coerce(c) for c in row] for row in m]
-             for m in _need(obj, "sigma", "crossed system")]
-    alpha = [[[f.coerce(c) for c in vec] for vec in row]
-             for row in _need(obj, "alpha", "crossed system")]
+    sigma = [_matrix(f, m, "crossed sigma")
+             for m in _list(_need(obj, "sigma", "crossed system"), "crossed sigma")]
+    alpha = [_matrix(f, row, "crossed alpha")
+             for row in _list(_need(obj, "alpha", "crossed system"), "crossed alpha")]
     return validate_crossed_system(t, g, sigma, alpha)
 
 
 def parse_laurent(obj) -> LaurentRing:
-    if not isinstance(obj, dict):
-        raise ValidationError("laurent ring must be an object")
     t = parse_algebra(_need(obj, "T", "laurent ring"))
-    n = int(_need(obj, "n", "laurent ring"))
+    n = _int(_need(obj, "n", "laurent ring"), "laurent ring n")
     f = t.field
-    sigma = [[[f.coerce(c) for c in row] for row in m]
-             for m in _need(obj, "sigma", "laurent ring")]
+    sigma = [_matrix(f, m, "laurent sigma")
+             for m in _list(_need(obj, "sigma", "laurent ring"), "laurent sigma")]
     if len(sigma) != n:
         raise ValidationError(f"laurent ring: {len(sigma)} matrices for rank {n}")
     return make_laurent_ring(t, sigma)
 
 
 def parse_tower(obj) -> tuple[FieldSpec, list]:
-    if not isinstance(obj, dict):
-        raise ValidationError("tower spec must be an object")
     f = parse_field(_need(obj, "field", "tower spec"))
-    mus = [f.coerce(c) for c in _need(obj, "mus", "tower spec")]
-    return f, mus
+    return f, _vector(f, _need(obj, "mus", "tower spec"), "tower mus")
 
 
 def parse_request(text: str) -> dict:
@@ -141,22 +185,9 @@ def parse_request(text: str) -> dict:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {', '.join(KINDS)}")
-    if "payload" not in doc:
-        raise ValidationError("request: missing field 'payload'")
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise ValidationError("options must be an object")
-    merged = dict(DEFAULT_OPTIONS)
-    for k, v in options.items():
-        if k not in DEFAULT_OPTIONS:
-            raise ValidationError(f"unknown option {k!r}")
-        merged[k] = v
-    for k in ("budget", "trials"):
-        merged[k] = int(merged[k])
-        if merged[k] <= 0:
-            raise ValidationError(f"option {k} must be positive")
-    merged["seed"] = int(merged["seed"])
-    return {"kind": kind, "payload": doc["payload"], "options": merged}
+    payload = _need(doc, "payload", "request")
+    return {"kind": kind, "payload": payload,
+            "options": merge_options(doc.get("options", {}))}
 
 
 def wrap_bare_payload(text: str, kind: str) -> dict:
@@ -170,7 +201,7 @@ def wrap_bare_payload(text: str, kind: str) -> dict:
         if parsed["kind"] != kind:
             raise ValidationError(f"expected a {kind} request, got {parsed['kind']}")
         return parsed
-    return {"kind": kind, "payload": doc, "options": dict(DEFAULT_OPTIONS)}
+    return {"kind": kind, "payload": doc, "options": merge_options({})}
 
 
 # -- serialization helpers ---------------------------------------------------------

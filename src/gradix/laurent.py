@@ -28,7 +28,7 @@ from .algebra import (Algebra, SimplicityVerdict, is_ring_automorphism,
                       two_sided_inverse)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_mul, mat_power, mat_vec, projective_points)
+                     mat_mul, mat_power, mat_vec)
 
 Exp = tuple  # Z^n exponent vector
 
@@ -53,7 +53,7 @@ def _matrix_order(field, m, cap: int) -> int | None:
     return None
 
 
-def make_laurent_ring(t: Algebra, sigma, order_cap: int = 1_000_000) -> LaurentRing:
+def make_laurent_ring(t: Algebra, sigma) -> LaurentRing:
     f = t.field
     sigma = tuple(coerce_matrix(f, m, t.dim) for m in sigma)
     for i, m in enumerate(sigma):
@@ -63,7 +63,7 @@ def make_laurent_ring(t: Algebra, sigma, order_cap: int = 1_000_000) -> LaurentR
         for j in range(i + 1, len(sigma)):
             if mat_mul(f, sigma[i], sigma[j]) != mat_mul(f, sigma[j], sigma[i]):
                 raise ValidationError(f"sigma[{i}] and sigma[{j}] do not commute")
-    cap = order_cap if f.is_finite else 64
+    cap = 1_000_000 if f.is_finite else 64
     orders = tuple(_matrix_order(f, m, cap) for m in sigma)
     return LaurentRing(t, len(sigma), sigma, orders)
 
@@ -170,40 +170,23 @@ def _require_searchable(ring: LaurentRing) -> None:
         raise UnboundedSearch("unit search needs a finite coefficient field")
 
 
-def is_sigma_simple(ring: LaurentRing, mode: str = "exact",
-                    budget: int = 1_000_000, trials: int = 1000,
-                    seed: int = 0) -> SimplicityVerdict:
-    """No proper nonzero ideal of T invariant under every sigma_i."""
-    return simple_under(ring.algebra, maps=ring.sigma, mode=mode,
-                        budget=budget, trials=trials, seed=seed)
-
-
-@lru_cache(maxsize=None)
-def _fixed_nuclear_units(ring: LaurentRing) -> tuple:
-    """Projective representatives, in lex order, of the two-sided units of T
-    fixed by every sigma_i and lying in N(T).  The defining conditions are
-    scale-invariant, so representatives suffice."""
-    alg = ring.algebra
-    f = alg.field
-    nuc = nucleus_and_center(alg).nucleus
-    out = []
-    for v in projective_points(f.p, alg.dim):
-        if all(mat_vec(f, s, v) == v for s in ring.sigma) and nuc.contains(v) \
-                and two_sided_inverse(alg, v) is not None:
-            out.append(v)
-    return tuple(out)
+def is_sigma_simple(ring: LaurentRing,
+                    budget: int = 1_000_000) -> SimplicityVerdict:
+    """No proper nonzero ideal of T invariant under every sigma_i (exact)."""
+    return simple_under(ring.algebra, maps=ring.sigma, mode="exact",
+                        budget=budget)
 
 
 def _conjugating_unit(ring: LaurentRing, m: Exp) -> Vec | None:
-    """First fixed nuclear unit u with t u = u sigma^m(t) on all basis t."""
-    alg, f = ring.algebra, ring.algebra.field
-    twist = sigma_power(ring, m)
-    for u in _fixed_nuclear_units(ring):
-        if all(alg.multiply(alg.basis_vector(b), u)
-               == alg.multiply(u, mat_vec(f, twist, alg.basis_vector(b)))
-               for b in range(alg.dim)):
-            return u
-    return None
+    """First two-sided unit u of T fixed by every sigma_i, lying in N(T),
+    with t u = u sigma^m(t) for all t, or None.  Those conditions are the
+    equations of `center_coefficient_space(ring, m)`, so the candidates are
+    the projective points of that space; `Subspace.coordinates` yields them
+    normalized like `projective_points` and, as the basis is in reduced
+    echelon form, in the same ascending lex order."""
+    alg = ring.algebra
+    return next((u for u in center_coefficient_space(ring, m).coordinates()
+                 if two_sided_inverse(alg, u) is not None), None)
 
 
 def _candidate_exponents(ring: LaurentRing):

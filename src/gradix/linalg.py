@@ -2,9 +2,9 @@
 
 Two parallel implementations live here.  The generic one works over any
 FieldSpec with plain Python scalars and is the reference for everything.
-The numpy one handles F_p only (int64 arrays reduced mod p) and exists
-because the ideal-closure loops enumerate thousands of subspaces; it is
-exact as long as p**2 * dim fits in int64, which desk-scale inputs do.
+The numpy one handles F_p only (arrays reduced mod p) and exists because
+the ideal-closure loops enumerate thousands of subspaces; it holds int64
+while a row's sums of products fit (`np_dtype`) and Python ints past that.
 """
 
 from __future__ import annotations
@@ -173,7 +173,8 @@ def kernel(field: FieldSpec, equations: Iterable[Sequence[Scalar]], width: int) 
     """Solution space of the homogeneous system (one equation per row)."""
     equations = [list(e) for e in equations]
     if field.is_finite and equations and width:
-        rows = np_kernel(np.array(equations, dtype=np.int64), field.p)
+        rows = np_kernel(np.array(equations, dtype=np_dtype(field.p, width)),
+                         field.p)
         return np_to_subspace(field, rows, width)
     ech = rref(field, equations, width)
     piv = set(ech.pivots)
@@ -279,9 +280,15 @@ def projective_points(p: int, dim: int) -> Iterator[tuple[int, ...]]:
 
 # -- numpy fast path (F_p only) ----------------------------------------------
 
+def np_dtype(p: int, width: int):
+    """int64 while the difference of two sums of `width` products of
+    residues fits, 2 w (p - 1)^2 < 2^63; object (Python ints) past it."""
+    return np.int64 if 2 * width * (p - 1) ** 2 < 2 ** 63 else object
+
+
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of an int64 matrix mod p; returns (nonzero rows, pivot columns)."""
-    a = np.array(a, dtype=np.int64) % p
+    """RREF of a matrix mod p; returns (nonzero rows, pivot columns)."""
+    a = np.array(a, dtype=np_dtype(p, np.shape(a)[1])) % p
     m, n = a.shape
     r = 0
     pivots: list[int] = []
@@ -308,7 +315,7 @@ def np_kernel(a: np.ndarray, p: int) -> np.ndarray:
     red, pivots = np_rref(a, p)
     n = a.shape[1]
     free = [j for j in range(n) if j not in pivots]
-    out = np.zeros((len(free), n), dtype=np.int64)
+    out = np.zeros((len(free), n), dtype=np_dtype(p, n))
     for k, fcol in enumerate(free):
         out[k, fcol] = 1
         for row, piv in zip(red, pivots):

@@ -171,14 +171,16 @@ def _shape_values_np(alg: Algebra, shape: Word, designated: int, a: Vec) -> np.n
     basis vectors elsewhere, as rows (F_p fast path)."""
     p = alg.field.p
     c = alg._np_tensor
-    eye = np.eye(alg.dim, dtype=np.int64)
-    avec = np.array([list(map(int, a))], dtype=np.int64)
+    eye = np.eye(alg.dim, dtype=c.dtype)
+    avec = np.array([list(map(int, a))], dtype=c.dtype)
 
     def ev(t) -> np.ndarray:
         if isinstance(t, int):
             return avec if t == designated else eye
         left, right = ev(t[0]), ev(t[1])
-        out = np.einsum("ai,bj,ijk->abk", left, right, c) % p
+        # one contraction at a time keeps each sum within np_dtype's bound
+        half = np.einsum("ai,ijk->ajk", left, c) % p
+        out = np.einsum("bj,ajk->abk", right, half) % p
         return out.reshape(-1, alg.dim)
 
     return ev(shape.tree)

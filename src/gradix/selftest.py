@@ -15,9 +15,9 @@ from .algebra import (associator, center_is_field, ideal_closure, is_simple,
                       multiply, nucleus_and_center)
 from .catalog import (field_algebra, group_algebra, matrix_algebra,
                       named_group, octonions, product_algebra,
-                      quadratic_field_extension, random_unital_algebra,
-                      swap_matrix)
-from .cayley import doubling_report
+                      quadratic_field_extension, random_graded_algebra,
+                      random_unital_algebra, swap_matrix)
+from .cayley import cayley_double, doubling_report
 from .crossed import (build_crossed_product, canonical_units,
                       crossed_center, recognize_crossed_system,
                       trivial_system)
@@ -78,7 +78,8 @@ def _matrix(rng, trials, maxlen):
 
 @check("density test agrees with sweep")
 def _density(rng, trials, maxlen):
-    from .algebra import _closure_is_full, _density_irreducible
+    from .algebra import (_closure_is_full, _density_irreducible,
+                          _np_generators)
     from .linalg import projective_points
     f3 = prime_field(3)
     cases = [(a, ()) for a in (matrix_algebra(f3, 2), product_algebra(f3, 3),
@@ -91,7 +92,30 @@ def _density(rng, trials, maxlen):
     for a, maps in cases:
         sweep = all(_closure_is_full(a, pt, maps)
                     for pt in projective_points(a.field.p, a.dim))
-        assert _density_irreducible(a, maps) == sweep, (a.dim, maps)
+        assert _density_irreducible(a, _np_generators(a, maps)) == sweep, \
+            (a.dim, maps)
+
+
+@check("graded density agrees with homogeneous sweep")
+def _graded_density(rng, trials, maxlen):
+    from .algebra import _closure_is_full
+    from .graded import homogeneous_points, is_graded_simple, validate_gradation
+    f3 = prime_field(3)
+    cases = [(a, validate_gradation(a, cyclic(1), [0] * a.dim)[0])
+             for a in (matrix_algebra(f3, 2), product_algebra(f3, 3))]
+    dbl, _ = cayley_double(quadratic_field_extension(f3), 1)
+    cases.append(cayley_double(dbl, 1))
+    # graded simple but not simple: only the projections make it irreducible
+    cases.append(build_crossed_product(trivial_system(matrix_algebra(f3, 2),
+                                                      cyclic(2))))
+    for _ in range(max(trials // 5, 3)):
+        tail = [rng.randrange(2) for _ in range(rng.randint(0, 2))]
+        cases.append(random_graded_algebra(f3, cyclic(2), [0] * 4 + tail, rng))
+    for a, grad in cases:
+        points = [r for g in grad.support for r in homogeneous_points(a, grad, g)]
+        assert len(points) > a.dim ** 2  # past d^2 points: the density test
+        sweep = all(_closure_is_full(a, r) for r in points)
+        assert is_graded_simple(a, grad).simple == sweep, (a.dim, grad.degrees)
 
 
 @check("associator linearity identity")

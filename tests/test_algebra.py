@@ -205,7 +205,8 @@ def sweep_verdict(alg, maps=()):
 
 def assert_density_matches_sweep(alg, maps=()):
     ref = sweep_verdict(alg, maps)
-    assert algebra._density_irreducible(alg, maps) == ref.simple
+    gens = algebra._np_generators(alg, maps)
+    assert algebra._density_irreducible(alg, gens) == ref.simple
     assert simple_under(alg, maps=maps, mode="exact") == ref
 
 
@@ -264,6 +265,17 @@ def test_randomized_mode_deterministic_and_consistent():
     c = simple_under(product_algebra(F3, 2), mode="randomized",
                      trials=100, seed=0)
     assert not c.simple
+
+
+def test_huge_prime_arrays_hold_python_ints():
+    # 2 d (p - 1)^2 >= 2^63: int64 sums of products would wrap and lose the
+    # center, so the arrays hold Python ints instead
+    alg = matrix_algebra(prime_field(4294967311), 2)
+    assert alg._np_tensor.dtype == object
+    central = nucleus_and_center(alg)
+    assert central.center.rank == 1
+    assert central.nucleus.rank == 4
+    assert ideal_closure(alg, [(1, 0, 0, 0)]).is_full
 
 
 def test_exact_mode_unavailable_over_q():

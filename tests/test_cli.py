@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix.cli import main
 
@@ -185,3 +191,111 @@ def test_console_script_entry_point(graded_file):
                            graded_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"]["simplicity_equivalence"]
+
+
+Q_REQ = {"kind": "algebra",
+         "payload": {"field": {"kind": "Q"}, "dim": 1, "unit": ["1"],
+                     "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}}
+
+
+def write(tmp_path, doc):
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_validation_error(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--budget", "-1"],
+                                   ["--budget", "0"]])
+def test_flags_are_validated_like_options(capsys, tmp_path, flags):
+    assert_validation_error(capsys, ["verdict", write(tmp_path, Q_REQ)] + flags)
+    # a bare payload's defaults go through the same check
+    tower = write(tmp_path, {"field": {"kind": "Fp", "p": 3}, "mus": ["1"]})
+    assert_validation_error(capsys, ["tower", tower] + flags)
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+ALG = ("payload", "algebra")
+
+
+@pytest.mark.parametrize("path, value", [
+    (ALG + ("mult",), [5]),
+    (ALG + ("field", "p"), "x"),
+    (ALG + ("dim",), "q"),
+    (ALG + ("mult", 3, "c"), 1.5),        # a float is refused, not truncated
+    (ALG + ("mult", 3, "i"), 1.0),
+    (("payload", "gradation", "degrees", 1), 1.0),
+    (("options",), {"budget": "abc"}),
+    (("options",), {"oracle_maxlen": 5}),  # no longer an option
+])
+def test_malformed_requests_are_refused(capsys, tmp_path, path, value):
+    doc = _mutated(GRADED_REQ, path, value)
+    assert_validation_error(capsys, ["analyze", write(tmp_path, doc)])
+
+
+@pytest.mark.parametrize("window", [[[1]], [5], [[0, 1.5]], "0:1"])
+def test_malformed_window_is_refused(capsys, tmp_path, window):
+    doc = {"kind": "laurent", "payload": LAURENT_PAYLOAD,
+           "options": {"window": window}}
+    assert_validation_error(capsys, ["laurent", write(tmp_path, doc)])
+
+
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "sample_requests")
+SAMPLE_COMMANDS = {"group_algebra_z2.json": "analyze",
+                   "laurent_f4_frobenius.json": "laurent",
+                   "tower_f3.json": "tower"}
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+# values that no position of a request accepts
+POISON = st.sampled_from([1.5, -0.25, "x", "", True, None, [[1]], {"a": 1}])
+
+
+@st.composite
+def mutated_samples(draw):
+    name = draw(st.sampled_from(sorted(SAMPLE_COMMANDS)))
+    with open(os.path.join(SAMPLES, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(POISON)
+    doc = _mutated(doc, path, value) if path else value
+    return SAMPLE_COMMANDS[name], json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_samples())
+def test_fuzzed_requests_fail_with_json_errors(case):
+    command, text = case
+    out = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([command, "-"])   # a traceback would fail the test
+    finally:
+        sys.stdin = stdin
+    assert code in (1, 2), text
+    err = json.loads(out.getvalue())["error"]
+    assert set(err) == {"type", "message"}

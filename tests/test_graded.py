@@ -1,10 +1,19 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradix.algebra import ideal_closure, is_simple, multiply
-from gradix.catalog import (group_algebra, octonions, quaternions,
-                            sedenions, truncated_dual)
+from gradix import algebra
+from gradix.algebra import (SimplicityVerdict, ideal_closure, is_simple,
+                            multiply)
+from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
+                            octonions, product_algebra, product_with_swap,
+                            quadratic_field_extension, quaternions,
+                            random_graded_algebra, sedenions, truncated_dual)
+from gradix.cayley import cayley_double
+from gradix.crossed import build_crossed_product, trivial_system
 from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
                            IncompatibleTensor, UnitNotInIdentityComponent,
                            ValidationError)
@@ -19,6 +28,89 @@ from gradix.groups import (cyclic, elementary_abelian_two, subgroup,
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+
+
+def homogeneous_sweep(alg, grad):
+    """The homogeneous-point sweep alone: the reference for
+    `is_graded_simple`.  A nonzero graded ideal contains a nonzero
+    homogeneous element, so one closure per homogeneous point decides."""
+    checked = 0
+    for g in grad.support:
+        for r in homogeneous_points(alg, grad, g):
+            checked += 1
+            if not algebra._closure_is_full(alg, r):
+                return SimplicityVerdict(False, r, "exact", checked)
+    return SimplicityVerdict(True, None, "exact", checked)
+
+
+GROUPS = [cyclic(2), cyclic(3), elementary_abelian_two(2)]
+
+
+@st.composite
+def random_graded_cases(draw):
+    p = draw(st.sampled_from([2, 3]))
+    group = draw(st.sampled_from(GROUPS))
+    if p == 3 and draw(st.booleans()):
+        # an identity component of dimension 4 puts 40 points in one
+        # component, past the d^2 that switches to the density test
+        head = [group.identity] * 4
+        tail = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    else:
+        head = [group.identity]
+        tail = draw(st.lists(st.integers(0, group.order - 1),
+                             min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_graded_algebra(prime_field(p), group, head + tail, rng)
+
+
+@st.composite
+def crossed_cases(draw):
+    p = draw(st.sampled_from([2, 3]))
+    base = draw(st.sampled_from([field_algebra, quadratic_field_extension,
+                                 truncated_dual,
+                                 lambda f: product_algebra(f, 2),
+                                 lambda f: matrix_algebra(f, 2)]))
+    group = draw(st.sampled_from(GROUPS))
+    return build_crossed_product(trivial_system(base(prime_field(p)), group))
+
+
+@st.composite
+def cayley_cases(draw):
+    f = prime_field(draw(st.sampled_from([3, 5])))
+    alg = draw(st.sampled_from([field_algebra, quadratic_field_extension,
+                                truncated_dual, product_with_swap]))(f)
+    for mu in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)):
+        if alg.dim * 2 > 8:
+            break
+        alg, grad = cayley_double(alg, mu % f.p or 1)
+    return alg, grad
+
+
+def test_graded_simple_not_simple_by_density():
+    # M_2(F_3)[C2] = M_2(F_3) x M_2(F_3): 80 homogeneous points > 8^2 send
+    # it to the density test, where only the projections make it irreducible
+    prod, grad = build_crossed_product(trivial_system(matrix_algebra(F3, 2),
+                                                      cyclic(2)))
+    with mock.patch.object(algebra, "_density_irreducible",
+                           wraps=algebra._density_irreducible) as spy:
+        v = is_graded_simple(prod, grad)
+    assert spy.called
+    assert v == SimplicityVerdict(True, None, "exact", 80)
+    assert v == homogeneous_sweep(prod, grad)
+    assert not is_simple(prod, mode="exact").simple
+
+
+def test_graded_verdict_matches_homogeneous_sweep():
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_graded_cases(), crossed_cases(), cayley_cases()))
+    def check(case):
+        alg, grad = case
+        assert is_graded_simple(alg, grad) == homogeneous_sweep(alg, grad)
+
+    with mock.patch.object(algebra, "_density_irreducible",
+                           wraps=algebra._density_irreducible) as spy:
+        check()
+    assert spy.called, "the density path was never taken"
 
 
 def test_validate_gradation_flags():

@@ -1,8 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradix.catalog import (field_algebra, matrix_algebra, product_algebra,
+from gradix import laurent
+from gradix.algebra import nucleus_and_center, two_sided_inverse
+from gradix.catalog import (field_algebra, frobenius_matrix,
+                            matrix_algebra, product_algebra,
                             quadratic_field_extension, swap_matrix,
                             truncated_dual)
 from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
@@ -15,7 +20,7 @@ from gradix.laurent import (center_coefficient_space, inner_witness_search,
                             laurent_simplicity_verdict, laurent_sub,
                             laurent_zero, make_laurent_ring, sigma_power,
                             verify_central, x_power)
-from gradix.linalg import identity_matrix, mat_vec
+from gradix.linalg import identity_matrix, mat_vec, projective_points
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -219,3 +224,52 @@ def test_budget_guard():
     ring = frobenius_ring()
     with pytest.raises(BudgetExceeded):
         is_sigma_simple(ring, budget=1)
+
+
+def brute_conjugating_unit(ring, m):
+    """Every projective point of T in lex order, filtered by each condition
+    on a conjugating unit: the reference for `_conjugating_unit`."""
+    alg, f = ring.algebra, ring.algebra.field
+    nuc = nucleus_and_center(alg).nucleus
+    twist = sigma_power(ring, m)
+    for u in projective_points(f.p, alg.dim):
+        if (all(mat_vec(f, s, u) == u for s in ring.sigma)
+                and nuc.contains(u)
+                and two_sided_inverse(alg, u) is not None
+                and all(alg.multiply(alg.basis_vector(b), u)
+                        == alg.multiply(u, mat_vec(f, twist, alg.basis_vector(b)))
+                        for b in range(alg.dim))):
+            return u
+    return None
+
+
+@st.composite
+def small_rings(draw):
+    """Product algebras with permutation twists, quadratic extensions with
+    Frobenius, dual numbers with diagonal twists; d <= 4, p in {2, 3, 5}."""
+    f = prime_field(draw(st.sampled_from([2, 3, 5])))
+    shape = draw(st.sampled_from(["product", "extension", "dual"]))
+    rank = draw(st.integers(1, 2))
+    if shape == "product":
+        k = draw(st.integers(2, 4))
+        perm = draw(st.permutations(range(k)))
+        first = tuple(tuple(int(perm[j] == i) for j in range(k))
+                      for i in range(k))
+        second = draw(st.sampled_from([first, identity_matrix(f, k)]))
+        return make_laurent_ring(product_algebra(f, k), [first, second][:rank])
+    if shape == "extension":
+        frob = frobenius_matrix(f)
+        second = draw(st.sampled_from([frob, identity_matrix(f, 2)]))
+        return make_laurent_ring(quadratic_field_extension(f),
+                                 [frob, second][:rank])
+    sigma = [((1, 0), (0, draw(st.sampled_from([1, f.p - 1]))))
+             for _ in range(rank)]
+    return make_laurent_ring(truncated_dual(f), sigma)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_rings())
+def test_conjugating_unit_matches_brute_search(ring):
+    box = itertools.product(*[range(o) for o in ring.orders])
+    for m in set(box) | set(laurent._candidate_exponents(ring)):
+        assert laurent._conjugating_unit(ring, m) == brute_conjugating_unit(ring, m), m

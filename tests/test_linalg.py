@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from gradix.fields import prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
-                           mat_mul, mat_power, mat_vec, projective_count,
-                           projective_points, rref, solve_affine)
+                           mat_mul, mat_power, mat_vec, np_dtype, np_rref,
+                           projective_count, projective_points, rref,
+                           solve_affine)
 
 F3 = prime_field(3)
 Q = rationals()
@@ -102,3 +105,15 @@ def test_projective_points_order_and_normalization():
         nz = next(c for c in v if c)
         assert nz == 1
     assert len(list(projective_points(3, 3))) == projective_count(3, 3) == 13
+
+
+def test_np_dtype_bound():
+    # int64 exactly while 2 w (p - 1)^2 < 2^63
+    assert np_dtype(3, 16) is np.int64
+    assert np_dtype(2 ** 31 - 1, 1) is np.int64
+    assert np_dtype(2 ** 31 + 11, 1) is object
+    assert np_dtype(2 ** 30 + 3, 2) is np.int64
+    assert np_dtype(2 ** 30 + 3, 4) is object
+    p = 4294967311
+    red, piv = np_rref(np.array([[p - 1, p - 2], [2, 1]], dtype=object), p)
+    assert piv == [0, 1] and red.tolist() == [[1, 0], [0, 1]]
