@@ -109,6 +109,14 @@ class Algebra:
         right = np.transpose(c, (1, 2, 0))  # right[j][k][m] = C[m][j][k]
         return np.concatenate([left, right])
 
+    @cached_property
+    def _np_defect(self) -> np.ndarray:
+        """D[i, j, k, l]: the l-th coordinate of the basis associator
+        (e_i, e_j, e_k) over F_p."""
+        c = self._np_tensor
+        return (np.einsum("ijm,mkl->ijkl", c, c) -
+                np.einsum("jkm,iml->ijkl", c, c)) % self.field.p
+
     # -- products ---------------------------------------------------------
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
@@ -157,6 +165,8 @@ class Algebra:
 def make_algebra(field: FieldSpec, dim: int, entries, unit,
                  involution=None, labels=None) -> Algebra:
     """Coerce, canonicalize, and validate a structure-constant algebra."""
+    if dim < 1:
+        raise ValidationError(f"algebra dim must be at least 1, got {dim}")
     acc: dict[tuple[int, int, int], Scalar] = {}
     for i, j, k, c in entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
@@ -250,8 +260,7 @@ def _nucleus_blocks_np(alg: Algebra):
     c = alg._np_tensor
     d = alg.dim
     p = alg.field.p
-    defect = (np.einsum("ijm,mkl->ijkl", c, c) -
-              np.einsum("jkm,iml->ijkl", c, c)) % p
+    defect = alg._np_defect
     left = defect.transpose(1, 2, 3, 0).reshape(d ** 3, d)
     middle = defect.transpose(0, 2, 3, 1).reshape(d ** 3, d)
     right = defect.transpose(0, 1, 3, 2).reshape(d ** 3, d)
@@ -292,7 +301,7 @@ def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
     d = alg.dim
     if f.is_finite:
         left, middle, right, comm = _nucleus_blocks_np(alg)
-        stack = lambda blocks: kernel(f, np.concatenate(blocks).tolist(), d)
+        stack = lambda blocks: kernel(f, np.concatenate(blocks), d)
         return CentralSubspaces(
             left=stack([left]), middle=stack([middle]), right=stack([right]),
             nucleus=stack([left, middle, right]),
@@ -592,13 +601,9 @@ def center_is_field(alg: Algebra, central: CentralSubspaces | None = None,
 def associator_defect(alg: Algebra) -> Subspace:
     """Span of all basis associators; zero exactly for associative algebras."""
     if alg.field.is_finite:
-        c = alg._np_tensor
-        p = alg.field.p
-        d = alg.dim
-        defect = (np.einsum("ijm,mkl->ijkl", c, c) -
-                  np.einsum("jkm,iml->ijkl", c, c)) % p
         from .linalg import np_to_subspace
-        return np_to_subspace(alg.field, defect.reshape(-1, d), d)
+        return np_to_subspace(alg.field, alg._np_defect.reshape(-1, alg.dim),
+                              alg.dim)
     trip = _associator_triples(alg)
     vecs = [trip[i][j][k] for i in range(alg.dim)
             for j in range(alg.dim) for k in range(alg.dim)]

@@ -5,6 +5,10 @@ FieldSpec with plain Python scalars and is the reference for everything.
 The numpy one handles F_p only (arrays reduced mod p) and exists because
 the ideal-closure loops enumerate thousands of subspaces; it holds int64
 while a row's sums of products fit (`np_dtype`) and Python ints past that.
+`kernel` takes F_p equations as an array as well as a list of rows, and
+`np_rref` drops the all-zero rows before its pivot loop, so the large
+sparse systems of the nucleus solves are eliminated on their few nonzero
+rows only.
 """
 
 from __future__ import annotations
@@ -169,11 +173,13 @@ def rref(field: FieldSpec, rows: Iterable[Sequence[Scalar]], width: int) -> Eche
     return ech
 
 
-def kernel(field: FieldSpec, equations: Iterable[Sequence[Scalar]], width: int) -> Subspace:
-    """Solution space of the homogeneous system (one equation per row)."""
-    equations = [list(e) for e in equations]
-    if field.is_finite and equations and width:
-        rows = np_kernel(np.array(equations, dtype=np_dtype(field.p, width)),
+def kernel(field: FieldSpec, equations: Sequence[Sequence[Scalar]] | np.ndarray,
+           width: int) -> Subspace:
+    """Solution space of the homogeneous system (one equation per row).
+    Over F_p the equations may be a 2-d array of residues, which goes to
+    `np_kernel` without a detour through Python lists."""
+    if field.is_finite and len(equations) and width:
+        rows = np_kernel(np.asarray(equations, dtype=np_dtype(field.p, width)),
                          field.p)
         return np_to_subspace(field, rows, width)
     ech = rref(field, equations, width)
@@ -287,8 +293,12 @@ def np_dtype(p: int, width: int):
 
 
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of a matrix mod p; returns (nonzero rows, pivot columns)."""
+    """RREF of a matrix mod p; returns (nonzero rows, pivot columns).
+    All-zero rows are dropped before the pivot loop: they change neither
+    the canonical form nor its pivots, and the nucleus systems are mostly
+    made of them."""
     a = np.array(a, dtype=np_dtype(p, np.shape(a)[1])) % p
+    a = a[(a != 0).any(axis=1)]
     m, n = a.shape
     r = 0
     pivots: list[int] = []

@@ -19,11 +19,12 @@ from gradix.cayley import cayley_double
 from gradix.errors import (DimensionMismatch, ExactModeUnavailable,
                            ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.linalg import projective_points
+from gradix.linalg import Subspace, projective_points, rref
 
 F2 = prime_field(2)
 F3 = prime_field(3)
 Q = rationals()
+PRIMES = st.sampled_from([2, 3, 5])
 
 
 def small_corpus():
@@ -54,6 +55,9 @@ def test_make_algebra_validation():
         make_algebra(F3, 2, [(0, 0, 0, 1)], (1,))
     with pytest.raises(ValidationError):
         make_algebra(F3, 2, [(0, 0, 2, 1)], (1, 0))
+    for dim in (0, -1):
+        with pytest.raises(ValidationError):
+            make_algebra(F3, dim, [], ())
     with pytest.raises(ValidationError):
         # involution must be an antiautomorphism
         make_algebra(F3, 2,
@@ -108,6 +112,46 @@ def test_nuclei_against_enumeration(idx):
                         ("center", got.center)):
         members = {v for v in all_vectors(alg) if space.contains(v)}
         assert members == set(brute[name]), name
+
+
+def echelon_kernel(f, rows, d):
+    """Solution space through the Python Echelon path: rref, then one basis
+    vector per free column, as in the generic branch of `kernel`."""
+    ech = rref(f, rows, d)
+    vecs = []
+    for fcol in (j for j in range(d) if j not in ech.pivots):
+        v = [f.zero] * d
+        v[fcol] = f.one
+        for row, piv in zip(ech.rows, ech.pivots):
+            v[piv] = f.neg(row[fcol])
+        vecs.append(v)
+    return Subspace.span(f, d, vecs)
+
+
+NUCLEUS_CASES = [
+    lambda f, rng: random_unital_algebra(f, rng.randint(1, 5), rng),
+    lambda f, rng: product_algebra(f, rng.randint(1, 4)),
+    lambda f, rng: matrix_algebra(f, 2),
+    lambda f, rng: truncated_dual(f),
+    lambda f, rng: product_with_swap(f),
+    lambda f, rng: octonions(f)[0],
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(PRIMES, st.sampled_from(NUCLEUS_CASES), st.integers(0, 2 ** 32))
+def test_nucleus_and_center_match_echelon_path(p, case, seed):
+    f = prime_field(p)
+    alg = case(f, random.Random(seed))
+    dim = alg.dim
+    left, middle, right, comm = algebra._nucleus_blocks_generic(alg)
+    got = nucleus_and_center(alg)
+    assert got.left == echelon_kernel(f, left, dim)
+    assert got.middle == echelon_kernel(f, middle, dim)
+    assert got.right == echelon_kernel(f, right, dim)
+    assert got.nucleus == echelon_kernel(f, left + middle + right, dim)
+    assert got.commuter == echelon_kernel(f, comm, dim)
+    assert got.center == echelon_kernel(f, left + middle + right + comm, dim)
 
 
 def test_center_is_triple_intersection():
@@ -208,9 +252,6 @@ def assert_density_matches_sweep(alg, maps=()):
     gens = algebra._np_generators(alg, maps)
     assert algebra._density_irreducible(alg, gens) == ref.simple
     assert simple_under(alg, maps=maps, mode="exact") == ref
-
-
-PRIMES = st.sampled_from([2, 3, 5])
 
 
 @settings(max_examples=200, deadline=None)

@@ -246,6 +246,19 @@ def test_malformed_requests_are_refused(capsys, tmp_path, path, value):
     assert_validation_error(capsys, ["analyze", write(tmp_path, doc)])
 
 
+@pytest.mark.parametrize("field, dim", [({"kind": "Fp", "p": 3}, 0),
+                                        ({"kind": "Q"}, 0),
+                                        ({"kind": "Fp", "p": 3}, -1)])
+def test_empty_algebra_is_refused(capsys, tmp_path, field, dim):
+    doc = {"kind": "algebra",
+           "payload": {"field": field, "dim": dim, "unit": [], "mult": []}}
+    code, out = run_cli(capsys, ["analyze", write(tmp_path, doc)])
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "ValidationError",
+        "message": f"algebra dim must be at least 1, got {dim}"}}
+
+
 @pytest.mark.parametrize("window", [[[1]], [5], [[0, 1.5]], "0:1"])
 def test_malformed_window_is_refused(capsys, tmp_path, window):
     doc = {"kind": "laurent", "payload": LAURENT_PAYLOAD,

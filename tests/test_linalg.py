@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gradix.fields import prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
                            mat_mul, mat_power, mat_vec, np_dtype, np_rref,
                            projective_count, projective_points, rref,
                            solve_affine)
+
+BIG_P = 4294967311  # past the int64 bound of np_dtype
 
 F3 = prime_field(3)
 Q = rationals()
@@ -117,3 +120,48 @@ def test_np_dtype_bound():
     p = 4294967311
     red, piv = np_rref(np.array([[p - 1, p - 2], [2, 1]], dtype=object), p)
     assert piv == [0, 1] and red.tolist() == [[1, 0], [0, 1]]
+
+
+def _with_zero_rows(a, rng):
+    """a with all-zero rows inserted between, before and after its rows."""
+    zero = np.zeros((1, a.shape[1]), dtype=a.dtype)
+    parts = [zero]
+    for row in a:
+        parts += [row[None, :]] + [zero] * rng.randrange(3)
+    return np.concatenate(parts + [zero, zero])
+
+
+@pytest.mark.parametrize("p", [3, BIG_P])
+def test_np_rref_ignores_zero_rows(p):
+    rng = random.Random(17)
+    dtype = np_dtype(p, 5)
+    assert dtype is (np.int64 if p == 3 else object)
+    for _ in range(30):
+        a = np.array([[rng.randrange(p) if rng.random() < 0.6 else 0
+                       for _ in range(5)] for _ in range(rng.randrange(1, 5))],
+                     dtype=dtype)
+        red, piv = np_rref(a, p)
+        for padded in (_with_zero_rows(a, rng),
+                       np.concatenate([a, np.zeros((4, 5), dtype=dtype)]),
+                       # rows that vanish only mod p
+                       _with_zero_rows(a, rng) + p * rng.randrange(1, 4)):
+            got, gpiv = np_rref(padded, p)
+            assert gpiv == piv and got.tolist() == red.tolist()
+        # the generic echelon agrees on the padded matrix
+        ech = rref(prime_field(p), _with_zero_rows(a, rng).tolist(), 5)
+        assert ech.pivots == piv and ech.rows == red.tolist()
+    for empty in (np.zeros((6, 5), dtype=dtype), np.zeros((0, 5), dtype=dtype)):
+        red, piv = np_rref(empty, p)
+        assert red.shape == (0, 5) and piv == []
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_P])
+def test_kernel_takes_arrays(p):
+    rng = random.Random(19)
+    f = prime_field(p)
+    for _ in range(30):
+        width = rng.randrange(1, 6)
+        rows = [[rng.randrange(p) if rng.random() < 0.5 else 0
+                 for _ in range(width)] for _ in range(rng.randrange(1, 8))]
+        arr = np.array(rows, dtype=np_dtype(p, width))
+        assert kernel(f, arr, width) == kernel(f, arr.tolist(), width)
