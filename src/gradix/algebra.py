@@ -6,6 +6,9 @@ vectors expand bilinearly.  No associativity or commutativity is assumed
 anywhere.  Dense per-basis operator tables are cached lazily for the
 closure loops, and over F_p those live in numpy (exact: residues held in
 int64 while products fit, Python ints past that; see `linalg.np_dtype`).
+Over Q the same numpy path runs on `Algebra._reduced`, the reduction mod
+one large prime, which settles most answers on one side; the Fraction path
+runs only for what that reduction cannot settle.
 """
 
 from __future__ import annotations
@@ -19,8 +22,13 @@ import numpy as np
 from .errors import (BudgetExceeded, DimensionMismatch, ExactModeUnavailable,
                      ValidationError)
 from .fields import FieldSpec, Scalar
-from .linalg import (Subspace, Vec, kernel, mat_inverse, mat_vec, np_dtype,
-                     projective_count, projective_points, solve_affine)
+from .linalg import (Subspace, Vec, coerce_matrix, kernel, mat_inverse,
+                     mat_vec, np_dtype, projective_count, projective_points,
+                     solve_affine)
+
+# The prime of the reduction that certifies answers over Q: the largest
+# prime below 2^25, so the density test runs in int64 up to d = 90.
+REDUCTION_FIELD = FieldSpec(33554393)
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,42 @@ class Algebra:
         c = self._np_tensor
         return (np.einsum("ijm,mkl->ijkl", c, c) -
                 np.einsum("jkm,iml->ijkl", c, c)) % self.field.p
+
+    @cached_property
+    def _associator_triples(self) -> list:
+        """Dense table of the basis associators (e_i, e_j, e_k) for the
+        generic path."""
+        prod = self.product_table
+        return [[[self.sub_vec(self.right_by_basis(k, prod[i][j]),
+                               self.left_by_basis(i, prod[j][k]))
+                  for k in range(self.dim)]
+                 for j in range(self.dim)]
+                for i in range(self.dim)]
+
+    @cached_property
+    def _reduced(self) -> Algebra | None:
+        """This algebra over Q with its structure constants and unit reduced
+        mod P (`REDUCTION_FIELD`); None over a finite field, or when an entry
+        has a denominator divisible by P.
+
+        Let Z_(P) be the rationals with denominators prime to P.  The basis
+        spans a Z_(P)-lattice that every L_{e_j} and R_{e_j} preserves, and
+        reduction mod P is a ring map on it.  Two facts make the reduction a
+        one-sided certificate.  The rank of a matrix over Z_(P) is at least
+        the rank of its reduction, so a subspace cut out by such equations
+        has dimension at most that of its reduction.  A proper nonzero
+        invariant Q-subspace W reduces to a proper nonzero invariant
+        F_P-subspace of the same dimension, because W meets the lattice in a
+        pure sublattice, whose basis stays independent mod P.  So a rank-1
+        nucleus or center of the reduction is the unit line over Q, an
+        irreducible reduction proves A simple, and a nonzero associator of
+        the reduction proves A not associative."""
+        if self.field.is_finite:
+            return None
+        try:
+            return make_algebra(REDUCTION_FIELD, self.dim, self.mult, self.unit)
+        except ZeroDivisionError:
+            return None
 
     # -- products ---------------------------------------------------------
 
@@ -240,22 +284,6 @@ class CentralSubspaces:
     center: Subspace
 
 
-def _associator_triples(alg: Algebra):
-    """Dense table (e_i, e_j, e_k) for the generic path."""
-    prod = alg.product_table
-    table = []
-    for i in range(alg.dim):
-        plane = []
-        for j in range(alg.dim):
-            row = []
-            for k in range(alg.dim):
-                row.append(alg.sub_vec(alg.right_by_basis(k, prod[i][j]),
-                                       alg.left_by_basis(i, prod[j][k])))
-            plane.append(row)
-        table.append(plane)
-    return table
-
-
 def _nucleus_blocks_np(alg: Algebra):
     c = alg._np_tensor
     d = alg.dim
@@ -270,7 +298,7 @@ def _nucleus_blocks_np(alg: Algebra):
 
 def _nucleus_blocks_generic(alg: Algebra):
     d = alg.dim
-    trip = _associator_triples(alg)
+    trip = alg._associator_triples
     left, middle, right = [], [], []
     for a in range(d):
         for b in range(d):
@@ -296,24 +324,41 @@ def nucleus_equation_rows(alg: Algebra) -> list:
     return left + middle + right
 
 
+def _central_np(alg: Algebra) -> CentralSubspaces:
+    f = alg.field
+    left, middle, right, comm = _nucleus_blocks_np(alg)
+    stack = lambda blocks: kernel(f, np.concatenate(blocks), alg.dim)
+    return CentralSubspaces(
+        left=stack([left]), middle=stack([middle]), right=stack([right]),
+        nucleus=stack([left, middle, right]),
+        commuter=stack([comm]),
+        center=stack([left, middle, right, comm]))
+
+
 def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
+    """The nuclei, the commuter and the center, each as the kernel of its
+    equations.  Over Q each of the six that has rank 1 in the reduction mod
+    P (`Algebra._reduced`) is the line of the unit, which lies in all six;
+    only the others are solved in Fractions."""
     f = alg.field
     d = alg.dim
     if f.is_finite:
-        left, middle, right, comm = _nucleus_blocks_np(alg)
-        stack = lambda blocks: kernel(f, np.concatenate(blocks), d)
-        return CentralSubspaces(
-            left=stack([left]), middle=stack([middle]), right=stack([right]),
-            nucleus=stack([left, middle, right]),
-            commuter=stack([comm]),
-            center=stack([left, middle, right, comm]))
-    left, middle, right, comm = _nucleus_blocks_generic(alg)
-    return CentralSubspaces(
-        left=kernel(f, left, d), middle=kernel(f, middle, d),
-        right=kernel(f, right, d),
-        nucleus=kernel(f, left + middle + right, d),
-        commuter=kernel(f, comm, d),
-        center=kernel(f, left + middle + right + comm, d))
+        return _central_np(alg)
+    red = alg._reduced
+    mod_p = _central_np(red) if red is not None else None
+    names = ("left", "middle", "right", "nucleus", "commuter", "center")
+    unit_line = Subspace.span(f, d, [alg.unit])
+    out = {n: unit_line for n in names
+           if mod_p is not None and getattr(mod_p, n).rank == 1}
+    if len(out) < len(names):
+        left, middle, right, comm = _nucleus_blocks_generic(alg)
+        systems = {"left": left, "middle": middle, "right": right,
+                   "nucleus": left + middle + right, "commuter": comm,
+                   "center": left + middle + right + comm}
+        for n in names:
+            if n not in out:
+                out[n] = kernel(f, systems[n], d)
+    return CentralSubspaces(**out)
 
 
 # -- inverses ----------------------------------------------------------------
@@ -439,7 +484,9 @@ class SimplicityVerdict:
     """Points the verdict settles: for an exact "simple" verdict every point
     of the sweep (the projective points of A; for a graded verdict, the
     homogeneous points); for a witness, its position in the sweep order; in
-    randomized mode, the samples drawn."""
+    randomized mode, the samples that a "simple" verdict covers (all
+    `trials` of them, also when the reduction mod P proved it over Q and
+    none was drawn) or the position of the sample that is the witness."""
 
 
 def random_element(alg: Algebra, rng: random.Random) -> Vec:
@@ -474,6 +521,11 @@ def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
         if e:
             x = (x @ x) % p
     return out
+
+
+def _density_fits(p: int, d: int) -> bool:
+    """int64 holds the products of `_density_irreducible` over F_p."""
+    return d * d * (p - 1) ** 2 < 2 ** 63
 
 
 def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
@@ -534,7 +586,7 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     if total > budget:
         raise BudgetExceeded(f"{total} {noun} points exceed budget {budget}")
     gens = _np_generators(alg, maps)
-    density = total > d * d and d * d * (p - 1) ** 2 < 2 ** 63
+    density = total > d * d and _density_fits(p, d)
     if density and _density_irreducible(alg, gens):
         return SimplicityVerdict(True, None, "exact", total)
     points = (pt for block in blocks for pt in coordinate_points(alg, block))
@@ -547,6 +599,21 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     return SimplicityVerdict(True, None, "exact", total)
 
 
+def _reduction_irreducible(alg: Algebra, maps) -> bool:
+    """Whether the density test finds the reduction mod P of A over Q, with
+    the maps reduced too, irreducible.  True proves A simple under the maps
+    (see `Algebra._reduced`); False settles nothing.  Maps with a
+    denominator divisible by P do not reduce, and give False."""
+    red = alg._reduced
+    if red is None or not _density_fits(red.field.p, red.dim):
+        return False
+    try:
+        maps = [coerce_matrix(red.field, m, red.dim) for m in maps]
+    except ZeroDivisionError:
+        return False
+    return _density_irreducible(red, _np_generators(red, maps))
+
+
 def simple_under(alg: Algebra, maps=(), mode: str = "auto",
                  budget: int = 1_000_000, trials: int = 1000,
                  seed: int = 0) -> SimplicityVerdict:
@@ -554,11 +621,17 @@ def simple_under(alg: Algebra, maps=(), mode: str = "auto",
     the whole algebra.  Exact mode (F_p only) is `_exact_verdict` over the
     projective points of A, decided by the Jacobson density test past d^2
     of them.  Randomized mode samples and can only refute or report
-    no-counterexample."""
+    no-counterexample.  Over Q it first runs the density test on the
+    reduction mod P; an irreducible reduction proves A simple, and every
+    sample would find a full closure, so the verdict is the "randomized"
+    simple one with `checked = trials`, drawn without sampling.  Otherwise,
+    and always over F_p, the samples are drawn."""
     if mode == "auto":
         mode = "exact" if alg.field.is_finite else "randomized"
     if mode == "exact":
         return _exact_verdict(alg, maps, [range(alg.dim)], budget, "projective")
+    if _reduction_irreducible(alg, maps):
+        return SimplicityVerdict(True, None, "randomized", trials)
     rng = random.Random(seed)
     for t in range(trials):
         v = random_element(alg, rng)
@@ -604,13 +677,20 @@ def associator_defect(alg: Algebra) -> Subspace:
         from .linalg import np_to_subspace
         return np_to_subspace(alg.field, alg._np_defect.reshape(-1, alg.dim),
                               alg.dim)
-    trip = _associator_triples(alg)
+    trip = alg._associator_triples
     vecs = [trip[i][j][k] for i in range(alg.dim)
             for j in range(alg.dim) for k in range(alg.dim)]
     return Subspace.span(alg.field, alg.dim, vecs)
 
 
 def is_associative(alg: Algebra) -> bool:
+    """Whether every basis associator vanishes.  Over Q a nonzero associator
+    of the reduction mod P (`Algebra._reduced`) proves A not associative;
+    a zero one settles nothing, and the defect is then spanned in
+    Fractions."""
+    red = alg._reduced
+    if red is not None and red._np_defect.any():
+        return False
     return associator_defect(alg).is_zero
 
 

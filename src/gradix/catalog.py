@@ -126,11 +126,12 @@ def sedenions(field: FieldSpec) -> tuple[Algebra, Gradation]:
 
 def random_unital_algebra(field: FieldSpec, dim: int,
                           rng: random.Random) -> Algebra:
-    """Basis vector 0 is the unit; the remaining products are uniform."""
+    """Basis vector 0 is the unit; the remaining products are uniform (over
+    Q, fractions with numerators -3..3 and denominators 1..5)."""
     def scalar():
         if field.is_finite:
             return rng.randrange(field.p)
-        return Fraction(rng.randint(-3, 3))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 5))
 
     entries = []
     for j in range(1, dim):

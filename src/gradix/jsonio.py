@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 
 from . import catalog
-from .algebra import (Algebra, SimplicityVerdict, associator_defect,
-                      center_is_field, is_simple, make_algebra,
+from .algebra import (Algebra, SimplicityVerdict, center_is_field,
+                      is_associative, is_simple, make_algebra,
                       nucleus_and_center)
 from .cayley import DoublingReport, tower
 from .crossed import (CrossedSystem, build_crossed_product, crossed_center,
@@ -237,7 +237,7 @@ def algebra_block(alg: Algebra, opts) -> dict:
     block = {
         "field": field_json(f),
         "dim": alg.dim,
-        "associative": associator_defect(alg).is_zero,
+        "associative": is_associative(alg),
         "subspaces": {
             "left_nucleus": subspace_json(central.left),
             "middle_nucleus": subspace_json(central.middle),
@@ -304,7 +304,7 @@ def crossed_block(sys: CrossedSystem, opts) -> dict:
         "coefficient_dim": sys.algebra.dim,
         "group_order": sys.group.order,
         "product_dim": prod.dim,
-        "product_associative": associator_defect(prod).is_zero,
+        "product_associative": is_associative(prod),
         "strong": True,    # enforced by build_crossed_product
         "center": subspace_json(z),
         "centers_match": z.basis == brute_z.basis,

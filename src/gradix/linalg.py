@@ -8,7 +8,10 @@ while a row's sums of products fit (`np_dtype`) and Python ints past that.
 `kernel` takes F_p equations as an array as well as a list of rows, and
 `np_rref` drops the all-zero rows before its pivot loop, so the large
 sparse systems of the nucleus solves are eliminated on their few nonzero
-rows only.
+rows only.  Over Q the numpy path does most of the work as well: `algebra`
+reduces an algebra mod one large prime (`Algebra._reduced`), whose ranks
+bound the ranks over Q from below, and the generic path runs only for the
+answers that reduction cannot certify.
 """
 
 from __future__ import annotations

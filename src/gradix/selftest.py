@@ -7,16 +7,20 @@ the CLI can exit nonzero on any violation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+from fractions import Fraction
 
 from . import jsonio
-from .algebra import (associator, center_is_field, ideal_closure, is_simple,
-                      multiply, nucleus_and_center)
+from .algebra import (REDUCTION_FIELD, associator, center_is_field,
+                      ideal_closure, is_associative, is_simple, make_algebra,
+                      multiply, nucleus_and_center, simple_under)
 from .catalog import (field_algebra, group_algebra, matrix_algebra,
                       named_group, octonions, product_algebra,
-                      quadratic_field_extension, random_graded_algebra,
-                      random_unital_algebra, swap_matrix)
+                      product_with_swap, quadratic_field_extension,
+                      random_graded_algebra, random_unital_algebra,
+                      swap_matrix, truncated_dual)
 from .cayley import cayley_double, doubling_report
 from .crossed import (build_crossed_product, canonical_units,
                       crossed_center, recognize_crossed_system,
@@ -116,6 +120,34 @@ def _graded_density(rng, trials, maxlen):
         assert len(points) > a.dim ** 2  # past d^2 points: the density test
         sweep = all(_closure_is_full(a, r) for r in points)
         assert is_graded_simple(a, grad).simple == sweep, (a.dim, grad.degrees)
+
+
+@check("reduction mod p agrees with the Fraction path over Q")
+def _reduction(rng, trials, maxlen):
+    q = rationals()
+    big = REDUCTION_FIELD.p
+
+    def quadratic(c):
+        return make_algebra(q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                                   (1, 1, 0, c)], (1, 0))
+
+    def answers(a):
+        maps = (a.involution,) if a.involution is not None else ()
+        return (nucleus_and_center(a), is_associative(a),
+                simple_under(a, mode="randomized", trials=100, seed=0),
+                simple_under(a, maps, mode="randomized", trials=100, seed=1))
+
+    cases = [product_algebra(q, 2), truncated_dual(q), matrix_algebra(q, 2),
+             quadratic(Fraction(1, big)), quadratic(big)]
+    cases += [random_unital_algebra(q, rng.randint(1, 5), rng)
+              for _ in range(max(trials // 3, 4))]
+    for base in (field_algebra(q), truncated_dual(q), product_with_swap(q)):
+        a = cayley_double(base, rng.choice((-1, 2, Fraction(1, 2))))[0]
+        cases.append(cayley_double(a, -1)[0] if a.dim == 2 else a)
+    for a in cases:
+        ref = dataclasses.replace(a)
+        vars(ref)["_reduced"] = None    # the Fraction path alone
+        assert answers(a) == answers(ref), a.mult
 
 
 @check("associator linearity identity")

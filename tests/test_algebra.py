@@ -1,12 +1,15 @@
 import itertools
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra
-from gradix.algebra import (SimplicityVerdict, associator, center_is_field,
+from gradix.algebra import (Algebra, SimplicityVerdict, associator,
+                            center_is_field,
                             commutator, conjugation_matrix, ideal_closure,
                             is_associative, is_ring_automorphism, is_simple,
                             make_algebra, multiply, nucleus_and_center,
@@ -360,3 +363,145 @@ def test_conjugation_is_automorphism():
 def test_associativity_flags():
     assert is_associative(matrix_algebra(F2, 2))
     assert not is_associative(octonions(F3)[0])
+
+
+# -- over Q: the reduction mod P against the Fraction path ---------------------
+
+P = algebra.REDUCTION_FIELD.p
+
+
+def q_answers(alg):
+    """The answers over Q that the reduction mod P can settle."""
+    maps = (alg.involution,) if alg.involution is not None else ()
+    return (nucleus_and_center(alg), is_associative(alg),
+            simple_under(alg, mode="randomized", trials=100, seed=0),
+            simple_under(alg, maps, mode="randomized", trials=100, seed=1))
+
+
+def reference_answers(alg):
+    """The same answers on the Fraction path alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Algebra, "_reduced", None)
+        return q_answers(replace(alg))
+
+
+def quadratic_q(c):
+    """Q[x]/(x^2 - c)."""
+    return make_algebra(Q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                               (1, 1, 0, c)], (1, 0))
+
+
+def skew_q(c):
+    """Basis 1, x, y with x y = c x and every other product of x, y zero:
+    not associative and not commutative over Q when c != 0."""
+    return make_algebra(Q, 3, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                               (0, 2, 2, 1), (2, 0, 2, 1), (1, 2, 1, c)],
+                        (1, 0, 0))
+
+
+Q_CASES = [
+    lambda rng: random_unital_algebra(Q, rng.randint(1, 5), rng),
+    lambda rng: product_algebra(Q, rng.randint(1, 3)),
+    lambda rng: truncated_dual(Q),
+    lambda rng: product_with_swap(Q),
+    lambda rng: matrix_algebra(Q, 2),
+    lambda rng: quadratic_q(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))),
+    lambda rng: quadratic_q(Fraction(1, P)),
+    lambda rng: quadratic_q(P),
+    lambda rng: skew_q(P),
+    lambda rng: skew_q(Fraction(rng.randint(1, 9), rng.randint(1, 5))),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(Q_CASES), st.integers(0, 2 ** 32))
+def test_reduction_matches_fraction_path(case, seed):
+    alg = case(random.Random(seed))
+    assert q_answers(alg) == reference_answers(alg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([field_algebra, truncated_dual, product_with_swap]),
+       st.lists(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 5)]),
+                min_size=1, max_size=2))
+def test_reduction_matches_fraction_path_cayley_doubles(base, mus):
+    alg = base(Q)
+    for mu in mus:
+        if alg.dim * 2 > 4:
+            break
+        alg, _ = cayley_double(alg, mu)
+    assert q_answers(alg) == reference_answers(alg)
+
+
+def test_q_witnesses_unchanged():
+    v = simple_under(product_algebra(Q, 2), mode="randomized", trials=100, seed=0)
+    assert v == SimplicityVerdict(False, (-8, 0), "randomized", 13)
+    v = is_simple(truncated_dual(Q))
+    assert v == SimplicityVerdict(False, (0, 6), "randomized", 32)
+
+
+def test_denominator_divisible_by_p_has_no_reduction():
+    alg = quadratic_q(Fraction(1, P))
+    assert alg._reduced is None
+    assert is_simple(alg, trials=10) == SimplicityVerdict(True, None,
+                                                          "randomized", 10)
+    assert nucleus_and_center(alg).center.rank == 2
+    assert product_algebra(F3, 2)._reduced is None
+
+
+def test_degenerate_reduction_falls_back(monkeypatch):
+    # x^2 = P is a field over Q but the dual numbers mod P
+    field_q = quadratic_q(P)
+    red = field_q._reduced
+    assert red is not None and red.mult == truncated_dual(red.field).mult
+    assert not algebra._density_irreducible(red, algebra._np_generators(red))
+    assert is_simple(field_q, trials=10) == SimplicityVerdict(
+        True, None, "randomized", 10)
+    # x y = P x: associative and commutative mod P, neither over Q
+    skew = skew_q(P)
+    assert not skew._reduced._np_defect.any()
+    assert not is_associative(skew)
+    ranks = lambda c: [c.left.rank, c.middle.rank, c.right.rank,
+                       c.nucleus.rank, c.commuter.rank, c.center.rank]
+    assert ranks(nucleus_and_center(skew._reduced)) == [3] * 6
+    assert ranks(nucleus_and_center(skew)) == [2, 2, 2, 1, 1, 1]
+    assert not is_simple(skew).simple
+
+
+def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+    monkeypatch.setattr(algebra, "_closure_generic", refuse)
+    octo = field_algebra(Q)
+    for mu in (-1, -1, -1):
+        octo, _ = cayley_double(octo, mu)
+    for alg in (matrix_algebra(Q, 2), octo):
+        v = is_simple(alg, trials=25)
+        assert v == SimplicityVerdict(True, None, "randomized", 25)
+    # all six subspaces of the octonions have rank 1 mod P: no Fraction solve
+    monkeypatch.setattr(algebra, "_nucleus_blocks_generic", refuse)
+    monkeypatch.setattr(algebra, "associator_defect", refuse)
+    unit_line = Subspace.span(Q, 8, [octo.unit])
+    assert nucleus_and_center(octo) == algebra.CentralSubspaces(*[unit_line] * 6)
+    assert not is_associative(octo)
+
+
+def test_randomized_mode_over_fp_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("density test entered")
+    monkeypatch.setattr(algebra, "_density_irreducible", refuse)
+    v = simple_under(matrix_algebra(F3, 2), mode="randomized", trials=30)
+    assert v == SimplicityVerdict(True, None, "randomized", 30)
+
+
+def test_associator_triples_built_once(monkeypatch):
+    # the Q quaternions are associative: the reduction settles neither the
+    # full nuclei nor the zero defect, so both come from the Fraction table
+    alg, _ = cayley_double(cayley_double(field_algebra(Q), -1)[0], -1)
+    calls = []
+    right = Algebra.right_by_basis
+    monkeypatch.setattr(Algebra, "right_by_basis",
+                        lambda self, j, v: calls.append(j) or right(self, j, v))
+    assert nucleus_and_center(alg).nucleus.is_full
+    assert is_associative(alg)
+    assert len(calls) == alg.dim ** 3

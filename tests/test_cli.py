@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -191,6 +192,16 @@ def test_console_script_entry_point(graded_file):
                            graded_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"]["simplicity_equivalence"]
+
+
+def test_python_dash_m_gradix(graded_file, monkeypatch, capsys):
+    # what `python -m gradix verdict <file>` runs
+    monkeypatch.setattr(sys, "argv", ["gradix", "verdict", graded_file])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("gradix", run_name="__main__")
+    assert exc.value.code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"]["simplicity_equivalence"]
 
 
 Q_REQ = {"kind": "algebra",
