@@ -12,7 +12,7 @@ from .algebra import (Algebra, SimplicityVerdict, associator, center_is_field,
                       make_algebra, multiply, nucleus_and_center,
                       simple_under, two_sided_inverse)
 from .cayley import (DoublingReport, cayley_double, doubling_report,
-                     is_star_simple, star_centers, tower)
+                     is_star_simple, star_centers, tower, tower_stages)
 from .crossed import (CrossedSystem, build_crossed_product, canonical_units,
                       crossed_center, is_G_simple, recognize_crossed_system,
                       trivial_system, validate_crossed_system)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Algebra, make_algebra
-from .cayley import tower
+from .cayley import tower_stages
 from .errors import ValidationError
 from .fields import FieldSpec
 from .graded import Gradation, validate_gradation
@@ -110,18 +110,18 @@ def frobenius_matrix(field: FieldSpec):
 
 
 def quaternions(field: FieldSpec) -> tuple[Algebra, Gradation]:
-    stage = tower(field, [-1, -1])[-1]
-    return stage.algebra, stage.gradation
+    *_, last = tower_stages(field, [-1, -1])
+    return last
 
 
 def octonions(field: FieldSpec) -> tuple[Algebra, Gradation]:
-    stage = tower(field, [-1, -1, -1])[-1]
-    return stage.algebra, stage.gradation
+    *_, last = tower_stages(field, [-1, -1, -1])
+    return last
 
 
 def sedenions(field: FieldSpec) -> tuple[Algebra, Gradation]:
-    stage = tower(field, [-1, -1, -1, -1])[-1]
-    return stage.algebra, stage.gradation
+    *_, last = tower_stages(field, [-1, -1, -1, -1])
+    return last
 
 
 def random_unital_algebra(field: FieldSpec, dim: int,

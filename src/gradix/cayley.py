@@ -7,11 +7,14 @@ The double of (A, *) at an invertible scalar mu is A + Al with
 carrying the natural Z/2-gradation with A in degree 0.  Iterating from
 the ground field produces the usual tower (complexification, quaternion,
 octonion, sedenion stages) together with an accumulated (Z/2)^k-gradation.
+`tower_stages` only builds the tower, so it works over Q and at any size;
+`tower` also judges each double by the doubling criterion.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,16 +90,16 @@ def is_star_simple(alg: Algebra, budget: int = 1_000_000) -> SimplicityVerdict:
     return simple_under(alg, maps=(alg.involution,), mode="exact", budget=budget)
 
 
-def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
+def star_centers(alg: Algebra, center: Subspace) -> tuple[Subspace, Subspace]:
     """Symmetric central elements, and those killing every b - b* on the right:
-    the two pieces that assemble the center of a double."""
+    the two pieces that assemble the center of a double.  `center` is Z(A),
+    as `nucleus_and_center(alg).center` gives it."""
     _require_involution(alg)
     f = alg.field
-    z = nucleus_and_center(alg).center
     ident = identity_matrix(f, alg.dim)
     sym_rows = [[f.sub(alg.involution[r][c], ident[r][c]) for c in range(alg.dim)]
                 for r in range(alg.dim)]
-    z_star = z.intersect(kernel(f, sym_rows, alg.dim))
+    z_star = center.intersect(kernel(f, sym_rows, alg.dim))
     rows = []
     for j in range(alg.dim):
         v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
@@ -105,26 +108,26 @@ def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
     return z_star, z_sstar
 
 
-def mu_square_in_center(alg: Algebra, mu, budget: int = 1_000_000) -> bool | None:
-    """Is mu.1 a square inside Z(A)?  Exact over F_p; over Q decided only for
-    the scalar line (perfect-square test), otherwise None."""
+def mu_square_in_center(alg: Algebra, center: Subspace, mu,
+                        budget: int = 1_000_000) -> bool | None:
+    """Is mu.1 a square inside `center` = Z(A)?  Exact over F_p; over Q
+    decided only for the scalar line (perfect-square test), otherwise None."""
     f = alg.field
     mu = f.coerce(mu)
-    z = nucleus_and_center(alg).center
     target = alg.scalar_vec(mu)
     if f.is_finite:
-        if f.p ** z.rank > budget:
+        if f.p ** center.rank > budget:
             return None
         import itertools
-        for coeffs in itertools.product(range(f.p), repeat=z.rank):
+        for coeffs in itertools.product(range(f.p), repeat=center.rank):
             v = alg.zero_vec()
-            for c, row in zip(coeffs, z.basis):
+            for c, row in zip(coeffs, center.basis):
                 if c:
                     v = alg.add_vec(v, alg.scale(c, row))
             if alg.multiply(v, v) == target:
                 return True
         return False
-    if z.rank == 1:
+    if center.rank == 1:
         q = Fraction(mu)
         if q < 0:
             return False
@@ -148,9 +151,11 @@ class DoublingReport:
     consistent: bool
 
 
-def doubling_report(alg: Algebra, mu, budget: int = 1_000_000) -> DoublingReport:
-    """Predict simplicity of the double from data of (A, *, mu) and, when the
-    double is small enough, confront the prediction with brute enumeration."""
+def doubling_report(alg: Algebra, mu, doubled: Algebra,
+                    budget: int = 1_000_000) -> DoublingReport:
+    """Predict simplicity of the double `doubled` = C(alg, mu) from data of
+    (A, *, mu) and, when the double is small enough, confront the prediction
+    with brute enumeration."""
     _require_involution(alg)
     f = alg.field
     mu = f.coerce(mu)
@@ -159,10 +164,10 @@ def doubling_report(alg: Algebra, mu, budget: int = 1_000_000) -> DoublingReport
 
     star_v = is_star_simple(alg, budget)
     trivial = alg.involution == identity_matrix(f, alg.dim)
-    central = nucleus_and_center(alg)
-    zfield = subfield_check(alg, central.center, budget)
-    musq = mu_square_in_center(alg, mu, budget)
-    z_star, _ = star_centers(alg)
+    center = nucleus_and_center(alg).center
+    zfield = subfield_check(alg, center, budget)
+    musq = mu_square_in_center(alg, center, mu, budget)
+    z_star, _ = star_centers(alg, center)
     zsfield = subfield_check(alg, z_star, budget)
 
     if trivial:
@@ -173,7 +178,6 @@ def doubling_report(alg: Algebra, mu, budget: int = 1_000_000) -> DoublingReport
     else:
         criterion = star_v.simple and zsfield
 
-    doubled, _ = cayley_double(alg, mu)
     brute = witness = None
     if f.is_finite and projective_count(f.p, doubled.dim) <= budget:
         v = is_simple(doubled, mode="exact", budget=budget)
@@ -193,20 +197,30 @@ class TowerStage:
     report: DoublingReport | None
 
 
-def tower(field: FieldSpec, mus, budget: int = 1_000_000) -> list[TowerStage]:
-    """Iterated doubling from the ground field along the given parameters."""
-    base = make_algebra(field, 1, [(0, 0, 0, field.one)], (field.one,),
-                        involution=((field.one,),), labels=("1",))
+def tower_stages(field: FieldSpec, mus) -> Iterator[tuple[Algebra, Gradation]]:
+    """The ground field and its iterated doubles along the given parameters,
+    each with its accumulated (Z/2)^k-gradation, built one at a time."""
+    alg = make_algebra(field, 1, [(0, 0, 0, field.one)], (field.one,),
+                       involution=((field.one,),), labels=("1",))
     grad = Gradation(elementary_abelian_two(0), (0,))
-    stages = [TowerStage(base, grad, None, None)]
+    yield alg, grad
     letters = "ijlmnpqr"
     for k, mu in enumerate(mus):
-        prev = stages[-1]
-        report = doubling_report(prev.algebra, mu, budget)
         letter = letters[k] if k < len(letters) else f"t{k}"
-        doubled, _ = cayley_double(prev.algebra, mu, adjoined=letter)
-        degrees = tuple(prev.gradation.degrees) + \
-            tuple(d + (1 << k) for d in prev.gradation.degrees)
-        grad, _ = validate_gradation(doubled, elementary_abelian_two(k + 1), degrees)
-        stages.append(TowerStage(doubled, grad, field.coerce(mu), report))
+        alg, _ = cayley_double(alg, mu, adjoined=letter)
+        degrees = tuple(grad.degrees) + tuple(d + (1 << k) for d in grad.degrees)
+        grad, _ = validate_gradation(alg, elementary_abelian_two(k + 1), degrees)
+        yield alg, grad
+
+
+def tower(field: FieldSpec, mus, budget: int = 1_000_000) -> list[TowerStage]:
+    """Iterated doubling from the ground field, each double judged by
+    `doubling_report` as soon as it is built."""
+    built = tower_stages(field, mus)
+    alg, grad = next(built)
+    stages = [TowerStage(alg, grad, None, None)]
+    for (alg, grad), mu in zip(built, mus):
+        mu = field.coerce(mu)
+        report = doubling_report(stages[-1].algebra, mu, alg, budget)
+        stages.append(TowerStage(alg, grad, mu, report))
     return stages

@@ -125,9 +125,11 @@ def cmd_laurent(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = selftest.run(trials=args.trials if args.trials else 25,
-                            seed=args.seed if args.seed is not None else 0,
-                            oracle_maxlen=args.oracle_maxlen or 5)
+    for name in ("trials", "oracle_maxlen"):
+        if getattr(args, name) <= 0:
+            return _fail(ValidationError(f"option {name} must be positive"), args)
+    failures = selftest.run(trials=args.trials, seed=args.seed,
+                            oracle_maxlen=args.oracle_maxlen)
     return 1 if failures else 0
 
 
@@ -156,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(fn=cmd_laurent)
 
     s = subs.add_parser("selftest", help="run the built-in property battery")
-    s.add_argument("--trials", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--oracle-maxlen", type=int, default=None, dest="oracle_maxlen")
+    s.add_argument("--trials", type=int, default=25)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--oracle-maxlen", type=int, default=5, dest="oracle_maxlen")
     s.set_defaults(fn=cmd_selftest)
     return p
 

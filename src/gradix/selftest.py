@@ -233,10 +233,10 @@ def _cayley(rng, trials, maxlen):
     f3 = prime_field(3)
     base = field_algebra(f3)
     for mu in (f3.coerce(1), f3.coerce(2)):
-        rep = doubling_report(base, mu)
+        rep = doubling_report(base, mu, cayley_double(base, mu)[0])
         assert rep.consistent and rep.criterion_simple == rep.brute_simple
     ext = quadratic_field_extension(f3)
-    rep = doubling_report(ext, f3.coerce(1))
+    rep = doubling_report(ext, 1, cayley_double(ext, 1)[0])
     assert rep.consistent
 
 

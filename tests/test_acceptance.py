@@ -297,20 +297,21 @@ def test_criterion_6_doubling_suite(capsys):
     for name, base, mu in pairs:
         f = base.field
         trivial = base.involution == identity_matrix(f, base.dim)
-        square = mu_square_in_center(base, mu)
+        center = nucleus_and_center(base).center
+        square = mu_square_in_center(base, center, mu)
         kinds.add((f.p, trivial, square))
 
-        rep = doubling_report(base, mu)
+        dbl, grad = cayley_double(base, mu)
+        rep = doubling_report(base, mu, dbl)
         assert rep.brute_simple is not None, name
         assert rep.criterion_simple == rep.brute_simple, name
         assert rep.consistent, name
 
-        dbl, grad = cayley_double(base, mu)
         # graded simplicity of the double reduces to *-simplicity
         assert (is_graded_simple(dbl, grad).simple
                 == is_star_simple(base).simple), name
         # the center of the double is Z_* + Z_** l
-        zs, zss = star_centers(base)
+        zs, zss = star_centers(base, center)
         zero = (f.zero,) * base.dim
         want = Subspace.span(f, 2 * base.dim,
                              [row + zero for row in zs.basis]
@@ -330,7 +331,7 @@ def test_criterion_6_doubling_suite(capsys):
     # sampled closures find no proper ideal
     sed, _ = sedenions(F3)
     oct_base = octonions(F3)[0]
-    rep16 = doubling_report(oct_base, F3.coerce(-1))
+    rep16 = doubling_report(oct_base, F3.coerce(-1), sed)
     assert rep16.criterion_simple is True
     assert rep16.brute_simple is None  # over budget for exact enumeration
     sampled = simple_under(sed, mode="randomized", trials=10_000, seed=0)

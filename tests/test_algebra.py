@@ -3,11 +3,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import algebra
+from gradix import algebra, linalg
 from gradix.algebra import (Algebra, SimplicityVerdict, associator,
                             center_is_field,
                             commutator, conjugation_matrix, ideal_closure,
@@ -22,7 +23,8 @@ from gradix.cayley import cayley_double
 from gradix.errors import (DimensionMismatch, ExactModeUnavailable,
                            ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.linalg import Subspace, projective_points, rref
+from gradix.linalg import (Subspace, kernel, np_rref, projective_points,
+                           rref)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -505,3 +507,28 @@ def test_associator_triples_built_once(monkeypatch):
     assert nucleus_and_center(alg).nucleus.is_full
     assert is_associative(alg)
     assert len(calls) == alg.dim ** 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=PRIMES, dim=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
+def test_object_dtype_matches_int64(p, dim, seed):
+    """The object-dtype path (primes past the int64 bound) computes what the
+    int64 path computes, here forced onto small primes."""
+    f = prime_field(p)
+
+    def run():
+        rng = random.Random(seed)
+        alg = random_unital_algebra(f, dim, rng)
+        mat = [[rng.randrange(p) for _ in range(dim + 1)] for _ in range(dim + 2)]
+        red, piv = np_rref(mat, p)
+        gen = tuple(rng.randrange(p) for _ in range(dim))
+        return (alg._np_tensor.dtype, red.tolist(), piv, kernel(f, mat, dim + 1),
+                nucleus_and_center(alg), ideal_closure(alg, [gen]))
+
+    fast = run()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (linalg, algebra):
+            mp.setattr(module, "np_dtype", lambda p, width: object)
+        slow = run()
+    assert (fast[0], slow[0]) == (np.int64, object)
+    assert fast[1:] == slow[1:]

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from gradix.algebra import (center_is_field, is_simple, multiply,
-                            nucleus_and_center, two_sided_inverse)
+from gradix import cayley
+from gradix.algebra import (center_is_field, is_associative, is_simple,
+                            multiply, nucleus_and_center, two_sided_inverse)
 from gradix.catalog import (field_algebra, octonions, product_with_swap,
-                            quadratic_field_extension, quaternions)
+                            quadratic_field_extension, quaternions, sedenions)
 from gradix.cayley import (cayley_double, doubling_report, is_star_simple,
-                           mu_square_in_center, star_centers, tower)
+                           mu_square_in_center, star_centers, tower,
+                           tower_stages)
 from gradix.errors import ExactModeUnavailable, MuZero
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
@@ -70,40 +72,44 @@ def test_double_of_f3_by_nonsquare_is_f9():
 
 
 def test_double_of_f5_by_square_splits():
-    rep = doubling_report(field_algebra(F5), F5.coerce(4))
+    dbl, _ = cayley_double(field_algebra(F5), 4)
+    rep = doubling_report(field_algebra(F5), F5.coerce(4), dbl)
     assert not rep.criterion_simple
     assert not rep.brute_simple
     assert rep.consistent
     assert rep.brute_witness is not None
     # the witness generates the ideal (x - 2) or (x + 2)
-    dbl, _ = cayley_double(field_algebra(F5), 4)
     from gradix.algebra import ideal_closure
     w = ideal_closure(dbl, [rep.brute_witness])
     assert w.rank == 1
 
 
+def mu_square(alg, mu):
+    return mu_square_in_center(alg, nucleus_and_center(alg).center, mu)
+
+
 def test_mu_square_is_center_relative():
-    assert mu_square_in_center(field_algebra(F3), F3.coerce(1)) is True
-    assert mu_square_in_center(field_algebra(F3), F3.coerce(2)) is False
+    assert mu_square(field_algebra(F3), F3.coerce(1)) is True
+    assert mu_square(field_algebra(F3), F3.coerce(2)) is False
     # 2 becomes a square after extending the scalars
     ext = quadratic_field_extension(F3)
-    assert mu_square_in_center(ext, F3.coerce(2)) is True
+    assert mu_square(ext, F3.coerce(2)) is True
 
 
 def test_mu_square_over_q():
-    assert mu_square_in_center(field_algebra(Q), Q.coerce(4)) is True
-    assert mu_square_in_center(field_algebra(Q), Q.coerce(2)) is False
-    assert mu_square_in_center(field_algebra(Q), Q.coerce("9/4")) is True
+    assert mu_square(field_algebra(Q), Q.coerce(4)) is True
+    assert mu_square(field_algebra(Q), Q.coerce(2)) is False
+    assert mu_square(field_algebra(Q), Q.coerce("9/4")) is True
 
 
 def test_star_centers():
     # trivial involution: everything symmetric, Z_** = Z
     base = field_algebra(F3)
-    zs, zss = star_centers(base)
+    zs, zss = star_centers(base, nucleus_and_center(base).center)
     assert zs.rank == 1 and zss.rank == 1
     # Frobenius involution on F9: only the prime field is symmetric
     ext = quadratic_field_extension(F3)
-    zs, zss = star_centers(ext)
+    zs, zss = star_centers(ext, nucleus_and_center(ext).center)
     assert zs.rank == 1
     assert zss.rank == 0
     assert zs.contains(ext.unit)
@@ -114,7 +120,7 @@ def test_center_of_double_decomposes(mu_raw):
     mu = F3.coerce(mu_raw)
     for base in bases_f3():
         dbl, _ = cayley_double(base, mu)
-        zs, zss = star_centers(base)
+        zs, zss = star_centers(base, nucleus_and_center(base).center)
         d = base.dim
         zero = (F3.zero,) * d
         embedded = [row + zero for row in zs.basis] + \
@@ -141,10 +147,9 @@ def test_center_field_dichotomy():
                 tuple(F3.one if i == j else F3.zero
                       for j in range(base.dim)) for i in range(base.dim))
             if trivial:
-                want = (center_is_field(base)
-                        and not mu_square_in_center(base, mu))
+                want = center_is_field(base) and not mu_square(base, mu)
             else:
-                zs, _ = star_centers(base)
+                zs, _ = star_centers(base, nucleus_and_center(base).center)
                 from gradix.algebra import subfield_check
                 want = subfield_check(base, zs)
             assert center_is_field(dbl) == want
@@ -153,7 +158,8 @@ def test_center_field_dichotomy():
 def test_criterion_equals_brute_on_f3_bases():
     for base in bases_f3():
         for mu_raw in (1, 2):
-            rep = doubling_report(base, F3.coerce(mu_raw))
+            mu = F3.coerce(mu_raw)
+            rep = doubling_report(base, mu, cayley_double(base, mu)[0])
             assert rep.brute_simple is not None
             assert rep.criterion_simple == rep.brute_simple
             assert rep.consistent
@@ -163,7 +169,8 @@ def test_nontrivial_involution_gives_simple_double():
     # F9 with Frobenius: Z_* = F3 is a field, so any mu works
     ext = quadratic_field_extension(F3)
     for mu_raw in (1, 2):
-        rep = doubling_report(ext, F3.coerce(mu_raw))
+        mu = F3.coerce(mu_raw)
+        rep = doubling_report(ext, mu, cayley_double(ext, mu)[0])
         assert rep.criterion_simple and rep.brute_simple
 
 
@@ -188,7 +195,34 @@ def test_tower_reaches_octonions():
 
 
 def test_rationals_report_unavailable():
+    base = field_algebra(Q)
     with pytest.raises(ExactModeUnavailable):
-        doubling_report(field_algebra(Q), Q.coerce(2))
+        doubling_report(base, Q.coerce(2), cayley_double(base, 2)[0])
     with pytest.raises(ExactModeUnavailable):
         tower(Q, [Q.coerce(2)])
+
+
+def test_tower_builds_and_judges_each_stage_once(monkeypatch):
+    calls = {"cayley_double": 0, "nucleus_and_center": 0}
+    for name in calls:
+        real = getattr(cayley, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cayley, name, counted)
+    stages = tower(F3, [F3.coerce(-1)] * 3)
+    assert calls == {"cayley_double": 3, "nucleus_and_center": 3}
+    # the reporting tower builds what the pure builder builds
+    built = list(tower_stages(F3, [F3.coerce(-1)] * 3))
+    assert [(s.algebra, s.gradation) for s in stages] == built
+
+
+def test_catalog_builds_over_q():
+    for build, dim in ((quaternions, 4), (octonions, 8), (sedenions, 16)):
+        alg, grad = build(Q)
+        assert alg.dim == dim
+        assert grad.degrees == tuple(range(dim))
+    assert is_associative(quaternions(Q)[0])
+    assert not is_associative(octonions(Q)[0])
+    assert octonions(prime_field(101))[0].dim == 8

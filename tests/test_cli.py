@@ -187,6 +187,12 @@ def test_selftest_passes(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"],
+                                   ["--oracle-maxlen", "0"]])
+def test_selftest_flags_are_validated(capsys, flags):
+    assert_validation_error(capsys, ["selftest"] + flags)
+
+
 def test_console_script_entry_point(graded_file):
     proc = subprocess.run([sys.executable, "-m", "gradix.cli", "verdict",
                            graded_file], capture_output=True, text=True)
