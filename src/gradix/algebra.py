@@ -22,9 +22,9 @@ import numpy as np
 from .errors import (BudgetExceeded, DimensionMismatch, ExactModeUnavailable,
                      ValidationError)
 from .fields import FieldSpec, Scalar
-from .linalg import (Subspace, Vec, coerce_matrix, kernel, mat_inverse,
-                     mat_vec, np_dtype, projective_count, projective_points,
-                     solve_affine)
+from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
+                     mat_inverse, mat_vec, np_dtype, projective_count,
+                     projective_points, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
 # prime below 2^25, so the density test runs in int64 up to d = 90.
@@ -721,6 +721,22 @@ def is_ring_automorphism(alg: Algebra, m) -> bool:
                     alg.multiply(cols[i], cols[j]):
                 return False
     return True
+
+
+def fixed_subspace(alg: Algebra, maps) -> Subspace:
+    """Common fixed space of the linear maps: the kernel of the nonzero rows
+    of every M - I, all of A when there are none."""
+    f = alg.field
+    ident = identity_matrix(f, alg.dim)
+    rows = []
+    for m in maps:
+        for r in range(alg.dim):
+            row = tuple(f.sub(m[r][c], ident[r][c]) for c in range(alg.dim))
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return Subspace.span(f, alg.dim, ident)
+    return kernel(f, rows, alg.dim)
 
 
 def conjugation_matrix(alg: Algebra, u: Vec):

@@ -18,9 +18,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Algebra, SimplicityVerdict, is_simple, make_algebra,
-                      nucleus_and_center, right_mult_matrix, simple_under,
-                      subfield_check)
+from .algebra import (Algebra, SimplicityVerdict, fixed_subspace, is_simple,
+                      make_algebra, nucleus_and_center, right_mult_matrix,
+                      simple_under, subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
 from .graded import Gradation, validate_gradation
@@ -96,10 +96,7 @@ def star_centers(alg: Algebra, center: Subspace) -> tuple[Subspace, Subspace]:
     as `nucleus_and_center(alg).center` gives it."""
     _require_involution(alg)
     f = alg.field
-    ident = identity_matrix(f, alg.dim)
-    sym_rows = [[f.sub(alg.involution[r][c], ident[r][c]) for c in range(alg.dim)]
-                for r in range(alg.dim)]
-    z_star = center.intersect(kernel(f, sym_rows, alg.dim))
+    z_star = center.intersect(fixed_subspace(alg, (alg.involution,)))
     rows = []
     for j in range(alg.dim):
         v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))

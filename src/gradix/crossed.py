@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, SimplicityVerdict, is_ring_automorphism,
-                      left_mult_matrix, make_algebra, nucleus_and_center,
+from .algebra import (Algebra, SimplicityVerdict, fixed_subspace,
+                      is_ring_automorphism, left_mult_matrix, make_algebra, nucleus_and_center,
                       nucleus_equation_rows, right_mult_matrix, simple_under,
                       two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
@@ -259,21 +259,6 @@ def is_G_simple(t: Algebra, sigma,
     """No proper nonzero ideal of T closed under every sigma_g (exact)."""
     maps = tuple(coerce_matrix(t.field, m, t.dim) for m in sigma)
     return simple_under(t, maps=maps, mode="exact", budget=budget)
-
-
-def fixed_subspace(t: Algebra, sigma) -> Subspace:
-    """Common fixed space of the automorphisms."""
-    f = t.field
-    ident = identity_matrix(f, t.dim)
-    rows = []
-    for m in sigma:
-        for r in range(t.dim):
-            row = tuple(f.sub(m[r][c], ident[r][c]) for c in range(t.dim))
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return Subspace.span(f, t.dim, ident)
-    return kernel(f, rows, t.dim)
 
 
 def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:

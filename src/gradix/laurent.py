@@ -22,10 +22,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (Algebra, SimplicityVerdict, is_ring_automorphism,
-                      left_mult_matrix, nucleus_and_center,
-                      nucleus_equation_rows, right_mult_matrix, simple_under,
-                      two_sided_inverse)
+from .algebra import (Algebra, SimplicityVerdict, fixed_subspace,
+                      is_ring_automorphism, left_mult_matrix,
+                      nucleus_and_center, nucleus_equation_rows,
+                      right_mult_matrix, simple_under, two_sided_inverse)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      mat_mul, mat_power, mat_vec)
@@ -303,16 +303,8 @@ def laurent_center_structure(ring: LaurentRing, degree_box) -> CenterStructure:
             l_points.append(m)
             conjugators.append(u)
 
-    fixed_rows = []
-    ident = identity_matrix(f, alg.dim)
-    for s in ring.sigma:
-        for r in range(alg.dim):
-            row = tuple(f.sub(s[r][c], ident[r][c]) for c in range(alg.dim))
-            if any(row):
-                fixed_rows.append(row)
-    fixed = kernel(f, fixed_rows, alg.dim) if fixed_rows \
-        else Subspace.span(f, alg.dim, ident)
-    f_space = nucleus_and_center(alg).center.intersect(fixed)
+    f_space = nucleus_and_center(alg).center.intersect(
+        fixed_subspace(alg, ring.sigma))
 
     degree_box = [(int(lo), int(hi)) for lo, hi in degree_box]
     if len(degree_box) != ring.rank:
