@@ -20,10 +20,18 @@ REFUSALS = (BudgetExceeded, UnboundedSearch, ExactModeUnavailable)
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The request text; an input that cannot be read as UTF-8 text is a
+    ValidationError, so it gets the JSON error and exit code 1."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path} is not UTF-8 text: byte {e.start} "
+                              f"({e.reason})") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -79,46 +87,26 @@ def _fail(exc: Exception, args) -> int:
     return code
 
 
-def cmd_analyze(args) -> int:
+# the bare payload kind of each subcommand that accepts one; analyze and
+# verdict read full request documents only
+BARE_KINDS = {"tower": "cayley-tower", "laurent": "laurent"}
+
+
+def cmd_request(args) -> int:
+    """analyze, verdict, tower and laurent.  Errors are reported in a fixed
+    order: a malformed --window, then the request, then the other flags."""
     started = time.perf_counter()
     try:
-        doc = _apply_flags(jsonio.parse_request(_read_input(args.input)), args)
-        _emit(jsonio.run_request(doc), args, started)
-    except (ValidationError, *REFUSALS) as e:
-        return _fail(e, args)
-    return 0
-
-
-def cmd_verdict(args) -> int:
-    started = time.perf_counter()
-    try:
-        doc = _apply_flags(jsonio.parse_request(_read_input(args.input)), args)
-        _emit(jsonio.verdict_only(jsonio.run_request(doc)), args, started)
-    except (ValidationError, *REFUSALS) as e:
-        return _fail(e, args)
-    return 0
-
-
-def cmd_tower(args) -> int:
-    started = time.perf_counter()
-    try:
-        doc = _apply_flags(
-            jsonio.wrap_bare_payload(_read_input(args.input), "cayley-tower"),
-            args)
-        _emit(jsonio.run_request(doc), args, started)
-    except (ValidationError, *REFUSALS) as e:
-        return _fail(e, args)
-    return 0
-
-
-def cmd_laurent(args) -> int:
-    started = time.perf_counter()
-    try:
-        if args.window is not None:
+        if getattr(args, "window", None) is not None:
             args.window = _parse_window(args.window)
-        doc = _apply_flags(
-            jsonio.wrap_bare_payload(_read_input(args.input), "laurent"), args)
-        _emit(jsonio.run_request(doc), args, started)
+        text = _read_input(args.input)
+        kind = BARE_KINDS.get(args.command)
+        doc = (jsonio.wrap_bare_payload(text, kind) if kind
+               else jsonio.parse_request(text))
+        report = jsonio.run_request(_apply_flags(doc, args))
+        if args.command == "verdict":
+            report = jsonio.verdict_only(report)
+        _emit(report, args, started)
     except (ValidationError, *REFUSALS) as e:
         return _fail(e, args)
     return 0
@@ -139,23 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="simplicity and center analysis for graded algebras")
     subs = p.add_subparsers(dest="command", required=True)
 
-    a = subs.add_parser("analyze", help="full structural report for a request")
-    _add_common(a)
-    a.set_defaults(fn=cmd_analyze)
-
-    v = subs.add_parser("verdict", help="decision content only")
-    _add_common(v)
-    v.set_defaults(fn=cmd_verdict)
-
-    t = subs.add_parser("tower", help="iterated doubling from a field")
-    _add_common(t)
-    t.set_defaults(fn=cmd_tower)
-
-    l = subs.add_parser("laurent", help="skew Laurent simplicity and center")
-    _add_common(l)
-    l.add_argument("--window", default=None,
-                   help="center slice box, lo:hi per variable comma separated")
-    l.set_defaults(fn=cmd_laurent)
+    for name, text in (("analyze", "full structural report for a request"),
+                       ("verdict", "decision content only"),
+                       ("tower", "iterated doubling from a field"),
+                       ("laurent", "skew Laurent simplicity and center")):
+        sub = subs.add_parser(name, help=text)
+        _add_common(sub)
+        sub.set_defaults(fn=cmd_request)
+        if name == "laurent":
+            sub.add_argument("--window", default=None, help="center slice "
+                             "box, lo:hi per variable comma separated")
 
     s = subs.add_parser("selftest", help="run the built-in property battery")
     s.add_argument("--trials", type=int, default=25)

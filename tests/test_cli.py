@@ -329,3 +329,35 @@ def test_fuzzed_requests_fail_with_json_errors(case):
     assert code in (1, 2), text
     err = json.loads(out.getvalue())["error"]
     assert set(err) == {"type", "message"}
+
+
+REQUEST_COMMANDS = ["analyze", "verdict", "tower", "laurent"]
+
+
+def _unreadable(tmp_path, case):
+    if case == "missing":
+        return str(tmp_path / "absent.json")
+    if case == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "algebra", "payload": "\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("command", REQUEST_COMMANDS)
+def test_unreadable_input_is_a_json_error(capsys, tmp_path, command, case):
+    path = _unreadable(tmp_path, case)
+    code, out = run_cli(capsys, [command, path])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValidationError"
+    assert path in err["message"]
+
+
+def test_malformed_window_is_reported_before_the_input(capsys, tmp_path):
+    code, out = run_cli(capsys, ["laurent", str(tmp_path / "absent.json"),
+                                 "--window", "0:x"])
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == \
+        "bad window part '0:x', expected lo:hi"
