@@ -222,6 +222,37 @@ def test_ideal_closure_is_smallest_ideal():
                 assert closed.contains(alg.right_by_basis(j, v))
 
 
+@st.composite
+def closure_cases(draw):
+    """An algebra over F_p with d <= 6, maybe a permutation map, and 0-2
+    seeds, some of them zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 4294967311]))
+    f = prime_field(p)
+    dim = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    alg = (product_algebra(f, dim) if draw(st.booleans())
+           else random_unital_algebra(f, dim, rng))
+    maps = ()
+    if draw(st.booleans()):
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        maps = (tuple(tuple(int(perm[j] == i) for j in range(dim))
+                      for i in range(dim)),)
+    vec = st.one_of(st.just((0,) * dim),
+                    st.tuples(*[st.integers(0, p - 1)] * dim),
+                    st.tuples(*[st.sampled_from([0, 1, p - 1])] * dim))
+    return alg, maps, draw(st.lists(vec, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+def test_ideal_closure_matches_echelon_path(case):
+    """The frontier spin over F_p against the field-generic Echelon loop."""
+    alg, maps, seeds = case
+    assert ideal_closure(alg, seeds, maps) == \
+        algebra._closure_generic(alg, seeds, maps).to_subspace()
+
+
 def test_simplicity_known_answers():
     assert is_simple(matrix_algebra(F3, 2), mode="exact").simple
     assert is_simple(quaternions(F3)[0], mode="exact").simple
