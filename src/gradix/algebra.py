@@ -418,22 +418,24 @@ def _np_generators(alg: Algebra, maps=()) -> np.ndarray:
     return np.concatenate([alg._np_ops, extra])
 
 
-def _spin(rows: np.ndarray, images, target: int, p: int):
+def _spin(rows: np.ndarray, gens: np.ndarray, target: int, p: int):
     """The frontier spin of the MeatAxe (Parker 1984; Holt & Rees 1994) over
-    F_p: the span of `rows` and of their images, and the images of those,
-    stopping once the span reaches dimension `target` or stops growing.
-    `images` maps a 2-d array of rows to the rows of all their images.
-    Each round maps only the rows that the last round added, reduced
-    against the echelon so far, so one `np_rref` call per round sees only
-    the new directions.  Returns the RREF rows in pivot order and their
-    pivots.  An entry of the reduction sums one residue product per pivot,
-    so at most one per column: inside `np_dtype` for a closure and inside
-    `_density_fits` for the density test."""
+    F_p: the span of `rows` under the stack `gens` of d x d matrices, where
+    a row of width d c is a d x c matrix that each generator multiplies on
+    the left (c = 1 for vectors, c = d for operators).  It stops once the
+    span reaches dimension `target` or stops growing.  Each round maps only
+    the rows that the last round added, reduced against the echelon so
+    far, so one `np_rref` call per round sees only the new directions.
+    Returns the RREF rows in pivot order and their pivots.  An entry of the
+    reduction sums one residue product per pivot, at most one per column:
+    inside `np_dtype` for a closure, `_density_fits` for the density test."""
     from .linalg import np_rref
+    d, width = gens.shape[1], rows.shape[1]
     ech, piv = np_rref(rows, p)
     frontier = ech
     while len(ech) < target:
-        prods = images(frontier)
+        prods = gens @ frontier.reshape(-1, 1, d, width // d)
+        prods = prods.reshape(-1, width) % p
         new, npiv = np_rref(prods - prods[:, piv] @ ech, p)
         if not len(new):
             break
@@ -446,13 +448,10 @@ def _spin(rows: np.ndarray, images, target: int, p: int):
 
 def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
     """The least subspace containing the seeds that every generator in the
-    stack maps into itself: `_spin` under the stack, up to dimension d."""
-    p = alg.field.p
-    d = alg.dim
+    stack maps into itself: `_spin` of the seeds, up to dimension d."""
     rows = np.array([[int(c) for c in v] for v in seeds],
-                    dtype=gens.dtype).reshape(-1, d)
-    return _spin(rows, lambda r: np.einsum("kij,rj->rki", gens, r)
-                 .reshape(-1, d) % p, d, p)
+                    dtype=gens.dtype).reshape(-1, alg.dim)
+    return _spin(rows, gens, alg.dim, alg.field.p)
 
 
 def _closure_generic(alg: Algebra, seeds, maps=()):
@@ -556,9 +555,8 @@ def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
 
     A is unital and every X in C commutes with the R_a, so X = L_c with
     c = X(1); C is found as the c with [L_c, T] = 0 for every generator T.
-    M is the span of the identity under left multiplication by the
-    generators, found by the `_spin` that closes ideals, here on d x d
-    matrices flattened to rows.  Needs d^2 (p - 1)^2 < 2^63, the bound of
+    M is the `_spin` of the identity matrix under the generators, the loop
+    that closes ideals, here on d x d matrices flattened to rows.  Needs d^2 (p - 1)^2 < 2^63, the bound of
     the int64 products below."""
     from .linalg import np_kernel, np_rref
     p, d = alg.field.p, alg.dim
@@ -580,9 +578,8 @@ def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
                 len(np_rref(frob - np.eye(k, dtype=np.int64), p)[0]) != k - 1):
             return False
     target = d * d // k
-    span, _ = _spin(np.eye(d, dtype=np.int64).reshape(1, d * d),
-                    lambda r: np.einsum("tab,rbc->rtac", gens, r.reshape(-1, d, d))
-                    .reshape(-1, d * d) % p, target, p)
+    span, _ = _spin(np.eye(d, dtype=np.int64).reshape(1, d * d), gens,
+                    target, p)
     return len(span) == target
 
 
