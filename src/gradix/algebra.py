@@ -556,8 +556,8 @@ def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
     A is unital and every X in C commutes with the R_a, so X = L_c with
     c = X(1); C is found as the c with [L_c, T] = 0 for every generator T.
     M is the `_spin` of the identity matrix under the generators, the loop
-    that closes ideals, here on d x d matrices flattened to rows.  Needs d^2 (p - 1)^2 < 2^63, the bound of
-    the int64 products below."""
+    that closes ideals, here on d x d matrices flattened to rows.  Needs
+    d^2 (p - 1)^2 < 2^63, the bound of the int64 products below."""
     from .linalg import np_kernel, np_rref
     p, d = alg.field.p, alg.dim
     left = gens[:d]

@@ -28,7 +28,8 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
+        raise ValidationError(f"cannot read {path}: "
+                              f"{e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise ValidationError(f"{path} is not UTF-8 text: byte {e.start} "
                               f"({e.reason})") from None

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (Algebra, SimplicityVerdict, fixed_subspace,
-                      is_ring_automorphism, left_mult_matrix, make_algebra, nucleus_and_center,
-                      nucleus_equation_rows, right_mult_matrix, simple_under,
-                      two_sided_inverse)
+                      is_ring_automorphism, left_mult_matrix, make_algebra,
+                      nucleus_and_center, nucleus_equation_rows,
+                      right_mult_matrix, simple_under, two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
