@@ -442,8 +442,7 @@ def _spin(rows: np.ndarray, gens: np.ndarray, target: int, p: int):
         ech = np.concatenate([(ech - ech[:, npiv] @ new) % p, new])
         piv = piv + npiv
         frontier = new
-    order = np.argsort(piv)
-    return ech[order], [piv[i] for i in order]
+    return ech[np.argsort(piv)], sorted(piv)
 
 
 def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
