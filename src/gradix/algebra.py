@@ -285,6 +285,9 @@ class CentralSubspaces:
 
 
 def _nucleus_blocks_np(alg: Algebra):
+    """The left, middle, right and commuter equations over F_p, nonzero rows
+    only: of the 3 d^3 + d^2 rows most are zero, and every kernel would copy
+    and reduce them before `np_rref` dropped them."""
     c = alg._np_tensor
     d = alg.dim
     p = alg.field.p
@@ -293,7 +296,7 @@ def _nucleus_blocks_np(alg: Algebra):
     middle = defect.transpose(0, 2, 3, 1).reshape(d ** 3, d)
     right = defect.transpose(0, 1, 3, 2).reshape(d ** 3, d)
     comm = ((c - c.transpose(1, 0, 2)) % p).transpose(1, 2, 0).reshape(d * d, d)
-    return left, middle, right, comm
+    return tuple(b[b.any(axis=1)] for b in (left, middle, right, comm))
 
 
 def _nucleus_blocks_generic(alg: Algebra):
@@ -322,6 +325,23 @@ def nucleus_equation_rows(alg: Algebra) -> list:
         return np.concatenate([left, middle, right]).tolist()
     left, middle, right, _ = _nucleus_blocks_generic(alg)
     return left + middle + right
+
+
+def in_nucleus(alg: Algebra, v: Vec) -> bool:
+    """Whether v lies in the nucleus, tested on the equations of
+    `nucleus_equation_rows` at v without solving them.  Over F_p the
+    associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) are
+    contractions of `_np_defect`, each entry a sum of d residue products
+    inside `np_dtype`."""
+    if len(v) != alg.dim:
+        raise DimensionMismatch(f"vector length {len(v)} != dim {alg.dim}")
+    f = alg.field
+    if f.is_finite:
+        defect = alg._np_defect
+        x = np.array([int(c) for c in v], dtype=defect.dtype) % f.p
+        return not any((np.tensordot(x, defect, axes=([0], [s])) % f.p).any()
+                       for s in range(3))
+    return not any(mat_vec(f, nucleus_equation_rows(alg), v))
 
 
 def _central_np(alg: Algebra) -> CentralSubspaces:

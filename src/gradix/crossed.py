@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, SimplicityVerdict, fixed_subspace,
+from .algebra import (Algebra, SimplicityVerdict, fixed_subspace, in_nucleus,
                       is_ring_automorphism, left_mult_matrix, make_algebra,
                       nucleus_and_center, nucleus_equation_rows,
                       right_mult_matrix, simple_under, two_sided_inverse)
@@ -58,18 +58,18 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
         if not is_ring_automorphism(t, sigma[a]):
             raise NotAutomorphism(f"sigma[{a}] is not a ring automorphism")
 
-    nuc = nucleus_and_center(t).nucleus
-    alpha_inv = []
+    # each distinct value is inverted and tested once: a cocycle usually
+    # takes only a few values, most often the unit
+    inverses: dict[Vec, Vec | None] = {}
     for a in range(n):
-        row = []
         for b in range(n):
             x = alpha[a][b]
-            inv = two_sided_inverse(t, x)
-            if inv is None or not nuc.contains(x):
+            if x not in inverses:
+                inv = two_sided_inverse(t, x)
+                inverses[x] = inv if inv is not None and in_nucleus(t, x) else None
+            if inverses[x] is None:
                 raise AlphaNotNuclearUnit(f"alpha[{a}][{b}] = {x}")
-            row.append(inv)
-        alpha_inv.append(tuple(row))
-    alpha_inv = tuple(alpha_inv)
+    alpha_inv = tuple(tuple(inverses[x] for x in row) for row in alpha)
 
     e = g.identity
     if sigma[e] != identity_matrix(f, d):
@@ -159,9 +159,8 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
     if not report.strong:
         raise ValidationError("built product is not strongly graded")
 
-    nuc = nucleus_and_center(prod).nucleus
     for u in canonical_units(sys):
-        if two_sided_inverse(prod, u) is None or not nuc.contains(u):
+        if two_sided_inverse(prod, u) is None or not in_nucleus(prod, u):
             raise ValidationError("canonical unit is not a nuclear unit")
     return prod, grad
 

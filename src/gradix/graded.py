@@ -57,14 +57,10 @@ class GradedReport:
     def strong(self) -> bool:
         """R_g R_h = R_{gh} for all g, h in the support."""
         alg, grad = self.algebra, self.gradation
-        for g in grad.support:
-            rg = component_subspace(alg, grad, g)
-            for h in grad.support:
-                rh = component_subspace(alg, grad, h)
-                gh = component_subspace(alg, grad, grad.group.mul(g, h))
-                if subspace_product(alg, rg, rh) != gh:
-                    return False
-        return True
+        comp = {g: component_subspace(alg, grad, g) for g in grad.group.elements()}
+        return all(subspace_product(alg, comp[g], comp[h]) ==
+                   comp[grad.group.mul(g, h)]
+                   for g in grad.support for h in grad.support)
 
     @cached_property
     def faithful(self) -> bool | None:

@@ -74,6 +74,8 @@ def validate_group(table, identity: int | None = None,
                         None)
         if identity is None:
             raise MissingIdentity("no two-sided identity in table")
+    elif not 0 <= identity < n:
+        raise ValidationError(f"identity {identity} out of range for order {n}")
     else:
         for a in range(n):
             if table[identity][a] != a or table[a][identity] != a:

@@ -6,12 +6,12 @@ The numpy one handles F_p only (arrays reduced mod p) and exists because
 the ideal-closure loops enumerate thousands of subspaces; it holds int64
 while a row's sums of products fit (`np_dtype`) and Python ints past that.
 `kernel` takes F_p equations as an array as well as a list of rows, and
-`np_rref` drops the all-zero rows before its pivot loop, so the large
-sparse systems of the nucleus solves are eliminated on their few nonzero
-rows only.  Over Q the numpy path does most of the work as well: `algebra`
-reduces an algebra mod one large prime (`Algebra._reduced`), whose ranks
-bound the ranks over Q from below, and the generic path runs only for the
-answers that reduction cannot certify.
+`np_rref` drops the all-zero rows before its pivot loop; the large sparse
+systems of the nucleus solves arrive with theirs already dropped
+(`algebra._nucleus_blocks_np`).  Over Q the numpy path does most of the
+work as well: `algebra` reduces an algebra mod one large prime
+(`Algebra._reduced`), whose ranks bound the ranks over Q from below, and
+the generic path runs only for the answers that reduction cannot certify.
 """
 
 from __future__ import annotations
@@ -179,11 +179,12 @@ def rref(field: FieldSpec, rows: Iterable[Sequence[Scalar]], width: int) -> Eche
 def kernel(field: FieldSpec, equations: Sequence[Sequence[Scalar]] | np.ndarray,
            width: int) -> Subspace:
     """Solution space of the homogeneous system (one equation per row).
-    Over F_p the equations may be a 2-d array of residues, which goes to
-    `np_kernel` without a detour through Python lists."""
-    if field.is_finite and len(equations) and width:
-        rows = np_kernel(np.asarray(equations, dtype=np_dtype(field.p, width)),
-                         field.p)
+    Over F_p every system goes to `np_kernel`, an empty one included, and
+    the equations may be a 2-d array of residues, which needs no detour
+    through Python lists."""
+    if field.is_finite and width:
+        eqs = np.asarray(equations, dtype=np_dtype(field.p, width))
+        rows = np_kernel(eqs.reshape(-1, width), field.p)
         return np_to_subspace(field, rows, width)
     ech = rref(field, equations, width)
     piv = set(ech.pivots)
@@ -317,7 +318,7 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        a = (a - col[:, None] * a[r]) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots

@@ -12,9 +12,10 @@ from gradix import algebra, linalg
 from gradix.algebra import (Algebra, SimplicityVerdict, associator,
                             center_is_field,
                             commutator, conjugation_matrix, ideal_closure,
-                            is_associative, is_ring_automorphism, is_simple,
-                            make_algebra, multiply, nucleus_and_center,
-                            simple_under, subfield_check, two_sided_inverse)
+                            in_nucleus, is_associative, is_ring_automorphism,
+                            is_simple, make_algebra, multiply,
+                            nucleus_and_center, simple_under, subfield_check,
+                            two_sided_inverse)
 from gradix.catalog import (field_algebra, matrix_algebra, octonions,
                             product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
@@ -391,6 +392,54 @@ def test_conjugation_is_automorphism():
     g = conjugation_matrix(m, u)
     assert is_ring_automorphism(m, g)
     assert not is_ring_automorphism(m, ((1, 0, 0, 0),) * 4)
+
+
+def one_sided_nuclei_algebra(f, rng):
+    """Basis 1, x, y, z, w, u with two products besides those of the unit;
+    x lies in two of the three one-sided nuclei and not in the third."""
+    pairs = rng.choice([((2, 3, 4), (4, 1, 5)),    # yz = w, wx = u: (y, z, x) = u
+                        ((3, 2, 4), (1, 4, 5)),    # zy = w, xw = u: (x, z, y) = -u
+                        ((2, 1, 4), (4, 3, 5))])   # yx = w, wz = u: (y, x, z) = u
+    entries = [(0, j, j, 1) for j in range(6)] + [(j, 0, j, 1) for j in range(1, 6)]
+    entries += [(i, j, k, 1) for i, j, k in pairs]
+    return make_algebra(f, 6, entries, (1, 0, 0, 0, 0, 0))
+
+
+def nucleus_test_algebra(f, kind, rng):
+    if kind == "one-sided":
+        return one_sided_nuclei_algebra(f, rng)
+    if kind == "random":
+        return random_unital_algebra(f, rng.randint(1, 4), rng)
+    if kind == "product":
+        return rng.choice([product_algebra(f, rng.randint(1, 3)),
+                           product_with_swap(f)])
+    if kind == "octonions":
+        return octonions(f)[0]
+    alg = rng.choice([field_algebra, truncated_dual, product_with_swap])(f)
+    while alg.dim < 4:
+        alg, _ = cayley_double(alg, rng.choice([1, -1]))
+    return alg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F2, F3, prime_field(5), prime_field(4294967311), Q]),
+       st.sampled_from(["random", "product", "octonions", "double",
+                        "one-sided"]),
+       st.randoms(use_true_random=False))
+def test_in_nucleus_matches_the_solved_nucleus(f, kind, rng):
+    alg = nucleus_test_algebra(f, kind, rng)
+    c = nucleus_and_center(alg)
+    nuc = c.nucleus
+    inside = [alg.add_vec(u, alg.scale(f.coerce(rng.randint(1, 9)), v))
+              for u, v in zip(nuc.basis, nuc.basis[1:])]
+    # elements of two one-sided nuclei that may miss the third
+    two_sided = [v for a, b in ((c.left, c.middle), (c.left, c.right),
+                                (c.middle, c.right))
+                 for v in a.intersect(b).basis]
+    vecs = [algebra.random_element(alg, rng) for _ in range(4)]
+    for v in vecs + list(nuc.basis) + inside + two_sided:
+        assert in_nucleus(alg, v) == nuc.contains(v), v
+    assert all(in_nucleus(alg, v) for v in nuc.basis)
 
 
 def test_associativity_flags():

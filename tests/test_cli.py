@@ -276,6 +276,17 @@ def test_empty_algebra_is_refused(capsys, tmp_path, field, dim):
         "message": f"algebra dim must be at least 1, got {dim}"}}
 
 
+@pytest.mark.parametrize("identity", [5, "7", -2])
+def test_group_identity_out_of_range_is_refused(capsys, tmp_path, identity):
+    doc = _mutated(GRADED_REQ, ("payload", "gradation", "group"),
+                   {"table": [[0, 1], [1, 0]], "identity": identity})
+    code, out = run_cli(capsys, ["analyze", write(tmp_path, doc)])
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "ValidationError",
+        "message": f"identity {int(identity)} out of range for order 2"}}
+
+
 @pytest.mark.parametrize("window", [[[1]], [5], [[0, 1.5]], "0:1"])
 def test_malformed_window_is_refused(capsys, tmp_path, window):
     doc = {"kind": "laurent", "payload": LAURENT_PAYLOAD,
@@ -286,6 +297,7 @@ def test_malformed_window_is_refused(capsys, tmp_path, window):
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "sample_requests")
 SAMPLE_COMMANDS = {"group_algebra_z2.json": "analyze",
+                   "crossed_f9_c2.json": "analyze",
                    "laurent_f4_frobenius.json": "laurent",
                    "tower_f3.json": "tower"}
 

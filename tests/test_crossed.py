@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from gradix import algebra, crossed, jsonio
 from gradix.algebra import is_associative, is_simple, nucleus_and_center
 from gradix.catalog import (field_algebra, octonions, product_algebra,
                             quadratic_field_extension, quaternions,
@@ -116,6 +119,35 @@ def test_products_are_strong_with_nuclear_units(mk):
         u = [prod.field.zero] * prod.dim
         u[g * d: (g + 1) * d] = sys.algebra.unit
         assert nucleus.contains(tuple(u))
+
+
+def _spy(monkeypatch, name, modules):
+    """Record the arguments of every call to `name` through the modules."""
+    calls = []
+    wrapped = getattr(algebra, name)
+
+    def spy(*args):
+        calls.append(args)
+        return wrapped(*args)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
+    text = (Path(__file__).resolve().parent.parent / "sample_requests"
+            / "crossed_f9_c2.json").read_text()
+    solves = _spy(monkeypatch, "nucleus_and_center", (algebra, crossed, jsonio))
+    inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
+    report = jsonio.run_request(jsonio.parse_request(text))["report"]
+    assert report["centers_match"]
+    # T in crossed_center, then the product for the brute-force center
+    assert [alg.dim for alg, in solves] == [2, 4]
+    # alpha takes the values 1 and -1 on C2, and C2 has two canonical units
+    assert len(inverses) == 2 + 2
+    inverses.clear()
+    build_crossed_product(quaternion_cocycle_system())
+    assert len(inverses) == 2 + 4
 
 
 def test_associativity_transfers_from_coefficients():

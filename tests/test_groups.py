@@ -25,6 +25,16 @@ def test_validate_rejects_bad_tables():
         validate_group([[0, 1], [1]])
 
 
+@pytest.mark.parametrize("identity", [2, 5, -1, -2])
+def test_identity_out_of_range_is_refused(identity):
+    # -2 used to pass the identity check through negative indexing and then
+    # be reported as MissingInverse; 5 used to raise IndexError
+    with pytest.raises(ValidationError) as info:
+        validate_group([[0, 1], [1, 0]], identity=identity)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"identity {identity} out of range for order 2"
+
+
 def test_identity_inference():
     g = validate_group([[1, 0], [0, 1]])
     assert g.identity == 1

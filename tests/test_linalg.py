@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gradix import linalg
 from gradix.fields import prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
                            mat_mul, mat_power, mat_vec, np_dtype, np_rref,
@@ -153,6 +154,22 @@ def test_np_rref_ignores_zero_rows(p):
     for empty in (np.zeros((6, 5), dtype=dtype), np.zeros((0, 5), dtype=dtype)):
         red, piv = np_rref(empty, p)
         assert red.shape == (0, 5) and piv == []
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_P])
+def test_kernel_of_no_equations_is_the_whole_space(p, monkeypatch):
+    f = prime_field(p)
+    calls = []
+    np_rref = linalg.np_rref
+    monkeypatch.setattr(linalg, "np_rref",
+                        lambda a, q: calls.append(len(a)) or np_rref(a, q))
+    for width in (1, 4):
+        full = Subspace.span(f, width, identity_matrix(f, width))
+        for empty in ([], np.zeros((0, width), dtype=np_dtype(p, width))):
+            calls.clear()
+            assert kernel(f, empty, width) == full
+            # the array path: np_kernel, then np_to_subspace
+            assert calls == [0, width]
 
 
 @pytest.mark.parametrize("p", [2, 3, BIG_P])
