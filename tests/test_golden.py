@@ -38,6 +38,22 @@ def _quaternions_c4_sign() -> str:
                    for h in range(4)] for g in range(4)]})
 
 
+def _f9_frobenius_rank2() -> str:
+    """F_9[x^pm1, y^pm1; frob, frob] over F_3 = F_3[i], i^2 = -1, with a
+    window wider than the orders (2, 2) on both axes."""
+    return json.dumps({
+        "kind": "laurent",
+        "payload": {
+            "T": {"field": {"kind": "Fp", "p": 3}, "dim": 2,
+                  "unit": ["1", "0"],
+                  "mult": [{"i": i, "j": j, "k": k, "c": c} for i, j, k, c in
+                           ((0, 0, 0, "1"), (0, 1, 1, "1"), (1, 0, 1, "1"),
+                            (1, 1, 0, "-1"))]},
+            "n": 2,
+            "sigma": [[["1", "0"], ["0", "-1"]]] * 2},
+        "options": {"window": [[-3, 2], [-1, 3]]}})
+
+
 CASES = {
     "crossed_f9_c2": ("crossed", (ROOT / "sample_requests"
                                   / "crossed_f9_c2.json").read_text()),
@@ -46,6 +62,7 @@ CASES = {
                                     / "group_algebra_z2.json").read_text()),
     "laurent_f4_frobenius": ("laurent", (ROOT / "sample_requests"
                                          / "laurent_f4_frobenius.json").read_text()),
+    "laurent_f9_frobenius_rank2": ("laurent", _f9_frobenius_rank2()),
     "tower_f3": ("cayley-tower", (ROOT / "sample_requests"
                                   / "tower_f3.json").read_text()),
     "tower_f3_sedenions": ("cayley-tower", json.dumps(
