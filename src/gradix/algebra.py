@@ -248,13 +248,22 @@ def _check_involution(alg: Algebra) -> None:
     for i in range(alg.dim):
         if alg.star(alg.star(alg.basis_vector(i))) != alg.basis_vector(i):
             raise ValidationError("involution does not square to the identity")
+    bad = _product_mismatch(alg, alg.involution, reverse=True)
+    if bad is not None:
+        raise ValidationError(f"involution does not reverse products at {bad}")
+
+
+def _product_mismatch(alg: Algebra, m, reverse: bool = False):
+    """The first basis pair (i, j) with m(e_i e_j) other than m(e_i) m(e_j),
+    or m(e_j) m(e_i) when `reverse`; None when there is none."""
+    f = alg.field
+    images = [mat_vec(f, m, alg.basis_vector(j)) for j in range(alg.dim)]
     for i in range(alg.dim):
-        si = alg.star(alg.basis_vector(i))
         for j in range(alg.dim):
-            lhs = alg.star(alg.product_table[i][j])
-            rhs = alg.multiply(alg.star(alg.basis_vector(j)), si)
-            if lhs != rhs:
-                raise ValidationError(f"involution does not reverse products at {(i, j)}")
+            x, y = (images[j], images[i]) if reverse else (images[i], images[j])
+            if mat_vec(f, m, alg.product_table[i][j]) != alg.multiply(x, y):
+                return i, j
+    return None
 
 
 # -- brackets ----------------------------------------------------------------
@@ -385,16 +394,8 @@ def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
 
 def inverse_system(alg: Algebra, r: Vec):
     """Equations for s with r s = 1 and s r = 1, as (rows, rhs)."""
-    f = alg.field
-    d = alg.dim
-    left = [[f.zero] * d for _ in range(d)]   # (r s)_k rows
-    right = [[f.zero] * d for _ in range(d)]  # (s r)_k rows
-    for i, j, k, c in alg.mult:
-        if r[i]:
-            left[k][j] = f.add(left[k][j], f.mul(r[i], c))
-        if r[j]:
-            right[k][i] = f.add(right[k][i], f.mul(r[j], c))
-    return left + right, list(alg.unit) + list(alg.unit)
+    return (left_mult_matrix(alg, r) + right_mult_matrix(alg, r),
+            list(alg.unit) * 2)
 
 
 def two_sided_inverse(alg: Algebra, r: Vec) -> Vec | None:
@@ -730,29 +731,47 @@ def is_ring_automorphism(alg: Algebra, m) -> bool:
         return False
     if mat_vec(alg.field, m, alg.unit) != alg.unit:
         return False
-    cols = [mat_vec(alg.field, m, alg.basis_vector(j)) for j in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if mat_vec(alg.field, m, alg.product_table[i][j]) != \
-                    alg.multiply(cols[i], cols[j]):
-                return False
-    return True
+    return _product_mismatch(alg, m) is None
+
+
+# -- center equations ----------------------------------------------------------
+
+def center_equations(alg: Algebra, twist=None) -> list:
+    """Rows whose kernel is the x in N(A) with e_b x = x twist(e_b) for all
+    b, Z(A) when there is no twist: the nonzero rows of each
+    L_{e_b} - R_{twist(e_b)}, then `nucleus_equation_rows`."""
+    f = alg.field
+    rows = []
+    for b in range(alg.dim):
+        e = alg.basis_vector(b)
+        lmat = left_mult_matrix(alg, e)
+        rmat = right_mult_matrix(alg, e if twist is None else mat_vec(f, twist, e))
+        for lrow, rrow in zip(lmat, rmat):
+            row = tuple(f.sub(x, y) for x, y in zip(lrow, rrow))
+            if any(row):
+                rows.append(row)
+    return rows + nucleus_equation_rows(alg)
+
+
+def fixed_equations(alg: Algebra, maps) -> list:
+    """The nonzero rows of every M - I: their kernel is the common fixed
+    space of the maps."""
+    f = alg.field
+    ident = identity_matrix(f, alg.dim)
+    rows = (tuple(f.sub(x, y) for x, y in zip(mrow, irow))
+            for m in maps for mrow, irow in zip(m, ident))
+    return [row for row in rows if any(row)]
 
 
 def fixed_subspace(alg: Algebra, maps) -> Subspace:
-    """Common fixed space of the linear maps: the kernel of the nonzero rows
-    of every M - I, all of A when there are none."""
-    f = alg.field
-    ident = identity_matrix(f, alg.dim)
-    rows = []
-    for m in maps:
-        for r in range(alg.dim):
-            row = tuple(f.sub(m[r][c], ident[r][c]) for c in range(alg.dim))
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return Subspace.span(f, alg.dim, ident)
-    return kernel(f, rows, alg.dim)
+    """Common fixed space of the linear maps."""
+    return kernel(alg.field, fixed_equations(alg, maps), alg.dim)
+
+
+def fixed_center(alg: Algebra, maps) -> Subspace:
+    """Z(A) intersected with the common fixed space of the maps."""
+    return kernel(alg.field, center_equations(alg) + fixed_equations(alg, maps),
+                  alg.dim)
 
 
 def conjugation_matrix(alg: Algebra, u: Vec):

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, SimplicityVerdict, fixed_subspace, in_nucleus,
-                      is_ring_automorphism, left_mult_matrix, make_algebra,
-                      nucleus_and_center, nucleus_equation_rows,
+from .algebra import (Algebra, SimplicityVerdict, center_equations,
+                      fixed_center, fixed_equations, in_nucleus,
+                      is_ring_automorphism, make_algebra, nucleus_and_center,
                       right_mult_matrix, simple_under, two_sided_inverse)
+from .algebra import fixed_subspace  # noqa: F401  (re-exported)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
@@ -159,8 +160,13 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
     if not report.strong:
         raise ValidationError("built product is not strongly graded")
 
-    for u in canonical_units(sys):
-        if two_sided_inverse(prod, u) is None or not in_nucleus(prod, u):
+    # N2 at (g, g^-1, g) makes alpha(g^-1, g)^-1 u_{g^-1} the inverse of u_g
+    for a, u in enumerate(canonical_units(sys)):
+        b = g.inv(a)
+        v = [f.zero] * (d * n)
+        v[b * d: (b + 1) * d] = sys.alpha_inv[b][a]
+        if (prod.multiply(u, v) != prod.unit or prod.multiply(v, u) != prod.unit
+                or not in_nucleus(prod, u)):
             raise ValidationError("canonical unit is not a nuclear unit")
     return prod, grad
 
@@ -265,7 +271,9 @@ def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:
       (i)   t t_g = t_g sigma_g(t)          for all t in T
       (ii)  t_{hgh^-1} = sigma_h(t_g) alpha(h,g) alpha(hgh^-1,h)^-1
       (iii) t_g in N(T)
-    together with the fixed central subfield Z(T)^G of T."""
+    together with the fixed central subfield Z(T)^G of T.  The rows of (i)
+    and (iii) are `center_equations(T, sigma_g)`, and for hgh^-1 = g those
+    of (ii) are `fixed_equations` of its map t_g -> t_g."""
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
     dim = d * n
@@ -276,37 +284,21 @@ def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:
             row[blk * d: (blk + 1) * d] = seg
         return tuple(row)
 
-    lefts = [left_mult_matrix(t, t.basis_vector(i)) for i in range(d)]
-    nuc_rows = nucleus_equation_rows(t)
     rows = []
     for a in range(n):
-        sig = sys.sigma[a]
-        for i in range(d):
-            rmat = right_mult_matrix(t, mat_vec(f, sig, t.basis_vector(i)))
-            for r in range(d):
-                seg = [f.sub(lefts[i][r][c], rmat[r][c]) for c in range(d)]
-                if any(seg):
-                    rows.append(block_row([(a, seg)]))
-        for r in nuc_rows:
-            rows.append(block_row([(a, list(r))]))
+        rows += [block_row([(a, r)])
+                 for r in center_equations(t, sys.sigma[a])]
 
+    ident = identity_matrix(f, d)
     for h in range(n):
         for a in range(n):
             k = g.conj(a, h)
             m = mat_mul(f, right_mult_matrix(t, sys.alpha[h][a]), sys.sigma[h])
             m = mat_mul(f, right_mult_matrix(t, sys.alpha_inv[k][h]), m)
             if k == a:
-                for r in range(d):
-                    seg = [f.sub(f.one if r == c else f.zero, m[r][c])
-                           for c in range(d)]
-                    if any(seg):
-                        rows.append(block_row([(a, seg)]))
+                rows += [block_row([(a, r)]) for r in fixed_equations(t, [m])]
             else:
-                for r in range(d):
-                    seg_a = [f.neg(m[r][c]) for c in range(d)]
-                    seg_k = [f.one if r == c else f.zero for c in range(d)]
-                    rows.append(block_row([(a, seg_a), (k, seg_k)]))
+                rows += [block_row([(a, [f.neg(c) for c in mrow]), (k, irow)])
+                         for mrow, irow in zip(m, ident)]
 
-    z = kernel(f, rows, dim)
-    z_t_g = nucleus_and_center(t).center.intersect(fixed_subspace(t, sys.sigma))
-    return z, z_t_g
+    return kernel(f, rows, dim), fixed_center(t, sys.sigma)

@@ -57,8 +57,11 @@ class GradedReport:
     def strong(self) -> bool:
         """R_g R_h = R_{gh} for all g, h in the support."""
         alg, grad = self.algebra, self.gradation
+        prod = alg.product_table
         comp = {g: component_subspace(alg, grad, g) for g in grad.group.elements()}
-        return all(subspace_product(alg, comp[g], comp[h]) ==
+        return all(Subspace.span(alg.field, alg.dim,
+                                 [prod[i][j] for i in grad.indices_of(g)
+                                  for j in grad.indices_of(h)]) ==
                    comp[grad.group.mul(g, h)]
                    for g in grad.support for h in grad.support)
 

@@ -22,10 +22,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (Algebra, SimplicityVerdict, fixed_subspace,
-                      is_ring_automorphism, left_mult_matrix,
-                      nucleus_and_center, nucleus_equation_rows,
-                      right_mult_matrix, simple_under, two_sided_inverse)
+from .algebra import (Algebra, SimplicityVerdict, center_equations,
+                      fixed_equations, is_ring_automorphism, simple_under,
+                      two_sided_inverse)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      mat_mul, mat_power, mat_vec)
@@ -184,8 +183,11 @@ def _conjugating_unit(ring: LaurentRing, m: Exp) -> Vec | None:
     the projective points of that space; `Subspace.coordinates` yields them
     normalized like `projective_points` and, as the basis is in reduced
     echelon form, in the same ascending lex order."""
-    alg = ring.algebra
-    return next((u for u in center_coefficient_space(ring, m).coordinates()
+    return _first_unit(ring.algebra, center_coefficient_space(ring, m))
+
+
+def _first_unit(alg: Algebra, space: Subspace) -> Vec | None:
+    return next((u for u in space.coordinates()
                  if two_sided_inverse(alg, u) is not None), None)
 
 
@@ -268,52 +270,33 @@ class CenterStructure:
 def center_coefficient_space(ring: LaurentRing, m: Exp) -> Subspace:
     """Coefficients t_m admissible for a central element at exponent m:
     t t_m = t_m sigma^m(t), sigma_i(t_m) = t_m, and t_m in N(T)."""
-    alg, f = ring.algebra, ring.algebra.field
-    d = alg.dim
-    twist = sigma_power(ring, m)
-    ident = identity_matrix(f, d)
-    rows = []
-    for b in range(d):
-        lmat = left_mult_matrix(alg, alg.basis_vector(b))
-        rmat = right_mult_matrix(alg, mat_vec(f, twist, alg.basis_vector(b)))
-        for r in range(d):
-            row = tuple(f.sub(lmat[r][c], rmat[r][c]) for c in range(d))
-            if any(row):
-                rows.append(row)
-    for s in ring.sigma:
-        for r in range(d):
-            row = tuple(f.sub(s[r][c], ident[r][c]) for c in range(d))
-            if any(row):
-                rows.append(row)
-    rows.extend(nucleus_equation_rows(alg))
-    return kernel(f, rows, d)
+    alg = ring.algebra
+    return kernel(alg.field, center_equations(alg, sigma_power(ring, m)) +
+                  fixed_equations(alg, ring.sigma), alg.dim)
 
 
 def laurent_center_structure(ring: LaurentRing, degree_box) -> CenterStructure:
     """degree_box: inclusive (lo, hi) per variable; the center slice lists the
-    window exponents carrying nonzero central coefficients."""
+    window exponents carrying nonzero central coefficients.  The coefficient
+    space at m depends only on m modulo the orders, so it is solved once per
+    residue of the order box; residue 0 gives F = Z(T)^sigma."""
     _require_searchable(ring)
     alg = ring.algebra
-    f = alg.field
+    box = itertools.product(*[range(o) for o in ring.orders])
+    spaces = {m: center_coefficient_space(ring, m) for m in box}
 
-    l_points, conjugators = [], []
-    for m in itertools.product(*[range(o) for o in ring.orders]):
-        u = _conjugating_unit(ring, m)
-        if u is not None:
-            l_points.append(m)
-            conjugators.append(u)
-
-    f_space = nucleus_and_center(alg).center.intersect(
-        fixed_subspace(alg, ring.sigma))
+    units = {m: _first_unit(alg, space) for m, space in spaces.items()}
+    l_points = tuple(m for m, u in units.items() if u is not None)
+    conjugators = tuple(u for u in units.values() if u is not None)
 
     degree_box = [(int(lo), int(hi)) for lo, hi in degree_box]
     if len(degree_box) != ring.rank:
         raise ValidationError(f"degree box has rank != {ring.rank}")
     exps, bases = [], []
     for m in itertools.product(*[range(lo, hi + 1) for lo, hi in degree_box]):
-        space = center_coefficient_space(ring, m)
+        space = spaces[_reduce_exp(ring, m)]
         if not space.is_zero:
             exps.append(m)
             bases.append(space.basis)
-    return CenterStructure(ring.orders, tuple(l_points), tuple(conjugators),
-                           f_space, tuple(exps), tuple(bases))
+    return CenterStructure(ring.orders, l_points, conjugators,
+                           spaces[(0,) * ring.rank], tuple(exps), tuple(bases))

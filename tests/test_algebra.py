@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from gradix import algebra, linalg
 from gradix.algebra import (Algebra, SimplicityVerdict, associator,
                             center_is_field,
-                            commutator, conjugation_matrix, ideal_closure,
+                            commutator, conjugation_matrix, fixed_center,
+                            fixed_subspace, ideal_closure,
                             in_nucleus, is_associative, is_ring_automorphism,
                             is_simple, make_algebra, multiply,
                             nucleus_and_center, simple_under, subfield_check,
@@ -24,8 +25,8 @@ from gradix.cayley import cayley_double
 from gradix.errors import (DimensionMismatch, ExactModeUnavailable,
                            ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.linalg import (Subspace, kernel, np_rref, projective_points,
-                           rref)
+from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
+                           projective_points, rref)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -440,6 +441,64 @@ def test_in_nucleus_matches_the_solved_nucleus(f, kind, rng):
     for v in vecs + list(nuc.basis) + inside + two_sided:
         assert in_nucleus(alg, v) == nuc.contains(v), v
     assert all(in_nucleus(alg, v) for v in nuc.basis)
+
+
+def fixed_center_test_map(alg, rng):
+    """The identity, the algebra's involution, a diagonal map fixing a random
+    set of coordinates, or a random matrix."""
+    f, d = alg.field, alg.dim
+    kind = rng.choice(["identity", "involution", "diagonal", "random"])
+    if kind == "involution" and alg.involution is not None:
+        return alg.involution
+    if kind == "random":
+        return tuple(tuple(f.coerce(rng.randint(-2, 2)) for _ in range(d))
+                     for _ in range(d))
+    diag = [1 if kind == "identity" or rng.random() < 0.6 else rng.randint(2, 4)
+            for _ in range(d)]
+    return tuple(tuple(f.coerce(diag[r]) if r == c else f.zero for c in range(d))
+                 for r in range(d))
+
+
+def commutative_test_algebra(f, rng):
+    """Basis 1, x, y with random symmetric products of x and y: every
+    element commutes with every other, so only the nucleus equations cut
+    the center down."""
+    entries = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in (1, 2)]
+    for i, j in ((1, 1), (1, 2), (2, 2)):
+        for k in range(3):
+            c = rng.randint(-2, 2)
+            entries += [(i, j, k, c), (j, i, k, c)] if i != j else [(i, j, k, c)]
+    return make_algebra(f, 3, entries, (1, 0, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F3, prime_field(5), prime_field(4294967311), Q]),
+       st.sampled_from(["random", "product", "octonions", "double",
+                        "one-sided", "commutative"]),
+       st.randoms(use_true_random=False))
+def test_fixed_center_is_the_fixed_part_of_the_center(f, kind, rng):
+    alg = (commutative_test_algebra(f, rng) if kind == "commutative"
+           else nucleus_test_algebra(f, kind, rng))
+    maps = [fixed_center_test_map(alg, rng) for _ in range(rng.randint(0, 2))]
+    expected = nucleus_and_center(alg).center.intersect(fixed_subspace(alg, maps))
+    assert fixed_center(alg, maps) == expected
+
+
+def test_involution_errors_keep_their_order_and_first_pair():
+    qa, _ = quaternions(F3)
+
+    def with_involution(alg, m):
+        return make_algebra(alg.field, alg.dim, alg.mult, alg.unit, involution=m)
+
+    with pytest.raises(ValidationError, match="does not fix the unit"):
+        with_involution(qa, [[-1 if r == c else 0 for c in range(4)]
+                             for r in range(4)])
+    with pytest.raises(ValidationError, match="does not square to the identity"):
+        with_involution(truncated_dual(prime_field(5)), ((1, 0), (0, 2)))
+    # the identity reverses e_i e_j exactly when e_i and e_j commute
+    with pytest.raises(ValidationError, match=r"reverse products at \(1, 2\)$"):
+        with_involution(qa, identity_matrix(F3, 4))
+    assert with_involution(qa, qa.involution).involution == qa.involution
 
 
 def test_associativity_flags():

@@ -141,13 +141,16 @@ def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
     inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
     report = jsonio.run_request(jsonio.parse_request(text))["report"]
     assert report["centers_match"]
-    # T in crossed_center, then the product for the brute-force center
-    assert [alg.dim for alg, in solves] == [2, 4]
-    # alpha takes the values 1 and -1 on C2, and C2 has two canonical units
-    assert len(inverses) == 2 + 2
+    # only the product, for the brute-force center: crossed_center solves
+    # Z(T)^G as one system and never the nucleus of T
+    assert [alg.dim for alg, in solves] == [4]
+    # alpha takes the values 1 and -1 on C2; the canonical units are checked
+    # against their closed-form inverses, which need no solve
+    assert len(inverses) == 2
     inverses.clear()
     build_crossed_product(quaternion_cocycle_system())
-    assert len(inverses) == 2 + 4
+    # the values 1 and -1 of the quaternion cocycle, in its validation
+    assert len(inverses) == 2
 
 
 def test_associativity_transfers_from_coefficients():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import laurent
-from gradix.algebra import nucleus_and_center, two_sided_inverse
+from gradix.algebra import (fixed_subspace, nucleus_and_center,
+                            two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix,
                             matrix_algebra, product_algebra,
                             quadratic_field_extension, swap_matrix,
@@ -273,3 +274,40 @@ def test_conjugating_unit_matches_brute_search(ring):
     box = itertools.product(*[range(o) for o in ring.orders])
     for m in set(box) | set(laurent._candidate_exponents(ring)):
         assert laurent._conjugating_unit(ring, m) == brute_conjugating_unit(ring, m), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rings(), st.data())
+def test_center_structure_matches_direct_solves(ring, data):
+    window = [sorted(data.draw(st.lists(st.integers(-5, 5), min_size=2,
+                                        max_size=2)))
+              for _ in range(ring.rank)]
+    cs = laurent_center_structure(ring, window)
+    alg = ring.algebra
+    direct = {m: center_coefficient_space(ring, m) for m in
+              itertools.product(*[range(lo, hi + 1) for lo, hi in window])}
+    nonzero = [m for m, space in direct.items() if not space.is_zero]
+    assert cs.slice_exponents == tuple(nonzero)
+    assert cs.slice_bases == tuple(direct[m].basis for m in nonzero)
+    assert cs.fixed_center == nucleus_and_center(alg).center.intersect(
+        fixed_subspace(alg, ring.sigma))
+    box = itertools.product(*[range(o) for o in ring.orders])
+    units = {m: laurent._conjugating_unit(ring, m) for m in box}
+    assert cs.l_points == tuple(m for m, u in units.items() if u is not None)
+    assert cs.conjugators == tuple(u for u in units.values() if u is not None)
+
+
+def test_center_structure_solves_once_per_residue(monkeypatch):
+    f9 = quadratic_field_extension(F3)
+    ring = make_laurent_ring(f9, [f9.involution] * 2)
+    calls = []
+    solve = laurent.center_coefficient_space
+
+    def spy(ring, m):
+        calls.append(m)
+        return solve(ring, m)
+    monkeypatch.setattr(laurent, "center_coefficient_space", spy)
+    cs = laurent_center_structure(ring, [(-3, 2), (-1, 3)])
+    assert ring.orders == (2, 2)
+    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(cs.slice_exponents) == 15
