@@ -18,9 +18,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Algebra, SimplicityVerdict, fixed_subspace, is_simple,
-                      make_algebra, nucleus_and_center, right_mult_matrix,
-                      simple_under, subfield_check)
+from .algebra import (Algebra, SimplicityVerdict, center_equations,
+                      fixed_center, fixed_equations, is_simple, make_algebra,
+                      right_mult_matrix, simple_under, subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
 from .graded import Gradation, validate_gradation
@@ -90,19 +90,18 @@ def is_star_simple(alg: Algebra, budget: int = 1_000_000) -> SimplicityVerdict:
     return simple_under(alg, maps=(alg.involution,), mode="exact", budget=budget)
 
 
-def star_centers(alg: Algebra, center: Subspace) -> tuple[Subspace, Subspace]:
-    """Symmetric central elements, and those killing every b - b* on the right:
-    the two pieces that assemble the center of a double.  `center` is Z(A),
-    as `nucleus_and_center(alg).center` gives it."""
+def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
+    """Z_*, the symmetric central elements (the system of `fixed_center` at
+    the involution), and Z_**, the kernel of that system plus the rows of
+    every R_{b - b*}: the two pieces that assemble the center of a double."""
     _require_involution(alg)
-    f = alg.field
-    z_star = center.intersect(fixed_subspace(alg, (alg.involution,)))
-    rows = []
-    for j in range(alg.dim):
+    f, d = alg.field, alg.dim
+    rows = center_equations(alg) + fixed_equations(alg, (alg.involution,))
+    z_star = kernel(f, rows, d)
+    for j in range(d):
         v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
         rows.extend(right_mult_matrix(alg, v))
-    z_sstar = z_star.intersect(kernel(f, rows, alg.dim)) if rows else z_star
-    return z_star, z_sstar
+    return z_star, kernel(f, rows, d)
 
 
 def mu_square_in_center(alg: Algebra, center: Subspace, mu,
@@ -161,11 +160,10 @@ def doubling_report(alg: Algebra, mu, doubled: Algebra,
 
     star_v = is_star_simple(alg, budget)
     trivial = alg.involution == identity_matrix(f, alg.dim)
-    center = nucleus_and_center(alg).center
+    center = fixed_center(alg, ())
     zfield = subfield_check(alg, center, budget)
     musq = mu_square_in_center(alg, center, mu, budget)
-    z_star, _ = star_centers(alg, center)
-    zsfield = subfield_check(alg, z_star, budget)
+    zsfield = subfield_check(alg, fixed_center(alg, (alg.involution,)), budget)
 
     if trivial:
         if musq is None:

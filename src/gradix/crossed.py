@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from .algebra import (Algebra, SimplicityVerdict, center_equations,
                       fixed_center, fixed_equations, in_nucleus,
-                      is_ring_automorphism, make_algebra, nucleus_and_center,
-                      right_mult_matrix, simple_under, two_sided_inverse)
-from .algebra import fixed_subspace  # noqa: F401  (re-exported)
+                      is_ring_automorphism, make_algebra, right_mult_matrix,
+                      simple_under, two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
@@ -205,9 +204,9 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
     t = make_algebra(f, len(idx), entries,
                      _restrict(alg.unit, idx, "unit"), labels=t_labels)
 
-    nuc = nucleus_and_center(alg).nucleus
     chosen: list[Vec | None] = [None] * g.order
-    chosen[e] = alg.unit
+    inv: list[Vec | None] = [None] * g.order
+    chosen[e] = inv[e] = alg.unit
     if units is not None:
         if len(units) != g.order:
             raise ValidationError("need one unit per group element")
@@ -219,9 +218,10 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
                 continue
             if grad.degree_of(u) != a:
                 raise ValidationError(f"supplied unit {a} is not homogeneous of degree {a}")
-            if not nuc.contains(u) or two_sided_inverse(alg, u) is None:
+            uinv = two_sided_inverse(alg, u) if in_nucleus(alg, u) else None
+            if uinv is None:
                 raise NoNuclearUnit(f"supplied unit {a} is not a nuclear unit")
-            chosen[a] = u
+            chosen[a], inv[a] = u, uinv
     else:
         if not f.is_finite:
             raise ExactModeUnavailable("unit search needs a finite field or supplied units")
@@ -229,13 +229,13 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
             if a == e:
                 continue
             for v in homogeneous_points(alg, grad, a):
-                if nuc.contains(v) and two_sided_inverse(alg, v) is not None:
-                    chosen[a] = v
+                vinv = two_sided_inverse(alg, v) if in_nucleus(alg, v) else None
+                if vinv is not None:
+                    chosen[a], inv[a] = v, vinv
                     break
             else:
                 raise NoNuclearUnit(f"component {a} has no nuclear unit")
 
-    inv = [two_sided_inverse(alg, u) for u in chosen]
     embed = [alg.basis_vector(i) for i in idx]
 
     sigma = []

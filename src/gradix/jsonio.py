@@ -22,7 +22,7 @@ from .fields import FieldSpec, prime_field, rationals
 from .graded import (Gradation, GradedReport, is_graded_simple,
                      simplicity_equivalence, validate_gradation)
 from .groups import FiniteGroup, central_series, validate_group
-from .laurent import (LaurentRing, laurent_center_structure,
+from .laurent import (LaurentRing, check_window, laurent_center_structure,
                       laurent_simplicity_verdict, make_laurent_ring)
 from .linalg import Subspace
 from .algebra import subfield_check
@@ -335,6 +335,10 @@ def laurent_element_json(ring: LaurentRing, el) -> list:
 
 def laurent_block(ring: LaurentRing, opts) -> dict:
     f = ring.algebra.field
+    window = opts.get("window")
+    if window is None:
+        window = [[-4, 4]] * ring.rank
+    check_window(window, opts["budget"])
     v = laurent_simplicity_verdict(ring, budget=opts["budget"])
     block = {
         "rank": ring.rank,
@@ -349,10 +353,7 @@ def laurent_block(ring: LaurentRing, opts) -> dict:
         else laurent_element_json(ring, v.central_witness),
         "mode": "exact",
     }
-    window = opts.get("window")
-    if window is None:
-        window = [[-4, 4]] * ring.rank
-    cs = laurent_center_structure(ring, window)
+    cs = laurent_center_structure(ring, window, opts["budget"])
     block["center_structure"] = {
         "window": [list(w) for w in window],
         "l_points": [list(m) for m in cs.l_points],

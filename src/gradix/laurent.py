@@ -19,8 +19,9 @@ candidate m.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (Algebra, SimplicityVerdict, center_equations,
                       fixed_equations, is_ring_automorphism, simple_under,
@@ -38,6 +39,16 @@ class LaurentRing:
     rank: int
     sigma: tuple                      # one automorphism matrix per variable
     orders: tuple                     # multiplicative orders; None = infinite
+
+    @cached_property
+    def _residues(self) -> dict:
+        """Per residue m of the order box (finite orders), the space of
+        `center_coefficient_space` at m and its first unit, or None."""
+        table = {}
+        for m in itertools.product(*[range(o) for o in self.orders]):
+            space = center_coefficient_space(self, m)
+            table[m] = space, _first_unit(self.algebra, space)
+        return table
 
 
 def _matrix_order(field, m, cap: int) -> int | None:
@@ -176,17 +187,10 @@ def is_sigma_simple(ring: LaurentRing,
                         budget=budget)
 
 
-def _conjugating_unit(ring: LaurentRing, m: Exp) -> Vec | None:
-    """First two-sided unit u of T fixed by every sigma_i, lying in N(T),
-    with t u = u sigma^m(t) for all t, or None.  Those conditions are the
-    equations of `center_coefficient_space(ring, m)`, so the candidates are
-    the projective points of that space; `Subspace.coordinates` yields them
-    normalized like `projective_points` and, as the basis is in reduced
-    echelon form, in the same ascending lex order."""
-    return _first_unit(ring.algebra, center_coefficient_space(ring, m))
-
-
 def _first_unit(alg: Algebra, space: Subspace) -> Vec | None:
+    """First two-sided unit of `space` in the lex order of `projective_points`,
+    which `Subspace.coordinates` keeps as the basis is in reduced echelon
+    form; or None."""
     return next((u for u in space.coordinates()
                  if two_sided_inverse(alg, u) is not None), None)
 
@@ -204,7 +208,7 @@ def _candidate_exponents(ring: LaurentRing):
 def inner_witness_search(ring: LaurentRing) -> tuple[Vec, Exp] | None:
     _require_searchable(ring)
     for m in _candidate_exponents(ring):
-        u = _conjugating_unit(ring, m)
+        u = ring._residues[_reduce_exp(ring, m)][1]
         if u is not None:
             return u, m
     return None
@@ -275,28 +279,35 @@ def center_coefficient_space(ring: LaurentRing, m: Exp) -> Subspace:
                   fixed_equations(alg, ring.sigma), alg.dim)
 
 
-def laurent_center_structure(ring: LaurentRing, degree_box) -> CenterStructure:
+def check_window(degree_box, budget: int) -> list:
+    """The window as inclusive (lo, hi) int pairs; refuses one holding more
+    than `budget` exponents before any of them is visited."""
+    degree_box = [(int(lo), int(hi)) for lo, hi in degree_box]
+    count = math.prod(max(0, hi - lo + 1) for lo, hi in degree_box)
+    if count > budget:
+        raise BudgetExceeded(f"window holds {count} exponents, over budget {budget}")
+    return degree_box
+
+
+def laurent_center_structure(ring: LaurentRing, degree_box,
+                             budget: int = 1_000_000) -> CenterStructure:
     """degree_box: inclusive (lo, hi) per variable; the center slice lists the
     window exponents carrying nonzero central coefficients.  The coefficient
-    space at m depends only on m modulo the orders, so it is solved once per
-    residue of the order box; residue 0 gives F = Z(T)^sigma."""
+    space at m depends only on m modulo the orders, so every slice, l point
+    and conjugator is read from `LaurentRing._residues`; residue 0 gives
+    F = Z(T)^sigma."""
     _require_searchable(ring)
-    alg = ring.algebra
-    box = itertools.product(*[range(o) for o in ring.orders])
-    spaces = {m: center_coefficient_space(ring, m) for m in box}
-
-    units = {m: _first_unit(alg, space) for m, space in spaces.items()}
-    l_points = tuple(m for m, u in units.items() if u is not None)
-    conjugators = tuple(u for u in units.values() if u is not None)
-
-    degree_box = [(int(lo), int(hi)) for lo, hi in degree_box]
+    degree_box = check_window(degree_box, budget)
     if len(degree_box) != ring.rank:
         raise ValidationError(f"degree box has rank != {ring.rank}")
+    table = ring._residues
+    l_points = tuple(m for m, (_, u) in table.items() if u is not None)
+    conjugators = tuple(u for _, u in table.values() if u is not None)
     exps, bases = [], []
     for m in itertools.product(*[range(lo, hi + 1) for lo, hi in degree_box]):
-        space = spaces[_reduce_exp(ring, m)]
+        space = table[_reduce_exp(ring, m)][0]
         if not space.is_zero:
             exps.append(m)
             bases.append(space.basis)
     return CenterStructure(ring.orders, l_points, conjugators,
-                           spaces[(0,) * ring.rank], tuple(exps), tuple(bases))
+                           table[(0,) * ring.rank][0], tuple(exps), tuple(bases))

@@ -311,7 +311,7 @@ def test_criterion_6_doubling_suite(capsys):
         assert (is_graded_simple(dbl, grad).simple
                 == is_star_simple(base).simple), name
         # the center of the double is Z_* + Z_** l
-        zs, zss = star_centers(base, center)
+        zs, zss = star_centers(base)
         zero = (f.zero,) * base.dim
         want = Subspace.span(f, 2 * base.dim,
                              [row + zero for row in zs.basis]

@@ -1,19 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix import cayley
-from gradix.algebra import (center_is_field, is_associative, is_simple,
-                            multiply, nucleus_and_center, two_sided_inverse)
+from gradix.algebra import (center_is_field, fixed_subspace, is_associative,
+                            is_simple, make_algebra, multiply,
+                            nucleus_and_center, right_mult_matrix,
+                            two_sided_inverse)
 from gradix.catalog import (field_algebra, octonions, product_with_swap,
-                            quadratic_field_extension, quaternions, sedenions)
+                            quadratic_field_extension, quaternions,
+                            random_unital_algebra, sedenions)
 from gradix.cayley import (cayley_double, doubling_report, is_star_simple,
                            mu_square_in_center, star_centers, tower,
                            tower_stages)
 from gradix.errors import ExactModeUnavailable, MuZero
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
-from gradix.linalg import Subspace, projective_points
+from gradix.linalg import Subspace, kernel, projective_points
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -105,14 +110,52 @@ def test_mu_square_over_q():
 def test_star_centers():
     # trivial involution: everything symmetric, Z_** = Z
     base = field_algebra(F3)
-    zs, zss = star_centers(base, nucleus_and_center(base).center)
+    zs, zss = star_centers(base)
     assert zs.rank == 1 and zss.rank == 1
     # Frobenius involution on F9: only the prime field is symmetric
     ext = quadratic_field_extension(F3)
-    zs, zss = star_centers(ext, nucleus_and_center(ext).center)
+    zs, zss = star_centers(ext)
     assert zs.rank == 1
     assert zss.rank == 0
     assert zs.contains(ext.unit)
+
+
+def intersected_star_centers(alg):
+    """Z_* and Z_** built by intersections: Z(A) cut by the fixed space of
+    the involution, then by the kernel of the rows of every R_{b - b*}."""
+    z_star = nucleus_and_center(alg).center.intersect(
+        fixed_subspace(alg, (alg.involution,)))
+    rows = []
+    for j in range(alg.dim):
+        v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
+        rows.extend(right_mult_matrix(alg, v))
+    return z_star, z_star.intersect(kernel(alg.field, rows, alg.dim))
+
+
+def exchange_algebra(f, rng):
+    """B x B^op for a random unital B, with the exchange involution."""
+    b = random_unital_algebra(f, rng.randint(1, 3), rng)
+    d = b.dim
+    entries = [(i, j, k, c) for i, j, k, c in b.mult]
+    entries += [(d + j, d + i, d + k, c) for i, j, k, c in b.mult]
+    swap = [[f.one if c == (r + d) % (2 * d) else f.zero for c in range(2 * d)]
+            for r in range(2 * d)]
+    return make_algebra(f, 2 * d, entries, b.unit * 2, involution=swap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([prime_field(2), F3, F5]),
+       st.sampled_from(["base", "double", "exchange"]),
+       st.randoms(use_true_random=False))
+def test_star_centers_match_the_intersections(f, kind, rng):
+    if kind == "exchange":
+        alg = exchange_algebra(f, rng)
+    else:
+        alg = rng.choice([field_algebra(f), quadratic_field_extension(f),
+                          product_with_swap(f), quaternions(f)[0]])
+        if kind == "double":
+            alg, _ = cayley_double(alg, rng.randrange(1, f.p))
+    assert star_centers(alg) == intersected_star_centers(alg)
 
 
 @pytest.mark.parametrize("mu_raw", [1, 2])
@@ -120,7 +163,7 @@ def test_center_of_double_decomposes(mu_raw):
     mu = F3.coerce(mu_raw)
     for base in bases_f3():
         dbl, _ = cayley_double(base, mu)
-        zs, zss = star_centers(base, nucleus_and_center(base).center)
+        zs, zss = star_centers(base)
         d = base.dim
         zero = (F3.zero,) * d
         embedded = [row + zero for row in zs.basis] + \
@@ -149,7 +192,7 @@ def test_center_field_dichotomy():
             if trivial:
                 want = center_is_field(base) and not mu_square(base, mu)
             else:
-                zs, _ = star_centers(base, nucleus_and_center(base).center)
+                zs, _ = star_centers(base)
                 from gradix.algebra import subfield_check
                 want = subfield_check(base, zs)
             assert center_is_field(dbl) == want
@@ -203,7 +246,7 @@ def test_rationals_report_unavailable():
 
 
 def test_tower_builds_and_judges_each_stage_once(monkeypatch):
-    calls = {"cayley_double": 0, "nucleus_and_center": 0}
+    calls = {"cayley_double": 0, "fixed_center": 0}
     for name in calls:
         real = getattr(cayley, name)
 
@@ -212,7 +255,8 @@ def test_tower_builds_and_judges_each_stage_once(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(cayley, name, counted)
     stages = tower(F3, [F3.coerce(-1)] * 3)
-    assert calls == {"cayley_double": 3, "nucleus_and_center": 3}
+    # each double is judged by two kernels of the base: Z and Z_*
+    assert calls == {"cayley_double": 3, "fixed_center": 6}
     # the reporting tower builds what the pure builder builds
     built = list(tower_stages(F3, [F3.coerce(-1)] * 3))
     assert [(s.algebra, s.gradation) for s in stages] == built

@@ -6,11 +6,13 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradix import laurent
 from gradix.cli import main
 
 GRADED_REQ = {
@@ -173,6 +175,19 @@ def test_laurent_subcommand_and_window(capsys, laurent_file):
                                       {"exp": [2], "coeff": ["1", "0"]}]
     assert [s["exp"] for s in rep["center_structure"]["slice"]] == \
         [[-2], [0], [2]]
+
+
+def test_laurent_window_over_budget_is_refused(capsys, laurent_file, monkeypatch):
+    # refused before the verdict: no coefficient space is solved
+    monkeypatch.setattr(laurent, "center_coefficient_space", None)
+    started = time.perf_counter()
+    code, out = run_cli(capsys, ["laurent", laurent_file,
+                                 "--window=-1000000000:1000000000"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "BudgetExceeded"
+    assert err["message"] == "window holds 2000000001 exponents, over budget 1000000"
 
 
 def test_laurent_rejects_wrong_kind(capsys, tmp_path, graded_file):

@@ -3,12 +3,13 @@ from pathlib import Path
 import pytest
 
 from gradix import algebra, crossed, jsonio
-from gradix.algebra import is_associative, is_simple, nucleus_and_center
+from gradix.algebra import (fixed_subspace, is_associative, is_simple,
+                            nucleus_and_center)
 from gradix.catalog import (field_algebra, octonions, product_algebra,
                             quadratic_field_extension, quaternions,
                             swap_matrix, truncated_dual)
 from gradix.crossed import (build_crossed_product, canonical_units,
-                            crossed_center, fixed_subspace, is_G_simple,
+                            crossed_center, is_G_simple,
                             recognize_crossed_system, trivial_system,
                             validate_crossed_system)
 from gradix.errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
@@ -137,7 +138,7 @@ def _spy(monkeypatch, name, modules):
 def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
     text = (Path(__file__).resolve().parent.parent / "sample_requests"
             / "crossed_f9_c2.json").read_text()
-    solves = _spy(monkeypatch, "nucleus_and_center", (algebra, crossed, jsonio))
+    solves = _spy(monkeypatch, "nucleus_and_center", (algebra, jsonio))
     inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
     report = jsonio.run_request(jsonio.parse_request(text))["report"]
     assert report["centers_match"]
@@ -231,6 +232,19 @@ def test_recognition_with_searched_units_is_valid():
     assert prod2.dim == prod.dim
     assert is_simple(prod2, mode="exact").simple == \
         is_simple(prod, mode="exact").simple
+
+
+def test_recognition_inverts_each_unit_once(monkeypatch):
+    sys = quaternion_cocycle_system()
+    prod, grad = build_crossed_product(sys)
+    solves = _spy(monkeypatch, "nucleus_and_center", (algebra,))
+    inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
+    recognize_crossed_system(prod, grad, units=canonical_units(sys))
+    # one inverse per unit off the identity, then the rebuilt system's
+    # validation inverts the alpha values 1 and -1
+    assert [r for _, r in inverses[:3]] == list(canonical_units(sys)[1:])
+    assert len(inverses) == 5
+    assert solves == []
 
 
 def test_recognition_requires_nuclear_units():

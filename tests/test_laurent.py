@@ -1,10 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import laurent
+from gradix import jsonio, laurent
 from gradix.algebra import (fixed_subspace, nucleus_and_center,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix,
@@ -14,8 +15,9 @@ from gradix.catalog import (field_algebra, frobenius_matrix,
 from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
                            UnboundedSearch, ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.laurent import (center_coefficient_space, inner_witness_search,
-                            is_sigma_simple, laurent_add, laurent_associator,
+from gradix.laurent import (center_coefficient_space, check_window,
+                            inner_witness_search, is_sigma_simple,
+                            laurent_add, laurent_associator,
                             laurent_center_structure, laurent_commutator,
                             laurent_element, laurent_multiply, laurent_one,
                             laurent_simplicity_verdict, laurent_sub,
@@ -227,9 +229,14 @@ def test_budget_guard():
         is_sigma_simple(ring, budget=1)
 
 
+def conjugating_unit(ring, m):
+    """The first unit of the coefficient space at m, solved afresh."""
+    return laurent._first_unit(ring.algebra, center_coefficient_space(ring, m))
+
+
 def brute_conjugating_unit(ring, m):
     """Every projective point of T in lex order, filtered by each condition
-    on a conjugating unit: the reference for `_conjugating_unit`."""
+    on a conjugating unit: the reference for `conjugating_unit`."""
     alg, f = ring.algebra, ring.algebra.field
     nuc = nucleus_and_center(alg).nucleus
     twist = sigma_power(ring, m)
@@ -273,7 +280,15 @@ def small_rings(draw):
 def test_conjugating_unit_matches_brute_search(ring):
     box = itertools.product(*[range(o) for o in ring.orders])
     for m in set(box) | set(laurent._candidate_exponents(ring)):
-        assert laurent._conjugating_unit(ring, m) == brute_conjugating_unit(ring, m), m
+        assert conjugating_unit(ring, m) == brute_conjugating_unit(ring, m), m
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_rings())
+def test_witness_search_matches_a_solve_per_candidate(ring):
+    old = next(((u, m) for m in laurent._candidate_exponents(ring)
+                if (u := conjugating_unit(ring, m)) is not None), None)
+    assert inner_witness_search(ring) == old
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,7 +307,7 @@ def test_center_structure_matches_direct_solves(ring, data):
     assert cs.fixed_center == nucleus_and_center(alg).center.intersect(
         fixed_subspace(alg, ring.sigma))
     box = itertools.product(*[range(o) for o in ring.orders])
-    units = {m: laurent._conjugating_unit(ring, m) for m in box}
+    units = {m: conjugating_unit(ring, m) for m in box}
     assert cs.l_points == tuple(m for m, u in units.items() if u is not None)
     assert cs.conjugators == tuple(u for u in units.values() if u is not None)
 
@@ -311,3 +326,31 @@ def test_center_structure_solves_once_per_residue(monkeypatch):
     assert ring.orders == (2, 2)
     assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(cs.slice_exponents) == 15
+
+
+def test_a_laurent_request_solves_each_residue_once(monkeypatch):
+    calls = []
+    solve = laurent.center_coefficient_space
+
+    def spy(ring, m):
+        calls.append(m)
+        return solve(ring, m)
+    monkeypatch.setattr(laurent, "center_coefficient_space", spy)
+    payload = (Path(__file__).resolve().parent.parent / "sample_requests"
+               / "laurent_f4_frobenius.json").read_text()
+    text = '{"kind": "laurent", "payload": %s}' % payload
+    report = jsonio.run_request(jsonio.parse_request(text))["report"]
+    assert report["orders"] == [2] and report["witness"] is not None
+    # the witness search and the center structure share one table
+    assert calls == [(0,), (1,)]
+
+
+def test_window_over_budget_is_refused_before_any_solve(monkeypatch):
+    ring = frobenius_ring()
+    monkeypatch.setattr(laurent, "center_coefficient_space", None)
+    with pytest.raises(BudgetExceeded):
+        laurent_center_structure(ring, [(-5, 5)], budget=10)
+    with pytest.raises(BudgetExceeded):
+        check_window([(-3, 3), (0, 1)], 13)
+    assert check_window([(-3, 3), (0, 1)], 14) == [(-3, 3), (0, 1)]
+    assert check_window([(2, 1), (-10**9, 10**9)], 0) == [(2, 1), (-10**9, 10**9)]
