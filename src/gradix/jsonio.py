@@ -338,7 +338,7 @@ def laurent_block(ring: LaurentRing, opts) -> dict:
     window = opts.get("window")
     if window is None:
         window = [[-4, 4]] * ring.rank
-    check_window(window, opts["budget"])
+    check_window(window, opts["budget"])     # before the verdict solves anything
     v = laurent_simplicity_verdict(ring, budget=opts["budget"])
     block = {
         "rank": ring.rank,
