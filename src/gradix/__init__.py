@@ -20,8 +20,8 @@ from .errors import (BudgetExceeded, ExactModeUnavailable, GradixError,
                      MuZero, ParseError, UnboundedSearch, ValidationError)
 from .fields import FieldSpec, prime_field, rationals
 from .graded import (Gradation, SimplicityEquivalence, graded_ideal_closure,
-                     is_graded_simple, simplicity_equivalence,
-                     validate_gradation)
+                     is_faithful, is_graded_simple, is_strong,
+                     simplicity_equivalence, validate_gradation)
 from .groups import (FiniteGroup, central_series, cyclic, dihedral,
                      direct_product, elementary_abelian_two, symmetric,
                      validate_group)

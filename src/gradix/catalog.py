@@ -65,8 +65,7 @@ def group_algebra(field: FieldSpec, group: FiniteGroup) -> tuple[Algebra, Gradat
     labels = tuple("1" if a == group.identity else f"u{group.label(a)}"
                    for a in group.elements())
     alg = make_algebra(field, group.order, entries, unit, labels=labels)
-    grad, _ = validate_gradation(alg, group, tuple(group.elements()))
-    return alg, grad
+    return alg, validate_gradation(alg, group, tuple(group.elements()))
 
 
 def truncated_dual(field: FieldSpec) -> Algebra:
@@ -163,8 +162,7 @@ def random_graded_algebra(field: FieldSpec, group: FiniteGroup, degrees,
             entries += [(i, j, k, rng.randrange(field.p))
                         for k in range(d) if degrees[k] == gh]
     alg = make_algebra(field, d, entries, (field.one,) + (field.zero,) * (d - 1))
-    grad, _ = validate_gradation(alg, group, degrees)
-    return alg, grad
+    return alg, validate_gradation(alg, group, degrees)
 
 
 # -- named groups ----------------------------------------------------------------

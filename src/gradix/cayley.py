@@ -78,8 +78,7 @@ def cayley_double(alg: Algebra, mu, adjoined: str = "l") -> tuple[Algebra, Grada
         if lhs != rhs:
             raise ValidationError(f"doubling identity fails at basis {i}")
 
-    grad, _ = validate_gradation(doubled, cyclic(2), (0,) * d + (1,) * d)
-    return doubled, grad
+    return doubled, validate_gradation(doubled, cyclic(2), (0,) * d + (1,) * d)
 
 
 # -- star ideals and centers ---------------------------------------------------
@@ -204,7 +203,7 @@ def tower_stages(field: FieldSpec, mus) -> Iterator[tuple[Algebra, Gradation]]:
         letter = letters[k] if k < len(letters) else f"t{k}"
         alg, _ = cayley_double(alg, mu, adjoined=letter)
         degrees = tuple(grad.degrees) + tuple(d + (1 << k) for d in grad.degrees)
-        grad, _ = validate_gradation(alg, elementary_abelian_two(k + 1), degrees)
+        grad = validate_gradation(alg, elementary_abelian_two(k + 1), degrees)
         yield alg, grad
 
 

@@ -26,7 +26,8 @@ from .algebra import (Algebra, SimplicityVerdict, center_equations,
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
-from .graded import Gradation, homogeneous_points, validate_gradation
+from .graded import (Gradation, homogeneous_points, is_strong,
+                     validate_gradation)
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      mat_mul, mat_vec)
@@ -155,8 +156,8 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
 
     prod = make_algebra(f, d * n, entries, tuple(unit), labels=labels)
     degrees = tuple(a for a in range(n) for _ in range(d))
-    grad, report = validate_gradation(prod, g, degrees)
-    if not report.strong:
+    grad = validate_gradation(prod, g, degrees)
+    if not is_strong(prod, grad):
         raise ValidationError("built product is not strongly graded")
 
     # N2 at (g, g^-1, g) makes alpha(g^-1, g)^-1 u_{g^-1} the inverse of u_g

@@ -42,59 +42,12 @@ class Gradation:
         return None
 
 
-@dataclass(frozen=True)
-class GradedReport:
-    """Invariants of a validated gradation, each computed on first access:
-    constructors that only need the gradation never pay for them."""
-    algebra: Algebra
-    gradation: Gradation
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.gradation.support
-
-    @cached_property
-    def strong(self) -> bool:
-        """R_g R_h = R_{gh} for all g, h in the support."""
-        alg, grad = self.algebra, self.gradation
-        prod = alg.product_table
-        comp = {g: component_subspace(alg, grad, g) for g in grad.group.elements()}
-        return all(Subspace.span(alg.field, alg.dim,
-                                 [prod[i][j] for i in grad.indices_of(g)
-                                  for j in grad.indices_of(h)]) ==
-                   comp[grad.group.mul(g, h)]
-                   for g in grad.support for h in grad.support)
-
-    @cached_property
-    def faithful(self) -> bool | None:
-        """None when unchecked (rationals)."""
-        if not self.algebra.field.is_finite:
-            return None
-        return _faithful_exact(self.algebra, self.gradation)
-
-    @property
-    def faithful_mode(self) -> str:
-        return "exact" if self.algebra.field.is_finite else "unchecked"
-
-
 def homogeneous_component(alg: Algebra, grad: Gradation, v: Vec, g: int) -> Vec:
     return tuple(c if grad.degrees[i] == g else alg.field.zero
                  for i, c in enumerate(v))
 
 
-def component_subspace(alg: Algebra, grad: Gradation, g: int) -> Subspace:
-    idx = grad.indices_of(g)
-    return Subspace(alg.field, alg.dim,
-                    tuple(alg.basis_vector(i) for i in idx), idx)
-
-
-def subspace_product(alg: Algebra, u: Subspace, v: Subspace) -> Subspace:
-    return Subspace.span(alg.field, alg.dim,
-                         [alg.multiply(a, b) for a in u.basis for b in v.basis])
-
-
-def validate_gradation(alg: Algebra, group: FiniteGroup,
-                       degrees) -> tuple[Gradation, GradedReport]:
+def validate_gradation(alg: Algebra, group: FiniteGroup, degrees) -> Gradation:
     degrees = tuple(int(d) for d in degrees)
     if len(degrees) != alg.dim:
         raise ValidationError("degree list length != dim")
@@ -109,18 +62,41 @@ def validate_gradation(alg: Algebra, group: FiniteGroup,
     for i, c in enumerate(alg.unit):
         if c and degrees[i] != group.identity:
             raise UnitNotInIdentityComponent(f"unit has support at degree {degrees[i]}")
-    grad = Gradation(group, degrees)
-    return grad, GradedReport(alg, grad)
+    return Gradation(group, degrees)
 
 
-def _faithful_exact(alg: Algebra, grad: Gradation) -> bool:
+def _components(grad: Gradation) -> dict:
+    return {g: grad.indices_of(g) for g in grad.group.elements()}
+
+
+def is_strong(alg: Algebra, grad: Gradation) -> bool:
+    """R_g R_h = R_{gh} for all g, h in the support.  A validated gradation
+    puts every product e_a e_b (a in R_g, b in R_h) in R_{gh}, so they span
+    it exactly when their coordinates there have rank |R_{gh}|."""
+    prod, comp, mul = alg.product_table, _components(grad), grad.group.mul
     for g in grad.support:
-        for r in homogeneous_points(alg, grad, g):
-            for h in grad.support:
-                idx = grad.indices_of(h)
-                if not any(any(alg.right_by_basis(b, r)) for b in idx):
-                    return False
-                if not any(any(alg.left_by_basis(b, r)) for b in idx):
+        for h in grad.support:
+            gh = comp[mul(g, h)]
+            rows = [[prod[a][b][k] for k in gh] for a in comp[g] for b in comp[h]]
+            if Subspace.span(alg.field, len(gh), rows).rank < len(gh):
+                return False
+    return True
+
+
+def is_faithful(alg: Algebra, grad: Gradation) -> bool:
+    """r R_h != 0 and R_h r != 0 for every nonzero r in R_g, g and h in the
+    support.  The maps r -> (r e_b)_b and r -> (e_b r)_b, b in R_h, take
+    R_g into copies of R_{gh} and R_{hg}; each is injective exactly when
+    its matrix has rank |R_g|, which is exact over every field."""
+    prod, comp, mul = alg.product_table, _components(grad), grad.group.mul
+    for g in grad.support:
+        for h in grad.support:
+            gh, hg = comp[mul(g, h)], comp[mul(h, g)]
+            right = [[prod[a][b][k] for b in comp[h] for k in gh] for a in comp[g]]
+            left = [[prod[b][a][k] for b in comp[h] for k in hg] for a in comp[g]]
+            for rows, cols in ((right, gh), (left, hg)):
+                width = len(comp[h]) * len(cols)
+                if Subspace.span(alg.field, width, rows).rank < len(comp[g]):
                     return False
     return True
 

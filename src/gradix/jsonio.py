@@ -19,7 +19,7 @@ from .crossed import (CrossedSystem, build_crossed_product, crossed_center,
                       is_G_simple, validate_crossed_system)
 from .errors import ExactModeUnavailable, ParseError, ValidationError
 from .fields import FieldSpec, prime_field, rationals
-from .graded import (Gradation, GradedReport, is_graded_simple,
+from .graded import (Gradation, is_faithful, is_graded_simple, is_strong,
                      simplicity_equivalence, validate_gradation)
 from .groups import FiniteGroup, central_series, validate_group
 from .laurent import (LaurentRing, check_window, laurent_center_structure,
@@ -141,7 +141,7 @@ def parse_algebra(obj) -> Algebra:
     return make_algebra(f, dim, entries, unit, involution=invol, labels=labels)
 
 
-def parse_gradation(alg: Algebra, obj) -> tuple[Gradation, GradedReport]:
+def parse_gradation(alg: Algebra, obj) -> Gradation:
     group = parse_group(_need(obj, "group", "gradation"))
     degrees = [_int(d, "gradation degree")
                for d in _list(_need(obj, "degrees", "gradation"), "gradation degrees")]
@@ -263,8 +263,7 @@ def algebra_block(alg: Algebra, opts) -> dict:
     return block
 
 
-def gradation_block(alg: Algebra, grad: Gradation, report: GradedReport,
-                    opts) -> dict:
+def gradation_block(alg: Algebra, grad: Gradation, opts) -> dict:
     g = grad.group
     series = central_series(g)
     block = {
@@ -272,10 +271,10 @@ def gradation_block(alg: Algebra, grad: Gradation, report: GradedReport,
                   "hypercentral": series.hypercentral,
                   "abelian": g.is_abelian()},
         "degrees": list(grad.degrees),
-        "support": [g.label(s) for s in report.support],
-        "strong": report.strong,
-        "faithful": report.faithful,
-        "faithful_mode": report.faithful_mode,
+        "support": [g.label(s) for s in grad.support],
+        "strong": is_strong(alg, grad),
+        "faithful": is_faithful(alg, grad),
+        "faithful_mode": "exact",
     }
     try:
         v = is_graded_simple(alg, grad, budget=opts["budget"])
@@ -412,10 +411,9 @@ def run_request(doc: dict) -> dict:
         report = algebra_block(alg, opts)
     elif kind == "graded":
         alg = parse_algebra(_need(payload, "algebra", "graded payload"))
-        grad, grep = parse_gradation(alg, _need(payload, "gradation",
-                                                "graded payload"))
+        grad = parse_gradation(alg, _need(payload, "gradation", "graded payload"))
         report = algebra_block(alg, opts)
-        report["gradation"] = gradation_block(alg, grad, grep, opts)
+        report["gradation"] = gradation_block(alg, grad, opts)
         try:
             report["simplicity_equivalence"] = equivalence_block(alg, grad, opts)
         except ExactModeUnavailable:

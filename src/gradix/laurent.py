@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .algebra import (Algebra, SimplicityVerdict, center_equations,
                       fixed_equations, is_ring_automorphism, simple_under,
@@ -49,6 +49,11 @@ class LaurentRing:
             space = center_coefficient_space(self, m)
             table[m] = space, _first_unit(self.algebra, space)
         return table
+
+    @cached_property
+    def _sigma_powers(self) -> dict:
+        """sigma^m per reduced exponent m, filled in by `sigma_power`."""
+        return {}
 
 
 def _matrix_order(field, m, cap: int) -> int | None:
@@ -83,18 +88,17 @@ def _reduce_exp(ring: LaurentRing, m: Exp) -> Exp:
                  for mi, o in zip(m, ring.orders))
 
 
-@lru_cache(maxsize=None)
-def _sigma_power_cached(ring: LaurentRing, m: Exp):
-    f = ring.algebra.field
-    out = identity_matrix(f, ring.algebra.dim)
-    for mat, mi in zip(ring.sigma, m):
-        if mi:
-            out = mat_mul(f, out, mat_power(f, mat, mi))
-    return out
-
-
 def sigma_power(ring: LaurentRing, m: Exp):
-    return _sigma_power_cached(ring, _reduce_exp(ring, m))
+    m = _reduce_exp(ring, m)
+    powers = ring._sigma_powers
+    if m not in powers:
+        f = ring.algebra.field
+        out = identity_matrix(f, ring.algebra.dim)
+        for mat, mi in zip(ring.sigma, m):
+            if mi:
+                out = mat_mul(f, out, mat_power(f, mat, mi))
+        powers[m] = out
+    return powers[m]
 
 
 # -- elements -------------------------------------------------------------------

@@ -81,9 +81,6 @@ class Echelon:
             grew |= self.add(v)
         return grew
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
-
     def to_subspace(self) -> "Subspace":
         return Subspace(self.field, self.ambient,
                         tuple(tuple(r) for r in self.rows), tuple(self.pivots))
@@ -117,25 +114,26 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient
 
-    def _echelon(self) -> Echelon:
-        ech = Echelon(self.field, self.ambient)
-        ech.rows = [list(r) for r in self.basis]
-        ech.pivots = list(self.pivots)
-        return ech
-
     def contains(self, v: Sequence[Scalar]) -> bool:
+        """The rows are fully reduced, so v is in the span exactly when
+        v - sum_i v[pivot_i] row_i is zero."""
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector length {len(v)} != ambient {self.ambient}")
-        return self._echelon().contains(v)
+        f = self.field
+        w = list(v)
+        for row, piv in zip(self.basis, self.pivots):
+            c = v[piv]
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] = f.sub(w[j], f.mul(c, x))
+        return not any(w)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        ech = self._echelon()
-        return all(ech.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other.basis)
 
     def add(self, other: "Subspace") -> "Subspace":
-        ech = self._echelon()
-        ech.extend(other.basis)
-        return ech.to_subspace()
+        return Subspace.span(self.field, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # kernel trick: relations a.U - b.V = 0 give the common vectors

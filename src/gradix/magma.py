@@ -17,8 +17,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .algebra import Algebra
 from .errors import DimensionMismatch, NotHomogeneous, ParseError
 from .linalg import Subspace, Vec
@@ -166,26 +164,6 @@ def tree_shapes(length: int) -> tuple[Word, ...]:
 
 # -- span oracle --------------------------------------------------------------
 
-def _shape_values_np(alg: Algebra, shape: Word, designated: int, a: Vec) -> np.ndarray:
-    """All specializations of one shape with `a` in the designated slot and
-    basis vectors elsewhere, as rows (F_p fast path)."""
-    p = alg.field.p
-    c = alg._np_tensor
-    eye = np.eye(alg.dim, dtype=c.dtype)
-    avec = np.array([list(map(int, a))], dtype=c.dtype)
-
-    def ev(t) -> np.ndarray:
-        if isinstance(t, int):
-            return avec if t == designated else eye
-        left, right = ev(t[0]), ev(t[1])
-        # one contraction at a time keeps each sum within np_dtype's bound
-        half = np.einsum("ai,ijk->ajk", left, c) % p
-        out = np.einsum("bj,ajk->abk", right, half) % p
-        return out.reshape(-1, alg.dim)
-
-    return ev(shape.tree)
-
-
 def _shape_values_generic(alg: Algebra, shape: Word, designated: int, a: Vec):
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     free = [s for s in range(shape.length) if s != designated]
@@ -216,17 +194,12 @@ def word_ideal_span(alg: Algebra, generators, max_len: int = 5,
             if any(v) and grad.degree_of(v) is None:
                 raise NotHomogeneous(f"generator {v} is not homogeneous")
     ech = Echelon(alg.field, alg.dim)
-    use_np = alg.field.is_finite
     prev_rank = -1
     for length in range(1, max_len + 1):
         for shape in tree_shapes(length):
             for designated in range(length):
                 for a in gens:
-                    if use_np:
-                        for row in _shape_values_np(alg, shape, designated, a):
-                            ech.add([int(x) for x in row])
-                    else:
-                        ech.extend(_shape_values_generic(alg, shape, designated, a))
+                    ech.extend(_shape_values_generic(alg, shape, designated, a))
         if ech.rank == prev_rank or ech.rank == alg.dim:
             break
         prev_rank = ech.rank

@@ -105,7 +105,7 @@ def _graded_density(rng, trials, maxlen):
     from .algebra import _closure_is_full
     from .graded import homogeneous_points, is_graded_simple, validate_gradation
     f3 = prime_field(3)
-    cases = [(a, validate_gradation(a, cyclic(1), [0] * a.dim)[0])
+    cases = [(a, validate_gradation(a, cyclic(1), [0] * a.dim))
              for a in (matrix_algebra(f3, 2), product_algebra(f3, 3))]
     dbl, _ = cayley_double(quadratic_field_extension(f3), 1)
     cases.append(cayley_double(dbl, 1))

@@ -27,7 +27,7 @@ from gradix.crossed import (build_crossed_product, canonical_units,
                             recognize_crossed_system, trivial_system,
                             validate_crossed_system)
 from gradix.fields import prime_field, rationals
-from gradix.graded import (Gradation, is_graded_simple,
+from gradix.graded import (Gradation, is_graded_simple, is_strong,
                            simplicity_equivalence, validate_gradation)
 from gradix.groups import (cyclic, direct_product, elementary_abelian_two)
 from gradix.laurent import (is_sigma_simple, laurent_center_structure,
@@ -192,8 +192,8 @@ def test_criterion_4_crossed_product_suite(capsys):
     associativity = {}
     for name, sys_ in corpus:
         prod, grad = build_crossed_product(sys_)
-        _, rep = validate_gradation(prod, grad.group, grad.degrees)
-        assert rep.strong, name
+        assert validate_gradation(prod, grad.group, grad.degrees) == grad
+        assert is_strong(prod, grad), name
         nucleus = nucleus_and_center(prod).nucleus
         d = sys_.algebra.dim
         for g in sys_.group.elements():

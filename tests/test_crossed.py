@@ -15,7 +15,7 @@ from gradix.crossed import (build_crossed_product, canonical_units,
 from gradix.errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                            N3Violation, NoNuclearUnit, NotAutomorphism)
 from gradix.fields import prime_field
-from gradix.graded import is_graded_simple, validate_gradation
+from gradix.graded import is_graded_simple, is_strong, validate_gradation
 from gradix.groups import cyclic, elementary_abelian_two
 from gradix.linalg import identity_matrix
 
@@ -112,8 +112,8 @@ def test_products_are_strong_with_nuclear_units(mk):
     sys = mk()
     prod, grad = build_crossed_product(sys)
     assert prod.dim == sys.algebra.dim * sys.group.order
-    _, report = validate_gradation(prod, grad.group, grad.degrees)
-    assert report.strong
+    assert validate_gradation(prod, grad.group, grad.degrees) == grad
+    assert is_strong(prod, grad)
     nucleus = nucleus_and_center(prod).nucleus
     d = sys.algebra.dim
     for g in sys.group.elements():
@@ -249,10 +249,8 @@ def test_recognition_inverts_each_unit_once(monkeypatch):
 
 def test_recognition_requires_nuclear_units():
     alg = truncated_dual(F3)
-    _, report = validate_gradation(alg, cyclic(2), [0, 1])
-    assert not report.strong
-    from gradix.graded import Gradation
-    grad = Gradation(cyclic(2), (0, 1))
+    grad = validate_gradation(alg, cyclic(2), [0, 1])
+    assert not is_strong(alg, grad)
     with pytest.raises(NoNuclearUnit):
         recognize_crossed_system(alg, grad)
 

@@ -1,3 +1,4 @@
+import json
 import random
 from unittest import mock
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import algebra
+from gradix import algebra, graded, jsonio
 from gradix.algebra import (SimplicityVerdict, ideal_closure, is_simple,
                             multiply)
 from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
@@ -18,13 +19,13 @@ from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
                            IncompatibleTensor, UnitNotInIdentityComponent,
                            ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.graded import (Gradation, coarsen, component_subspace,
-                           graded_ideal_closure, homogeneous_inverse,
-                           homogeneous_points, is_graded_simple,
-                           simplicity_equivalence, subspace_product,
-                           validate_gradation)
+from gradix.graded import (Gradation, coarsen, graded_ideal_closure,
+                           homogeneous_inverse, homogeneous_points,
+                           is_faithful, is_graded_simple, is_strong,
+                           simplicity_equivalence, validate_gradation)
 from gradix.groups import (cyclic, elementary_abelian_two, subgroup,
                            symmetric)
+from gradix.linalg import Subspace
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -41,6 +42,40 @@ def homogeneous_sweep(alg, grad):
             if not algebra._closure_is_full(alg, r):
                 return SimplicityVerdict(False, r, "exact", checked)
     return SimplicityVerdict(True, None, "exact", checked)
+
+
+def faithful_by_enumeration(alg, grad):
+    """Every nonzero homogeneous point, one at a time: the reference for
+    `is_faithful` over F_p.  r is faithful when r R_h and R_h r are nonzero
+    for every h in the support."""
+    for g in grad.support:
+        for r in homogeneous_points(alg, grad, g):
+            for h in grad.support:
+                idx = grad.indices_of(h)
+                if not any(any(alg.right_by_basis(b, r)) for b in idx):
+                    return False
+                if not any(any(alg.left_by_basis(b, r)) for b in idx):
+                    return False
+    return True
+
+
+def component_subspace(alg, grad, g):
+    idx = grad.indices_of(g)
+    return Subspace(alg.field, alg.dim,
+                    tuple(alg.basis_vector(i) for i in idx), idx)
+
+
+def subspace_product(alg, u, v):
+    return Subspace.span(alg.field, alg.dim,
+                         [alg.multiply(a, b) for a in u.basis for b in v.basis])
+
+
+def strong_by_spans(alg, grad):
+    """R_g R_h = R_{gh} compared as subspaces: the reference for `is_strong`."""
+    return all(subspace_product(alg, component_subspace(alg, grad, g),
+                                component_subspace(alg, grad, h))
+               == component_subspace(alg, grad, grad.group.mul(g, h))
+               for g in grad.support for h in grad.support)
 
 
 GROUPS = [cyclic(2), cyclic(3), elementary_abelian_two(2)]
@@ -115,10 +150,63 @@ def test_graded_verdict_matches_homogeneous_sweep():
 
 def test_validate_gradation_flags():
     alg, grad = group_algebra(F3, cyclic(4))
-    _, report = validate_gradation(alg, grad.group, grad.degrees)
-    assert report.support == (0, 1, 2, 3)
-    assert report.strong and report.faithful
-    assert report.faithful_mode == "exact"
+    assert validate_gradation(alg, grad.group, grad.degrees) == grad
+    assert grad.support == (0, 1, 2, 3)
+    assert is_strong(alg, grad) and is_faithful(alg, grad)
+    # over a nonabelian group R_g R_h and R_h R_g are different components
+    alg, grad = group_algebra(F2, symmetric(3))
+    assert is_strong(alg, grad) and is_faithful(alg, grad)
+
+
+@st.composite
+def faithfulness_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    # S3 tells R_{gh} from R_{hg}
+    group = draw(st.sampled_from(GROUPS + [symmetric(3)]))
+    tail = draw(st.lists(st.integers(0, group.order - 1), min_size=1,
+                         max_size=4 if p < 5 else 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_graded_algebra(prime_field(p), group,
+                                 [group.identity] + tail, rng)
+
+
+def test_strength_and_faithfulness_match_the_enumeration():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(faithfulness_cases())
+    def check(case):
+        alg, grad = case
+        faithful = is_faithful(alg, grad)
+        assert faithful == faithful_by_enumeration(alg, grad)
+        assert is_strong(alg, grad) == strong_by_spans(alg, grad)
+        seen.add(faithful)
+
+    check()
+    assert seen == {True, False}, "every draw had the same faithfulness"
+
+
+def test_strength_and_faithfulness_over_rationals():
+    q = rationals()
+    dual = truncated_dual(q)
+    grad = validate_gradation(dual, cyclic(2), [0, 1])
+    assert not is_strong(dual, grad) and not is_faithful(dual, grad)
+    alg, grad = quaternions(q)
+    assert is_strong(alg, grad) and is_faithful(alg, grad)
+
+
+def test_faithfulness_is_decided_without_enumerating(monkeypatch):
+    # 797 161 projective points in the one component of F_3^13
+    alg = product_algebra(F3, 13)
+    grad = validate_gradation(alg, cyclic(1), [0] * 13)
+
+    def refuse(*args):
+        raise AssertionError("enumerated the points of a component")
+    for module, name in ((graded, "homogeneous_points"),
+                         (graded, "coordinate_points"),
+                         (algebra, "coordinate_points")):
+        monkeypatch.setattr(module, name, refuse)
+    assert is_faithful(alg, grad)
 
 
 def test_validate_gradation_rejects():
@@ -143,9 +231,9 @@ def test_validate_gradation_rejects():
 def test_trivial_component_gradation_not_strong():
     # dual numbers graded by Z/2 with x in degree 1: x*x = 0 kills strength
     alg = truncated_dual(F3)
-    _, report = validate_gradation(alg, cyclic(2), [0, 1])
-    assert not report.strong
-    assert not report.faithful
+    grad = validate_gradation(alg, cyclic(2), [0, 1])
+    assert not is_strong(alg, grad)
+    assert not is_faithful(alg, grad)
 
 
 def test_homogeneous_points_cover_component():
@@ -237,8 +325,8 @@ def test_sedenion_gradation_strong_and_graded_simple():
     alg, grad = sedenions(F3)
     assert alg.dim == 16
     assert grad.group.order == 16
-    _, report = validate_gradation(alg, grad.group, grad.degrees)
-    assert report.strong
+    assert validate_gradation(alg, grad.group, grad.degrees) == grad
+    assert is_strong(alg, grad)
     # full exact simplicity is over budget at dim 16; the graded test only
     # needs the 16 homogeneous lines
     assert is_graded_simple(alg, grad).simple
@@ -252,3 +340,17 @@ def test_degree_of_mixed_is_none():
     mixed = alg.add_vec(alg.basis_vector(0), alg.basis_vector(1))
     assert grad.degree_of(mixed) is None
     assert Gradation(elementary_abelian_two(1), (0, 1)).indices_of(1) == (1,)
+
+
+def test_graded_request_over_rationals_decides_faithfulness():
+    dual_numbers = {"field": {"kind": "Q"}, "dim": 2, "unit": ["1", "0"],
+                    "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"},
+                             {"i": 0, "j": 1, "k": 1, "c": "1"},
+                             {"i": 1, "j": 0, "k": 1, "c": "1"}]}
+    doc = jsonio.parse_request(json.dumps({
+        "kind": "graded",
+        "payload": {"algebra": dual_numbers,
+                    "gradation": {"group": "C2", "degrees": [0, 1]}}}))
+    block = jsonio.run_request(doc)["report"]["gradation"]
+    assert (block["strong"], block["faithful"], block["faithful_mode"]) \
+        == (False, False, "exact")

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from pathlib import Path
 
 import pytest
@@ -354,3 +356,19 @@ def test_window_over_budget_is_refused_before_any_solve(monkeypatch):
         check_window([(-3, 3), (0, 1)], 13)
     assert check_window([(-3, 3), (0, 1)], 14) == [(-3, 3), (0, 1)]
     assert check_window([(2, 1), (-10**9, 10**9)], 0) == [(2, 1), (-10**9, 10**9)]
+
+
+def test_rings_are_freed_after_use():
+    # sigma powers and residues are cached on the ring itself, so nothing
+    # module-level keeps a ring alive once its caller drops it
+    refs = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        f = prime_field(p)
+        ring = make_laurent_ring(quadratic_field_extension(f),
+                                 [frobenius_matrix(f)])
+        laurent_center_structure(ring, [(-2, 2)])
+        assert ring._sigma_powers
+        refs.append(weakref.ref(ring))
+    del ring
+    gc.collect()
+    assert [r() for r in refs] == [None] * 10

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix import linalg
+from gradix.errors import DimensionMismatch
 from gradix.fields import prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
                            mat_mul, mat_power, mat_vec, np_dtype, np_rref,
@@ -81,6 +84,39 @@ def test_subspace_lattice():
     assert meet.rank == 1 and meet.contains((0, 1, 0))
     assert join.is_full
     assert a.contains_subspace(meet) and join.contains_subspace(a)
+
+
+@st.composite
+def subspace_and_vector(draw):
+    field = draw(st.sampled_from([prime_field(2), F3, Q]))
+    scalars = (st.integers(0, field.p - 1) if field.is_finite else
+               st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    n = draw(st.integers(1, 5))
+    vec = st.lists(scalars, min_size=n, max_size=n).map(
+        lambda v: tuple(field.coerce(c) for c in v))
+    s = Subspace.span(field, n, draw(st.lists(vec, max_size=4)))
+    if s.rank and draw(st.booleans()):
+        # a combination of the rows, so members are drawn as often as not
+        coeffs = draw(st.lists(scalars, min_size=s.rank, max_size=s.rank))
+        v = tuple(field.coerce(0) for _ in range(n))
+        for c, row in zip(coeffs, s.basis):
+            v = tuple(field.add(x, field.mul(field.coerce(c), y))
+                      for x, y in zip(v, row))
+        return s, v
+    return s, draw(vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_and_vector())
+def test_contains_agrees_with_the_rank(case):
+    s, v = case
+    grown = Subspace.span(s.field, s.ambient, s.basis + (v,))
+    assert s.contains(v) == (grown.rank == s.rank)
+
+
+def test_contains_checks_the_length():
+    with pytest.raises(DimensionMismatch):
+        Subspace.span(F3, 3, [(1, 0, 0)]).contains((1, 0))
 
 
 def test_subspace_coordinates_count():
