@@ -26,7 +26,7 @@ def survey(p, length, brute_limit):
         for s in stages[1:]:
             crit.append("S" if s.report.criterion_simple else "-")
             if s.algebra.dim <= brute_limit:
-                v = is_simple(s.algebra, mode="exact")
+                v = is_simple(s.algebra)
                 brute.append("S" if v.simple else "-")
                 assert v.simple == s.report.criterion_simple, (mus, s.algebra.dim)
             else:

@@ -10,7 +10,7 @@ search cannot be bounded.
 from .algebra import (Algebra, SimplicityVerdict, associator, center_is_field,
                       commutator, ideal_closure, is_associative, is_simple,
                       make_algebra, multiply, nucleus_and_center,
-                      simple_under, two_sided_inverse)
+                      sample_simple, simple_under, two_sided_inverse)
 from .cayley import (DoublingReport, cayley_double, doubling_report,
                      is_star_simple, star_centers, tower, tower_stages)
 from .crossed import (CrossedSystem, build_crossed_product, canonical_units,

@@ -406,6 +406,14 @@ def two_sided_inverse(alg: Algebra, r: Vec) -> Vec | None:
     return particular
 
 
+def first_unit(alg: Algebra, space: Subspace) -> tuple[Vec, Vec] | None:
+    """The first two-sided unit of `space` and its inverse, or None (F_p).
+    The order is the lex order of `projective_points`, which
+    `Subspace.coordinates` keeps as the basis is in reduced echelon form."""
+    return next(((u, inv) for u in space.coordinates()
+                 if (inv := two_sided_inverse(alg, u)) is not None), None)
+
+
 def left_mult_matrix(alg: Algebra, v: Vec):
     """Matrix of x -> v x."""
     f = alg.field
@@ -502,13 +510,6 @@ def ideal_closure(alg: Algebra, generators, maps=()) -> Subspace:
                         tuple(tuple(int(c) for c in row) for row in ech),
                         tuple(piv))
     return _closure_generic(alg, gens, maps).to_subspace()
-
-
-def _closure_is_full(alg: Algebra, seed, maps=()) -> bool:
-    if alg.field.is_finite:
-        ech, _ = _closure_np(alg, [seed], _np_generators(alg, maps))
-        return ech.shape[0] == alg.dim
-    return _closure_generic(alg, [seed], maps).rank == alg.dim
 
 
 # -- simplicity --------------------------------------------------------------
@@ -645,35 +646,39 @@ def _reduction_irreducible(alg: Algebra, maps) -> bool:
     return _density_irreducible(red, _np_generators(red, maps))
 
 
-def simple_under(alg: Algebra, maps=(), mode: str = "auto",
-                 budget: int = 1_000_000, trials: int = 1000,
-                 seed: int = 0) -> SimplicityVerdict:
-    """Decide whether the only ideals closed under the extra maps are 0 and
-    the whole algebra.  Exact mode (F_p only) is `_exact_verdict` over the
+def simple_under(alg: Algebra, maps=(),
+                 budget: int = 1_000_000) -> SimplicityVerdict:
+    """Exact verdict over F_p: whether the only ideals closed under the
+    extra maps are 0 and the whole algebra.  It is `_exact_verdict` over the
     projective points of A, decided by the Jacobson density test past d^2
-    of them.  Randomized mode samples and can only refute or report
+    of them.  Raises `ExactModeUnavailable` over Q."""
+    return _exact_verdict(alg, maps, [range(alg.dim)], budget, "projective")
+
+
+def sample_simple(alg: Algebra, maps=(), trials: int = 1000,
+                  seed: int = 0) -> SimplicityVerdict:
+    """Randomized verdict: samples can only refute or report
     no-counterexample.  Over Q it first runs the density test on the
     reduction mod P; an irreducible reduction proves A simple, and every
     sample would find a full closure, so the verdict is the "randomized"
     simple one with `checked = trials`, drawn without sampling.  Otherwise,
     and always over F_p, the samples are drawn."""
-    if mode == "auto":
-        mode = "exact" if alg.field.is_finite else "randomized"
-    if mode == "exact":
-        return _exact_verdict(alg, maps, [range(alg.dim)], budget, "projective")
     if _reduction_irreducible(alg, maps):
         return SimplicityVerdict(True, None, "randomized", trials)
     rng = random.Random(seed)
     for t in range(trials):
         v = random_element(alg, rng)
-        if not _closure_is_full(alg, v, maps):
+        if not ideal_closure(alg, [v], maps).is_full:
             return SimplicityVerdict(False, v, "randomized", t + 1)
     return SimplicityVerdict(True, None, "randomized", trials)
 
 
-def is_simple(alg: Algebra, mode: str = "auto", budget: int = 1_000_000,
-              trials: int = 1000, seed: int = 0) -> SimplicityVerdict:
-    return simple_under(alg, (), mode, budget, trials, seed)
+def is_simple(alg: Algebra, budget: int = 1_000_000, trials: int = 1000,
+              seed: int = 0) -> SimplicityVerdict:
+    """`simple_under` over F_p and `sample_simple` over Q."""
+    if alg.field.is_finite:
+        return simple_under(alg, budget=budget)
+    return sample_simple(alg, trials=trials, seed=seed)
 
 
 def subfield_check(alg: Algebra, s: Subspace, budget: int = 1_000_000) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Algebra, SimplicityVerdict, center_equations,
-                      fixed_center, fixed_equations, is_simple, make_algebra,
+                      fixed_center, fixed_equations, make_algebra,
                       right_mult_matrix, simple_under, subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
@@ -86,7 +86,7 @@ def cayley_double(alg: Algebra, mu, adjoined: str = "l") -> tuple[Algebra, Grada
 def is_star_simple(alg: Algebra, budget: int = 1_000_000) -> SimplicityVerdict:
     """No proper nonzero ideal closed under the involution."""
     _require_involution(alg)
-    return simple_under(alg, maps=(alg.involution,), mode="exact", budget=budget)
+    return simple_under(alg, maps=(alg.involution,), budget=budget)
 
 
 def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
@@ -174,7 +174,7 @@ def doubling_report(alg: Algebra, mu, doubled: Algebra,
 
     brute = witness = None
     if f.is_finite and projective_count(f.p, doubled.dim) <= budget:
-        v = is_simple(doubled, mode="exact", budget=budget)
+        v = simple_under(doubled, budget=budget)
         brute, witness = v.simple, v.witness
     consistent = brute is None or criterion is None or brute == criterion
     return DoublingReport(star_v, trivial, zfield, musq, zsfield,

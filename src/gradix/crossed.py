@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (Algebra, SimplicityVerdict, center_equations,
-                      fixed_center, fixed_equations, in_nucleus,
-                      is_ring_automorphism, make_algebra, right_mult_matrix,
-                      simple_under, two_sided_inverse)
+                      first_unit, fixed_center, fixed_equations, in_nucleus,
+                      is_ring_automorphism, make_algebra,
+                      nucleus_equation_rows, right_mult_matrix, simple_under,
+                      two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
-from .graded import (Gradation, homogeneous_points, is_strong,
-                     validate_gradation)
+from .graded import Gradation, is_strong, validate_gradation
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      mat_mul, mat_vec)
@@ -183,7 +183,8 @@ def _restrict(vec, idx, where: str) -> Vec:
 def recognize_crossed_system(alg: Algebra, grad: Gradation,
                              units=None) -> CrossedSystem:
     """Extract (T, G, sigma, alpha) from a graded algebra with nuclear units
-    in every component; u_e is always the algebra unit."""
+    in every component; u_e is always the algebra unit.  Without supplied
+    units, u_g is the `first_unit` of the nuclear part of R_g."""
     g = grad.group
     f = alg.field
     e = g.identity
@@ -226,16 +227,16 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
     else:
         if not f.is_finite:
             raise ExactModeUnavailable("unit search needs a finite field or supplied units")
+        nucleus = nucleus_equation_rows(alg)
         for a in range(g.order):
             if a == e:
                 continue
-            for v in homogeneous_points(alg, grad, a):
-                vinv = two_sided_inverse(alg, v) if in_nucleus(alg, v) else None
-                if vinv is not None:
-                    chosen[a], inv[a] = v, vinv
-                    break
-            else:
+            outside = [alg.basis_vector(i) for i in range(alg.dim)
+                       if grad.degrees[i] != a]
+            found = first_unit(alg, kernel(f, nucleus + outside, alg.dim))
+            if found is None:
                 raise NoNuclearUnit(f"component {a} has no nuclear unit")
+            chosen[a], inv[a] = found
 
     embed = [alg.basis_vector(i) for i in idx]
 
@@ -264,7 +265,7 @@ def is_G_simple(t: Algebra, sigma,
                 budget: int = 1_000_000) -> SimplicityVerdict:
     """No proper nonzero ideal of T closed under every sigma_g (exact)."""
     maps = tuple(coerce_matrix(t.field, m, t.dim) for m in sigma)
-    return simple_under(t, maps=maps, mode="exact", budget=budget)
+    return simple_under(t, maps=maps, budget=budget)
 
 
 def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:

@@ -17,17 +17,23 @@ from .errors import ExactModeUnavailable, ValidationError
 Scalar = Union[int, Fraction]
 
 
+# Miller-Rabin on the 13 prime bases up to 41 is exact below PSI_13, the
+# least strong pseudoprime to all of them (Sorenson & Webster 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Exact for n < PSI_13; `FieldSpec` refuses larger n.  A base that
+    divides n never passes the strong test, so no trial division is needed."""
+    if n < 2 or n in MR_BASES:
+        return n in MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(b, d, n) == 1 or
+               any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in MR_BASES)
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,8 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self) -> None:
+        if self.p is not None and self.p >= PSI_13:
+            raise ValidationError(f"p must be below {PSI_13}: {self.p!r}")
         if self.p is not None and not _is_prime(self.p):
             raise ValidationError(f"p not prime: {self.p!r}")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import (Algebra, CentralSubspaces, SimplicityVerdict,
                       _exact_verdict, center_is_field, coordinate_points,
-                      ideal_closure, is_simple, two_sided_inverse)
+                      ideal_closure, simple_under, two_sided_inverse)
 from .errors import (IncompatibleTensor, NotHomogeneous,
                      UnitNotInIdentityComponent, ValidationError)
 from .groups import FiniteGroup, Subgroup, central_series, quotient_group
@@ -176,6 +176,6 @@ def simplicity_equivalence(alg: Algebra, grad: Gradation,
     hyper = central_series(grad.group).hypercentral
     graded_v = is_graded_simple(alg, grad, budget)
     zfield = center_is_field(alg, central, budget)
-    simple_v = is_simple(alg, mode="exact", budget=budget)
+    simple_v = simple_under(alg, budget=budget)
     consistent = (not hyper) or (simple_v.simple == (graded_v.simple and zfield))
     return SimplicityEquivalence(hyper, graded_v, zfield, simple_v, consistent)

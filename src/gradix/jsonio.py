@@ -253,13 +253,9 @@ def algebra_block(alg: Algebra, opts) -> dict:
     except ExactModeUnavailable:
         block["center_is_field"] = None
         block["center_field_mode"] = "unchecked"
-    try:
-        v = is_simple(alg, mode="auto", budget=opts["budget"],
-                      trials=opts["trials"], seed=opts["seed"])
-        block["simplicity"] = verdict_json(f, v)
-    except ExactModeUnavailable:
-        block["simplicity"] = {"simple": None, "witness": None,
-                               "mode": "unchecked", "checked": 0}
+    v = is_simple(alg, budget=opts["budget"], trials=opts["trials"],
+                  seed=opts["seed"])
+    block["simplicity"] = verdict_json(f, v)
     return block
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (Algebra, SimplicityVerdict, center_equations,
-                      fixed_equations, is_ring_automorphism, simple_under,
-                      two_sided_inverse)
+                      first_unit, fixed_equations, is_ring_automorphism,
+                      simple_under)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      mat_mul, mat_power, mat_vec)
@@ -47,7 +47,8 @@ class LaurentRing:
         table = {}
         for m in itertools.product(*[range(o) for o in self.orders]):
             space = center_coefficient_space(self, m)
-            table[m] = space, _first_unit(self.algebra, space)
+            unit = first_unit(self.algebra, space)
+            table[m] = space, None if unit is None else unit[0]
         return table
 
     @cached_property
@@ -187,16 +188,7 @@ def _require_searchable(ring: LaurentRing) -> None:
 def is_sigma_simple(ring: LaurentRing,
                     budget: int = 1_000_000) -> SimplicityVerdict:
     """No proper nonzero ideal of T invariant under every sigma_i (exact)."""
-    return simple_under(ring.algebra, maps=ring.sigma, mode="exact",
-                        budget=budget)
-
-
-def _first_unit(alg: Algebra, space: Subspace) -> Vec | None:
-    """First two-sided unit of `space` in the lex order of `projective_points`,
-    which `Subspace.coordinates` keeps as the basis is in reduced echelon
-    form; or None."""
-    return next((u for u in space.coordinates()
-                 if two_sided_inverse(alg, u) is not None), None)
+    return simple_under(ring.algebra, maps=ring.sigma, budget=budget)
 
 
 def _candidate_exponents(ring: LaurentRing):

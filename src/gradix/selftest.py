@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import jsonio
 from .algebra import (REDUCTION_FIELD, associator, center_is_field,
                       ideal_closure, is_associative, is_simple, make_algebra,
-                      multiply, nucleus_and_center, simple_under)
+                      multiply, nucleus_and_center, sample_simple)
 from .catalog import (field_algebra, group_algebra, matrix_algebra,
                       named_group, octonions, product_algebra,
                       product_with_swap, quadratic_field_extension,
@@ -77,13 +77,12 @@ def _matrix(rng, trials, maxlen):
     central = nucleus_and_center(a)
     assert central.center.rank == 1
     assert center_is_field(a, central)
-    assert is_simple(a, mode="exact").simple
+    assert is_simple(a).simple
 
 
 @check("density test agrees with sweep")
 def _density(rng, trials, maxlen):
-    from .algebra import (_closure_is_full, _density_irreducible,
-                          _np_generators)
+    from .algebra import _density_irreducible, _np_generators
     from .linalg import projective_points
     f3 = prime_field(3)
     cases = [(a, ()) for a in (matrix_algebra(f3, 2), product_algebra(f3, 3),
@@ -94,7 +93,7 @@ def _density(rng, trials, maxlen):
     cases.append((a, (a.involution,)))
     cases.append((product_algebra(f3, 2), (swap_matrix(f3),)))
     for a, maps in cases:
-        sweep = all(_closure_is_full(a, pt, maps)
+        sweep = all(ideal_closure(a, [pt], maps).is_full
                     for pt in projective_points(a.field.p, a.dim))
         assert _density_irreducible(a, _np_generators(a, maps)) == sweep, \
             (a.dim, maps)
@@ -102,7 +101,6 @@ def _density(rng, trials, maxlen):
 
 @check("graded density agrees with homogeneous sweep")
 def _graded_density(rng, trials, maxlen):
-    from .algebra import _closure_is_full
     from .graded import homogeneous_points, is_graded_simple, validate_gradation
     f3 = prime_field(3)
     cases = [(a, validate_gradation(a, cyclic(1), [0] * a.dim))
@@ -118,7 +116,7 @@ def _graded_density(rng, trials, maxlen):
     for a, grad in cases:
         points = [r for g in grad.support for r in homogeneous_points(a, grad, g)]
         assert len(points) > a.dim ** 2  # past d^2 points: the density test
-        sweep = all(_closure_is_full(a, r) for r in points)
+        sweep = all(ideal_closure(a, [r]).is_full for r in points)
         assert is_graded_simple(a, grad).simple == sweep, (a.dim, grad.degrees)
 
 
@@ -134,8 +132,8 @@ def _reduction(rng, trials, maxlen):
     def answers(a):
         maps = (a.involution,) if a.involution is not None else ()
         return (nucleus_and_center(a), is_associative(a),
-                simple_under(a, mode="randomized", trials=100, seed=0),
-                simple_under(a, maps, mode="randomized", trials=100, seed=1))
+                sample_simple(a, trials=100, seed=0),
+                sample_simple(a, maps, trials=100, seed=1))
 
     cases = [product_algebra(q, 2), truncated_dual(q), matrix_algebra(q, 2),
              quadratic(Fraction(1, big)), quadratic(big)]

@@ -12,8 +12,8 @@ import sys
 import time
 
 from gradix.algebra import (associator, center_is_field, commutator,
-                            ideal_closure, is_simple, multiply,
-                            nucleus_and_center, simple_under, subfield_check,
+                            ideal_closure, multiply, nucleus_and_center,
+                            sample_simple, simple_under, subfield_check,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
                             octonions, product_algebra, product_with_swap,
@@ -141,7 +141,7 @@ def test_criterion_3_simplicity_equivalence(capsys):
         eq = simplicity_equivalence(alg, grad)
         assert eq.hypercentral, name
         assert eq.consistent, name
-        brute = is_simple(alg, mode="exact")
+        brute = simple_under(alg)
         assert brute.simple == (eq.graded_simple.simple and eq.center_field), name
         if "graded" in want:
             assert eq.graded_simple.simple == want["graded"], name
@@ -334,7 +334,7 @@ def test_criterion_6_doubling_suite(capsys):
     rep16 = doubling_report(oct_base, F3.coerce(-1), sed)
     assert rep16.criterion_simple is True
     assert rep16.brute_simple is None  # over budget for exact enumeration
-    sampled = simple_under(sed, mode="randomized", trials=10_000, seed=0)
+    sampled = sample_simple(sed, trials=10_000, seed=0)
     assert sampled.mode == "randomized"
     assert sampled.simple
     assert sampled.checked == 10_000

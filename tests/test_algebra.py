@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from dataclasses import replace
@@ -15,10 +16,10 @@ from gradix.algebra import (Algebra, SimplicityVerdict, associator,
                             fixed_subspace, ideal_closure,
                             in_nucleus, is_associative, is_ring_automorphism,
                             is_simple, make_algebra, multiply,
-                            nucleus_and_center, simple_under, subfield_check,
-                            two_sided_inverse)
-from gradix.catalog import (field_algebra, matrix_algebra, octonions,
-                            product_algebra, product_with_swap,
+                            nucleus_and_center, sample_simple, simple_under,
+                            subfield_check, two_sided_inverse)
+from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
+                            octonions, product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
                             random_unital_algebra, truncated_dual)
 from gradix.cayley import cayley_double
@@ -207,7 +208,7 @@ def test_nuclear_units_have_nuclear_inverses():
 
 def test_simple_implies_center_field():
     for alg in small_corpus():
-        if is_simple(alg, mode="exact").simple:
+        if simple_under(alg).simple:
             assert center_is_field(alg)
 
 
@@ -256,23 +257,23 @@ def test_ideal_closure_matches_echelon_path(case):
 
 
 def test_simplicity_known_answers():
-    assert is_simple(matrix_algebra(F3, 2), mode="exact").simple
-    assert is_simple(quaternions(F3)[0], mode="exact").simple
-    assert is_simple(octonions(F3)[0], mode="exact").simple
-    v = is_simple(product_algebra(F3, 2), mode="exact")
+    assert simple_under(matrix_algebra(F3, 2)).simple
+    assert simple_under(quaternions(F3)[0]).simple
+    assert simple_under(octonions(F3)[0]).simple
+    v = simple_under(product_algebra(F3, 2))
     assert not v.simple and v.witness is not None
     # the witness generates a proper ideal
     w = ideal_closure(product_algebra(F3, 2), [v.witness])
     assert 0 < w.rank < 2
-    assert not is_simple(truncated_dual(F3), mode="exact").simple
+    assert not simple_under(truncated_dual(F3)).simple
 
 
 def test_simple_under_invariant_maps():
     # F3 x F3 is not simple, but is simple as an algebra-with-swap
     alg = product_algebra(F3, 2)
     swap = ((0, 1), (1, 0))
-    assert not is_simple(alg, mode="exact").simple
-    assert simple_under(alg, maps=(swap,), mode="exact").simple
+    assert not simple_under(alg).simple
+    assert simple_under(alg, maps=(swap,)).simple
 
 
 def sweep_verdict(alg, maps=()):
@@ -280,7 +281,7 @@ def sweep_verdict(alg, maps=()):
     checked = 0
     for pt in projective_points(alg.field.p, alg.dim):
         checked += 1
-        if not algebra._closure_is_full(alg, pt, maps):
+        if not ideal_closure(alg, [pt], maps).is_full:
             return SimplicityVerdict(False, pt, "exact", checked)
     return SimplicityVerdict(True, None, "exact", checked)
 
@@ -289,7 +290,7 @@ def assert_density_matches_sweep(alg, maps=()):
     ref = sweep_verdict(alg, maps)
     gens = algebra._np_generators(alg, maps)
     assert algebra._density_irreducible(alg, gens) == ref.simple
-    assert simple_under(alg, maps=maps, mode="exact") == ref
+    assert simple_under(alg, maps=maps) == ref
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,6 +324,60 @@ def test_density_matches_sweep_permuted_products(p, n, rng):
     assert_density_matches_sweep(product_algebra(prime_field(p), n), (m,))
 
 
+def test_verdict_signatures():
+    params = lambda fn: list(inspect.signature(fn).parameters)
+    assert params(simple_under) == ["alg", "maps", "budget"]
+    assert params(sample_simple) == ["alg", "maps", "trials", "seed"]
+    assert params(is_simple) == ["alg", "budget", "trials", "seed"]
+
+
+@st.composite
+def verdict_cases(draw):
+    """An algebra over F_2, F_3 or F_5 with d <= 4, and maybe one extra
+    automorphism: a permutation of the factors of F^n, the Frobenius of
+    F_{p^2}, an inner automorphism of M_2(F), x -> c x on the dual
+    numbers; random unital algebras get none."""
+    f = prime_field(draw(st.sampled_from([2, 3, 5])))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["product", "extension", "matrix", "dual",
+                                 "random"]))
+    if kind == "product":
+        n = draw(st.integers(1, 4))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        alg = product_algebra(f, n)
+        auto = tuple(tuple(int(perm[j] == i) for j in range(n))
+                     for i in range(n))
+    elif kind == "extension":
+        alg, auto = quadratic_field_extension(f), frobenius_matrix(f)
+    elif kind == "matrix":
+        alg = matrix_algebra(f, 2)
+        u = tuple(rng.randrange(f.p) for _ in range(4))
+        while two_sided_inverse(alg, u) is None:
+            u = tuple(rng.randrange(f.p) for _ in range(4))
+        auto = conjugation_matrix(alg, u)
+    elif kind == "dual":
+        alg, c = truncated_dual(f), rng.randrange(1, f.p)
+        auto = ((1, 0), (0, c))
+    else:
+        return random_unital_algebra(f, draw(st.integers(1, 4)), rng), ()
+    assert is_ring_automorphism(alg, auto)
+    return alg, ((auto,) if draw(st.booleans()) else ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(verdict_cases(), st.integers(0, 2 ** 32))
+def test_is_simple_and_the_sampler_agree_with_simple_under(case, seed):
+    alg, maps = case
+    assert is_simple(alg) == simple_under(alg)
+    exact = simple_under(alg, maps)
+    sampled = sample_simple(alg, maps, trials=20, seed=seed)
+    assert sampled.mode == "randomized"
+    if not sampled.simple:
+        assert 0 < ideal_closure(alg, [sampled.witness], maps).rank < alg.dim
+        assert not exact.simple
+
+
 def test_huge_prime_skips_density(monkeypatch):
     # d^2 (p - 1)^2 >= 2^63: the sweep alone decides, and finds e2 first
     def refuse(alg, maps=()):
@@ -335,14 +390,13 @@ def test_huge_prime_skips_density(monkeypatch):
 
 def test_randomized_mode_deterministic_and_consistent():
     alg = matrix_algebra(F3, 2)
-    a = simple_under(alg, mode="randomized", trials=50, seed=4)
-    b = simple_under(alg, mode="randomized", trials=50, seed=4)
+    a = sample_simple(alg, trials=50, seed=4)
+    b = sample_simple(alg, trials=50, seed=4)
     assert a == b
     assert a.mode == "randomized"
     assert a.simple  # agrees with the exact answer on a simple algebra
     # a nonsimple algebra can never be reported simple by sampling
-    c = simple_under(product_algebra(F3, 2), mode="randomized",
-                     trials=100, seed=0)
+    c = sample_simple(product_algebra(F3, 2), trials=100, seed=0)
     assert not c.simple
 
 
@@ -360,7 +414,7 @@ def test_huge_prime_arrays_hold_python_ints():
 def test_exact_mode_unavailable_over_q():
     alg = product_algebra(Q, 2)
     with pytest.raises(ExactModeUnavailable):
-        is_simple(alg, mode="exact")
+        simple_under(alg)
 
 
 def test_inverses_match_the_norm():
@@ -515,8 +569,8 @@ def q_answers(alg):
     """The answers over Q that the reduction mod P can settle."""
     maps = (alg.involution,) if alg.involution is not None else ()
     return (nucleus_and_center(alg), is_associative(alg),
-            simple_under(alg, mode="randomized", trials=100, seed=0),
-            simple_under(alg, maps, mode="randomized", trials=100, seed=1))
+            sample_simple(alg, trials=100, seed=0),
+            sample_simple(alg, maps, trials=100, seed=1))
 
 
 def reference_answers(alg):
@@ -574,8 +628,18 @@ def test_reduction_matches_fraction_path_cayley_doubles(base, mus):
     assert q_answers(alg) == reference_answers(alg)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(Q_CASES), st.integers(0, 2 ** 32))
+def test_is_simple_over_q_is_the_sampler(case, seed):
+    alg = case(random.Random(seed))
+    assert (is_simple(alg, trials=30, seed=seed)
+            == sample_simple(alg, trials=30, seed=seed))
+    with pytest.raises(ExactModeUnavailable):
+        simple_under(alg)
+
+
 def test_q_witnesses_unchanged():
-    v = simple_under(product_algebra(Q, 2), mode="randomized", trials=100, seed=0)
+    v = sample_simple(product_algebra(Q, 2), trials=100, seed=0)
     assert v == SimplicityVerdict(False, (-8, 0), "randomized", 13)
     v = is_simple(truncated_dual(Q))
     assert v == SimplicityVerdict(False, (0, 6), "randomized", 32)
@@ -631,7 +695,7 @@ def test_randomized_mode_over_fp_samples(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("density test entered")
     monkeypatch.setattr(algebra, "_density_irreducible", refuse)
-    v = simple_under(matrix_algebra(F3, 2), mode="randomized", trials=30)
+    v = sample_simple(matrix_algebra(F3, 2), trials=30)
     assert v == SimplicityVerdict(True, None, "randomized", 30)
 
 

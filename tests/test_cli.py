@@ -291,6 +291,22 @@ def test_empty_algebra_is_refused(capsys, tmp_path, field, dim):
         "message": f"algebra dim must be at least 1, got {dim}"}}
 
 
+@pytest.mark.parametrize("p, code", [(10 ** 18 + 3, 0),
+                                     (3317044064679887385961981, 1)])
+def test_huge_primes_are_decided_at_once(capsys, tmp_path, p, code):
+    doc = {"kind": "algebra",
+           "payload": {"field": {"kind": "Fp", "p": p}, "dim": 1, "unit": ["1"],
+                       "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}}
+    started = time.perf_counter()
+    got, out = run_cli(capsys, ["verdict", write(tmp_path, doc)])
+    assert time.perf_counter() - started < 2
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["verdict"]["simplicity"]["simple"] is True
+    else:
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 @pytest.mark.parametrize("identity", [5, "7", -2])
 def test_group_identity_out_of_range_is_refused(capsys, tmp_path, identity):
     doc = _mutated(GRADED_REQ, ("payload", "gradation", "group"),

@@ -1,13 +1,16 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from gradix import algebra, crossed, jsonio
-from gradix.algebra import (fixed_subspace, is_associative, is_simple,
-                            nucleus_and_center)
-from gradix.catalog import (field_algebra, octonions, product_algebra,
-                            quadratic_field_extension, quaternions,
-                            swap_matrix, truncated_dual)
+from gradix import algebra, crossed, graded, jsonio
+from gradix.algebra import (fixed_subspace, in_nucleus, is_associative,
+                            nucleus_and_center, simple_under,
+                            two_sided_inverse)
+from gradix.catalog import (field_algebra, matrix_algebra, octonions,
+                            product_algebra, quadratic_field_extension,
+                            quaternions, random_graded_algebra, swap_matrix,
+                            truncated_dual)
 from gradix.crossed import (build_crossed_product, canonical_units,
                             crossed_center, is_G_simple,
                             recognize_crossed_system, trivial_system,
@@ -15,7 +18,8 @@ from gradix.crossed import (build_crossed_product, canonical_units,
 from gradix.errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                            N3Violation, NoNuclearUnit, NotAutomorphism)
 from gradix.fields import prime_field
-from gradix.graded import is_graded_simple, is_strong, validate_gradation
+from gradix.graded import (homogeneous_points, is_graded_simple, is_strong,
+                           validate_gradation)
 from gradix.groups import cyclic, elementary_abelian_two
 from gradix.linalg import identity_matrix
 
@@ -230,8 +234,7 @@ def test_recognition_with_searched_units_is_valid():
     # system must satisfy the axioms and rebuild to the same dimension
     prod2, _ = build_crossed_product(back)
     assert prod2.dim == prod.dim
-    assert is_simple(prod2, mode="exact").simple == \
-        is_simple(prod, mode="exact").simple
+    assert simple_under(prod2).simple == simple_under(prod).simple
 
 
 def test_recognition_inverts_each_unit_once(monkeypatch):
@@ -252,6 +255,75 @@ def test_recognition_requires_nuclear_units():
     grad = validate_gradation(alg, cyclic(2), [0, 1])
     assert not is_strong(alg, grad)
     with pytest.raises(NoNuclearUnit):
+        recognize_crossed_system(alg, grad)
+
+
+def units_by_enumeration(alg, grad):
+    """Per component off the identity, the first point of
+    `homogeneous_points` that is nuclear and invertible with its inverse,
+    or None: the search that recognition ran before it solved for the
+    nuclear part of R_g, kept as the reference."""
+    g = grad.group
+    return [next(((v, inv) for v in homogeneous_points(alg, grad, a)
+                  if in_nucleus(alg, v)
+                  and (inv := two_sided_inverse(alg, v)) is not None),
+                 None)
+            for a in range(g.order) if a != g.identity]
+
+
+def recognition_cases():
+    """Crossed products of M_2, F x F, H and O by C2, C3 and E2 (O only by
+    C2, where the enumeration stays cheap), the systems above, and random
+    C2-graded algebras over F_2, F_3 and F_5."""
+    cases = []
+    for f in (F2, F3):
+        for t in (matrix_algebra(f, 2), product_algebra(f, 2),
+                  quaternions(f)[0]):
+            for g in (cyclic(2), cyclic(3), elementary_abelian_two(2)):
+                cases.append(build_crossed_product(trivial_system(t, g)))
+        cases.append(build_crossed_product(
+            trivial_system(octonions(f)[0], cyclic(2))))
+    cases += [build_crossed_product(mk()) for mk in SYSTEMS]
+    rng = random.Random(7)
+    for p in (2, 3, 5):
+        for degrees in ([0, 1], [0, 0, 1], [0, 1, 1], [0, 0, 1, 1]):
+            cases.append(random_graded_algebra(prime_field(p), cyclic(2),
+                                               degrees, rng))
+    return cases
+
+
+def test_searched_units_match_the_enumeration(monkeypatch):
+    found = []
+    search = crossed.first_unit
+    monkeypatch.setattr(crossed, "first_unit",
+                        lambda alg, space: found.append(search(alg, space))
+                        or found[-1])
+    outcomes = set()
+    for alg, grad in recognition_cases():
+        want = units_by_enumeration(alg, grad)
+        found.clear()
+        if None in want:
+            with pytest.raises(NoNuclearUnit):
+                recognize_crossed_system(alg, grad)
+            # the search stops at the first component without a unit
+            assert found[-1] is None
+            want = want[:want.index(None)]
+        else:
+            recognize_crossed_system(alg, grad)
+        assert [pair for pair in found if pair is not None] == want
+        outcomes.add(None in found)
+    assert outcomes == {False, True}
+
+
+def test_unit_search_never_enumerates_a_component(monkeypatch):
+    # R_1 of dimension 11 holds no nuclear unit; the enumeration of its
+    # (3^11 - 1) / 2 points took seconds
+    def refuse(*args):
+        raise AssertionError("enumerated a component")
+    monkeypatch.setattr(graded, "homogeneous_points", refuse)
+    alg, grad = random_graded_algebra(F3, cyclic(2), [0] + [1] * 11,
+                                      random.Random(1))
+    with pytest.raises(NoNuclearUnit, match="component 1"):
         recognize_crossed_system(alg, grad)
 
 

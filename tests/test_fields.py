@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradix.errors import ExactModeUnavailable, ValidationError
-from gradix.fields import prime_field, rationals
+from gradix.fields import PSI_13, _is_prime, prime_field, rationals
 
 F5 = prime_field(5)
 Q = rationals()
@@ -21,6 +21,27 @@ def test_prime_validation():
         prime_field(1)
     prime_field(2)
     prime_field(97)
+
+
+def by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(5000) if _is_prime(n) != by_trial_division(n)] == []
+
+
+def test_large_primes_are_decided_exactly():
+    assert prime_field(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert prime_field(4294967311).p == 4294967311
+    # a Carmichael number, the least strong pseudoprime to the bases 2, 3,
+    # 5 and 7, and psi_12, a strong pseudoprime to every prime base up to
+    # 37 that the base 41 exposes
+    for n in (561, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValidationError, match="not prime"):
+            prime_field(n)
+    with pytest.raises(ValidationError, match=f"must be below {PSI_13}"):
+        prime_field(PSI_13)
 
 
 @given(residues5, residues5, residues5)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, graded, jsonio
-from gradix.algebra import (SimplicityVerdict, ideal_closure, is_simple,
-                            multiply)
+from gradix.algebra import (SimplicityVerdict, ideal_closure, multiply,
+                            simple_under)
 from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
                             octonions, product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
@@ -39,7 +39,7 @@ def homogeneous_sweep(alg, grad):
     for g in grad.support:
         for r in homogeneous_points(alg, grad, g):
             checked += 1
-            if not algebra._closure_is_full(alg, r):
+            if not ideal_closure(alg, [r]).is_full:
                 return SimplicityVerdict(False, r, "exact", checked)
     return SimplicityVerdict(True, None, "exact", checked)
 
@@ -132,7 +132,7 @@ def test_graded_simple_not_simple_by_density():
     assert spy.called
     assert v == SimplicityVerdict(True, None, "exact", 80)
     assert v == homogeneous_sweep(prod, grad)
-    assert not is_simple(prod, mode="exact").simple
+    assert not simple_under(prod).simple
 
 
 def test_graded_verdict_matches_homogeneous_sweep():
@@ -254,7 +254,7 @@ def test_graded_closure_matches_plain_closure_on_homogeneous():
 def test_group_algebra_graded_simple_not_simple():
     alg, grad = group_algebra(F2, cyclic(2))
     assert is_graded_simple(alg, grad).simple
-    assert not is_simple(alg, mode="exact").simple
+    assert not simple_under(alg).simple
 
 
 def test_graded_simple_budget_and_rationals():
@@ -331,7 +331,7 @@ def test_sedenion_gradation_strong_and_graded_simple():
     # needs the 16 homogeneous lines
     assert is_graded_simple(alg, grad).simple
     with pytest.raises(BudgetExceeded):
-        is_simple(alg, mode="exact")
+        simple_under(alg)
 
 
 def test_degree_of_mixed_is_none():

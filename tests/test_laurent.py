@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import jsonio, laurent
-from gradix.algebra import (fixed_subspace, nucleus_and_center,
+from gradix.algebra import (first_unit, fixed_subspace, nucleus_and_center,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix,
                             matrix_algebra, product_algebra,
@@ -232,8 +232,15 @@ def test_budget_guard():
 
 
 def conjugating_unit(ring, m):
-    """The first unit of the coefficient space at m, solved afresh."""
-    return laurent._first_unit(ring.algebra, center_coefficient_space(ring, m))
+    """The first unit of the coefficient space at m, solved afresh, after
+    checking the inverse that comes with it."""
+    alg = ring.algebra
+    unit = first_unit(alg, center_coefficient_space(ring, m))
+    if unit is None:
+        return None
+    u, inv = unit
+    assert alg.multiply(u, inv) == alg.unit == alg.multiply(inv, u)
+    return u
 
 
 def brute_conjugating_unit(ring, m):
