@@ -254,8 +254,28 @@ def _check_involution(alg: Algebra) -> None:
 
 
 def _product_mismatch(alg: Algebra, m, reverse: bool = False):
-    """The first basis pair (i, j) with m(e_i e_j) other than m(e_i) m(e_j),
-    or m(e_j) m(e_i) when `reverse`; None when there is none."""
+    """The first basis pair (i, j), in row-major order, with m(e_i e_j)
+    other than m(e_i) m(e_j), or m(e_j) m(e_i) when `reverse`; None when
+    there is none.  Over F_p, while int64 holds the products, all d^2 pairs
+    are compared at once in numpy."""
+    if alg.field.is_finite and alg._np_tensor.dtype != object:
+        return _product_mismatch_np(alg, m, reverse)
+    return _product_mismatch_generic(alg, m, reverse)
+
+
+def _product_mismatch_np(alg: Algebra, m, reverse: bool):
+    p, c = alg.field.p, alg._np_tensor
+    mm = np.array([[int(x) for x in row] for row in m], dtype=c.dtype) % p
+    images = np.tensordot(c, mm, axes=([2], [1])) % p   # [i, j]: m(e_i e_j)
+    half = np.tensordot(mm, c, axes=([0], [0])) % p     # [i, b]: m(e_i) e_b
+    prods = np.tensordot(mm, half, axes=([0], [1])) % p  # [j, i]: m(e_i) m(e_j)
+    if not reverse:
+        prods = prods.transpose(1, 0, 2)
+    bad = np.argwhere((images != prods).any(axis=2))
+    return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
+
+
+def _product_mismatch_generic(alg: Algebra, m, reverse: bool):
     f = alg.field
     images = [mat_vec(f, m, alg.basis_vector(j)) for j in range(alg.dim)]
     for i in range(alg.dim):
@@ -406,10 +426,17 @@ def two_sided_inverse(alg: Algebra, r: Vec) -> Vec | None:
     return particular
 
 
-def first_unit(alg: Algebra, space: Subspace) -> tuple[Vec, Vec] | None:
+def first_unit(alg: Algebra, space: Subspace,
+               budget: int = 1_000_000) -> tuple[Vec, Vec] | None:
     """The first two-sided unit of `space` and its inverse, or None (F_p).
     The order is the lex order of `projective_points`, which
-    `Subspace.coordinates` keeps as the basis is in reduced echelon form."""
+    `Subspace.coordinates` keeps as the basis is in reduced echelon form.
+    Refused before the first point when the space has more projective
+    points than the budget."""
+    count = projective_count(alg.field.p, space.rank)
+    if count > budget:
+        raise BudgetExceeded(f"{count} projective points of a unit search "
+                             f"exceed budget {budget}")
     return next(((u, inv) for u in space.coordinates()
                  if (inv := two_sided_inverse(alg, u)) is not None), None)
 
@@ -457,7 +484,8 @@ def _spin(rows: np.ndarray, gens: np.ndarray, target: int, p: int):
     far, so one `np_rref` call per round sees only the new directions.
     Returns the RREF rows in pivot order and their pivots.  An entry of the
     reduction sums one residue product per pivot, at most one per column:
-    inside `np_dtype` for a closure, `_density_fits` for the density test."""
+    inside `np_dtype` for a closure, `_norton_fits` for the spins of
+    Norton's test, `_density_fits` for the density test."""
     from .linalg import np_rref
     d, width = gens.shape[1], rows.shape[1]
     ech, piv = np_rref(rows, p)
@@ -567,41 +595,140 @@ def _density_fits(p: int, d: int) -> bool:
     return d * d * (p - 1) ** 2 < 2 ** 63
 
 
+def _norton_fits(p: int, d: int) -> bool:
+    """int64 holds the products of `_norton_irreducible` over F_p: sums of
+    d residue products, on vectors and matrices of width d."""
+    return d * (p - 1) ** 2 < 2 ** 63
+
+
+def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
+    """The dimension k of the commutant C = End_M(A) of the associative
+    algebra M generated by the stack `gens` (from `_np_generators`) when C
+    is a field, else None.
+
+    A is unital and every X in C commutes with the R_a, so X = L_c with
+    c = X(1); C is found as the c with [L_c, T] = 0 for every generator T,
+    solved a few generators at a time on the solutions so far, and no
+    further once only the unit line is left.  C is commutative: c = X(1)
+    commutes with A, as X L_a = L_a X at 1, so X Y (1) = c c' = c' c.  A
+    commutative F_p-algebra is a field exactly when its Frobenius x -> x^p
+    is injective and fixes only the prime field (Berlekamp)."""
+    from .linalg import np_kernel, np_rref
+    p, d = alg.field.p, alg.dim
+    left = gens[:d]
+    cbasis = np.eye(d, dtype=gens.dtype)
+    for start in range(0, len(gens), 4):
+        if len(cbasis) == 1:
+            break
+        ls = np.tensordot(cbasis, left, 1) % p   # L_c for each basis c
+        chunk = gens[start:start + 4]
+        comm = (ls[:, None] @ chunk - chunk @ ls[:, None]) % p
+        cbasis = np_kernel(comm.reshape(len(cbasis), -1).T, p) @ cbasis % p
+    cbasis, cpiv = np_rref(cbasis, p)
+    k = len(cbasis)
+    if k > 1:
+        xs = np.tensordot(cbasis, left, 1) % p
+        unit = np.array([int(c) % p for c in alg.unit], dtype=xs.dtype)
+        frob = (_np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
+        if (len(np_rref(frob, p)[0]) < k or
+                len(np_rref(frob - np.eye(k, dtype=frob.dtype), p)[0]) != k - 1):
+            return None
+    return k
+
+
 def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
     """Jacobson density test over F_p (Holt & Rees, "Testing modules for
     irreducibility", 1994): A is irreducible under the associative algebra M
     generated by the stack `gens` (from `_np_generators`) exactly when the
     commutant C = End_M(A) is a division algebra of dimension k and
-    dim M = d^2 / k, that is M = End_C(A).
-
-    A is unital and every X in C commutes with the R_a, so X = L_c with
-    c = X(1); C is found as the c with [L_c, T] = 0 for every generator T.
-    M is the `_spin` of the identity matrix under the generators, the loop
-    that closes ideals, here on d x d matrices flattened to rows.  Needs
-    d^2 (p - 1)^2 < 2^63, the bound of the int64 products below."""
-    from .linalg import np_kernel, np_rref
+    dim M = d^2 / k, that is M = End_C(A).  M is the `_spin` of the
+    identity matrix under the generators, the loop that closes ideals, here
+    on d x d matrices flattened to rows.  Needs d^2 (p - 1)^2 < 2^63, the
+    bound of the int64 products of that spin."""
     p, d = alg.field.p, alg.dim
-    left = gens[:d]
-    # equations on c: one row per generator and matrix entry of [L_c, T]
-    comm = (np.einsum("iab,tbc->taci", left, gens) -
-            np.einsum("tab,ibc->taci", gens, left)) % p
-    cbasis, cpiv = np_rref(np_kernel(comm.reshape(-1, d), p), p)
-    k = len(cbasis)
-    if k > 1:
-        # C is commutative: c = X(1) commutes with A, as X L_a = L_a X at 1,
-        # so X Y (1) = c c' = c' c.  A commutative F_p-algebra is a field
-        # exactly when its Frobenius x -> x^p is injective and fixes only
-        # the prime field (Berlekamp)
-        xs = np.einsum("ki,iab->kab", cbasis, left) % p
-        unit = np.array([int(c) % p for c in alg.unit], dtype=np.int64)
-        frob = (_np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
-        if (len(np_rref(frob, p)[0]) < k or
-                len(np_rref(frob - np.eye(k, dtype=np.int64), p)[0]) != k - 1):
-            return False
+    k = _commutant_field(alg, gens)
+    if k is None:
+        return False
     target = d * d // k
     span, _ = _spin(np.eye(d, dtype=np.int64).reshape(1, d * d), gens,
                     target, p)
     return len(span) == target
+
+
+# draws before Norton's test gives up; then the sweep decides
+NORTON_DRAWS = 16
+
+
+def _min_poly_roots(x: np.ndarray, v: np.ndarray, p: int) -> list[int]:
+    """The roots in F_p, ascending, of the minimal polynomial of x on v:
+    X^m - sum_i a_i X^i, where x^m v = sum_i a_i x^i v is the first relation
+    of the Krylov vectors v, x v, ..., x^d v, read off one RREF of them as
+    columns.  Every root is an eigenvalue of x.  The polynomial is evaluated
+    at every element of F_p by Horner's rule, 2^16 of them per array, so a
+    large p takes time but no more memory."""
+    from .linalg import np_rref
+    krylov = [v]
+    for _ in range(len(v)):
+        krylov.append(x @ krylov[-1] % p)
+    red, piv = np_rref(np.stack(krylov, axis=1), p)
+    roots = []
+    for start in range(0, p, 1 << 16):
+        lam = np.arange(start, min(p, start + (1 << 16)), dtype=np.int64)
+        vals = np.ones_like(lam)
+        for a in red[::-1, len(piv)]:
+            vals = (vals * lam - a) % p
+        roots += (lam[vals == 0]).tolist()
+    return roots
+
+
+def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
+    """Norton's irreducibility test (Parker's MeatAxe, in the form of Holt &
+    Rees, "Testing modules for irreducibility", 1994) over F_p: whether A is
+    irreducible under the associative algebra M generated by the stack
+    `gens` (from `_np_generators`); None when no draw decides.
+
+    The commutant C = End_M(A) must be a field of some dimension k, or a
+    singular X in C has a proper invariant kernel (`_commutant_field`); if
+    k = d, A = C is a field and irreducible.  Otherwise draw x in M and find
+    an eigenvalue lambda in F_p of x with dim ker(x - lambda) = k, so that
+    the kernel N = C v is a line over C for any nonzero v in N.  Let U be a
+    proper nonzero invariant subspace.  If U holds some c v, c in C, then
+    c^-1 U is one too and holds v, so the spin of v under the generators is
+    proper.  Otherwise N injects into A / U, where ker(x - lambda) is then
+    at least k-dimensional, so U's annihilator in the dual, invariant under
+    the transposes, holds the whole k-dimensional kernel of the transpose
+    of x - lambda, and the spin of any vector of it is proper.  So both
+    spins full prove A irreducible, and either one proper proves it
+    reducible.  The draws x <- x y + y, y a random combination of the
+    generators, and the vectors come from a fixed seed, so the answer is
+    deterministic.  Needs d (p - 1)^2 < 2^63 (`_norton_fits`), and p at most
+    the points of the sweep, which scans F_p for eigenvalues."""
+    from .linalg import np_kernel
+    p, d = alg.field.p, alg.dim
+    gens = np.asarray(gens, dtype=np.int64)
+    k = _commutant_field(alg, gens)
+    if k is None:
+        return False
+    if k == d:
+        return True
+    rng = random.Random(0)
+    eye = np.eye(d, dtype=np.int64)
+    x = np.zeros((d, d), dtype=np.int64)
+    for _ in range(NORTON_DRAWS):
+        coeffs = np.array([rng.randrange(p) for _ in gens], dtype=np.int64)
+        y = (coeffs[:, None, None] * gens % p).sum(axis=0) % p
+        x = (x @ y % p + y) % p
+        v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+        for lam in _min_poly_roots(x, v, p):
+            shifted = (x - lam * eye) % p
+            null = np_kernel(shifted, p)
+            if len(null) != k:
+                continue
+            if len(_spin(null[:1], gens, d, p)[0]) < d:
+                return False
+            dual = np_kernel(shifted.T, p)
+            return len(_spin(dual[:1], gens.transpose(0, 2, 1), d, p)[0]) == d
+    return None
 
 
 def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
@@ -609,8 +736,11 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     """The exact verdict of every simplicity notion: is A irreducible under
     the L_{e_j}, R_{e_j} and the extra maps?  The sweep visits the projective
     points of each coordinate block in turn and is refused past the budget.
-    Past d^2 points, when int64 holds its products, the density test
-    decides, and the sweep only names the witness of a reducible A."""
+    A test of irreducibility runs first when int64 holds its products: for
+    d >= 5, Norton's test once the sweep would visit more than 2 d points;
+    for d <= 4, where it is the cheaper one, the density test past d^2
+    points.  An irreducible A is then decided without the sweep, which
+    otherwise runs to name the same first witness."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     p, d = alg.field.p, alg.dim
@@ -618,16 +748,20 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     if total > budget:
         raise BudgetExceeded(f"{total} {noun} points exceed budget {budget}")
     gens = _np_generators(alg, maps)
-    density = total > d * d and _density_fits(p, d)
-    if density and _density_irreducible(alg, gens):
+    irreducible = None
+    if d >= 5 and total > 2 * d and _norton_fits(p, d):
+        irreducible = _norton_irreducible(alg, gens)
+    elif d <= 4 and total > d * d and _density_fits(p, d):
+        irreducible = _density_irreducible(alg, gens)
+    if irreducible:
         return SimplicityVerdict(True, None, "exact", total)
     points = (pt for block in blocks for pt in coordinate_points(alg, block))
     for checked, pt in enumerate(points, 1):
         if len(_closure_np(alg, [pt], gens)[0]) < d:
             return SimplicityVerdict(False, pt, "exact", checked)
-    if density:
-        raise RuntimeError("density test found A reducible but the sweep "
-                           "found no proper invariant ideal")
+    if irreducible is False:
+        raise RuntimeError("the irreducibility test found A reducible but "
+                           "the sweep found no proper invariant ideal")
     return SimplicityVerdict(True, None, "exact", total)
 
 
@@ -650,8 +784,7 @@ def simple_under(alg: Algebra, maps=(),
                  budget: int = 1_000_000) -> SimplicityVerdict:
     """Exact verdict over F_p: whether the only ideals closed under the
     extra maps are 0 and the whole algebra.  It is `_exact_verdict` over the
-    projective points of A, decided by the Jacobson density test past d^2
-    of them.  Raises `ExactModeUnavailable` over Q."""
+    projective points of A.  Raises `ExactModeUnavailable` over Q."""
     return _exact_verdict(alg, maps, [range(alg.dim)], budget, "projective")
 
 
@@ -768,22 +901,7 @@ def fixed_equations(alg: Algebra, maps) -> list:
     return [row for row in rows if any(row)]
 
 
-def fixed_subspace(alg: Algebra, maps) -> Subspace:
-    """Common fixed space of the linear maps."""
-    return kernel(alg.field, fixed_equations(alg, maps), alg.dim)
-
-
 def fixed_center(alg: Algebra, maps) -> Subspace:
     """Z(A) intersected with the common fixed space of the maps."""
     return kernel(alg.field, center_equations(alg) + fixed_equations(alg, maps),
                   alg.dim)
-
-
-def conjugation_matrix(alg: Algebra, u: Vec):
-    """Matrix of x -> (u x) u^{-1}; needs u two-sided invertible."""
-    uinv = two_sided_inverse(alg, u)
-    if uinv is None:
-        raise ValidationError("conjugation by a non-invertible element")
-    cols = [alg.multiply(alg.multiply(u, alg.basis_vector(j)), uinv)
-            for j in range(alg.dim)]
-    return tuple(tuple(cols[j][k] for j in range(alg.dim)) for k in range(alg.dim))

@@ -56,6 +56,19 @@ def matrix_algebra(field: FieldSpec, n: int) -> Algebra:
     return make_algebra(field, n * n, entries, unit, labels=labels)
 
 
+def upper_triangular(field: FieldSpec, n: int) -> Algebra:
+    """T_n(F), the upper-triangular n x n matrices on the e_{rc}, r <= c,
+    row-major: not simple (the strictly upper part is an ideal), though its
+    center is F."""
+    idx = [(r, c) for r in range(n) for c in range(r, n)]
+    pos = {rc: i for i, rc in enumerate(idx)}
+    entries = [(pos[r, c], pos[c, s], pos[r, s], field.one)
+               for r, c in idx for s in range(c, n)]
+    unit = tuple(field.one if r == c else field.zero for r, c in idx)
+    labels = tuple(f"e{r + 1}{c + 1}" for r, c in idx)
+    return make_algebra(field, len(idx), entries, unit, labels=labels)
+
+
 def group_algebra(field: FieldSpec, group: FiniteGroup) -> tuple[Algebra, Gradation]:
     """F[G] with its canonical G-gradation deg(u_g) = g."""
     entries = [(a, b, group.mul(a, b), field.one)

@@ -180,11 +180,12 @@ def _restrict(vec, idx, where: str) -> Vec:
     return tuple(vec[i] for i in idx)
 
 
-def recognize_crossed_system(alg: Algebra, grad: Gradation,
-                             units=None) -> CrossedSystem:
+def recognize_crossed_system(alg: Algebra, grad: Gradation, units=None,
+                             budget: int = 1_000_000) -> CrossedSystem:
     """Extract (T, G, sigma, alpha) from a graded algebra with nuclear units
     in every component; u_e is always the algebra unit.  Without supplied
-    units, u_g is the `first_unit` of the nuclear part of R_g."""
+    units, u_g is the `first_unit` of the nuclear part of R_g, a search
+    refused when that part has more projective points than the budget."""
     g = grad.group
     f = alg.field
     e = g.identity
@@ -233,7 +234,8 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
                 continue
             outside = [alg.basis_vector(i) for i in range(alg.dim)
                        if grad.degrees[i] != a]
-            found = first_unit(alg, kernel(f, nucleus + outside, alg.dim))
+            found = first_unit(alg, kernel(f, nucleus + outside, alg.dim),
+                               budget)
             if found is None:
                 raise NoNuclearUnit(f"component {a} has no nuclear unit")
             chosen[a], inv[a] = found

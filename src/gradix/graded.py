@@ -14,11 +14,11 @@ import numpy as np
 
 from .algebra import (Algebra, CentralSubspaces, SimplicityVerdict,
                       _exact_verdict, center_is_field, coordinate_points,
-                      ideal_closure, simple_under, two_sided_inverse)
+                      ideal_closure, simple_under)
 from .errors import (IncompatibleTensor, NotHomogeneous,
                      UnitNotInIdentityComponent, ValidationError)
-from .groups import FiniteGroup, Subgroup, central_series, quotient_group
-from .linalg import Subspace, Vec
+from .groups import FiniteGroup, central_series
+from .linalg import Subspace
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,6 @@ class Gradation:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-
-def homogeneous_component(alg: Algebra, grad: Gradation, v: Vec, g: int) -> Vec:
-    return tuple(c if grad.degrees[i] == g else alg.field.zero
-                 for i, c in enumerate(v))
 
 
 def validate_gradation(alg: Algebra, group: FiniteGroup, degrees) -> Gradation:
@@ -127,34 +122,13 @@ def is_graded_simple(alg: Algebra, grad: Gradation,
     engine with those projections as the extra maps.  A nonzero graded ideal
     contains a nonzero homogeneous element, so the homogeneous points,
     component by component in support order, are the sweep, and `checked`
-    counts them.  Past d^2 of them the density test decides."""
+    counts them."""
     d = alg.dim
     blocks = [grad.indices_of(g) for g in grad.support]
     proj = np.zeros((len(blocks), d, d), dtype=np.int64)
     for n, block in enumerate(blocks):
         proj[n, block, block] = 1
     return _exact_verdict(alg, proj, blocks, budget, "homogeneous")
-
-
-def coarsen(grad: Gradation, normal: Subgroup) -> Gradation:
-    """Regrade by G/N; degrees get pushed through the projection."""
-    quot, proj = quotient_group(grad.group, normal)
-    return Gradation(quot, tuple(proj[d] for d in grad.degrees))
-
-
-def homogeneous_inverse(alg: Algebra, grad: Gradation, r: Vec) -> Vec | None:
-    """Two-sided inverse of a homogeneous element, normalized to the inverse
-    degree: the component of any inverse at deg(r)^-1 is again an inverse."""
-    g = grad.degree_of(r)
-    if g is None:
-        raise NotHomogeneous("inverse of a non-homogeneous element")
-    s = two_sided_inverse(alg, r)
-    if s is None:
-        return None
-    s_h = homogeneous_component(alg, grad, s, grad.group.inv(g))
-    if alg.multiply(r, s_h) == alg.unit and alg.multiply(s_h, r) == alg.unit:
-        return s_h
-    return None
 
 
 # -- the simplicity equivalence over hypercentral grading groups -------------

@@ -43,7 +43,8 @@ class LaurentRing:
     @cached_property
     def _residues(self) -> dict:
         """Per residue m of the order box (finite orders), the space of
-        `center_coefficient_space` at m and its first unit, or None."""
+        `center_coefficient_space` at m and its first unit, or None; each
+        unit search is refused past `first_unit`'s default budget."""
         table = {}
         for m in itertools.product(*[range(o) for o in self.orders]):
             space = center_coefficient_space(self, m)
@@ -125,10 +126,6 @@ def laurent_element(ring: LaurentRing, terms) -> LaurentElement:
         c = alg.element(coeff)
         acc[m] = alg.add_vec(acc[m], c) if m in acc else c
     return LaurentElement(tuple(sorted((m, c) for m, c in acc.items() if any(c))))
-
-
-def laurent_zero(ring: LaurentRing) -> LaurentElement:
-    return LaurentElement(())
 
 
 def laurent_one(ring: LaurentRing) -> LaurentElement:

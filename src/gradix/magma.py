@@ -130,22 +130,6 @@ def specialize(word: Word, args, alg: Algebra) -> Vec:
     return ev(word.tree)
 
 
-def linearize(word: Word, args) -> tuple[Word, tuple]:
-    """Relabel leaves 0..n-1 left to right, repeating arguments as needed;
-    the result is a linear word with the same value under specialization."""
-    args = list(args)
-    new_args: list = []
-
-    def walk(t: Tree) -> Tree:
-        if isinstance(t, int):
-            new_args.append(args[t])
-            return len(new_args) - 1
-        return (walk(t[0]), walk(t[1]))
-
-    tree = walk(word.tree)
-    return Word(tree), tuple(new_args)
-
-
 @lru_cache(maxsize=None)
 def tree_shapes(length: int) -> tuple[Word, ...]:
     """All binary tree shapes with the given leaf count, leaves labelled

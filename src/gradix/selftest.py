@@ -19,8 +19,9 @@ from .algebra import (REDUCTION_FIELD, associator, center_is_field,
 from .catalog import (field_algebra, group_algebra, matrix_algebra,
                       named_group, octonions, product_algebra,
                       product_with_swap, quadratic_field_extension,
-                      random_graded_algebra, random_unital_algebra,
-                      swap_matrix, truncated_dual)
+                      quaternions, random_graded_algebra,
+                      random_unital_algebra, swap_matrix, truncated_dual,
+                      upper_triangular)
 from .cayley import cayley_double, doubling_report
 from .crossed import (build_crossed_product, canonical_units,
                       crossed_center, recognize_crossed_system,
@@ -99,6 +100,31 @@ def _density(rng, trials, maxlen):
             (a.dim, maps)
 
 
+@check("Norton's test agrees with the sweep")
+def _norton(rng, trials, maxlen):
+    from .algebra import _norton_irreducible, _np_generators
+    from .graded import homogeneous_points
+    from .linalg import projective_points
+    f3 = prime_field(3)
+    h, o = quaternions(f3)[0], octonions(f3)[0]
+    cases = [(a, maps, list(projective_points(3, a.dim)))
+             for a, maps in ((h, ()), (o, ()), (o, (o.involution,)),
+                             (quadratic_field_extension(f3), ()),
+                             (matrix_algebra(f3, 2), ()),
+                             (upper_triangular(f3, 3), ()))]
+    # graded: the projections onto the components are the extra maps
+    prod, grad = build_crossed_product(trivial_system(h, cyclic(2)))
+    blocks = [grad.indices_of(g) for g in grad.support]
+    proj = [[[int(r == c and r in block) for c in range(prod.dim)]
+             for r in range(prod.dim)] for block in blocks]
+    cases.append((prod, proj, [r for g in grad.support
+                               for r in homogeneous_points(prod, grad, g)]))
+    for a, maps, points in cases:
+        sweep = all(ideal_closure(a, [pt], maps).is_full for pt in points)
+        assert _norton_irreducible(a, _np_generators(a, maps)) == sweep, \
+            (a.dim, len(maps))
+
+
 @check("graded density agrees with homogeneous sweep")
 def _graded_density(rng, trials, maxlen):
     from .graded import homogeneous_points, is_graded_simple, validate_gradation
@@ -115,7 +141,9 @@ def _graded_density(rng, trials, maxlen):
         cases.append(random_graded_algebra(f3, cyclic(2), [0] * 4 + tail, rng))
     for a, grad in cases:
         points = [r for g in grad.support for r in homogeneous_points(a, grad, g)]
-        assert len(points) > a.dim ** 2  # past d^2 points: the density test
+        # past d^2 points: the density test decides at d <= 4, Norton's
+        # test above
+        assert len(points) > a.dim ** 2
         sweep = all(ideal_closure(a, [r]).is_full for r in points)
         assert is_graded_simple(a, grad).simple == sweep, (a.dim, grad.degrees)
 
@@ -195,7 +223,6 @@ def _graded(rng, trials, maxlen):
     eq = simplicity_equivalence(ga, grad)
     assert eq.graded_simple.simple and not eq.center_field \
         and not eq.simple.simple and eq.consistent
-    from .catalog import quaternions
     qa, qgrad = quaternions(f3)
     eq = simplicity_equivalence(qa, qgrad)
     assert eq.simple.simple and eq.consistent

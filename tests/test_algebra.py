@@ -3,6 +3,8 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,23 +13,27 @@ from hypothesis import strategies as st
 
 from gradix import algebra, linalg
 from gradix.algebra import (Algebra, SimplicityVerdict, associator,
-                            center_is_field,
-                            commutator, conjugation_matrix, fixed_center,
-                            fixed_subspace, ideal_closure,
-                            in_nucleus, is_associative, is_ring_automorphism,
+                            center_is_field, commutator, fixed_center,
+                            ideal_closure, in_nucleus, is_associative,
+                            is_ring_automorphism,
                             is_simple, make_algebra, multiply,
                             nucleus_and_center, sample_simple, simple_under,
                             subfield_check, two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
                             octonions, product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
-                            random_unital_algebra, truncated_dual)
-from gradix.cayley import cayley_double
+                            random_unital_algebra, truncated_dual,
+                            upper_triangular)
+from gradix.cayley import cayley_double, is_star_simple
+from gradix.crossed import build_crossed_product, trivial_system
 from gradix.errors import (DimensionMismatch, ExactModeUnavailable,
                            ValidationError)
 from gradix.fields import prime_field, rationals
+from gradix.groups import cyclic
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
                            projective_points, rref)
+from helpers import (conjugation_matrix, extension_field, fixed_subspace,
+                     tensor_algebra)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -322,6 +328,153 @@ def test_density_matches_sweep_permuted_products(p, n, rng):
     rng.shuffle(perm)
     m = tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
     assert_density_matches_sweep(product_algebra(prime_field(p), n), (m,))
+
+
+# primes at which the projective sweep of d dimensions, the oracle of
+# Norton's test, stays under 3 300 points
+SWEEP_PRIMES = {5: [2, 3, 5, 7], 6: [2, 3], 7: [2, 3], 8: [2, 3]}
+
+
+def permutation_matrix(perm):
+    n = len(perm)
+    return tuple(tuple(int(perm[j] == i) for j in range(n)) for i in range(n))
+
+
+@st.composite
+def norton_cases(draw):
+    """An algebra of dimension 5 to 8 over F_2, F_3, F_5 or F_7 and maybe
+    extra maps, whose exact verdict runs Norton's test first: random unital
+    algebras; F_{p^5} and F_{p^6}, where the commutant is all of A (k = d);
+    M_2(F_{p^2}) over F_p (k = 2); T_3(F_p), reducible though its commutant
+    is F_p; F_p^n with a permutation of its factors; Cayley doubles of
+    dimension 8, with or without their involution; the trivial crossed
+    product of H by C2."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "extension", "matrix", "triangular",
+                                 "swap", "double", "crossed"]))
+    d = {"matrix": 8, "triangular": 6, "double": 8, "crossed": 8}.get(
+        kind, draw(st.integers(5, 6) if kind == "extension" else
+                   st.integers(5, 8)))
+    f = prime_field(draw(st.sampled_from(SWEEP_PRIMES[d])))
+    if kind == "random":
+        return random_unital_algebra(f, d, rng), ()
+    if kind == "extension":
+        return extension_field(f, d, rng), ()
+    if kind == "matrix":
+        return tensor_algebra(matrix_algebra(f, 2),
+                              quadratic_field_extension(f)), ()
+    if kind == "triangular":
+        return upper_triangular(f, 3), ()
+    if kind == "swap":
+        perm = list(range(d))
+        rng.shuffle(perm)
+        return product_algebra(f, d), (permutation_matrix(perm),)
+    if kind == "double":
+        alg = draw(st.sampled_from([field_algebra, quadratic_field_extension,
+                                    truncated_dual, product_with_swap]))(f)
+        while alg.dim < 8:
+            alg, _ = cayley_double(alg, rng.randrange(1, f.p))
+        return alg, draw(st.sampled_from([(), (alg.involution,)]))
+    prod, _ = build_crossed_product(trivial_system(quaternions(f)[0],
+                                                   cyclic(2)))
+    return prod, ()
+
+
+@lru_cache(maxsize=None)
+def cached_sweep_verdict(alg, maps):
+    return sweep_verdict(alg, maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(norton_cases())
+def test_norton_verdicts_match_sweep(case):
+    alg, maps = case
+    with mock.patch.object(algebra, "_norton_irreducible",
+                           wraps=algebra._norton_irreducible) as spy:
+        assert simple_under(alg, maps) == cached_sweep_verdict(alg, maps)
+    assert spy.call_count == 1
+
+
+def test_undecided_norton_falls_back_to_the_sweep(monkeypatch):
+    # no draw finds an eigenvalue: Norton's test is undecided, and the sweep
+    # gives the verdict, witness and checked included
+    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    cases = [(random_unital_algebra(F2, 5, random.Random(0)), ()),
+             (upper_triangular(F3, 3), ()),
+             (product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),))]
+    for alg, maps in cases:
+        gens = algebra._np_generators(alg, maps)
+        assert algebra._norton_irreducible(alg, gens) is None
+        assert simple_under(alg, maps) == sweep_verdict(alg, maps)
+    assert [simple_under(alg, maps).simple for alg, maps in cases] == \
+        [True, False, True]
+
+
+def test_min_poly_roots_scan_every_block_of_the_field():
+    # p past the 2^16 elements of one evaluation block: the eigenvalues 3
+    # and 70 000 of a diagonal x lie in different blocks
+    p = 100003
+    x = np.diag([3, 70000, 70000, 5]).astype(np.int64)
+    v = np.array([1, 1, 0, 0], dtype=np.int64)
+    assert algebra._min_poly_roots(x, v, p) == [3, 70000]
+    assert algebra._min_poly_roots(x, np.ones(4, dtype=np.int64), p) == \
+        [3, 5, 70000]
+
+
+def test_norton_reducible_without_a_witness_is_an_error(monkeypatch):
+    monkeypatch.setattr(algebra, "_norton_irreducible", lambda alg, gens: False)
+    with pytest.raises(RuntimeError, match="sweep found no proper"):
+        simple_under(product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),))
+
+
+def test_small_dimensions_keep_the_density_test(monkeypatch):
+    # d <= 4: past d^2 points the density test decides, never Norton's
+    def refuse(*args):
+        raise AssertionError("Norton's test entered")
+    monkeypatch.setattr(algebra, "_norton_irreducible", refuse)
+    h = quaternions(prime_field(19))[0]
+    with mock.patch.object(algebra, "_density_irreducible",
+                           wraps=algebra._density_irreducible) as spy:
+        assert simple_under(h) == SimplicityVerdict(True, None, "exact", 7240)
+        assert is_star_simple(h) == SimplicityVerdict(True, None, "exact", 7240)
+    assert spy.call_count == 2
+
+
+@st.composite
+def mismatch_cases(draw):
+    """An algebra over F_2, F_3 or F_5 with a map for `_product_mismatch`:
+    a random matrix, an automorphism or an involution of the algebra, or one
+    of those with one entry changed."""
+    f = prime_field(draw(st.sampled_from([2, 3, 5])))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "automorphism", "involution"]))
+    if kind == "random":
+        alg = random_unital_algebra(f, draw(st.integers(1, 5)), rng)
+        m = [[rng.randrange(f.p) for _ in range(alg.dim)] for _ in range(alg.dim)]
+    elif kind == "automorphism":
+        alg, maps = draw(verdict_cases())
+        if not maps:
+            return alg, identity_matrix(f, alg.dim)
+        m = [list(row) for row in maps[0]]
+    else:
+        alg = draw(st.sampled_from([field_algebra, quadratic_field_extension,
+                                    truncated_dual, product_with_swap]))(f)
+        for _ in range(draw(st.integers(0, 2))):
+            alg, _ = cayley_double(alg, rng.randrange(1, f.p))
+        m = [list(row) for row in alg.involution]
+    if kind != "random" and draw(st.booleans()):
+        i, j = rng.randrange(alg.dim), rng.randrange(alg.dim)
+        m[i][j] = (m[i][j] + rng.randrange(1, f.p)) % f.p
+    return alg, tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mismatch_cases())
+def test_product_mismatch_matches_the_generic_path(case):
+    alg, m = case
+    for reverse in (False, True):
+        assert (algebra._product_mismatch(alg, m, reverse) ==
+                algebra._product_mismatch_generic(alg, m, reverse))
 
 
 def test_verdict_signatures():

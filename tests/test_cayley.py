@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import cayley
-from gradix.algebra import (center_is_field, fixed_subspace, is_associative,
-                            make_algebra, multiply, nucleus_and_center,
-                            right_mult_matrix, simple_under,
-                            two_sided_inverse)
+from gradix.algebra import (center_is_field, is_associative, make_algebra,
+                            multiply, nucleus_and_center, right_mult_matrix,
+                            simple_under, two_sided_inverse)
 from gradix.catalog import (field_algebra, octonions, product_with_swap,
                             quadratic_field_extension, quaternions,
                             random_unital_algebra, sedenions)
@@ -19,6 +18,7 @@ from gradix.errors import ExactModeUnavailable, MuZero
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
 from gradix.linalg import Subspace, kernel, projective_points
+from helpers import fixed_subspace
 
 F3 = prime_field(3)
 F5 = prime_field(5)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gradix import algebra, crossed, graded, jsonio
-from gradix.algebra import (fixed_subspace, in_nucleus, is_associative,
+from gradix.algebra import (in_nucleus, is_associative, make_algebra,
                             nucleus_and_center, simple_under,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, matrix_algebra, octonions,
@@ -15,13 +15,15 @@ from gradix.crossed import (build_crossed_product, canonical_units,
                             crossed_center, is_G_simple,
                             recognize_crossed_system, trivial_system,
                             validate_crossed_system)
-from gradix.errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
-                           N3Violation, NoNuclearUnit, NotAutomorphism)
+from gradix.errors import (AlphaNotNuclearUnit, BudgetExceeded, N1Violation,
+                           N2Violation, N3Violation, NoNuclearUnit,
+                           NotAutomorphism)
 from gradix.fields import prime_field
 from gradix.graded import (homogeneous_points, is_graded_simple, is_strong,
                            validate_gradation)
 from gradix.groups import cyclic, elementary_abelian_two
-from gradix.linalg import identity_matrix
+from gradix.linalg import Subspace, identity_matrix
+from helpers import fixed_subspace
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -296,8 +298,8 @@ def test_searched_units_match_the_enumeration(monkeypatch):
     found = []
     search = crossed.first_unit
     monkeypatch.setattr(crossed, "first_unit",
-                        lambda alg, space: found.append(search(alg, space))
-                        or found[-1])
+                        lambda alg, space, budget: found.append(
+                            search(alg, space, budget)) or found[-1])
     outcomes = set()
     for alg, grad in recognition_cases():
         want = units_by_enumeration(alg, grad)
@@ -325,6 +327,23 @@ def test_unit_search_never_enumerates_a_component(monkeypatch):
                                       random.Random(1))
     with pytest.raises(NoNuclearUnit, match="component 1"):
         recognize_crossed_system(alg, grad)
+
+
+def test_unit_search_refused_past_the_budget(monkeypatch):
+    # e_i e_j = 0 for i, j >= 1: associative, so R_1 is all nuclear, and
+    # nilpotent, so none of its (3^8 - 1) / 2 = 3 280 points is a unit; the
+    # search is refused before the first inverse
+    def refuse(*args):
+        raise AssertionError("visited a point")
+    monkeypatch.setattr(algebra, "two_sided_inverse", refuse)
+    entries = [(0, j, j, 1) for j in range(9)] + [(j, 0, j, 1) for j in range(1, 9)]
+    alg = make_algebra(F3, 9, entries, (1,) + (0,) * 8)
+    grad = validate_gradation(alg, cyclic(2), [0] + [1] * 8)
+    with pytest.raises(BudgetExceeded, match="3280 projective points"):
+        recognize_crossed_system(alg, grad, budget=100)
+    r1 = Subspace.span(F3, 9, [alg.basis_vector(i) for i in range(1, 9)])
+    with pytest.raises(BudgetExceeded):
+        algebra.first_unit(alg, r1, budget=3279)
 
 
 def test_quaternion_cocycle_rebuilds_quaternions():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gradix import algebra, graded, jsonio
 from gradix.algebra import (SimplicityVerdict, ideal_closure, multiply,
-                            simple_under)
+                            simple_under, two_sided_inverse)
 from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
                             octonions, product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
@@ -16,15 +16,14 @@ from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
 from gradix.cayley import cayley_double
 from gradix.crossed import build_crossed_product, trivial_system
 from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
-                           IncompatibleTensor, UnitNotInIdentityComponent,
-                           ValidationError)
+                           IncompatibleTensor, NotHomogeneous,
+                           UnitNotInIdentityComponent, ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.graded import (Gradation, coarsen, graded_ideal_closure,
-                           homogeneous_inverse, homogeneous_points,
+from gradix.graded import (Gradation, graded_ideal_closure, homogeneous_points,
                            is_faithful, is_graded_simple, is_strong,
                            simplicity_equivalence, validate_gradation)
-from gradix.groups import (cyclic, elementary_abelian_two, subgroup,
-                           symmetric)
+from gradix.groups import (cyclic, elementary_abelian_two, quotient_group,
+                           subgroup, symmetric)
 from gradix.linalg import Subspace
 
 F2 = prime_field(2)
@@ -42,6 +41,29 @@ def homogeneous_sweep(alg, grad):
             if not ideal_closure(alg, [r]).is_full:
                 return SimplicityVerdict(False, r, "exact", checked)
     return SimplicityVerdict(True, None, "exact", checked)
+
+
+def coarsen(grad, normal):
+    """Regrade by G/N; degrees get pushed through the projection."""
+    quot, proj = quotient_group(grad.group, normal)
+    return Gradation(quot, tuple(proj[d] for d in grad.degrees))
+
+
+def homogeneous_inverse(alg, grad, r):
+    """Two-sided inverse of a homogeneous element, normalized to the inverse
+    degree: the component of any inverse at deg(r)^-1 is again an inverse."""
+    g = grad.degree_of(r)
+    if g is None:
+        raise NotHomogeneous("inverse of a non-homogeneous element")
+    s = two_sided_inverse(alg, r)
+    if s is None:
+        return None
+    inv_g = grad.group.inv(g)
+    s_h = tuple(c if grad.degrees[i] == inv_g else alg.field.zero
+                for i, c in enumerate(s))
+    if alg.multiply(r, s_h) == alg.unit and alg.multiply(s_h, r) == alg.unit:
+        return s_h
+    return None
 
 
 def faithful_by_enumeration(alg, grad):
@@ -121,13 +143,13 @@ def cayley_cases(draw):
     return alg, grad
 
 
-def test_graded_simple_not_simple_by_density():
-    # M_2(F_3)[C2] = M_2(F_3) x M_2(F_3): 80 homogeneous points > 8^2 send
-    # it to the density test, where only the projections make it irreducible
+def test_graded_simple_not_simple_by_norton():
+    # M_2(F_3)[C2] = M_2(F_3) x M_2(F_3): 80 homogeneous points > 2 * 8 send
+    # it to Norton's test, where only the projections make it irreducible
     prod, grad = build_crossed_product(trivial_system(matrix_algebra(F3, 2),
                                                       cyclic(2)))
-    with mock.patch.object(algebra, "_density_irreducible",
-                           wraps=algebra._density_irreducible) as spy:
+    with mock.patch.object(algebra, "_norton_irreducible",
+                           wraps=algebra._norton_irreducible) as spy:
         v = is_graded_simple(prod, grad)
     assert spy.called
     assert v == SimplicityVerdict(True, None, "exact", 80)
@@ -143,9 +165,62 @@ def test_graded_verdict_matches_homogeneous_sweep():
         assert is_graded_simple(alg, grad) == homogeneous_sweep(alg, grad)
 
     with mock.patch.object(algebra, "_density_irreducible",
-                           wraps=algebra._density_irreducible) as spy:
+                           wraps=algebra._density_irreducible) as density, \
+            mock.patch.object(algebra, "_norton_irreducible",
+                              wraps=algebra._norton_irreducible) as norton:
         check()
-    assert spy.called, "the density path was never taken"
+    assert density.called, "the density path was never taken"
+    assert norton.called, "Norton's test was never taken"
+
+
+@st.composite
+def graded_norton_cases(draw):
+    """A graded algebra of dimension 5 to 8 over F_2, F_3, F_5 or F_7 whose
+    graded verdict runs Norton's test first (more than 2 d homogeneous
+    points): trivial crossed products of H and M_2 by C2, Cayley doubles of
+    dimension 8 with their C2-gradation, and random C2-graded algebras with
+    components of dimensions 3 or 4 and at most that."""
+    f = prime_field(draw(st.sampled_from([2, 3, 5, 7])))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["crossed", "double", "random"]))
+    if kind == "crossed":
+        base = draw(st.sampled_from([lambda f: quaternions(f)[0],
+                                     lambda f: matrix_algebra(f, 2)]))
+        return build_crossed_product(trivial_system(base(f), cyclic(2)))
+    if kind == "double":
+        alg = draw(st.sampled_from([field_algebra, quadratic_field_extension,
+                                    truncated_dual, product_with_swap]))(f)
+        while alg.dim < 8:
+            alg, grad = cayley_double(alg, rng.randrange(1, f.p))
+        return alg, grad
+    # components of dimensions a >= b keep the sweep under 801 points, and
+    # over F_2 past 2 d of them
+    a = draw(st.integers(3, 4))
+    b = draw(st.integers(5 - a if f.p > 2 else 6 - a, a))
+    return random_graded_algebra(f, cyclic(2), [0] * a + [1] * b, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_norton_cases())
+def test_graded_norton_verdicts_match_homogeneous_sweep(case):
+    alg, grad = case
+    with mock.patch.object(algebra, "_norton_irreducible",
+                           wraps=algebra._norton_irreducible) as spy:
+        assert is_graded_simple(alg, grad) == homogeneous_sweep(alg, grad)
+    assert spy.call_count == 1
+
+
+def test_graded_quaternion_crossed_product_needs_no_sweep(monkeypatch):
+    # H x| C4 over F_3: Norton's test proves it graded simple, and none of
+    # its 160 homogeneous points is visited
+    prod, grad = build_crossed_product(trivial_system(quaternions(F3)[0],
+                                                      cyclic(4)))
+
+    def refuse(*args):
+        raise AssertionError("the sweep visited a point")
+    monkeypatch.setattr(algebra, "coordinate_points", refuse)
+    assert is_graded_simple(prod, grad) == SimplicityVerdict(True, None,
+                                                             "exact", 160)
 
 
 def test_validate_gradation_flags():

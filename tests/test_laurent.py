@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import jsonio, laurent
-from gradix.algebra import (first_unit, fixed_subspace, nucleus_and_center,
-                            two_sided_inverse)
+from gradix.algebra import first_unit, nucleus_and_center, two_sided_inverse
 from gradix.catalog import (field_algebra, frobenius_matrix,
                             matrix_algebra, product_algebra,
                             quadratic_field_extension, swap_matrix,
@@ -21,12 +20,15 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             inner_witness_search, is_sigma_simple,
                             laurent_add, laurent_associator,
                             laurent_center_structure, laurent_commutator,
-                            laurent_element, laurent_multiply, laurent_one,
+                            LaurentElement, laurent_element,
+                            laurent_multiply, laurent_one,
                             laurent_simplicity_verdict, laurent_sub,
-                            laurent_zero, make_laurent_ring, sigma_power,
-                            verify_central, x_power)
+                            make_laurent_ring, sigma_power, verify_central,
+                            x_power)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
+from helpers import conjugation_matrix, fixed_subspace
 
+ZERO = LaurentElement(())
 F2 = prime_field(2)
 F3 = prime_field(3)
 Q = rationals()
@@ -55,7 +57,6 @@ def test_make_ring_validates():
 
 def test_noncommuting_sigmas_rejected():
     m2 = matrix_algebra(F2, 2)
-    from gradix.algebra import conjugation_matrix
     p = conjugation_matrix(m2, m2.element((1, 1, 0, 1)))
     q = conjugation_matrix(m2, m2.element((0, 1, 1, 0)))
     with pytest.raises(ValidationError):
@@ -81,7 +82,7 @@ def test_element_normalization():
     ring = frobenius_ring()
     f4 = ring.algebra
     a = laurent_element(ring, [((0,), f4.unit), ((0,), f4.unit)])
-    assert a == laurent_zero(ring)  # doubled term cancels over F2
+    assert a == ZERO  # doubled term cancels over F2
     b = laurent_element(ring, [((2,), f4.element((0, 1))),
                                ((1,), f4.unit),
                                ((2,), f4.element((0, 1)))])
@@ -106,7 +107,7 @@ def test_ring_laws_on_random_elements():
             laurent_add(ring, laurent_multiply(ring, a, b),
                         laurent_multiply(ring, a, c))
         # associative coefficients keep the Laurent ring associative
-        assert laurent_associator(ring, a, b, c) == laurent_zero(ring)
+        assert laurent_associator(ring, a, b, c) == ZERO
 
 
 def test_sigma_power_negative_exponents():
@@ -144,7 +145,6 @@ def test_sigma_simplicity_failure_detected():
 
 def test_matrix_ring_inner_witness():
     m2 = matrix_algebra(F2, 2)
-    from gradix.algebra import conjugation_matrix
     p_el = m2.element((1, 1, 0, 1))
     ring = make_laurent_ring(m2, [conjugation_matrix(m2, p_el)])
     assert ring.orders == (2,)
@@ -204,7 +204,7 @@ def test_central_elements_multiply_centrally():
     c = v.central_witness
     for coeffs in itertools.product(range(2), repeat=2):
         a = laurent_element(ring, [((1,), coeffs)])
-        assert laurent_commutator(ring, c, a) == laurent_zero(ring)
+        assert laurent_commutator(ring, c, a) == ZERO
         sq = laurent_multiply(ring, c, c)
         assert verify_central(ring, sq)
 

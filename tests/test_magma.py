@@ -8,11 +8,27 @@ from gradix.algebra import ideal_closure
 from gradix.catalog import octonions, random_unital_algebra
 from gradix.errors import ParseError
 from gradix.fields import prime_field
-from gradix.magma import (Word, linearize, parse_word, specialize,
-                          tree_shapes, word_ideal_span)
+from gradix.magma import (Word, parse_word, specialize, tree_shapes,
+                          word_ideal_span)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+
+
+def linearize(word, args):
+    """Relabel leaves 0..n-1 left to right, repeating arguments as needed;
+    the result is a linear word with the same value under specialization."""
+    args = list(args)
+    new_args = []
+
+    def walk(t):
+        if isinstance(t, int):
+            new_args.append(args[t])
+            return len(new_args) - 1
+        return (walk(t[0]), walk(t[1]))
+
+    tree = walk(word.tree)
+    return Word(tree), tuple(new_args)
 
 
 def catalan(n):
