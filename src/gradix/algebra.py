@@ -258,12 +258,8 @@ def _product_mismatch(alg: Algebra, m, reverse: bool = False):
     other than m(e_i) m(e_j), or m(e_j) m(e_i) when `reverse`; None when
     there is none.  Over F_p, while int64 holds the products, all d^2 pairs
     are compared at once in numpy."""
-    if alg.field.is_finite and alg._np_tensor.dtype != object:
-        return _product_mismatch_np(alg, m, reverse)
-    return _product_mismatch_generic(alg, m, reverse)
-
-
-def _product_mismatch_np(alg: Algebra, m, reverse: bool):
+    if not alg.field.is_finite or alg._np_tensor.dtype == object:
+        return _product_mismatch_generic(alg, m, reverse)
     p, c = alg.field.p, alg._np_tensor
     mm = np.array([[int(x) for x in row] for row in m], dtype=c.dtype) % p
     images = np.tensordot(c, mm, axes=([2], [1])) % p   # [i, j]: m(e_i e_j)
