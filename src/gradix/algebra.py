@@ -673,7 +673,7 @@ def _min_poly_roots(x: np.ndarray, v: np.ndarray, p: int) -> list[int]:
         vals = np.ones_like(lam)
         for a in red[::-1, len(piv)]:
             vals = (vals * lam - a) % p
-        roots += (lam[vals == 0]).tolist()
+        roots += lam[vals == 0].tolist()
     return roots
 
 
@@ -697,8 +697,9 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     spins full prove A irreducible, and either one proper proves it
     reducible.  The draws x <- x y + y, y a random combination of the
     generators, and the vectors come from a fixed seed, so the answer is
-    deterministic.  Needs d (p - 1)^2 < 2^63 (`_norton_fits`), and p at most
-    the points of the sweep, which scans F_p for eigenvalues."""
+    deterministic.  Needs d (p - 1)^2 < 2^63 (`_norton_fits`); its time
+    grows with p, as each draw scans F_p for eigenvalues, but under the
+    budget p is less than the points of the sweep."""
     from .linalg import np_kernel
     p, d = alg.field.p, alg.dim
     gens = np.asarray(gens, dtype=np.int64)
