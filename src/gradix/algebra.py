@@ -651,7 +651,8 @@ def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
     return len(span) == target
 
 
-# draws before Norton's test gives up; then the sweep decides
+# draws before Norton's test gives up; then the density test or the
+# sweep decides
 NORTON_DRAWS = 16
 
 
@@ -735,9 +736,10 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     points of each coordinate block in turn and is refused past the budget.
     A test of irreducibility runs first when int64 holds its products: for
     d >= 5, Norton's test once the sweep would visit more than 2 d points;
-    for d <= 4, where it is the cheaper one, the density test past d^2
-    points.  An irreducible A is then decided without the sweep, which
-    otherwise runs to name the same first witness."""
+    past d^2 points, the density test, alone for d <= 4, where it is the
+    cheaper one, and for d >= 5 when Norton's test is undecided.  An
+    irreducible A is then decided without the sweep, which otherwise runs
+    to name the same first witness."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     p, d = alg.field.p, alg.dim
@@ -748,7 +750,7 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     irreducible = None
     if d >= 5 and total > 2 * d and _norton_fits(p, d):
         irreducible = _norton_irreducible(alg, gens)
-    elif d <= 4 and total > d * d and _density_fits(p, d):
+    if irreducible is None and total > d * d and _density_fits(p, d):
         irreducible = _density_irreducible(alg, gens)
     if irreducible:
         return SimplicityVerdict(True, None, "exact", total)

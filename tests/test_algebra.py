@@ -395,9 +395,10 @@ def test_norton_verdicts_match_sweep(case):
     assert spy.call_count == 1
 
 
-def test_undecided_norton_falls_back_to_the_sweep(monkeypatch):
-    # no draw finds an eigenvalue: Norton's test is undecided, and the sweep
-    # gives the verdict, witness and checked included
+def test_undecided_norton_falls_back_to_the_density_test(monkeypatch):
+    # no draw finds an eigenvalue: Norton's test is undecided; past d^2
+    # points the density test runs, and a reducible A goes on to the sweep,
+    # which gives the verdict, witness and checked included
     monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
     cases = [(random_unital_algebra(F2, 5, random.Random(0)), ()),
              (upper_triangular(F3, 3), ()),
@@ -405,7 +406,10 @@ def test_undecided_norton_falls_back_to_the_sweep(monkeypatch):
     for alg, maps in cases:
         gens = algebra._np_generators(alg, maps)
         assert algebra._norton_irreducible(alg, gens) is None
-        assert simple_under(alg, maps) == sweep_verdict(alg, maps)
+        with mock.patch.object(algebra, "_density_irreducible",
+                               wraps=algebra._density_irreducible) as spy:
+            assert simple_under(alg, maps) == sweep_verdict(alg, maps)
+        assert spy.call_count == 1
     assert [simple_under(alg, maps).simple for alg, maps in cases] == \
         [True, False, True]
 

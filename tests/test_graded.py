@@ -210,6 +210,23 @@ def test_graded_norton_verdicts_match_homogeneous_sweep(case):
     assert spy.call_count == 1
 
 
+def test_undecided_norton_within_d_squared_falls_back_to_the_sweep(monkeypatch):
+    # 14 homogeneous points at d = 6: past 2 d, so Norton's test runs, but
+    # not past d^2, so when no draw decides the sweep does, not the density
+    # test
+    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    with mock.patch.object(algebra, "_density_irreducible",
+                           wraps=algebra._density_irreducible) as density, \
+            mock.patch.object(algebra, "_norton_irreducible",
+                              wraps=algebra._norton_irreducible) as norton:
+        for seed in range(3):
+            alg, grad = random_graded_algebra(F2, cyclic(2), [0, 0, 0, 1, 1, 1],
+                                              random.Random(seed))
+            v = is_graded_simple(alg, grad)
+            assert v == homogeneous_sweep(alg, grad)
+    assert norton.call_count == 3 and not density.called
+
+
 def test_graded_quaternion_crossed_product_needs_no_sweep(monkeypatch):
     # H x| C4 over F_3: Norton's test proves it graded simple, and none of
     # its 160 homogeneous points is visited
