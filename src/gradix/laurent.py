@@ -43,14 +43,9 @@ class LaurentRing:
     @cached_property
     def _residues(self) -> dict:
         """Per residue m of the order box (finite orders), the space of
-        `center_coefficient_space` at m and its first unit, or None; each
-        unit search is refused past `first_unit`'s default budget."""
-        table = {}
-        for m in itertools.product(*[range(o) for o in self.orders]):
-            space = center_coefficient_space(self, m)
-            unit = first_unit(self.algebra, space)
-            table[m] = space, None if unit is None else unit[0]
-        return table
+        `center_coefficient_space` at m and its first unit, or None; filled
+        in by `_residue_table`."""
+        return {}
 
     @cached_property
     def _sigma_powers(self) -> dict:
@@ -198,10 +193,26 @@ def _candidate_exponents(ring: LaurentRing):
     return sorted(cands)
 
 
-def inner_witness_search(ring: LaurentRing) -> tuple[Vec, Exp] | None:
+def _residue_table(ring: LaurentRing, budget: int) -> dict:
+    """`LaurentRing._residues`, filled on first use.  A residue whose space
+    has more projective points than the budget refuses the fill before its
+    unit search; once filled, the table is read whatever the budget."""
+    if not ring._residues:
+        table = {}
+        for m in itertools.product(*[range(o) for o in ring.orders]):
+            space = center_coefficient_space(ring, m)
+            unit = first_unit(ring.algebra, space, budget)
+            table[m] = space, None if unit is None else unit[0]
+        ring._residues.update(table)
+    return ring._residues
+
+
+def inner_witness_search(ring: LaurentRing,
+                         budget: int = 1_000_000) -> tuple[Vec, Exp] | None:
     _require_searchable(ring)
+    table = _residue_table(ring, budget)
     for m in _candidate_exponents(ring):
-        u = ring._residues[_reduce_exp(ring, m)][1]
+        u = table[_reduce_exp(ring, m)][1]
         if u is not None:
             return u, m
     return None
@@ -241,7 +252,7 @@ class LaurentVerdict:
 def laurent_simplicity_verdict(ring: LaurentRing,
                                budget: int = 1_000_000) -> LaurentVerdict:
     sig = is_sigma_simple(ring, budget=budget)
-    pair = inner_witness_search(ring)
+    pair = inner_witness_search(ring, budget)
     central = None
     if pair is not None:
         u, m = pair
@@ -287,13 +298,13 @@ def laurent_center_structure(ring: LaurentRing, degree_box,
     """degree_box: inclusive (lo, hi) per variable; the center slice lists the
     window exponents carrying nonzero central coefficients.  The coefficient
     space at m depends only on m modulo the orders, so every slice, l point
-    and conjugator is read from `LaurentRing._residues`; residue 0 gives
+    and conjugator is read from `_residue_table`; residue 0 gives
     F = Z(T)^sigma."""
     _require_searchable(ring)
     degree_box = check_window(degree_box, budget)
     if len(degree_box) != ring.rank:
         raise ValidationError(f"degree box has rank != {ring.rank}")
-    table = ring._residues
+    table = _residue_table(ring, budget)
     l_points = tuple(m for m, (_, u) in table.items() if u is not None)
     conjugators = tuple(u for _, u in table.values() if u is not None)
     exps, bases = [], []

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             make_laurent_ring, sigma_power, verify_central,
                             x_power)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
-from helpers import conjugation_matrix, fixed_subspace
+from helpers import conjugation_matrix, extension_field, fixed_subspace
 
 ZERO = LaurentElement(())
 F2 = prime_field(2)
@@ -352,6 +353,24 @@ def test_a_laurent_request_solves_each_residue_once(monkeypatch):
     assert report["orders"] == [2] and report["witness"] is not None
     # the witness search and the center structure share one table
     assert calls == [(0,), (1,)]
+
+
+def test_unit_search_takes_the_request_budget():
+    # F_{7^9} with sigma = 1: residue 0 holds all (7^9 - 1) / 6 = 6 725 601
+    # points, over the default budget of 10^6 but under the one given; its
+    # first point is a unit
+    f7 = prime_field(7)
+    ring = make_laurent_ring(extension_field(f7, 9, random.Random(0)),
+                             [identity_matrix(f7, 9)])
+    v = laurent_simplicity_verdict(ring, budget=10**7)
+    assert v.sigma_simple and not v.simple
+    assert v.witness == ((0,) * 8 + (1,), (1,))
+    cs = laurent_center_structure(ring, [(-1, 1)], budget=10**7)
+    assert cs.l_points == ((0,),)
+    assert cs.slice_exponents == ((-1,), (0,), (1,))
+    fresh = make_laurent_ring(ring.algebra, ring.sigma)
+    with pytest.raises(BudgetExceeded, match="6725601 projective points"):
+        inner_witness_search(fresh)
 
 
 def test_window_over_budget_is_refused_before_any_solve(monkeypatch):
