@@ -180,12 +180,13 @@ def _restrict(vec, idx, where: str) -> Vec:
     return tuple(vec[i] for i in idx)
 
 
-def recognize_crossed_system(alg: Algebra, grad: Gradation, units=None,
-                             budget: int = 1_000_000) -> CrossedSystem:
+def recognize_crossed_system(alg: Algebra, grad: Gradation,
+                             units=None) -> CrossedSystem:
     """Extract (T, G, sigma, alpha) from a graded algebra with nuclear units
     in every component; u_e is always the algebra unit.  Without supplied
     units, u_g is the `first_unit` of the nuclear part of R_g, a search
-    refused when that part has more projective points than the budget."""
+    refused when that part has more projective points than `first_unit`'s
+    default budget."""
     g = grad.group
     f = alg.field
     e = g.identity
@@ -234,8 +235,7 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation, units=None,
                 continue
             outside = [alg.basis_vector(i) for i in range(alg.dim)
                        if grad.degrees[i] != a]
-            found = first_unit(alg, kernel(f, nucleus + outside, alg.dim),
-                               budget)
+            found = first_unit(alg, kernel(f, nucleus + outside, alg.dim))
             if found is None:
                 raise NoNuclearUnit(f"component {a} has no nuclear unit")
             chosen[a], inv[a] = found

@@ -298,8 +298,8 @@ def test_searched_units_match_the_enumeration(monkeypatch):
     found = []
     search = crossed.first_unit
     monkeypatch.setattr(crossed, "first_unit",
-                        lambda alg, space, budget: found.append(
-                            search(alg, space, budget)) or found[-1])
+                        lambda alg, space: found.append(search(alg, space))
+                        or found[-1])
     outcomes = set()
     for alg, grad in recognition_cases():
         want = units_by_enumeration(alg, grad)
@@ -331,19 +331,19 @@ def test_unit_search_never_enumerates_a_component(monkeypatch):
 
 def test_unit_search_refused_past_the_budget(monkeypatch):
     # e_i e_j = 0 for i, j >= 1: associative, so R_1 is all nuclear, and
-    # nilpotent, so none of its (3^8 - 1) / 2 = 3 280 points is a unit; the
-    # search is refused before the first inverse
+    # nilpotent, so none of its (3^14 - 1) / 2 = 2 391 484 points is a unit;
+    # the search is refused before the first inverse
     def refuse(*args):
         raise AssertionError("visited a point")
     monkeypatch.setattr(algebra, "two_sided_inverse", refuse)
-    entries = [(0, j, j, 1) for j in range(9)] + [(j, 0, j, 1) for j in range(1, 9)]
-    alg = make_algebra(F3, 9, entries, (1,) + (0,) * 8)
-    grad = validate_gradation(alg, cyclic(2), [0] + [1] * 8)
-    with pytest.raises(BudgetExceeded, match="3280 projective points"):
-        recognize_crossed_system(alg, grad, budget=100)
-    r1 = Subspace.span(F3, 9, [alg.basis_vector(i) for i in range(1, 9)])
+    entries = [(0, j, j, 1) for j in range(15)] + [(j, 0, j, 1) for j in range(1, 15)]
+    alg = make_algebra(F3, 15, entries, (1,) + (0,) * 14)
+    grad = validate_gradation(alg, cyclic(2), [0] + [1] * 14)
+    with pytest.raises(BudgetExceeded, match="2391484 projective points"):
+        recognize_crossed_system(alg, grad)
+    r1 = Subspace.span(F3, 15, [alg.basis_vector(i) for i in range(1, 15)])
     with pytest.raises(BudgetExceeded):
-        algebra.first_unit(alg, r1, budget=3279)
+        algebra.first_unit(alg, r1, budget=2391483)
 
 
 def test_quaternion_cocycle_rebuilds_quaternions():
