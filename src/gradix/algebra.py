@@ -19,12 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BudgetExceeded, DimensionMismatch, ExactModeUnavailable,
-                     ValidationError)
+from .errors import DimensionMismatch, ExactModeUnavailable, ValidationError
 from .fields import FieldSpec, Scalar
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_inverse, mat_vec, np_dtype, projective_count,
-                     projective_points, solve_affine)
+                     mat_inverse, mat_vec, np_dtype, projective_walk,
+                     solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
 # prime below 2^25, so the density test runs in int64 up to d = 90.
@@ -51,9 +50,6 @@ class Algebra:
     def basis_vector(self, i: int) -> Vec:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
-
-    def zero_vec(self) -> Vec:
-        return (self.field.zero,) * self.dim
 
     def scalar_vec(self, c) -> Vec:
         return self.scale(self.field.coerce(c), self.unit)
@@ -424,16 +420,11 @@ def two_sided_inverse(alg: Algebra, r: Vec) -> Vec | None:
 
 def first_unit(alg: Algebra, space: Subspace,
                budget: int = 1_000_000) -> tuple[Vec, Vec] | None:
-    """The first two-sided unit of `space` and its inverse, or None (F_p).
-    The order is the lex order of `projective_points`, which
-    `Subspace.coordinates` keeps as the basis is in reduced echelon form.
-    Refused before the first point when the space has more projective
-    points than the budget."""
-    count = projective_count(alg.field.p, space.rank)
-    if count > budget:
-        raise BudgetExceeded(f"{count} projective points of a unit search "
-                             f"exceed budget {budget}")
-    return next(((u, inv) for u in space.coordinates()
+    """The first two-sided unit of `space` and its inverse, or None (F_p),
+    in the order of `projective_walk`, and refused as it refuses."""
+    _, points = projective_walk([space], budget,
+                                "projective points of a unit search")
+    return next(((u, inv) for u in points
                  if (inv := two_sided_inverse(alg, u)) is not None), None)
 
 
@@ -562,16 +553,6 @@ def random_element(alg: Algebra, rng: random.Random) -> Vec:
         if any(v):
             return v
     return alg.basis_vector(0)
-
-
-def coordinate_points(alg: Algebra, block):
-    """Projective points of the coordinate subspace spanned by the basis
-    vectors in `block`, embedded in A, in ascending lex order (F_p)."""
-    for coeffs in projective_points(alg.field.p, len(block)):
-        v = [alg.field.zero] * alg.dim
-        for c, i in zip(coeffs, block):
-            v[i] = c
-        yield tuple(v)
 
 
 def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -729,11 +710,12 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     return None
 
 
-def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
-                   noun: str) -> SimplicityVerdict:
+def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
+                   what: str) -> SimplicityVerdict:
     """The exact verdict of every simplicity notion: is A irreducible under
-    the L_{e_j}, R_{e_j} and the extra maps?  The sweep visits the projective
-    points of each coordinate block in turn and is refused past the budget.
+    the L_{e_j}, R_{e_j} and the extra maps?  The sweep is the
+    `projective_walk` of the subspaces, refused past the budget before
+    anything runs.
     A test of irreducibility runs first when int64 holds its products: for
     d >= 5, Norton's test once the sweep would visit more than 2 d points;
     past d^2 points, the density test, alone for d <= 4, where it is the
@@ -743,9 +725,7 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     p, d = alg.field.p, alg.dim
-    total = sum(projective_count(p, len(block)) for block in blocks)
-    if total > budget:
-        raise BudgetExceeded(f"{total} {noun} points exceed budget {budget}")
+    total, points = projective_walk(spaces, budget, what)
     gens = _np_generators(alg, maps)
     irreducible = None
     if d >= 5 and total > 2 * d and _norton_fits(p, d):
@@ -754,7 +734,6 @@ def _exact_verdict(alg: Algebra, maps, blocks, budget: int,
         irreducible = _density_irreducible(alg, gens)
     if irreducible:
         return SimplicityVerdict(True, None, "exact", total)
-    points = (pt for block in blocks for pt in coordinate_points(alg, block))
     for checked, pt in enumerate(points, 1):
         if len(_closure_np(alg, [pt], gens)[0]) < d:
             return SimplicityVerdict(False, pt, "exact", checked)
@@ -784,7 +763,9 @@ def simple_under(alg: Algebra, maps=(),
     """Exact verdict over F_p: whether the only ideals closed under the
     extra maps are 0 and the whole algebra.  It is `_exact_verdict` over the
     projective points of A.  Raises `ExactModeUnavailable` over Q."""
-    return _exact_verdict(alg, maps, [range(alg.dim)], budget, "projective")
+    f, d = alg.field, alg.dim
+    whole = Subspace(f, d, identity_matrix(f, d), tuple(range(d)))
+    return _exact_verdict(alg, maps, [whole], budget, "projective points")
 
 
 def sample_simple(alg: Algebra, maps=(), trials: int = 1000,
@@ -820,9 +801,9 @@ def subfield_check(alg: Algebra, s: Subspace, budget: int = 1_000_000) -> bool:
         if s.rank == 1 and s.contains(alg.unit):
             return True  # the scalar line
         raise ExactModeUnavailable("field check over Q needs the scalar line")
-    if s.rank and projective_count(alg.field.p, s.rank) > budget:
-        raise BudgetExceeded("subspace too large to enumerate")
-    for v in s.coordinates():
+    _, points = projective_walk([s], budget,
+                                "projective points of a field check")
+    for v in points:
         inv = two_sided_inverse(alg, v)
         if inv is None or not s.contains(inv):
             return False

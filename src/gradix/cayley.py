@@ -25,7 +25,8 @@ from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
 from .graded import Gradation, validate_gradation
 from .groups import cyclic, elementary_abelian_two
-from .linalg import Subspace, identity_matrix, kernel, projective_count
+from .linalg import (Subspace, identity_matrix, kernel, projective_count,
+                     projective_walk)
 
 
 def _require_involution(alg: Algebra) -> None:
@@ -105,21 +106,22 @@ def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
 
 def mu_square_in_center(alg: Algebra, center: Subspace, mu,
                         budget: int = 1_000_000) -> bool | None:
-    """Is mu.1 a square inside `center` = Z(A)?  Exact over F_p; over Q
-    decided only for the scalar line (perfect-square test), otherwise None."""
+    """Is mu.1 a square inside `center` = Z(A)?  Over F_p: is w^2 = c.1 with
+    c / mu a nonzero square, for a projective point w, as (l w)^2 = l^2 w^2?
+    Over Q decided only for the scalar line (perfect-square), else None."""
     f = alg.field
     mu = f.coerce(mu)
-    target = alg.scalar_vec(mu)
     if f.is_finite:
-        if f.p ** center.rank > budget:
-            return None
-        import itertools
-        for coeffs in itertools.product(range(f.p), repeat=center.rank):
-            v = alg.zero_vec()
-            for c, row in zip(coeffs, center.basis):
-                if c:
-                    v = alg.add_vec(v, alg.scale(c, row))
-            if alg.multiply(v, v) == target:
+        if not mu:
+            return True
+        _, points = projective_walk([center], budget,
+                                    "projective points of a square check")
+        i = next(i for i, c in enumerate(alg.unit) if c)
+        for w in points:
+            sq = alg.multiply(w, w)
+            c = f.div(sq[i], alg.unit[i])    # sq = c.1 if sq is scalar
+            if (c and sq == alg.scalar_vec(c)
+                    and pow(f.div(c, mu), (f.p - 1) // 2, f.p) == 1):
                 return True
         return False
     if center.rank == 1:

@@ -12,9 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (Algebra, CentralSubspaces, SimplicityVerdict,
-                      _exact_verdict, center_is_field, coordinate_points,
-                      ideal_closure, simple_under)
+from .algebra import (Algebra, SimplicityVerdict, _exact_verdict,
+                      center_is_field, ideal_closure, simple_under)
 from .errors import (IncompatibleTensor, NotHomogeneous,
                      UnitNotInIdentityComponent, ValidationError)
 from .groups import FiniteGroup, central_series
@@ -96,9 +95,10 @@ def is_faithful(alg: Algebra, grad: Gradation) -> bool:
     return True
 
 
-def homogeneous_points(alg: Algebra, grad: Gradation, g: int):
-    """Projective representatives of the nonzero elements of R_g (F_p)."""
-    yield from coordinate_points(alg, grad.indices_of(g))
+def component_spaces(alg: Algebra, grad: Gradation) -> list[Subspace]:
+    """The components R_g, g in the support, as coordinate subspaces."""
+    return [Subspace(alg.field, alg.dim, tuple(map(alg.basis_vector, b)), b)
+            for b in map(grad.indices_of, grad.support)]
 
 
 def graded_ideal_closure(alg: Algebra, grad: Gradation, generators) -> Subspace:
@@ -123,12 +123,11 @@ def is_graded_simple(alg: Algebra, grad: Gradation,
     contains a nonzero homogeneous element, so the homogeneous points,
     component by component in support order, are the sweep, and `checked`
     counts them."""
-    d = alg.dim
-    blocks = [grad.indices_of(g) for g in grad.support]
-    proj = np.zeros((len(blocks), d, d), dtype=np.int64)
-    for n, block in enumerate(blocks):
-        proj[n, block, block] = 1
-    return _exact_verdict(alg, proj, blocks, budget, "homogeneous")
+    d, spaces = alg.dim, component_spaces(alg, grad)
+    proj = np.zeros((len(spaces), d, d), dtype=np.int64)
+    for n, s in enumerate(spaces):
+        proj[n, s.pivots, s.pivots] = 1
+    return _exact_verdict(alg, proj, spaces, budget, "homogeneous points")
 
 
 # -- the simplicity equivalence over hypercentral grading groups -------------
@@ -143,13 +142,12 @@ class SimplicityEquivalence:
 
 
 def simplicity_equivalence(alg: Algebra, grad: Gradation,
-                           budget: int = 1_000_000,
-                           central: CentralSubspaces | None = None) -> SimplicityEquivalence:
+                           budget: int = 1_000_000) -> SimplicityEquivalence:
     """Check simple <=> (graded simple and the center is a field), which must
     hold whenever the grading group is hypercentral."""
     hyper = central_series(grad.group).hypercentral
     graded_v = is_graded_simple(alg, grad, budget)
-    zfield = center_is_field(alg, central, budget)
+    zfield = center_is_field(alg, budget=budget)
     simple_v = simple_under(alg, budget=budget)
     consistent = (not hyper) or (simple_v.simple == (graded_v.simple and zfield))
     return SimplicityEquivalence(hyper, graded_v, zfield, simple_v, consistent)

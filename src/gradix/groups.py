@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (MissingIdentity, MissingInverse, NonAssociativeTable,
-                     NotNormal, ValidationError)
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,6 @@ class Subgroup:
     def _memberset(self) -> frozenset:
         return frozenset(self.members)
 
-    def is_normal(self) -> bool:
-        g = self.group
-        mem = self._memberset
-        return all(g.conj(a, h) in mem for a in self.members for h in g.elements())
-
 
 def subgroup(g: FiniteGroup, members) -> Subgroup:
     mem = frozenset(members)
@@ -162,33 +157,6 @@ def central_series(g: FiniteGroup) -> CentralSeries:
             break
         chain.append(subgroup(g, nxt))
     return CentralSeries(tuple(chain), chain[-1].order == g.order)
-
-
-def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """G/N plus the projection map; N must be normal."""
-    if n.group is not g and n.group != g:
-        raise ValidationError("subgroup belongs to a different group")
-    if not n.is_normal():
-        raise NotNormal(f"subgroup {n.members} is not normal")
-    mem = n._memberset
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []  # cosets ordered by minimal member
-    for a in g.elements():
-        if a in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        for h in mem:
-            coset_of[g.mul(a, h)] = idx
-    proj = tuple(coset_of[a] for a in g.elements())
-    table = tuple(tuple(proj[g.mul(reps[i], reps[j])] for j in range(len(reps)))
-                  for i in range(len(reps)))
-    labels = None
-    if g.labels:
-        labels = tuple("{" + ",".join(g.label(a) for a in sorted(g.elements())
-                                      if proj[a] == i) + "}"
-                       for i in range(len(reps)))
-    return validate_group(table, identity=proj[g.identity], labels=labels), proj
 
 
 # -- stock constructions -----------------------------------------------------

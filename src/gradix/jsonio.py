@@ -333,7 +333,7 @@ def laurent_block(ring: LaurentRing, opts) -> dict:
     window = opts.get("window")
     if window is None:
         window = [[-4, 4]] * ring.rank
-    check_window(window, opts["budget"])     # before the verdict solves anything
+    check_window(window, ring.rank, opts["budget"])  # before any solve
     v = laurent_simplicity_verdict(ring, budget=opts["budget"])
     block = {
         "rank": ring.rank,

@@ -256,6 +256,10 @@ def laurent_simplicity_verdict(ring: LaurentRing,
     central = None
     if pair is not None:
         u, m = pair
+        count = 3 * (math.prod(ring.orders) * ring.algebra.dim) ** 2
+        if count > budget:
+            raise BudgetExceeded(f"{count} associators of the central-witness "
+                                 f"check exceed budget {budget}")
         central = laurent_add(ring, laurent_one(ring), x_power(ring, m, u))
         if not verify_central(ring, central):
             raise ValidationError("emitted witness failed centrality verification")
@@ -283,10 +287,12 @@ def center_coefficient_space(ring: LaurentRing, m: Exp) -> Subspace:
                   fixed_equations(alg, ring.sigma), alg.dim)
 
 
-def check_window(degree_box, budget: int) -> list:
-    """The window as inclusive (lo, hi) int pairs; refuses one holding more
-    than `budget` exponents before any of them is visited."""
+def check_window(degree_box, rank: int, budget: int) -> list:
+    """The window as inclusive (lo, hi) int pairs; refuses one of another
+    rank, or one holding more than `budget` exponents, before any visit."""
     degree_box = [(int(lo), int(hi)) for lo, hi in degree_box]
+    if len(degree_box) != rank:
+        raise ValidationError(f"degree box has rank != {rank}")
     count = math.prod(max(0, hi - lo + 1) for lo, hi in degree_box)
     if count > budget:
         raise BudgetExceeded(f"window holds {count} exponents, over budget {budget}")
@@ -301,9 +307,7 @@ def laurent_center_structure(ring: LaurentRing, degree_box,
     and conjugator is read from `_residue_table`; residue 0 gives
     F = Z(T)^sigma."""
     _require_searchable(ring)
-    degree_box = check_window(degree_box, budget)
-    if len(degree_box) != ring.rank:
-        raise ValidationError(f"degree box has rank != {ring.rank}")
+    degree_box = check_window(degree_box, ring.rank, budget)
     table = _residue_table(ring, budget)
     l_points = tuple(m for m, (_, u) in table.items() if u is not None)
     conjugators = tuple(u for _, u in table.values() if u is not None)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BudgetExceeded, DimensionMismatch
 from .fields import FieldSpec, Scalar
 
 Vec = tuple  # coordinate vector, entries are field scalars
@@ -154,17 +154,6 @@ class Subspace:
             vecs.append(w)
         return Subspace.span(self.field, self.ambient, vecs)
 
-    def coordinates(self) -> Iterator[Vec]:
-        """All nonzero vectors of the subspace up to scalars (finite fields)."""
-        f = self.field
-        for coeffs in projective_points(f.p, self.rank):
-            w = [f.zero] * self.ambient
-            for a, row in zip(coeffs, self.basis):
-                if a:
-                    for j in range(self.ambient):
-                        w[j] = f.add(w[j], f.mul(a, row[j]))
-            yield tuple(w)
-
 
 # -- solving -----------------------------------------------------------------
 
@@ -284,6 +273,29 @@ def projective_points(p: int, dim: int) -> Iterator[tuple[int, ...]]:
     for lead in range(dim - 1, -1, -1):
         for tail in itertools.product(range(p), repeat=dim - 1 - lead):
             yield (0,) * lead + (1,) + tail
+
+
+def projective_walk(spaces: Sequence[Subspace], budget: int,
+                    what: str) -> tuple[int, Iterator[Vec]]:
+    """Every exhaustive search over F_p: the count of the projective points
+    of the subspaces, refused ("N <what> exceed budget B") before the first
+    point when over the budget, and the points as a lazy iterator, subspace
+    by subspace, each as sum_i a_i row_i in the lex order of the
+    coefficients a (`projective_points`)."""
+    total = sum(projective_count(s.field.p, s.rank) for s in spaces)
+    if total > budget:
+        raise BudgetExceeded(f"{total} {what} exceed budget {budget}")
+
+    def points():
+        for s in spaces:
+            rows = [[(j, x) for j, x in enumerate(r) if x] for r in s.basis]
+            for coeffs in projective_points(s.field.p, s.rank):
+                w = [0] * s.ambient
+                for a, row in zip(coeffs, rows):
+                    for j, x in row:
+                        w[j] += a * x
+                yield tuple(c % s.field.p for c in w)
+    return total, points()
 
 
 # -- numpy fast path (F_p only) ----------------------------------------------

@@ -30,7 +30,7 @@ from .fields import prime_field, rationals
 from .groups import central_series, cyclic
 from .laurent import (laurent_simplicity_verdict, make_laurent_ring,
                       verify_central)
-from .linalg import kernel, mat_vec
+from .linalg import kernel, mat_vec, projective_walk
 from .magma import word_ideal_span
 
 CHECKS = []
@@ -103,7 +103,7 @@ def _density(rng, trials, maxlen):
 @check("Norton's test agrees with the sweep")
 def _norton(rng, trials, maxlen):
     from .algebra import _norton_irreducible, _np_generators
-    from .graded import homogeneous_points
+    from .graded import component_spaces
     from .linalg import projective_points
     f3 = prime_field(3)
     h, o = quaternions(f3)[0], octonions(f3)[0]
@@ -117,8 +117,8 @@ def _norton(rng, trials, maxlen):
     blocks = [grad.indices_of(g) for g in grad.support]
     proj = [[[int(r == c and r in block) for c in range(prod.dim)]
              for r in range(prod.dim)] for block in blocks]
-    cases.append((prod, proj, [r for g in grad.support
-                               for r in homogeneous_points(prod, grad, g)]))
+    walk = projective_walk(component_spaces(prod, grad), 10 ** 6, "points")
+    cases.append((prod, proj, list(walk[1])))
     for a, maps, points in cases:
         sweep = all(ideal_closure(a, [pt], maps).is_full for pt in points)
         assert _norton_irreducible(a, _np_generators(a, maps)) == sweep, \
@@ -127,7 +127,7 @@ def _norton(rng, trials, maxlen):
 
 @check("graded density agrees with homogeneous sweep")
 def _graded_density(rng, trials, maxlen):
-    from .graded import homogeneous_points, is_graded_simple, validate_gradation
+    from .graded import component_spaces, is_graded_simple, validate_gradation
     f3 = prime_field(3)
     cases = [(a, validate_gradation(a, cyclic(1), [0] * a.dim))
              for a in (matrix_algebra(f3, 2), product_algebra(f3, 3))]
@@ -140,10 +140,11 @@ def _graded_density(rng, trials, maxlen):
         tail = [rng.randrange(2) for _ in range(rng.randint(0, 2))]
         cases.append(random_graded_algebra(f3, cyclic(2), [0] * 4 + tail, rng))
     for a, grad in cases:
-        points = [r for g in grad.support for r in homogeneous_points(a, grad, g)]
+        total, points = projective_walk(component_spaces(a, grad), 10 ** 6,
+                                        "points")
         # past d^2 points: the density test decides at d <= 4, Norton's
         # test above
-        assert len(points) > a.dim ** 2
+        assert total > a.dim ** 2
         sweep = all(ideal_closure(a, [r]).is_full for r in points)
         assert is_graded_simple(a, grad).simple == sweep, (a.dim, grad.degrees)
 

@@ -1,11 +1,12 @@
-"""Constructions shared by several test modules: maps and algebras that
-the library itself never needs."""
+"""Constructions, references and patches shared by several test modules,
+which the library itself never needs."""
 
 import itertools
 
 from gradix.algebra import (fixed_equations, make_algebra, two_sided_inverse)
-from gradix.errors import ValidationError
-from gradix.linalg import kernel
+from gradix.errors import NotNormal, ValidationError
+from gradix.groups import validate_group
+from gradix.linalg import Subspace, kernel, projective_walk
 
 
 def fixed_subspace(alg, maps):
@@ -68,3 +69,75 @@ def extension_field(f, n, rng):
             entries += [(i, j, k, v[k]) for k in range(n) if v[k]]
     return make_algebra(f, n, entries, (1,) + (0,) * (n - 1))
 
+
+
+def is_normal(n):
+    """Whether the subgroup n is closed under conjugation in its group."""
+    g = n.group
+    return all(g.conj(a, h) in n for a in n.members for h in g.elements())
+
+
+def quotient_group(g, n):
+    """G/N plus the projection map; N must be normal."""
+    if n.group is not g and n.group != g:
+        raise ValidationError("subgroup belongs to a different group")
+    if not is_normal(n):
+        raise NotNormal(f"subgroup {n.members} is not normal")
+    coset_of = {}
+    reps = []  # cosets ordered by minimal member
+    for a in g.elements():
+        if a in coset_of:
+            continue
+        idx = len(reps)
+        reps.append(a)
+        for h in n.members:
+            coset_of[g.mul(a, h)] = idx
+    proj = tuple(coset_of[a] for a in g.elements())
+    table = tuple(tuple(proj[g.mul(reps[i], reps[j])] for j in range(len(reps)))
+                  for i in range(len(reps)))
+    labels = None
+    if g.labels:
+        labels = tuple("{" + ",".join(g.label(a) for a in sorted(g.elements())
+                                      if proj[a] == i) + "}"
+                       for i in range(len(reps)))
+    return validate_group(table, identity=proj[g.identity], labels=labels), proj
+
+
+def points(space):
+    """The projective points of one subspace, in `projective_walk` order."""
+    return projective_walk([space], 10 ** 6, "projective points")[1]
+
+
+def homogeneous_points(alg, grad, g):
+    """The projective points of R_g, in the order of the graded sweep."""
+    return points(Subspace.span(alg.field, alg.dim,
+                                [alg.basis_vector(i) for i in grad.indices_of(g)]))
+
+
+def walk_without_points(walk):
+    """`projective_walk` that counts and refuses as before, but fails the
+    test at its first point."""
+    def counted(spaces, budget, what):
+        total, points = walk(spaces, budget, what)
+
+        def refuse():
+            for _ in points:
+                raise AssertionError(f"visited one of the {what}")
+            yield from ()
+        return total, refuse()
+    return counted
+
+
+def mu_square_by_vectors(alg, center, mu):
+    """Whether v^2 = mu.1 for some v of `center`, over all p^r vectors v:
+    the oracle of `cayley.mu_square_in_center` over F_p."""
+    f = alg.field
+    target = alg.scalar_vec(f.coerce(mu))
+    for coeffs in itertools.product(range(f.p), repeat=center.rank):
+        v = alg.scalar_vec(0)
+        for c, row in zip(coeffs, center.basis):
+            if c:
+                v = alg.add_vec(v, alg.scale(c, row))
+        if alg.multiply(v, v) == target:
+            return True
+    return False

@@ -36,6 +36,7 @@ from gradix.laurent import (is_sigma_simple, laurent_center_structure,
 from gradix.linalg import Subspace, identity_matrix
 from gradix.magma import word_ideal_span
 from gradix import jsonio
+from helpers import points
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -92,12 +93,12 @@ def test_criterion_1_section2_suite(capsys):
     for alg in corpus:
         c = nucleus_and_center(alg)
         # central elements have central inverses
-        for r in c.center.coordinates():
+        for r in points(c.center):
             s = two_sided_inverse(alg, r)
             if s is not None:
                 assert c.center.contains(s)
         # nuclear units are exactly the units lying in the nucleus
-        for u in c.nucleus.coordinates():
+        for u in points(c.nucleus):
             inv = two_sided_inverse(alg, u)
             if inv is not None:
                 assert c.nucleus.contains(inv)

@@ -26,14 +26,14 @@ from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
                             upper_triangular)
 from gradix.cayley import cayley_double, is_star_simple
 from gradix.crossed import build_crossed_product, trivial_system
-from gradix.errors import (DimensionMismatch, ExactModeUnavailable,
-                           ValidationError)
+from gradix.errors import (BudgetExceeded, DimensionMismatch,
+                           ExactModeUnavailable, ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.groups import cyclic
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
-                           projective_points, rref)
+                           projective_points, projective_walk, rref)
 from helpers import (conjugation_matrix, extension_field, fixed_subspace,
-                     tensor_algebra)
+                     points, tensor_algebra, walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -93,7 +93,7 @@ def test_multiply_bilinear_unital():
 
 def brute_membership_spaces(alg):
     """Oracle: classify every vector by the defining identities directly."""
-    z = alg.zero_vec()
+    z = alg.scalar_vec(0)
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     sets = {"left": [], "middle": [], "right": [], "commuter": [], "center": []}
     for v in all_vectors(alg):
@@ -197,7 +197,7 @@ def test_central_inverses_are_central():
     # r central and rs = sr = 1 forces s central
     for alg in small_corpus():
         central = nucleus_and_center(alg).center
-        for r in central.coordinates():
+        for r in points(central):
             s = two_sided_inverse(alg, r)
             if s is not None:
                 assert central.contains(s)
@@ -206,7 +206,7 @@ def test_central_inverses_are_central():
 def test_nuclear_units_have_nuclear_inverses():
     for alg in small_corpus():
         nucleus = nucleus_and_center(alg).nucleus
-        for u in nucleus.coordinates():
+        for u in points(nucleus):
             inv = two_sided_inverse(alg, u)
             if inv is not None:
                 assert nucleus.contains(inv)
@@ -580,7 +580,7 @@ def test_inverses_match_the_norm():
     seen_zero_divisor = False
     for v in projective_points(3, qa.dim):
         norm = multiply(qa, v, qa.star(v))
-        assert norm[1:] == qa.zero_vec()[1:]
+        assert norm[1:] == qa.scalar_vec(0)[1:]
         inv = two_sided_inverse(qa, v)
         assert (inv is not None) == bool(norm[0])
         seen_zero_divisor |= inv is None
@@ -596,6 +596,19 @@ def test_subfield_check():
     assert full.rank == 2 and subfield_check(ext, full)
     prod = product_algebra(F3, 2)
     assert not subfield_check(prod, nucleus_and_center(prod).center)
+
+
+def test_field_check_refused_past_the_budget(monkeypatch):
+    # F_3^4: 40 projective points; refused before the first at budget 39
+    monkeypatch.setattr(algebra, "projective_walk",
+                        walk_without_points(projective_walk))
+    alg = product_algebra(F3, 4)
+    center = nucleus_and_center(alg).center
+    with pytest.raises(BudgetExceeded,
+                       match="40 projective points of a field check exceed budget 39"):
+        subfield_check(alg, center, budget=39)
+    with pytest.raises(AssertionError, match="visited"):
+        subfield_check(alg, center, budget=40)
 
 
 def test_conjugation_is_automorphism():

@@ -8,17 +8,19 @@ from gradix import cayley
 from gradix.algebra import (center_is_field, is_associative, make_algebra,
                             multiply, nucleus_and_center, right_mult_matrix,
                             simple_under, two_sided_inverse)
-from gradix.catalog import (field_algebra, octonions, product_with_swap,
+from gradix.catalog import (field_algebra, matrix_algebra, octonions,
+                            product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
-                            random_unital_algebra, sedenions)
+                            random_unital_algebra, sedenions, truncated_dual)
 from gradix.cayley import (cayley_double, doubling_report, is_star_simple,
                            mu_square_in_center, star_centers, tower,
                            tower_stages)
-from gradix.errors import ExactModeUnavailable, MuZero
+from gradix.errors import BudgetExceeded, ExactModeUnavailable, MuZero
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
-from gradix.linalg import Subspace, kernel, projective_points
-from helpers import fixed_subspace
+from gradix.linalg import Subspace, kernel, projective_points, projective_walk
+from helpers import (extension_field, fixed_subspace, mu_square_by_vectors,
+                     tensor_algebra, walk_without_points)
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -99,6 +101,57 @@ def test_mu_square_is_center_relative():
     # 2 becomes a square after extending the scalars
     ext = quadratic_field_extension(F3)
     assert mu_square(ext, F3.coerce(2)) is True
+
+
+def truncated_cube(f):
+    """F[x]/(x^3): a local centre of rank 3 that is not a field."""
+    entries = [(i, j, i + j, f.one) for i in range(3) for j in range(3) if i + j < 3]
+    return make_algebra(f, 3, entries, (f.one, f.zero, f.zero))
+
+
+SQUARE_CASES = {
+    "F_p^n": lambda f, rng, n: product_algebra(f, n),
+    "dual numbers": lambda f, rng, n: truncated_dual(f),
+    "F[x]/(x^3)": lambda f, rng, n: truncated_cube(f),
+    "F_{p^2}": lambda f, rng, n: quadratic_field_extension(f),
+    "F_{p^n}": lambda f, rng, n: extension_field(f, n, rng),
+    "M_2": lambda f, rng, n: matrix_algebra(f, 2),
+    "M_2 (x) F_{p^2}": lambda f, rng, n: tensor_algebra(
+        matrix_algebra(f, 2), quadratic_field_extension(f)),
+}
+
+
+def test_mu_square_matches_the_vector_walk():
+    # the projective walk against all p^r vectors, on centres of rank 1 to
+    # 3 over F_2, F_3, F_5 and F_7, fields and non-fields
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from(sorted(SQUARE_CASES)),
+           st.integers(1, 3), st.integers(0, 6), st.integers(0, 2 ** 32))
+    def check(p, kind, n, mu, seed):
+        f = prime_field(p)
+        alg = SQUARE_CASES[kind](f, random.Random(seed), n)
+        center = nucleus_and_center(alg).center
+        got = mu_square_in_center(alg, center, mu)
+        assert got == mu_square_by_vectors(alg, center, mu), (p, kind, n, mu)
+        seen.add((center.rank, got))
+
+    check()
+    assert {r for r, _ in seen} == {1, 2, 3} and {g for _, g in seen} == {True, False}
+
+
+def test_square_check_refused_past_the_budget(monkeypatch):
+    # F_3^3: 13 projective points; refused before the first at budget 12
+    monkeypatch.setattr(cayley, "projective_walk",
+                        walk_without_points(projective_walk))
+    alg = product_algebra(F3, 3)
+    center = nucleus_and_center(alg).center
+    with pytest.raises(BudgetExceeded,
+                       match="13 projective points of a square check exceed budget 12"):
+        mu_square_in_center(alg, center, 2, budget=12)
+    with pytest.raises(AssertionError, match="visited"):
+        mu_square_in_center(alg, center, 2, budget=13)
 
 
 def test_mu_square_over_q():

@@ -190,6 +190,20 @@ def test_laurent_window_over_budget_is_refused(capsys, laurent_file, monkeypatch
     assert err["message"] == "window holds 2000000001 exponents, over budget 1000000"
 
 
+@pytest.mark.parametrize("window", ["-1000000:1000000,0:1", "0:1,0:1"])
+def test_laurent_window_of_the_wrong_rank_is_refused(capsys, laurent_file,
+                                                      monkeypatch, window):
+    # malformed input, refused before its count and before the verdict:
+    # exit 1, not a budget refusal (exit 2) and not after the sweep
+    monkeypatch.setattr(laurent, "center_coefficient_space", None)
+    monkeypatch.setattr(laurent, "is_sigma_simple", None)
+    code, out = run_cli(capsys, ["laurent", laurent_file, f"--window={window}"])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["message"]) == ("ValidationError",
+                                             "degree box has rank != 1")
+
+
 def test_laurent_rejects_wrong_kind(capsys, tmp_path, graded_file):
     code, out = run_cli(capsys, ["laurent", graded_file])
     assert code == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import algebra, graded, jsonio
+from gradix import algebra, jsonio, linalg
 from gradix.algebra import (SimplicityVerdict, ideal_closure, multiply,
                             simple_under, two_sided_inverse)
 from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
@@ -19,12 +19,12 @@ from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
                            IncompatibleTensor, NotHomogeneous,
                            UnitNotInIdentityComponent, ValidationError)
 from gradix.fields import prime_field, rationals
-from gradix.graded import (Gradation, graded_ideal_closure, homogeneous_points,
-                           is_faithful, is_graded_simple, is_strong,
+from gradix.graded import (Gradation, graded_ideal_closure, is_faithful,
+                           is_graded_simple, is_strong,
                            simplicity_equivalence, validate_gradation)
-from gradix.groups import (cyclic, elementary_abelian_two, quotient_group,
-                           subgroup, symmetric)
-from gradix.linalg import Subspace
+from gradix.groups import cyclic, elementary_abelian_two, subgroup, symmetric
+from gradix.linalg import Subspace, projective_walk
+from helpers import homogeneous_points, quotient_group, walk_without_points
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -233,9 +233,8 @@ def test_graded_quaternion_crossed_product_needs_no_sweep(monkeypatch):
     prod, grad = build_crossed_product(trivial_system(quaternions(F3)[0],
                                                       cyclic(4)))
 
-    def refuse(*args):
-        raise AssertionError("the sweep visited a point")
-    monkeypatch.setattr(algebra, "coordinate_points", refuse)
+    monkeypatch.setattr(algebra, "projective_walk",
+                        walk_without_points(projective_walk))
     assert is_graded_simple(prod, grad) == SimplicityVerdict(True, None,
                                                              "exact", 160)
 
@@ -294,10 +293,8 @@ def test_faithfulness_is_decided_without_enumerating(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("enumerated the points of a component")
-    for module, name in ((graded, "homogeneous_points"),
-                         (graded, "coordinate_points"),
-                         (algebra, "coordinate_points")):
-        monkeypatch.setattr(module, name, refuse)
+    for module in (linalg, algebra):
+        monkeypatch.setattr(module, "projective_walk", refuse)
     assert is_faithful(alg, grad)
 
 
@@ -428,7 +425,7 @@ def test_sedenion_gradation_strong_and_graded_simple():
 
 def test_degree_of_mixed_is_none():
     alg, grad = quaternions(F3)
-    assert grad.degree_of(alg.zero_vec()) is None
+    assert grad.degree_of(alg.scalar_vec(0)) is None
     mixed = alg.add_vec(alg.basis_vector(0), alg.basis_vector(1))
     assert grad.degree_of(mixed) is None
     assert Gradation(elementary_abelian_two(1), (0, 1)).indices_of(1) == (1,)

@@ -3,9 +3,9 @@ import pytest
 from gradix.errors import (MissingIdentity, MissingInverse,
                            NonAssociativeTable, NotNormal, ValidationError)
 from gradix.groups import (center, central_series, cyclic, dihedral,
-                           direct_product, elementary_abelian_two,
-                           quotient_group, subgroup, symmetric,
-                           validate_group)
+                           direct_product, elementary_abelian_two, subgroup,
+                           symmetric, validate_group)
+from helpers import quotient_group
 
 
 def test_validate_rejects_bad_tables():

@@ -379,9 +379,43 @@ def test_window_over_budget_is_refused_before_any_solve(monkeypatch):
     with pytest.raises(BudgetExceeded):
         laurent_center_structure(ring, [(-5, 5)], budget=10)
     with pytest.raises(BudgetExceeded):
-        check_window([(-3, 3), (0, 1)], 13)
-    assert check_window([(-3, 3), (0, 1)], 14) == [(-3, 3), (0, 1)]
-    assert check_window([(2, 1), (-10**9, 10**9)], 0) == [(2, 1), (-10**9, 10**9)]
+        check_window([(-3, 3), (0, 1)], 2, 13)
+    assert check_window([(-3, 3), (0, 1)], 2, 14) == [(-3, 3), (0, 1)]
+    assert check_window([(2, 1), (-10**9, 10**9)], 2, 0) == [(2, 1), (-10**9, 10**9)]
+    # the rank is checked first: a malformed window, whatever its count
+    for box in ([(-10**6, 10**6), (0, 1)], [(0, 1), (0, 1)], []):
+        with pytest.raises(ValidationError, match="degree box has rank != 1"):
+            check_window(box, 1, 10)
+    with pytest.raises(ValidationError, match="rank != 1"):
+        laurent_center_structure(ring, [(0, 1), (0, 1)])
+
+
+def cycles_matrix(f, lengths):
+    """The coordinate permutation with cycles of the given lengths."""
+    perm, start = [], 0
+    for n in lengths:
+        perm += [start + (i + 1) % n for i in range(n)]
+        start += n
+    return tuple(tuple(f.one if perm[j] == i else f.zero for j in range(start))
+                 for i in range(start))
+
+
+def test_central_witness_check_refused_past_the_budget(monkeypatch):
+    # F_2^10 with sigma of cycle type (2, 3, 5), order 30: the sweep counts
+    # 1 023 points, the search finds the witness 1 + x^30, and its check
+    # would evaluate 3 (30 * 10)^2 = 270 000 associators
+    def refuse(*args):
+        raise AssertionError("checked the witness")
+    monkeypatch.setattr(laurent, "verify_central", refuse)
+    ring = make_laurent_ring(product_algebra(F2, 10),
+                             [cycles_matrix(F2, (2, 3, 5))])
+    assert ring.orders == (30,)
+    with pytest.raises(BudgetExceeded, match="1023 projective points"):
+        is_sigma_simple(ring, budget=1022)
+    with pytest.raises(BudgetExceeded, match="270000 associators of the "
+                       "central-witness check exceed budget 100000"):
+        laurent_simplicity_verdict(ring, budget=10 ** 5)
+    assert inner_witness_search(ring, budget=10 ** 5) == ((1,) * 10, (30,))
 
 
 def test_rings_are_freed_after_use():

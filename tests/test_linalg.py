@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import linalg
-from gradix.errors import DimensionMismatch
+from gradix.errors import BudgetExceeded, DimensionMismatch
 from gradix.fields import prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
                            mat_mul, mat_power, mat_vec, np_dtype, np_rref,
-                           projective_count, projective_points, rref,
-                           solve_affine)
+                           projective_count, projective_points,
+                           projective_walk, rref, solve_affine)
 
 BIG_P = 4294967311  # past the int64 bound of np_dtype
 
@@ -121,9 +121,29 @@ def test_contains_checks_the_length():
 
 def test_subspace_coordinates_count():
     s = Subspace.span(F3, 3, [(1, 0, 0), (0, 0, 1)])
-    pts = list(s.coordinates())
-    assert len(pts) == projective_count(3, 2)
+    total, walk = projective_walk([s], 4, "points")
+    pts = list(walk)
+    assert total == len(pts) == projective_count(3, 2)
     assert all(s.contains(v) for v in pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 2 ** 32),
+       st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_projective_walk_is_the_coefficient_order(p, seed, ranks):
+    # each subspace in turn, sum_i a_i row_i over the coefficients a of
+    # `projective_points`; one count, and one refusal before any point
+    f, rng = prime_field(p), random.Random(seed)
+    spaces = [Subspace.span(f, 4, rand_rows(rng, r, 4, p)) for r in ranks]
+    want = [tuple(sum(a * row[j] for a, row in zip(coeffs, s.basis)) % p
+                  for j in range(4))
+            for s in spaces for coeffs in projective_points(p, s.rank)]
+    total, walk = projective_walk(spaces, len(want), "points")
+    assert total == len(want) and list(walk) == want
+    if want:
+        with pytest.raises(BudgetExceeded) as err:
+            projective_walk(spaces, total - 1, "lines of a test")
+        assert str(err.value) == f"{total} lines of a test exceed budget {total - 1}"
 
 
 def test_matrix_inverse_and_power():
