@@ -249,15 +249,40 @@ def _check_involution(alg: Algebra) -> None:
         raise ValidationError(f"involution does not reverse products at {bad}")
 
 
+def _contractible(alg: Algebra) -> bool:
+    """Whether contractions of the structure tensor run in numpy: over F_p
+    while `Algebra._np_tensor` is int64, so that a sum of d residue
+    products fits.  Each such contraction keeps a generic loop, for Q and
+    for the object dtype, which is also its reference in the tests."""
+    return alg.field.is_finite and alg._np_tensor.dtype != object
+
+
+def _np_vectors(alg: Algebra, vecs) -> np.ndarray:
+    """A nested sequence of vectors (or matrices) as an array of residues
+    in the dtype of `Algebra._np_tensor`."""
+    return np.array(vecs, dtype=alg._np_tensor.dtype) % alg.field.p
+
+
+def _np_left(alg: Algebra, x: np.ndarray) -> np.ndarray:
+    """The matrices of v -> x v, one per vector of the stack x (last axis)."""
+    return np.swapaxes(np.tensordot(x, alg._np_tensor, 1), -1, -2) % alg.field.p
+
+
+def _np_right(alg: Algebra, x: np.ndarray) -> np.ndarray:
+    """The matrices of v -> v x, one per vector of the stack x (last axis)."""
+    c = alg._np_tensor.transpose(1, 0, 2)
+    return np.swapaxes(np.tensordot(x, c, 1), -1, -2) % alg.field.p
+
+
 def _product_mismatch(alg: Algebra, m, reverse: bool = False):
     """The first basis pair (i, j), in row-major order, with m(e_i e_j)
     other than m(e_i) m(e_j), or m(e_j) m(e_i) when `reverse`; None when
     there is none.  Over F_p, while int64 holds the products, all d^2 pairs
     are compared at once in numpy."""
-    if not alg.field.is_finite or alg._np_tensor.dtype == object:
+    if not _contractible(alg):
         return _product_mismatch_generic(alg, m, reverse)
     p, c = alg.field.p, alg._np_tensor
-    mm = np.array([[int(x) for x in row] for row in m], dtype=c.dtype) % p
+    mm = _np_vectors(alg, m)
     images = np.tensordot(c, mm, axes=([2], [1])) % p   # [i, j]: m(e_i e_j)
     half = np.tensordot(mm, c, axes=([0], [0])) % p     # [i, b]: m(e_i) e_b
     prods = np.tensordot(mm, half, axes=([0], [1])) % p  # [j, i]: m(e_i) m(e_j)
@@ -348,21 +373,32 @@ def nucleus_equation_rows(alg: Algebra) -> list:
     return left + middle + right
 
 
-def in_nucleus(alg: Algebra, v: Vec) -> bool:
-    """Whether v lies in the nucleus, tested on the equations of
-    `nucleus_equation_rows` at v without solving them.  Over F_p the
-    associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) are
-    contractions of `_np_defect`, each entry a sum of d residue products
-    inside `np_dtype`."""
-    if len(v) != alg.dim:
-        raise DimensionMismatch(f"vector length {len(v)} != dim {alg.dim}")
+def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
+    """Per vector, whether it lies in the nucleus, tested on the equations
+    of `nucleus_equation_rows` without solving them.  Over F_p the
+    associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all the
+    vectors at once are one contraction of `_np_defect` per slot, each
+    entry a sum of d residue products inside `np_dtype`."""
+    vecs = list(vecs)
+    for v in vecs:
+        if len(v) != alg.dim:
+            raise DimensionMismatch(f"vector length {len(v)} != dim {alg.dim}")
     f = alg.field
     if f.is_finite:
         defect = alg._np_defect
-        x = np.array([int(c) for c in v], dtype=defect.dtype) % f.p
-        return not any((np.tensordot(x, defect, axes=([0], [s])) % f.p).any()
-                       for s in range(3))
-    return not any(mat_vec(f, nucleus_equation_rows(alg), v))
+        x = np.array(vecs, dtype=defect.dtype).reshape(-1, alg.dim) % f.p
+        bad = np.zeros(len(x), dtype=bool)
+        for s in range(3):
+            slot = np.tensordot(x, defect, axes=([1], [s])) % f.p
+            bad |= slot.reshape(len(x), -1).any(axis=1)
+        return (~bad).tolist()
+    rows = nucleus_equation_rows(alg)
+    return [not any(mat_vec(f, rows, v)) for v in vecs]
+
+
+def in_nucleus(alg: Algebra, v: Vec) -> bool:
+    """`nuclear_mask` of the one vector v."""
+    return nuclear_mask(alg, [v])[0]
 
 
 def _central_np(alg: Algebra) -> CentralSubspaces:
@@ -857,8 +893,17 @@ def is_ring_automorphism(alg: Algebra, m) -> bool:
 def center_equations(alg: Algebra, twist=None) -> list:
     """Rows whose kernel is the x in N(A) with e_b x = x twist(e_b) for all
     b, Z(A) when there is no twist: the nonzero rows of each
-    L_{e_b} - R_{twist(e_b)}, then `nucleus_equation_rows`."""
+    L_{e_b} - R_{twist(e_b)}, in (b, row) order, then
+    `nucleus_equation_rows`.  Over F_p, while `_contractible`, all d of the
+    L - R blocks are one contraction of the structure tensor."""
     f = alg.field
+    if _contractible(alg):
+        d = alg.dim
+        eye = np.eye(d, dtype=alg._np_tensor.dtype)
+        images = eye if twist is None else _np_vectors(alg, twist).T
+        diff = (_np_left(alg, eye) - _np_right(alg, images)) % f.p
+        diff = diff.reshape(d * d, d)          # row (b, k): L_{e_b} - R_{twist(e_b)}
+        return diff[diff.any(axis=1)].tolist() + nucleus_equation_rows(alg)
     rows = []
     for b in range(alg.dim):
         e = alg.basis_vector(b)

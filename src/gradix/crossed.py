@@ -19,9 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Algebra, SimplicityVerdict, center_equations,
-                      first_unit, fixed_center, fixed_equations, in_nucleus,
-                      is_ring_automorphism, make_algebra,
+import numpy as np
+
+from .algebra import (Algebra, SimplicityVerdict, _contractible, _np_left,
+                      _np_right, _np_vectors, center_equations, first_unit,
+                      fixed_center, fixed_equations, in_nucleus,
+                      is_ring_automorphism, make_algebra, nuclear_mask,
                       nucleus_equation_rows, right_mult_matrix, simple_under,
                       two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
@@ -79,6 +82,44 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
         if alpha[a][e] != t.unit or alpha[e][a] != t.unit:
             raise N3Violation(f"alpha not normalized at ({a}, identity)")
 
+    if _contractible(t):
+        _check_cocycle_np(t, g, sigma, alpha, alpha_inv)
+    else:
+        _check_cocycle_generic(t, g, sigma, alpha, alpha_inv)
+    return CrossedSystem(t, g, sigma, alpha, alpha_inv)
+
+
+def _check_cocycle_np(t: Algebra, g: FiniteGroup, sigma, alpha,
+                      alpha_inv) -> None:
+    """N1 for all (g, h) and N2 for all (g, h, s) at once over F_p: each side
+    a contraction of T's structure tensor with the stacked sigma and alpha
+    arrays, reduced mod p after each step.  Raises at the first violation in
+    row-major order, as `_check_cocycle_generic` does."""
+    p, n = t.field.p, g.order
+    mul = np.array(g.table)
+    s = _np_vectors(t, sigma)                   # s[a] @ v = sigma_a(v)
+    al = _np_vectors(t, alpha)                  # al[a, b] = alpha(a, b)
+    left = _np_left(t, al)
+    # column i of each side: sigma_a(sigma_b(e_i)), alpha sigma_ab(e_i) alpha^-1
+    lhs = np.einsum("akm,bmi->abki", s, s) % p
+    rhs = _np_right(t, _np_vectors(t, alpha_inv)) @ (left @ s[mul] % p) % p
+    bad = np.argwhere((lhs != rhs).any(axis=2))
+    if len(bad):
+        a, b, i = bad[0].tolist()
+        raise N1Violation(f"at (g,h,basis) = ({a},{b},{i})")
+    lhs = np.einsum("abkm,abcm->abck", left, al[mul]) % p
+    twisted = np.einsum("akm,bcm->abck", s, al) % p   # sigma_a(alpha(b, c))
+    right = _np_right(t, al)[np.arange(n)[:, None, None], mul[None]]
+    rhs = np.einsum("abckm,abcm->abck", right, twisted) % p
+    bad = np.argwhere((lhs != rhs).any(axis=3))
+    if len(bad):
+        a, b, c = bad[0].tolist()
+        raise N2Violation(f"at (g,h,s) = ({a},{b},{c})")
+
+
+def _check_cocycle_generic(t: Algebra, g: FiniteGroup, sigma, alpha,
+                           alpha_inv) -> None:
+    f, n, d = t.field, g.order, t.dim
     for a in range(n):
         for b in range(n):
             ab = g.mul(a, b)
@@ -96,8 +137,6 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
                 rhs = t.multiply(mat_vec(f, sigma[a], alpha[b][c]), alpha[a][g.mul(b, c)])
                 if lhs != rhs:
                     raise N2Violation(f"at (g,h,s) = ({a},{b},{c})")
-
-    return CrossedSystem(t, g, sigma, alpha, alpha_inv)
 
 
 def trivial_system(t: Algebra, g: FiniteGroup) -> CrossedSystem:
@@ -120,10 +159,24 @@ def canonical_units(sys: CrossedSystem) -> list[Vec]:
     return out
 
 
-def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
+def _product_entries_np(sys: CrossedSystem) -> list:
+    """The coefficients of e_i sigma_a(e_j) alpha(a, b) for every
+    (a, b, i, j) from one contraction of T's structure tensor, as the
+    nonzero entries of `_product_entries_generic`."""
+    t, d = sys.algebra, sys.algebra.dim
+    p, c = t.field.p, t._np_tensor
+    mul = np.array(sys.group.table)
+    half = np.einsum("amj,iml->aijl", _np_vectors(t, sys.sigma), c) % p
+    w = np.einsum("aijl,abkl->abijk", half,
+                  _np_right(t, _np_vectors(t, sys.alpha))) % p
+    a, b, i, j, k = np.nonzero(w)
+    return list(zip((a * d + i).tolist(), (b * d + j).tolist(),
+                    (mul[a, b] * d + k).tolist(), w[a, b, i, j, k].tolist()))
+
+
+def _product_entries_generic(sys: CrossedSystem) -> list:
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
-
     entries = []
     for a in range(n):
         sig = sys.sigma[a]
@@ -137,6 +190,28 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
                     for k, c in enumerate(w):
                         if c:
                             entries.append((a * d + i, b * d + j, ab * d + k, c))
+    return entries
+
+
+def _inverse_pairs(alg: Algebra, xs, ys) -> bool:
+    """Whether x y = y x = 1 for each pair of rows; over F_p, while
+    `_contractible`, all the products at once."""
+    if not _contractible(alg):
+        return all(alg.multiply(x, y) == alg.unit and alg.multiply(y, x) == alg.unit
+                   for x, y in zip(xs, ys))
+    p, c = alg.field.p, alg._np_tensor
+    x, y = _np_vectors(alg, xs), _np_vectors(alg, ys)
+    unit = _np_vectors(alg, alg.unit)
+    return all((np.einsum("rj,rjk->rk", v, np.tensordot(u, c, 1) % p) % p
+                == unit).all() for u, v in ((x, y), (y, x)))
+
+
+def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
+    t, g, f = sys.algebra, sys.group, sys.algebra.field
+    d, n = t.dim, g.order
+
+    entries = (_product_entries_np(sys) if _contractible(t)
+               else _product_entries_generic(sys))
     e = g.identity
     unit = [f.zero] * (d * n)
     unit[e * d: (e + 1) * d] = list(t.unit)
@@ -161,13 +236,15 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
         raise ValidationError("built product is not strongly graded")
 
     # N2 at (g, g^-1, g) makes alpha(g^-1, g)^-1 u_{g^-1} the inverse of u_g
-    for a, u in enumerate(canonical_units(sys)):
+    units = canonical_units(sys)
+    inverses = []
+    for a in range(n):
         b = g.inv(a)
         v = [f.zero] * (d * n)
         v[b * d: (b + 1) * d] = sys.alpha_inv[b][a]
-        if (prod.multiply(u, v) != prod.unit or prod.multiply(v, u) != prod.unit
-                or not in_nucleus(prod, u)):
-            raise ValidationError("canonical unit is not a nuclear unit")
+        inverses.append(tuple(v))
+    if not (_inverse_pairs(prod, units, inverses) and all(nuclear_mask(prod, units))):
+        raise ValidationError("canonical unit is not a nuclear unit")
     return prod, grad
 
 

@@ -44,10 +44,6 @@ class MissingInverse(ValidationError):
     pass
 
 
-class NotNormal(ValidationError):
-    pass
-
-
 # -- gradations -------------------------------------------------------------
 
 class IncompatibleTensor(ValidationError):

@@ -12,7 +12,7 @@ import json
 
 from . import catalog
 from .algebra import (Algebra, SimplicityVerdict, center_is_field,
-                      is_associative, is_simple, make_algebra,
+                      fixed_center, is_associative, is_simple, make_algebra,
                       nucleus_and_center)
 from .cayley import DoublingReport, tower
 from .crossed import (CrossedSystem, build_crossed_product, crossed_center,
@@ -294,7 +294,7 @@ def crossed_block(sys: CrossedSystem, opts) -> dict:
     f = sys.algebra.field
     prod, grad = build_crossed_product(sys)
     z, ztg = crossed_center(sys)
-    brute_z = nucleus_and_center(prod).center
+    brute_z = fixed_center(prod, ())
     block = {
         "coefficient_dim": sys.algebra.dim,
         "group_order": sys.group.order,

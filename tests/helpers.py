@@ -4,7 +4,7 @@ which the library itself never needs."""
 import itertools
 
 from gradix.algebra import (fixed_equations, make_algebra, two_sided_inverse)
-from gradix.errors import NotNormal, ValidationError
+from gradix.errors import ValidationError
 from gradix.groups import validate_group
 from gradix.linalg import Subspace, kernel, projective_walk
 
@@ -69,6 +69,9 @@ def extension_field(f, n, rng):
             entries += [(i, j, k, v[k]) for k in range(n) if v[k]]
     return make_algebra(f, n, entries, (1,) + (0,) * (n - 1))
 
+
+class NotNormal(ValidationError):
+    """The subgroup of a quotient is not normal."""
 
 
 def is_normal(n):

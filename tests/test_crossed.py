@@ -2,11 +2,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix import algebra, crossed, jsonio
-from gradix.algebra import (in_nucleus, is_associative, make_algebra,
-                            nucleus_and_center, simple_under,
-                            two_sided_inverse)
+from gradix.algebra import (center_equations, fixed_center, in_nucleus,
+                            is_associative, make_algebra, nucleus_and_center,
+                            simple_under, two_sided_inverse)
 from gradix.catalog import (field_algebra, matrix_algebra, octonions,
                             product_algebra, quadratic_field_extension,
                             quaternions, random_graded_algebra, swap_matrix,
@@ -17,19 +19,19 @@ from gradix.crossed import (build_crossed_product, canonical_units,
                             validate_crossed_system)
 from gradix.errors import (AlphaNotNuclearUnit, BudgetExceeded, N1Violation,
                            N2Violation, N3Violation, NoNuclearUnit,
-                           NotAutomorphism)
-from gradix.fields import prime_field
+                           NotAutomorphism, ValidationError)
+from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple, is_strong, validate_gradation
 from gradix.groups import cyclic, elementary_abelian_two
-from gradix.linalg import Subspace, identity_matrix, projective_walk
+from gradix.linalg import Subspace, identity_matrix, kernel, projective_walk
 from helpers import fixed_subspace, homogeneous_points, walk_without_points
 
 F2 = prime_field(2)
 F3 = prime_field(3)
 
 
-def frobenius_system(field=None):
-    ext = quadratic_field_extension(field or F3)
+def frobenius_system(field=F3):
+    ext = quadratic_field_extension(field)
     g = cyclic(2)
     sigma = [identity_matrix(ext.field, 2), ext.involution]
     unit = ext.unit
@@ -37,30 +39,31 @@ def frobenius_system(field=None):
     return validate_crossed_system(ext, g, sigma, alpha)
 
 
-def swap_system():
-    t = product_algebra(F3, 2)
+def swap_system(field=F3):
+    t = product_algebra(field, 2)
     g = cyclic(2)
-    sigma = [identity_matrix(F3, 2), swap_matrix(F3)]
+    sigma = [identity_matrix(field, 2), swap_matrix(field)]
     alpha = [[t.unit, t.unit], [t.unit, t.unit]]
     return validate_crossed_system(t, g, sigma, alpha)
 
 
-def rotation_system():
-    t = product_algebra(F3, 3)
+def rotation_system(field=F3):
+    t = product_algebra(field, 3)
     g = cyclic(3)
     rot = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     rot2 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-    sigma = [identity_matrix(F3, 3), rot, rot2]
+    sigma = [identity_matrix(field, 3), rot, rot2]
     alpha = [[t.unit] * 3 for _ in range(3)]
     return validate_crossed_system(t, g, sigma, alpha)
 
 
-def quaternion_cocycle_system():
-    """(Z/2)^2 twisted group ring of F3 with signs read off the quaternions."""
-    qa, qgrad = quaternions(F3)
-    t = field_algebra(F3)
+def quaternion_cocycle_system(field=F3):
+    """(Z/2)^2 twisted group ring of the field with signs read off the
+    quaternions."""
+    qa, qgrad = quaternions(field)
+    t = field_algebra(field)
     g = elementary_abelian_two(2)
-    sigma = [identity_matrix(F3, 1)] * 4
+    sigma = [identity_matrix(field, 1)] * 4
     alpha = [[None] * 4 for _ in range(4)]
     for a in range(4):
         for b in range(4):
@@ -144,12 +147,14 @@ def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
     text = (Path(__file__).resolve().parent.parent / "sample_requests"
             / "crossed_f9_c2.json").read_text()
     solves = _spy(monkeypatch, "nucleus_and_center", (algebra, jsonio))
+    centers = _spy(monkeypatch, "fixed_center", (algebra, crossed, jsonio))
     inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
     report = jsonio.run_request(jsonio.parse_request(text))["report"]
     assert report["centers_match"]
-    # only the product, for the brute-force center: crossed_center solves
-    # Z(T)^G as one system and never the nucleus of T
-    assert [alg.dim for alg, in solves] == [4]
+    # no nuclei and commuter are solved: crossed_center solves Z(T)^G as one
+    # system, and the brute-force center of the product is one kernel too
+    assert solves == []
+    assert [(alg.dim, len(maps)) for alg, maps in centers] == [(2, 2), (4, 0)]
     # alpha takes the values 1 and -1 on C2; the canonical units are checked
     # against their closed-form inverses, which need no solve
     assert len(inverses) == 2
@@ -349,3 +354,148 @@ def test_quaternion_cocycle_rebuilds_quaternions():
     prod, _ = build_crossed_product(sys)
     qa, _ = quaternions(F3)
     assert prod.mult == qa.mult
+
+
+# -- contractions against the generic loops --------------------------------------
+
+FIELD_SYSTEMS = [frobenius_system, swap_system, rotation_system,
+                 quaternion_cocycle_system,
+                 lambda f: trivial_system(truncated_dual(f), cyclic(2)),
+                 lambda f: trivial_system(octonions(f)[0], cyclic(2))]
+
+
+def _outcome(run):
+    """What `run` returns, or the class and message of the ValidationError
+    it raises."""
+    try:
+        return run()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _on_both_paths(run):
+    """`_outcome(run)` with the contractions, then with the generic loops
+    that serve Q and the object dtype."""
+    fast = _outcome(run)
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (algebra, crossed):
+            mp.setattr(mod, "_contractible", lambda alg: False)
+        slow = _outcome(run)
+    return fast, slow
+
+
+def _nudge(data, f, vec, where: str):
+    """vec with one coordinate moved by a nonzero amount."""
+    vec = list(vec)
+    k = data.draw(st.integers(0, len(vec) - 1), label=f"{where} coordinate")
+    vec[k] = f.add(vec[k], data.draw(st.integers(1, f.p - 1), label="shift"))
+    return tuple(vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELD_SYSTEMS), st.sampled_from([F2, F3, prime_field(5)]),
+       st.sampled_from(["none", "sigma", "alpha", "unchecked"]), st.data())
+def test_contractions_match_the_generic_loops(mk, f, change, data):
+    sys = mk(f)
+    t, g, n = sys.algebra, sys.group, sys.group.order
+    sigma = [list(m) for m in sys.sigma]
+    alpha = [list(row) for row in sys.alpha]
+    a = data.draw(st.integers(0, n - 1), label="g")
+    b = data.draw(st.integers(0, n - 1), label="h")
+    # another of the automorphisms, or a scalar multiple of the alpha,
+    # mostly breaks N1 or N2; a nudged entry mostly breaks more
+    other = data.draw(st.booleans(), label="keep the kind")
+    if change == "sigma" and other:
+        sigma[a] = sys.sigma[b]
+    elif change == "sigma":
+        sigma[a][b % t.dim] = _nudge(data, f, sigma[a][b % t.dim], "sigma")
+    elif change in ("alpha", "unchecked") and other and f.p > 2:
+        c = data.draw(st.integers(2, f.p - 1), label="scalar")
+        alpha[a][b] = t.scale(c, alpha[a][b])
+    elif change in ("alpha", "unchecked"):
+        alpha[a][b] = _nudge(data, f, alpha[a][b], "alpha")
+
+    def build():
+        if change == "unchecked":
+            # past validation: the product of an alpha that may break N2, or
+            # whose inverse is wrong, meets the canonical-unit check
+            inv = two_sided_inverse(t, alpha[a][b]) or t.unit
+            rows = [list(row) for row in sys.alpha_inv]
+            rows[a][b] = inv
+            checked = crossed.CrossedSystem(
+                t, g, sys.sigma, tuple(map(tuple, alpha)),
+                tuple(map(tuple, rows)))
+        else:
+            checked = validate_crossed_system(t, g, sigma, alpha)
+        prod, _ = build_crossed_product(checked)
+        return prod.mult
+
+    fast, slow = _on_both_paths(build)
+    assert fast == slow
+
+    twist = [[data.draw(st.integers(0, f.p - 1), label="twist")
+              for _ in range(t.dim)] for _ in range(t.dim)]
+    for alg, tw in ((t, None), (t, sys.sigma[a]), (t, twist)):
+        def solve():
+            rows = center_equations(alg, tw)
+            return ([tuple(r) for r in rows],
+                    kernel(f, rows, alg.dim).basis)
+        fast, slow = _on_both_paths(solve)
+        assert fast == slow
+
+
+def test_canonical_unit_check_refuses_on_both_paths():
+    # alpha(r, r) = e_1, an invertible octonion outside the nucleus: the
+    # product builds, and u_r is a unit but not nuclear
+    o = octonions(F3)[0]
+    g = cyclic(2)
+    e1 = o.basis_vector(1)
+    alpha = ((o.unit, o.unit), (o.unit, e1))
+    inv = ((o.unit, o.unit), (o.unit, two_sided_inverse(o, e1)))
+    sys = crossed.CrossedSystem(o, g, (identity_matrix(F3, 8),) * 2, alpha, inv)
+    fast, slow = _on_both_paths(lambda: build_crossed_product(sys))
+    assert fast == slow == (ValidationError, "canonical unit is not a nuclear unit")
+    with pytest.raises(AlphaNotNuclearUnit, match=r"alpha\[1\]\[1\]"):
+        validate_crossed_system(o, g, sys.sigma, alpha)
+
+
+# -- crossed products over Q ---------------------------------------------------------
+
+QQ = rationals()
+
+
+def gaussian_conjugation_system(alpha11=(1, 0)):
+    """Q(i) x| C2 with sigma the conjugation, alpha(r, r) = alpha11."""
+    qi = make_algebra(QQ, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1),
+                              (1, 1, 0, -1)], (1, 0))
+    sigma = [identity_matrix(QQ, 2), ((1, 0), (0, -1))]
+    alpha = [[qi.unit, qi.unit], [qi.unit, alpha11]]
+    return validate_crossed_system(qi, cyclic(2), sigma, alpha)
+
+
+@pytest.mark.parametrize("mk", [gaussian_conjugation_system,
+                                lambda: quaternion_cocycle_system(QQ)])
+def test_rational_crossed_products(mk):
+    sys = mk()
+    prod, grad = build_crossed_product(sys)
+    assert is_strong(prod, grad)
+    z, ztg = crossed_center(sys)
+    assert z.basis == fixed_center(prod, ()).basis
+    assert ztg.rank == 1 and ztg.contains(sys.algebra.unit)
+
+
+def test_rational_quaternion_cocycle_builds_the_quaternions():
+    prod, _ = build_crossed_product(quaternion_cocycle_system(QQ))
+    assert prod.mult == quaternions(QQ)[0].mult
+    assert fixed_center(prod, ()).rank == 1
+
+
+def test_rational_cocycle_changes_are_refused():
+    # alpha(r, r) = i is a nuclear unit, but sigma_r(i) = -i breaks N2
+    with pytest.raises(N2Violation, match=r"\(1,1,1\)"):
+        gaussian_conjugation_system((0, 1))
+    sys = quaternion_cocycle_system(QQ)
+    alpha = [list(row) for row in sys.alpha]
+    alpha[1][2] = (-alpha[1][2][0],)
+    with pytest.raises(N2Violation):
+        validate_crossed_system(sys.algebra, sys.group, sys.sigma, alpha)

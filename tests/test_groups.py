@@ -1,11 +1,11 @@
 import pytest
 
 from gradix.errors import (MissingIdentity, MissingInverse,
-                           NonAssociativeTable, NotNormal, ValidationError)
+                           NonAssociativeTable, ValidationError)
 from gradix.groups import (center, central_series, cyclic, dihedral,
                            direct_product, elementary_abelian_two, subgroup,
                            symmetric, validate_group)
-from helpers import quotient_group
+from helpers import NotNormal, quotient_group
 
 
 def test_validate_rejects_bad_tables():

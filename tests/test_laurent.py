@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import jsonio, laurent
-from gradix.algebra import first_unit, nucleus_and_center, two_sided_inverse
+from gradix.algebra import (first_unit, make_algebra, nucleus_and_center,
+                            two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix,
-                            matrix_algebra, product_algebra,
+                            matrix_algebra, octonions, product_algebra,
                             quadratic_field_extension, swap_matrix,
                             truncated_dual)
 from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
@@ -403,7 +404,7 @@ def cycles_matrix(f, lengths):
 def test_central_witness_check_refused_past_the_budget(monkeypatch):
     # F_2^10 with sigma of cycle type (2, 3, 5), order 30: the sweep counts
     # 1 023 points, the search finds the witness 1 + x^30, and its check
-    # would evaluate 3 (30 * 10)^2 = 270 000 associators
+    # evaluates 3 * 30 * 10^2 = 9 000 associators
     def refuse(*args):
         raise AssertionError("checked the witness")
     monkeypatch.setattr(laurent, "verify_central", refuse)
@@ -412,10 +413,88 @@ def test_central_witness_check_refused_past_the_budget(monkeypatch):
     assert ring.orders == (30,)
     with pytest.raises(BudgetExceeded, match="1023 projective points"):
         is_sigma_simple(ring, budget=1022)
-    with pytest.raises(BudgetExceeded, match="270000 associators of the "
-                       "central-witness check exceed budget 100000"):
-        laurent_simplicity_verdict(ring, budget=10 ** 5)
-    assert inner_witness_search(ring, budget=10 ** 5) == ((1,) * 10, (30,))
+    with pytest.raises(BudgetExceeded, match="9000 associators of the "
+                       "central-witness check exceed budget 8999"):
+        laurent_simplicity_verdict(ring, budget=8999)
+    assert inner_witness_search(ring, budget=8999) == ((1,) * 10, (30,))
+    monkeypatch.undo()
+    v = laurent_simplicity_verdict(ring, budget=9000)
+    assert v.central_witness.support() == ((0,), (30,))
+
+
+def central_by_all_pairs(ring, c):
+    """The centrality check over every pair of singles of the period box in
+    each associator slot, 3 (|period box| d)^2 associators: the reference
+    for `verify_central`, which fixes the second single at exponent 0."""
+    alg = ring.algebra
+    singles = [x_power(ring, j, alg.basis_vector(b))
+               for j in itertools.product(*[range(o) for o in ring.orders])
+               for b in range(alg.dim)]
+    return (all(laurent_commutator(ring, c, s).is_zero() for s in singles) and
+            all(laurent_associator(ring, *trip).is_zero()
+                for a in singles for b in singles
+                for trip in ((c, a, b), (a, c, b), (a, b, c))))
+
+
+def commutative_double(f, dim, rng):
+    """A x A for a random commutative unital A of dimension `dim`, which is
+    rarely associative, with the swap of the two factors: an element
+    (u, u) x^2 commutes with the whole Laurent ring, and is central only
+    when u is nuclear."""
+    entries = [(0, j, j, 1) for j in range(dim)]
+    entries += [(j, 0, j, 1) for j in range(1, dim)]
+    for i in range(1, dim):
+        for j in range(i, dim):
+            for k in range(dim):
+                c = rng.randrange(f.p)
+                entries += [(i, j, k, c)] + ([(j, i, k, c)] if i != j else [])
+    entries += [(i + dim, j + dim, k + dim, c) for i, j, k, c in entries]
+    alg = make_algebra(f, 2 * dim, entries, (1,) + (0,) * (dim - 1) + (1,)
+                       + (0,) * (dim - 1))
+    swap = [[int(k == (j + dim) % (2 * dim)) for j in range(2 * dim)]
+            for k in range(2 * dim)]
+    return make_laurent_ring(alg, [swap])
+
+
+def octonion_ring(rank):
+    """O over F_3 with the doubling automorphism diag(1^4, -1^4) on each of
+    the `rank` variables."""
+    flip = [[(1 if j < 4 else 2) * int(j == k) for j in range(8)]
+            for k in range(8)]
+    return make_laurent_ring(octonions(F3)[0], [flip] * rank)
+
+
+CENTRAL_RINGS = [octonion_ring(1), octonion_ring(2),
+                 commutative_double(F3, 3, random.Random(2))]
+
+
+@st.composite
+def near_central_elements(draw, ring):
+    """A sum of terms at exponents that are multiples of the orders, with
+    sigma-fixed coefficients, each shifted off the unit line with some
+    probability, plus at times one random term; a good share of them are
+    central."""
+    alg = ring.algebra
+    fixed = fixed_subspace(alg, ring.sigma).basis
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = [o * draw(st.integers(-1, 1)) for o in ring.orders]
+        coeff = alg.scalar_vec(draw(st.integers(0, 2)))
+        if draw(st.integers(0, 3)) == 0:
+            coeff = alg.add_vec(coeff, draw(st.sampled_from(fixed)))
+        terms.append((m, coeff))
+    if draw(st.integers(0, 3)) == 0:
+        m = [draw(st.integers(-2, 2)) for _ in ring.orders]
+        terms.append((m, [draw(st.integers(0, 2)) for _ in range(alg.dim)]))
+    return laurent_element(ring, terms)
+
+
+@pytest.mark.parametrize("ring", CENTRAL_RINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_central_check_matches_all_pairs(ring, data):
+    c = data.draw(near_central_elements(ring))
+    assert verify_central(ring, c) == central_by_all_pairs(ring, c)
 
 
 def test_rings_are_freed_after_use():
