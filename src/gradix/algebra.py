@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DimensionMismatch, ExactModeUnavailable, ValidationError
 from .fields import FieldSpec, Scalar
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_inverse, mat_vec, np_dtype, projective_walk,
-                     solve_affine)
+                     mat_inverse, mat_vec, np_dtype, np_matmul,
+                     projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
 # prime below 2^25, so the density test runs in int64 up to d = 90.
@@ -116,10 +116,14 @@ class Algebra:
     @cached_property
     def _np_defect(self) -> np.ndarray:
         """D[i, j, k, l]: the l-th coordinate of the basis associator
-        (e_i, e_j, e_k) over F_p."""
-        c = self._np_tensor
-        return (np.einsum("ijm,mkl->ijkl", c, c) -
-                np.einsum("jkm,iml->ijkl", c, c)) % self.field.p
+        (e_i, e_j, e_k) over F_p: (e_i e_j) e_k - e_i (e_j e_k), each side
+        one (d^2 x d) @ (d x d^2) `np_matmul` of the structure tensor."""
+        c, d, p = self._np_tensor, self.dim, self.field.p
+        flat = c.reshape(d * d, d)
+        first = np_matmul(flat, c.reshape(d, d * d), p)      # [(i, j), (k, l)]
+        second = np_matmul(flat, c.transpose(1, 0, 2).reshape(d, d * d), p)
+        second = second.reshape((d,) * 4).transpose(2, 0, 1, 3)  # [j,k,i,l]
+        return (first.reshape((d,) * 4) - second) % p
 
     @cached_property
     def _associator_triples(self) -> list:
@@ -377,8 +381,7 @@ def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
     """Per vector, whether it lies in the nucleus, tested on the equations
     of `nucleus_equation_rows` without solving them.  Over F_p the
     associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all the
-    vectors at once are one contraction of `_np_defect` per slot, each
-    entry a sum of d residue products inside `np_dtype`."""
+    vectors at once are one `np_matmul` with `_np_defect` per slot."""
     vecs = list(vecs)
     for v in vecs:
         if len(v) != alg.dim:
@@ -389,8 +392,9 @@ def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
         x = np.array(vecs, dtype=defect.dtype).reshape(-1, alg.dim) % f.p
         bad = np.zeros(len(x), dtype=bool)
         for s in range(3):
-            slot = np.tensordot(x, defect, axes=([1], [s])) % f.p
-            bad |= slot.reshape(len(x), -1).any(axis=1)
+            slot = np_matmul(x, np.moveaxis(defect, s, 0).reshape(alg.dim, -1),
+                             f.p)
+            bad |= slot.any(axis=1)
         return (~bad).tolist()
     rows = nucleus_equation_rows(alg)
     return [not any(mat_vec(f, rows, v)) for v in vecs]
@@ -596,10 +600,10 @@ def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
     out = None
     while e:
         if e & 1:
-            out = x if out is None else (out @ x) % p
+            out = x if out is None else np_matmul(out, x, p)
         e >>= 1
         if e:
-            x = (x @ x) % p
+            x = np_matmul(x, x, p)
     return out
 
 
@@ -628,19 +632,19 @@ def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
     is injective and fixes only the prime field (Berlekamp)."""
     from .linalg import np_kernel, np_rref
     p, d = alg.field.p, alg.dim
-    left = gens[:d]
+    left = gens[:d].reshape(d, d * d)
     cbasis = np.eye(d, dtype=gens.dtype)
     for start in range(0, len(gens), 4):
         if len(cbasis) == 1:
             break
-        ls = np.tensordot(cbasis, left, 1) % p   # L_c for each basis c
+        ls = np_matmul(cbasis, left, p).reshape(-1, 1, d, d)  # L_c per basis c
         chunk = gens[start:start + 4]
-        comm = (ls[:, None] @ chunk - chunk @ ls[:, None]) % p
+        comm = np_matmul(ls, chunk, p) - np_matmul(chunk, ls, p)
         cbasis = np_kernel(comm.reshape(len(cbasis), -1).T, p) @ cbasis % p
     cbasis, cpiv = np_rref(cbasis, p)
     k = len(cbasis)
     if k > 1:
-        xs = np.tensordot(cbasis, left, 1) % p
+        xs = np_matmul(cbasis, left, p).reshape(-1, d, d)
         unit = np.array([int(c) % p for c in alg.unit], dtype=xs.dtype)
         frob = (_np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
         if (len(np_rref(frob, p)[0]) < k or
@@ -732,7 +736,7 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     for _ in range(NORTON_DRAWS):
         coeffs = np.array([rng.randrange(p) for _ in gens], dtype=np.int64)
         y = (coeffs[:, None, None] * gens % p).sum(axis=0) % p
-        x = (x @ y % p + y) % p
+        x = (np_matmul(x, y, p) + y) % p
         v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
         for lam in _min_poly_roots(x, v, p):
             shifted = (x - lam * eye) % p
@@ -753,18 +757,22 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     `projective_walk` of the subspaces, refused past the budget before
     anything runs.
     A test of irreducibility runs first when int64 holds its products: for
-    d >= 5, Norton's test once the sweep would visit more than 2 d points;
+    d >= 5, Norton's test once the sweep would visit more than d points;
     past d^2 points, the density test, alone for d <= 4, where it is the
     cheaper one, and for d >= 5 when Norton's test is undecided.  An
     irreducible A is then decided without the sweep, which otherwise runs
-    to name the same first witness."""
+    to name the same first witness.  The crossover is measured: at d = 16
+    over F_3 one Norton call, its products on BLAS (`np_matmul`), costs
+    about as much as 8-10 closures of the sweep, so sweeps of up to d
+    points, as of crossed products with a one-dimensional T, stay
+    cheaper."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     p, d = alg.field.p, alg.dim
     total, points = projective_walk(spaces, budget, what)
     gens = _np_generators(alg, maps)
     irreducible = None
-    if d >= 5 and total > 2 * d and _norton_fits(p, d):
+    if d >= 5 and total > d and _norton_fits(p, d):
         irreducible = _norton_irreducible(alg, gens)
     if irreducible is None and total > d * d and _density_fits(p, d):
         irreducible = _density_irreducible(alg, gens)
@@ -832,10 +840,11 @@ def is_simple(alg: Algebra, budget: int = 1_000_000, trials: int = 1000,
 
 def subfield_check(alg: Algebra, s: Subspace, budget: int = 1_000_000) -> bool:
     """Every nonzero element of the subspace has a two-sided inverse lying
-    in the subspace again (so s, assumed closed under products, is a field)."""
+    in the subspace again (so s, assumed closed under products, is a field).
+    The scalar line is a field over every field, and needs no walk."""
+    if s.rank == 1 and s.contains(alg.unit):
+        return True
     if not alg.field.is_finite:
-        if s.rank == 1 and s.contains(alg.unit):
-            return True  # the scalar line
         raise ExactModeUnavailable("field check over Q needs the scalar line")
     _, points = projective_walk([s], budget,
                                 "projective points of a field check")

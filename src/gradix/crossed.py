@@ -22,18 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _contractible, _np_left,
-                      _np_right, _np_vectors, center_equations, first_unit,
-                      fixed_center, fixed_equations, in_nucleus,
-                      is_ring_automorphism, make_algebra, nuclear_mask,
-                      nucleus_equation_rows, right_mult_matrix, simple_under,
-                      two_sided_inverse)
+                      _np_right, _np_vectors, _nucleus_blocks_np,
+                      center_equations, first_unit, fixed_center,
+                      fixed_equations, in_nucleus, is_ring_automorphism,
+                      make_algebra, nuclear_mask, nucleus_equation_rows,
+                      right_mult_matrix, simple_under, two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
 from .graded import Gradation, is_strong, validate_gradation
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_mul, mat_vec)
+                     mat_mul, mat_vec, np_matmul)
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,49 @@ def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:
       (iii) t_g in N(T)
     together with the fixed central subfield Z(T)^G of T.  The rows of (i)
     and (iii) are `center_equations(T, sigma_g)`, and for hgh^-1 = g those
-    of (ii) are `fixed_equations` of its map t_g -> t_g."""
+    of (ii) are `fixed_equations` of its map t_g -> t_g.  Over F_p, while
+    `_contractible`, the whole system is one array (`_center_rows_np`)."""
+    t = sys.algebra
+    rows = (_center_rows_np(sys) if _contractible(t)
+            else _center_rows_generic(sys))
+    return kernel(t.field, rows, sys.dim), fixed_center(t, sys.sigma)
+
+
+def _center_rows_np(sys: CrossedSystem) -> np.ndarray:
+    """The equations of `crossed_center` over F_p, blocks of d columns per
+    group element, nonzero rows only.  (i) for every g is one contraction
+    of T's structure tensor with the stacked sigma, and (iii) the nucleus
+    rows repeated in each block.  (ii) for every (h, g) is the row block
+    t_{hgh^-1} - m[h, g] t_g with m[h, g] = R_{alpha(hgh^-1, h)^-1}
+    R_{alpha(h, g)} sigma_h, all of them one batched `np_matmul`; where
+    hgh^-1 = g the block is I - m, the fixed rows of m up to sign."""
+    t, g = sys.algebra, sys.group
+    d, n, p = t.dim, g.order, t.field.p
+    s = _np_vectors(t, sys.sigma)                       # s[a] @ v = sigma_a(v)
+    eye = np.eye(d, dtype=s.dtype)
+    diff = (_np_left(t, eye) - _np_right(t, s.transpose(0, 2, 1))) % p
+    nucleus = np.concatenate(_nucleus_blocks_np(t)[:3])
+    own = np.concatenate([diff.reshape(n, d * d, d),
+                          np.broadcast_to(nucleus, (n,) + nucleus.shape)], 1)
+    first = np.zeros((n, own.shape[1], n, d), dtype=s.dtype)
+    first[np.arange(n), :, np.arange(n)] = own
+
+    conj = np.array([[g.conj(a, h) for a in range(n)] for h in range(n)])
+    h, a = np.indices((n, n))
+    r_alpha = _np_right(t, _np_vectors(t, sys.alpha))
+    r_inv = _np_right(t, _np_vectors(t, sys.alpha_inv))[conj, h]
+    m = np_matmul(r_inv, np_matmul(r_alpha, s[:, None], p), p)
+    second = np.zeros((n, n, d, n, d), dtype=s.dtype)
+    second[h, a, :, a] = -m
+    i = np.arange(d)
+    second[h[..., None], a[..., None], i, conj[..., None], i] += 1
+
+    rows = np.concatenate([first.reshape(-1, n * d),
+                           second.reshape(-1, n * d) % p])
+    return rows[rows.any(axis=1)]
+
+
+def _center_rows_generic(sys: CrossedSystem) -> list:
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
     dim = d * n
@@ -381,5 +423,4 @@ def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:
             else:
                 rows += [block_row([(a, [f.neg(c) for c in mrow]), (k, irow)])
                          for mrow, irow in zip(m, ident)]
-
-    return kernel(f, rows, dim), fixed_center(t, sys.sigma)
+    return rows

@@ -5,10 +5,11 @@ FieldSpec with plain Python scalars and is the reference for everything.
 The numpy one handles F_p only (arrays reduced mod p) and exists because
 the ideal-closure loops enumerate thousands of subspaces; it holds int64
 while a row's sums of products fit (`np_dtype`) and Python ints past that.
-`kernel` takes F_p equations as an array as well as a list of rows, and
-`np_rref` drops the all-zero rows before its pivot loop; the large sparse
-systems of the nucleus solves arrive with theirs already dropped
-(`algebra._nucleus_blocks_np`).  Over Q the numpy path does most of the
+Large residue products go through `np_matmul`, exact on float64 BLAS while
+k (p - 1)^2 < 2^53 for contraction length k.  `kernel` takes F_p equations
+as an array as well as a list of rows, and `np_rref` drops the all-zero
+rows before its pivot loop; the large sparse systems of the nucleus solves
+arrive with theirs already dropped (`algebra._nucleus_blocks_np`).  Over Q the numpy path does most of the
 work as well: `algebra` reduces an algebra mod one large prime
 (`Algebra._reduced`), whose ranks bound the ranks over Q from below, and
 the generic path runs only for the answers that reduction cannot certify.
@@ -306,11 +307,31 @@ def np_dtype(p: int, width: int):
     return np.int64 if 2 * width * (p - 1) ** 2 < 2 ** 63 else object
 
 
+def np_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, for arrays (or stacks, broadcast as `@` does) whose
+    entries have absolute value at most p - 1.  numpy's integer `@` is a
+    plain loop; float64 `@` is BLAS, and it is exact here.  With k the
+    contraction length, every partial sum of every entry, in whatever
+    order BLAS adds and with or without fused multiply-adds, is an integer
+    of absolute value at most k (p - 1)^2; below 2^53 each one is a float64
+    exactly, so no step rounds.  Past that bound (at P = 33554393 from
+    k = 8 on), or on object arrays, the product is `@` in the arrays' own
+    dtype."""
+    k = np.shape(a)[-1]
+    if a.dtype != object and b.dtype != object and k * (p - 1) ** 2 < 2 ** 53:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return prod.astype(np.int64) % p
+    return a @ b % p
+
+
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """RREF of a matrix mod p; returns (nonzero rows, pivot columns).
     All-zero rows are dropped before the pivot loop: they change neither
     the canonical form nor its pivots, and the nucleus systems are mostly
-    made of them."""
+    made of them.  Residues are at least 0, so a column below row r has a
+    nonzero exactly when its largest entry, the one `argmax` finds, is
+    nonzero; that row becomes the pivot row (the RREF is canonical, so the
+    choice does not show in the result)."""
     a = np.array(a, dtype=np_dtype(p, np.shape(a)[1])) % p
     a = a[(a != 0).any(axis=1)]
     m, n = a.shape
@@ -319,16 +340,17 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        i = r + int(np.argmax(a[r:, c]))
+        if not a[i, c]:
             continue
-        i = r + int(nz[0])
+        row = a[i] * pow(int(a[i, c]), p - 2, p) % p
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+            a[i] = a[r]
+        a[r] = row
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - col[:, None] * a[r]) % p
+        a -= col[:, None] * row
+        a %= p
         pivots.append(c)
         r += 1
     return a[:r], pivots

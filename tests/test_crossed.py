@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -9,9 +10,10 @@ from gradix import algebra, crossed, jsonio
 from gradix.algebra import (center_equations, fixed_center, in_nucleus,
                             is_associative, make_algebra, nucleus_and_center,
                             simple_under, two_sided_inverse)
-from gradix.catalog import (field_algebra, matrix_algebra, octonions,
-                            product_algebra, quadratic_field_extension,
-                            quaternions, random_graded_algebra, swap_matrix,
+from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
+                            octonions, product_algebra,
+                            quadratic_field_extension, quaternions,
+                            random_graded_algebra, swap_matrix,
                             truncated_dual)
 from gradix.crossed import (build_crossed_product, canonical_units,
                             crossed_center, is_G_simple,
@@ -22,7 +24,7 @@ from gradix.errors import (AlphaNotNuclearUnit, BudgetExceeded, N1Violation,
                            NotAutomorphism, ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple, is_strong, validate_gradation
-from gradix.groups import cyclic, elementary_abelian_two
+from gradix.groups import cyclic, dihedral, elementary_abelian_two
 from gradix.linalg import Subspace, identity_matrix, kernel, projective_walk
 from helpers import fixed_subspace, homogeneous_points, walk_without_points
 
@@ -442,6 +444,64 @@ def test_contractions_match_the_generic_loops(mk, f, change, data):
                     kernel(f, rows, alg.dim).basis)
         fast, slow = _on_both_paths(solve)
         assert fast == slow
+
+
+def diagonal(f, signs):
+    return tuple(tuple(f.coerce(signs[i]) if i == j else f.zero
+                       for j in range(len(signs))) for i in range(len(signs)))
+
+
+def homs_to_c2(group):
+    """Every homomorphism G -> Z/2, as a tuple of 0s and 1s."""
+    maps = itertools.product((0, 1), repeat=group.order)
+    return [m for m in maps if all(m[group.mul(a, b)] == m[a] ^ m[b]
+                                   for a in group.elements()
+                                   for b in group.elements())]
+
+
+def commutative_not_associative(f):
+    """1, x, y with x x = y and y y = x, x y = y x = 0: commutative, and
+    (x x) y = x while x (x y) = 0, so its center is smaller than its
+    commuter."""
+    unit = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in (1, 2)]
+    return make_algebra(f, 3, unit + [(1, 1, 2, 1), (2, 2, 1, 1)], (1, 0, 0))
+
+
+# (T, an automorphism of T), small enough with the groups below that the
+# generic loops stay fast; the octonions and the commutative T have
+# nontrivial nucleus equations, which only the latter needs
+COEFFICIENTS = [lambda f: (commutative_not_associative(f),
+                           identity_matrix(f, 3)),lambda f: (quadratic_field_extension(f), frobenius_matrix(f)),
+                lambda f: (product_algebra(f, 2), swap_matrix(f)),
+                lambda f: (truncated_dual(f), diagonal(f, [1, -1])),
+                lambda f: (quaternions(f)[0], diagonal(f, [1, 1, -1, -1])),
+                lambda f: (octonions(f)[0], identity_matrix(f, 8))]
+HOM_GROUPS = [(g, homs_to_c2(g)) for g in (
+    cyclic(2), cyclic(4), elementary_abelian_two(2), dihedral(3), dihedral(4))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F3, prime_field(5)]), st.sampled_from(COEFFICIENTS),
+       st.sampled_from(HOM_GROUPS), st.data())
+def test_center_rows_match_the_generic_loop(f, coefficients, hom_group, data):
+    # sigma_g = twist^phi(g) and alpha(g, h) = (-1)^(psi(g) chi(h)) for maps
+    # phi, psi, chi: G -> Z/2; over D3 and D4 hgh^-1 != g, so both kinds of
+    # (ii) rows occur, and psi != chi makes alpha(g, h) != alpha(h, g)
+    t, twist = coefficients(f)
+    group, homs = hom_group
+    if t.dim * group.order > 16:
+        group, homs = HOM_GROUPS[0]
+    phi, psi, chi = (data.draw(st.sampled_from(homs), label=name)
+                     for name in ("phi", "psi", "chi"))
+    ident = identity_matrix(f, t.dim)
+    sigma = [twist if phi[a] else ident for a in group.elements()]
+    alpha = [[t.scalar_vec(-1 if psi[a] and chi[b] else 1)
+              for b in group.elements()] for a in group.elements()]
+    sys = validate_crossed_system(t, group, sigma, alpha)
+    fast, slow = _on_both_paths(lambda: crossed_center(sys))
+    assert fast == slow
+    prod, _ = build_crossed_product(sys)
+    assert fast[0] == nucleus_and_center(prod).center
 
 
 def test_canonical_unit_check_refuses_on_both_paths():

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from gradix import algebra, jsonio, linalg
 from gradix.algebra import (SimplicityVerdict, ideal_closure, multiply,
                             simple_under, two_sided_inverse)
-from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
-                            octonions, product_algebra, product_with_swap,
-                            quadratic_field_extension, quaternions,
-                            random_graded_algebra, sedenions, truncated_dual)
+from gradix.catalog import (field_algebra, frobenius_matrix, group_algebra,
+                            matrix_algebra, octonions, product_algebra,
+                            product_with_swap, quadratic_field_extension,
+                            quaternions, random_graded_algebra, sedenions,
+                            swap_matrix, truncated_dual)
 from gradix.cayley import cayley_double
-from gradix.crossed import build_crossed_product, trivial_system
+from gradix.crossed import (build_crossed_product, trivial_system,
+                            validate_crossed_system)
 from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
                            IncompatibleTensor, NotHomogeneous,
                            UnitNotInIdentityComponent, ValidationError)
@@ -22,8 +24,9 @@ from gradix.fields import prime_field, rationals
 from gradix.graded import (Gradation, graded_ideal_closure, is_faithful,
                            is_graded_simple, is_strong,
                            simplicity_equivalence, validate_gradation)
-from gradix.groups import cyclic, elementary_abelian_two, subgroup, symmetric
-from gradix.linalg import Subspace, projective_walk
+from gradix.groups import (cyclic, dihedral, direct_product,
+                           elementary_abelian_two, subgroup, symmetric)
+from gradix.linalg import Subspace, identity_matrix, projective_walk
 from helpers import homogeneous_points, quotient_group, walk_without_points
 
 F2 = prime_field(2)
@@ -144,7 +147,7 @@ def cayley_cases(draw):
 
 
 def test_graded_simple_not_simple_by_norton():
-    # M_2(F_3)[C2] = M_2(F_3) x M_2(F_3): 80 homogeneous points > 2 * 8 send
+    # M_2(F_3)[C2] = M_2(F_3) x M_2(F_3): 80 homogeneous points > 8 send
     # it to Norton's test, where only the projections make it irreducible
     prod, grad = build_crossed_product(trivial_system(matrix_algebra(F3, 2),
                                                       cyclic(2)))
@@ -176,8 +179,8 @@ def test_graded_verdict_matches_homogeneous_sweep():
 @st.composite
 def graded_norton_cases(draw):
     """A graded algebra of dimension 5 to 8 over F_2, F_3, F_5 or F_7 whose
-    graded verdict runs Norton's test first (more than 2 d homogeneous
-    points): trivial crossed products of H and M_2 by C2, Cayley doubles of
+    graded verdict runs Norton's test first (more than d homogeneous
+    points, here more than 2 d): trivial crossed products of H and M_2 by C2, Cayley doubles of
     dimension 8 with their C2-gradation, and random C2-graded algebras with
     components of dimensions 3 or 4 and at most that."""
     f = prime_field(draw(st.sampled_from([2, 3, 5, 7])))
@@ -211,7 +214,7 @@ def test_graded_norton_verdicts_match_homogeneous_sweep(case):
 
 
 def test_undecided_norton_within_d_squared_falls_back_to_the_sweep(monkeypatch):
-    # 14 homogeneous points at d = 6: past 2 d, so Norton's test runs, but
+    # 14 homogeneous points at d = 6: past d, so Norton's test runs, but
     # not past d^2, so when no draw decides the sweep does, not the density
     # test
     monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
@@ -237,6 +240,75 @@ def test_graded_quaternion_crossed_product_needs_no_sweep(monkeypatch):
                         walk_without_points(projective_walk))
     assert is_graded_simple(prod, grad) == SimplicityVerdict(True, None,
                                                              "exact", 160)
+
+
+# groups of order 3 to 8 with a map onto C2 (0 for all of C3), which picks
+# the group elements that act on T by the twist
+TWISTED_GROUPS = [(cyclic(3), lambda a: 0), (cyclic(4), lambda a: a % 2),
+                  (elementary_abelian_two(2), lambda a: a & 1),
+                  (dihedral(4), lambda a: a >= 4),
+                  (direct_product(cyclic(2), cyclic(4)), lambda a: a // 4),
+                  (elementary_abelian_two(3), lambda a: a & 1)]
+
+
+def twisted_product(t, twist, group, sign):
+    """T x| G with sigma_g = twist^sign(g) and alpha = 1."""
+    ident = identity_matrix(t.field, t.dim)
+    sigma = [twist if sign(a) else ident for a in group.elements()]
+    ones = [[t.unit] * group.order for _ in range(group.order)]
+    return build_crossed_product(validate_crossed_system(t, group, sigma, ones))
+
+
+def test_thirty_two_homogeneous_points_go_to_norton(monkeypatch):
+    # F_9 x| C2xC4 with the Galois twist and F_3 x F_3 x| D4 with the swap:
+    # d = 16 and 32 homogeneous points, past d, so Norton's test proves
+    # them graded simple without a sweep point; with every draw undecided
+    # the sweep gives the same verdict
+    ext = quadratic_field_extension(F3)
+    cases = [twisted_product(ext, ext.involution, *TWISTED_GROUPS[4]),
+             twisted_product(product_algebra(F3, 2), swap_matrix(F3),
+                             *TWISTED_GROUPS[3])]
+    want = SimplicityVerdict(True, None, "exact", 32)
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra, "projective_walk",
+                   walk_without_points(projective_walk))
+        assert [is_graded_simple(*case) for case in cases] == [want, want]
+    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    assert [is_graded_simple(*case) for case in cases] == [want, want]
+
+
+@st.composite
+def between_d_and_2d_cases(draw):
+    """A graded algebra of dimension 5 to 16 with more than d and at most 2 d
+    homogeneous points: T x| G for a two-dimensional T over F_2 or F_3, and
+    random C2-graded algebras over F_2 with components of dimensions 3
+    and 2, the unit in the identity component."""
+    f = prime_field(draw(st.sampled_from([2, 3])))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        tail = draw(st.permutations([0, 1, 1, draw(st.integers(0, 1))]))
+        return random_graded_algebra(F2, cyclic(2), [0] + tail, rng)
+    t, twist = draw(st.sampled_from([
+        (quadratic_field_extension(f), frobenius_matrix(f)),
+        (product_algebra(f, 2), swap_matrix(f)),
+        (truncated_dual(f), identity_matrix(f, 2))]))
+    group, sign = draw(st.sampled_from(TWISTED_GROUPS))
+    if draw(st.booleans()):
+        sign = lambda a: 0
+    return twisted_product(t, twist, group, sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(between_d_and_2d_cases())
+def test_norton_between_d_and_2d_matches_homogeneous_sweep(case):
+    alg, grad = case
+    total = sum(len(list(homogeneous_points(alg, grad, g)))
+                for g in grad.support)
+    assert alg.dim >= 5 and alg.dim < total <= 2 * alg.dim
+    with mock.patch.object(algebra, "_norton_irreducible",
+                           wraps=algebra._norton_irreducible) as spy:
+        assert is_graded_simple(alg, grad) == homogeneous_sweep(alg, grad)
+    assert spy.call_count == 1
 
 
 def test_validate_gradation_flags():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from gradix import linalg
 from gradix.errors import BudgetExceeded, DimensionMismatch
-from gradix.fields import prime_field, rationals
+from gradix.fields import _is_prime, prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
-                           mat_mul, mat_power, mat_vec, np_dtype, np_rref,
+                           mat_mul, mat_power, mat_vec, np_dtype, np_matmul,
+                           np_rref,
                            projective_count, projective_points,
                            projective_walk, rref, solve_affine)
 
@@ -238,3 +240,68 @@ def test_kernel_takes_arrays(p):
                  for _ in range(width)] for _ in range(rng.randrange(1, 8))]
         arr = np.array(rows, dtype=np_dtype(p, width))
         assert kernel(f, arr, width) == kernel(f, arr.tolist(), width)
+
+
+def int_matmul(a, b, p):
+    """a @ b mod p for 2-d nested lists, in Python ints."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols]
+            for row in a]
+
+
+def primes_at_the_float_bound(k):
+    """The largest prime p with k (p - 1)^2 < 2^53, and the least prime
+    past it: the last one `np_matmul` multiplies in float64, the first one
+    it keeps in int64."""
+    q = math.isqrt((2 ** 53 - 1) // k)     # the largest p - 1 under the bound
+    below = next(p for p in range(q + 1, 1, -1) if _is_prime(p))
+    above = next(p for p in range(q + 2, 2 * q + 4) if _is_prime(p))
+    assert k * (below - 1) ** 2 < 2 ** 53 <= k * (above - 1) ** 2
+    return below, above
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 64),
+       st.sampled_from(["small", "below", "above", "reduction"]),
+       st.sampled_from([2, 3, 19, 251]), st.integers(0, 3),
+       st.sampled_from(["uniform", "extreme", "signed"]),
+       st.sampled_from(["int64", "object", "mixed"]), st.integers(0, 2 ** 32))
+def test_np_matmul_is_exact(m, k, n, where, small, stack, entries, dtype, seed):
+    # stacks of 0-3 (then 2-d), with b shared by the stack or stacked too
+    p = {"small": small, "reduction": 33554393}.get(where)
+    if p is None:
+        p = primes_at_the_float_bound(k)[where == "above"]
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        if entries == "extreme":
+            return np.full(shape, p - 1, dtype=np.int64)
+        low = -(p - 1) if entries == "signed" else 0
+        return rng.integers(low, p, size=shape, dtype=np.int64)
+    lead = (stack,) if stack else ()
+    a = draw(lead + (m, k))
+    b = draw((lead if seed % 2 else ()) + (k, n))
+    if dtype != "int64":
+        a = a.astype(object)
+        b = b.astype(object) if dtype == "object" else b
+    got = np_matmul(a, b, p)
+    assert got.shape == lead + (m, n)
+    pairs = zip(a, np.broadcast_to(b, lead + (k, n))) if stack else [(a, b)]
+    want = [int_matmul(x.tolist(), y.tolist(), p) for x, y in pairs]
+    assert got.reshape(-1, m, n).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 33554393, BIG_P]), st.integers(1, 9),
+       st.integers(1, 9), st.integers(0, 2 ** 32))
+def test_np_rref_matches_the_generic_echelon(p, m, n, seed):
+    # sparse rows with repeats and multiples: the pivot search and the row
+    # moves of the numpy loop, against the Fraction-free generic echelon
+    rng = random.Random(seed)
+    rows = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)]
+            for _ in range(m)]
+    rows += [[c * rng.randrange(p) % p for c in rng.choice(rows)]
+             for _ in range(rng.randrange(3))]
+    red, piv = np_rref(np.array(rows, dtype=np_dtype(p, n)), p)
+    ech = rref(prime_field(p), rows, n)
+    assert piv == ech.pivots and red.tolist() == ech.rows
