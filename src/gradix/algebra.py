@@ -3,16 +3,19 @@
 An algebra of dimension d stores its multiplication sparsely as entries
 (i, j, k, c) meaning e_i * e_j contains c * e_k; products of arbitrary
 vectors expand bilinearly.  No associativity or commutativity is assumed
-anywhere.  Dense per-basis operator tables are cached lazily for the
-closure loops, and over F_p those live in numpy (exact: residues held in
-int64 while products fit, Python ints past that; see `linalg.np_dtype`).
-Over Q the same numpy path runs on `Algebra._reduced`, the reduction mod
-one large prime, which settles most answers on one side; the Fraction path
-runs only for what that reduction cannot settle.
+anywhere.  Every contraction of the structure tensor (associators,
+nuclei, centers, product and cocycle checks) is one numpy code path for
+every field: over F_p on residues, held in int64 while products fit and
+in Python ints past that (`linalg.np_dtype`); over Q on Python ints, each
+array the rationals times the lcm of their denominators and carried with
+that scale.  Over Q most answers are first settled on `Algebra._reduced`,
+the reduction mod one large prime; elimination over Q, for the rest, is
+`linalg`'s Echelon path.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, ExactModeUnavailable, ValidationError
 from .fields import FieldSpec, Scalar
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_inverse, mat_vec, np_dtype, np_matmul,
+                     mat_inverse, mat_vec, np_dtype, np_matmul, np_mod,
                      projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
@@ -97,12 +100,19 @@ class Algebra:
         return tuple(out)
 
     @cached_property
+    def _np_scale(self) -> int:
+        """The scale of `_np_tensor`: the lcm of the denominators of the
+        structure constants, 1 over F_p."""
+        return math.lcm(*(c.denominator for *_, c in self.mult))
+
+    @cached_property
     def _np_tensor(self) -> np.ndarray:
-        """C[i, j, k] over F_p, in the dtype of rows of width dim."""
-        assert self.field.is_finite
+        """C[i, j, k] times `_np_scale`, in the dtype of rows of width dim:
+        residues over F_p, Python ints over Q."""
         c = np.zeros((self.dim,) * 3, dtype=np_dtype(self.field.p, self.dim))
-        for i, j, k, s in self.mult:
-            c[i, j, k] = s % self.field.p
+        s = self._np_scale
+        for i, j, k, x in self.mult:
+            c[i, j, k] = x.numerator * (s // x.denominator)
         return c
 
     @cached_property
@@ -116,25 +126,16 @@ class Algebra:
     @cached_property
     def _np_defect(self) -> np.ndarray:
         """D[i, j, k, l]: the l-th coordinate of the basis associator
-        (e_i, e_j, e_k) over F_p: (e_i e_j) e_k - e_i (e_j e_k), each side
-        one (d^2 x d) @ (d x d^2) `np_matmul` of the structure tensor."""
+        (e_i, e_j, e_k), (e_i e_j) e_k - e_i (e_j e_k), each side one
+        (d^2 x d) @ (d x d^2) `np_matmul` of the structure tensor; over Q
+        times `_np_scale`^2, a scale that none of its uses (kernels, spans,
+        zero tests) sees."""
         c, d, p = self._np_tensor, self.dim, self.field.p
         flat = c.reshape(d * d, d)
         first = np_matmul(flat, c.reshape(d, d * d), p)      # [(i, j), (k, l)]
         second = np_matmul(flat, c.transpose(1, 0, 2).reshape(d, d * d), p)
         second = second.reshape((d,) * 4).transpose(2, 0, 1, 3)  # [j,k,i,l]
-        return (first.reshape((d,) * 4) - second) % p
-
-    @cached_property
-    def _associator_triples(self) -> list:
-        """Dense table of the basis associators (e_i, e_j, e_k) for the
-        generic path."""
-        prod = self.product_table
-        return [[[self.sub_vec(self.right_by_basis(k, prod[i][j]),
-                               self.left_by_basis(i, prod[j][k]))
-                  for k in range(self.dim)]
-                 for j in range(self.dim)]
-                for i in range(self.dim)]
+        return np_mod(first.reshape((d,) * 4) - second, p)
 
     @cached_property
     def _reduced(self) -> Algebra | None:
@@ -253,58 +254,50 @@ def _check_involution(alg: Algebra) -> None:
         raise ValidationError(f"involution does not reverse products at {bad}")
 
 
-def _contractible(alg: Algebra) -> bool:
-    """Whether contractions of the structure tensor run in numpy: over F_p
-    while `Algebra._np_tensor` is int64, so that a sum of d residue
-    products fits.  Each such contraction keeps a generic loop, for Q and
-    for the object dtype, which is also its reference in the tests."""
-    return alg.field.is_finite and alg._np_tensor.dtype != object
-
-
-def _np_vectors(alg: Algebra, vecs) -> np.ndarray:
-    """A nested sequence of vectors (or matrices) as an array of residues
-    in the dtype of `Algebra._np_tensor`."""
-    return np.array(vecs, dtype=alg._np_tensor.dtype) % alg.field.p
+def _np_vectors(alg: Algebra, vecs) -> tuple[np.ndarray, int]:
+    """A nested sequence of scalars (vectors, matrices or stacks of them)
+    as an array in the dtype of `Algebra._np_tensor`, with its scale s:
+    residues and s = 1 over F_p; over Q the scalars times the lcm s of
+    their denominators, as Python ints.  A contraction multiplies the
+    scales of its factors, and an equation between two contractions
+    compares each side times the other side's scale."""
+    f = alg.field
+    if f.is_finite:
+        return np.array(vecs, dtype=alg._np_tensor.dtype) % f.p, 1
+    a = np.array(vecs, dtype=object)
+    s = math.lcm(*(x.denominator for x in a.flat))
+    ints = [x.numerator * (s // x.denominator) for x in a.flat]
+    return np.array(ints, dtype=object).reshape(a.shape), s
 
 
 def _np_left(alg: Algebra, x: np.ndarray) -> np.ndarray:
-    """The matrices of v -> x v, one per vector of the stack x (last axis)."""
-    return np.swapaxes(np.tensordot(x, alg._np_tensor, 1), -1, -2) % alg.field.p
+    """The matrices of v -> x v, one per vector of the stack x (last axis);
+    their scale is x's times `Algebra._np_scale`."""
+    return np_mod(np.swapaxes(np.tensordot(x, alg._np_tensor, 1), -1, -2),
+                  alg.field.p)
 
 
 def _np_right(alg: Algebra, x: np.ndarray) -> np.ndarray:
-    """The matrices of v -> v x, one per vector of the stack x (last axis)."""
+    """The matrices of v -> v x, one per vector of the stack x (last axis);
+    their scale is x's times `Algebra._np_scale`."""
     c = alg._np_tensor.transpose(1, 0, 2)
-    return np.swapaxes(np.tensordot(x, c, 1), -1, -2) % alg.field.p
+    return np_mod(np.swapaxes(np.tensordot(x, c, 1), -1, -2), alg.field.p)
 
 
 def _product_mismatch(alg: Algebra, m, reverse: bool = False):
     """The first basis pair (i, j), in row-major order, with m(e_i e_j)
     other than m(e_i) m(e_j), or m(e_j) m(e_i) when `reverse`; None when
-    there is none.  Over F_p, while int64 holds the products, all d^2 pairs
-    are compared at once in numpy."""
-    if not _contractible(alg):
-        return _product_mismatch_generic(alg, m, reverse)
+    there is none.  All d^2 pairs are compared at once."""
     p, c = alg.field.p, alg._np_tensor
-    mm = _np_vectors(alg, m)
-    images = np.tensordot(c, mm, axes=([2], [1])) % p   # [i, j]: m(e_i e_j)
-    half = np.tensordot(mm, c, axes=([0], [0])) % p     # [i, b]: m(e_i) e_b
-    prods = np.tensordot(mm, half, axes=([0], [1])) % p  # [j, i]: m(e_i) m(e_j)
+    mm, s = _np_vectors(alg, m)
+    images = np_mod(np.tensordot(c, mm, axes=([2], [1])), p)  # m(e_i e_j)
+    half = np_mod(np.tensordot(mm, c, axes=([0], [0])), p)    # [i, b]: m(e_i) e_b
+    prods = np_mod(np.tensordot(mm, half, axes=([0], [1])), p)  # [j, i]: m(e_i) m(e_j)
     if not reverse:
         prods = prods.transpose(1, 0, 2)
-    bad = np.argwhere((images != prods).any(axis=2))
+    # images carry the scale s C, prods s^2 C
+    bad = np.argwhere((images * s != prods).any(axis=2))
     return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
-
-
-def _product_mismatch_generic(alg: Algebra, m, reverse: bool):
-    f = alg.field
-    images = [mat_vec(f, m, alg.basis_vector(j)) for j in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x, y = (images[j], images[i]) if reverse else (images[i], images[j])
-            if mat_vec(f, m, alg.product_table[i][j]) != alg.multiply(x, y):
-                return i, j
-    return None
 
 
 # -- brackets ----------------------------------------------------------------
@@ -334,70 +327,44 @@ class CentralSubspaces:
     center: Subspace
 
 
-def _nucleus_blocks_np(alg: Algebra):
-    """The left, middle, right and commuter equations over F_p, nonzero rows
-    only: of the 3 d^3 + d^2 rows most are zero, and every kernel would copy
-    and reduce them before `np_rref` dropped them."""
+def _nucleus_blocks(alg: Algebra):
+    """The left, middle, right and commuter equations, nonzero rows only:
+    of the 3 d^3 + d^2 rows most are zero, and every kernel would copy and
+    reduce them before dropping them.  Over Q the rows are integers, each
+    block a multiple of the true equations, which has the same kernel."""
     c = alg._np_tensor
     d = alg.dim
-    p = alg.field.p
     defect = alg._np_defect
     left = defect.transpose(1, 2, 3, 0).reshape(d ** 3, d)
     middle = defect.transpose(0, 2, 3, 1).reshape(d ** 3, d)
     right = defect.transpose(0, 1, 3, 2).reshape(d ** 3, d)
-    comm = ((c - c.transpose(1, 0, 2)) % p).transpose(1, 2, 0).reshape(d * d, d)
+    comm = np_mod(c - c.transpose(1, 0, 2), alg.field.p)
+    comm = comm.transpose(1, 2, 0).reshape(d * d, d)
     return tuple(b[b.any(axis=1)] for b in (left, middle, right, comm))
-
-
-def _nucleus_blocks_generic(alg: Algebra):
-    d = alg.dim
-    trip = alg._associator_triples
-    left, middle, right = [], [], []
-    for a in range(d):
-        for b in range(d):
-            for l in range(d):
-                left.append([trip[i][a][b][l] for i in range(d)])
-                middle.append([trip[a][i][b][l] for i in range(d)])
-                right.append([trip[a][b][i][l] for i in range(d)])
-    comm = []
-    prod = alg.product_table
-    for j in range(d):
-        for l in range(d):
-            comm.append([alg.field.sub(prod[i][j][l], prod[j][i][l])
-                         for i in range(d)])
-    return left, middle, right, comm
 
 
 def nucleus_equation_rows(alg: Algebra) -> list:
     """Rows whose kernel is the nucleus; reused as membership constraints."""
-    if alg.field.is_finite:
-        left, middle, right, _ = _nucleus_blocks_np(alg)
-        return np.concatenate([left, middle, right]).tolist()
-    left, middle, right, _ = _nucleus_blocks_generic(alg)
-    return left + middle + right
+    left, middle, right, _ = _nucleus_blocks(alg)
+    return np.concatenate([left, middle, right]).tolist()
 
 
 def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
     """Per vector, whether it lies in the nucleus, tested on the equations
-    of `nucleus_equation_rows` without solving them.  Over F_p the
-    associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all the
-    vectors at once are one `np_matmul` with `_np_defect` per slot."""
+    of `nucleus_equation_rows` without solving them: the associators
+    (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all the vectors at
+    once are one `np_matmul` with `_np_defect` per slot."""
     vecs = list(vecs)
     for v in vecs:
         if len(v) != alg.dim:
             raise DimensionMismatch(f"vector length {len(v)} != dim {alg.dim}")
-    f = alg.field
-    if f.is_finite:
-        defect = alg._np_defect
-        x = np.array(vecs, dtype=defect.dtype).reshape(-1, alg.dim) % f.p
-        bad = np.zeros(len(x), dtype=bool)
-        for s in range(3):
-            slot = np_matmul(x, np.moveaxis(defect, s, 0).reshape(alg.dim, -1),
-                             f.p)
-            bad |= slot.any(axis=1)
-        return (~bad).tolist()
-    rows = nucleus_equation_rows(alg)
-    return [not any(mat_vec(f, rows, v)) for v in vecs]
+    defect, d, p = alg._np_defect, alg.dim, alg.field.p
+    x = _np_vectors(alg, vecs)[0].reshape(-1, d)
+    bad = np.zeros(len(x), dtype=bool)
+    for s in range(3):
+        slot = np_matmul(x, np.moveaxis(defect, s, 0).reshape(d, -1), p)
+        bad |= slot.any(axis=1)
+    return (~bad).tolist()
 
 
 def in_nucleus(alg: Algebra, v: Vec) -> bool:
@@ -405,40 +372,34 @@ def in_nucleus(alg: Algebra, v: Vec) -> bool:
     return nuclear_mask(alg, [v])[0]
 
 
-def _central_np(alg: Algebra) -> CentralSubspaces:
-    f = alg.field
-    left, middle, right, comm = _nucleus_blocks_np(alg)
-    stack = lambda blocks: kernel(f, np.concatenate(blocks), alg.dim)
-    return CentralSubspaces(
-        left=stack([left]), middle=stack([middle]), right=stack([right]),
-        nucleus=stack([left, middle, right]),
-        commuter=stack([comm]),
-        center=stack([left, middle, right, comm]))
+CENTRAL_NAMES = ("left", "middle", "right", "nucleus", "commuter", "center")
+
+
+def _central(alg: Algebra, names) -> dict:
+    """The named central subspaces, each the kernel of its blocks of
+    `_nucleus_blocks` stacked."""
+    left, middle, right, comm = _nucleus_blocks(alg)
+    systems = {"left": [left], "middle": [middle], "right": [right],
+               "nucleus": [left, middle, right], "commuter": [comm],
+               "center": [left, middle, right, comm]}
+    return {n: kernel(alg.field, np.concatenate(systems[n]), alg.dim)
+            for n in names}
 
 
 def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
     """The nuclei, the commuter and the center, each as the kernel of its
     equations.  Over Q each of the six that has rank 1 in the reduction mod
     P (`Algebra._reduced`) is the line of the unit, which lies in all six;
-    only the others are solved in Fractions."""
-    f = alg.field
-    d = alg.dim
-    if f.is_finite:
-        return _central_np(alg)
+    only the others are solved, on the integer rows of the same blocks."""
+    out = {}
     red = alg._reduced
-    mod_p = _central_np(red) if red is not None else None
-    names = ("left", "middle", "right", "nucleus", "commuter", "center")
-    unit_line = Subspace.span(f, d, [alg.unit])
-    out = {n: unit_line for n in names
-           if mod_p is not None and getattr(mod_p, n).rank == 1}
-    if len(out) < len(names):
-        left, middle, right, comm = _nucleus_blocks_generic(alg)
-        systems = {"left": left, "middle": middle, "right": right,
-                   "nucleus": left + middle + right, "commuter": comm,
-                   "center": left + middle + right + comm}
-        for n in names:
-            if n not in out:
-                out[n] = kernel(f, systems[n], d)
+    if red is not None:
+        unit_line = Subspace.span(alg.field, alg.dim, [alg.unit])
+        out = {n: unit_line for n, space in _central(red, CENTRAL_NAMES).items()
+               if space.rank == 1}
+    rest = [n for n in CENTRAL_NAMES if n not in out]
+    if rest:
+        out.update(_central(alg, rest))
     return CentralSubspaces(**out)
 
 
@@ -537,7 +498,7 @@ def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
     return _spin(rows, gens, alg.dim, alg.field.p)
 
 
-def _closure_generic(alg: Algebra, seeds, maps=()):
+def _closure_echelon(alg: Algebra, seeds, maps=()):
     from .linalg import Echelon
     ech = Echelon(alg.field, alg.dim)
     ech.extend(seeds)
@@ -564,7 +525,7 @@ def ideal_closure(alg: Algebra, generators, maps=()) -> Subspace:
         return Subspace(alg.field, alg.dim,
                         tuple(tuple(int(c) for c in row) for row in ech),
                         tuple(piv))
-    return _closure_generic(alg, gens, maps).to_subspace()
+    return _closure_echelon(alg, gens, maps).to_subspace()
 
 
 # -- simplicity --------------------------------------------------------------
@@ -867,14 +828,11 @@ def center_is_field(alg: Algebra, central: CentralSubspaces | None = None,
 
 def associator_defect(alg: Algebra) -> Subspace:
     """Span of all basis associators; zero exactly for associative algebras."""
+    defect = alg._np_defect.reshape(-1, alg.dim)
     if alg.field.is_finite:
         from .linalg import np_to_subspace
-        return np_to_subspace(alg.field, alg._np_defect.reshape(-1, alg.dim),
-                              alg.dim)
-    trip = alg._associator_triples
-    vecs = [trip[i][j][k] for i in range(alg.dim)
-            for j in range(alg.dim) for k in range(alg.dim)]
-    return Subspace.span(alg.field, alg.dim, vecs)
+        return np_to_subspace(alg.field, defect, alg.dim)
+    return Subspace.span(alg.field, alg.dim, defect[defect.any(axis=1)])
 
 
 def is_associative(alg: Algebra) -> bool:
@@ -903,26 +861,15 @@ def center_equations(alg: Algebra, twist=None) -> list:
     """Rows whose kernel is the x in N(A) with e_b x = x twist(e_b) for all
     b, Z(A) when there is no twist: the nonzero rows of each
     L_{e_b} - R_{twist(e_b)}, in (b, row) order, then
-    `nucleus_equation_rows`.  Over F_p, while `_contractible`, all d of the
-    L - R blocks are one contraction of the structure tensor."""
-    f = alg.field
-    if _contractible(alg):
-        d = alg.dim
-        eye = np.eye(d, dtype=alg._np_tensor.dtype)
-        images = eye if twist is None else _np_vectors(alg, twist).T
-        diff = (_np_left(alg, eye) - _np_right(alg, images)) % f.p
-        diff = diff.reshape(d * d, d)          # row (b, k): L_{e_b} - R_{twist(e_b)}
-        return diff[diff.any(axis=1)].tolist() + nucleus_equation_rows(alg)
-    rows = []
-    for b in range(alg.dim):
-        e = alg.basis_vector(b)
-        lmat = left_mult_matrix(alg, e)
-        rmat = right_mult_matrix(alg, e if twist is None else mat_vec(f, twist, e))
-        for lrow, rrow in zip(lmat, rmat):
-            row = tuple(f.sub(x, y) for x, y in zip(lrow, rrow))
-            if any(row):
-                rows.append(row)
-    return rows + nucleus_equation_rows(alg)
+    `nucleus_equation_rows`.  All d of the L - R blocks are one contraction
+    of the structure tensor."""
+    d = alg.dim
+    eye = np.eye(d, dtype=alg._np_tensor.dtype)
+    images, s = (eye, 1) if twist is None else _np_vectors(alg, twist)
+    # L_{e_b} carries the scale of the tensor, R_{twist(e_b)} s times that
+    diff = np_mod(_np_left(alg, eye) * s - _np_right(alg, images.T), alg.field.p)
+    diff = diff.reshape(d * d, d)          # row (b, k): L_{e_b} - R_{twist(e_b)}
+    return diff[diff.any(axis=1)].tolist() + nucleus_equation_rows(alg)
 
 
 def fixed_equations(alg: Algebra, maps) -> list:

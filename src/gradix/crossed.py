@@ -21,19 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Algebra, SimplicityVerdict, _contractible, _np_left,
-                      _np_right, _np_vectors, _nucleus_blocks_np,
-                      center_equations, first_unit, fixed_center,
-                      fixed_equations, in_nucleus, is_ring_automorphism,
-                      make_algebra, nuclear_mask, nucleus_equation_rows,
-                      right_mult_matrix, simple_under, two_sided_inverse)
+from .algebra import (Algebra, SimplicityVerdict, _np_left, _np_right,
+                      _np_vectors, _nucleus_blocks, first_unit, fixed_center,
+                      in_nucleus, is_ring_automorphism, make_algebra,
+                      nuclear_mask, nucleus_equation_rows, simple_under,
+                      two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
-from .graded import Gradation, is_strong, validate_gradation
+from .graded import Gradation, validate_gradation
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_mul, mat_vec, np_matmul)
+                     np_matmul, np_mod)
 
 
 @dataclass(frozen=True)
@@ -82,61 +81,38 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
         if alpha[a][e] != t.unit or alpha[e][a] != t.unit:
             raise N3Violation(f"alpha not normalized at ({a}, identity)")
 
-    if _contractible(t):
-        _check_cocycle_np(t, g, sigma, alpha, alpha_inv)
-    else:
-        _check_cocycle_generic(t, g, sigma, alpha, alpha_inv)
+    _check_cocycle(t, g, sigma, alpha, alpha_inv)
     return CrossedSystem(t, g, sigma, alpha, alpha_inv)
 
 
-def _check_cocycle_np(t: Algebra, g: FiniteGroup, sigma, alpha,
-                      alpha_inv) -> None:
-    """N1 for all (g, h) and N2 for all (g, h, s) at once over F_p: each side
-    a contraction of T's structure tensor with the stacked sigma and alpha
-    arrays, reduced mod p after each step.  Raises at the first violation in
-    row-major order, as `_check_cocycle_generic` does."""
-    p, n = t.field.p, g.order
+def _check_cocycle(t: Algebra, g: FiniteGroup, sigma, alpha,
+                   alpha_inv) -> None:
+    """N1 for all (g, h) and N2 for all (g, h, s) at once: each side a
+    contraction of T's structure tensor with the stacked sigma and alpha
+    arrays, reduced after each step, and each compared times the other
+    side's scale.  Raises at the first violation in row-major order of
+    (g, h, basis) for N1 and (g, h, s) for N2."""
+    p, n, st = t.field.p, g.order, t._np_scale
     mul = np.array(g.table)
-    s = _np_vectors(t, sigma)                   # s[a] @ v = sigma_a(v)
-    al = _np_vectors(t, alpha)                  # al[a, b] = alpha(a, b)
+    s, ss = _np_vectors(t, sigma)               # s[a] @ v = sigma_a(v)
+    al, sa = _np_vectors(t, alpha)              # al[a, b] = alpha(a, b)
+    inv, si = _np_vectors(t, alpha_inv)
     left = _np_left(t, al)
     # column i of each side: sigma_a(sigma_b(e_i)), alpha sigma_ab(e_i) alpha^-1
-    lhs = np.einsum("akm,bmi->abki", s, s) % p
-    rhs = _np_right(t, _np_vectors(t, alpha_inv)) @ (left @ s[mul] % p) % p
-    bad = np.argwhere((lhs != rhs).any(axis=2))
+    lhs = np_mod(np.einsum("akm,bmi->abki", s, s), p)          # scale ss^2
+    rhs = np_mod(_np_right(t, inv) @ np_mod(left @ s[mul], p), p)  # si sa st^2 ss
+    bad = np.argwhere((lhs * (si * sa * st * st) != rhs * ss).any(axis=2))
     if len(bad):
         a, b, i = bad[0].tolist()
         raise N1Violation(f"at (g,h,basis) = ({a},{b},{i})")
-    lhs = np.einsum("abkm,abcm->abck", left, al[mul]) % p
-    twisted = np.einsum("akm,bcm->abck", s, al) % p   # sigma_a(alpha(b, c))
+    lhs = np_mod(np.einsum("abkm,abcm->abck", left, al[mul]), p)  # sa^2 st
+    twisted = np_mod(np.einsum("akm,bcm->abck", s, al), p)  # sigma_a(alpha(b, c))
     right = _np_right(t, al)[np.arange(n)[:, None, None], mul[None]]
-    rhs = np.einsum("abckm,abcm->abck", right, twisted) % p
-    bad = np.argwhere((lhs != rhs).any(axis=3))
+    rhs = np_mod(np.einsum("abckm,abcm->abck", right, twisted), p)  # sa^2 st ss
+    bad = np.argwhere((lhs * ss != rhs).any(axis=3))
     if len(bad):
         a, b, c = bad[0].tolist()
         raise N2Violation(f"at (g,h,s) = ({a},{b},{c})")
-
-
-def _check_cocycle_generic(t: Algebra, g: FiniteGroup, sigma, alpha,
-                           alpha_inv) -> None:
-    f, n, d = t.field, g.order, t.dim
-    for a in range(n):
-        for b in range(n):
-            ab = g.mul(a, b)
-            x, xi = alpha[a][b], alpha_inv[a][b]
-            for i in range(d):
-                lhs = mat_vec(f, sigma[a], mat_vec(f, sigma[b], t.basis_vector(i)))
-                rhs = t.multiply(t.multiply(x, mat_vec(f, sigma[ab], t.basis_vector(i))), xi)
-                if lhs != rhs:
-                    raise N1Violation(f"at (g,h,basis) = ({a},{b},{i})")
-
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = t.multiply(alpha[a][b], alpha[g.mul(a, b)][c])
-                rhs = t.multiply(mat_vec(f, sigma[a], alpha[b][c]), alpha[a][g.mul(b, c)])
-                if lhs != rhs:
-                    raise N2Violation(f"at (g,h,s) = ({a},{b},{c})")
 
 
 def trivial_system(t: Algebra, g: FiniteGroup) -> CrossedSystem:
@@ -159,59 +135,48 @@ def canonical_units(sys: CrossedSystem) -> list[Vec]:
     return out
 
 
-def _product_entries_np(sys: CrossedSystem) -> list:
-    """The coefficients of e_i sigma_a(e_j) alpha(a, b) for every
-    (a, b, i, j) from one contraction of T's structure tensor, as the
-    nonzero entries of `_product_entries_generic`."""
+def _product_entries(sys: CrossedSystem) -> list:
+    """The nonzero coefficients of e_i sigma_a(e_j) alpha(a, b) for every
+    (a, b, i, j), as entries (a d + i, b d + j, ab d + k, c) of the
+    product's structure constants, from one contraction of T's structure
+    tensor; over Q each is divided back by the contraction's scale."""
     t, d = sys.algebra, sys.algebra.dim
-    p, c = t.field.p, t._np_tensor
+    f, c = t.field, t._np_tensor
     mul = np.array(sys.group.table)
-    half = np.einsum("amj,iml->aijl", _np_vectors(t, sys.sigma), c) % p
-    w = np.einsum("aijl,abkl->abijk", half,
-                  _np_right(t, _np_vectors(t, sys.alpha))) % p
+    s, ss = _np_vectors(t, sys.sigma)
+    al, sa = _np_vectors(t, sys.alpha)
+    half = np_mod(np.einsum("amj,iml->aijl", s, c), f.p)
+    w = np_mod(np.einsum("aijl,abkl->abijk", half, _np_right(t, al)), f.p)
+    unscale = f.inv(f.coerce(ss * sa * t._np_scale ** 2))
     a, b, i, j, k = np.nonzero(w)
     return list(zip((a * d + i).tolist(), (b * d + j).tolist(),
-                    (mul[a, b] * d + k).tolist(), w[a, b, i, j, k].tolist()))
-
-
-def _product_entries_generic(sys: CrossedSystem) -> list:
-    t, g, f = sys.algebra, sys.group, sys.algebra.field
-    d, n = t.dim, g.order
-    entries = []
-    for a in range(n):
-        sig = sys.sigma[a]
-        for b in range(n):
-            ab = g.mul(a, b)
-            x = sys.alpha[a][b]
-            for j in range(d):
-                sj = mat_vec(f, sig, t.basis_vector(j))
-                for i in range(d):
-                    w = t.multiply(t.multiply(t.basis_vector(i), sj), x)
-                    for k, c in enumerate(w):
-                        if c:
-                            entries.append((a * d + i, b * d + j, ab * d + k, c))
-    return entries
+                    (mul[a, b] * d + k).tolist(),
+                    [f.mul(x, unscale) for x in w[a, b, i, j, k].tolist()]))
 
 
 def _inverse_pairs(alg: Algebra, xs, ys) -> bool:
-    """Whether x y = y x = 1 for each pair of rows; over F_p, while
-    `_contractible`, all the products at once."""
-    if not _contractible(alg):
-        return all(alg.multiply(x, y) == alg.unit and alg.multiply(y, x) == alg.unit
-                   for x, y in zip(xs, ys))
+    """Whether x y = y x = 1 for each pair of rows, all the products at
+    once."""
     p, c = alg.field.p, alg._np_tensor
-    x, y = _np_vectors(alg, xs), _np_vectors(alg, ys)
-    unit = _np_vectors(alg, alg.unit)
-    return all((np.einsum("rj,rjk->rk", v, np.tensordot(u, c, 1) % p) % p
-                == unit).all() for u, v in ((x, y), (y, x)))
+    (x, sx), (y, sy) = _np_vectors(alg, xs), _np_vectors(alg, ys)
+    unit, su = _np_vectors(alg, alg.unit)
+    scale = sx * sy * alg._np_scale        # the scale of each product
+    return all((np_mod(np.einsum("rj,rjk->rk", v,
+                                 np_mod(np.tensordot(u, c, 1), p)), p) * su
+                == unit * scale).all() for u, v in ((x, y), (y, x)))
 
 
 def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
+    """The crossed product of the system, graded by G, with each canonical
+    unit u_g checked to be a nuclear unit with inverse
+    alpha(g^-1, g)^-1 u_{g^-1}.  That check also makes the gradation
+    strong: for x in R_{gh}, x v_h lies in R_g, where v_h in R_{h^-1} is
+    the inverse of u_h, and (x v_h) u_h = x (v_h u_h) = x because u_h is
+    nuclear, so R_{gh} = R_g R_h."""
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
 
-    entries = (_product_entries_np(sys) if _contractible(t)
-               else _product_entries_generic(sys))
+    entries = _product_entries(sys)
     e = g.identity
     unit = [f.zero] * (d * n)
     unit[e * d: (e + 1) * d] = list(t.unit)
@@ -232,8 +197,6 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
     prod = make_algebra(f, d * n, entries, tuple(unit), labels=labels)
     degrees = tuple(a for a in range(n) for _ in range(d))
     grad = validate_gradation(prod, g, degrees)
-    if not is_strong(prod, grad):
-        raise ValidationError("built product is not strongly graded")
 
     # N2 at (g, g^-1, g) makes alpha(g^-1, g)^-1 u_{g^-1} the inverse of u_g
     units = canonical_units(sys)
@@ -354,28 +317,27 @@ def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:
       (iii) t_g in N(T)
     together with the fixed central subfield Z(T)^G of T.  The rows of (i)
     and (iii) are `center_equations(T, sigma_g)`, and for hgh^-1 = g those
-    of (ii) are `fixed_equations` of its map t_g -> t_g.  Over F_p, while
-    `_contractible`, the whole system is one array (`_center_rows_np`)."""
+    of (ii) are `fixed_equations` of its map t_g -> t_g.  The whole system
+    is one array (`_center_rows`)."""
     t = sys.algebra
-    rows = (_center_rows_np(sys) if _contractible(t)
-            else _center_rows_generic(sys))
-    return kernel(t.field, rows, sys.dim), fixed_center(t, sys.sigma)
+    return kernel(t.field, _center_rows(sys), sys.dim), fixed_center(t, sys.sigma)
 
 
-def _center_rows_np(sys: CrossedSystem) -> np.ndarray:
-    """The equations of `crossed_center` over F_p, blocks of d columns per
-    group element, nonzero rows only.  (i) for every g is one contraction
-    of T's structure tensor with the stacked sigma, and (iii) the nucleus
-    rows repeated in each block.  (ii) for every (h, g) is the row block
+def _center_rows(sys: CrossedSystem) -> np.ndarray:
+    """The equations of `crossed_center`, blocks of d columns per group
+    element, nonzero rows only.  (i) for every g is one contraction of T's
+    structure tensor with the stacked sigma, and (iii) the nucleus rows
+    repeated in each block.  (ii) for every (h, g) is the row block
     t_{hgh^-1} - m[h, g] t_g with m[h, g] = R_{alpha(hgh^-1, h)^-1}
     R_{alpha(h, g)} sigma_h, all of them one batched `np_matmul`; where
-    hgh^-1 = g the block is I - m, the fixed rows of m up to sign."""
+    hgh^-1 = g the block is I - m, the fixed rows of m up to sign.  Over Q
+    the identity of each such block is scaled to the scale of m."""
     t, g = sys.algebra, sys.group
     d, n, p = t.dim, g.order, t.field.p
-    s = _np_vectors(t, sys.sigma)                       # s[a] @ v = sigma_a(v)
+    s, ss = _np_vectors(t, sys.sigma)                   # s[a] @ v = sigma_a(v)
     eye = np.eye(d, dtype=s.dtype)
-    diff = (_np_left(t, eye) - _np_right(t, s.transpose(0, 2, 1))) % p
-    nucleus = np.concatenate(_nucleus_blocks_np(t)[:3])
+    diff = np_mod(_np_left(t, eye) * ss - _np_right(t, s.transpose(0, 2, 1)), p)
+    nucleus = np.concatenate(_nucleus_blocks(t)[:3])
     own = np.concatenate([diff.reshape(n, d * d, d),
                           np.broadcast_to(nucleus, (n,) + nucleus.shape)], 1)
     first = np.zeros((n, own.shape[1], n, d), dtype=s.dtype)
@@ -383,44 +345,17 @@ def _center_rows_np(sys: CrossedSystem) -> np.ndarray:
 
     conj = np.array([[g.conj(a, h) for a in range(n)] for h in range(n)])
     h, a = np.indices((n, n))
-    r_alpha = _np_right(t, _np_vectors(t, sys.alpha))
-    r_inv = _np_right(t, _np_vectors(t, sys.alpha_inv))[conj, h]
-    m = np_matmul(r_inv, np_matmul(r_alpha, s[:, None], p), p)
+    al, sa = _np_vectors(t, sys.alpha)
+    inv, si = _np_vectors(t, sys.alpha_inv)
+    r_inv = _np_right(t, inv)[conj, h]
+    m = np_matmul(r_inv, np_matmul(_np_right(t, al), s[:, None], p), p)
     second = np.zeros((n, n, d, n, d), dtype=s.dtype)
     second[h, a, :, a] = -m
     i = np.arange(d)
-    second[h[..., None], a[..., None], i, conj[..., None], i] += 1
+    # the scale of m: si, sa and ss times the tensor's twice
+    second[h[..., None], a[..., None], i, conj[..., None], i] += (
+        si * sa * ss * t._np_scale ** 2)
 
     rows = np.concatenate([first.reshape(-1, n * d),
-                           second.reshape(-1, n * d) % p])
+                           np_mod(second.reshape(-1, n * d), p)])
     return rows[rows.any(axis=1)]
-
-
-def _center_rows_generic(sys: CrossedSystem) -> list:
-    t, g, f = sys.algebra, sys.group, sys.algebra.field
-    d, n = t.dim, g.order
-    dim = d * n
-
-    def block_row(col_blocks) -> tuple:
-        row = [f.zero] * dim
-        for blk, seg in col_blocks:
-            row[blk * d: (blk + 1) * d] = seg
-        return tuple(row)
-
-    rows = []
-    for a in range(n):
-        rows += [block_row([(a, r)])
-                 for r in center_equations(t, sys.sigma[a])]
-
-    ident = identity_matrix(f, d)
-    for h in range(n):
-        for a in range(n):
-            k = g.conj(a, h)
-            m = mat_mul(f, right_mult_matrix(t, sys.alpha[h][a]), sys.sigma[h])
-            m = mat_mul(f, right_mult_matrix(t, sys.alpha_inv[k][h]), m)
-            if k == a:
-                rows += [block_row([(a, r)]) for r in fixed_equations(t, [m])]
-            else:
-                rows += [block_row([(a, [f.neg(c) for c in mrow]), (k, irow)])
-                         for mrow, irow in zip(m, ident)]
-    return rows

@@ -186,8 +186,11 @@ def parse_request(text: str) -> dict:
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {', '.join(KINDS)}")
     payload = _need(doc, "payload", "request")
-    return {"kind": kind, "payload": payload,
-            "options": merge_options(doc.get("options", {}))}
+    options = merge_options(doc.get("options", {}))
+    if options["window"] is not None and kind != "laurent":
+        raise ValidationError(f"option window applies to laurent requests "
+                              f"only, not to {kind}")
+    return {"kind": kind, "payload": payload, "options": options}
 
 
 def wrap_bare_payload(text: str, kind: str) -> dict:
@@ -300,7 +303,9 @@ def crossed_block(sys: CrossedSystem, opts) -> dict:
         "group_order": sys.group.order,
         "product_dim": prod.dim,
         "product_associative": is_associative(prod),
-        "strong": True,    # enforced by build_crossed_product
+        # strong, since every canonical unit is a nuclear unit (the proof is
+        # in the docstring of build_crossed_product, which checks the units)
+        "strong": True,
         "center": subspace_json(z),
         "centers_match": z.basis == brute_z.basis,
         "fixed_center": subspace_json(ztg),

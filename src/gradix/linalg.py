@@ -1,18 +1,20 @@
 """Exact linear algebra: reduced row echelon forms, subspaces, kernels.
 
-Two parallel implementations live here.  The generic one works over any
-FieldSpec with plain Python scalars and is the reference for everything.
-The numpy one handles F_p only (arrays reduced mod p) and exists because
+Elimination has two implementations.  `Echelon` works over any FieldSpec
+with plain Python scalars; it eliminates over Q and is the reference for
+the other.  `np_rref` eliminates over F_p on arrays reduced mod p, because
 the ideal-closure loops enumerate thousands of subspaces; it holds int64
-while a row's sums of products fit (`np_dtype`) and Python ints past that.
-Large residue products go through `np_matmul`, exact on float64 BLAS while
-k (p - 1)^2 < 2^53 for contraction length k.  `kernel` takes F_p equations
-as an array as well as a list of rows, and `np_rref` drops the all-zero
-rows before its pivot loop; the large sparse systems of the nucleus solves
-arrive with theirs already dropped (`algebra._nucleus_blocks_np`).  Over Q the numpy path does most of the
-work as well: `algebra` reduces an algebra mod one large prime
-(`Algebra._reduced`), whose ranks bound the ranks over Q from below, and
-the generic path runs only for the answers that reduction cannot certify.
+while a row's sums of products fit (`np_dtype`) and Python ints past that,
+and drops the all-zero rows before its pivot loop.  `kernel` takes
+equations as an array as well as a list of rows, over either field.
+
+Products of arrays are one path for both fields: `np_matmul` and
+`np_mod` reduce mod p over F_p, and over Z (p None) leave the Python-int
+arrays by which `algebra` carries rationals with their denominators
+cleared.  Residue products run on float64 BLAS while k (p - 1)^2 < 2^53
+for contraction length k.  Over Q most answers never reach elimination
+here: `algebra` reduces an algebra mod one large prime
+(`Algebra._reduced`), whose ranks bound the ranks over Q from below.
 """
 
 from __future__ import annotations
@@ -299,15 +301,25 @@ def projective_walk(spaces: Sequence[Subspace], budget: int,
     return total, points()
 
 
-# -- numpy fast path (F_p only) ----------------------------------------------
+# -- numpy arrays: F_p, and Z for the cleared rationals -----------------------
 
-def np_dtype(p: int, width: int):
+def np_dtype(p: int | None, width: int):
     """int64 while the difference of two sums of `width` products of
-    residues fits, 2 w (p - 1)^2 < 2^63; object (Python ints) past it."""
+    residues fits, 2 w (p - 1)^2 < 2^63; object (Python ints) past it, and
+    over Z (p None), whose integers are unbounded."""
+    if p is None:
+        return object
     return np.int64 if 2 * width * (p - 1) ** 2 < 2 ** 63 else object
 
 
-def np_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def np_mod(a: np.ndarray, p: int | None) -> np.ndarray:
+    """The reduction step of every contraction: a mod p over F_p, and a
+    itself over Z (p None), where the integers stand for rationals with
+    their denominators cleared."""
+    return a if p is None else a % p
+
+
+def np_matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
     """a @ b mod p, for arrays (or stacks, broadcast as `@` does) whose
     entries have absolute value at most p - 1.  numpy's integer `@` is a
     plain loop; float64 `@` is BLAS, and it is exact here.  With k the
@@ -315,13 +327,14 @@ def np_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     order BLAS adds and with or without fused multiply-adds, is an integer
     of absolute value at most k (p - 1)^2; below 2^53 each one is a float64
     exactly, so no step rounds.  Past that bound (at P = 33554393 from
-    k = 8 on), or on object arrays, the product is `@` in the arrays' own
-    dtype."""
+    k = 8 on), on object arrays, or over Z (p None), the product is `@` in
+    the arrays' own dtype."""
     k = np.shape(a)[-1]
-    if a.dtype != object and b.dtype != object and k * (p - 1) ** 2 < 2 ** 53:
+    if (p is not None and a.dtype != object and b.dtype != object
+            and k * (p - 1) ** 2 < 2 ** 53):
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64) % p
-    return a @ b % p
+    return np_mod(a @ b, p)
 
 
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

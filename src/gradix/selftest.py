@@ -149,7 +149,7 @@ def _graded_density(rng, trials, maxlen):
         assert is_graded_simple(a, grad).simple == sweep, (a.dim, grad.degrees)
 
 
-@check("reduction mod p agrees with the Fraction path over Q")
+@check("reduction mod p agrees with the solve over Q")
 def _reduction(rng, trials, maxlen):
     q = rationals()
     big = REDUCTION_FIELD.p
@@ -173,7 +173,7 @@ def _reduction(rng, trials, maxlen):
         cases.append(cayley_double(a, -1)[0] if a.dim == 2 else a)
     for a in cases:
         ref = dataclasses.replace(a)
-        vars(ref)["_reduced"] = None    # the Fraction path alone
+        vars(ref)["_reduced"] = None    # every answer solved over Q
         assert answers(a) == answers(ref), a.mult
 
 

@@ -2,11 +2,17 @@
 which the library itself never needs."""
 
 import itertools
+from fractions import Fraction
 
-from gradix.algebra import (fixed_equations, make_algebra, two_sided_inverse)
-from gradix.errors import ValidationError
+from hypothesis import strategies as st
+
+from gradix import algebra, crossed
+from gradix.algebra import (fixed_equations, left_mult_matrix, make_algebra,
+                            right_mult_matrix, two_sided_inverse)
+from gradix.errors import N1Violation, N2Violation, ValidationError
 from gradix.groups import validate_group
-from gradix.linalg import Subspace, kernel, projective_walk
+from gradix.linalg import (Subspace, identity_matrix, kernel, mat_mul,
+                           mat_vec, projective_walk)
 
 
 def fixed_subspace(alg, maps):
@@ -31,6 +37,40 @@ def tensor_algebra(a, b):
                for i1, i2, k1, c1 in a.mult for j1, j2, k2, c2 in b.mult]
     unit = tuple(f.mul(x, y) for x in a.unit for y in b.unit)
     return make_algebra(f, a.dim * db, entries, unit)
+
+
+BIG = 2 ** 70
+# nonzero rationals: small ones, and numerators or denominators past 2^63
+NONZERO_Q = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(2 ** 63, BIG) | st.integers(-BIG, -2 ** 63),
+              st.integers(1, BIG)),
+    st.builds(Fraction, st.integers(-BIG, BIG).filter(bool),
+              st.integers(2 ** 63, BIG)))
+
+
+def rescaled_vector(v, scales):
+    """The coordinates of v on the basis scales[i] e_i (over Q)."""
+    return tuple(Fraction(x) / s for x, s in zip(v, scales))
+
+
+def rescaled_matrix(m, scales):
+    """The matrix of the map m on the basis scales[i] e_i (over Q)."""
+    n = len(scales)
+    return tuple(tuple(Fraction(m[k][i]) * scales[i] / scales[k]
+                       for i in range(n)) for k in range(n))
+
+
+def rescaled(alg, scales):
+    """The algebra over Q on the basis scales[i] e_i: an isomorphic copy whose
+    structure constants, unit and involution carry the scales'
+    denominators and numerators."""
+    entries = [(i, j, k, c * scales[i] * scales[j] / scales[k])
+               for i, j, k, c in alg.mult]
+    invol = (None if alg.involution is None
+             else rescaled_matrix(alg.involution, scales))
+    return make_algebra(alg.field, alg.dim, entries,
+                        rescaled_vector(alg.unit, scales), involution=invol)
 
 
 def _has_factor(p, poly):
@@ -144,3 +184,184 @@ def mu_square_by_vectors(alg, center, mu):
         if alg.multiply(v, v) == target:
             return True
     return False
+
+
+# -- the loops that the structure-tensor contractions replace ------------------
+#
+# Each computes what one contraction of `gradix.algebra` or `gradix.crossed`
+# computes, vector by vector in the field's own arithmetic, and serves as its
+# reference over F_p and over Q.
+
+def product_mismatch_loop(alg, m, reverse=False):
+    """`algebra._product_mismatch`: the first (i, j) in row-major order with
+    m(e_i e_j) other than m(e_i) m(e_j), or m(e_j) m(e_i) when reverse."""
+    f = alg.field
+    images = [mat_vec(f, m, alg.basis_vector(j)) for j in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            x, y = (images[j], images[i]) if reverse else (images[i], images[j])
+            if mat_vec(f, m, alg.product_table[i][j]) != alg.multiply(x, y):
+                return i, j
+    return None
+
+
+def associator_triples(alg):
+    """[i][j][k]: the basis associator (e_i, e_j, e_k)."""
+    prod = alg.product_table
+    return [[[alg.sub_vec(alg.right_by_basis(k, prod[i][j]),
+                          alg.left_by_basis(i, prod[j][k]))
+              for k in range(alg.dim)]
+             for j in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
+def nucleus_blocks_loop(alg):
+    """The left, middle, right and commuter equations, every row kept."""
+    d = alg.dim
+    trip = associator_triples(alg)
+    left, middle, right = [], [], []
+    for a in range(d):
+        for b in range(d):
+            for l in range(d):
+                left.append([trip[i][a][b][l] for i in range(d)])
+                middle.append([trip[a][i][b][l] for i in range(d)])
+                right.append([trip[a][b][i][l] for i in range(d)])
+    comm = []
+    prod = alg.product_table
+    for j in range(d):
+        for l in range(d):
+            comm.append([alg.field.sub(prod[i][j][l], prod[j][i][l])
+                         for i in range(d)])
+    return left, middle, right, comm
+
+
+def nucleus_equation_rows_loop(alg):
+    """`algebra.nucleus_equation_rows`: the nonzero left, middle and right
+    rows."""
+    left, middle, right, _ = nucleus_blocks_loop(alg)
+    return [row for row in left + middle + right if any(row)]
+
+
+def nuclear_mask_loop(alg, vecs):
+    """`algebra.nuclear_mask`: no nucleus equation is violated."""
+    rows = nucleus_equation_rows_loop(alg)
+    return [not any(mat_vec(alg.field, rows, v)) for v in vecs]
+
+
+def associator_defect_loop(alg):
+    """`algebra.associator_defect`: the span of the basis associators."""
+    trip = associator_triples(alg)
+    return Subspace.span(alg.field, alg.dim,
+                         [trip[i][j][k] for i in range(alg.dim)
+                          for j in range(alg.dim) for k in range(alg.dim)])
+
+
+def center_equations_loop(alg, twist=None):
+    """`algebra.center_equations`: the nonzero rows of each
+    L_{e_b} - R_{twist(e_b)} in (b, row) order, then the nucleus rows."""
+    f = alg.field
+    rows = []
+    for b in range(alg.dim):
+        e = alg.basis_vector(b)
+        lmat = left_mult_matrix(alg, e)
+        rmat = right_mult_matrix(alg, e if twist is None else mat_vec(f, twist, e))
+        for lrow, rrow in zip(lmat, rmat):
+            row = tuple(f.sub(x, y) for x, y in zip(lrow, rrow))
+            if any(row):
+                rows.append(row)
+    return rows + nucleus_equation_rows_loop(alg)
+
+
+def inverse_pairs_loop(alg, xs, ys):
+    """`crossed._inverse_pairs`: x y = y x = 1 for each pair."""
+    return all(alg.multiply(x, y) == alg.unit and alg.multiply(y, x) == alg.unit
+               for x, y in zip(xs, ys))
+
+
+def check_cocycle_loop(t, g, sigma, alpha, alpha_inv):
+    """`crossed._check_cocycle`: N1, then N2, each raising at its first
+    violation in row-major order."""
+    f, n, d = t.field, g.order, t.dim
+    for a in range(n):
+        for b in range(n):
+            ab = g.mul(a, b)
+            x, xi = alpha[a][b], alpha_inv[a][b]
+            for i in range(d):
+                lhs = mat_vec(f, sigma[a], mat_vec(f, sigma[b], t.basis_vector(i)))
+                rhs = t.multiply(t.multiply(x, mat_vec(f, sigma[ab], t.basis_vector(i))), xi)
+                if lhs != rhs:
+                    raise N1Violation(f"at (g,h,basis) = ({a},{b},{i})")
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = t.multiply(alpha[a][b], alpha[g.mul(a, b)][c])
+                rhs = t.multiply(mat_vec(f, sigma[a], alpha[b][c]), alpha[a][g.mul(b, c)])
+                if lhs != rhs:
+                    raise N2Violation(f"at (g,h,s) = ({a},{b},{c})")
+
+
+def product_entries_loop(sys):
+    """`crossed._product_entries`, in the loop's own order."""
+    t, g, f = sys.algebra, sys.group, sys.algebra.field
+    d, n = t.dim, g.order
+    entries = []
+    for a in range(n):
+        sig = sys.sigma[a]
+        for b in range(n):
+            ab = g.mul(a, b)
+            x = sys.alpha[a][b]
+            for j in range(d):
+                sj = mat_vec(f, sig, t.basis_vector(j))
+                for i in range(d):
+                    w = t.multiply(t.multiply(t.basis_vector(i), sj), x)
+                    for k, c in enumerate(w):
+                        if c:
+                            entries.append((a * d + i, b * d + j, ab * d + k, c))
+    return entries
+
+
+def center_rows_loop(sys):
+    """`crossed._center_rows`: (i) and (iii) from `center_equations_loop`
+    per block, then the rows of (ii) for every (h, g)."""
+    t, g, f = sys.algebra, sys.group, sys.algebra.field
+    d, n = t.dim, g.order
+    dim = d * n
+
+    def block_row(col_blocks) -> tuple:
+        row = [f.zero] * dim
+        for blk, seg in col_blocks:
+            row[blk * d: (blk + 1) * d] = seg
+        return tuple(row)
+
+    rows = []
+    for a in range(n):
+        rows += [block_row([(a, r)])
+                 for r in center_equations_loop(t, sys.sigma[a])]
+
+    ident = identity_matrix(f, d)
+    for h in range(n):
+        for a in range(n):
+            k = g.conj(a, h)
+            m = mat_mul(f, right_mult_matrix(t, sys.alpha[h][a]), sys.sigma[h])
+            m = mat_mul(f, right_mult_matrix(t, sys.alpha_inv[k][h]), m)
+            if k == a:
+                rows += [block_row([(a, r)]) for r in fixed_equations(t, [m])]
+            else:
+                rows += [block_row([(a, [f.neg(c) for c in mrow]), (k, irow)])
+                         for mrow, irow in zip(m, ident)]
+    return rows
+
+
+# (module, name, loop): patched in together, they run the library on the
+# loops in place of the contractions
+LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),
+         (algebra, "nucleus_equation_rows", nucleus_equation_rows_loop),
+         (algebra, "nuclear_mask", nuclear_mask_loop),
+         (algebra, "center_equations", center_equations_loop),
+         (crossed, "nuclear_mask", nuclear_mask_loop),
+         (crossed, "nucleus_equation_rows", nucleus_equation_rows_loop),
+         (crossed, "_check_cocycle", check_cocycle_loop),
+         (crossed, "_product_entries", product_entries_loop),
+         (crossed, "_inverse_pairs", inverse_pairs_loop),
+         (crossed, "_center_rows", center_rows_loop)]

@@ -3,7 +3,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from unittest import mock
 
 import numpy as np
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from gradix import algebra, linalg
 from gradix.algebra import (Algebra, SimplicityVerdict, associator,
-                            center_is_field, commutator, fixed_center,
+                            associator_defect, center_is_field, commutator,
+                            fixed_center,
                             ideal_closure, in_nucleus, is_associative,
                             is_ring_automorphism,
                             is_simple, make_algebra, multiply,
@@ -25,15 +26,19 @@ from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
                             random_unital_algebra, truncated_dual,
                             upper_triangular)
 from gradix.cayley import cayley_double, is_star_simple
-from gradix.crossed import build_crossed_product, trivial_system
+from gradix.crossed import (build_crossed_product, crossed_center,
+                            trivial_system)
 from gradix.errors import (BudgetExceeded, DimensionMismatch,
                            ExactModeUnavailable, ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.groups import cyclic
-from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
-                           projective_points, projective_walk, rref)
-from helpers import (conjugation_matrix, extension_field, fixed_subspace,
-                     points, tensor_algebra, walk_without_points)
+from gradix.linalg import (Subspace, identity_matrix, kernel, mat_mul,
+                           np_rref, projective_points, projective_walk, rref)
+from helpers import (NONZERO_Q, associator_defect_loop, center_equations_loop,
+                     conjugation_matrix, extension_field, fixed_subspace,
+                     nuclear_mask_loop, nucleus_blocks_loop, points,
+                     product_mismatch_loop, rescaled, tensor_algebra,
+                     walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -158,7 +163,7 @@ def test_nucleus_and_center_match_echelon_path(p, case, seed):
     f = prime_field(p)
     alg = case(f, random.Random(seed))
     dim = alg.dim
-    left, middle, right, comm = algebra._nucleus_blocks_generic(alg)
+    left, middle, right, comm = nucleus_blocks_loop(alg)
     got = nucleus_and_center(alg)
     assert got.left == echelon_kernel(f, left, dim)
     assert got.middle == echelon_kernel(f, middle, dim)
@@ -259,7 +264,7 @@ def test_ideal_closure_matches_echelon_path(case):
     """The frontier spin over F_p against the field-generic Echelon loop."""
     alg, maps, seeds = case
     assert ideal_closure(alg, seeds, maps) == \
-        algebra._closure_generic(alg, seeds, maps).to_subspace()
+        algebra._closure_echelon(alg, seeds, maps).to_subspace()
 
 
 def test_simplicity_known_answers():
@@ -478,7 +483,7 @@ def test_product_mismatch_matches_the_generic_path(case):
     alg, m = case
     for reverse in (False, True):
         assert (algebra._product_mismatch(alg, m, reverse) ==
-                algebra._product_mismatch_generic(alg, m, reverse))
+                product_mismatch_loop(alg, m, reverse))
 
 
 def test_verdict_signatures():
@@ -730,7 +735,7 @@ def test_associativity_flags():
     assert not is_associative(octonions(F3)[0])
 
 
-# -- over Q: the reduction mod P against the Fraction path ---------------------
+# -- over Q: the reduction mod P against the solve over Q -----------------------
 
 P = algebra.REDUCTION_FIELD.p
 
@@ -744,7 +749,7 @@ def q_answers(alg):
 
 
 def reference_answers(alg):
-    """The same answers on the Fraction path alone."""
+    """The same answers, every one solved over Q."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Algebra, "_reduced", None)
         return q_answers(replace(alg))
@@ -846,19 +851,111 @@ def test_degenerate_reduction_falls_back(monkeypatch):
 def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled")
-    monkeypatch.setattr(algebra, "_closure_generic", refuse)
+    monkeypatch.setattr(algebra, "_closure_echelon", refuse)
     octo = field_algebra(Q)
     for mu in (-1, -1, -1):
         octo, _ = cayley_double(octo, mu)
     for alg in (matrix_algebra(Q, 2), octo):
         v = is_simple(alg, trials=25)
         assert v == SimplicityVerdict(True, None, "randomized", 25)
-    # all six subspaces of the octonions have rank 1 mod P: no Fraction solve
-    monkeypatch.setattr(algebra, "_nucleus_blocks_generic", refuse)
+    # all six subspaces of the octonions have rank 1 mod P: no solve over Q
+    blocks = algebra._nucleus_blocks
+    monkeypatch.setattr(algebra, "_nucleus_blocks", lambda alg: (
+        blocks(alg) if alg.field.is_finite else refuse()))
     monkeypatch.setattr(algebra, "associator_defect", refuse)
     unit_line = Subspace.span(Q, 8, [octo.unit])
     assert nucleus_and_center(octo) == algebra.CentralSubspaces(*[unit_line] * 6)
     assert not is_associative(octo)
+
+
+# -- over Q: the contractions on cleared denominators against the loops ----------
+
+@st.composite
+def q_algebras(draw):
+    """An algebra over Q of dimension at most 4, rescaled by nonzero
+    rationals: a random unital one, the skew x y = c x, F x F, M_2(Q), or
+    one or two Cayley doubles of Q with their involutions."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "skew", "product", "matrix",
+                                 "double"]))
+    if kind == "random":
+        alg = random_unital_algebra(Q, draw(st.integers(1, 4)), rng)
+    elif kind == "skew":
+        alg = skew_q(draw(NONZERO_Q))
+    elif kind == "product":
+        alg = product_algebra(Q, 2)
+    elif kind == "matrix":
+        alg = matrix_algebra(Q, 2)
+    else:
+        alg = field_algebra(Q)
+        for _ in range(draw(st.integers(1, 2))):
+            alg, _ = cayley_double(alg, draw(NONZERO_Q))
+    scales = [draw(NONZERO_Q) for _ in range(alg.dim)]
+    return rescaled(alg, scales)
+
+
+def q_vector(draw, dim):
+    return tuple(draw(st.just(Fraction(0)) | NONZERO_Q) for _ in range(dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_algebras())
+def test_q_central_subspaces_match_the_loops(alg):
+    left, middle, right, comm = nucleus_blocks_loop(alg)
+    expected = algebra.CentralSubspaces(
+        *(echelon_kernel(Q, rows, alg.dim) for rows in (
+            left, middle, right, left + middle + right, comm,
+            left + middle + right + comm)))
+    assert algebra.CentralSubspaces(
+        **algebra._central(alg, algebra.CENTRAL_NAMES)) == expected
+    assert nucleus_and_center(alg) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_algebras(), st.data())
+def test_q_nuclear_mask_defect_and_center_rows_match_the_loops(alg, data):
+    d = alg.dim
+    nucleus = nucleus_and_center(alg).nucleus
+    vecs = [alg.scale(data.draw(NONZERO_Q), row) for row in nucleus.basis]
+    vecs += [q_vector(data.draw, d) for _ in range(2)]
+    assert algebra.nuclear_mask(alg, vecs) == nuclear_mask_loop(alg, vecs)
+    assert associator_defect(alg) == associator_defect_loop(alg)
+    twists = [None, tuple(tuple(data.draw(NONZERO_Q) for _ in range(d))
+                          for _ in range(d))]
+    u = q_vector(data.draw, d)
+    if two_sided_inverse(alg, u) is not None:
+        twists.append(conjugation_matrix(alg, u))
+    for tw in twists:
+        assert (kernel(Q, algebra.center_equations(alg, tw), d) ==
+                kernel(Q, center_equations_loop(alg, tw), d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_algebras(), st.data())
+def test_q_product_mismatch_matches_the_loop(alg, data):
+    """On automorphisms and anti-automorphisms with fractional entries (inner
+    ones, and the involution composed with them), on random matrices, and
+    on each of those with one entry moved."""
+    d = alg.dim
+    maps = [tuple(tuple(data.draw(NONZERO_Q) for _ in range(d))
+                  for _ in range(d))]
+    u = q_vector(data.draw, d)
+    if two_sided_inverse(alg, u) is not None:
+        inner = conjugation_matrix(alg, u)
+        maps.append(inner)
+        if alg.involution is not None:
+            maps.append(mat_mul(Q, inner, alg.involution))
+    if alg.involution is not None:
+        maps.append(alg.involution)
+    for m in list(maps):
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        nudged = [list(row) for row in m]
+        nudged[i][j] += data.draw(NONZERO_Q)
+        maps.append(tuple(map(tuple, nudged)))
+    for m in maps:
+        for reverse in (False, True):
+            assert (algebra._product_mismatch(alg, m, reverse) ==
+                    product_mismatch_loop(alg, m, reverse))
 
 
 def test_randomized_mode_over_fp_samples(monkeypatch):
@@ -869,17 +966,19 @@ def test_randomized_mode_over_fp_samples(monkeypatch):
     assert v == SimplicityVerdict(True, None, "randomized", 30)
 
 
-def test_associator_triples_built_once(monkeypatch):
+def test_associator_tensor_built_once(monkeypatch):
     # the Q quaternions are associative: the reduction settles neither the
-    # full nuclei nor the zero defect, so both come from the Fraction table
+    # full nuclei nor the zero defect, so both come from the associator
+    # tensor over Q, built once, as is the reduction's
     alg, _ = cayley_double(cayley_double(field_algebra(Q), -1)[0], -1)
     calls = []
-    right = Algebra.right_by_basis
-    monkeypatch.setattr(Algebra, "right_by_basis",
-                        lambda self, j, v: calls.append(j) or right(self, j, v))
+    defect = Algebra._np_defect.func
+    spy = cached_property(lambda self: calls.append(self.field) or defect(self))
+    spy.__set_name__(Algebra, "_np_defect")
+    monkeypatch.setattr(Algebra, "_np_defect", spy)
     assert nucleus_and_center(alg).nucleus.is_full
     assert is_associative(alg)
-    assert len(calls) == alg.dim ** 3
+    assert calls == [algebra.REDUCTION_FIELD, Q]
 
 
 @settings(max_examples=40, deadline=None)
@@ -895,8 +994,12 @@ def test_object_dtype_matches_int64(p, dim, seed):
         mat = [[rng.randrange(p) for _ in range(dim + 1)] for _ in range(dim + 2)]
         red, piv = np_rref(mat, p)
         gen = tuple(rng.randrange(p) for _ in range(dim))
+        sys = trivial_system(alg, cyclic(2))
+        square = [row[:dim] for row in mat[:dim]]
         return (alg._np_tensor.dtype, red.tolist(), piv, kernel(f, mat, dim + 1),
-                nucleus_and_center(alg), ideal_closure(alg, [gen]))
+                nucleus_and_center(alg), ideal_closure(alg, [gen]),
+                algebra._product_mismatch(alg, square),
+                build_crossed_product(sys)[0].mult, crossed_center(sys))
 
     fast = run()
     with pytest.MonkeyPatch.context() as mp:

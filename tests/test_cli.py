@@ -339,6 +339,17 @@ def test_malformed_window_is_refused(capsys, tmp_path, window):
     assert_validation_error(capsys, ["laurent", write(tmp_path, doc)])
 
 
+@pytest.mark.parametrize("command", ["analyze", "verdict"])
+def test_window_outside_a_laurent_request_is_refused(capsys, tmp_path, command):
+    doc = {**GRADED_REQ, "options": {"window": [[-1, 1]]}}
+    code, out = run_cli(capsys, [command, write(tmp_path, doc)])
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "ValidationError",
+        "message": "option window applies to laurent requests only, "
+                   "not to graded"}}
+
+
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "sample_requests")
 SAMPLE_COMMANDS = {"group_algebra_z2.json": "analyze",

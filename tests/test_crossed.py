@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed, jsonio
-from gradix.algebra import (center_equations, fixed_center, in_nucleus,
-                            is_associative, make_algebra, nucleus_and_center,
-                            simple_under, two_sided_inverse)
+from gradix.algebra import (fixed_center, in_nucleus, is_associative,
+                            make_algebra, nucleus_and_center, simple_under,
+                            two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
                             octonions, product_algebra,
                             quadratic_field_extension, quaternions,
                             random_graded_algebra, swap_matrix,
                             truncated_dual)
+from gradix.cayley import cayley_double
 from gradix.crossed import (build_crossed_product, canonical_units,
                             crossed_center, is_G_simple,
                             recognize_crossed_system, trivial_system,
@@ -26,7 +27,9 @@ from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple, is_strong, validate_gradation
 from gradix.groups import cyclic, dihedral, elementary_abelian_two
 from gradix.linalg import Subspace, identity_matrix, kernel, projective_walk
-from helpers import fixed_subspace, homogeneous_points, walk_without_points
+from helpers import (LOOPS, NONZERO_Q, conjugation_matrix, fixed_subspace,
+                     homogeneous_points, inverse_pairs_loop, rescaled,
+                     rescaled_matrix, walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -358,7 +361,7 @@ def test_quaternion_cocycle_rebuilds_quaternions():
     assert prod.mult == qa.mult
 
 
-# -- contractions against the generic loops --------------------------------------
+# -- contractions against the loops ----------------------------------------------
 
 FIELD_SYSTEMS = [frobenius_system, swap_system, rotation_system,
                  quaternion_cocycle_system,
@@ -376,12 +379,12 @@ def _outcome(run):
 
 
 def _on_both_paths(run):
-    """`_outcome(run)` with the contractions, then with the generic loops
-    that serve Q and the object dtype."""
+    """`_outcome(run)` with the contractions, then with the loops of
+    `helpers.LOOPS` in their place."""
     fast = _outcome(run)
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (algebra, crossed):
-            mp.setattr(mod, "_contractible", lambda alg: False)
+        for mod, name, loop in LOOPS:
+            mp.setattr(mod, name, loop)
         slow = _outcome(run)
     return fast, slow
 
@@ -439,7 +442,7 @@ def test_contractions_match_the_generic_loops(mk, f, change, data):
               for _ in range(t.dim)] for _ in range(t.dim)]
     for alg, tw in ((t, None), (t, sys.sigma[a]), (t, twist)):
         def solve():
-            rows = center_equations(alg, tw)
+            rows = algebra.center_equations(alg, tw)
             return ([tuple(r) for r in rows],
                     kernel(f, rows, alg.dim).basis)
         fast, slow = _on_both_paths(solve)
@@ -559,3 +562,94 @@ def test_rational_cocycle_changes_are_refused():
     alpha[1][2] = (-alpha[1][2][0],)
     with pytest.raises(N2Violation):
         validate_crossed_system(sys.algebra, sys.group, sys.sigma, alpha)
+
+
+@st.composite
+def q_systems(draw):
+    """(T, G, sigma, alpha) over Q, T rescaled by nonzero rationals so that
+    every array has denominators: a quaternion algebra or M_2(Q) crossed
+    with C2 by the conjugation by a unit u and alpha(r, r) = c u^2 (N1 as
+    sigma_r^2 is the conjugation by u^2, N2 as sigma_r fixes u^2); or
+    Q x Q crossed with C3, E2 or D3 by sigma_g = swap^phi(g) and
+    alpha(g, h) = c^(psi(g) chi(h)) 1 for maps phi, psi, chi: G -> Z/2,
+    a cocycle because c is fixed by the swap and psi(g) chi(h) is
+    bilinear."""
+    c = draw(NONZERO_Q)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            t = matrix_algebra(QQ, 2)
+        else:
+            t = field_algebra(QQ)
+            for _ in range(2):
+                t, _ = cayley_double(t, draw(NONZERO_Q))
+        t = rescaled(t, [draw(NONZERO_Q) for _ in range(4)])
+        u = tuple(draw(NONZERO_Q) for _ in range(4))
+        if two_sided_inverse(t, u) is None:
+            u = t.unit
+        sigma = [identity_matrix(QQ, 4), conjugation_matrix(t, u)]
+        alpha = [[t.unit, t.unit], [t.unit, t.scale(c, t.multiply(u, u))]]
+        return t, cyclic(2), sigma, alpha
+    group, homs = draw(st.sampled_from(
+        [(g, homs_to_c2(g)) for g in (cyclic(3), elementary_abelian_two(2),
+                                      dihedral(3))]))
+    scales = [draw(NONZERO_Q) for _ in range(2)]
+    t = rescaled(product_algebra(QQ, 2), scales)
+    swap = rescaled_matrix(swap_matrix(QQ), scales)
+    phi, psi, chi = (draw(st.sampled_from(homs)) for _ in range(3))
+    sigma = [swap if phi[a] else identity_matrix(QQ, 2)
+             for a in group.elements()]
+    alpha = [[t.scale(c if psi[a] and chi[b] else 1, t.unit)
+              for b in group.elements()] for a in group.elements()]
+    return t, group, sigma, alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_systems(), st.sampled_from(["none", "sigma", "alpha", "unchecked"]),
+       st.data())
+def test_q_contractions_match_the_loops(system, change, data):
+    """Over Q, with numerators and denominators past 2^63: the cocycle
+    check (the same first violation and message), the product's entries,
+    the canonical-unit check and the center rows' kernel against the
+    loops, on valid systems and on systems with one entry moved."""
+    t, g, sigma, alpha = system
+    n = g.order
+    a = data.draw(st.integers(0, n - 1), label="g")
+    b = data.draw(st.integers(0, n - 1), label="h")
+    k = data.draw(st.integers(0, t.dim - 1), label="coordinate")
+    shift = data.draw(NONZERO_Q, label="shift")
+    moved = [[list(x) for x in row] for row in alpha]
+    moved[a][b][k] += shift
+    moved = [[tuple(x) for x in row] for row in moved]
+    if change == "sigma":
+        rows = [list(r) for r in sigma[a]]
+        rows[k][b % t.dim] += shift
+        sigma = sigma[:a] + [tuple(map(tuple, rows))] + sigma[a + 1:]
+
+    def build():
+        if change == "unchecked":
+            # past validation: an alpha that may break N1 or N2, with its own
+            # inverse or the unit, meets the canonical-unit check
+            valid = validate_crossed_system(t, g, sigma, alpha)
+            inv = [list(row) for row in valid.alpha_inv]
+            inv[a][b] = two_sided_inverse(t, moved[a][b]) or t.unit
+            checked = crossed.CrossedSystem(t, g, valid.sigma, tuple(map(tuple, moved)),
+                                            tuple(map(tuple, inv)))
+        else:
+            checked = validate_crossed_system(
+                t, g, sigma, moved if change == "alpha" else alpha)
+        prod, _ = build_crossed_product(checked)
+        return prod.mult, crossed_center(checked)
+
+    fast, slow = _on_both_paths(build)
+    assert fast == slow
+
+    if change == "none":
+        sys = validate_crossed_system(t, g, sigma, alpha)
+        prod, _ = build_crossed_product(sys)
+        units = canonical_units(sys)
+        inverses = [prod.element([0] * (g.inv(x) * t.dim) + list(sys.alpha_inv[g.inv(x)][x])
+                                 + [0] * ((n - 1 - g.inv(x)) * t.dim))
+                    for x in range(n)]
+        inverses[a] = prod.add_vec(inverses[a], prod.scale(shift, prod.basis_vector(k)))
+        assert (crossed._inverse_pairs(prod, units, inverses) ==
+                inverse_pairs_loop(prod, units, inverses))
