@@ -49,11 +49,6 @@ NONZERO_Q = st.one_of(
               st.integers(2 ** 63, BIG)))
 
 
-def rescaled_vector(v, scales):
-    """The coordinates of v on the basis scales[i] e_i (over Q)."""
-    return tuple(Fraction(x) / s for x, s in zip(v, scales))
-
-
 def rescaled_matrix(m, scales):
     """The matrix of the map m on the basis scales[i] e_i (over Q)."""
     n = len(scales)
@@ -69,8 +64,8 @@ def rescaled(alg, scales):
                for i, j, k, c in alg.mult]
     invol = (None if alg.involution is None
              else rescaled_matrix(alg.involution, scales))
-    return make_algebra(alg.field, alg.dim, entries,
-                        rescaled_vector(alg.unit, scales), involution=invol)
+    unit = tuple(Fraction(x) / s for x, s in zip(alg.unit, scales))
+    return make_algebra(alg.field, alg.dim, entries, unit, involution=invol)
 
 
 def _has_factor(p, poly):

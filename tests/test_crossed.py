@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -571,11 +572,11 @@ def q_systems(draw):
     with C2 by the conjugation by a unit u and alpha(r, r) = c u^2 (N1 as
     sigma_r^2 is the conjugation by u^2, N2 as sigma_r fixes u^2); or
     Q x Q crossed with C3, E2 or D3 by sigma_g = swap^phi(g) and
-    alpha(g, h) = c^(psi(g) chi(h)) 1 for maps phi, psi, chi: G -> Z/2,
-    a cocycle because c is fixed by the swap and psi(g) chi(h) is
-    bilinear."""
-    c = draw(NONZERO_Q)
+    alpha(g, h) = (-1)^(psi(g) chi(h)) f(g) f(h) / f(gh) for maps
+    phi, psi, chi: G -> Z/2 and f: G -> Q* with f(e) = 1, a sign cocycle
+    times a coboundary, both fixed by the swap."""
     if draw(st.booleans()):
+        c = draw(NONZERO_Q)
         if draw(st.booleans()):
             t = matrix_algebra(QQ, 2)
         else:
@@ -596,9 +597,12 @@ def q_systems(draw):
     t = rescaled(product_algebra(QQ, 2), scales)
     swap = rescaled_matrix(swap_matrix(QQ), scales)
     phi, psi, chi = (draw(st.sampled_from(homs)) for _ in range(3))
+    f = {a: Fraction(1) if a == group.identity else draw(NONZERO_Q)
+         for a in group.elements()}
     sigma = [swap if phi[a] else identity_matrix(QQ, 2)
              for a in group.elements()]
-    alpha = [[t.scale(c if psi[a] and chi[b] else 1, t.unit)
+    alpha = [[t.scale((-1) ** (psi[a] * chi[b]) * f[a] * f[b]
+                      / f[group.mul(a, b)], t.unit)
               for b in group.elements()] for a in group.elements()]
     return t, group, sigma, alpha
 
