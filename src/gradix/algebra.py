@@ -3,14 +3,17 @@
 An algebra of dimension d stores its multiplication sparsely as entries
 (i, j, k, c) meaning e_i * e_j contains c * e_k; products of arbitrary
 vectors expand bilinearly.  No associativity or commutativity is assumed
-anywhere.  Every contraction of the structure tensor (associators,
-nuclei, centers, product and cocycle checks) is one numpy code path for
-every field: over F_p on residues, held in int64 while products fit and
-in Python ints past that (`linalg.np_dtype`); over Q on Python ints, each
-array the rationals times the lcm of their denominators and carried with
-that scale.  Over Q most answers are first settled on `Algebra._reduced`,
-the reduction mod one large prime; elimination over Q, for the rest, is
-`linalg`'s Echelon path.
+anywhere.  An algebra is built and checked on its structure tensor: the
+product table, the unit and involution checks, inverses, the reduction
+mod P and every contraction (associators, nuclei, centers, product and
+cocycle checks) are one numpy code path for every field: over F_p on
+residues, in int64 while products fit and in Python ints past that
+(`linalg.np_dtype`); over Q on Python ints, each array the rationals
+times the lcm of their denominators and carried with that scale
+(`_np_vectors`, read back by `_np_scalars`).  Only `Algebra.multiply` of
+two vectors stays on Python scalars.  Over Q most answers are first
+settled on `Algebra._reduced`, the reduction mod one large prime;
+elimination over Q, for the rest, is `linalg`'s Echelon path.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import numpy as np
 from .errors import DimensionMismatch, ExactModeUnavailable, ValidationError
 from .fields import FieldSpec, Scalar
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_inverse, mat_vec, np_dtype, np_matmul, np_mod,
-                     projective_walk, solve_affine)
+                     mat_inverse, mat_vec, np_dtype, np_mat_pow, np_matmul,
+                     np_mod, projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
 # prime below 2^25, so the density test runs in int64 up to d = 90.
@@ -78,26 +81,9 @@ class Algebra:
     # -- cached derived tables -------------------------------------------
 
     @cached_property
-    def _by_pair(self) -> dict:
-        table: dict[tuple[int, int], list] = {}
-        for i, j, k, c in self.mult:
-            table.setdefault((i, j), []).append((k, c))
-        return table
-
-    @cached_property
     def product_table(self) -> tuple:
-        """Dense e_i * e_j vectors."""
-        out = []
-        f = self.field
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                v = [f.zero] * self.dim
-                for k, c in self._by_pair.get((i, j), ()):
-                    v[k] = f.add(v[k], c)
-                row.append(tuple(v))
-            out.append(tuple(row))
-        return tuple(out)
+        """Dense e_i * e_j vectors, read off `_np_tensor`."""
+        return _np_scalars(self.field, self._np_tensor, self._np_scale)
 
     @cached_property
     def _np_scale(self) -> int:
@@ -154,13 +140,17 @@ class Algebra:
         pure sublattice, whose basis stays independent mod P.  So a rank-1
         nucleus or center of the reduction is the unit line over Q, an
         irreducible reduction proves A simple, and a nonzero associator of
-        the reduction proves A not associative."""
-        if self.field.is_finite:
+        the reduction proves A not associative.  As a ring map keeps the unit
+        a two-sided identity, the reduced tensor needs no `make_algebra`."""
+        p = REDUCTION_FIELD.p
+        if (self.field.is_finite or self._np_scale % p == 0
+                or any(c.denominator % p == 0 for c in self.unit)):
             return None
-        try:
-            return make_algebra(REDUCTION_FIELD, self.dim, self.mult, self.unit)
-        except ZeroDivisionError:
-            return None
+        idx, vals = _np_entries(REDUCTION_FIELD, self._np_tensor % p,
+                                self._np_scale)
+        mult = tuple(zip(*(a.tolist() for a in idx), vals))
+        return Algebra(REDUCTION_FIELD, self.dim, mult,
+                       tuple(REDUCTION_FIELD.coerce(c) for c in self.unit))
 
     # -- products ---------------------------------------------------------
 
@@ -175,30 +165,6 @@ class Algebra:
             if not b:
                 continue
             out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
-        return tuple(out)
-
-    def left_by_basis(self, j: int, v) -> Vec:
-        """e_j * v"""
-        f = self.field
-        out = [f.zero] * self.dim
-        for m in range(self.dim):
-            a = v[m]
-            if not a:
-                continue
-            for k, c in self._by_pair.get((j, m), ()):
-                out[k] = f.add(out[k], f.mul(a, c))
-        return tuple(out)
-
-    def right_by_basis(self, j: int, v) -> Vec:
-        """v * e_j"""
-        f = self.field
-        out = [f.zero] * self.dim
-        for m in range(self.dim):
-            a = v[m]
-            if not a:
-                continue
-            for k, c in self._by_pair.get((m, j), ()):
-                out[k] = f.add(out[k], f.mul(a, c))
         return tuple(out)
 
     def star(self, v: Vec) -> Vec:
@@ -216,10 +182,8 @@ def make_algebra(field: FieldSpec, dim: int, entries, unit,
     for i, j, k, c in entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValidationError(f"tensor index {(i, j, k)} out of range for dim {dim}")
-        c = field.coerce(c)
-        key = (i, j, k)
-        prev = acc.get(key, field.zero)
-        acc[key] = field.add(prev, c)
+        c, key = field.coerce(c), (i, j, k)
+        acc[key] = field.add(acc[key], c) if key in acc else c
     mult = tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c)
     unit = tuple(field.coerce(c) for c in unit)
     if len(unit) != dim:
@@ -234,21 +198,27 @@ def make_algebra(field: FieldSpec, dim: int, entries, unit,
             raise DimensionMismatch("labels length != dim")
 
     alg = Algebra(field, dim, mult, unit, involution, labels)
-    for j in range(dim):
-        e = alg.basis_vector(j)
-        if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
-            raise ValidationError(f"unit is not a two-sided identity at basis {j}")
+    # L_u = R_u = I times their scale; column j is u e_j and e_j u
+    u, s = _np_vectors(alg, unit)
+    ident = np_mod(np.eye(dim, dtype=u.dtype) * (s * alg._np_scale), field.p)
+    bad = (_np_mults(alg, u) != ident).any(axis=(0, 1))
+    if bad.any():
+        raise ValidationError("unit is not a two-sided identity at basis "
+                              f"{int(np.argmax(bad))}")
     if involution is not None:
         _check_involution(alg)
     return alg
 
 
 def _check_involution(alg: Algebra) -> None:
-    if alg.star(alg.unit) != alg.unit:
+    p = alg.field.p
+    m, s = _np_vectors(alg, alg.involution)
+    u, _ = _np_vectors(alg, alg.unit)
+    eye = np.eye(alg.dim, dtype=m.dtype)
+    if (np_matmul(m, u, p) != np_mod(u * s, p)).any():
         raise ValidationError("involution does not fix the unit")
-    for i in range(alg.dim):
-        if alg.star(alg.star(alg.basis_vector(i))) != alg.basis_vector(i):
-            raise ValidationError("involution does not square to the identity")
+    if (np_matmul(m, m, p) != np_mod(eye * s * s, p)).any():
+        raise ValidationError("involution does not square to the identity")
     bad = _product_mismatch(alg, alg.involution, reverse=True)
     if bad is not None:
         raise ValidationError(f"involution does not reverse products at {bad}")
@@ -270,6 +240,35 @@ def _np_vectors(alg: Algebra, vecs) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(a.shape), s
 
 
+def _np_scalars(f: FieldSpec, a: np.ndarray, s: int):
+    """The field scalars a / s of an array that carries the scale s, as
+    nested tuples of Python scalars (Fractions over Q)."""
+    unscale = f.inv(f.coerce(s))
+
+    def scalars(x):
+        if isinstance(x, list):
+            return tuple(map(scalars, x))
+        return f.mul(x, unscale)
+    return scalars(a.tolist())
+
+
+def _np_entries(f: FieldSpec, a: np.ndarray, s: int) -> tuple[list, list]:
+    """The nonzero entries of an array that carries the scale s: their
+    index arrays, one per axis, and their field scalars a / s."""
+    idx = np.nonzero(a)
+    return idx, list(_np_scalars(f, a[idx], s))
+
+
+def _np_mults(alg: Algebra, x: np.ndarray) -> np.ndarray:
+    """The matrices of v -> x v and v -> v x for one vector x, as one
+    (2, d, d) array: x times the stack `Algebra._np_ops`, 2 d^3 products in
+    the tensor's dtype (a float64 round trip costs more than that).  Their
+    scale is x's times `Algebra._np_scale`."""
+    d = alg.dim
+    prods = np_mod(x @ alg._np_ops.reshape(2, d, d * d), alg.field.p)
+    return prods.reshape(2, d, d)
+
+
 def _np_left(alg: Algebra, x: np.ndarray) -> np.ndarray:
     """The matrices of v -> x v, one per vector of the stack x (last axis);
     their scale is x's times `Algebra._np_scale`."""
@@ -288,11 +287,12 @@ def _product_mismatch(alg: Algebra, m, reverse: bool = False):
     """The first basis pair (i, j), in row-major order, with m(e_i e_j)
     other than m(e_i) m(e_j), or m(e_j) m(e_i) when `reverse`; None when
     there is none.  All d^2 pairs are compared at once."""
-    p, c = alg.field.p, alg._np_tensor
+    p, c, d = alg.field.p, alg._np_tensor, alg.dim
     mm, s = _np_vectors(alg, m)
-    images = np_mod(np.tensordot(c, mm, axes=([2], [1])), p)  # m(e_i e_j)
-    half = np_mod(np.tensordot(mm, c, axes=([0], [0])), p)    # [i, b]: m(e_i) e_b
-    prods = np_mod(np.tensordot(mm, half, axes=([0], [1])), p)  # [j, i]: m(e_i) m(e_j)
+    images = np_matmul(c, mm.T, p)                          # m(e_i e_j)
+    half = np_matmul(mm.T, c.reshape(d, d * d), p)          # [i, b]: m(e_i) e_b
+    half = half.reshape(d, d, d).transpose(1, 0, 2).reshape(d, d * d)
+    prods = np_matmul(mm.T, half, p).reshape(d, d, d)     # [j, i]: m(e_i) m(e_j)
     if not reverse:
         prods = prods.transpose(1, 0, 2)
     # images carry the scale s C, prods s^2 C
@@ -406,9 +406,13 @@ def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
 # -- inverses ----------------------------------------------------------------
 
 def inverse_system(alg: Algebra, r: Vec):
-    """Equations for s with r s = 1 and s r = 1, as (rows, rhs)."""
-    return (left_mult_matrix(alg, r) + right_mult_matrix(alg, r),
-            list(alg.unit) * 2)
+    """Equations for s with r s = 1 and s r = 1, as (rows, rhs): the rows of
+    the matrices of v -> r v and v -> v r, over the unit twice, both sides
+    times the scale of the rows (over Q integer rows)."""
+    x, s = _np_vectors(alg, r)
+    scale = alg.field.coerce(s * alg._np_scale)
+    rows = _np_mults(alg, x).reshape(2 * alg.dim, alg.dim).tolist()
+    return rows, [alg.field.mul(c, scale) for c in alg.unit] * 2
 
 
 def two_sided_inverse(alg: Algebra, r: Vec) -> Vec | None:
@@ -429,37 +433,16 @@ def first_unit(alg: Algebra, space: Subspace,
                  if (inv := two_sided_inverse(alg, u)) is not None), None)
 
 
-def left_mult_matrix(alg: Algebra, v: Vec):
-    """Matrix of x -> v x."""
-    f = alg.field
-    d = alg.dim
-    m = [[f.zero] * d for _ in range(d)]
-    for i, j, k, c in alg.mult:
-        if v[i]:
-            m[k][j] = f.add(m[k][j], f.mul(v[i], c))
-    return tuple(tuple(row) for row in m)
-
-
-def right_mult_matrix(alg: Algebra, v: Vec):
-    """Matrix of x -> x v."""
-    f = alg.field
-    d = alg.dim
-    m = [[f.zero] * d for _ in range(d)]
-    for i, j, k, c in alg.mult:
-        if v[j]:
-            m[k][i] = f.add(m[k][i], f.mul(v[j], c))
-    return tuple(tuple(row) for row in m)
-
-
 # -- ideal closures ----------------------------------------------------------
 
 def _np_generators(alg: Algebra, maps=()) -> np.ndarray:
     """The operators L_{e_j}, R_{e_j} followed by the extra maps (matrices,
-    or one array stack), in the dtype of the structure tensor."""
+    or one array stack), in the dtype of the structure tensor; over Q each
+    a nonzero multiple of its map, which has the same invariant
+    subspaces."""
     if not len(maps):
         return alg._np_ops
-    extra = np.array(maps, dtype=alg._np_ops.dtype) % alg.field.p
-    return np.concatenate([alg._np_ops, extra])
+    return np.concatenate([alg._np_ops, _np_vectors(alg, maps)[0]])
 
 
 def _spin(rows: np.ndarray, gens: np.ndarray, target: int, p: int):
@@ -499,18 +482,16 @@ def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
 
 
 def _closure_echelon(alg: Algebra, seeds, maps=()):
+    """The closure of the seeds in `linalg.Echelon`: each round adds the
+    images of every row under every generator of `_np_generators`."""
     from .linalg import Echelon
+    gens = _np_generators(alg, maps)
     ech = Echelon(alg.field, alg.dim)
     ech.extend(seeds)
-    while ech.rank < alg.dim:
-        batch = []
-        for row in [list(r) for r in ech.rows]:
-            for j in range(alg.dim):
-                batch.append(alg.left_by_basis(j, row))
-                batch.append(alg.right_by_basis(j, row))
-            for m in maps:
-                batch.append(mat_vec(alg.field, m, row))
-        if not ech.extend(batch):
+    while 0 < ech.rank < alg.dim:
+        rows, _ = _np_vectors(alg, ech.rows)
+        images = np_mod(rows @ gens.transpose(0, 2, 1), alg.field.p)
+        if not ech.extend(images.reshape(-1, alg.dim).tolist()):
             break
     return ech
 
@@ -556,18 +537,6 @@ def random_element(alg: Algebra, rng: random.Random) -> Vec:
     return alg.basis_vector(0)
 
 
-def _np_mat_pow(x: np.ndarray, e: int, p: int) -> np.ndarray:
-    """x**e mod p for a stack of square int64 matrices, e >= 1."""
-    out = None
-    while e:
-        if e & 1:
-            out = x if out is None else np_matmul(out, x, p)
-        e >>= 1
-        if e:
-            x = np_matmul(x, x, p)
-    return out
-
-
 def _density_fits(p: int, d: int) -> bool:
     """int64 holds the products of `_density_irreducible` over F_p."""
     return d * d * (p - 1) ** 2 < 2 ** 63
@@ -607,7 +576,7 @@ def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
     if k > 1:
         xs = np_matmul(cbasis, left, p).reshape(-1, d, d)
         unit = np.array([int(c) % p for c in alg.unit], dtype=xs.dtype)
-        frob = (_np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
+        frob = (np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
         if (len(np_rref(frob, p)[0]) < k or
                 len(np_rref(frob - np.eye(k, dtype=frob.dtype), p)[0]) != k - 1):
             return None

@@ -8,7 +8,9 @@ carrying the natural Z/2-gradation with A in degree 0.  Iterating from
 the ground field produces the usual tower (complexification, quaternion,
 octonion, sedenion stages) together with an accumulated (Z/2)^k-gradation.
 `tower_stages` only builds the tower, so it works over Q and at any size;
-`tower` also judges each double by the doubling criterion.
+`tower` also judges each double by the doubling criterion.  A double is
+assembled as a structure tensor from four blocks of A's, and its rows of
+Z_** are one contraction of that tensor with the involution.
 """
 
 from __future__ import annotations
@@ -18,15 +20,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Algebra, SimplicityVerdict, center_equations,
-                      fixed_center, fixed_equations, make_algebra,
-                      right_mult_matrix, simple_under, subfield_check)
+import numpy as np
+
+from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_mults,
+                      _np_right, _np_vectors, center_equations, fixed_center,
+                      fixed_equations, make_algebra, simple_under,
+                      subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
 from .graded import Gradation, validate_gradation
 from .groups import cyclic, elementary_abelian_two
-from .linalg import (Subspace, identity_matrix, kernel, projective_count,
-                     projective_walk)
+from .linalg import (Subspace, identity_matrix, kernel, np_dtype, np_matmul,
+                     np_mod, projective_count, projective_walk)
 
 
 def _require_involution(alg: Algebra) -> None:
@@ -35,49 +40,47 @@ def _require_involution(alg: Algebra) -> None:
 
 
 def cayley_double(alg: Algebra, mu, adjoined: str = "l") -> tuple[Algebra, Gradation]:
+    """The double C(A, mu), graded by C2, with its tensor assembled from
+    four blocks of A's: with C the structure tensor and S the involution,
+    a c is C, d a is C with i and j swapped, b c* is C contracted with S,
+    and mu d* b is mu times S contracted with C."""
     _require_involution(alg)
     f = alg.field
     mu = f.coerce(mu)
     if not mu:
         raise MuZero("doubling parameter is zero")
-    d = alg.dim
-    prod = alg.product_table
-    star = [alg.star(alg.basis_vector(i)) for i in range(d)]
-
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            for k, c in enumerate(prod[i][j]):            # a c
-                if c:
-                    entries.append((i, j, k, c))
-            for k, c in enumerate(prod[j][i]):            # d a
-                if c:
-                    entries.append((i, d + j, d + k, c))
-            for k, c in enumerate(alg.multiply(alg.basis_vector(i), star[j])):
-                if c:
-                    entries.append((d + i, j, d + k, c))  # b c*
-            for k, c in enumerate(alg.multiply(star[j], alg.basis_vector(i))):
-                if c:
-                    entries.append((d + i, d + j, k, f.mul(mu, c)))  # mu d* b
+    d, p, c = alg.dim, f.p, alg._np_tensor
+    sm, ss = _np_vectors(alg, alg.involution)
+    (m,), sc = _np_vectors(alg, (mu,))
+    double = np.zeros((2 * d,) * 3, dtype=np_dtype(p, 2 * d))
+    # every block carries the scale ss * sc * `_np_scale`: a c, d a, b c*,
+    # mu d* b
+    double[:d, :d, :d] = np_mod(c * (ss * sc), p)
+    double[:d, d:, d:] = np_mod(c.transpose(1, 0, 2) * (ss * sc), p)
+    double[d:, :d, d:] = np_mod(np.einsum("imk,mj->ijk", c, sm), p) * sc
+    double[d:, d:, :d] = np_mod(np_mod(np.einsum("mj,mik->ijk", sm, c), p) * m, p)
+    idx, vals = _np_entries(f, double, ss * sc * alg._np_scale)
+    entries = zip(*(a.tolist() for a in idx), vals)
     unit = tuple(alg.unit) + (f.zero,) * d
-    invol = [[f.zero] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        for j in range(d):
-            invol[i][j] = alg.involution[i][j]
-        invol[d + i][d + i] = f.neg(f.one)
+    invol = [list(row) + [f.zero] * d for row in alg.involution]
+    invol += [[f.zero] * (d + i) + [f.neg(f.one)] + [f.zero] * (d - 1 - i)
+              for i in range(d)]
     labels = None
     if alg.labels:
         labels = alg.labels + tuple(
             adjoined if s == "1" else s + adjoined for s in alg.labels)
     doubled = make_algebra(f, 2 * d, entries, unit, invol, labels)
 
-    # sanity: l d l = mu d* for the adjoined unit l
-    ell = doubled.element((f.zero,) * d + tuple(alg.unit))
-    for i in range(d):
-        lhs = doubled.multiply(doubled.multiply(ell, doubled.basis_vector(i)), ell)
-        rhs = doubled.scale(mu, tuple(star[i]) + (f.zero,) * d)
-        if lhs != rhs:
-            raise ValidationError(f"doubling identity fails at basis {i}")
+    # sanity: l e_i l = mu e_i* for the adjoined unit l, column i of R_l L_l,
+    # which carries the scale (sl * `_np_scale`)^2 where mu S carries ss * sc
+    ell, sl = _np_vectors(doubled, (f.zero,) * d + tuple(alg.unit))
+    left, right = _np_mults(doubled, ell)
+    lel = np_mod(np_matmul(right, left, p)[:, :d] * (ss * sc), p)
+    want = np_mod(sm * m * (sl * doubled._np_scale) ** 2, p)
+    bad = (lel[:d] != want).any(axis=0) | lel[d:].any(axis=0)
+    if bad.any():
+        raise ValidationError("doubling identity fails at basis "
+                              f"{int(np.argmax(bad))}")
 
     return doubled, validate_gradation(doubled, cyclic(2), (0,) * d + (1,) * d)
 
@@ -98,9 +101,9 @@ def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
     f, d = alg.field, alg.dim
     rows = center_equations(alg) + fixed_equations(alg, (alg.involution,))
     z_star = kernel(f, rows, d)
-    for j in range(d):
-        v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
-        rows.extend(right_mult_matrix(alg, v))
+    sm, s = _np_vectors(alg, alg.involution)
+    diffs = np_mod(np.eye(d, dtype=sm.dtype) * s - sm.T, f.p)  # row j: e_j - e_j*
+    rows += _np_right(alg, diffs).reshape(d * d, d).tolist()
     return z_star, kernel(f, rows, d)
 
 
@@ -212,11 +215,11 @@ def tower_stages(field: FieldSpec, mus) -> Iterator[tuple[Algebra, Gradation]]:
 def tower(field: FieldSpec, mus, budget: int = 1_000_000) -> list[TowerStage]:
     """Iterated doubling from the ground field, each double judged by
     `doubling_report` as soon as it is built."""
+    mus = [field.coerce(mu) for mu in mus]
     built = tower_stages(field, mus)
     alg, grad = next(built)
     stages = [TowerStage(alg, grad, None, None)]
     for (alg, grad), mu in zip(built, mus):
-        mu = field.coerce(mu)
         report = doubling_report(stages[-1].algebra, mu, alg, budget)
         stages.append(TowerStage(alg, grad, mu, report))
     return stages

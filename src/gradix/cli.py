@@ -52,7 +52,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _apply_flags(doc: dict, args) -> dict:
     flags = {k: getattr(args, k) for k in ("budget", "trials", "seed", "window")
              if getattr(args, k, None) is not None}
-    doc["options"] = jsonio.merge_options({**doc["options"], **flags})
+    doc["options"] = jsonio.merge_options(flags, doc["kind"], doc["options"])
     return doc
 
 

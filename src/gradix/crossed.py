@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Algebra, SimplicityVerdict, _np_left, _np_right,
-                      _np_vectors, _nucleus_blocks, first_unit, fixed_center,
-                      in_nucleus, is_ring_automorphism, make_algebra,
-                      nuclear_mask, nucleus_equation_rows, simple_under,
-                      two_sided_inverse)
+from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_left,
+                      _np_right, _np_vectors, _nucleus_blocks, first_unit,
+                      fixed_center, in_nucleus, is_ring_automorphism,
+                      make_algebra, nuclear_mask, nucleus_equation_rows,
+                      simple_under, two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
                      N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
                      ValidationError)
@@ -147,11 +147,9 @@ def _product_entries(sys: CrossedSystem) -> list:
     al, sa = _np_vectors(t, sys.alpha)
     half = np_mod(np.einsum("amj,iml->aijl", s, c), f.p)
     w = np_mod(np.einsum("aijl,abkl->abijk", half, _np_right(t, al)), f.p)
-    unscale = f.inv(f.coerce(ss * sa * t._np_scale ** 2))
-    a, b, i, j, k = np.nonzero(w)
+    (a, b, i, j, k), vals = _np_entries(f, w, ss * sa * t._np_scale ** 2)
     return list(zip((a * d + i).tolist(), (b * d + j).tolist(),
-                    (mul[a, b] * d + k).tolist(),
-                    [f.mul(x, unscale) for x in w[a, b, i, j, k].tolist()]))
+                    (mul[a, b] * d + k).tolist(), vals))
 
 
 def _inverse_pairs(alg: Algebra, xs, ys) -> bool:
@@ -234,18 +232,12 @@ def recognize_crossed_system(alg: Algebra, grad: Gradation,
     if not idx:
         raise ValidationError("identity component is zero")
 
-    # T = identity component with the restricted product
-    pos = {i: k for k, i in enumerate(idx)}
-    entries = []
-    for i in idx:
-        for j in idx:
-            w = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            w = _restrict(w, idx, "identity component product")
-            for k, c in enumerate(w):
-                if c:
-                    entries.append((pos[i], pos[j], k, c))
+    # T = identity component, its tensor a slice of A's: the gradation puts
+    # the products of R_e in R_e
+    ijk, vals = _np_entries(f, alg._np_tensor[np.ix_(idx, idx, idx)],
+                            alg._np_scale)
     t_labels = tuple(alg.labels[i] for i in idx) if alg.labels else None
-    t = make_algebra(f, len(idx), entries,
+    t = make_algebra(f, len(idx), zip(*(a.tolist() for a in ijk), vals),
                      _restrict(alg.unit, idx, "unit"), labels=t_labels)
 
     chosen: list[Vec | None] = [None] * g.order

@@ -66,8 +66,9 @@ def _components(grad: Gradation) -> dict:
 def is_strong(alg: Algebra, grad: Gradation) -> bool:
     """R_g R_h = R_{gh} for all g, h in the support.  A validated gradation
     puts every product e_a e_b (a in R_g, b in R_h) in R_{gh}, so they span
-    it exactly when their coordinates there have rank |R_{gh}|."""
-    prod, comp, mul = alg.product_table, _components(grad), grad.group.mul
+    it exactly when their coordinates there have rank |R_{gh}|, read off
+    the structure tensor (over Q times its scale, which keeps the rank)."""
+    prod, comp, mul = alg._np_tensor.tolist(), _components(grad), grad.group.mul
     for g in grad.support:
         for h in grad.support:
             gh = comp[mul(g, h)]
@@ -82,7 +83,7 @@ def is_faithful(alg: Algebra, grad: Gradation) -> bool:
     support.  The maps r -> (r e_b)_b and r -> (e_b r)_b, b in R_h, take
     R_g into copies of R_{gh} and R_{hg}; each is injective exactly when
     its matrix has rank |R_g|, which is exact over every field."""
-    prod, comp, mul = alg.product_table, _components(grad), grad.group.mul
+    prod, comp, mul = alg._np_tensor.tolist(), _components(grad), grad.group.mul
     for g in grad.support:
         for h in grad.support:
             gh, hg = comp[mul(g, h)], comp[mul(h, g)]

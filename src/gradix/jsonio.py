@@ -36,6 +36,11 @@ DEFAULT_OPTIONS = {
     "window": None,       # laurent center slice, [[lo, hi] per variable]
 }
 
+# the kinds on which an option has an effect (trials and seed: the
+# randomized verdicts over Q); any other kind that sets one is refused
+OPTION_KINDS = {"budget": KINDS, "trials": ("algebra", "graded"),
+                "seed": ("algebra", "graded"), "window": ("laurent",)}
+
 
 # -- parsing ---------------------------------------------------------------------
 
@@ -66,24 +71,26 @@ def _int(value, where: str) -> int:
     raise ValidationError(f"{where} must be an integer, got {value!r}")
 
 
-def _vector(f: FieldSpec, value, where: str) -> list:
-    return [f.coerce(c) for c in _list(value, where)]
+def _rows(value, where: str) -> list:
+    """A list of lists, its scalars left to the constructor to coerce."""
+    return [_list(row, where) for row in _list(value, where)]
 
 
-def _matrix(f: FieldSpec, value, where: str) -> list:
-    return [_vector(f, row, where) for row in _list(value, where)]
-
-
-def merge_options(options) -> dict:
-    """DEFAULT_OPTIONS overridden by `options`, every value checked: the one
-    validation site for request options, CLI flags and the defaults of a
-    bare payload."""
+def merge_options(options, kind: str, base=None) -> dict:
+    """`base` (DEFAULT_OPTIONS when None) overridden by `options`, every
+    value checked: the one validation site for request options, CLI flags
+    and the defaults of a bare payload.  An option given explicitly to a
+    kind on which it has no effect (`OPTION_KINDS`) is refused."""
     if not isinstance(options, dict):
         raise ValidationError("options must be an object")
-    merged = dict(DEFAULT_OPTIONS)
+    merged = dict(DEFAULT_OPTIONS if base is None else base)
     for k, v in options.items():
         if k not in DEFAULT_OPTIONS:
             raise ValidationError(f"unknown option {k!r}")
+        if v is not None and kind not in OPTION_KINDS[k]:
+            raise ValidationError(f"option {k} applies to "
+                                  f"{' and '.join(OPTION_KINDS[k])} requests "
+                                  f"only, not to {kind}")
         merged[k] = v
     for k in ("budget", "trials"):
         merged[k] = _int(merged[k], f"option {k}")
@@ -127,14 +134,14 @@ def parse_group(obj) -> FiniteGroup:
 def parse_algebra(obj) -> Algebra:
     f = parse_field(_need(obj, "field", "algebra"))
     dim = _int(_need(obj, "dim", "algebra"), "algebra dim")
-    unit = _vector(f, _need(obj, "unit", "algebra"), "algebra unit")
+    unit = _list(_need(obj, "unit", "algebra"), "algebra unit")
     entries = []
     for e in _list(_need(obj, "mult", "algebra"), "algebra mult"):
         entries.append([_int(_need(e, key, "mult entry"), "mult entry index")
-                        for key in "ijk"] + [f.coerce(_need(e, "c", "mult entry"))])
+                        for key in "ijk"] + [_need(e, "c", "mult entry")])
     invol = obj.get("involution")
     if invol is not None:
-        invol = _matrix(f, invol, "algebra involution")
+        invol = _rows(invol, "algebra involution")
     labels = obj.get("labels")
     if labels is not None:
         labels = tuple(str(s) for s in _list(labels, "algebra labels"))
@@ -151,10 +158,9 @@ def parse_gradation(alg: Algebra, obj) -> Gradation:
 def parse_crossed(obj) -> CrossedSystem:
     t = parse_algebra(_need(obj, "T", "crossed system"))
     g = parse_group(_need(obj, "G", "crossed system"))
-    f = t.field
-    sigma = [_matrix(f, m, "crossed sigma")
+    sigma = [_rows(m, "crossed sigma")
              for m in _list(_need(obj, "sigma", "crossed system"), "crossed sigma")]
-    alpha = [_matrix(f, row, "crossed alpha")
+    alpha = [_rows(row, "crossed alpha")
              for row in _list(_need(obj, "alpha", "crossed system"), "crossed alpha")]
     return validate_crossed_system(t, g, sigma, alpha)
 
@@ -162,8 +168,7 @@ def parse_crossed(obj) -> CrossedSystem:
 def parse_laurent(obj) -> LaurentRing:
     t = parse_algebra(_need(obj, "T", "laurent ring"))
     n = _int(_need(obj, "n", "laurent ring"), "laurent ring n")
-    f = t.field
-    sigma = [_matrix(f, m, "laurent sigma")
+    sigma = [_rows(m, "laurent sigma")
              for m in _list(_need(obj, "sigma", "laurent ring"), "laurent sigma")]
     if len(sigma) != n:
         raise ValidationError(f"laurent ring: {len(sigma)} matrices for rank {n}")
@@ -172,7 +177,7 @@ def parse_laurent(obj) -> LaurentRing:
 
 def parse_tower(obj) -> tuple[FieldSpec, list]:
     f = parse_field(_need(obj, "field", "tower spec"))
-    return f, _vector(f, _need(obj, "mus", "tower spec"), "tower mus")
+    return f, _list(_need(obj, "mus", "tower spec"), "tower mus")
 
 
 def parse_request(text: str) -> dict:
@@ -186,11 +191,8 @@ def parse_request(text: str) -> dict:
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {', '.join(KINDS)}")
     payload = _need(doc, "payload", "request")
-    options = merge_options(doc.get("options", {}))
-    if options["window"] is not None and kind != "laurent":
-        raise ValidationError(f"option window applies to laurent requests "
-                              f"only, not to {kind}")
-    return {"kind": kind, "payload": payload, "options": options}
+    return {"kind": kind, "payload": payload,
+            "options": merge_options(doc.get("options", {}), kind)}
 
 
 def wrap_bare_payload(text: str, kind: str) -> dict:
@@ -204,7 +206,7 @@ def wrap_bare_payload(text: str, kind: str) -> dict:
         if parsed["kind"] != kind:
             raise ValidationError(f"expected a {kind} request, got {parsed['kind']}")
         return parsed
-    return {"kind": kind, "payload": doc, "options": merge_options({})}
+    return {"kind": kind, "payload": doc, "options": merge_options({}, kind)}
 
 
 # -- serialization helpers ---------------------------------------------------------

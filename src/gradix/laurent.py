@@ -23,12 +23,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import (Algebra, SimplicityVerdict, center_equations,
-                      first_unit, fixed_equations, is_ring_automorphism,
-                      simple_under)
+import numpy as np
+
+from .algebra import (REDUCTION_FIELD, Algebra, SimplicityVerdict, _np_scalars,
+                      _np_vectors, center_equations, first_unit,
+                      fixed_equations, is_ring_automorphism, simple_under)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
-from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_mul, mat_power, mat_vec)
+from .fields import _is_prime
+from .linalg import (Subspace, Vec, coerce_matrix, kernel, mat_inverse,
+                     mat_vec, np_mat_pow, np_matmul)
 
 Exp = tuple  # Z^n exponent vector
 
@@ -53,30 +56,62 @@ class LaurentRing:
         return {}
 
 
-def _matrix_order(field, m, cap: int) -> int | None:
-    ident = identity_matrix(field, len(m))
-    power = m
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = mat_mul(field, power, m)
-    if field.is_finite:
+def _matrix_order(alg: Algebra, m, cap: int) -> int | None:
+    """The multiplicative order of m: over F_p walked up to cap, past which
+    BudgetExceeded.  Over Q the finite orders are the n with psi(n) <= d,
+    psi(n) the sum of phi(q) over the prime powers q exactly dividing n,
+    less 1 when n = 2 mod 4 (Kuzmanovich & Pavlichenkov, Amer. Math.
+    Monthly 109, 2002; at most 840 at d = 16); they divide L, the product
+    of the largest prime powers with phi at most d.  Reduction mod an odd
+    prime q prime to the denominators keeps finite orders (Minkowski), so
+    the order n mod q, L cut prime by prime, is m's if psi(n) <= d and
+    m^n = I in Fractions, and None (infinite) otherwise."""
+    p, d = alg.field.p, alg.dim
+    x, s = _np_vectors(alg, m)
+    eye = np.eye(d, dtype=x.dtype)
+    if p is not None:
+        power = x
+        for k in range(1, cap + 1):
+            if (power == eye).all():
+                return k
+            power = np_matmul(power, x, p)
         raise BudgetExceeded(f"automorphism order exceeds {cap}")
-    return None
+    tops = {}
+    for r in range(2, d + 2):
+        if all(r % t for t in range(2, r)):
+            tops[r] = r
+            while tops[r] * (r - 1) <= d:       # phi(r q) = q (r - 1)
+                tops[r] *= r
+    q = next(q for q in itertools.count(REDUCTION_FIELD.p, -2)
+             if s % q and _is_prime(q))
+    red = (x % q * pow(s, -1, q) % q).astype(np.int64)
+    n = math.prod(tops.values())
+    if (np_mat_pow(red, n, q) != eye).any():
+        return None
+    psi = 0         # phi of each exact prime power, phi(2) counted as 0
+    for r, top in tops.items():
+        while n % r == 0 and (np_mat_pow(red, n // r, q) == eye).all():
+            n //= r
+        power = math.gcd(n, top)
+        psi += power - power // r if power > 2 else 0
+    if psi > d or (np_mat_pow(np.array(m, dtype=object), n, None) != eye).any():
+        return None
+    return n
 
 
 def make_laurent_ring(t: Algebra, sigma) -> LaurentRing:
-    f = t.field
+    f, p = t.field, t.field.p
     sigma = tuple(coerce_matrix(f, m, t.dim) for m in sigma)
     for i, m in enumerate(sigma):
         if not is_ring_automorphism(t, m):
             raise ValidationError(f"sigma[{i}] is not a ring automorphism")
+    arrays = [_np_vectors(t, m)[0] for m in sigma]
     for i in range(len(sigma)):
         for j in range(i + 1, len(sigma)):
-            if mat_mul(f, sigma[i], sigma[j]) != mat_mul(f, sigma[j], sigma[i]):
+            if (np_matmul(arrays[i], arrays[j], p)
+                    != np_matmul(arrays[j], arrays[i], p)).any():
                 raise ValidationError(f"sigma[{i}] and sigma[{j}] do not commute")
-    cap = 1_000_000 if f.is_finite else 64
-    orders = tuple(_matrix_order(f, m, cap) for m in sigma)
+    orders = tuple(_matrix_order(t, m, 1_000_000) for m in sigma)
     return LaurentRing(t, len(sigma), sigma, orders)
 
 
@@ -89,12 +124,16 @@ def sigma_power(ring: LaurentRing, m: Exp):
     m = _reduce_exp(ring, m)
     powers = ring._sigma_powers
     if m not in powers:
-        f = ring.algebra.field
-        out = identity_matrix(f, ring.algebra.dim)
+        alg, f = ring.algebra, ring.algebra.field
+        out, scale = np.eye(alg.dim, dtype=alg._np_tensor.dtype), 1
         for mat, mi in zip(ring.sigma, m):
             if mi:
-                out = mat_mul(f, out, mat_power(f, mat, mi))
-        powers[m] = out
+                if mi < 0:          # an infinite order, so over Q
+                    mat, mi = mat_inverse(f, mat), -mi
+                x, s = _np_vectors(alg, mat)
+                out = np_matmul(out, np_mat_pow(x, mi, f.p), f.p)
+                scale *= s ** mi
+        powers[m] = _np_scalars(f, out, scale)
     return powers[m]
 
 

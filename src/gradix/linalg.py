@@ -8,13 +8,16 @@ while a row's sums of products fit (`np_dtype`) and Python ints past that,
 and drops the all-zero rows before its pivot loop.  `kernel` takes
 equations as an array as well as a list of rows, over either field.
 
-Products of arrays are one path for both fields: `np_matmul` and
-`np_mod` reduce mod p over F_p, and over Z (p None) leave the Python-int
-arrays by which `algebra` carries rationals with their denominators
-cleared.  Residue products run on float64 BLAS while k (p - 1)^2 < 2^53
-for contraction length k.  Over Q most answers never reach elimination
-here: `algebra` reduces an algebra mod one large prime
-(`Algebra._reduced`), whose ranks bound the ranks over Q from below.
+Products of arrays are one path for both fields: `np_matmul`,
+`np_mat_pow` and `np_mod` reduce mod p over F_p, and over Z (p None)
+leave the Python-int arrays by which `algebra` carries rationals with
+their denominators cleared.  Every product of matrices is one of them;
+the routines on Python scalars left are `mat_vec`, `identity_matrix`,
+`mat_inverse` (an Echelon solve) and `coerce_matrix`.  Residue products
+run on float64 BLAS while k (p - 1)^2 < 2^53 for contraction length k.
+Over Q most answers never reach elimination here: `algebra` reduces an
+algebra mod one large prime (`Algebra._reduced`), whose ranks bound the
+ranks over Q from below.
 """
 
 from __future__ import annotations
@@ -101,9 +104,7 @@ class Subspace:
     @classmethod
     def span(cls, field: FieldSpec, ambient: int,
              vectors: Iterable[Sequence[Scalar]] = ()) -> "Subspace":
-        ech = Echelon(field, ambient)
-        ech.extend(vectors)
-        return ech.to_subspace()
+        return rref(field, vectors, ambient).to_subspace()
 
     @property
     def rank(self) -> int:
@@ -205,24 +206,14 @@ def solve_affine(field: FieldSpec, equations: Sequence[Sequence[Scalar]],
 # -- matrix helpers ----------------------------------------------------------
 
 def mat_vec(field: FieldSpec, m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
-    return tuple(
-        _dot(field, row, v)
-        for row in m
-    )
-
-
-def _dot(field, row, v):
-    acc = field.zero
-    for a, b in zip(row, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
-def mat_mul(field: FieldSpec, a: Sequence[Sequence[Scalar]],
-            b: Sequence[Sequence[Scalar]]) -> Mat:
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(field, row, col) for col in bt) for row in a)
+    out = []
+    for row in m:
+        acc = field.zero
+        for a, b in zip(row, v):
+            if a and b:
+                acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return tuple(out)
 
 
 def identity_matrix(field: FieldSpec, n: int) -> Mat:
@@ -237,23 +228,6 @@ def mat_inverse(field: FieldSpec, m: Sequence[Sequence[Scalar]]) -> Mat | None:
     if aug.pivots[:n] != list(range(n)) or aug.rank != n:
         return None
     return tuple(tuple(row[n:]) for row in aug.rows)
-
-
-def mat_power(field: FieldSpec, m: Mat, e: int) -> Mat:
-    n = len(m)
-    if e < 0:
-        inv = mat_inverse(field, m)
-        if inv is None:
-            raise ZeroDivisionError("singular matrix")
-        return mat_power(field, inv, -e)
-    out = identity_matrix(field, n)
-    base = m
-    while e:
-        if e & 1:
-            out = mat_mul(field, out, base)
-        base = mat_mul(field, base, base)
-        e >>= 1
-    return out
 
 
 def coerce_matrix(field: FieldSpec, rows, n: int, m: int | None = None) -> Mat:
@@ -335,6 +309,20 @@ def np_matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64) % p
     return np_mod(a @ b, p)
+
+
+def np_mat_pow(x: np.ndarray, e: int, p: int | None) -> np.ndarray:
+    """x**e, e >= 1, for a square matrix or a stack of them, by repeated
+    squaring with `np_matmul`: mod p over F_p, in integers over Z (p None),
+    where the power of a cleared matrix carries its scale to the e."""
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else np_matmul(out, x, p)
+        e >>= 1
+        if e:
+            x = np_matmul(x, x, p)
+    return out
 
 
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

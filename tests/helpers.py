@@ -7,12 +7,11 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed
-from gradix.algebra import (fixed_equations, left_mult_matrix, make_algebra,
-                            right_mult_matrix, two_sided_inverse)
+from gradix.algebra import fixed_equations, make_algebra, two_sided_inverse
 from gradix.errors import N1Violation, N2Violation, ValidationError
 from gradix.groups import validate_group
-from gradix.linalg import (Subspace, identity_matrix, kernel, mat_mul,
-                           mat_vec, projective_walk)
+from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
+                           mat_inverse, mat_vec, projective_walk)
 
 
 def fixed_subspace(alg, maps):
@@ -187,24 +186,193 @@ def mu_square_by_vectors(alg, center, mu):
 # computes, vector by vector in the field's own arithmetic, and serves as its
 # reference over F_p and over Q.
 
+def mat_mul(f, a, b):
+    """The matrix product a b, entry by entry."""
+    def dot(row, col):
+        acc = f.zero
+        for x, y in zip(row, col):
+            acc = f.add(acc, f.mul(x, y))
+        return acc
+    cols = list(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+
+def mat_power(f, m, e):
+    """m**e by repeated squaring; a negative e inverts m first."""
+    if e < 0:
+        m, e = mat_inverse(f, m), -e
+    out = identity_matrix(f, len(m))
+    while e:
+        if e & 1:
+            out = mat_mul(f, out, m)
+        m = mat_mul(f, m, m)
+        e >>= 1
+    return out
+
+
+def product_table_loop(alg):
+    """`Algebra.product_table`: the dense e_i e_j, summed from the entries."""
+    f, d = alg.field, alg.dim
+    table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k, c in alg.mult:
+        table[i][j][k] = f.add(table[i][j][k], c)
+    return tuple(tuple(map(tuple, row)) for row in table)
+
+
+def left_by_basis(alg, j, v):
+    """e_j v"""
+    return alg.multiply(alg.basis_vector(j), v)
+
+
+def right_by_basis(alg, j, v):
+    """v e_j"""
+    return alg.multiply(v, alg.basis_vector(j))
+
+
+def left_mult_matrix(alg, v):
+    """Matrix of x -> v x."""
+    f, d = alg.field, alg.dim
+    m = [[f.zero] * d for _ in range(d)]
+    for i, j, k, c in alg.mult:
+        if v[i]:
+            m[k][j] = f.add(m[k][j], f.mul(v[i], c))
+    return tuple(tuple(row) for row in m)
+
+
+def right_mult_matrix(alg, v):
+    """Matrix of x -> x v."""
+    f, d = alg.field, alg.dim
+    m = [[f.zero] * d for _ in range(d)]
+    for i, j, k, c in alg.mult:
+        if v[j]:
+            m[k][i] = f.add(m[k][i], f.mul(v[j], c))
+    return tuple(tuple(row) for row in m)
+
+
+def unit_failure_loop(alg):
+    """The first j with u e_j != e_j or e_j u != e_j (the check of
+    `make_algebra`), or None."""
+    for j in range(alg.dim):
+        e = alg.basis_vector(j)
+        if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
+            return j
+    return None
+
+
+def inverse_system_loop(alg, r):
+    """`algebra.inverse_system`: the rows of L_r and R_r, over the unit
+    twice."""
+    return (list(left_mult_matrix(alg, r) + right_mult_matrix(alg, r)),
+            list(alg.unit) * 2)
+
+
+def closure_loop(alg, seeds, maps=()):
+    """`algebra._closure_echelon`: the ideal closure, e_j v and v e_j by
+    products."""
+    ech = Echelon(alg.field, alg.dim)
+    ech.extend(seeds)
+    while ech.rank < alg.dim:
+        batch = []
+        for row in [list(r) for r in ech.rows]:
+            for j in range(alg.dim):
+                batch.append(left_by_basis(alg, j, row))
+                batch.append(right_by_basis(alg, j, row))
+            for m in maps:
+                batch.append(mat_vec(alg.field, m, row))
+        if not ech.extend(batch):
+            break
+    return ech.to_subspace()
+
+
+def cayley_double_loop(alg, mu):
+    """The entries and unit of `cayley.cayley_double`, product by product."""
+    f, d = alg.field, alg.dim
+    mu = f.coerce(mu)
+    prod = product_table_loop(alg)
+    star = [alg.star(alg.basis_vector(i)) for i in range(d)]
+    entries = []
+    for i in range(d):
+        for j in range(d):
+            entries += [(i, j, k, c) for k, c in enumerate(prod[i][j]) if c]
+            entries += [(i, d + j, d + k, c)
+                        for k, c in enumerate(prod[j][i]) if c]
+            bc = alg.multiply(alg.basis_vector(i), star[j])
+            entries += [(d + i, j, d + k, c) for k, c in enumerate(bc) if c]
+            db = alg.multiply(star[j], alg.basis_vector(i))
+            entries += [(d + i, d + j, k, f.mul(mu, c))
+                        for k, c in enumerate(db) if c]
+    return entries, tuple(alg.unit) + (f.zero,) * d
+
+
+def star_rows_loop(alg):
+    """The rows of every R_{b - b*} that `cayley.star_centers` adds for
+    Z_**."""
+    rows = []
+    for j in range(alg.dim):
+        v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
+        rows.extend(right_mult_matrix(alg, v))
+    return rows
+
+
+def is_strong_loop(alg, grad):
+    """`graded.is_strong` on the product table."""
+    prod = product_table_loop(alg)
+    mul = grad.group.mul
+    for g in grad.support:
+        for h in grad.support:
+            gh = grad.indices_of(mul(g, h))
+            rows = [[prod[a][b][k] for k in gh]
+                    for a in grad.indices_of(g) for b in grad.indices_of(h)]
+            if Subspace.span(alg.field, len(gh), rows).rank < len(gh):
+                return False
+    return True
+
+
+def is_faithful_loop(alg, grad):
+    """`graded.is_faithful` on the product table."""
+    prod = product_table_loop(alg)
+    mul = grad.group.mul
+    for g in grad.support:
+        rg = grad.indices_of(g)
+        for h in grad.support:
+            rh = grad.indices_of(h)
+            gh, hg = grad.indices_of(mul(g, h)), grad.indices_of(mul(h, g))
+            right = [[prod[a][b][k] for b in rh for k in gh] for a in rg]
+            left = [[prod[b][a][k] for b in rh for k in hg] for a in rg]
+            for rows, cols in ((right, gh), (left, hg)):
+                if Subspace.span(alg.field, len(rh) * len(cols),
+                                 rows).rank < len(rg):
+                    return False
+    return True
+
+
+def sigma_power_loop(ring, m):
+    """`laurent.sigma_power` by Python matrix products, m unreduced."""
+    f = ring.algebra.field
+    out = identity_matrix(f, ring.algebra.dim)
+    for mat, mi in zip(ring.sigma, m):
+        out = mat_mul(f, out, mat_power(f, mat, mi))
+    return out
+
 def product_mismatch_loop(alg, m, reverse=False):
     """`algebra._product_mismatch`: the first (i, j) in row-major order with
     m(e_i e_j) other than m(e_i) m(e_j), or m(e_j) m(e_i) when reverse."""
     f = alg.field
     images = [mat_vec(f, m, alg.basis_vector(j)) for j in range(alg.dim)]
+    prod = product_table_loop(alg)
     for i in range(alg.dim):
         for j in range(alg.dim):
             x, y = (images[j], images[i]) if reverse else (images[i], images[j])
-            if mat_vec(f, m, alg.product_table[i][j]) != alg.multiply(x, y):
+            if mat_vec(f, m, prod[i][j]) != alg.multiply(x, y):
                 return i, j
     return None
 
 
 def associator_triples(alg):
     """[i][j][k]: the basis associator (e_i, e_j, e_k)."""
-    prod = alg.product_table
-    return [[[alg.sub_vec(alg.right_by_basis(k, prod[i][j]),
-                          alg.left_by_basis(i, prod[j][k]))
+    prod = product_table_loop(alg)
+    return [[[alg.sub_vec(right_by_basis(alg, k, prod[i][j]),
+                          left_by_basis(alg, i, prod[j][k]))
               for k in range(alg.dim)]
              for j in range(alg.dim)]
             for i in range(alg.dim)]
@@ -222,7 +390,7 @@ def nucleus_blocks_loop(alg):
                 middle.append([trip[a][i][b][l] for i in range(d)])
                 right.append([trip[a][b][i][l] for i in range(d)])
     comm = []
-    prod = alg.product_table
+    prod = product_table_loop(alg)
     for j in range(d):
         for l in range(d):
             comm.append([alg.field.sub(prod[i][j][l], prod[j][i][l])

@@ -32,12 +32,14 @@ from gradix.errors import (BudgetExceeded, DimensionMismatch,
                            ExactModeUnavailable, ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.groups import cyclic
-from gradix.linalg import (Subspace, identity_matrix, kernel, mat_mul,
-                           np_rref, projective_points, projective_walk, rref)
+from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
+                           projective_points, projective_walk, rref)
 from helpers import (NONZERO_Q, associator_defect_loop, center_equations_loop,
-                     conjugation_matrix, extension_field, fixed_subspace,
-                     nuclear_mask_loop, nucleus_blocks_loop, points,
-                     product_mismatch_loop, rescaled, tensor_algebra,
+                     closure_loop, conjugation_matrix, extension_field,
+                     fixed_subspace, inverse_system_loop, left_by_basis,
+                     mat_mul, nuclear_mask_loop, nucleus_blocks_loop, points,
+                     product_mismatch_loop, product_table_loop, rescaled,
+                     right_by_basis, tensor_algebra, unit_failure_loop,
                      walk_without_points)
 
 F2 = prime_field(2)
@@ -232,8 +234,8 @@ def test_ideal_closure_is_smallest_ideal():
         assert closed.contains(seed) or not any(seed)
         for v in closed.basis:
             for j in range(alg.dim):
-                assert closed.contains(alg.left_by_basis(j, v))
-                assert closed.contains(alg.right_by_basis(j, v))
+                assert closed.contains(left_by_basis(alg, j, v))
+                assert closed.contains(right_by_basis(alg, j, v))
 
 
 @st.composite
@@ -956,6 +958,115 @@ def test_q_product_mismatch_matches_the_loop(alg, data):
         for reverse in (False, True):
             assert (algebra._product_mismatch(alg, m, reverse) ==
                     product_mismatch_loop(alg, m, reverse))
+
+
+@st.composite
+def algebras_and_vectors(draw):
+    """An algebra over F_2, F_3, F_5 (random unital, M_2, the quaternions)
+    or over Q (`q_algebras`), and a vector of it, zero or not."""
+    p = draw(st.sampled_from([2, 3, 5, None]))
+    if p is None:
+        alg = draw(q_algebras())
+        return alg, q_vector(draw, alg.dim)
+    f = prime_field(p)
+    rng = draw(st.randoms(use_true_random=False))
+    alg = draw(st.sampled_from([
+        lambda: random_unital_algebra(f, rng.randint(1, 5), rng),
+        lambda: matrix_algebra(f, 2), lambda: quaternions(f)[0]]))()
+    return alg, tuple(draw(st.integers(0, p - 1)) for _ in range(alg.dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_and_vectors())
+def test_inverse_rows_and_product_table_match_the_loops(case):
+    """The rows of `inverse_system` are the loops' over F_p and one nonzero
+    multiple of them over Q, so both solve to the same inverse; the product
+    table read off the tensor is the summed one."""
+    alg, r = case
+    f = alg.field
+    rows, rhs = algebra.inverse_system(alg, r)
+    want_rows, want_rhs = inverse_system_loop(alg, r)
+    if f.is_finite:
+        assert (rows, rhs) == ([list(row) for row in want_rows], want_rhs)
+    else:
+        k = next(k for k, c in enumerate(want_rhs) if c)
+        scale = Fraction(rhs[k]) / want_rhs[k]
+        assert [[scale * c for c in row] for row in want_rows] == rows
+        assert [scale * c for c in want_rhs] == rhs
+    assert (two_sided_inverse(alg, r) ==
+            linalg.solve_affine(f, want_rows, want_rhs)[0])
+    assert alg.product_table == product_table_loop(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_and_vectors(), st.data())
+def test_q_and_fp_closures_match_the_loop(case, data):
+    """The ideal closure under the L, R and one extra map: over Q the
+    Echelon path batches its images from `_np_generators`."""
+    alg, v = case
+    f, d = alg.field, alg.dim
+    entry = (st.integers(0, f.p - 1) if f.is_finite
+             else st.just(Fraction(0)) | NONZERO_Q)
+    maps = [tuple(tuple(data.draw(entry) for _ in range(d)) for _ in range(d))]
+    for extra in ((), maps):
+        assert ideal_closure(alg, [v], extra) == closure_loop(alg, [v], extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_and_vectors(), st.integers(0, 4))
+def test_a_wrong_unit_is_refused_at_the_first_basis(case, shift):
+    """`make_algebra` refuses a unit that fails at some e_j with the first
+    such j, as the products u e_j and e_j u one basis vector at a time
+    find it, over F_p and over Q."""
+    alg, v = case
+    f = alg.field
+    unit = alg.unit if not any(v) else alg.add_vec(alg.unit, alg.scale(
+        f.coerce(shift + 1), v))
+    first = unit_failure_loop(Algebra(f, alg.dim, alg.mult, unit))
+    if first is None:
+        assert make_algebra(f, alg.dim, alg.mult, unit).unit == unit
+    else:
+        with pytest.raises(ValidationError) as err:
+            make_algebra(f, alg.dim, alg.mult, unit)
+        assert str(err.value) == f"unit is not a two-sided identity at basis {first}"
+
+
+def test_a_wrong_unit_names_the_first_failing_basis():
+    # F_3 x F_3 x F_3 with unit (1, 1, 0): e_0 and e_1 pass, e_2 fails
+    alg = product_algebra(F3, 3)
+    for field, unit in ((F3, (1, 1, 0)), (Q, (Fraction(1), Fraction(1), Fraction(0)))):
+        mult = [(i, i, i, field.one) for i in range(3)]
+        with pytest.raises(ValidationError, match="two-sided identity at basis 2$"):
+            make_algebra(field, 3, mult, unit)
+    with pytest.raises(ValidationError, match="two-sided identity at basis 0$"):
+        make_algebra(F3, 3, alg.mult, (2, 1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_algebras())
+def test_reduction_is_the_algebra_made_mod_P(alg):
+    """Or None exactly where `make_algebra` cannot reduce a denominator."""
+    red = alg._reduced
+    if red is None:
+        with pytest.raises(ZeroDivisionError):
+            make_algebra(algebra.REDUCTION_FIELD, alg.dim, alg.mult, alg.unit)
+    else:
+        assert red == make_algebra(algebra.REDUCTION_FIELD, alg.dim, alg.mult,
+                                   alg.unit)
+        assert red._np_tensor.dtype == np.int64
+
+
+def test_reduction_refuses_a_denominator_of_P_and_drops_a_constant_P():
+    P = algebra.REDUCTION_FIELD.p
+    # a constant with denominator P: e_1 e_1 = e_1 / P on the basis e_0, e_1 / P
+    assert rescaled(product_algebra(Q, 2), [1, Fraction(1, P)])._reduced is None
+    # a unit entry with denominator P: the basis e_0, P e_1, unit e_0 + e_1 / P
+    assert rescaled(product_algebra(Q, 2), [1, P])._reduced is None
+    # Q[x] / (x^2 - P): the constant P of x x vanishes mod P
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, P)]
+    red = make_algebra(Q, 2, mult, (1, 0))._reduced
+    assert red.mult == ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1))
+    assert red == make_algebra(algebra.REDUCTION_FIELD, 2, mult, (1, 0))
 
 
 def test_randomized_mode_over_fp_samples(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from gradix import cayley
 from gradix.algebra import (center_is_field, is_associative, make_algebra,
-                            multiply, nucleus_and_center, right_mult_matrix,
-                            simple_under, two_sided_inverse)
+                            multiply, nucleus_and_center, simple_under,
+                            two_sided_inverse)
 from gradix.catalog import (field_algebra, matrix_algebra, octonions,
                             product_algebra, product_with_swap,
                             quadratic_field_extension, quaternions,
@@ -19,8 +20,10 @@ from gradix.errors import BudgetExceeded, ExactModeUnavailable, MuZero
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
 from gradix.linalg import Subspace, kernel, projective_points, projective_walk
-from helpers import (extension_field, fixed_subspace, mu_square_by_vectors,
-                     tensor_algebra, walk_without_points)
+from helpers import (NONZERO_Q, cayley_double_loop, extension_field,
+                     fixed_subspace, mu_square_by_vectors, product_table_loop,
+                     rescaled, star_rows_loop, tensor_algebra,
+                     walk_without_points)
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -178,11 +181,8 @@ def intersected_star_centers(alg):
     the involution, then by the kernel of the rows of every R_{b - b*}."""
     z_star = nucleus_and_center(alg).center.intersect(
         fixed_subspace(alg, (alg.involution,)))
-    rows = []
-    for j in range(alg.dim):
-        v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
-        rows.extend(right_mult_matrix(alg, v))
-    return z_star, z_star.intersect(kernel(alg.field, rows, alg.dim))
+    return z_star, z_star.intersect(kernel(alg.field, star_rows_loop(alg),
+                                           alg.dim))
 
 
 def exchange_algebra(f, rng):
@@ -209,6 +209,41 @@ def test_star_centers_match_the_intersections(f, kind, rng):
         if kind == "double":
             alg, _ = cayley_double(alg, rng.randrange(1, f.p))
     assert star_centers(alg) == intersected_star_centers(alg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([prime_field(2), F3, F5, prime_field(7), Q]),
+       st.sampled_from(["base", "double", "exchange"]),
+       st.randoms(use_true_random=False), st.data())
+def test_tensor_double_matches_the_loop(f, kind, rng, data):
+    """The double's tensor, assembled from four blocks of A's, has the
+    constants that the products give one by one: over F_2 to F_7, and over
+    Q with a fractional mu on bases rescaled by rationals whose numerators
+    or denominators reach 2^70.  Over Q, Z_* and Z_** match the
+    intersections too."""
+    nonzero = (lambda: rng.randrange(1, f.p)) if f.is_finite else \
+        (lambda: data.draw(NONZERO_Q))
+    if kind == "exchange":
+        alg = exchange_algebra(f, rng)
+    else:
+        bases = [field_algebra, product_with_swap, lambda f: quaternions(f)[0]]
+        if f.is_finite:
+            bases.append(quadratic_field_extension)
+        alg = rng.choice(bases)(f)
+        if kind == "double":
+            alg, _ = cayley_double(alg, nonzero())
+    if not f.is_finite:
+        alg = rescaled(alg, [nonzero() for _ in range(alg.dim)])
+    mu = nonzero()
+    dbl, grad = cayley_double(alg, mu)
+    entries, unit = cayley_double_loop(alg, mu)
+    assert dbl.mult == make_algebra(f, dbl.dim, entries, unit).mult
+    assert dbl.unit == unit
+    assert dbl.product_table == product_table_loop(dbl)
+    assert grad.degrees == (0,) * alg.dim + (1,) * alg.dim
+    if not f.is_finite:
+        assert all(type(c) is Fraction for *_, c in dbl.mult)
+        assert star_centers(alg) == intersected_star_centers(alg)
 
 
 @pytest.mark.parametrize("mu_raw", [1, 2])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import laurent
+from gradix import jsonio, laurent
 from gradix.cli import main
 
 GRADED_REQ = {
@@ -352,6 +352,45 @@ def test_window_outside_a_laurent_request_is_refused(capsys, tmp_path, command):
 
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "sample_requests")
+
+KIND_SAMPLES = {"crossed": ("analyze", "crossed_f9_c2.json"),
+                "laurent": ("laurent", "laurent_f4_frobenius.json"),
+                "cayley-tower": ("tower", "tower_f3.json")}
+
+
+def _as_request(kind, name):
+    """The sample as a full request document of its kind."""
+    with open(os.path.join(SAMPLES, name)) as fh:
+        doc = json.load(fh)
+    return doc if "kind" in doc else {"kind": kind, "payload": doc}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SAMPLES))
+@pytest.mark.parametrize("option, value", [("trials", 5), ("seed", 3)])
+def test_sampling_options_are_refused_where_nothing_samples(
+        capsys, tmp_path, kind, option, value):
+    """No crossed, laurent or tower verdict samples, so trials and seed are
+    refused there, in the document and as flags, while the report still
+    echoes their defaults."""
+    command, name = KIND_SAMPLES[kind]
+    doc = _as_request(kind, name)
+    message = (f"option {option} applies to algebra and graded requests "
+               f"only, not to {kind}")
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps(
+        {**doc, "options": {**doc.get("options", {}), option: value}}))
+    for argv in ([command, str(refused)],
+                 [command, write(tmp_path, doc), f"--{option}", str(value)],
+                 [command, os.path.join(SAMPLES, name), f"--{option}", str(value)]):
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "ValidationError",
+                                             "message": message}}
+    code, out = run_cli(capsys, [command, os.path.join(SAMPLES, name)])
+    assert code == 0
+    assert json.loads(out)["options"][option] == jsonio.DEFAULT_OPTIONS[option]
+
+
 SAMPLE_COMMANDS = {"group_algebra_z2.json": "analyze",
                    "crossed_f9_c2.json": "analyze",
                    "laurent_f4_frobenius.json": "laurent",

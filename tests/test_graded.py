@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, jsonio, linalg
-from gradix.algebra import (SimplicityVerdict, ideal_closure, multiply,
-                            simple_under, two_sided_inverse)
+from gradix.algebra import (SimplicityVerdict, ideal_closure, make_algebra,
+                            multiply, simple_under, two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, group_algebra,
                             matrix_algebra, octonions, product_algebra,
                             product_with_swap, quadratic_field_extension,
@@ -27,7 +27,9 @@ from gradix.graded import (Gradation, graded_ideal_closure, is_faithful,
 from gradix.groups import (cyclic, dihedral, direct_product,
                            elementary_abelian_two, subgroup, symmetric)
 from gradix.linalg import Subspace, identity_matrix, projective_walk
-from helpers import homogeneous_points, quotient_group, walk_without_points
+from helpers import (NONZERO_Q, homogeneous_points, is_faithful_loop,
+                     is_strong_loop, left_by_basis, quotient_group, rescaled,
+                     right_by_basis, walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -77,9 +79,9 @@ def faithful_by_enumeration(alg, grad):
         for r in homogeneous_points(alg, grad, g):
             for h in grad.support:
                 idx = grad.indices_of(h)
-                if not any(any(alg.right_by_basis(b, r)) for b in idx):
+                if not any(any(right_by_basis(alg, b, r)) for b in idx):
                     return False
-                if not any(any(alg.left_by_basis(b, r)) for b in idx):
+                if not any(any(left_by_basis(alg, b, r)) for b in idx):
                     return False
     return True
 
@@ -347,6 +349,22 @@ def test_strength_and_faithfulness_match_the_enumeration():
 
     check()
     assert seen == {True, False}, "every draw had the same faithfulness"
+
+
+@settings(max_examples=100, deadline=None)
+@given(faithfulness_cases(), st.booleans(), st.data())
+def test_strength_and_faithfulness_match_the_product_table_loops(case, over_q, data):
+    """The slices of the tensor decide what the rows of the product table
+    decided, over F_p and, for the same constants read as integers, over Q
+    on a basis rescaled by rationals."""
+    alg, grad = case
+    if over_q:
+        q = rationals()
+        lifted = make_algebra(q, alg.dim, alg.mult, alg.unit)
+        alg = rescaled(lifted, [data.draw(NONZERO_Q) for _ in range(alg.dim)])
+        grad = validate_gradation(alg, grad.group, grad.degrees)
+    assert is_strong(alg, grad) == is_strong_loop(alg, grad)
+    assert is_faithful(alg, grad) == is_faithful_loop(alg, grad)
 
 
 def test_strength_and_faithfulness_over_rationals():

@@ -1,7 +1,9 @@
 import gc
 import itertools
+import math
 import random
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,9 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             make_laurent_ring, sigma_power, verify_central,
                             x_power)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
-from helpers import conjugation_matrix, extension_field, fixed_subspace
+from helpers import (NONZERO_Q, conjugation_matrix, extension_field,
+                     fixed_subspace, mat_mul, rescaled, rescaled_matrix,
+                     sigma_power_loop)
 
 ZERO = LaurentElement(())
 F2 = prime_field(2)
@@ -399,6 +403,112 @@ def cycles_matrix(f, lengths):
         start += n
     return tuple(tuple(f.one if perm[j] == i else f.zero for j in range(start))
                  for i in range(start))
+
+
+def cyclotomic(k):
+    """The coefficients of the k-th cyclotomic polynomial, lowest first:
+    X^k - 1 divided by every Phi_j, j a proper divisor of k."""
+    poly = [-1] + [0] * (k - 1) + [1]
+    for j in range(1, k):
+        if k % j == 0:
+            div = cyclotomic(j)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = poly[i + len(div) - 1]
+                for t, c in enumerate(div):
+                    poly[i + t] -= quot[i] * c
+            poly = quot
+    return poly
+
+
+def companion_blocks(ks):
+    """The block-diagonal matrix over Q of the companion matrices of
+    Phi_k, k in ks, of order lcm(ks)."""
+    blocks = []
+    for k in ks:
+        c = cyclotomic(k)
+        n = len(c) - 1
+        blocks.append([[Fraction(int(i == j + 1) - (j == n - 1) * c[i])
+                        for j in range(n)] for i in range(n)])
+    d = sum(map(len, blocks))
+    out, at = [[Fraction(0)] * d for _ in range(d)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return tuple(map(tuple, out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), min_size=1,
+                max_size=4).filter(lambda ks: len(companion_blocks(ks)) <= 8),
+       st.booleans(), st.data())
+def test_q_orders_match_the_powers(ks, nudge, data):
+    """Over Q on matrices of order lcm(ks) in a rescaled basis, or of
+    infinite order once one entry is moved: the order read mod a prime and
+    checked in Fractions is the first k with m^k = I, where no finite order
+    passes 60 at d <= 8."""
+    m = [list(row) for row in companion_blocks(ks)]
+    d = len(m)
+    if nudge:
+        m[data.draw(st.integers(0, d - 1))][data.draw(st.integers(0, d - 1))] += 1
+    m = rescaled_matrix(m, [data.draw(NONZERO_Q) for _ in range(d)])
+    power, want = m, None
+    for k in range(1, 61):
+        if power == identity_matrix(Q, d):
+            want = k
+            break
+        power = mat_mul(Q, power, m)
+    assert laurent._matrix_order(product_algebra(Q, d), m, 1) == want
+    if not nudge:
+        assert want == math.lcm(*ks)
+
+
+def test_q_order_840_at_d_16():
+    # Phi_8, Phi_3, Phi_5 and Phi_7 fill d = 16 with the largest finite order
+    m = companion_blocks([8, 3, 5, 7])
+    carrier = product_algebra(Q, 16)
+    assert laurent._matrix_order(carrier, m, 1) == 840
+    moved = [list(row) for row in m]
+    moved[0][0] += Fraction(1, 3)
+    assert laurent._matrix_order(carrier, moved, 1) is None
+
+
+def test_finite_orders_over_q_past_64():
+    # cycle type (8, 3, 5): order 120 over Q as over F_5, past the old cap
+    # of 64; x -> 2x on Q[x] / (x^2) still has infinite order
+    for f in (Q, prime_field(5)):
+        perm = cycles_matrix(f, (8, 3, 5))
+        assert make_laurent_ring(product_algebra(f, 16), [perm]).orders == (120,)
+    assert make_laurent_ring(truncated_dual(Q), [((1, 0), (0, 2))]).orders == (None,)
+
+
+@st.composite
+def q_rings(draw):
+    """Over Q: a permutation twist of Q^k on a basis rescaled by rationals
+    (finite order), or x -> c x on Q[x] / (x^2) for a rational c other than
+    0 and +-1 (infinite order)."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        perm = draw(st.permutations(range(k)))
+        m = tuple(tuple(Fraction(int(perm[j] == i)) for j in range(k))
+                  for i in range(k))
+        scales = [draw(NONZERO_Q) for _ in range(k)]
+        return make_laurent_ring(rescaled(product_algebra(Q, k), scales),
+                                 [rescaled_matrix(m, scales)])
+    c = draw(NONZERO_Q.filter(lambda c: abs(c) != 1))
+    return make_laurent_ring(truncated_dual(Q), [((1, 0), (0, c))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_rings() | q_rings(), st.data())
+def test_sigma_powers_match_the_matrix_loop(ring, data):
+    """sigma^m from `np_mat_pow` on the reduced exponent equals the product
+    of Python matrix powers of the unreduced one, negative m included."""
+    m = tuple(data.draw(st.integers(-7, 7)) for _ in range(ring.rank))
+    got = sigma_power(ring, m)
+    assert got == sigma_power_loop(ring, m)
+    assert all(type(c) is type(ring.algebra.field.one) for row in got for c in row)
 
 
 def test_central_witness_check_refused_past_the_budget(monkeypatch):

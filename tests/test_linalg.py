@@ -11,10 +11,10 @@ from gradix import linalg
 from gradix.errors import BudgetExceeded, DimensionMismatch
 from gradix.fields import _is_prime, prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
-                           mat_mul, mat_power, mat_vec, np_dtype, np_matmul,
-                           np_rref,
+                           mat_vec, np_dtype, np_mat_pow, np_matmul, np_rref,
                            projective_count, projective_points,
                            projective_walk, rref, solve_affine)
+from helpers import mat_mul, mat_power
 
 BIG_P = 4294967311  # past the int64 bound of np_dtype
 
@@ -152,9 +152,32 @@ def test_matrix_inverse_and_power():
     m = ((1, 1), (0, 1))
     inv = mat_inverse(F3, m)
     assert mat_mul(F3, m, inv) == identity_matrix(F3, 2)
-    assert mat_power(F3, m, 3) == identity_matrix(F3, 2)
-    assert mat_power(F3, m, -1) == inv
+    assert np_mat_pow(np.array(m), 3, 3).tolist() == [[1, 0], [0, 1]]
+    assert np_mat_pow(np.array(m), 2, 3).tolist() == [[1, 2], [0, 1]]
     assert mat_inverse(F3, ((1, 1), (2, 2))) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 9), st.sampled_from([2, 5, None]),
+       st.booleans(), st.data())
+def test_np_mat_pow_matches_repeated_products(n, e, p, stack, data):
+    """Over F_p on residues, in int64 and in Python ints; over Z (p None) on
+    the integers of a rational matrix with its scale s, whose power carries
+    s**e; each against the product loop over the field, a stack
+    matrix by matrix."""
+    f = Q if p is None else prime_field(p)
+    s = 1 if p is not None else data.draw(st.integers(1, 6))
+    entries = st.integers(-2 ** 40, 2 ** 40) if p is None else st.integers(0, p - 1)
+    mats = [[[data.draw(entries) for _ in range(n)] for _ in range(n)]
+            for _ in range(2 if stack else 1)]
+    dtype = object if p is None or data.draw(st.booleans()) else np.int64
+    got = np_mat_pow(np.array(mats if stack else mats[0], dtype=dtype), e, p)
+    got = got if stack else got[None]
+    for m, g in zip(mats, got):
+        want = mat_power(f, [[f.coerce(c) / s if p is None else c for c in row]
+                             for row in m], e)
+        assert [[Fraction(c, s ** e) if p is None else c for c in row]
+                for row in g.tolist()] == [list(row) for row in want]
 
 
 def test_projective_points_order_and_normalization():
