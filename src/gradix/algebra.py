@@ -124,6 +124,28 @@ class Algebra:
         return np_mod(first.reshape((d,) * 4) - second, p)
 
     @cached_property
+    def _center(self) -> Subspace:
+        """Z(A), smallest system first: the kernel K of the d^2 commuter
+        rows, then each associator slot (x, -, -), (-, x, -), (-, -, x)
+        imposed on x = a K only, its rows the k x d^3 product of K with
+        `_np_defect`.  The unit lies in Z(A), so once the survivors are one
+        line they are the unit line and the answer; an associative A
+        (`_np_defect` all zero) needs no slot either."""
+        f, d, p = self.field, self.dim, self.field.p
+        space = kernel(f, _nonzero_rows(_commuter_rows(self)), d)
+        if space.rank == 1 or not self._np_defect.any():
+            return space
+        for slot in range(3):
+            x, _ = _np_vectors(self, space.basis)
+            rows = np_matmul(x, np.moveaxis(self._np_defect, slot, 0)
+                             .reshape(d, d ** 3), p)
+            space = _combine(space,
+                             kernel(f, _nonzero_rows(rows.T), space.rank))
+            if space.rank == 1:
+                break
+        return space
+
+    @cached_property
     def _reduced(self) -> Algebra | None:
         """This algebra over Q with its structure constants and unit reduced
         mod P (`REDUCTION_FIELD`); None over a finite field, or when an entry
@@ -240,6 +262,24 @@ def _np_vectors(alg: Algebra, vecs) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(a.shape), s
 
 
+def _nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a that are not all zero: a kernel would copy and reduce
+    the zero ones before dropping them."""
+    return a[a.any(axis=1)]
+
+
+def _combine(space: Subspace, coords: Subspace) -> Subspace:
+    """The vectors sum_i a_i row_i of `space` for every a in `coords`, a
+    subspace of F^k on the k basis rows.  Both are in RREF, so the products
+    are too: row r of them has 1 in the pivot column of row q_r of `space`,
+    q_r the pivot of row r of `coords`, and 0 in every other pivot column."""
+    f = space.field
+    a = np.array(coords.basis, dtype=object).reshape(-1, space.rank)
+    rows = np_mod(a @ np.array(space.basis, dtype=object), f.p)
+    return Subspace(f, space.ambient, tuple(map(tuple, rows.tolist())),
+                    tuple(space.pivots[q] for q in coords.pivots))
+
+
 def _np_scalars(f: FieldSpec, a: np.ndarray, s: int):
     """The field scalars a / s of an array that carries the scale s, as
     nested tuples of Python scalars (Fractions over Q)."""
@@ -332,15 +372,20 @@ def _nucleus_blocks(alg: Algebra):
     of the 3 d^3 + d^2 rows most are zero, and every kernel would copy and
     reduce them before dropping them.  Over Q the rows are integers, each
     block a multiple of the true equations, which has the same kernel."""
-    c = alg._np_tensor
     d = alg.dim
     defect = alg._np_defect
     left = defect.transpose(1, 2, 3, 0).reshape(d ** 3, d)
     middle = defect.transpose(0, 2, 3, 1).reshape(d ** 3, d)
     right = defect.transpose(0, 1, 3, 2).reshape(d ** 3, d)
+    return tuple(map(_nonzero_rows, (left, middle, right, _commuter_rows(alg))))
+
+
+def _commuter_rows(alg: Algebra) -> np.ndarray:
+    """The d^2 rows, (j, k) in row-major order, of the equations
+    [x, e_j]_k = 0 on x: their kernel is the commuter."""
+    c, d = alg._np_tensor, alg.dim
     comm = np_mod(c - c.transpose(1, 0, 2), alg.field.p)
-    comm = comm.transpose(1, 2, 0).reshape(d * d, d)
-    return tuple(b[b.any(axis=1)] for b in (left, middle, right, comm))
+    return comm.transpose(1, 2, 0).reshape(d * d, d)
 
 
 def nucleus_equation_rows(alg: Algebra) -> list:
@@ -550,30 +595,40 @@ def _norton_fits(p: int, d: int) -> bool:
 
 def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
     """The dimension k of the commutant C = End_M(A) of the associative
-    algebra M generated by the stack `gens` (from `_np_generators`) when C
-    is a field, else None.
+    algebra M generated by the stack `gens` when C is a field, else None.
+    `gens` must begin with the 2d operators `Algebra._np_ops`, L_{e_j} then
+    R_{e_j}, as `_np_generators` stacks them; only the maps after them
+    are imposed here.
 
-    A is unital and every X in C commutes with the R_a, so X = L_c with
-    c = X(1); C is found as the c with [L_c, T] = 0 for every generator T,
-    solved a few generators at a time on the solutions so far, and no
-    further once only the unit line is left.  C is commutative: c = X(1)
-    commutes with A, as X L_a = L_a X at 1, so X Y (1) = c c' = c' c.  A
-    commutative F_p-algebra is a field exactly when its Frobenius x -> x^p
-    is injective and fixes only the prime field (Berlekamp)."""
+    The operators that commute with every L_a and R_a are the L_c for c in
+    Z(A) (the centroid of a unital algebra is its center; Schafer, "An
+    Introduction to Nonassociative Algebras", 1966, ch. II).  Let X be
+    one, and c = X(1).  X commutes with every R_a, so X(a) = X(R_a 1) =
+    c a, and X = L_c.  Then:
+      - [L_c, R_b] = 0 for all b says c(xb) = (cx)b, that is c in N_l;
+      - [L_c, L_b](1) = cb - bc, so c commutes with A;
+      - given those two, c(bx) = b(cx) says (cb)x = b(cx), so c in N_m;
+      - and then (xy)c = c(xy) = (cx)y = (xc)y = x(cy) = x(yc), so
+        (x, y, c) = 0 and c in N_r.
+    Conversely every c in Z(A) gives such an L_c.  So C is found from
+    `Algebra._center` as the c with [L_c, T] = 0 for the extra maps T
+    only, and nothing is solved for the L_{e_j}, R_{e_j}.  C is
+    commutative, as Z(A) is.  A commutative F_p-algebra is a field exactly
+    when its Frobenius x -> x^p is injective and fixes only the prime field
+    (Berlekamp)."""
     from .linalg import np_kernel, np_rref
     p, d = alg.field.p, alg.dim
     left = gens[:d].reshape(d, d * d)
-    cbasis = np.eye(d, dtype=gens.dtype)
-    for start in range(0, len(gens), 4):
-        if len(cbasis) == 1:
-            break
+    cbasis = np.array(alg._center.basis, dtype=gens.dtype).reshape(-1, d)
+    extra = gens[2 * d:]
+    if len(cbasis) > 1 and len(extra):
         ls = np_matmul(cbasis, left, p).reshape(-1, 1, d, d)  # L_c per basis c
-        chunk = gens[start:start + 4]
-        comm = np_matmul(ls, chunk, p) - np_matmul(chunk, ls, p)
-        cbasis = np_kernel(comm.reshape(len(cbasis), -1).T, p) @ cbasis % p
-    cbasis, cpiv = np_rref(cbasis, p)
+        comm = np_matmul(ls, extra, p) - np_matmul(extra, ls, p)
+        rows = _nonzero_rows(comm.reshape(len(cbasis), -1).T)
+        cbasis = np_kernel(rows, p) @ cbasis % p
     k = len(cbasis)
     if k > 1:
+        cbasis, cpiv = np_rref(cbasis, p)
         xs = np_matmul(cbasis, left, p).reshape(-1, d, d)
         unit = np.array([int(c) % p for c in alg.unit], dtype=xs.dtype)
         frob = (np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
@@ -691,11 +746,14 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     past d^2 points, the density test, alone for d <= 4, where it is the
     cheaper one, and for d >= 5 when Norton's test is undecided.  An
     irreducible A is then decided without the sweep, which otherwise runs
-    to name the same first witness.  The crossover is measured: at d = 16
-    over F_3 one Norton call, its products on BLAS (`np_matmul`), costs
-    about as much as 8-10 closures of the sweep, so sweeps of up to d
-    points, as of crossed products with a one-dimensional T, stay
-    cheaper."""
+    to name the same first witness.  The crossover is measured: on the
+    16-dimensional graded crossed products over F_3, with its commutant
+    read off the cached `Algebra._center`, one Norton call, its products
+    on BLAS (`np_matmul`), costs about as much as 3-7 closures of the
+    sweep (median 4).  The gate at d points was set when it cost 8-10: a
+    reducible A pays for the test and for the sweep, so sweeps of up to d
+    points, as of crossed products with a one-dimensional T, run
+    alone."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     p, d = alg.field.p, alg.dim
@@ -852,6 +910,15 @@ def fixed_equations(alg: Algebra, maps) -> list:
 
 
 def fixed_center(alg: Algebra, maps) -> Subspace:
-    """Z(A) intersected with the common fixed space of the maps."""
-    return kernel(alg.field, center_equations(alg) + fixed_equations(alg, maps),
-                  alg.dim)
+    """Z(A) intersected with the common fixed space of the maps: the a K
+    of `Algebra._center`, K its k x d basis, with (M - I) K^T a = 0 for
+    every map M, a system of len(maps) d rows on the k coordinates a."""
+    z = alg._center
+    if not len(maps):
+        return z
+    p = alg.field.p
+    x, _ = _np_vectors(alg, z.basis)
+    m, s = _np_vectors(alg, maps)
+    # m is s M: the rows are s (M - I) K^T, times the scale of x
+    rows = np_mod(np_matmul(m, x.T, p) - s * x.T, p).reshape(-1, z.rank)
+    return _combine(z, kernel(alg.field, _nonzero_rows(rows), z.rank))

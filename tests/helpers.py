@@ -4,6 +4,7 @@ which the library itself never needs."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed
@@ -11,7 +12,8 @@ from gradix.algebra import fixed_equations, make_algebra, two_sided_inverse
 from gradix.errors import N1Violation, N2Violation, ValidationError
 from gradix.groups import validate_group
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
-                           mat_inverse, mat_vec, projective_walk)
+                           mat_inverse, mat_vec, np_kernel, np_mat_pow,
+                           np_matmul, np_rref, projective_walk)
 
 
 def fixed_subspace(alg, maps):
@@ -514,6 +516,33 @@ def center_rows_loop(sys):
                 rows += [block_row([(a, [f.neg(c) for c in mrow]), (k, irow)])
                          for mrow, irow in zip(m, ident)]
     return rows
+
+
+def commutant_field_loop(alg, gens):
+    """`algebra._commutant_field` without the center: the c with
+    [L_c, T] = 0 for every generator T, the L_{e_j} and R_{e_j} included,
+    solved from the identity four generators at a time on the solutions
+    so far; then the same Frobenius test of a field."""
+    p, d = alg.field.p, alg.dim
+    left = gens[:d].reshape(d, d * d)
+    cbasis = np.eye(d, dtype=gens.dtype)
+    for start in range(0, len(gens), 4):
+        if len(cbasis) == 1:
+            break
+        ls = np_matmul(cbasis, left, p).reshape(-1, 1, d, d)  # L_c per basis c
+        chunk = gens[start:start + 4]
+        comm = np_matmul(ls, chunk, p) - np_matmul(chunk, ls, p)
+        cbasis = np_kernel(comm.reshape(len(cbasis), -1).T, p) @ cbasis % p
+    cbasis, cpiv = np_rref(cbasis, p)
+    k = len(cbasis)
+    if k > 1:
+        xs = np_matmul(cbasis, left, p).reshape(-1, d, d)
+        unit = np.array([int(c) % p for c in alg.unit], dtype=xs.dtype)
+        frob = (np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
+        if (len(np_rref(frob, p)[0]) < k or
+                len(np_rref(frob - np.eye(k, dtype=frob.dtype), p)[0]) != k - 1):
+            return None
+    return k
 
 
 # (module, name, loop): patched in together, they run the library on the

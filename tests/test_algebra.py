@@ -20,11 +20,11 @@ from gradix.algebra import (Algebra, SimplicityVerdict, associator,
                             is_simple, make_algebra, multiply,
                             nucleus_and_center, sample_simple, simple_under,
                             subfield_check, two_sided_inverse)
-from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
-                            octonions, product_algebra, product_with_swap,
-                            quadratic_field_extension, quaternions,
-                            random_unital_algebra, truncated_dual,
-                            upper_triangular)
+from gradix.catalog import (field_algebra, frobenius_matrix, group_algebra,
+                            matrix_algebra, octonions, product_algebra,
+                            product_with_swap, quadratic_field_extension,
+                            quaternions, random_unital_algebra,
+                            truncated_dual, upper_triangular)
 from gradix.cayley import cayley_double, is_star_simple
 from gradix.crossed import (build_crossed_product, crossed_center,
                             trivial_system)
@@ -35,12 +35,12 @@ from gradix.groups import cyclic
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
                            projective_points, projective_walk, rref)
 from helpers import (NONZERO_Q, associator_defect_loop, center_equations_loop,
-                     closure_loop, conjugation_matrix, extension_field,
-                     fixed_subspace, inverse_system_loop, left_by_basis,
-                     mat_mul, nuclear_mask_loop, nucleus_blocks_loop, points,
-                     product_mismatch_loop, product_table_loop, rescaled,
-                     right_by_basis, tensor_algebra, unit_failure_loop,
-                     walk_without_points)
+                     closure_loop, commutant_field_loop, conjugation_matrix,
+                     extension_field, fixed_subspace, inverse_system_loop,
+                     left_by_basis, mat_mul, nuclear_mask_loop,
+                     nucleus_blocks_loop, points, product_mismatch_loop,
+                     product_table_loop, rescaled, right_by_basis,
+                     tensor_algebra, unit_failure_loop, walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -713,6 +713,81 @@ def test_fixed_center_is_the_fixed_part_of_the_center(f, kind, rng):
     maps = [fixed_center_test_map(alg, rng) for _ in range(rng.randint(0, 2))]
     expected = nucleus_and_center(alg).center.intersect(fixed_subspace(alg, maps))
     assert fixed_center(alg, maps) == expected
+
+
+def test_a_unit_line_commuter_needs_no_associator_tensor():
+    alg = octonions(F3)[0]
+    assert fixed_center(alg, ()).rank == 1
+    assert "_np_defect" not in alg.__dict__
+
+
+def commutant_test_algebra(f, kind, rng):
+    """An algebra and maybe a gradation: commutants of every kind, k = 1
+    (octonions, M_2, most random algebras), 1 < k < d (M_2(F_{p^2}), k = 2),
+    k = d (extension fields) and none that is a field (products, dual
+    numbers)."""
+    if kind == "octonions":
+        return octonions(f)
+    if kind == "group":
+        return group_algebra(f, cyclic(rng.randint(2, 4)))
+    alg = {"random": lambda: random_unital_algebra(f, rng.randint(1, 5), rng),
+           "commutative": lambda: commutative_test_algebra(f, rng),
+           "product": lambda: rng.choice([product_algebra(f, rng.randint(1, 3)),
+                                          product_with_swap(f)]),
+           "matrix": lambda: matrix_algebra(f, 2),
+           "extension": lambda: extension_field(f, rng.randint(2, 4), rng),
+           "extension matrix": lambda: tensor_algebra(
+               extension_field(f, 2, rng), matrix_algebra(f, 2)),
+           "dual": lambda: truncated_dual(f)}[kind]()
+    return alg, None
+
+
+def projections(alg, degrees):
+    """The projections onto the coordinate blocks of equal degree."""
+    proj = np.zeros((max(degrees) + 1, alg.dim, alg.dim), dtype=np.int64)
+    i = np.arange(alg.dim)
+    proj[list(degrees), i, i] = 1
+    return proj[proj.any(axis=(1, 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F2, F3, prime_field(5), prime_field(7)]),
+       st.sampled_from(["random", "commutative", "octonions", "product",
+                        "matrix", "extension", "extension matrix", "dual",
+                        "group"]),
+       st.sampled_from(["none", "maps", "projections"]),
+       st.randoms(use_true_random=False))
+def test_commutant_from_the_center_matches_the_full_solve(f, kind, extra, rng):
+    alg, grad = commutant_test_algebra(f, kind, rng)
+    maps = ()
+    if extra == "maps":
+        maps = [fixed_center_test_map(alg, rng) for _ in range(rng.randint(1, 2))]
+    elif extra == "projections":
+        degrees = (grad.degrees if grad is not None
+                   else [rng.randrange(3) for _ in range(alg.dim)])
+        maps = projections(alg, degrees)
+    gens = algebra._np_generators(alg, maps)
+    assert algebra._commutant_field(alg, gens) == commutant_field_loop(alg, gens)
+
+
+def test_commutant_cases_reach_every_kind_of_answer():
+    rng = random.Random(2)
+    ext = extension_field(F3, 3, rng)
+    cases = [(octonions(F3)[0], 1), (matrix_algebra(prime_field(5), 2), 1),
+             (tensor_algebra(extension_field(F3, 2, rng),
+                             matrix_algebra(F3, 2)), 2),
+             (ext, 3), (product_algebra(F2, 2), None),
+             (truncated_dual(prime_field(7)), None)]
+    for alg, k in cases:
+        gens = algebra._np_generators(alg)
+        assert algebra._commutant_field(alg, gens) == k
+        assert commutant_field_loop(alg, gens) == k
+    # the Frobenius of F_27 commutes only with the prime field
+    frob = tuple(zip(*(algebra.multiply(ext, v, algebra.multiply(ext, v, v))
+                       for v in map(ext.basis_vector, range(3)))))
+    gens = algebra._np_generators(ext, [frob])
+    assert algebra._commutant_field(ext, gens) == 1 == \
+        commutant_field_loop(ext, gens)
 
 
 def test_involution_errors_keep_their_order_and_first_pair():

@@ -1,14 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import algebra, crossed, jsonio
-from gradix.algebra import (fixed_center, in_nucleus, is_associative,
+from gradix import algebra, crossed, jsonio, linalg
+from gradix.algebra import (Algebra, fixed_center, in_nucleus, is_associative,
                             make_algebra, nucleus_and_center, simple_under,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
@@ -31,6 +32,7 @@ from gradix.linalg import Subspace, identity_matrix, kernel, projective_walk
 from helpers import (LOOPS, NONZERO_Q, conjugation_matrix, fixed_subspace,
                      homogeneous_points, inverse_pairs_loop, rescaled,
                      rescaled_matrix, walk_without_points)
+from test_golden import CASES
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -149,18 +151,31 @@ def _spy(monkeypatch, name, modules):
     return calls
 
 
+def _spy_center(monkeypatch):
+    """Record the algebra of every solve of `Algebra._center`."""
+    built = []
+    solve = Algebra._center.func
+    spy = cached_property(lambda alg: built.append(alg) or solve(alg))
+    spy.__set_name__(Algebra, "_center")
+    monkeypatch.setattr(Algebra, "_center", spy)
+    return built
+
+
 def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
     text = (Path(__file__).resolve().parent.parent / "sample_requests"
             / "crossed_f9_c2.json").read_text()
     solves = _spy(monkeypatch, "nucleus_and_center", (algebra, jsonio))
     centers = _spy(monkeypatch, "fixed_center", (algebra, crossed, jsonio))
     inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
+    built = _spy_center(monkeypatch)
     report = jsonio.run_request(jsonio.parse_request(text))["report"]
     assert report["centers_match"]
-    # no nuclei and commuter are solved: crossed_center solves Z(T)^G as one
-    # system, and the brute-force center of the product is one kernel too
+    # no nuclei and commuter are solved on their own: Z(T)^G and the
+    # brute-force center of the product are each read off the cached
+    # center of their algebra, which the request solves once per algebra
     assert solves == []
     assert [(alg.dim, len(maps)) for alg, maps in centers] == [(2, 2), (4, 0)]
+    assert sorted(alg.dim for alg in built) == [2, 4]
     # alpha takes the values 1 and -1 on C2; the canonical units are checked
     # against their closed-form inverses, which need no solve
     assert len(inverses) == 2
@@ -168,6 +183,33 @@ def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
     build_crossed_product(quaternion_cocycle_system())
     # the values 1 and -1 of the quaternion cocycle, in its validation
     assert len(inverses) == 2
+
+
+def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
+        monkeypatch):
+    # H x| C4 over F_3: the product's center has rank 4, and the graded
+    # verdict's commutant imposes the four component projections on it in
+    # one kernel, one np_rref; nothing is solved for the L_{e_j}, R_{e_j}.
+    # The density test of G-simplicity finds the center of H to be the unit
+    # line, and solves nothing at all.
+    kind, text = CASES["crossed_h_c4_sign"]
+    rrefs = []
+    np_rref = linalg.np_rref
+    monkeypatch.setattr(linalg, "np_rref",
+                        lambda *args: rrefs.append(args) or np_rref(*args))
+    commutant = algebra._commutant_field
+    counts = []
+
+    def spy(alg, gens):
+        before = len(rrefs)
+        k = commutant(alg, gens)
+        counts.append((alg.dim, len(gens), len(rrefs) - before, k))
+        return k
+    monkeypatch.setattr(algebra, "_commutant_field", spy)
+    built = _spy_center(monkeypatch)
+    jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+    assert counts == [(4, 2 * 4 + 4, 0, 1), (16, 2 * 16 + 4, 1, 1)]
+    assert sorted(alg.dim for alg in built) == [4, 16]
 
 
 def test_associativity_transfers_from_coefficients():
