@@ -14,14 +14,14 @@ from .algebra import (Algebra, SimplicityVerdict, associator, center_is_field,
 from .cayley import (DoublingReport, cayley_double, doubling_report,
                      is_star_simple, star_centers, tower, tower_stages)
 from .crossed import (CrossedSystem, build_crossed_product, canonical_units,
-                      crossed_center, is_G_simple, recognize_crossed_system,
-                      trivial_system, validate_crossed_system)
+                      crossed_center, is_G_simple, trivial_system,
+                      validate_crossed_system)
 from .errors import (BudgetExceeded, ExactModeUnavailable, GradixError,
                      MuZero, ParseError, UnboundedSearch, ValidationError)
 from .fields import FieldSpec, prime_field, rationals
-from .graded import (Gradation, SimplicityEquivalence, graded_ideal_closure,
-                     is_faithful, is_graded_simple, is_strong,
-                     simplicity_equivalence, validate_gradation)
+from .graded import (Gradation, SimplicityEquivalence, is_faithful,
+                     is_graded_simple, is_strong, simplicity_equivalence,
+                     validate_gradation)
 from .groups import (FiniteGroup, central_series, cyclic, dihedral,
                      direct_product, elementary_abelian_two, symmetric,
                      validate_group)
@@ -31,6 +31,5 @@ from .laurent import (LaurentElement, LaurentRing, LaurentVerdict,
                       laurent_simplicity_verdict, make_laurent_ring,
                       verify_central, x_power)
 from .linalg import Subspace, kernel
-from .magma import parse_word, word_ideal_span
 
 __version__ = "0.1.0"

@@ -7,9 +7,6 @@ quadratic extensions, the doubling tower stages) with fixed bases and labels.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 from .algebra import Algebra, make_algebra
 from .cayley import tower_stages
 from .errors import ValidationError
@@ -36,13 +33,6 @@ def swap_matrix(field: FieldSpec):
     return ((field.zero, field.one), (field.one, field.zero))
 
 
-def product_with_swap(field: FieldSpec) -> Algebra:
-    """F x F carrying the coordinate swap as involution."""
-    entries = [(0, 0, 0, field.one), (1, 1, 1, field.one)]
-    return make_algebra(field, 2, entries, (field.one, field.one),
-                        involution=swap_matrix(field), labels=("e1", "e2"))
-
-
 def matrix_algebra(field: FieldSpec, n: int) -> Algebra:
     """M_n(F) on the basis e_{rc}, row-major."""
     entries = []
@@ -54,19 +44,6 @@ def matrix_algebra(field: FieldSpec, n: int) -> Algebra:
                  for i in range(n * n))
     labels = tuple(f"e{r + 1}{c + 1}" for r in range(n) for c in range(n))
     return make_algebra(field, n * n, entries, unit, labels=labels)
-
-
-def upper_triangular(field: FieldSpec, n: int) -> Algebra:
-    """T_n(F), the upper-triangular n x n matrices on the e_{rc}, r <= c,
-    row-major: not simple (the strictly upper part is an ideal), though its
-    center is F."""
-    idx = [(r, c) for r in range(n) for c in range(r, n)]
-    pos = {rc: i for i, rc in enumerate(idx)}
-    entries = [(pos[r, c], pos[c, s], pos[r, s], field.one)
-               for r, c in idx for s in range(c, n)]
-    unit = tuple(field.one if r == c else field.zero for r, c in idx)
-    labels = tuple(f"e{r + 1}{c + 1}" for r, c in idx)
-    return make_algebra(field, len(idx), entries, unit, labels=labels)
 
 
 def group_algebra(field: FieldSpec, group: FiniteGroup) -> tuple[Algebra, Gradation]:
@@ -129,53 +106,6 @@ def quaternions(field: FieldSpec) -> tuple[Algebra, Gradation]:
 def octonions(field: FieldSpec) -> tuple[Algebra, Gradation]:
     *_, last = tower_stages(field, [-1, -1, -1])
     return last
-
-
-def sedenions(field: FieldSpec) -> tuple[Algebra, Gradation]:
-    *_, last = tower_stages(field, [-1, -1, -1, -1])
-    return last
-
-
-def random_unital_algebra(field: FieldSpec, dim: int,
-                          rng: random.Random) -> Algebra:
-    """Basis vector 0 is the unit; the remaining products are uniform (over
-    Q, fractions with numerators -3..3 and denominators 1..5)."""
-    def scalar():
-        if field.is_finite:
-            return rng.randrange(field.p)
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 5))
-
-    entries = []
-    for j in range(1, dim):
-        entries.append((0, j, j, field.one))
-        entries.append((j, 0, j, field.one))
-    entries.append((0, 0, 0, field.one))
-    for i in range(1, dim):
-        for j in range(1, dim):
-            for k in range(dim):
-                c = scalar()
-                if c:
-                    entries.append((i, j, k, c))
-    unit = (field.one,) + (field.zero,) * (dim - 1)
-    return make_algebra(field, dim, entries, unit)
-
-
-def random_graded_algebra(field: FieldSpec, group: FiniteGroup, degrees,
-                          rng: random.Random) -> tuple[Algebra, Gradation]:
-    """Basis vector 0 is the unit and degrees[0] the identity; every other
-    product e_i e_j is uniform over the component of degree deg_i deg_j
-    (F_p only)."""
-    d = len(degrees)
-    entries = [(0, 0, 0, field.one)]
-    for j in range(1, d):
-        entries += [(0, j, j, field.one), (j, 0, j, field.one)]
-    for i in range(1, d):
-        for j in range(1, d):
-            gh = group.mul(degrees[i], degrees[j])
-            entries += [(i, j, k, rng.randrange(field.p))
-                        for k in range(d) if degrees[k] == gh]
-    alg = make_algebra(field, d, entries, (field.one,) + (field.zero,) * (d - 1))
-    return alg, validate_gradation(alg, group, degrees)
 
 
 # -- named groups ----------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from . import jsonio, selftest
+from . import jsonio
 from .errors import (BudgetExceeded, ExactModeUnavailable, UnboundedSearch,
                      ValidationError)
 
@@ -81,7 +81,7 @@ def _emit(doc: dict, args, started: float) -> None:
 def _fail(exc: Exception, args) -> int:
     code = 2 if isinstance(exc, REFUSALS) else 1
     body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    if getattr(args, "pretty", False):
+    if args.pretty:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
     else:
         print(json.dumps(body, sort_keys=True))
@@ -113,15 +113,6 @@ def cmd_request(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    for name in ("trials", "oracle_maxlen"):
-        if getattr(args, name) <= 0:
-            return _fail(ValidationError(f"option {name} must be positive"), args)
-    failures = selftest.run(trials=args.trials, seed=args.seed,
-                            oracle_maxlen=args.oracle_maxlen)
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gradix",
@@ -139,11 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--window", default=None, help="center slice "
                              "box, lo:hi per variable comma separated")
 
-    s = subs.add_parser("selftest", help="run the built-in property battery")
-    s.add_argument("--trials", type=int, default=25)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--oracle-maxlen", type=int, default=5, dest="oracle_maxlen")
-    s.set_defaults(fn=cmd_selftest)
     return p
 
 

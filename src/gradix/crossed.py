@@ -22,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_left,
-                      _np_right, _np_vectors, _nucleus_blocks, first_unit,
-                      fixed_center, in_nucleus, is_ring_automorphism,
-                      make_algebra, nuclear_mask, nucleus_equation_rows,
-                      simple_under, two_sided_inverse)
-from .errors import (AlphaNotNuclearUnit, ExactModeUnavailable, N1Violation,
-                     N2Violation, N3Violation, NoNuclearUnit, NotAutomorphism,
-                     ValidationError)
+                      _np_right, _np_vectors, _nucleus_blocks, fixed_center,
+                      in_nucleus, is_ring_automorphism, make_algebra,
+                      nuclear_mask, simple_under, two_sided_inverse)
+from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
+                     N3Violation, NotAutomorphism, ValidationError)
 from .graded import Gradation, validate_gradation
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
@@ -207,90 +205,6 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
     if not (_inverse_pairs(prod, units, inverses) and all(nuclear_mask(prod, units))):
         raise ValidationError("canonical unit is not a nuclear unit")
     return prod, grad
-
-
-# -- recognition ---------------------------------------------------------------
-
-def _restrict(vec, idx, where: str) -> Vec:
-    keep = set(idx)
-    if any(c for i, c in enumerate(vec) if i not in keep):
-        raise ValidationError(f"{where}: support leaves the identity component")
-    return tuple(vec[i] for i in idx)
-
-
-def recognize_crossed_system(alg: Algebra, grad: Gradation,
-                             units=None) -> CrossedSystem:
-    """Extract (T, G, sigma, alpha) from a graded algebra with nuclear units
-    in every component; u_e is always the algebra unit.  Without supplied
-    units, u_g is the `first_unit` of the nuclear part of R_g, a search
-    refused when that part has more projective points than `first_unit`'s
-    default budget."""
-    g = grad.group
-    f = alg.field
-    e = g.identity
-    idx = grad.indices_of(e)
-    if not idx:
-        raise ValidationError("identity component is zero")
-
-    # T = identity component, its tensor a slice of A's: the gradation puts
-    # the products of R_e in R_e
-    ijk, vals = _np_entries(f, alg._np_tensor[np.ix_(idx, idx, idx)],
-                            alg._np_scale)
-    t_labels = tuple(alg.labels[i] for i in idx) if alg.labels else None
-    t = make_algebra(f, len(idx), zip(*(a.tolist() for a in ijk), vals),
-                     _restrict(alg.unit, idx, "unit"), labels=t_labels)
-
-    chosen: list[Vec | None] = [None] * g.order
-    inv: list[Vec | None] = [None] * g.order
-    chosen[e] = inv[e] = alg.unit
-    if units is not None:
-        if len(units) != g.order:
-            raise ValidationError("need one unit per group element")
-        for a in range(g.order):
-            u = alg.element(units[a])
-            if a == e:
-                if u != alg.unit:
-                    raise ValidationError("the identity-component unit must be 1")
-                continue
-            if grad.degree_of(u) != a:
-                raise ValidationError(f"supplied unit {a} is not homogeneous of degree {a}")
-            uinv = two_sided_inverse(alg, u) if in_nucleus(alg, u) else None
-            if uinv is None:
-                raise NoNuclearUnit(f"supplied unit {a} is not a nuclear unit")
-            chosen[a], inv[a] = u, uinv
-    else:
-        if not f.is_finite:
-            raise ExactModeUnavailable("unit search needs a finite field or supplied units")
-        nucleus = nucleus_equation_rows(alg)
-        for a in range(g.order):
-            if a == e:
-                continue
-            outside = [alg.basis_vector(i) for i in range(alg.dim)
-                       if grad.degrees[i] != a]
-            found = first_unit(alg, kernel(f, nucleus + outside, alg.dim))
-            if found is None:
-                raise NoNuclearUnit(f"component {a} has no nuclear unit")
-            chosen[a], inv[a] = found
-
-    embed = [alg.basis_vector(i) for i in idx]
-
-    sigma = []
-    for a in range(g.order):
-        cols = []
-        for x in embed:
-            w = alg.multiply(alg.multiply(chosen[a], x), inv[a])
-            cols.append(_restrict(w, idx, f"conjugation by unit {a}"))
-        sigma.append(tuple(zip(*cols)))   # columns -> matrix rows
-
-    alpha = []
-    for a in range(g.order):
-        row = []
-        for b in range(g.order):
-            w = alg.multiply(alg.multiply(chosen[a], chosen[b]), inv[g.mul(a, b)])
-            row.append(_restrict(w, idx, f"alpha({a},{b})"))
-        alpha.append(tuple(row))
-
-    return validate_crossed_system(t, g, tuple(sigma), tuple(alpha))
 
 
 # -- simplicity and centers ------------------------------------------------------

@@ -54,10 +54,6 @@ class UnitNotInIdentityComponent(ValidationError):
     pass
 
 
-class NotHomogeneous(ValidationError):
-    pass
-
-
 # -- crossed systems --------------------------------------------------------
 
 class NotAutomorphism(ValidationError):
@@ -78,10 +74,6 @@ class N2Violation(ValidationError):
 
 class N3Violation(ValidationError):
     pass
-
-
-class NoNuclearUnit(GradixError):
-    """A graded component contains no invertible nuclear element."""
 
 
 # -- doubling ---------------------------------------------------------------

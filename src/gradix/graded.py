@@ -13,9 +13,9 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _exact_verdict,
-                      center_is_field, ideal_closure, simple_under)
-from .errors import (IncompatibleTensor, NotHomogeneous,
-                     UnitNotInIdentityComponent, ValidationError)
+                      center_is_field, simple_under)
+from .errors import (IncompatibleTensor, UnitNotInIdentityComponent,
+                     ValidationError)
 from .groups import FiniteGroup, central_series
 from .linalg import Subspace
 
@@ -100,20 +100,6 @@ def component_spaces(alg: Algebra, grad: Gradation) -> list[Subspace]:
     """The components R_g, g in the support, as coordinate subspaces."""
     return [Subspace(alg.field, alg.dim, tuple(map(alg.basis_vector, b)), b)
             for b in map(grad.indices_of, grad.support)]
-
-
-def graded_ideal_closure(alg: Algebra, grad: Gradation, generators) -> Subspace:
-    """Ideal closure of homogeneous generators.  Products of homogeneous
-    vectors with basis vectors stay homogeneous, so the ordinary fixpoint
-    already does per-component bookkeeping; homogeneity of the result is
-    asserted as a cheap sanity check."""
-    gens = [alg.element(v) for v in generators]
-    for v in gens:
-        if any(v) and grad.degree_of(v) is None:
-            raise NotHomogeneous(f"generator {v} is not homogeneous")
-    out = ideal_closure(alg, gens)
-    assert all(grad.degree_of(row) is not None for row in out.basis)
-    return out
 
 
 def is_graded_simple(alg: Algebra, grad: Gradation,

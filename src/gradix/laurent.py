@@ -65,7 +65,7 @@ def _matrix_order(alg: Algebra, m, cap: int) -> int | None:
     of the largest prime powers with phi at most d.  Reduction mod an odd
     prime q prime to the denominators keeps finite orders (Minkowski), so
     the order n mod q, L cut prime by prime, is m's if psi(n) <= d and
-    m^n = I in Fractions, and None (infinite) otherwise."""
+    m^n = I (`_is_identity_power`), and None (infinite) otherwise."""
     p, d = alg.field.p, alg.dim
     x, s = _np_vectors(alg, m)
     eye = np.eye(d, dtype=x.dtype)
@@ -94,9 +94,30 @@ def _matrix_order(alg: Algebra, m, cap: int) -> int | None:
             n //= r
         power = math.gcd(n, top)
         psi += power - power // r if power > 2 else 0
-    if psi > d or (np_mat_pow(np.array(m, dtype=object), n, None) != eye).any():
+    if psi > d or not _is_identity_power(x, s, n):
         return None
     return n
+
+
+def _is_identity_power(x: np.ndarray, s: int, n: int) -> bool:
+    """Whether (x / s)^n = I, for a matrix of Python ints x with scale s,
+    by repeated squaring in integers.  Each product is divided by the gcd
+    of its entries and its scale, which leaves it in lowest terms: I is
+    then (I, 1), and the entries stay those of the rational power."""
+    def mul(a, b):
+        y, t = a[0] @ b[0], a[1] * b[1]
+        g = math.gcd(t, *y.flat)
+        return y // g, t // g
+
+    out = None
+    while n:
+        if n & 1:
+            out = (x, s) if out is None else mul(out, (x, s))
+        n >>= 1
+        if n:
+            x, s = mul((x, s), (x, s))
+    y, t = out
+    return t == 1 and (y == np.eye(len(y), dtype=object)).all()
 
 
 def make_laurent_ring(t: Algebra, sigma) -> LaurentRing:

@@ -1,7 +1,9 @@
 """Constructions, references and patches shared by several test modules,
 which the library itself never needs."""
 
+import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,11 @@ from hypothesis import strategies as st
 
 from gradix import algebra, crossed
 from gradix.algebra import fixed_equations, make_algebra, two_sided_inverse
-from gradix.errors import N1Violation, N2Violation, ValidationError
+from gradix.catalog import swap_matrix
+from gradix.cayley import tower_stages
+from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
+                           ValidationError)
+from gradix.graded import validate_gradation
 from gradix.groups import validate_group
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
                            mat_inverse, mat_vec, np_kernel, np_mat_pow,
@@ -182,6 +188,215 @@ def mu_square_by_vectors(alg, center, mu):
     return False
 
 
+# -- algebras beyond `gradix.catalog` ------------------------------------------
+
+def product_with_swap(field):
+    """F x F carrying the coordinate swap as involution."""
+    entries = [(0, 0, 0, field.one), (1, 1, 1, field.one)]
+    return make_algebra(field, 2, entries, (field.one, field.one),
+                        involution=swap_matrix(field), labels=("e1", "e2"))
+
+
+def upper_triangular(field, n):
+    """T_n(F), the upper-triangular n x n matrices on the e_{rc}, r <= c,
+    row-major: not simple (the strictly upper part is an ideal), though its
+    center is F."""
+    idx = [(r, c) for r in range(n) for c in range(r, n)]
+    pos = {rc: i for i, rc in enumerate(idx)}
+    entries = [(pos[r, c], pos[c, s], pos[r, s], field.one)
+               for r, c in idx for s in range(c, n)]
+    unit = tuple(field.one if r == c else field.zero for r, c in idx)
+    labels = tuple(f"e{r + 1}{c + 1}" for r, c in idx)
+    return make_algebra(field, len(idx), entries, unit, labels=labels)
+
+
+def sedenions(field):
+    """The fourth doubling stage at mu = -1, with its Z_2^4 gradation."""
+    *_, last = tower_stages(field, [-1, -1, -1, -1])
+    return last
+
+
+def random_unital_algebra(field, dim, rng):
+    """Basis vector 0 is the unit; the remaining products are uniform (over
+    Q, fractions with numerators -3..3 and denominators 1..5)."""
+    def scalar():
+        if field.is_finite:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+
+    entries = []
+    for j in range(1, dim):
+        entries.append((0, j, j, field.one))
+        entries.append((j, 0, j, field.one))
+    entries.append((0, 0, 0, field.one))
+    for i in range(1, dim):
+        for j in range(1, dim):
+            for k in range(dim):
+                c = scalar()
+                if c:
+                    entries.append((i, j, k, c))
+    unit = (field.one,) + (field.zero,) * (dim - 1)
+    return make_algebra(field, dim, entries, unit)
+
+
+def random_graded_algebra(field, group, degrees, rng):
+    """Basis vector 0 is the unit and degrees[0] the identity; every other
+    product e_i e_j is uniform over the component of degree deg_i deg_j
+    (F_p only)."""
+    d = len(degrees)
+    entries = [(0, 0, 0, field.one)]
+    for j in range(1, d):
+        entries += [(0, j, j, field.one), (j, 0, j, field.one)]
+    for i in range(1, d):
+        for j in range(1, d):
+            gh = group.mul(degrees[i], degrees[j])
+            entries += [(i, j, k, rng.randrange(field.p))
+                        for k in range(d) if degrees[k] == gh]
+    alg = make_algebra(field, d, entries, (field.one,) + (field.zero,) * (d - 1))
+    return alg, validate_gradation(alg, group, degrees)
+
+
+# -- the word-span oracle of ideals --------------------------------------------
+#
+# A word is a binary tree whose leaves carry slot indices.  Substituting ring
+# elements for the slots evaluates the word; the oracle spans all
+# specializations of linear words (each slot used once) with at least one
+# slot taken from a generator set.  By multilinearity it is enough to put one
+# designated generator in a single slot and run the remaining slots over the
+# basis, and to take one canonical leaf labelling per tree shape.  It shares
+# nothing with the fixpoint of `ideal_closure`, which it checks.
+
+@dataclass(frozen=True)
+class Word:
+    tree: object                    # an int leaf or a (tree, tree) pair
+
+    @property
+    def length(self):
+        return len(self.slots)
+
+    @property
+    def slots(self):
+        """Leaf slot indices in left-to-right order."""
+        out, stack = [], [self.tree]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, int):
+                out.append(t)
+            else:
+                stack += [t[1], t[0]]
+        return tuple(out)
+
+    @property
+    def is_linear(self):
+        return len(set(self.slots)) == len(self.slots)
+
+
+def specialize(word, args, alg):
+    """Evaluate the word with args[slot] substituted for each leaf."""
+    args = [alg.element(a) for a in args]
+    top = max(word.slots)
+    if top >= len(args):
+        raise DimensionMismatch(f"word uses slot x{top + 1} but got "
+                                f"{len(args)} arguments")
+
+    def ev(t):
+        if isinstance(t, int):
+            return args[t]
+        return alg.multiply(ev(t[0]), ev(t[1]))
+    return ev(word.tree)
+
+
+@functools.lru_cache(maxsize=None)
+def tree_shapes(length):
+    """All binary tree shapes with the given leaf count, leaves labelled
+    0..length-1 left to right (one canonical linear word per shape)."""
+    def shapes(lo, n):
+        if n == 1:
+            return [lo]
+        return [(left, right) for k in range(1, n)
+                for left in shapes(lo, k) for right in shapes(lo + k, n - k)]
+    return tuple(Word(t) for t in shapes(0, length))
+
+
+def word_ideal_span(alg, generators, max_len=5):
+    """Span of all linear-word specializations of length <= max_len with at
+    least one slot from the generator set and the rest over the basis.
+    Stops early once two consecutive lengths give the same span: it is then
+    closed under one-step products, hence already the whole ideal."""
+    gens = [alg.element(v) for v in generators]
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    ech = Echelon(alg.field, alg.dim)
+    prev_rank = -1
+    for length in range(1, max_len + 1):
+        for shape in tree_shapes(length):
+            for designated in range(length):
+                free = [s for s in range(length) if s != designated]
+                for a in gens:
+                    rows = []
+                    for combo in itertools.product(basis, repeat=len(free)):
+                        args = [a] * length
+                        for slot, b in zip(free, combo):
+                            args[slot] = b
+                        rows.append(specialize(shape, args, alg))
+                    ech.extend(rows)
+        if ech.rank == prev_rank or ech.rank == alg.dim:
+            break
+        prev_rank = ech.rank
+    return ech.to_subspace()
+
+
+# -- crossed systems read back off their products ------------------------------
+
+class NoNuclearUnit(ValidationError):
+    """A graded component holds no invertible nuclear element."""
+
+
+def recognize_crossed_system(alg, grad, units=None):
+    """(T, G, sigma, alpha) of a graded algebra with a nuclear unit u_g in
+    every component: T is the identity component, u_e the algebra unit,
+    sigma_g conjugation by u_g and alpha(g, h) = u_g u_h u_{gh}^-1.  Without
+    supplied units, u_g is the `first_unit` of the nuclear part of R_g."""
+    g, f = grad.group, alg.field
+    e = g.identity
+    idx = grad.indices_of(e)
+    pos = {i: n for n, i in enumerate(idx)}
+
+    def restrict(vec):
+        assert not any(c for i, c in enumerate(vec) if i not in pos), vec
+        return tuple(vec[i] for i in idx)
+
+    # the gradation keeps the products of R_e in R_e
+    t = make_algebra(f, len(idx), [(pos[i], pos[j], pos[k], c)
+                                   for i, j, k, c in alg.mult
+                                   if i in pos and j in pos],
+                     restrict(alg.unit))
+
+    chosen, inv = [alg.unit] * g.order, [alg.unit] * g.order
+    nucleus = algebra.nucleus_equation_rows(alg) if units is None else None
+    for a in range(g.order):
+        if a == e:
+            continue
+        if units is not None:
+            chosen[a] = alg.element(units[a])
+            inv[a] = two_sided_inverse(alg, chosen[a])
+            continue
+        outside = [alg.basis_vector(i) for i in range(alg.dim)
+                   if grad.degrees[i] != a]
+        found = algebra.first_unit(alg, kernel(f, nucleus + outside, alg.dim))
+        if found is None:
+            raise NoNuclearUnit(f"component {a} has no nuclear unit")
+        chosen[a], inv[a] = found
+
+    def in_t(x, y, z):                  # (x y) z, a vector of R_e
+        return restrict(alg.multiply(alg.multiply(x, y), z))
+    embed = [alg.basis_vector(i) for i in idx]
+    sigma = [tuple(zip(*(in_t(chosen[a], x, inv[a]) for x in embed)))
+             for a in range(g.order)]
+    alpha = [[in_t(chosen[a], chosen[b], inv[g.mul(a, b)])
+              for b in range(g.order)] for a in range(g.order)]
+    return crossed.validate_crossed_system(t, g, sigma, alpha)
+
+
 # -- the loops that the structure-tensor contractions replace ------------------
 #
 # Each computes what one contraction of `gradix.algebra` or `gradix.crossed`
@@ -346,6 +561,18 @@ def is_faithful_loop(alg, grad):
                                  rows).rank < len(rg):
                     return False
     return True
+
+
+def matrix_order_loop(f, m, bound):
+    """The first k <= bound with m^k = I, by products in the field's own
+    arithmetic (Fractions over Q), or None: the order of
+    `laurent._matrix_order` wherever no finite order passes bound."""
+    power, one = m, identity_matrix(f, len(m))
+    for k in range(1, bound + 1):
+        if power == one:
+            return k
+        power = mat_mul(f, power, m)
+    return None
 
 
 def sigma_power_loop(ring, m):
@@ -552,7 +779,6 @@ LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),
          (algebra, "nuclear_mask", nuclear_mask_loop),
          (algebra, "center_equations", center_equations_loop),
          (crossed, "nuclear_mask", nuclear_mask_loop),
-         (crossed, "nucleus_equation_rows", nucleus_equation_rows_loop),
          (crossed, "_check_cocycle", check_cocycle_loop),
          (crossed, "_product_entries", product_entries_loop),
          (crossed, "_inverse_pairs", inverse_pairs_loop),

@@ -16,15 +16,13 @@ from gradix.algebra import (associator, center_is_field, commutator,
                             sample_simple, simple_under, subfield_check,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, group_algebra, matrix_algebra,
-                            octonions, product_algebra, product_with_swap,
+                            octonions, product_algebra,
                             quadratic_field_extension, quaternions,
-                            random_unital_algebra, sedenions, swap_matrix,
-                            truncated_dual)
+                            swap_matrix, truncated_dual)
 from gradix.cayley import (cayley_double, doubling_report, is_star_simple,
                            mu_square_in_center, star_centers)
 from gradix.crossed import (build_crossed_product, canonical_units,
-                            crossed_center, is_G_simple,
-                            recognize_crossed_system, trivial_system,
+                            crossed_center, is_G_simple, trivial_system,
                             validate_crossed_system)
 from gradix.fields import prime_field, rationals
 from gradix.graded import (Gradation, is_graded_simple, is_strong,
@@ -34,9 +32,9 @@ from gradix.laurent import (is_sigma_simple, laurent_center_structure,
                             laurent_simplicity_verdict, make_laurent_ring,
                             verify_central)
 from gradix.linalg import Subspace, identity_matrix
-from gradix.magma import word_ideal_span
 from gradix import jsonio
-from helpers import points
+from helpers import (points, product_with_swap, random_unital_algebra,
+                     recognize_crossed_system, sedenions, word_ideal_span)
 
 F2 = prime_field(2)
 F3 = prime_field(3)

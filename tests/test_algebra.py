@@ -22,9 +22,8 @@ from gradix.algebra import (Algebra, SimplicityVerdict, associator,
                             subfield_check, two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, group_algebra,
                             matrix_algebra, octonions, product_algebra,
-                            product_with_swap, quadratic_field_extension,
-                            quaternions, random_unital_algebra,
-                            truncated_dual, upper_triangular)
+                            quadratic_field_extension, quaternions,
+                            truncated_dual)
 from gradix.cayley import cayley_double, is_star_simple
 from gradix.crossed import (build_crossed_product, crossed_center,
                             trivial_system)
@@ -39,8 +38,10 @@ from helpers import (NONZERO_Q, associator_defect_loop, center_equations_loop,
                      extension_field, fixed_subspace, inverse_system_loop,
                      left_by_basis, mat_mul, nuclear_mask_loop,
                      nucleus_blocks_loop, points, product_mismatch_loop,
-                     product_table_loop, rescaled, right_by_basis,
-                     tensor_algebra, unit_failure_loop, walk_without_points)
+                     product_table_loop, product_with_swap,
+                     random_unital_algebra, rescaled, right_by_basis,
+                     tensor_algebra, unit_failure_loop, upper_triangular,
+                     walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -270,7 +271,10 @@ def test_ideal_closure_matches_echelon_path(case):
 
 
 def test_simplicity_known_answers():
-    assert simple_under(matrix_algebra(F3, 2)).simple
+    m2 = matrix_algebra(F3, 2)
+    central = nucleus_and_center(m2)
+    assert central.center.rank == 1 and center_is_field(m2, central)
+    assert simple_under(m2).simple and is_simple(m2).simple
     assert simple_under(quaternions(F3)[0]).simple
     assert simple_under(octonions(F3)[0]).simple
     v = simple_under(product_algebra(F3, 2))

@@ -10,9 +10,8 @@ from gradix.algebra import (center_is_field, is_associative, make_algebra,
                             multiply, nucleus_and_center, simple_under,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, matrix_algebra, octonions,
-                            product_algebra, product_with_swap,
-                            quadratic_field_extension, quaternions,
-                            random_unital_algebra, sedenions, truncated_dual)
+                            product_algebra, quadratic_field_extension,
+                            quaternions, truncated_dual)
 from gradix.cayley import (cayley_double, doubling_report, is_star_simple,
                            mu_square_in_center, star_centers, tower,
                            tower_stages)
@@ -22,7 +21,8 @@ from gradix.graded import is_graded_simple
 from gradix.linalg import Subspace, kernel, projective_points, projective_walk
 from helpers import (NONZERO_Q, cayley_double_loop, extension_field,
                      fixed_subspace, mu_square_by_vectors, product_table_loop,
-                     rescaled, star_rows_loop, tensor_algebra,
+                     product_with_swap, random_unital_algebra, rescaled,
+                     sedenions, star_rows_loop, tensor_algebra,
                      walk_without_points)
 
 F3 = prime_field(3)

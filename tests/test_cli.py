@@ -209,19 +209,6 @@ def test_laurent_rejects_wrong_kind(capsys, tmp_path, graded_file):
     assert code == 1
 
 
-def test_selftest_passes(capsys):
-    code, out = run_cli(capsys, ["selftest", "--trials", "5"])
-    assert code == 0
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
-
-
-@pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"],
-                                   ["--oracle-maxlen", "0"]])
-def test_selftest_flags_are_validated(capsys, flags):
-    assert_validation_error(capsys, ["selftest"] + flags)
-
-
 def test_console_script_entry_point(graded_file):
     proc = subprocess.run([sys.executable, "-m", "gradix.cli", "verdict",
                            graded_file], capture_output=True, text=True)

@@ -15,23 +15,23 @@ from gradix.algebra import (Algebra, fixed_center, in_nucleus, is_associative,
 from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
                             octonions, product_algebra,
                             quadratic_field_extension, quaternions,
-                            random_graded_algebra, swap_matrix,
-                            truncated_dual)
+                            swap_matrix, truncated_dual)
 from gradix.cayley import cayley_double
 from gradix.crossed import (build_crossed_product, canonical_units,
-                            crossed_center, is_G_simple,
-                            recognize_crossed_system, trivial_system,
+                            crossed_center, is_G_simple, trivial_system,
                             validate_crossed_system)
 from gradix.errors import (AlphaNotNuclearUnit, BudgetExceeded, N1Violation,
-                           N2Violation, N3Violation, NoNuclearUnit,
-                           NotAutomorphism, ValidationError)
+                           N2Violation, N3Violation, NotAutomorphism,
+                           ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple, is_strong, validate_gradation
 from gradix.groups import cyclic, dihedral, elementary_abelian_two
 from gradix.linalg import Subspace, identity_matrix, kernel, projective_walk
-from helpers import (LOOPS, NONZERO_Q, conjugation_matrix, fixed_subspace,
-                     homogeneous_points, inverse_pairs_loop, rescaled,
-                     rescaled_matrix, walk_without_points)
+import helpers
+from helpers import (LOOPS, NONZERO_Q, NoNuclearUnit, conjugation_matrix,
+                     fixed_subspace, homogeneous_points, inverse_pairs_loop,
+                     random_graded_algebra, recognize_crossed_system,
+                     rescaled, rescaled_matrix, walk_without_points)
 from test_golden import CASES
 
 F2 = prime_field(2)
@@ -295,7 +295,7 @@ def test_recognition_inverts_each_unit_once(monkeypatch):
     sys = quaternion_cocycle_system()
     prod, grad = build_crossed_product(sys)
     solves = _spy(monkeypatch, "nucleus_and_center", (algebra,))
-    inverses = _spy(monkeypatch, "two_sided_inverse", (crossed,))
+    inverses = _spy(monkeypatch, "two_sided_inverse", (crossed, helpers))
     recognize_crossed_system(prod, grad, units=canonical_units(sys))
     # one inverse per unit off the identity, then the rebuilt system's
     # validation inverts the alpha values 1 and -1
@@ -348,8 +348,8 @@ def recognition_cases():
 
 def test_searched_units_match_the_enumeration(monkeypatch):
     found = []
-    search = crossed.first_unit
-    monkeypatch.setattr(crossed, "first_unit",
+    search = algebra.first_unit
+    monkeypatch.setattr(algebra, "first_unit",
                         lambda alg, space: found.append(search(alg, space))
                         or found[-1])
     outcomes = set()

@@ -43,6 +43,7 @@ def test_identity_inference():
 def test_cyclic_structure():
     g = cyclic(6)
     assert g.order == 6 and g.is_abelian()
+    assert central_series(g).hypercentral
     assert g.element_order(1) == 6
     assert g.inv(2) == 4
     assert g.label(0) == "e" and g.label(3) == "r3"

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,8 +32,8 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             x_power)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
 from helpers import (NONZERO_Q, conjugation_matrix, extension_field,
-                     fixed_subspace, mat_mul, rescaled, rescaled_matrix,
-                     sigma_power_loop)
+                     fixed_subspace, matrix_order_loop, rescaled,
+                     rescaled_matrix, sigma_power_loop)
 
 ZERO = LaurentElement(())
 F2 = prime_field(2)
@@ -453,15 +454,38 @@ def test_q_orders_match_the_powers(ks, nudge, data):
     if nudge:
         m[data.draw(st.integers(0, d - 1))][data.draw(st.integers(0, d - 1))] += 1
     m = rescaled_matrix(m, [data.draw(NONZERO_Q) for _ in range(d)])
-    power, want = m, None
-    for k in range(1, 61):
-        if power == identity_matrix(Q, d):
-            want = k
-            break
-        power = mat_mul(Q, power, m)
+    want = matrix_order_loop(Q, m, 60)
     assert laurent._matrix_order(product_algebra(Q, d), m, 1) == want
     if not nudge:
         assert want == math.lcm(*ks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1,
+                max_size=4).filter(lambda ks: sum(ks) <= 8),
+       st.booleans(), st.data())
+def test_q_orders_of_signed_permutations(lengths, shear, data):
+    """A signed permutation in a rescaled basis: a k-cycle whose signs
+    multiply to -1 has order 2k, else k, and the matrix the lcm of its
+    cycles' orders, at most 60 at d <= 8; beside the block [[1, 1], [0, 1]]
+    its order is infinite.  `_matrix_order` and the Fraction powers of
+    `matrix_order_loop` both find that order."""
+    d = sum(lengths)
+    signs = [data.draw(st.sampled_from([1, -1])) for _ in range(d)]
+    m = [[sign * c for c, sign in zip(row, signs)]
+         for row in cycles_matrix(Q, lengths)]
+    orders, start = [], 0
+    for k in lengths:
+        flips = math.prod(signs[start:start + k])
+        orders.append(k if flips == 1 else 2 * k)
+        start += k
+    want = math.lcm(*orders)
+    if shear:
+        m = [row + [0, 0] for row in m] + [[0] * d + [1, 1], [0] * d + [0, 1]]
+        d, want = d + 2, None
+    m = rescaled_matrix(m, [data.draw(NONZERO_Q) for _ in range(d)])
+    assert laurent._matrix_order(product_algebra(Q, d), m, 1) == want
+    assert matrix_order_loop(Q, m, 60) == want
 
 
 def test_q_order_840_at_d_16():
@@ -535,15 +559,51 @@ def test_central_witness_check_refused_past_the_budget(monkeypatch):
 def central_by_all_pairs(ring, c):
     """The centrality check over every pair of singles of the period box in
     each associator slot, 3 (|period box| d)^2 associators: the reference
-    for `verify_central`, which fixes the second single at exponent 0."""
-    alg = ring.algebra
-    singles = [x_power(ring, j, alg.basis_vector(b))
-               for j in itertools.product(*[range(o) for o in ring.orders])
-               for b in range(alg.dim)]
-    return (all(laurent_commutator(ring, c, s).is_zero() for s in singles) and
-            all(laurent_associator(ring, *trip).is_zero()
-                for a in singles for b in singles
-                for trip in ((c, a, b), (a, c, b), (a, b, c))))
+    for `verify_central`, which fixes the second single at exponent 0.
+    Over F_p on arrays, from T's structure tensor and the sigma matrices
+    alone: an element is a map from exponents to coefficient rows, one row
+    per member of a batch, and (a x^m)(b x^k) = a sigma^m(b) x^{m+k} for
+    every pair of members at once, the batch axes broadcast."""
+    alg, p, d = ring.algebra, ring.algebra.field.p, ring.algebra.dim
+    tensor = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k, v in alg.mult:
+        tensor[i, j, k] += v
+    sigma = [np.array(m, dtype=np.int64) for m in ring.sigma]
+
+    def twist(m):                       # sigma^m, m reduced mod the orders
+        out = np.eye(d, dtype=np.int64)
+        for s, e, o in zip(sigma, m, ring.orders):
+            for _ in range(e % o):
+                out = s @ out % p
+        return out
+
+    def mul(x, y):
+        out = {}
+        for m, u in x.items():
+            left = np.tensordot(u, tensor, axes=(-1, 0)) % p  # rows u e_j
+            tw = twist(m).T
+            for k, v in y.items():
+                w = ((v @ tw % p)[..., None, :] @ left)[..., 0, :]
+                mk = tuple(a + b for a, b in zip(m, k))
+                out[mk] = (out.get(mk, 0) + w) % p
+        return out
+
+    def equal(x, y):
+        return all(((x.get(m, 0) - y.get(m, 0)) % p == 0).all()
+                   for m in x.keys() | y.keys())
+
+    box = list(itertools.product(*[range(o) for o in ring.orders]))
+    # single r = n d + b is e_b x^{box[n]}: one batch row per exponent
+    singles = {}
+    for n, j in enumerate(box):
+        singles[j] = np.zeros((len(box) * d, d), dtype=np.int64)
+        singles[j][n * d:(n + 1) * d] = np.eye(d, dtype=np.int64)
+    a = {j: v[:, None] for j, v in singles.items()}      # batch axis 0
+    b = {j: v[None] for j, v in singles.items()}         # batch axis 1
+    c = {m: np.array(v, dtype=np.int64) % p for m, v in c.terms}
+    return (equal(mul(c, singles), mul(singles, c)) and
+            all(equal(mul(mul(x, y), z), mul(x, mul(y, z)))
+                for x, y, z in ((c, a, b), (a, c, b), (a, b, c))))
 
 
 def commutative_double(f, dim, rng):
