@@ -125,25 +125,13 @@ class Algebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        """Z(A), smallest system first: the kernel K of the d^2 commuter
-        rows, then each associator slot (x, -, -), (-, x, -), (-, -, x)
-        imposed on x = a K only, its rows the k x d^3 product of K with
-        `_np_defect`.  The unit lies in Z(A), so once the survivors are one
-        line they are the unit line and the answer; an associative A
-        (`_np_defect` all zero) needs no slot either."""
-        f, d, p = self.field, self.dim, self.field.p
-        space = kernel(f, _nonzero_rows(_commuter_rows(self)), d)
-        if space.rank == 1 or not self._np_defect.any():
-            return space
-        for slot in range(3):
-            x, _ = _np_vectors(self, space.basis)
-            rows = np_matmul(x, np.moveaxis(self._np_defect, slot, 0)
-                             .reshape(d, d ** 3), p)
-            space = _combine(space,
-                             kernel(f, _nonzero_rows(rows.T), space.rank))
-            if space.rank == 1:
-                break
-        return space
+        """Z(A), smallest system first: the kernel of the d^2 commuter
+        rows, then `_nuclear_part` of it.  The unit lies in Z(A), so once
+        the survivors are one line they are the unit line and the
+        answer."""
+        space = kernel(self.field, _nonzero_rows(_commuter_rows(self)),
+                       self.dim)
+        return _nuclear_part(self, space, 1)
 
     @cached_property
     def _reduced(self) -> Algebra | None:
@@ -280,6 +268,34 @@ def _combine(space: Subspace, coords: Subspace) -> Subspace:
                     tuple(space.pivots[q] for q in coords.pivots))
 
 
+def _restrict(alg: Algebra, space: Subspace, rows: np.ndarray) -> Subspace:
+    """The x of `space` with rows x = 0: the a K, K the k x d basis of
+    `space`, with (rows K^T) a = 0, a system on the k coordinates a only.
+    Over Q the rows may be any nonzero multiple of the equations."""
+    if space.is_zero:
+        return space
+    x, _ = _np_vectors(alg, space.basis)
+    eqs = np_matmul(rows, x.T, alg.field.p)
+    return _combine(space, kernel(alg.field, _nonzero_rows(eqs), space.rank))
+
+
+def _nuclear_part(alg: Algebra, space: Subspace, stop: int) -> Subspace:
+    """The x of `space` in N(A): each associator slot (x, -, -),
+    (-, x, -), (-, -, x) imposed on the survivors of the slots before it
+    (`_restrict` by the d^3 rows of `_np_defect` in that slot), stopping
+    once at most `stop` of them survive.  An associative A (`_np_defect`
+    all zero) needs no slot."""
+    d = alg.dim
+    if space.rank <= stop or not alg._np_defect.any():
+        return space
+    for slot in range(3):
+        rows = np.moveaxis(alg._np_defect, slot, 0).reshape(d, d ** 3).T
+        space = _restrict(alg, space, rows)
+        if space.rank <= stop:
+            break
+    return space
+
+
 def _np_scalars(f: FieldSpec, a: np.ndarray, s: int):
     """The field scalars a / s of an array that carries the scale s, as
     nested tuples of Python scalars (Fractions over Q)."""
@@ -388,17 +404,24 @@ def _commuter_rows(alg: Algebra) -> np.ndarray:
     return comm.transpose(1, 2, 0).reshape(d * d, d)
 
 
-def nucleus_equation_rows(alg: Algebra) -> list:
-    """Rows whose kernel is the nucleus; reused as membership constraints."""
-    left, middle, right, _ = _nucleus_blocks(alg)
-    return np.concatenate([left, middle, right]).tolist()
+def _twisted_commuter_rows(alg: Algebra, twists: np.ndarray,
+                           s: int) -> np.ndarray:
+    """Per twist tau of the stack `twists` (..., d, d), carrying the scale
+    s, the d^2 rows, (b, k) in row-major order, of L_{e_b} - R_{tau(e_b)}:
+    their kernel is the x with e_b x = x tau(e_b) for all b.  All of them
+    are one contraction of the structure tensor."""
+    d, p = alg.dim, alg.field.p
+    eye = np.eye(d, dtype=twists.dtype)
+    # L_{e_b} carries the scale of the tensor, R_{tau(e_b)} s times that
+    diff = np_mod(_np_left(alg, eye) * s
+                  - _np_right(alg, np.swapaxes(twists, -1, -2)), p)
+    return diff.reshape(twists.shape[:-2] + (d * d, d))
 
 
 def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
-    """Per vector, whether it lies in the nucleus, tested on the equations
-    of `nucleus_equation_rows` without solving them: the associators
-    (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all the vectors at
-    once are one `np_matmul` with `_np_defect` per slot."""
+    """Per vector, whether it lies in the nucleus, tested without solving:
+    the associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all
+    the vectors at once are one `np_matmul` with `_np_defect` per slot."""
     vecs = list(vecs)
     for v in vecs:
         if len(v) != alg.dim:
@@ -882,43 +905,27 @@ def is_ring_automorphism(alg: Algebra, m) -> bool:
     return _product_mismatch(alg, m) is None
 
 
-# -- center equations ----------------------------------------------------------
+# -- twisted centers -----------------------------------------------------------
 
-def center_equations(alg: Algebra, twist=None) -> list:
-    """Rows whose kernel is the x in N(A) with e_b x = x twist(e_b) for all
-    b, Z(A) when there is no twist: the nonzero rows of each
-    L_{e_b} - R_{twist(e_b)}, in (b, row) order, then
-    `nucleus_equation_rows`.  All d of the L - R blocks are one contraction
-    of the structure tensor."""
-    d = alg.dim
-    eye = np.eye(d, dtype=alg._np_tensor.dtype)
-    images, s = (eye, 1) if twist is None else _np_vectors(alg, twist)
-    # L_{e_b} carries the scale of the tensor, R_{twist(e_b)} s times that
-    diff = np_mod(_np_left(alg, eye) * s - _np_right(alg, images.T), alg.field.p)
-    diff = diff.reshape(d * d, d)          # row (b, k): L_{e_b} - R_{twist(e_b)}
-    return diff[diff.any(axis=1)].tolist() + nucleus_equation_rows(alg)
-
-
-def fixed_equations(alg: Algebra, maps) -> list:
-    """The nonzero rows of every M - I: their kernel is the common fixed
-    space of the maps."""
-    f = alg.field
-    ident = identity_matrix(f, alg.dim)
-    rows = (tuple(f.sub(x, y) for x, y in zip(mrow, irow))
-            for m in maps for mrow, irow in zip(m, ident))
-    return [row for row in rows if any(row)]
-
-
-def fixed_center(alg: Algebra, maps) -> Subspace:
-    """Z(A) intersected with the common fixed space of the maps: the a K
-    of `Algebra._center`, K its k x d basis, with (M - I) K^T a = 0 for
-    every map M, a system of len(maps) d rows on the k coordinates a."""
-    z = alg._center
+def fixed_center(alg: Algebra, maps, twist=None) -> Subspace:
+    """The x in N(A) with e_b x = x twist(e_b) for all b and M x = x for
+    every map M: Z(A)^maps without a twist, and with one the sigma-twisted
+    center of the crossed-product and Laurent center formulas.  One
+    shrinking solve, smallest system first: the cached `Algebra._center`,
+    or with a twist the kernel of its d^2 rows of `_twisted_commuter_rows`
+    and then `_nuclear_part` of that, down to 0; then `_restrict` by the
+    rows of every M - I, len(maps) d of them on the survivors only."""
+    if twist is None:
+        space = alg._center
+    else:
+        tw, s = _np_vectors(alg, twist)
+        rows = _twisted_commuter_rows(alg, tw, s)
+        space = _nuclear_part(alg, kernel(alg.field, _nonzero_rows(rows),
+                                          alg.dim), 0)
     if not len(maps):
-        return z
-    p = alg.field.p
-    x, _ = _np_vectors(alg, z.basis)
+        return space
     m, s = _np_vectors(alg, maps)
-    # m is s M: the rows are s (M - I) K^T, times the scale of x
-    rows = np_mod(np_matmul(m, x.T, p) - s * x.T, p).reshape(-1, z.rank)
-    return _combine(z, kernel(alg.field, _nonzero_rows(rows), z.rank))
+    # m is s M: the rows are s (M - I)
+    eye = np.eye(alg.dim, dtype=m.dtype)
+    rows = np_mod(m - eye * s, alg.field.p).reshape(-1, alg.dim)
+    return _restrict(alg, space, rows)

@@ -23,14 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_mults,
-                      _np_right, _np_vectors, center_equations, fixed_center,
-                      fixed_equations, make_algebra, simple_under,
-                      subfield_check)
+                      _np_right, _np_vectors, _restrict, fixed_center,
+                      make_algebra, simple_under, subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
 from .graded import Gradation, validate_gradation
 from .groups import cyclic, elementary_abelian_two
-from .linalg import (Subspace, identity_matrix, kernel, np_dtype, np_matmul,
+from .linalg import (Subspace, identity_matrix, np_dtype, np_matmul,
                      np_mod, projective_count, projective_walk)
 
 
@@ -94,17 +93,17 @@ def is_star_simple(alg: Algebra, budget: int = 1_000_000) -> SimplicityVerdict:
 
 
 def star_centers(alg: Algebra) -> tuple[Subspace, Subspace]:
-    """Z_*, the symmetric central elements (the system of `fixed_center` at
-    the involution), and Z_**, the kernel of that system plus the rows of
-    every R_{b - b*}: the two pieces that assemble the center of a double."""
+    """Z_*, the symmetric central elements, `fixed_center` at the
+    involution, and Z_**, the x of Z_* with x (b - b*) = 0 for all b, Z_*
+    restricted by the rows of every R_{b - b*}: the two pieces that
+    assemble the center of a double."""
     _require_involution(alg)
     f, d = alg.field, alg.dim
-    rows = center_equations(alg) + fixed_equations(alg, (alg.involution,))
-    z_star = kernel(f, rows, d)
+    z_star = fixed_center(alg, (alg.involution,))
     sm, s = _np_vectors(alg, alg.involution)
     diffs = np_mod(np.eye(d, dtype=sm.dtype) * s - sm.T, f.p)  # row j: e_j - e_j*
-    rows += _np_right(alg, diffs).reshape(d * d, d).tolist()
-    return z_star, kernel(f, rows, d)
+    rows = _np_right(alg, diffs).reshape(d * d, d)
+    return z_star, _restrict(alg, z_star, rows)
 
 
 def mu_square_in_center(alg: Algebra, center: Subspace, mu,

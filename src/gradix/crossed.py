@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_left,
-                      _np_right, _np_vectors, _nucleus_blocks, fixed_center,
-                      in_nucleus, is_ring_automorphism, make_algebra,
-                      nuclear_mask, simple_under, two_sided_inverse)
+                      _np_right, _np_vectors, _nucleus_blocks,
+                      _twisted_commuter_rows, fixed_center, in_nucleus,
+                      is_ring_automorphism, make_algebra, nuclear_mask,
+                      simple_under, two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                      N3Violation, NotAutomorphism, ValidationError)
 from .graded import Gradation, validate_gradation
@@ -221,19 +222,23 @@ def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:
       (i)   t t_g = t_g sigma_g(t)          for all t in T
       (ii)  t_{hgh^-1} = sigma_h(t_g) alpha(h,g) alpha(hgh^-1,h)^-1
       (iii) t_g in N(T)
-    together with the fixed central subfield Z(T)^G of T.  The rows of (i)
-    and (iii) are `center_equations(T, sigma_g)`, and for hgh^-1 = g those
-    of (ii) are `fixed_equations` of its map t_g -> t_g.  The whole system
-    is one array (`_center_rows`)."""
+    together with the fixed central subfield Z(T)^G of T, `fixed_center(T,
+    sigma)`.  (i) and (iii) say that t_g lies in the sigma_g-twisted center
+    `fixed_center(T, (), sigma_g)`, and for hgh^-1 = g (ii) says that t_g is
+    fixed by its map t_g -> t_g.  The whole system is one array
+    (`_center_rows`) and one kernel, where solving each of the n group
+    elements on its own and then (ii) on the sum of their twisted centers
+    takes n + 1 kernels."""
     t = sys.algebra
     return kernel(t.field, _center_rows(sys), sys.dim), fixed_center(t, sys.sigma)
 
 
 def _center_rows(sys: CrossedSystem) -> np.ndarray:
     """The equations of `crossed_center`, blocks of d columns per group
-    element, nonzero rows only.  (i) for every g is one contraction of T's
-    structure tensor with the stacked sigma, and (iii) the nucleus rows
-    repeated in each block.  (ii) for every (h, g) is the row block
+    element, nonzero rows only.  (i) for every g is
+    `algebra._twisted_commuter_rows` of the stacked sigma, one contraction
+    of T's structure tensor, and (iii) the nucleus rows repeated in each
+    block.  (ii) for every (h, g) is the row block
     t_{hgh^-1} - m[h, g] t_g with m[h, g] = R_{alpha(hgh^-1, h)^-1}
     R_{alpha(h, g)} sigma_h, all of them one batched `np_matmul`; where
     hgh^-1 = g the block is I - m, the fixed rows of m up to sign.  Over Q
@@ -241,10 +246,8 @@ def _center_rows(sys: CrossedSystem) -> np.ndarray:
     t, g = sys.algebra, sys.group
     d, n, p = t.dim, g.order, t.field.p
     s, ss = _np_vectors(t, sys.sigma)                   # s[a] @ v = sigma_a(v)
-    eye = np.eye(d, dtype=s.dtype)
-    diff = np_mod(_np_left(t, eye) * ss - _np_right(t, s.transpose(0, 2, 1)), p)
     nucleus = np.concatenate(_nucleus_blocks(t)[:3])
-    own = np.concatenate([diff.reshape(n, d * d, d),
+    own = np.concatenate([_twisted_commuter_rows(t, s, ss),
                           np.broadcast_to(nucleus, (n,) + nucleus.shape)], 1)
     first = np.zeros((n, own.shape[1], n, d), dtype=s.dtype)
     first[np.arange(n), :, np.arange(n)] = own

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterator, Union
+from typing import Union
 
-from .errors import ExactModeUnavailable, ValidationError
+from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
 
@@ -47,10 +47,6 @@ class FieldSpec:
             raise ValidationError(f"p must be below {PSI_13}: {self.p!r}")
         if self.p is not None and not _is_prime(self.p):
             raise ValidationError(f"p not prime: {self.p!r}")
-
-    @property
-    def kind(self) -> str:
-        return "Q" if self.p is None else "Fp"
 
     @property
     def is_finite(self) -> bool:
@@ -116,12 +112,6 @@ class FieldSpec:
 
     def format(self, x: Scalar) -> str:
         return str(x)
-
-    def scalars(self) -> Iterator[Scalar]:
-        """All field elements; finite fields only."""
-        if self.p is None:
-            raise ExactModeUnavailable("cannot enumerate Q")
-        return iter(range(self.p))
 
     def __repr__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"

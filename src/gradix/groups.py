@@ -48,13 +48,6 @@ class FiniteGroup:
         return all(self.table[a][b] == self.table[b][a]
                    for a in self.elements() for b in self.elements())
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
 
 def validate_group(table, identity: int | None = None,
                    labels=None) -> FiniteGroup:

@@ -26,11 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (REDUCTION_FIELD, Algebra, SimplicityVerdict, _np_scalars,
-                      _np_vectors, center_equations, first_unit,
-                      fixed_equations, is_ring_automorphism, simple_under)
+                      _np_vectors, first_unit, fixed_center,
+                      is_ring_automorphism, simple_under)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
 from .fields import _is_prime
-from .linalg import (Subspace, Vec, coerce_matrix, kernel, mat_inverse,
+from .linalg import (Subspace, Vec, coerce_matrix, mat_inverse,
                      mat_vec, np_mat_pow, np_matmul)
 
 Exp = tuple  # Z^n exponent vector
@@ -349,10 +349,9 @@ class CenterStructure:
 
 def center_coefficient_space(ring: LaurentRing, m: Exp) -> Subspace:
     """Coefficients t_m admissible for a central element at exponent m:
-    t t_m = t_m sigma^m(t), sigma_i(t_m) = t_m, and t_m in N(T)."""
-    alg = ring.algebra
-    return kernel(alg.field, center_equations(alg, sigma_power(ring, m)) +
-                  fixed_equations(alg, ring.sigma), alg.dim)
+    t t_m = t_m sigma^m(t), sigma_i(t_m) = t_m, and t_m in N(T), the
+    sigma^m-twisted center of T fixed by every sigma_i."""
+    return fixed_center(ring.algebra, ring.sigma, sigma_power(ring, m))
 
 
 def check_window(degree_box, rank: int, budget: int) -> list:

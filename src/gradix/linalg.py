@@ -133,31 +133,6 @@ class Subspace:
                         w[j] = f.sub(w[j], f.mul(c, x))
         return not any(w)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.field, self.ambient, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # kernel trick: relations a.U - b.V = 0 give the common vectors
-        if self.is_zero or other.is_zero:
-            return Subspace.span(self.field, self.ambient)
-        cols = [list(r) for r in self.basis] + \
-               [[self.field.neg(c) for c in r] for r in other.basis]
-        eqs = [tuple(col[k] for col in cols) for k in range(self.ambient)]
-        rel = kernel(self.field, eqs, len(cols))
-        f = self.field
-        vecs = []
-        for lam in rel.basis:
-            w = [f.zero] * self.ambient
-            for a, row in zip(lam[: self.rank], self.basis):
-                if a:
-                    for j in range(self.ambient):
-                        w[j] = f.add(w[j], f.mul(a, row[j]))
-            vecs.append(w)
-        return Subspace.span(self.field, self.ambient, vecs)
-
 
 # -- solving -----------------------------------------------------------------
 

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed
-from gradix.algebra import fixed_equations, make_algebra, two_sided_inverse
+from gradix.algebra import make_algebra, two_sided_inverse
 from gradix.catalog import swap_matrix
 from gradix.cayley import tower_stages
 from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
@@ -22,9 +22,39 @@ from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
                            np_matmul, np_rref, projective_walk)
 
 
+def fixed_rows_loop(alg, maps):
+    """The nonzero rows of every M - I, entry by entry: their kernel is the
+    common fixed space of the maps."""
+    f = alg.field
+    ident = identity_matrix(f, alg.dim)
+    rows = (tuple(f.sub(f.coerce(x), y) for x, y in zip(mrow, irow))
+            for m in maps for mrow, irow in zip(m, ident))
+    return [row for row in rows if any(row)]
+
+
 def fixed_subspace(alg, maps):
     """Common fixed space of the linear maps."""
-    return kernel(alg.field, fixed_equations(alg, maps), alg.dim)
+    return kernel(alg.field, fixed_rows_loop(alg, maps), alg.dim)
+
+
+def intersect(a, b):
+    """a meet b, by the kernel trick: the relations x.A - y.B = 0 between
+    the basis rows give the common vectors x.A.  The reference of every
+    center that the library cuts down by restriction."""
+    f, n = a.field, a.ambient
+    if a.is_zero or b.is_zero:
+        return Subspace.span(f, n)
+    cols = [list(r) for r in a.basis] + [[f.neg(c) for c in r] for r in b.basis]
+    eqs = [tuple(col[k] for col in cols) for k in range(n)]
+    vecs = []
+    for lam in kernel(f, eqs, len(cols)).basis:
+        w = [f.zero] * n
+        for x, row in zip(lam[:a.rank], a.basis):
+            if x:
+                for j in range(n):
+                    w[j] = f.add(w[j], f.mul(x, row[j]))
+        vecs.append(w)
+    return Subspace.span(f, n, vecs)
 
 
 def conjugation_matrix(alg, u):
@@ -372,7 +402,8 @@ def recognize_crossed_system(alg, grad, units=None):
                      restrict(alg.unit))
 
     chosen, inv = [alg.unit] * g.order, [alg.unit] * g.order
-    nucleus = algebra.nucleus_equation_rows(alg) if units is None else None
+    nucleus = (np.concatenate(algebra._nucleus_blocks(alg)[:3]).tolist()
+               if units is None else None)
     for a in range(g.order):
         if a == e:
             continue
@@ -628,8 +659,8 @@ def nucleus_blocks_loop(alg):
 
 
 def nucleus_equation_rows_loop(alg):
-    """`algebra.nucleus_equation_rows`: the nonzero left, middle and right
-    rows."""
+    """The nonzero left, middle and right rows, from the associators one by
+    one: their kernel is the nucleus."""
     left, middle, right, _ = nucleus_blocks_loop(alg)
     return [row for row in left + middle + right if any(row)]
 
@@ -649,8 +680,9 @@ def associator_defect_loop(alg):
 
 
 def center_equations_loop(alg, twist=None):
-    """`algebra.center_equations`: the nonzero rows of each
-    L_{e_b} - R_{twist(e_b)} in (b, row) order, then the nucleus rows."""
+    """The nonzero rows of each L_{e_b} - R_{twist(e_b)} in (b, row) order,
+    then the nucleus rows: their kernel is the twisted center of
+    `algebra.fixed_center`."""
     f = alg.field
     rows = []
     for b in range(alg.dim):
@@ -662,6 +694,13 @@ def center_equations_loop(alg, twist=None):
             if any(row):
                 rows.append(row)
     return rows + nucleus_equation_rows_loop(alg)
+
+
+def fixed_center_loop(alg, maps, twist=None):
+    """`algebra.fixed_center`: the kernel of `center_equations_loop` and of
+    `fixed_rows_loop`, one system solved at once."""
+    return kernel(alg.field, center_equations_loop(alg, twist)
+                  + fixed_rows_loop(alg, maps), alg.dim)
 
 
 def inverse_pairs_loop(alg, xs, ys):
@@ -738,7 +777,7 @@ def center_rows_loop(sys):
             m = mat_mul(f, right_mult_matrix(t, sys.alpha[h][a]), sys.sigma[h])
             m = mat_mul(f, right_mult_matrix(t, sys.alpha_inv[k][h]), m)
             if k == a:
-                rows += [block_row([(a, r)]) for r in fixed_equations(t, [m])]
+                rows += [block_row([(a, r)]) for r in fixed_rows_loop(t, [m])]
             else:
                 rows += [block_row([(a, [f.neg(c) for c in mrow]), (k, irow)])
                          for mrow, irow in zip(m, ident)]
@@ -775,9 +814,8 @@ def commutant_field_loop(alg, gens):
 # (module, name, loop): patched in together, they run the library on the
 # loops in place of the contractions
 LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),
-         (algebra, "nucleus_equation_rows", nucleus_equation_rows_loop),
          (algebra, "nuclear_mask", nuclear_mask_loop),
-         (algebra, "center_equations", center_equations_loop),
+         (crossed, "fixed_center", fixed_center_loop),
          (crossed, "nuclear_mask", nuclear_mask_loop),
          (crossed, "_check_cocycle", check_cocycle_loop),
          (crossed, "_product_entries", product_entries_loop),

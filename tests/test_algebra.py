@@ -33,11 +33,12 @@ from gradix.fields import prime_field, rationals
 from gradix.groups import cyclic
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
                            projective_points, projective_walk, rref)
-from helpers import (NONZERO_Q, associator_defect_loop, center_equations_loop,
-                     closure_loop, commutant_field_loop, conjugation_matrix,
-                     extension_field, fixed_subspace, inverse_system_loop,
-                     left_by_basis, mat_mul, nuclear_mask_loop,
-                     nucleus_blocks_loop, points, product_mismatch_loop,
+from helpers import (NONZERO_Q, associator_defect_loop, closure_loop,
+                     commutant_field_loop, conjugation_matrix,
+                     extension_field, fixed_center_loop, fixed_subspace,
+                     intersect, inverse_system_loop, left_by_basis, mat_mul,
+                     nuclear_mask_loop, nucleus_blocks_loop, points,
+                     product_mismatch_loop,
                      product_table_loop, product_with_swap,
                      random_unital_algebra, rescaled, right_by_basis,
                      tensor_algebra, unit_failure_loop, upper_triangular,
@@ -181,7 +182,7 @@ def test_center_is_triple_intersection():
         c = nucleus_and_center(alg)
         for a, b in ((c.left, c.middle), (c.left, c.right),
                      (c.middle, c.right)):
-            assert c.commuter.intersect(a).intersect(b).basis == c.center.basis
+            assert intersect(intersect(c.commuter, a), b).basis == c.center.basis
 
 
 def test_associator_five_term_identity():
@@ -671,7 +672,7 @@ def test_in_nucleus_matches_the_solved_nucleus(f, kind, rng):
     # elements of two one-sided nuclei that may miss the third
     two_sided = [v for a, b in ((c.left, c.middle), (c.left, c.right),
                                 (c.middle, c.right))
-                 for v in a.intersect(b).basis]
+                 for v in intersect(a, b).basis]
     vecs = [algebra.random_element(alg, rng) for _ in range(4)]
     for v in vecs + list(nuc.basis) + inside + two_sided:
         assert in_nucleus(alg, v) == nuc.contains(v), v
@@ -715,7 +716,8 @@ def test_fixed_center_is_the_fixed_part_of_the_center(f, kind, rng):
     alg = (commutative_test_algebra(f, rng) if kind == "commutative"
            else nucleus_test_algebra(f, kind, rng))
     maps = [fixed_center_test_map(alg, rng) for _ in range(rng.randint(0, 2))]
-    expected = nucleus_and_center(alg).center.intersect(fixed_subspace(alg, maps))
+    expected = intersect(nucleus_and_center(alg).center,
+                         fixed_subspace(alg, maps))
     assert fixed_center(alg, maps) == expected
 
 
@@ -1001,14 +1003,18 @@ def test_q_nuclear_mask_defect_and_center_rows_match_the_loops(alg, data):
     vecs += [q_vector(data.draw, d) for _ in range(2)]
     assert algebra.nuclear_mask(alg, vecs) == nuclear_mask_loop(alg, vecs)
     assert associator_defect(alg) == associator_defect_loop(alg)
+    # twisted centers: no twist, a random one and a conjugation, without
+    # maps and with the involution or the conjugation as the map
     twists = [None, tuple(tuple(data.draw(NONZERO_Q) for _ in range(d))
                           for _ in range(d))]
+    maps = [alg.involution] if alg.involution is not None else []
     u = q_vector(data.draw, d)
     if two_sided_inverse(alg, u) is not None:
         twists.append(conjugation_matrix(alg, u))
+        maps.append(twists[-1])
     for tw in twists:
-        assert (kernel(Q, algebra.center_equations(alg, tw), d) ==
-                kernel(Q, center_equations_loop(alg, tw), d))
+        for m in ((), maps):
+            assert fixed_center(alg, m, tw) == fixed_center_loop(alg, m, tw)
 
 
 @settings(max_examples=80, deadline=None)

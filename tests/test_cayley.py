@@ -20,7 +20,7 @@ from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
 from gradix.linalg import Subspace, kernel, projective_points, projective_walk
 from helpers import (NONZERO_Q, cayley_double_loop, extension_field,
-                     fixed_subspace, mu_square_by_vectors, product_table_loop,
+                     fixed_subspace, intersect, mu_square_by_vectors, product_table_loop,
                      product_with_swap, random_unital_algebra, rescaled,
                      sedenions, star_rows_loop, tensor_algebra,
                      walk_without_points)
@@ -179,10 +179,10 @@ def test_star_centers():
 def intersected_star_centers(alg):
     """Z_* and Z_** built by intersections: Z(A) cut by the fixed space of
     the involution, then by the kernel of the rows of every R_{b - b*}."""
-    z_star = nucleus_and_center(alg).center.intersect(
-        fixed_subspace(alg, (alg.involution,)))
-    return z_star, z_star.intersect(kernel(alg.field, star_rows_loop(alg),
-                                           alg.dim))
+    z_star = intersect(nucleus_and_center(alg).center,
+                       fixed_subspace(alg, (alg.involution,)))
+    return z_star, intersect(z_star, kernel(alg.field, star_rows_loop(alg),
+                                            alg.dim))
 
 
 def exchange_algebra(f, rng):

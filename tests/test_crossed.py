@@ -26,12 +26,13 @@ from gradix.errors import (AlphaNotNuclearUnit, BudgetExceeded, N1Violation,
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple, is_strong, validate_gradation
 from gradix.groups import cyclic, dihedral, elementary_abelian_two
-from gradix.linalg import Subspace, identity_matrix, kernel, projective_walk
+from gradix.linalg import Subspace, identity_matrix, projective_walk
 import helpers
 from helpers import (LOOPS, NONZERO_Q, NoNuclearUnit, conjugation_matrix,
-                     fixed_subspace, homogeneous_points, inverse_pairs_loop,
-                     random_graded_algebra, recognize_crossed_system,
-                     rescaled, rescaled_matrix, walk_without_points)
+                     fixed_center_loop, fixed_subspace, homogeneous_points,
+                     inverse_pairs_loop, random_graded_algebra,
+                     recognize_crossed_system, rescaled, rescaled_matrix,
+                     walk_without_points)
 from test_golden import CASES
 
 F2 = prime_field(2)
@@ -483,13 +484,9 @@ def test_contractions_match_the_generic_loops(mk, f, change, data):
 
     twist = [[data.draw(st.integers(0, f.p - 1), label="twist")
               for _ in range(t.dim)] for _ in range(t.dim)]
-    for alg, tw in ((t, None), (t, sys.sigma[a]), (t, twist)):
-        def solve():
-            rows = algebra.center_equations(alg, tw)
-            return ([tuple(r) for r in rows],
-                    kernel(f, rows, alg.dim).basis)
-        fast, slow = _on_both_paths(solve)
-        assert fast == slow
+    for tw, maps in ((None, ()), (None, sys.sigma), (sys.sigma[a], ()),
+                     (sys.sigma[a], sys.sigma), (twist, ())):
+        assert fixed_center(t, maps, tw) == fixed_center_loop(t, maps, tw)
 
 
 def diagonal(f, signs):
@@ -548,6 +545,27 @@ def test_center_rows_match_the_generic_loop(f, coefficients, hom_group, data):
     assert fast == slow
     prod, _ = build_crossed_product(sys)
     assert fast[0] == nucleus_and_center(prod).center
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, prime_field(5)]), st.sampled_from(COEFFICIENTS),
+       st.data())
+def test_twisted_centers_match_the_loop(f, coefficients, data):
+    """`fixed_center` against one kernel of the loop rows, on associative T
+    and on the octonions and `commutative_not_associative`: with no twist,
+    the automorphism, a random matrix and a conjugation as the twist, each
+    without maps and with the automorphism as the map."""
+    t, sigma = coefficients(f)
+    twists = [None, sigma,
+              [[data.draw(st.integers(0, f.p - 1), label="twist")
+                for _ in range(t.dim)] for _ in range(t.dim)]]
+    u = tuple(data.draw(st.integers(0, f.p - 1), label="conjugator")
+              for _ in range(t.dim))
+    if two_sided_inverse(t, u) is not None:
+        twists.append(conjugation_matrix(t, u))
+    for tw in twists:
+        for maps in ((), (sigma,)):
+            assert fixed_center(t, maps, tw) == fixed_center_loop(t, maps, tw)
 
 
 def test_canonical_unit_check_refuses_on_both_paths():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradix.errors import ExactModeUnavailable, ValidationError
+from gradix.errors import ValidationError
 from gradix.fields import PSI_13, _is_prime, prime_field, rationals
 
 F5 = prime_field(5)
@@ -90,8 +90,3 @@ def test_coerce():
     assert Q.coerce(2) == Fraction(2)
     assert Q.coerce("3/4") == Fraction(3, 4)
 
-
-def test_scalar_enumeration():
-    assert list(F5.scalars()) == [0, 1, 2, 3, 4]
-    with pytest.raises(ExactModeUnavailable):
-        list(Q.scalars())
