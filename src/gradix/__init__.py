@@ -27,9 +27,8 @@ from .groups import (FiniteGroup, central_series, cyclic, dihedral,
                      validate_group)
 from .laurent import (LaurentElement, LaurentRing, LaurentVerdict,
                       inner_witness_search, laurent_center_structure,
-                      laurent_element, laurent_multiply,
-                      laurent_simplicity_verdict, make_laurent_ring,
-                      verify_central, x_power)
+                      laurent_element, laurent_simplicity_verdict,
+                      make_laurent_ring, verify_central)
 from .linalg import Subspace, kernel
 
 __version__ = "0.1.0"

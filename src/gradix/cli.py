@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for malformed or invalid input, 2 when a decision
 procedure refuses to run (enumeration budget, unbounded search, no exact mode
-over the rationals).
+over the rationals) or the request needs more memory than can be allocated
+(error type "MemoryError").
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import jsonio
 from .errors import (BudgetExceeded, ExactModeUnavailable, UnboundedSearch,
                      ValidationError)
 
-REFUSALS = (BudgetExceeded, UnboundedSearch, ExactModeUnavailable)
+REFUSALS = (BudgetExceeded, UnboundedSearch, ExactModeUnavailable, MemoryError)
 
 
 def _read_input(path: str) -> str:
@@ -80,9 +81,11 @@ def _emit(doc: dict, args, started: float) -> None:
 
 def _fail(exc: Exception, args) -> int:
     code = 2 if isinstance(exc, REFUSALS) else 1
-    body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    # numpy's allocation failure is a private subclass of MemoryError
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    body = {"error": {"type": name, "message": str(exc)}}
     if args.pretty:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        print(f"error [{name}]: {exc}", file=sys.stderr)
     else:
         print(json.dumps(body, sort_keys=True))
     return code

@@ -180,11 +180,22 @@ def parse_tower(obj) -> tuple[FieldSpec, list]:
     return f, _list(_need(obj, "mus", "tower spec"), "tower mus")
 
 
-def parse_request(text: str) -> dict:
+def _load(text: str):
+    """json.loads, each failure a ParseError: malformed JSON, an integer
+    past Python's digit limit (ValueError) or nesting too deep."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    except (ValueError, RecursionError) as e:
+        raise ParseError(str(e)) from None
+
+
+def parse_request(text: str) -> dict:
+    return _request(_load(text))
+
+
+def _request(doc) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("request must be a JSON object")
     kind = doc.get("kind")
@@ -197,12 +208,9 @@ def parse_request(text: str) -> dict:
 
 def wrap_bare_payload(text: str, kind: str) -> dict:
     """Accept either a full request document or a bare payload for `kind`."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, e.lineno, e.colno) from None
+    doc = _load(text)
     if isinstance(doc, dict) and "kind" in doc:
-        parsed = parse_request(text)
+        parsed = _request(doc)
         if parsed["kind"] != kind:
             raise ValidationError(f"expected a {kind} request, got {parsed['kind']}")
         return parsed

@@ -25,13 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (REDUCTION_FIELD, Algebra, SimplicityVerdict, _np_scalars,
-                      _np_vectors, first_unit, fixed_center,
-                      is_ring_automorphism, simple_under)
+from .algebra import (REDUCTION_FIELD, Algebra, SimplicityVerdict, _np_left,
+                      _np_right, _np_scalars, _np_vectors, first_unit,
+                      fixed_center, is_ring_automorphism, simple_under)
 from .errors import (BudgetExceeded, UnboundedSearch, ValidationError)
 from .fields import _is_prime
-from .linalg import (Subspace, Vec, coerce_matrix, mat_inverse,
-                     mat_vec, np_mat_pow, np_matmul)
+from .linalg import (Subspace, Vec, coerce_matrix, mat_inverse, np_mat_pow,
+                     np_matmul)
 
 Exp = tuple  # Z^n exponent vector
 
@@ -183,51 +183,6 @@ def laurent_element(ring: LaurentRing, terms) -> LaurentElement:
     return LaurentElement(tuple(sorted((m, c) for m, c in acc.items() if any(c))))
 
 
-def laurent_one(ring: LaurentRing) -> LaurentElement:
-    return laurent_element(ring, [((0,) * ring.rank, ring.algebra.unit)])
-
-
-def x_power(ring: LaurentRing, m, coeff=None) -> LaurentElement:
-    coeff = ring.algebra.unit if coeff is None else coeff
-    return laurent_element(ring, [(tuple(m), coeff)])
-
-
-def laurent_add(ring: LaurentRing, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    return laurent_element(ring, list(a.terms) + list(b.terms))
-
-
-def laurent_neg(ring: LaurentRing, a: LaurentElement) -> LaurentElement:
-    alg = ring.algebra
-    return LaurentElement(tuple((m, alg.scale(alg.field.neg(alg.field.one), c))
-                                for m, c in a.terms))
-
-
-def laurent_sub(ring: LaurentRing, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    return laurent_add(ring, a, laurent_neg(ring, b))
-
-
-def laurent_multiply(ring: LaurentRing, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    alg, f = ring.algebra, ring.algebra.field
-    acc: dict[Exp, Vec] = {}
-    for ma, ca in a.terms:
-        twist = sigma_power(ring, ma)
-        for mb, cb in b.terms:
-            m = tuple(x + y for x, y in zip(ma, mb))
-            w = alg.multiply(ca, mat_vec(f, twist, cb))
-            acc[m] = alg.add_vec(acc[m], w) if m in acc else w
-    return LaurentElement(tuple(sorted((m, c) for m, c in acc.items() if any(c))))
-
-
-def laurent_commutator(ring: LaurentRing, a: LaurentElement, b: LaurentElement) -> LaurentElement:
-    return laurent_sub(ring, laurent_multiply(ring, a, b), laurent_multiply(ring, b, a))
-
-
-def laurent_associator(ring: LaurentRing, a, b, c) -> LaurentElement:
-    return laurent_sub(ring,
-                       laurent_multiply(ring, laurent_multiply(ring, a, b), c),
-                       laurent_multiply(ring, a, laurent_multiply(ring, b, c)))
-
-
 # -- decision operations ----------------------------------------------------------
 
 def _require_searchable(ring: LaurentRing) -> None:
@@ -278,6 +233,21 @@ def inner_witness_search(ring: LaurentRing,
     return None
 
 
+def _associators_vanish(alg: Algebra, x: np.ndarray, y: np.ndarray,
+                        z: np.ndarray) -> bool:
+    """Whether (x, y, z) = 0 for the stacks of vectors x, y, z (..., d),
+    broadcast against each other.  Each product applies L_a or R_b of the
+    smaller of its two stacks to the other; both sides carry the scales of
+    x, y and z times `Algebra._np_scale`^2."""
+    p = alg.field.p
+
+    def mul(a, b):
+        if a.size <= b.size:
+            return np_matmul(_np_left(alg, a), b[..., None], p)[..., 0]
+        return np_matmul(_np_right(alg, b), a[..., None], p)[..., 0]
+    return bool((mul(mul(x, y), z) == mul(x, mul(y, z))).all())
+
+
 def verify_central(ring: LaurentRing, c: LaurentElement) -> bool:
     """Commutators with t x^j, and the associators in all three slots
     against pairs a x^j, b x^0, over a full period box of exponents j:
@@ -288,24 +258,39 @@ def verify_central(ring: LaurentRing, c: LaurentElement) -> bool:
     (c_m, sigma^m(a), sigma^{m+j}(b)) at x^{m+j+k}, and in slot 2
     (a, sigma^j(c_m), sigma^{j+m}(b)) there: k only shifts the exponent.
     In slot 3 it is (a, sigma^j(b), sigma^{j+k}(c_m)); as b runs over a
-    basis so does sigma^j(b), so only j + k modulo the orders matters."""
-    alg = ring.algebra
-    box = [range(o) for o in ring.orders]
-    singles = [x_power(ring, j, alg.basis_vector(b))
-               for j in itertools.product(*box) for b in range(alg.dim)]
-    for s in singles:
-        if not laurent_commutator(ring, c, s).is_zero():
-            return False
-    basis = singles[:alg.dim]          # the singles at exponent 0
-    for a in singles:
-        for b in basis:
-            if not laurent_associator(ring, c, a, b).is_zero():
-                return False
-            if not laurent_associator(ring, a, c, b).is_zero():
-                return False
-            if not laurent_associator(ring, a, b, c).is_zero():
-                return False
-    return True
+    basis so does sigma^j(b), so only j + k modulo the orders matters.
+    The commutator with e_a x^j is c_m sigma^m(e_a) - e_a sigma^j(c_m) at
+    x^{m+j}.  The terms sit at distinct exponents and m -> m + j is
+    injective, so each of these is a coefficient of its own; each
+    identity is checked for every term, basis pair and box exponent at
+    once, as contractions of T's structure tensor with the stacks of
+    sigma^j, sigma^m and sigma^{m+j}."""
+    if any(o is None for o in ring.orders):
+        raise UnboundedSearch("some automorphism has infinite order")
+    if c.is_zero():
+        return True
+    alg, p = ring.algebra, ring.algebra.field.p
+    box = itertools.product(*[range(o) for o in ring.orders])
+    powers, s = _np_vectors(alg, [sigma_power(ring, j) for j in box])
+    exps, coeffs = zip(*c.terms)
+    twists, t = _np_vectors(alg, [sigma_power(ring, m) for m in exps])
+    cm = _np_vectors(alg, coeffs)[0]
+    # row b of a transpose is sigma^j(e_b) or sigma^m(e_b); the stacks
+    # below have the axes (term m, box exponent j, basis a, basis b, coordinate)
+    pw, tw = np.swapaxes(powers, 1, 2), np.swapaxes(twists, 1, 2)
+    moved = np_matmul(cm[:, None, None], pw, p)[:, :, None]     # sigma^j(c_m)
+    shifted = np_matmul(pw, tw[:, None], p)[:, :, None]         # sigma^{m+j}(e_b)
+    e_a = np.eye(alg.dim, dtype=cm.dtype)[:, None]
+    # column a of L_{c_m} sigma^m and of R_{sigma^j(c_m)}, each side times
+    # the other's sigma scale
+    commutes = (np_matmul(_np_left(alg, cm), twists, p)[:, None] * s
+                == _np_right(alg, moved[:, :, 0, 0]) * t).all()
+    checks = [bool(commutes),
+              _associators_vanish(alg, cm[:, None, None, None],
+                                  tw[:, None, :, None], shifted),
+              _associators_vanish(alg, e_a, moved, shifted),
+              _associators_vanish(alg, e_a, pw[None, :, None], moved)]
+    return all(checks)
 
 
 @dataclass(frozen=True)
@@ -328,7 +313,8 @@ def laurent_simplicity_verdict(ring: LaurentRing,
         if count > budget:
             raise BudgetExceeded(f"{count} associators of the central-witness "
                                  f"check exceed budget {budget}")
-        central = laurent_add(ring, laurent_one(ring), x_power(ring, m, u))
+        central = laurent_element(ring, [((0,) * ring.rank, ring.algebra.unit),
+                                          (m, u)])
         if not verify_central(ring, central):
             raise ValidationError("emitted witness failed centrality verification")
     return LaurentVerdict(sig.simple, sig.witness, pair,

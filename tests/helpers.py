@@ -17,6 +17,7 @@ from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
                            ValidationError)
 from gradix.graded import validate_gradation
 from gradix.groups import validate_group
+from gradix.laurent import LaurentElement, laurent_element, sigma_power
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
                            mat_inverse, mat_vec, np_kernel, np_mat_pow,
                            np_matmul, np_rref, projective_walk)
@@ -613,6 +614,77 @@ def sigma_power_loop(ring, m):
     for mat, mi in zip(ring.sigma, m):
         out = mat_mul(f, out, mat_power(f, mat, mi))
     return out
+
+
+# -- Laurent elements, one product at a time ------------------------------------
+
+def laurent_one(ring):
+    return laurent_element(ring, [((0,) * ring.rank, ring.algebra.unit)])
+
+
+def x_power(ring, m, coeff=None):
+    coeff = ring.algebra.unit if coeff is None else coeff
+    return laurent_element(ring, [(tuple(m), coeff)])
+
+
+def laurent_add(ring, a, b):
+    return laurent_element(ring, list(a.terms) + list(b.terms))
+
+
+def laurent_neg(ring, a):
+    alg = ring.algebra
+    return LaurentElement(tuple((m, alg.scale(alg.field.neg(alg.field.one), c))
+                                for m, c in a.terms))
+
+
+def laurent_sub(ring, a, b):
+    return laurent_add(ring, a, laurent_neg(ring, b))
+
+
+def laurent_multiply(ring, a, b):
+    """(a x^m)(b x^k) = a sigma^m(b) x^{m+k}, term by term."""
+    alg, f = ring.algebra, ring.algebra.field
+    acc = {}
+    for ma, ca in a.terms:
+        twist = sigma_power(ring, ma)
+        for mb, cb in b.terms:
+            m = tuple(x + y for x, y in zip(ma, mb))
+            w = alg.multiply(ca, mat_vec(f, twist, cb))
+            acc[m] = alg.add_vec(acc[m], w) if m in acc else w
+    return LaurentElement(tuple(sorted((m, c) for m, c in acc.items() if any(c))))
+
+
+def laurent_commutator(ring, a, b):
+    return laurent_sub(ring, laurent_multiply(ring, a, b),
+                       laurent_multiply(ring, b, a))
+
+
+def laurent_associator(ring, a, b, c):
+    return laurent_sub(ring,
+                       laurent_multiply(ring, laurent_multiply(ring, a, b), c),
+                       laurent_multiply(ring, a, laurent_multiply(ring, b, c)))
+
+
+def central_identities_loop(ring, c):
+    """The four identities of `laurent.verify_central`, each True when it
+    holds, by Laurent products one at a time: c commutes with every
+    e_b x^j, and (c, s, e_b), (s, c, e_b), (s, e_b, c) vanish for every
+    single s = e_a x^j, j over the period box."""
+    alg = ring.algebra
+    box = [range(o) for o in ring.orders]
+    singles = [x_power(ring, j, alg.basis_vector(b))
+               for j in itertools.product(*box) for b in range(alg.dim)]
+    basis = singles[:alg.dim]          # the singles at exponent 0
+    pairs = [(a, b) for a in singles for b in basis]
+    return (all(laurent_commutator(ring, c, s).is_zero() for s in singles),
+            all(laurent_associator(ring, c, a, b).is_zero() for a, b in pairs),
+            all(laurent_associator(ring, a, c, b).is_zero() for a, b in pairs),
+            all(laurent_associator(ring, a, b, c).is_zero() for a, b in pairs))
+
+
+def verify_central_loop(ring, c):
+    """`laurent.verify_central` by Laurent products one at a time."""
+    return all(central_identities_loop(ring, c))
 
 def product_mismatch_loop(alg, m, reverse=False):
     """`algebra._product_mismatch`: the first (i, j) in row-major order with

@@ -455,3 +455,39 @@ def test_malformed_window_is_reported_before_the_input(capsys, tmp_path):
     assert code == 1
     assert json.loads(out)["error"]["message"] == \
         "bad window part '0:x', expected lo:hi"
+
+
+@pytest.mark.parametrize("command", ["analyze", "laurent"])
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+    ("1" * 5_000, "integer string conversion"),
+])
+def test_json_that_python_cannot_load_is_a_parse_error(capsys, tmp_path, command,
+                                                       text, message):
+    # json.loads raises RecursionError and ValueError on these, not
+    # JSONDecodeError; a full request and a bare payload share the loader
+    path = tmp_path / "req.json"
+    path.write_text(text)
+    code = main([command, str(path)])   # a traceback would fail the test
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert len(out.splitlines()) == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and message in error["message"]
+
+
+def test_an_algebra_too_large_to_allocate_exits_2(capsys, tmp_path):
+    # well-formed, but its structure tensor takes 10^15 entries, which
+    # numpy refuses at once
+    dim = 100_000
+    doc = {"kind": "algebra",
+           "payload": {"field": {"kind": "Fp", "p": 2}, "dim": dim,
+                       "unit": ["1"] + ["0"] * (dim - 1),
+                       "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}}
+    code = main(["analyze", write(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert len(out.splitlines()) == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "MemoryError"
+    assert "Unable to allocate" in error["message"]

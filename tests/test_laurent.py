@@ -23,17 +23,15 @@ from gradix.errors import (BudgetExceeded, ExactModeUnavailable,
 from gradix.fields import prime_field, rationals
 from gradix.laurent import (center_coefficient_space, check_window,
                             inner_witness_search, is_sigma_simple,
-                            laurent_add, laurent_associator,
-                            laurent_center_structure, laurent_commutator,
-                            LaurentElement, laurent_element,
-                            laurent_multiply, laurent_one,
-                            laurent_simplicity_verdict, laurent_sub,
-                            make_laurent_ring, sigma_power, verify_central,
-                            x_power)
+                            laurent_center_structure, LaurentElement,
+                            laurent_element, laurent_simplicity_verdict,
+                            make_laurent_ring, sigma_power, verify_central)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
-from helpers import (NONZERO_Q, conjugation_matrix, extension_field,
-                     fixed_subspace, intersect, matrix_order_loop, rescaled,
-                     rescaled_matrix, sigma_power_loop)
+from helpers import (NONZERO_Q, central_identities_loop, conjugation_matrix,
+                     extension_field, fixed_subspace, intersect, laurent_add,
+                     laurent_associator, laurent_commutator, laurent_multiply,
+                     laurent_one, matrix_order_loop, rescaled, rescaled_matrix,
+                     sigma_power_loop, verify_central_loop, x_power)
 
 ZERO = LaurentElement(())
 F2 = prime_field(2)
@@ -626,26 +624,34 @@ def commutative_double(f, dim, rng):
     return make_laurent_ring(alg, [swap])
 
 
-def octonion_ring(rank):
-    """O over F_3 with the doubling automorphism diag(1^4, -1^4) on each of
-    the `rank` variables."""
-    flip = [[(1 if j < 4 else 2) * int(j == k) for j in range(8)]
-            for k in range(8)]
-    return make_laurent_ring(octonions(F3)[0], [flip] * rank)
+def diagonal(f, signs):
+    """The diagonal matrix of the signs +-1 over f."""
+    return [[f.coerce(sign) * int(j == k) for j, sign in enumerate(signs)]
+            for k in range(len(signs))]
 
 
-def inner_quaternion_ring():
-    """H over F_3 with sigma the conjugation by i, diag(1, 1, -1, -1), of
-    order 2: sigma is inner, so the central coefficients at odd exponents
-    are the line of i, and i x is central."""
-    flip = [[(1 if j < 2 else 2) * int(j == k) for j in range(4)]
-            for k in range(4)]
-    return make_laurent_ring(quaternions(F3)[0], [flip])
+def octonion_ring(rank, f=F3):
+    """O with the doubling automorphism diag(1^4, -1^4) on each of the
+    `rank` variables."""
+    flip = diagonal(f, [1] * 4 + [-1] * 4)
+    return make_laurent_ring(octonions(f)[0], [flip] * rank)
+
+
+def inner_quaternion_ring(f=F3, rank=1):
+    """H with sigma_1 the conjugation by i, diag(1, 1, -1, -1), of order 2,
+    and at rank 2 also sigma_2 the conjugation by j, diag(1, -1, 1, -1):
+    each is inner, so the central coefficients at x_1 are the line of i,
+    at x_2 that of j and at x_1 x_2 that of k, and i x_1 is central."""
+    flips = [diagonal(f, (1, 1, -1, -1)), diagonal(f, (1, -1, 1, -1))]
+    return make_laurent_ring(quaternions(f)[0], flips[:rank])
 
 
 CENTRAL_RINGS = [octonion_ring(1), octonion_ring(2),
                  commutative_double(F3, 3, random.Random(2)),
-                 inner_quaternion_ring()]
+                 inner_quaternion_ring(),
+                 commutative_double(F2, 3, random.Random(5)),
+                 inner_quaternion_ring(prime_field(5), rank=2),
+                 octonion_ring(1, prime_field(7))]
 
 
 @st.composite
@@ -683,6 +689,108 @@ def test_central_check_matches_all_pairs(ring, data):
     oracle = central_by_all_pairs(ring, c)
     assert verify_central(ring, c) == oracle
     assert oracle or not central
+
+
+Q_CENTRAL_RINGS = [
+    inner_quaternion_ring(Q),
+    make_laurent_ring(rescaled(product_algebra(Q, 2), [Fraction(2, 3), -5]),
+                      [rescaled_matrix(swap_matrix(Q), [Fraction(2, 3), -5])]),
+    inner_quaternion_ring(Q, rank=2)]
+
+
+@pytest.mark.parametrize("ring", Q_CENTRAL_RINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_central_check_matches_the_loop_over_q(ring, data):
+    """Over Q, on elements of 1-3 terms at exponents down to -3, half of
+    the coefficients drawn from the coefficient space of a central element
+    at their exponent: the batched check, with its sigma scales, agrees
+    with the Laurent products of `verify_central_loop`."""
+    alg, terms = ring.algebra, []
+    for _ in range(data.draw(st.integers(1, 3))):
+        m = [data.draw(st.integers(-3, 3)) for _ in range(ring.rank)]
+        rows = (center_coefficient_space(ring, m).basis if data.draw(st.booleans())
+                else [alg.basis_vector(b) for b in range(alg.dim)])
+        coeff = alg.scalar_vec(0)
+        for row in rows:
+            scalar = data.draw(st.sampled_from([0, 1]) | NONZERO_Q)
+            coeff = alg.add_vec(coeff, alg.scale(Fraction(scalar), row))
+        terms.append((m, coeff))
+    c = laurent_element(ring, terms)
+    assert verify_central(ring, c) == verify_central_loop(ring, c)
+
+
+def nilpotent_hull(f, commutative=False, opposite=False):
+    """F 1 + V on the basis 1, c, y, z, w, with c y = y c = z and y z = w,
+    also z y = w when `commutative`, and the opposite products when
+    `opposite`; sigma = diag(1, 1, -1, -1, 1).  c commutes with every
+    element and is fixed, so c x^2 satisfies the commutator identity, but
+    lies in only one of the three nuclei: the right one as built, the left
+    one in the opposite algebra and the middle one in the commutative
+    algebra."""
+    prods = [(1, 2, 3), (2, 1, 3), (2, 3, 4)] + [(3, 2, 4)] * commutative
+    if opposite:
+        prods = [(j, i, k) for i, j, k in prods]
+    entries = [(0, j, j, 1) for j in range(5)] + [(j, 0, j, 1) for j in range(1, 5)]
+    alg = make_algebra(f, 5, entries + [(i, j, k, 1) for i, j, k in prods],
+                       (1, 0, 0, 0, 0))
+    return make_laurent_ring(alg, [diagonal(f, (1, 1, -1, -1, 1))])
+
+
+def identity_cases():
+    """(ring, element, which of the four identities of `verify_central`
+    hold): the commutator alone fails on j in H, which is associative, and
+    on the generator w of F_4 with Frobenius, which commutes with T but not
+    with x; each pair of associator identities fails on c x^-2 in a
+    `nilpotent_hull`; all three fail on (u, u) x^2 in `commutative_double`
+    with u not nuclear.  No element fails one associator identity alone while the
+    commutator identity holds: given t c = c tau(t), with tau = sigma^m an
+    automorphism fixing c, any two of c in N_l, N_m, N_r give the third."""
+    h = inner_quaternion_ring()
+    f4 = frobenius_ring()
+    cases = [(h, laurent_element(h, [((0,), (0, 0, 1, 0))]),
+              (False, True, True, True)),
+             (f4, laurent_element(f4, [((0,), (0, 1))]),
+              (False, True, True, True))]
+    for kw, holds in [({}, (True, True, False, False)),
+                      ({"opposite": True}, (True, False, False, True)),
+                      ({"commutative": True}, (True, False, True, False))]:
+        ring = nilpotent_hull(F3, **kw)
+        cases.append((ring, laurent_element(ring, [((-2,), (0, 1, 0, 0, 0))]),
+                      holds))
+    ring = commutative_double(F3, 3, random.Random(2))
+    u = (0, 1, 0)
+    assert not nucleus_and_center(ring.algebra).nucleus.contains(u + (0,) * 3)
+    cases.append((ring, laurent_element(ring, [((2,), u + u)]),
+                  (True, False, False, False)))
+    return cases
+
+
+@pytest.mark.parametrize("ring, c, holds", identity_cases())
+def test_each_identity_is_checked_on_its_own(ring, c, holds, monkeypatch):
+    """The loops find which identities hold, and the batched check reports
+    each associator identity as they do (a spy on its three calls of
+    `_associators_vanish`, slots 1 to 3); the commutator decides where the
+    associators all vanish."""
+    seen = []
+    vanish = laurent._associators_vanish
+
+    def spy(*args):
+        seen.append(vanish(*args))
+        return seen[-1]
+    monkeypatch.setattr(laurent, "_associators_vanish", spy)
+    assert central_identities_loop(ring, c) == holds
+    assert not verify_central(ring, c)
+    assert tuple(seen) == holds[1:]
+
+
+def test_central_check_refuses_an_infinite_order():
+    # M_2(Q) with sigma the conjugation by the shear [[1, 1], [0, 1]]
+    m2 = matrix_algebra(Q, 2)
+    ring = make_laurent_ring(m2, [conjugation_matrix(m2, m2.element((1, 1, 0, 1)))])
+    assert ring.orders == (None,)
+    with pytest.raises(UnboundedSearch, match="some automorphism has infinite order"):
+        verify_central(ring, laurent_element(ring, [((1,), m2.unit)]))
 
 
 def test_rings_are_freed_after_use():

@@ -4,7 +4,7 @@ tower_survey.py asserts the doubling criterion of the reporting tower
 against brute-force simplicity itself, so exit 0 means they agree.
 report_digests.py, at its default seeds and rounds, prints the digests of
 tests/golden/report_digests.json: the benchmark's requests render the same
-reports byte for byte.  A stated change of the report schema, or a change
+reports byte for byte.  replay_kinds.py times the same requests by kind.  A stated change of the report schema, or a change
 of perfbench/gen.py, regenerates that file with
 `python scripts/report_digests.py > tests/golden/report_digests.json`."""
 
@@ -43,3 +43,11 @@ def test_report_digests_match_the_golden():
     golden = ROOT / "tests" / "golden" / "report_digests.json"
     assert (json.loads(run_script(["report_digests.py"]))
             == json.loads(golden.read_text()))
+
+
+def test_replay_kinds_times_each_kind():
+    out = json.loads(run_script(["replay_kinds.py", "--rounds", "2",
+                                 "--passes", "1"]))
+    assert sorted(out) == ["algebra", "cayley-tower", "crossed", "graded",
+                           "laurent"]
+    assert all(seconds > 0 for seconds in out.values())
