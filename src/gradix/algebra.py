@@ -435,11 +435,6 @@ def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
     return (~bad).tolist()
 
 
-def in_nucleus(alg: Algebra, v: Vec) -> bool:
-    """`nuclear_mask` of the one vector v."""
-    return nuclear_mask(alg, [v])[0]
-
-
 CENTRAL_NAMES = ("left", "middle", "right", "nucleus", "commuter", "center")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_left,
                       _np_right, _np_vectors, _nucleus_blocks,
-                      _twisted_commuter_rows, fixed_center, in_nucleus,
+                      _twisted_commuter_rows, fixed_center,
                       is_ring_automorphism, make_algebra, nuclear_mask,
                       simple_under, two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
@@ -60,17 +60,16 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
         if not is_ring_automorphism(t, sigma[a]):
             raise NotAutomorphism(f"sigma[{a}] is not a ring automorphism")
 
-    # each distinct value is inverted and tested once: a cocycle usually
-    # takes only a few values, most often the unit
-    inverses: dict[Vec, Vec | None] = {}
+    # the distinct values are tested for nuclearity in one `nuclear_mask`
+    # and the nuclear ones inverted once each: a cocycle usually takes only
+    # a few values, most often the unit
+    values = list(dict.fromkeys(x for row in alpha for x in row))
+    inverses = {x: two_sided_inverse(t, x) if nuclear else None
+                for x, nuclear in zip(values, nuclear_mask(t, values))}
     for a in range(n):
         for b in range(n):
-            x = alpha[a][b]
-            if x not in inverses:
-                inv = two_sided_inverse(t, x)
-                inverses[x] = inv if inv is not None and in_nucleus(t, x) else None
-            if inverses[x] is None:
-                raise AlphaNotNuclearUnit(f"alpha[{a}][{b}] = {x}")
+            if inverses[alpha[a][b]] is None:
+                raise AlphaNotNuclearUnit(f"alpha[{a}][{b}] = {alpha[a][b]}")
     alpha_inv = tuple(tuple(inverses[x] for x in row) for row in alpha)
 
     e = g.identity

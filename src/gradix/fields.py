@@ -7,6 +7,7 @@ tuples of those, which keeps every computation exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -15,6 +16,23 @@ from typing import Union
 from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
+
+
+def parse_int(text: str, error: type = ValidationError) -> int:
+    """int(text), except that a literal of more digits than Python converts
+    (`sys.get_int_max_str_digits`, 4 300 by default, from Python 3.11)
+    raises `error` naming its digit count and the limit, where Python's
+    own ValueError advises raising the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits.isdigit() and 0 < limit < len(digits):
+            raise error(f"integer of {len(digits)} digits is over the limit "
+                        f"of {limit} digits for integer string conversion"
+                        ) from None
+        raise
 
 
 # Miller-Rabin on the 13 prime bases up to 41 is exact below PSI_13, the
@@ -105,8 +123,9 @@ class FieldSpec:
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
-                return self.div(self.coerce(int(num)), self.coerce(int(den)))
-            return self.coerce(int(text))
+                return self.div(self.coerce(parse_int(num)),
+                                self.coerce(parse_int(den)))
+            return self.coerce(parse_int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad scalar {text!r}: {exc}") from None
 

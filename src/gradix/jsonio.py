@@ -18,7 +18,7 @@ from .cayley import DoublingReport, tower
 from .crossed import (CrossedSystem, build_crossed_product, crossed_center,
                       is_G_simple, validate_crossed_system)
 from .errors import ExactModeUnavailable, ParseError, ValidationError
-from .fields import FieldSpec, prime_field, rationals
+from .fields import FieldSpec, parse_int, prime_field, rationals
 from .graded import (Gradation, is_faithful, is_graded_simple, is_strong,
                      simplicity_equivalence, validate_gradation)
 from .groups import FiniteGroup, central_series, validate_group
@@ -65,7 +65,7 @@ def _int(value, where: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value)
+            return parse_int(value)
         except ValueError:
             pass
     raise ValidationError(f"{where} must be an integer, got {value!r}")
@@ -181,14 +181,18 @@ def parse_tower(obj) -> tuple[FieldSpec, list]:
 
 
 def _load(text: str):
-    """json.loads, each failure a ParseError: malformed JSON, an integer
-    past Python's digit limit (ValueError) or nesting too deep."""
+    """json.loads, each failure a ParseError: malformed JSON, nesting too
+    deep, or an integer literal past Python's digit limit.  json.loads
+    raises a plain ValueError only on the last, so the text is loaded again
+    with each integer through `parse_int`, which names its digit count."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
-    except (ValueError, RecursionError) as e:
+    except RecursionError as e:
         raise ParseError(str(e)) from None
+    except ValueError:
+        return json.loads(text, parse_int=lambda s: parse_int(s, ParseError))
 
 
 def parse_request(text: str) -> dict:

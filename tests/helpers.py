@@ -665,26 +665,23 @@ def laurent_associator(ring, a, b, c):
                        laurent_multiply(ring, a, laurent_multiply(ring, b, c)))
 
 
-def central_identities_loop(ring, c):
-    """The four identities of `laurent.verify_central`, each True when it
-    holds, by Laurent products one at a time: c commutes with every
-    e_b x^j, and (c, s, e_b), (s, c, e_b), (s, e_b, c) vanish for every
-    single s = e_a x^j, j over the period box."""
-    alg = ring.algebra
-    box = [range(o) for o in ring.orders]
-    singles = [x_power(ring, j, alg.basis_vector(b))
-               for j in itertools.product(*box) for b in range(alg.dim)]
-    basis = singles[:alg.dim]          # the singles at exponent 0
-    pairs = [(a, b) for a in singles for b in basis]
-    return (all(laurent_commutator(ring, c, s).is_zero() for s in singles),
-            all(laurent_associator(ring, c, a, b).is_zero() for a, b in pairs),
-            all(laurent_associator(ring, a, c, b).is_zero() for a, b in pairs),
-            all(laurent_associator(ring, a, b, c).is_zero() for a, b in pairs))
+def verify_central_loop(ring, c, window=None):
+    """Centrality by Laurent products one at a time: c commutes with every
+    single s = e_a x^j, and (c, s, e_b), (s, c, e_b) and (s, e_b, c)
+    vanish for every basis element e_b at exponent 0, j over the period
+    box, or over `window` (inclusive (lo, hi) per variable) when given, as
+    an infinite order needs."""
+    alg, zero = ring.algebra, (0,) * ring.rank
+    box = ([range(o) for o in ring.orders] if window is None
+           else [range(lo, hi + 1) for lo, hi in window])
+    singles = [x_power(ring, j, alg.basis_vector(a))
+               for j in itertools.product(*box) for a in range(alg.dim)]
+    basis = [x_power(ring, zero, alg.basis_vector(b)) for b in range(alg.dim)]
+    return (all(laurent_commutator(ring, c, s).is_zero() for s in singles) and
+            all(laurent_associator(ring, *args).is_zero()
+                for s in singles for b in basis
+                for args in ((c, s, b), (s, c, b), (s, b, c))))
 
-
-def verify_central_loop(ring, c):
-    """`laurent.verify_central` by Laurent products one at a time."""
-    return all(central_identities_loop(ring, c))
 
 def product_mismatch_loop(alg, m, reverse=False):
     """`algebra._product_mismatch`: the first (i, j) in row-major order with

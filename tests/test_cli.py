@@ -457,10 +457,18 @@ def test_malformed_window_is_reported_before_the_input(capsys, tmp_path):
         "bad window part '0:x', expected lo:hi"
 
 
+# Python 3.11 refuses to convert integers of more than 4 300 digits by
+# default; 3.10, or a limit set to 0, converts any length
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integers of any length")
+
+
 @pytest.mark.parametrize("command", ["analyze", "laurent"])
 @pytest.mark.parametrize("text, message", [
     ("[" * 100_000, "maximum recursion depth exceeded"),
-    ("1" * 5_000, "integer string conversion"),
+    pytest.param("1" * 5_000, "integer string conversion",
+                 marks=NEEDS_DIGIT_LIMIT),
 ])
 def test_json_that_python_cannot_load_is_a_parse_error(capsys, tmp_path, command,
                                                        text, message):
@@ -474,6 +482,34 @@ def test_json_that_python_cannot_load_is_a_parse_error(capsys, tmp_path, command
     assert len(out.splitlines()) == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ParseError" and message in error["message"]
+
+
+DIGITS = "1" * 5_000
+ALGEBRA = ('{"kind": "algebra", "payload": {"field": %s, "dim": %s, '
+           '"unit": [%s], "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}}')
+
+
+@NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize("text, error", [
+    (ALGEBRA % ('{"kind": "Fp", "p": 2}', DIGITS, '"1"'), "ParseError"),
+    (ALGEBRA % ('{"kind": "Fp", "p": 2}', f'"{DIGITS}"', '"1"'), "ValidationError"),
+    (ALGEBRA % ('{"kind": "Q"}', "1", f'"-1/-{DIGITS}"'), "ValidationError"),
+], ids=["json-number", "integer-string", "scalar-string"])
+def test_an_integer_past_the_digit_limit_names_its_length(capsys, tmp_path,
+                                                          text, error):
+    # a JSON number (`jsonio._load`), an integer given as a string
+    # (`jsonio._int`) and a scalar string (`FieldSpec.parse`) give one
+    # message with the digit count and the limit, not Python's advice to
+    # raise the limit and not the 5 000 digits themselves
+    path = tmp_path / "req.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, ["analyze", str(path)])
+    assert code == 1 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == {
+        "type": error,
+        "message": f"integer of 5000 digits is over the limit of "
+                   f"{sys.get_int_max_str_digits()} digits for integer string "
+                   f"conversion"}
 
 
 def test_an_algebra_too_large_to_allocate_exits_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed, jsonio, linalg
-from gradix.algebra import (Algebra, fixed_center, in_nucleus, is_associative,
+from gradix.algebra import (Algebra, fixed_center, is_associative,
                             make_algebra, nucleus_and_center, simple_under,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
@@ -320,7 +321,7 @@ def units_by_enumeration(alg, grad):
     nuclear part of R_g, kept as the reference."""
     g = grad.group
     return [next(((v, inv) for v in homogeneous_points(alg, grad, a)
-                  if in_nucleus(alg, v)
+                  if algebra.nuclear_mask(alg, [v])[0]
                   and (inv := two_sided_inverse(alg, v)) is not None),
                  None)
             for a in range(g.order) if a != g.identity]
@@ -581,6 +582,20 @@ def test_canonical_unit_check_refuses_on_both_paths():
     assert fast == slow == (ValidationError, "canonical unit is not a nuclear unit")
     with pytest.raises(AlphaNotNuclearUnit, match=r"alpha\[1\]\[1\]"):
         validate_crossed_system(o, g, sys.sigma, alpha)
+
+
+def test_the_first_alpha_outside_the_nuclear_units_is_named():
+    # octonions by C3: e_1 is a unit outside the nucleus and 0 no unit; the
+    # distinct values are tested together, and the first bad (a, b) in
+    # row-major order is named whichever way it fails
+    o = octonions(F3)[0]
+    sigma = (identity_matrix(F3, 8),) * 3
+    zero, e1, one = o.scalar_vec(0), o.basis_vector(1), o.unit
+    for a12, a21, bad in [(e1, zero, "[1][2]"), (zero, e1, "[1][2]"),
+                          (one, zero, "[2][1]"), (one, e1, "[2][1]")]:
+        alpha = [[one] * 3, [one, one, a12], [one, a21, one]]
+        with pytest.raises(AlphaNotNuclearUnit, match=re.escape(f"alpha{bad} =")):
+            validate_crossed_system(o, cyclic(3), sigma, alpha)
 
 
 # -- crossed products over Q ---------------------------------------------------------

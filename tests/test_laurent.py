@@ -27,7 +27,7 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             laurent_element, laurent_simplicity_verdict,
                             make_laurent_ring, sigma_power, verify_central)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
-from helpers import (NONZERO_Q, central_identities_loop, conjugation_matrix,
+from helpers import (NONZERO_Q, conjugation_matrix,
                      extension_field, fixed_subspace, intersect, laurent_add,
                      laurent_associator, laurent_commutator, laurent_multiply,
                      laurent_one, matrix_order_loop, rescaled, rescaled_matrix,
@@ -533,31 +533,28 @@ def test_sigma_powers_match_the_matrix_loop(ring, data):
     assert all(type(c) is type(ring.algebra.field.one) for row in got for c in row)
 
 
-def test_central_witness_check_refused_past_the_budget(monkeypatch):
+def test_the_budget_bounds_the_sweep_and_search_not_the_witness_check():
     # F_2^10 with sigma of cycle type (2, 3, 5), order 30: the sweep counts
-    # 1 023 points, the search finds the witness 1 + x^30, and its check
-    # evaluates 3 * 30 * 10^2 = 9 000 associators
-    def refuse(*args):
-        raise AssertionError("checked the witness")
-    monkeypatch.setattr(laurent, "verify_central", refuse)
-    ring = make_laurent_ring(product_algebra(F2, 10),
-                             [cycles_matrix(F2, (2, 3, 5))])
-    assert ring.orders == (30,)
+    # 1 023 points and the search finds the witness 1 + x^30, whose check
+    # is d^2 + d^3 products per term and takes no budget of its own
+    def ring():
+        return make_laurent_ring(product_algebra(F2, 10),
+                                 [cycles_matrix(F2, (2, 3, 5))])
+    assert ring().orders == (30,)
     with pytest.raises(BudgetExceeded, match="1023 projective points"):
-        is_sigma_simple(ring, budget=1022)
-    with pytest.raises(BudgetExceeded, match="9000 associators of the "
-                       "central-witness check exceed budget 8999"):
-        laurent_simplicity_verdict(ring, budget=8999)
-    assert inner_witness_search(ring, budget=8999) == ((1,) * 10, (30,))
-    monkeypatch.undo()
-    v = laurent_simplicity_verdict(ring, budget=9000)
-    assert v.central_witness.support() == ((0,), (30,))
+        laurent_simplicity_verdict(ring(), budget=1022)
+    r = ring()
+    v = laurent_simplicity_verdict(r, budget=1023)
+    assert v.witness == ((1,) * 10, (30,))
+    assert v.central_witness == laurent_element(
+        r, [((0,), r.algebra.unit), ((30,), (1,) * 10)])
 
 
 def central_by_all_pairs(ring, c):
     """The centrality check over every pair of singles of the period box in
     each associator slot, 3 (|period box| d)^2 associators: the reference
-    for `verify_central`, which fixes the second single at exponent 0.
+    for `verify_central`, which checks each term against the center
+    formula instead.
     Over F_p on arrays, from T's structure tensor and the sigma matrices
     alone: an element is a map from exponents to coefficient rows, one row
     per member of a batch, and (a x^m)(b x^k) = a sigma^m(b) x^{m+k} for
@@ -738,59 +735,84 @@ def nilpotent_hull(f, commutative=False, opposite=False):
 
 
 def identity_cases():
-    """(ring, element, which of the four identities of `verify_central`
-    hold): the commutator alone fails on j in H, which is associative, and
-    on the generator w of F_4 with Frobenius, which commutes with T but not
-    with x; each pair of associator identities fails on c x^-2 in a
-    `nilpotent_hull`; all three fail on (u, u) x^2 in `commutative_double`
-    with u not nuclear.  No element fails one associator identity alone while the
-    commutator identity holds: given t c = c tau(t), with tau = sigma^m an
-    automorphism fixing c, any two of c in N_l, N_m, N_r give the third."""
+    """(ring, element, which of the three conditions of `verify_central`
+    hold on its one term: sigma-fixed, t c_m = c_m sigma^m(t), nuclear),
+    exactly one failing in each: the generator w of F_4 with Frobenius
+    commutes with T but is not fixed; i in H with sigma the conjugation by
+    i is fixed and nuclear but does not commute with j at x^0; c x^-2 in
+    each `nilpotent_hull` commutes and is fixed but lies in one nucleus
+    only; and (u, u) x^2 in `commutative_double` with u not nuclear."""
     h = inner_quaternion_ring()
     f4 = frobenius_ring()
-    cases = [(h, laurent_element(h, [((0,), (0, 0, 1, 0))]),
-              (False, True, True, True)),
-             (f4, laurent_element(f4, [((0,), (0, 1))]),
-              (False, True, True, True))]
-    for kw, holds in [({}, (True, True, False, False)),
-                      ({"opposite": True}, (True, False, False, True)),
-                      ({"commutative": True}, (True, False, True, False))]:
+    cases = [(f4, laurent_element(f4, [((0,), (0, 1))]), (False, True, True)),
+             (h, laurent_element(h, [((0,), (0, 1, 0, 0))]), (True, False, True))]
+    for kw in [{}, {"opposite": True}, {"commutative": True}]:
         ring = nilpotent_hull(F3, **kw)
         cases.append((ring, laurent_element(ring, [((-2,), (0, 1, 0, 0, 0))]),
-                      holds))
+                      (True, True, False)))
     ring = commutative_double(F3, 3, random.Random(2))
     u = (0, 1, 0)
-    assert not nucleus_and_center(ring.algebra).nucleus.contains(u + (0,) * 3)
     cases.append((ring, laurent_element(ring, [((2,), u + u)]),
-                  (True, False, False, False)))
+                  (True, True, False)))
     return cases
 
 
 @pytest.mark.parametrize("ring, c, holds", identity_cases())
-def test_each_identity_is_checked_on_its_own(ring, c, holds, monkeypatch):
-    """The loops find which identities hold, and the batched check reports
-    each associator identity as they do (a spy on its three calls of
-    `_associators_vanish`, slots 1 to 3); the commutator decides where the
-    associators all vanish."""
-    seen = []
-    vanish = laurent._associators_vanish
-
-    def spy(*args):
-        seen.append(vanish(*args))
-        return seen[-1]
-    monkeypatch.setattr(laurent, "_associators_vanish", spy)
-    assert central_identities_loop(ring, c) == holds
+def test_each_identity_is_checked_on_its_own(ring, c, holds):
+    """The loops find which of the three conditions hold, one of them
+    failing, and both the batched check and the Laurent products of the
+    period box call the element not central: a check that skipped any one
+    condition would pass one of these cases."""
+    alg, f = ring.algebra, ring.algebra.field
+    (m, cm), = c.terms
+    twist = sigma_power_loop(ring, m)
+    fixed = all(mat_vec(f, s, cm) == cm for s in ring.sigma)
+    commutes = all(alg.multiply(e, cm) == alg.multiply(cm, mat_vec(f, twist, e))
+                   for e in map(alg.basis_vector, range(alg.dim)))
+    nuclear = nucleus_and_center(alg).nucleus.contains(cm)
+    assert (fixed, commutes, nuclear) == holds
     assert not verify_central(ring, c)
-    assert tuple(seen) == holds[1:]
+    assert not verify_central_loop(ring, c)
 
 
-def test_central_check_refuses_an_infinite_order():
-    # M_2(Q) with sigma the conjugation by the shear [[1, 1], [0, 1]]
+def test_central_check_decides_an_infinite_order():
+    # M_2(Q) with sigma the conjugation by the shear P = [[1, 1], [0, 1]]:
+    # t c = c P t P^-1 for all t puts c in the line of P^-1 at x^1 and of
+    # P at x^-1, both fixed by sigma
     m2 = matrix_algebra(Q, 2)
-    ring = make_laurent_ring(m2, [conjugation_matrix(m2, m2.element((1, 1, 0, 1)))])
+    shear = m2.element((1, 1, 0, 1))
+    ring = make_laurent_ring(m2, [conjugation_matrix(m2, shear)])
     assert ring.orders == (None,)
-    with pytest.raises(UnboundedSearch, match="some automorphism has infinite order"):
-        verify_central(ring, laurent_element(ring, [((1,), m2.unit)]))
+    inverse = two_sided_inverse(m2, shear)
+    cases = [(laurent_element(ring, [((1,), inverse)]), True),
+             (laurent_element(ring, [((-1,), shear), ((1,), inverse)]), True),
+             (laurent_element(ring, [((1,), m2.unit)]), False),
+             (laurent_element(ring, [((-1,), inverse)]), False)]
+    for c, central in cases:
+        assert verify_central(ring, c) == central
+        assert verify_central_loop(ring, c, window=[(-2, 2)]) == central
+
+
+@pytest.mark.parametrize("f", [F3, Q])
+def test_at_rank_zero_the_central_check_is_the_center_of_t(f):
+    h = quaternions(f)[0]
+    ring = make_laurent_ring(h, [])
+    assert verify_central(ring, laurent_element(ring, [((), h.unit)]))
+    assert not verify_central(ring, laurent_element(ring, [((), (0, 1, 0, 0))]))
+
+
+def test_the_central_check_solves_no_center(monkeypatch):
+    # the check must stay independent of the solve that produced the
+    # witness: no twisted center, no residue table
+    witness = laurent_simplicity_verdict(frobenius_ring()).central_witness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a center")
+    monkeypatch.setattr(laurent, "fixed_center", refuse)
+    ring = frobenius_ring()
+    assert verify_central(ring, witness)
+    assert not verify_central(ring, laurent_add(ring, witness, x_power(ring, (1,))))
+    assert not ring._residues
 
 
 def test_rings_are_freed_after_use():
