@@ -421,12 +421,16 @@ def _twisted_commuter_rows(alg: Algebra, twists: np.ndarray,
 def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
     """Per vector, whether it lies in the nucleus, tested without solving:
     the associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all
-    the vectors at once are one `np_matmul` with `_np_defect` per slot."""
+    the vectors at once are one `np_matmul` with `_np_defect` per slot, or
+    none when that tensor is all zero: every associator is a combination
+    of basis ones, so then every vector is nuclear."""
     vecs = list(vecs)
     for v in vecs:
         if len(v) != alg.dim:
             raise DimensionMismatch(f"vector length {len(v)} != dim {alg.dim}")
     defect, d, p = alg._np_defect, alg.dim, alg.field.p
+    if not defect.any():
+        return [True] * len(vecs)
     x = _np_vectors(alg, vecs)[0].reshape(-1, d)
     bad = np.zeros(len(x), dtype=bool)
     for s in range(3):
@@ -872,12 +876,13 @@ def center_is_field(alg: Algebra, central: CentralSubspaces | None = None,
 # -- global structure checks -------------------------------------------------
 
 def associator_defect(alg: Algebra) -> Subspace:
-    """Span of all basis associators; zero exactly for associative algebras."""
-    defect = alg._np_defect.reshape(-1, alg.dim)
+    """Span of all basis associators, eliminating the nonzero rows of
+    `_np_defect` only; zero exactly for associative algebras."""
+    defect = _nonzero_rows(alg._np_defect.reshape(-1, alg.dim))
     if alg.field.is_finite:
         from .linalg import np_to_subspace
         return np_to_subspace(alg.field, defect, alg.dim)
-    return Subspace.span(alg.field, alg.dim, defect[defect.any(axis=1)])
+    return Subspace.span(alg.field, alg.dim, defect)
 
 
 def is_associative(alg: Algebra) -> bool:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import re
@@ -5,6 +6,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,33 @@ def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
     jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
     assert counts == [(4, 2 * 4 + 4, 0, 1), (16, 2 * 16 + 4, 1, 1)]
     assert sorted(alg.dim for alg in built) == [4, 16]
+
+
+def test_an_associative_product_skips_its_zero_associators(monkeypatch):
+    # H x| C4 over F_3 is associative: none of the 4 096 basis associators
+    # of the 16-dimensional product reaches an elimination, and its units'
+    # nuclearity needs no contraction of the all-zero tensor
+    kind, text = CASES["crossed_h_c4_sign"]
+    rows = []
+    np_rref = linalg.np_rref
+    monkeypatch.setattr(linalg, "np_rref",
+                        lambda a, p: rows.append(np.shape(a)[0]) or np_rref(a, p))
+    mask_dims, mask_matmuls = [], []
+    np_matmul = algebra.np_matmul
+
+    def matmul_spy(a, b, p):
+        if inspect.currentframe().f_back.f_code.co_name == "nuclear_mask":
+            mask_matmuls.append(np.shape(a)[1])
+        return np_matmul(a, b, p)
+    monkeypatch.setattr(algebra, "np_matmul", matmul_spy)
+    mask = crossed.nuclear_mask
+    monkeypatch.setattr(crossed, "nuclear_mask",
+                        lambda alg, vecs: mask_dims.append(alg.dim) or mask(alg, vecs))
+    report = jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+    assert report["report"]["product_associative"] is True
+    assert 16 in mask_dims
+    assert rows and max(rows) <= 16 ** 2
+    assert 16 not in mask_matmuls
 
 
 def test_associativity_transfers_from_coefficients():
