@@ -1,9 +1,11 @@
 """Parent and change medians of the committed benchmark, on one machine.
 
-    python3 scripts/bench_pair.py --label L [--rev HEAD] [--pairs crossed=5 ...]
-                                  [--seed 1] [--seconds S]
+    python3 scripts/bench_pair.py --label L --rev REV [--pairs crossed=5 ...]
+                                  [--seed 1]
 
-Run from the root of a gradix checkout.  The rev is extracted with
+Run from the root of a gradix checkout.  REV is the parent to compare the
+working tree with; it has no default, since HEAD is the change itself once
+that is committed.  The rev is extracted with
 `git archive | tar -x` into a temporary directory, removed afterwards.  A
 pair is one run of the unchanged `perfbench/run.py --trace 0` there (the
 parent) and one in the working tree (the change), one run at a time; the
@@ -11,8 +13,9 @@ side that goes first alternates from pair to pair, so a drift of the host
 falls on both.  A run that failed a request, or whose answers are not all
 correct, is refused.  The output is BENCH_<label>.json: the machine line,
 the rev, the pairs, and per workload each end-to-end metric of
-BENCHMARK.json, its median and its run values on each side.  By default
-every workload of BENCHMARK.json runs 3 pairs of its `run_seconds`.
+BENCHMARK.json, its median and its run values on each side.  Every run
+lasts the `run_seconds` of BENCHMARK.json; by default every workload runs
+3 pairs.
 """
 
 import argparse
@@ -67,10 +70,9 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--rev", default="HEAD")
+    ap.add_argument("--rev", required=True)
     ap.add_argument("--pairs", nargs="*", default=[], metavar="WORKLOAD=N")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
     plan = ({w: int(n) for w, n in (x.split("=") for x in args.pairs)} or
             {w["name"]: 3 for w in bench["workloads"]})
@@ -82,9 +84,9 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
         machine, workloads = compare({"parent": parent, "change": "."}, plan,
-                                     names, args.seed, args.seconds)
+                                     names, args.seed, bench["run_seconds"])
     doc = {"machine": machine, "rev": rev, "seed": args.seed,
-           "seconds": args.seconds, "pairs": plan, "workloads": workloads}
+           "seconds": bench["run_seconds"], "pairs": plan, "workloads": workloads}
     with open(f"BENCH_{args.label}.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

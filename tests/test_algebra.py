@@ -642,7 +642,23 @@ def one_sided_nuclei_algebra(f, rng):
     return make_algebra(f, 6, entries, (1, 0, 0, 0, 0, 0))
 
 
+def crossed_test_product(f, rng):
+    """H x| C2 (group ring) or F_{p^2} x| C2 by the Frobenius, both
+    associative, so their associator tensors are all zero.  Over Q and past
+    F_5 only H: `quadratic_field_extension` lists every square mod p."""
+    if not f.is_finite or f.p > 5 or rng.random() < 0.5:
+        return build_crossed_product(trivial_system(quaternions(f)[0],
+                                                    cyclic(2)))[0]
+    ext = quadratic_field_extension(f)
+    units = ((ext.unit,) * 2,) * 2
+    sys = validate_crossed_system(ext, cyclic(2),
+                                  (identity_matrix(f, 2), ext.involution), units)
+    return build_crossed_product(sys)[0]
+
+
 def nucleus_test_algebra(f, kind, rng):
+    if kind == "crossed":
+        return crossed_test_product(f, rng)
     if kind == "one-sided":
         return one_sided_nuclei_algebra(f, rng)
     if kind == "random":
@@ -661,7 +677,7 @@ def nucleus_test_algebra(f, kind, rng):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([F2, F3, prime_field(5), prime_field(4294967311), Q]),
        st.sampled_from(["random", "product", "octonions", "double",
-                        "one-sided"]),
+                        "one-sided", "crossed"]),
        st.randoms(use_true_random=False))
 def test_in_nucleus_matches_the_solved_nucleus(f, kind, rng):
     alg = nucleus_test_algebra(f, kind, rng)
@@ -677,35 +693,8 @@ def test_in_nucleus_matches_the_solved_nucleus(f, kind, rng):
     vecs += list(nuc.basis) + inside + two_sided
     assert algebra.nuclear_mask(alg, vecs) == [nuc.contains(v) for v in vecs]
     assert all(algebra.nuclear_mask(alg, nuc.basis))
-
-
-def crossed_test_product(f, rng):
-    """H x| C2 (group ring) or F_{p^2} x| C2 by the Frobenius, both
-    associative, so their associator tensors are all zero.  Past F_5 only H:
-    `quadratic_field_extension` lists every square mod p."""
-    if f.p > 5 or rng.random() < 0.5:
-        return build_crossed_product(trivial_system(quaternions(f)[0],
-                                                    cyclic(2)))[0]
-    ext = quadratic_field_extension(f)
-    units = ((ext.unit,) * 2,) * 2
-    sys = validate_crossed_system(ext, cyclic(2),
-                                  (identity_matrix(f, 2), ext.involution), units)
-    return build_crossed_product(sys)[0]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F3, prime_field(5), prime_field(4294967311)]),
-       st.sampled_from(["random", "product", "octonions", "double",
-                        "one-sided", "crossed"]),
-       st.randoms(use_true_random=False))
-def test_fp_nuclear_mask_and_defect_match_the_loops(f, kind, rng):
     # associative algebras and crossed products take the zero-defect
     # shortcut of both functions, the others their contractions
-    alg = (crossed_test_product(f, rng) if kind == "crossed"
-           else nucleus_test_algebra(f, kind, rng))
-    vecs = [algebra.random_element(alg, rng) for _ in range(3)]
-    vecs += list(nucleus_and_center(alg).nucleus.basis)
-    assert algebra.nuclear_mask(alg, vecs) == nuclear_mask_loop(alg, vecs)
     assert associator_defect(alg) == associator_defect_loop(alg)
 
 

@@ -98,3 +98,12 @@ def test_bench_pair_refuses_a_wrong_run(result):
     with pytest.raises(SystemExit, match="refused a parent crossed run"):
         bench_pair().compare({"parent": "p", "change": "c"}, {"crossed": 1},
                              ["requests_per_s"], 1, 20, run=run)
+
+
+def test_bench_pair_needs_the_parent_rev(monkeypatch, capsys):
+    # with HEAD as a default, a committed change would be run against itself
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as exc:
+        bench_pair().main(["--label", "x"])
+    assert exc.value.code == 2
+    assert "--rev" in capsys.readouterr().err
