@@ -1,6 +1,6 @@
 """Parent and change medians of the committed benchmark, on one machine.
 
-    python3 scripts/bench_pair.py --label L --rev REV [--pairs crossed=5 ...]
+    python3 scripts/bench_pair.py --label L --rev REV [--pairs crossed=10 ...]
                                   [--seed 1]
 
 Run from the root of a gradix checkout.  REV is the parent to compare the
@@ -13,9 +13,10 @@ side that goes first alternates from pair to pair, so a drift of the host
 falls on both.  A run that failed a request, or whose answers are not all
 correct, is refused.  The output is BENCH_<label>.json: the machine line,
 the rev, the pairs, and per workload each end-to-end metric of
-BENCHMARK.json, its median and its run values on each side.  Every run
-lasts the `run_seconds` of BENCHMARK.json; by default every workload runs
-3 pairs.
+BENCHMARK.json, its median and its run values on each side, with the
+parent's quartiles and the number of pairs the change won (better in the
+metric's `better` direction, ties lost).  Every run lasts the
+`run_seconds` of BENCHMARK.json; by default every workload runs 10 pairs.
 """
 
 import argparse
@@ -38,10 +39,13 @@ def run_harness(cwd: str, workload: str, seed: int, seconds: float):
     return next(x for x in lines if x.startswith("machine ")), json.loads(lines[-1])
 
 
-def compare(dirs: dict, plan: dict, names, seed: int, seconds: float,
+def compare(dirs: dict, plan: dict, better: dict, seed: int, seconds: float,
             run=run_harness) -> tuple[str, dict]:
     """The machine line and, per workload of plan ({workload: pairs}), the
-    median and run values of each metric in names on each side of dirs."""
+    median and run values of each metric of better ({metric: "higher" or
+    "lower"}) on each side of dirs, the parent's quartiles and the pairs
+    the change won."""
+    names = list(better)
     machines, out = set(), {}
     for workload, pairs in plan.items():
         values = {side: {n: [] for n in names} for side in SIDES}
@@ -60,9 +64,23 @@ def compare(dirs: dict, plan: dict, names, seed: int, seconds: float,
                     values[side][n].append(result["metrics"][n]["value"])
         out[workload] = {side: {n: {"median": statistics.median(v), "runs": v}
                                 for n, v in values[side].items()} for side in SIDES}
+        for n in names:
+            parent, change = values["parent"][n], values["change"][n]
+            out[workload]["parent"][n]["quartiles"] = quartiles(parent)
+            out[workload]["change"][n]["pairs_won"] = sum(
+                (c > p) if better[n] == "higher" else (c < p)
+                for p, c in zip(parent, change))
     if len(machines) != 1:
         raise SystemExit(f"bench_pair: runs report {len(machines)} machine lines")
     return machines.pop(), out
+
+
+def quartiles(v: list) -> list:
+    """[Q1, Q3] of the runs, by the inclusive method; one run is both."""
+    if len(v) < 2:
+        return v * 2
+    q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive")
+    return [q1, q3]
 
 
 def main(argv=None) -> int:
@@ -75,8 +93,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     plan = ({w: int(n) for w, n in (x.split("=") for x in args.pairs)} or
-            {w["name"]: 3 for w in bench["workloads"]})
-    names = [m["name"] for m in bench["end_to_end"]]
+            {w["name"]: 10 for w in bench["workloads"]})
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", args.rev], check=True,
                          capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as parent:
@@ -84,7 +102,7 @@ def main(argv=None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
         machine, workloads = compare({"parent": parent, "change": "."}, plan,
-                                     names, args.seed, bench["run_seconds"])
+                                     better, args.seed, bench["run_seconds"])
     doc = {"machine": machine, "rev": rev, "seed": args.seed,
            "seconds": bench["run_seconds"], "pairs": plan, "workloads": workloads}
     with open(f"BENCH_{args.label}.json", "w", encoding="utf-8") as fh:

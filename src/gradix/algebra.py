@@ -186,6 +186,13 @@ class Algebra:
 def make_algebra(field: FieldSpec, dim: int, entries, unit,
                  involution=None, labels=None) -> Algebra:
     """Coerce, canonicalize, and validate a structure-constant algebra."""
+    return _make(Algebra, field, dim, entries, unit, involution, labels)
+
+
+def _make(cls, field: FieldSpec, dim: int, entries, unit, involution=None,
+          labels=None, **fields):
+    """`make_algebra` as an instance of cls, a subclass of Algebra, with
+    its own `fields` (`crossed.CrossedProduct` and its system)."""
     if dim < 1:
         raise ValidationError(f"algebra dim must be at least 1, got {dim}")
     acc: dict[tuple[int, int, int], Scalar] = {}
@@ -207,7 +214,7 @@ def make_algebra(field: FieldSpec, dim: int, entries, unit,
         if len(labels) != dim:
             raise DimensionMismatch("labels length != dim")
 
-    alg = Algebra(field, dim, mult, unit, involution, labels)
+    alg = cls(field, dim, mult, unit, involution, labels, **fields)
     # L_u = R_u = I times their scale; column j is u e_j and e_j u
     u, s = _np_vectors(alg, unit)
     ident = np_mod(np.eye(dim, dtype=u.dtype) * (s * alg._np_scale), field.p)

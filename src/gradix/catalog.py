@@ -66,9 +66,10 @@ def truncated_dual(field: FieldSpec) -> Algebra:
 
 
 def _first_nonsquare(p: int) -> int:
-    squares = {(a * a) % p for a in range(1, p)}
+    """The least c >= 2 that is not a square mod p, by Euler's criterion:
+    for odd p, c is a non-square exactly when c^((p-1)/2) = -1."""
     for c in range(2, p):
-        if c not in squares:
+        if pow(c, (p - 1) // 2, p) == p - 1:
             return c
     raise ValidationError(f"every element of F_{p} is a square")
 

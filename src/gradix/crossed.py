@@ -12,20 +12,23 @@ The crossed product lives on basis {e_i u_g} with
     (a u_g)(b u_h) = a sigma_g(b) alpha(g,h) u_{gh}
 
 and carries the canonical G-gradation deg(e_i u_g) = g.  Since the alphas
-are nuclear, products involving them need no parenthesization.
+are nuclear, products involving them need no parenthesization.  The
+product is a `CrossedProduct`, which keeps its system and builds its
+associator tensor from the n^3 blocks that the grading leaves nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_left,
-                      _np_right, _np_vectors, _nucleus_blocks,
+from .algebra import (Algebra, SimplicityVerdict, _make, _np_entries,
+                      _np_left, _np_right, _np_vectors, _nucleus_blocks,
                       _twisted_commuter_rows, fixed_center,
-                      is_ring_automorphism, make_algebra, nuclear_mask,
-                      simple_under, two_sided_inverse)
+                      is_ring_automorphism, nuclear_mask, simple_under,
+                      two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                      N3Violation, NotAutomorphism, ValidationError)
 from .graded import Gradation, validate_gradation
@@ -46,6 +49,66 @@ class CrossedSystem:
     def dim(self) -> int:
         return self.algebra.dim * self.group.order
 
+    @cached_property
+    def _np_blocks(self) -> tuple[np.ndarray, int]:
+        """The block table of the product and its scale: w[a, b, i, j, k]
+        is the coefficient of e_k u_{ab} in (e_i u_a)(e_j u_b), that is in
+        e_i sigma_a(e_j) alpha(a, b), from one contraction of T's structure
+        tensor; over Q it carries the scale of sigma, of alpha and of the
+        tensor twice."""
+        t = self.algebra
+        p, c = t.field.p, t._np_tensor
+        s, ss = _np_vectors(t, self.sigma)
+        al, sa = _np_vectors(t, self.alpha)
+        half = np_mod(np.einsum("amj,iml->aijl", s, c), p)
+        w = np_mod(np.einsum("aijl,abkl->abijk", half, _np_right(t, al)), p)
+        return w, ss * sa * t._np_scale ** 2
+
+
+@dataclass(frozen=True, kw_only=True)
+class CrossedProduct(Algebra):
+    """The algebra of `build_crossed_product`, with the system it was built
+    from.  Its table respects the grading deg(e_i u_a) = a, so the
+    associator of basis elements of degrees a, b, c lies in degree abc:
+    only n^3 of the n^4 degree blocks of its associator tensor can be
+    nonzero."""
+    # equality and hashing stay those of the algebra, its table
+    system: CrossedSystem = field(compare=False, repr=False)
+
+    @cached_property
+    def _np_defect(self) -> np.ndarray:
+        """`Algebra._np_defect`, entry for entry, from the degree blocks of
+        the table w (`CrossedSystem._np_blocks`): the associator of
+        (e_i u_a, e_j u_b, e_k u_c) is, on e_l u_{abc},
+
+            sum_m w[a, b, i, j, m] w[ab, c, m, k, l]
+                - sum_m w[b, c, j, k, m] w[a, bc, i, m, l],
+
+        each sum one `np_matmul` of (d^2 x d) @ (d x d^2) blocks batched
+        over all (a, b, c): n^3 d^5 products, where the dense contraction
+        does (n d)^5.  The blocks are scattered into zeros; every other
+        block is zero because the table respects the grading, which
+        `validate_gradation` checks entry by entry.  Over Q w is first
+        rescaled to `_np_scale`, the scale of the generic tensor."""
+        sys, p = self.system, self.field.p
+        n, d = sys.group.order, sys.algebra.dim
+        mul = np.array(sys.group.table)
+        w, s = sys._np_blocks
+        w = w * self._np_scale // s        # exact: the scalars are w / s
+        a, b, c = np.indices((n, n, n))
+        ab, bc = mul[a, b], mul[b, c]
+        flat = w.reshape(n, n, d * d, d)                   # [a, b, (i, j), m]
+        first = np_matmul(flat[:, :, None],
+                          w[ab, c].reshape(n, n, n, d, d * d), p)
+        # [m, (i, l)] for (e_i u_a)(e_m u_bc): rows (j, k), columns (i, l)
+        outer = w[a, bc].transpose(0, 1, 2, 4, 3, 5).reshape(n, n, n, d, d * d)
+        second = np_matmul(flat[None], outer, p).reshape((n, n, n) + (d,) * 4)
+        blocks = np_mod(first.reshape((n, n, n) + (d,) * 4)
+                        - second.transpose(0, 1, 2, 5, 3, 4, 6), p)
+        out = np.zeros((n, d) * 4, dtype=self._np_tensor.dtype)
+        out[a, :, b, :, c, :, mul[ab, c], :] = blocks
+        return out.reshape((n * d,) * 4)
+
 
 def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> CrossedSystem:
     n, d, f = g.order, t.dim, t.field
@@ -56,9 +119,12 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
     sigma = tuple(coerce_matrix(f, m, d) for m in sigma)
     alpha = tuple(tuple(t.element(a) for a in row) for row in alpha)
 
-    for a in range(n):
-        if not is_ring_automorphism(t, sigma[a]):
-            raise NotAutomorphism(f"sigma[{a}] is not a ring automorphism")
+    # each distinct sigma is checked once, as the alpha values are below;
+    # the first bad one in the order of sigma is named
+    for m in dict.fromkeys(sigma):
+        if not is_ring_automorphism(t, m):
+            raise NotAutomorphism(
+                f"sigma[{sigma.index(m)}] is not a ring automorphism")
 
     # the distinct values are tested for nuclearity in one `nuclear_mask`
     # and the nuclear ones inverted once each: a cocycle usually takes only
@@ -134,18 +200,12 @@ def canonical_units(sys: CrossedSystem) -> list[Vec]:
 
 
 def _product_entries(sys: CrossedSystem) -> list:
-    """The nonzero coefficients of e_i sigma_a(e_j) alpha(a, b) for every
-    (a, b, i, j), as entries (a d + i, b d + j, ab d + k, c) of the
-    product's structure constants, from one contraction of T's structure
-    tensor; over Q each is divided back by the contraction's scale."""
-    t, d = sys.algebra, sys.algebra.dim
-    f, c = t.field, t._np_tensor
-    mul = np.array(sys.group.table)
-    s, ss = _np_vectors(t, sys.sigma)
-    al, sa = _np_vectors(t, sys.alpha)
-    half = np_mod(np.einsum("amj,iml->aijl", s, c), f.p)
-    w = np_mod(np.einsum("aijl,abkl->abijk", half, _np_right(t, al)), f.p)
-    (a, b, i, j, k), vals = _np_entries(f, w, ss * sa * t._np_scale ** 2)
+    """The nonzero coefficients of the block table (`CrossedSystem._np_blocks`)
+    as entries (a d + i, b d + j, ab d + k, c) of the product's structure
+    constants; over Q each is divided back by the table's scale."""
+    d, mul = sys.algebra.dim, np.array(sys.group.table)
+    w, s = sys._np_blocks
+    (a, b, i, j, k), vals = _np_entries(sys.algebra.field, w, s)
     return list(zip((a * d + i).tolist(), (b * d + j).tolist(),
                     (mul[a, b] * d + k).tolist(), vals))
 
@@ -162,7 +222,7 @@ def _inverse_pairs(alg: Algebra, xs, ys) -> bool:
                 == unit * scale).all() for u, v in ((x, y), (y, x)))
 
 
-def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
+def build_crossed_product(sys: CrossedSystem) -> tuple[CrossedProduct, Gradation]:
     """The crossed product of the system, graded by G, with each canonical
     unit u_g checked to be a nuclear unit with inverse
     alpha(g^-1, g)^-1 u_{g^-1}.  That check also makes the gradation
@@ -190,7 +250,8 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[Algebra, Gradation]:
                     labels.append(f"{head}u{g.label(a)}")
         labels = tuple(labels)
 
-    prod = make_algebra(f, d * n, entries, tuple(unit), labels=labels)
+    prod = _make(CrossedProduct, f, d * n, entries, tuple(unit),
+                 labels=labels, system=sys)
     degrees = tuple(a for a in range(n) for _ in range(d))
     grad = validate_gradation(prod, g, degrees)
 

@@ -221,6 +221,15 @@ def mu_square_by_vectors(alg, center, mu):
 
 # -- algebras beyond `gradix.catalog` ------------------------------------------
 
+def first_nonsquare_by_squares(p):
+    """`catalog._first_nonsquare` by the set of all p - 1 squares."""
+    squares = {(a * a) % p for a in range(1, p)}
+    for c in range(2, p):
+        if c not in squares:
+            return c
+    raise ValidationError(f"every element of F_{p} is a square")
+
+
 def product_with_swap(field):
     """F x F carrying the coordinate swap as involution."""
     entries = [(0, 0, 0, field.one), (1, 1, 1, field.one)]

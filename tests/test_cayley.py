@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import cayley
+from gradix import catalog, cayley
 from gradix.algebra import (center_is_field, is_associative, make_algebra,
                             multiply, nucleus_and_center, simple_under,
                             two_sided_inverse)
@@ -15,12 +16,13 @@ from gradix.catalog import (field_algebra, matrix_algebra, octonions,
 from gradix.cayley import (cayley_double, doubling_report, is_star_simple,
                            mu_square_in_center, star_centers, tower,
                            tower_stages)
-from gradix.errors import BudgetExceeded, ExactModeUnavailable, MuZero
+from gradix.errors import (BudgetExceeded, ExactModeUnavailable, MuZero,
+                           ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
 from gradix.linalg import Subspace, kernel, projective_points, projective_walk
 from helpers import (NONZERO_Q, cayley_double_loop, extension_field,
-                     fixed_subspace, intersect, mu_square_by_vectors, product_table_loop,
+                     first_nonsquare_by_squares, fixed_subspace, intersect, mu_square_by_vectors, product_table_loop,
                      product_with_swap, random_unital_algebra, rescaled,
                      sedenions, star_rows_loop, tensor_algebra,
                      walk_without_points)
@@ -358,3 +360,27 @@ def test_catalog_builds_over_q():
     assert is_associative(quaternions(Q)[0])
     assert not is_associative(octonions(Q)[0])
     assert octonions(prime_field(101))[0].dim == 8
+
+
+def test_first_nonsquare_matches_the_squares_below_200():
+    def outcome(find, p):
+        try:
+            return find(p)
+        except ValidationError as exc:
+            return str(exc)
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    assert len(primes) == 46
+    for p in primes:
+        assert (outcome(catalog._first_nonsquare, p)
+                == outcome(first_nonsquare_by_squares, p))
+
+
+def test_quadratic_extension_of_a_large_prime_field():
+    # the set of all p - 1 squares would not fit in memory
+    f = prime_field(4294967311)
+    start = time.perf_counter()
+    ext = quadratic_field_extension(f)
+    assert time.perf_counter() - start < 1.0
+    c = ext.product_table[1][1][0]
+    assert pow(c, (f.p - 1) // 2, f.p) == f.p - 1
+    assert all(pow(b, (f.p - 1) // 2, f.p) == 1 for b in range(2, c))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed, jsonio, linalg
@@ -101,6 +101,12 @@ def test_axiom_violations_are_caught():
         validate_crossed_system(ext, g, [ext.involution, ext.involution], ones)
     with pytest.raises(NotAutomorphism):
         validate_crossed_system(ext, g, [ident, ((1, 1), (0, 1))], ones)
+    # a repeated bad sigma is named at its first place
+    bad = ((1, 1), (0, 1))
+    ones4 = [[unit] * 4 for _ in range(4)]
+    with pytest.raises(NotAutomorphism, match=r"^sigma\[2\] "):
+        validate_crossed_system(ext, cyclic(4),
+                                [ident, ext.involution, bad, bad], ones4)
     with pytest.raises(AlphaNotNuclearUnit):
         validate_crossed_system(ext, g, [ident, ext.involution],
                                 [[unit, unit], [unit, (0, 0)]])
@@ -117,6 +123,19 @@ def test_axiom_violations_are_caught():
     a[1][1] = (2,)
     with pytest.raises(N2Violation):
         validate_crossed_system(f, c4, [identity_matrix(F3, 1)] * 4, a)
+
+
+def test_each_distinct_sigma_is_checked_once(monkeypatch):
+    # F_9 x| C4 by the Frobenius to the power g: four sigma, two matrices
+    ext = quadratic_field_extension(F3)
+    ident = identity_matrix(F3, 2)
+    checked = []
+    check = crossed.is_ring_automorphism
+    monkeypatch.setattr(crossed, "is_ring_automorphism",
+                        lambda t, m: checked.append(m) or check(t, m))
+    validate_crossed_system(ext, cyclic(4), [ident, ext.involution] * 2,
+                            [[ext.unit] * 4 for _ in range(4)])
+    assert checked == [ident, ext.involution]
 
 
 def test_normalization_violation():
@@ -241,6 +260,23 @@ def test_an_associative_product_skips_its_zero_associators(monkeypatch):
     assert 16 in mask_dims
     assert rows and max(rows) <= 16 ** 2
     assert 16 not in mask_matmuls
+
+
+def test_a_crossed_request_never_builds_the_dense_defect(monkeypatch):
+    # H x| C4 over F_3: the unit check, `is_associative`, the center's
+    # nuclear part and the graded verdict all read the 16-dimensional
+    # product's block tensor, built once
+    kind, text = CASES["crossed_h_c4_sign"]
+    dense, blocks = [], []
+    for cls, calls in ((Algebra, dense), (crossed.CrossedProduct, blocks)):
+        build = cls.__dict__["_np_defect"].func
+        spy = cached_property(lambda self, build=build, calls=calls:
+                              calls.append(self.dim) or build(self))
+        spy.__set_name__(cls, "_np_defect")
+        monkeypatch.setattr(cls, "_np_defect", spy)
+    jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+    assert blocks == [16]
+    assert 16 not in dense
 
 
 def test_associativity_transfers_from_coefficients():
@@ -613,6 +649,53 @@ def test_canonical_unit_check_refuses_on_both_paths():
         validate_crossed_system(o, g, sys.sigma, alpha)
 
 
+# -- the block associator tensor ------------------------------------------------
+
+def non_nuclear_alpha_system(f):
+    """O x| C2 built past validation with alpha(r, r) = e_1, an invertible
+    octonion outside the nucleus: the product builds, and then fails its
+    canonical-unit check."""
+    o = octonions(f)[0]
+    e1 = o.basis_vector(1)
+    inv = two_sided_inverse(o, e1) or o.unit
+    return crossed.CrossedSystem(o, cyclic(2), (identity_matrix(f, 8),) * 2,
+                                 ((o.unit, o.unit), (o.unit, e1)),
+                                 ((o.unit, o.unit), (o.unit, inv)))
+
+
+def _block_and_generic(sys):
+    """The associator tensor of the product `build_crossed_product(sys)`
+    builds, whether or not its checks then pass, and
+    `Algebra._np_defect` of it, the dense contraction."""
+    built = []
+    grade = crossed.validate_gradation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossed, "validate_gradation",
+                   lambda alg, g, degrees: built.append(alg) or grade(alg, g, degrees))
+        _outcome(lambda: build_crossed_product(sys))
+    [prod] = built
+    assert isinstance(prod, crossed.CrossedProduct)
+    return prod._np_defect, Algebra._np_defect.func(prod)
+
+
+BLOCK_SYSTEMS = FIELD_SYSTEMS + [
+    lambda f: trivial_system(octonions(f)[0], cyclic(3)),
+    non_nuclear_alpha_system]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BLOCK_SYSTEMS),
+       st.sampled_from([F2, F3, prime_field(5), prime_field(4294967311),
+                        rationals()]))
+def test_block_defect_is_the_generic_tensor(mk, f):
+    # past the int64 bound (p = 4294967311) and over Q both hold Python
+    # ints; outside F_2 the octonion products are not associative
+    assume(f.is_finite or mk is not frobenius_system)
+    fast, slow = _block_and_generic(mk(f))
+    assert fast.dtype == slow.dtype
+    assert np.array_equal(fast, slow)
+
+
 def test_the_first_alpha_outside_the_nuclear_units_is_named():
     # octonions by C3: e_1 is a unit outside the nucleus and 0 no unit; the
     # distinct values are tested together, and the first bad (a, b) in
@@ -761,3 +844,26 @@ def test_q_contractions_match_the_loops(system, change, data):
         inverses[a] = prod.add_vec(inverses[a], prod.scale(shift, prod.basis_vector(k)))
         assert (crossed._inverse_pairs(prod, units, inverses) ==
                 inverse_pairs_loop(prod, units, inverses))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q_systems(), st.booleans(), st.data())
+def test_q_block_defect_is_the_generic_tensor(system, move, data):
+    """Over Q on a rescaled T, where the block table carries another scale
+    than the product's table; also with one alpha off the identity moved
+    past validation (at the identity it would move the product's unit)."""
+    t, g, sigma, alpha = system
+    sys = validate_crossed_system(t, g, sigma, alpha)
+    if move:
+        others = [x for x in g.elements() if x != g.identity]
+        a = data.draw(st.sampled_from(others), label="g")
+        b = data.draw(st.sampled_from(others), label="h")
+        moved = [list(row) for row in sys.alpha]
+        inv = [list(row) for row in sys.alpha_inv]
+        moved[a][b] = t.add_vec(moved[a][b], t.scale(data.draw(NONZERO_Q),
+                                                     t.basis_vector(t.dim - 1)))
+        inv[a][b] = two_sided_inverse(t, moved[a][b]) or t.unit
+        sys = crossed.CrossedSystem(t, g, sys.sigma, tuple(map(tuple, moved)),
+                                    tuple(map(tuple, inv)))
+    fast, slow = _block_and_generic(sys)
+    assert np.array_equal(fast, slow)

@@ -64,17 +64,17 @@ def bench_pair():
     return module
 
 
-def stub_runner(values, calls, **result):
+def stub_runner(values, calls, metric="requests_per_s", **result):
     """A harness stand-in: each run of a side reports the next value of
-    that side as its requests_per_s, with `result` over the defaults."""
+    that side as its metric, with `result` over the defaults."""
     left = {side: iter(v) for side, v in values.items()}
 
     def run(cwd, workload, seed, seconds):
         calls.append((cwd, workload))
-        rate = next(left[cwd])
+        value = next(left[cwd])
         return "machine  nproc=2", {
             "correct": True, "failed": 0, **result,
-            "metrics": {"requests_per_s": {"value": rate, "unit": "1/s"}}}
+            "metrics": {metric: {"value": value, "unit": "1/s"}}}
     return run
 
 
@@ -82,13 +82,49 @@ def test_bench_pair_alternates_sides_and_takes_medians():
     calls = []
     run = stub_runner({"p": [60.0, 70.0, 65.0], "c": [80.0, 75.0, 90.0]}, calls)
     machine, out = bench_pair().compare({"parent": "p", "change": "c"},
-                                        {"crossed": 3}, ["requests_per_s"],
+                                        {"crossed": 3},
+                                        {"requests_per_s": "higher"},
                                         1, 20, run=run)
     assert machine == "machine  nproc=2"
     assert [cwd for cwd, _ in calls] == ["p", "c", "c", "p", "p", "c"]
     assert out == {"crossed": {
-        "parent": {"requests_per_s": {"median": 65.0, "runs": [60.0, 70.0, 65.0]}},
-        "change": {"requests_per_s": {"median": 80.0, "runs": [80.0, 75.0, 90.0]}}}}
+        "parent": {"requests_per_s": {"median": 65.0, "runs": [60.0, 70.0, 65.0],
+                                      "quartiles": [62.5, 67.5]}},
+        "change": {"requests_per_s": {"median": 80.0, "runs": [80.0, 75.0, 90.0],
+                                      "pairs_won": 3}}}}
+
+
+def test_bench_pair_counts_the_pairs_won_in_the_better_direction():
+    # lower is better for a latency; a tie is not a win
+    run = stub_runner({"p": [1.0, 2.0, 3.0, 4.0], "c": [0.5, 2.0, 3.5, 1.0]},
+                      [], metric="latency_p50_s")
+    _, out = bench_pair().compare({"parent": "p", "change": "c"},
+                                  {"crossed": 4}, {"latency_p50_s": "lower"},
+                                  1, 20, run=run)
+    assert out["crossed"]["change"]["latency_p50_s"]["pairs_won"] == 2
+    assert out["crossed"]["parent"]["latency_p50_s"]["quartiles"] == [1.75, 3.25]
+
+
+def test_bench_pair_runs_ten_pairs_by_default(monkeypatch, tmp_path):
+    # every workload of BENCHMARK.json, 10 pairs each, into the BENCH file;
+    # git and tar are stood in for, and the run happens in tmp_path
+    module = bench_pair()
+    plans = []
+
+    def compare(dirs, plan, better, seed, seconds):
+        plans.append((plan, better))
+        return "machine  nproc=2", {}
+    monkeypatch.setattr(module, "compare", compare)
+    monkeypatch.setattr(module.subprocess, "run", lambda cmd, **kw: (
+        subprocess.CompletedProcess(cmd, 0, "abc\n" if kw.get("text") else b"")))
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    assert module.main(["--label", "x", "--rev", "r"]) == 0
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    plan = {w["name"]: 10 for w in bench["workloads"]}
+    assert plans == [(plan, {m["name"]: m["better"] for m in bench["end_to_end"]})]
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert (doc["rev"], doc["pairs"]) == ("abc", plan)
 
 
 @pytest.mark.parametrize("result", [{"correct": False}, {"failed": 1},
@@ -97,7 +133,7 @@ def test_bench_pair_refuses_a_wrong_run(result):
     run = stub_runner({"p": [60.0], "c": [80.0]}, [], **result)
     with pytest.raises(SystemExit, match="refused a parent crossed run"):
         bench_pair().compare({"parent": "p", "change": "c"}, {"crossed": 1},
-                             ["requests_per_s"], 1, 20, run=run)
+                             {"requests_per_s": "higher"}, 1, 20, run=run)
 
 
 def test_bench_pair_needs_the_parent_rev(monkeypatch, capsys):
