@@ -1,6 +1,7 @@
 """Seconds per request kind of a benchmark workload, replayed in this process.
 
     python scripts/replay_kinds.py [--workload W] [--seeds 1 11] [--rounds N] [--passes K]
+                                   [--by-dim]
 
 The requests are those of scripts/report_digests.py: perfbench/gen.py builds
 each seed's warm-up requests and N rounds, as the benchmark does.  A pass
@@ -9,7 +10,9 @@ every request of its rounds, adding the time of each to the request's kind.
 The output is one JSON object {kind: seconds}, each kind's total the
 minimum over the K passes.  Two checkouts compared this way show which
 kind of request a change moved, which the end-to-end figures of
-perfbench/run.py, one mix of kinds, do not.
+perfbench/run.py, one mix of kinds, do not.  With --by-dim, an algebra
+request counts under its kind and dimension ("algebra d=5"), which tells
+apart the size classes of the rationals workload.
 """
 
 import argparse
@@ -20,7 +23,15 @@ import time
 import report_digests as digests
 
 
-def replay(workload: str, seeds, rounds: int, passes: int) -> dict:
+def kind_of(text: str, by_dim: bool) -> str:
+    doc = json.loads(text)
+    if by_dim and "dim" in doc["payload"]:
+        return f"{doc['kind']} d={doc['payload']['dim']}"
+    return doc["kind"]
+
+
+def replay(workload: str, seeds, rounds: int, passes: int,
+           by_dim: bool = False) -> dict:
     requests = [digests.gen.generate(workload, seed, str(digests.ROOT), rounds)
                 for seed in seeds]
     best: dict = {}
@@ -30,7 +41,7 @@ def replay(workload: str, seeds, rounds: int, passes: int) -> dict:
             for text in warm:
                 digests.rendered(text)
             for text in (t for rnd in timed for t in rnd):
-                kind = json.loads(text)["kind"]
+                kind = kind_of(text, by_dim)
                 start = time.perf_counter()
                 digests.rendered(text)
                 totals[kind] = totals.get(kind, 0.0) + time.perf_counter() - start
@@ -46,10 +57,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 11])
     ap.add_argument("--rounds", type=int, default=150)
     ap.add_argument("--passes", type=int, default=3)
+    ap.add_argument("--by-dim", action="store_true",
+                    help="split algebra requests by dimension")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.passes < 1:
         ap.error("--rounds and --passes take a positive count")
-    best = replay(args.workload, args.seeds, args.rounds, args.passes)
+    best = replay(args.workload, args.seeds, args.rounds, args.passes,
+                  args.by_dim)
     print(json.dumps({k: round(v, 4) for k, v in sorted(best.items())}))
     return 0
 

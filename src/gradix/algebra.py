@@ -32,7 +32,9 @@ from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      np_mod, projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
-# prime below 2^25, so the density test runs in int64 up to d = 90.
+# prime below 2^25, so Norton's test runs in int64 up to d = 8192 and the
+# density test up to d = 90; Norton's test finds its eigenvalues in time
+# polynomial in log P, where a scan of F_P would visit 2^25 elements.
 REDUCTION_FIELD = FieldSpec(33554393)
 
 
@@ -691,26 +693,90 @@ def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
 NORTON_DRAWS = 16
 
 
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int):
+    """(quotient, remainder) of a by the monic b over F_p; polynomials are
+    coefficient lists, lowest degree first, and 0 is []."""
+    a, m = list(a), len(b) - 1
+    q = [0] * max(len(a) - m, 0)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = a[k + m] % p
+        for i, c in enumerate(b):
+            a[k + i] -= t * c
+    return q, _trim([c % p for c in a[:m]])
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd over F_p of two polynomials, not both 0."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, _poly_divmod(a, [c * inv % p for c in b], p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _power_mod(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """(X + a)^e mod the monic f over F_p, for e >= 1 and deg f >= 1: the
+    first column of the e-th power of the companion matrix of f plus a,
+    the matrix of multiplication by X + a on F_p[X] / (f), by
+    `np_mat_pow`."""
+    m = len(f) - 1
+    comp = np.zeros((m, m), dtype=np.int64)
+    comp[np.arange(1, m), np.arange(m - 1)] = 1
+    comp[:, -1] = [-c % p for c in f[:m]]
+    comp[np.diag_indices(m)] += a
+    return _trim(np_mat_pow(comp % p, e, p)[:, 0].tolist())
+
+
+def _split_roots(g: list[int], p: int) -> list[int]:
+    """The roots, ascending, of a monic g over F_p that divides X^p - X:
+    the one root if deg g = 1; all of F_p if g = X^p - X, which covers
+    p = 2; otherwise the equal-degree splitting of Cantor & Zassenhaus
+    (Math. Comp. 36, 1981) by gcd(g, (X + a)^((p - 1) / 2) - 1) for
+    a = 0, 1, 2, ...  That gcd collects the roots r with r + a a nonzero
+    square.  For two roots r != s the sum over a of chi(r + a) chi(s + a)
+    is -1 for the quadratic character chi, so some a parts them, and the
+    loop ends."""
+    r = len(g) - 1
+    if r <= 1:
+        return [-g[0] % p] if r else []
+    if r == p:
+        return list(range(p))
+    for a in range(p):
+        h = _power_mod(a, (p - 1) // 2, g, p) or [0]
+        h[0] -= 1
+        part = _poly_gcd(g, h, p)
+        if 0 < len(part) - 1 < r:
+            rest = _poly_divmod(g, part, p)[0]
+            return sorted(_split_roots(part, p) + _split_roots(rest, p))
+    raise AssertionError("no a parts the roots")
+
+
 def _min_poly_roots(x: np.ndarray, v: np.ndarray, p: int) -> list[int]:
-    """The roots in F_p, ascending, of the minimal polynomial of x on v:
+    """The roots in F_p, ascending, of the minimal polynomial f of x on v:
     X^m - sum_i a_i X^i, where x^m v = sum_i a_i x^i v is the first relation
     of the Krylov vectors v, x v, ..., x^d v, read off one RREF of them as
-    columns.  Every root is an eigenvalue of x.  The polynomial is evaluated
-    at every element of F_p by Horner's rule, 2^16 of them per array, so a
-    large p takes time but no more memory."""
+    columns.  Every root is an eigenvalue of x.  The roots are those of
+    g = gcd(f, X^p - X), with X^p mod f found by `_power_mod` in about
+    2 log2(p) products of m x m matrices; `_split_roots` reads them off g.
+    So a draw costs time polynomial in log p and d, not a scan of F_p."""
     from .linalg import np_rref
     krylov = [v]
     for _ in range(len(v)):
         krylov.append(x @ krylov[-1] % p)
     red, piv = np_rref(np.stack(krylov, axis=1), p)
-    roots = []
-    for start in range(0, p, 1 << 16):
-        lam = np.arange(start, min(p, start + (1 << 16)), dtype=np.int64)
-        vals = np.ones_like(lam)
-        for a in red[::-1, len(piv)]:
-            vals = (vals * lam - a) % p
-        roots += lam[vals == 0].tolist()
-    return roots
+    f = [-int(a) % p for a in red[:, len(piv)]] + [1]
+    if len(f) == 1:
+        return []
+    xp = _power_mod(0, p, f, p) + [0, 0]
+    xp[1] -= 1
+    return _split_roots(_poly_gcd(f, xp, p), p)
 
 
 def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
@@ -731,11 +797,18 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     the transposes, holds the whole k-dimensional kernel of the transpose
     of x - lambda, and the spin of any vector of it is proper.  So both
     spins full prove A irreducible, and either one proper proves it
-    reducible.  The draws x <- x y + y, y a random combination of the
-    generators, and the vectors come from a fixed seed, so the answer is
-    deterministic.  Needs d (p - 1)^2 < 2^63 (`_norton_fits`); its time
-    grows with p, as each draw scans F_p for eigenvalues, but under the
-    budget p is less than the points of the sweep."""
+    reducible.
+
+    Each draw plants the eigenvalue 0: x <- x - L_{x(1)}, still in M as
+    the L_{e_j} are generators, sends the unit to 0, so ker x holds the
+    k-dimensional C 1 (C is the L_c, c in the center; `_commutant_field`).
+    The spin of 1 holds every L_a 1 = a and is all of A, so when
+    dim ker x = k, read off the kernel of the transpose, the dual spin
+    alone decides.  Otherwise the other eigenvalues of x come from
+    `_min_poly_roots`, at a cost polynomial in log p and d.  The draws
+    x <- x y + y, y a random combination of the generators, and the
+    vectors come from a fixed seed, so the answer is deterministic.  Needs
+    d (p - 1)^2 < 2^63 (`_norton_fits`)."""
     from .linalg import np_kernel
     p, d = alg.field.p, alg.dim
     gens = np.asarray(gens, dtype=np.int64)
@@ -746,22 +819,53 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
         return True
     rng = random.Random(0)
     eye = np.eye(d, dtype=np.int64)
-    x = np.zeros((d, d), dtype=np.int64)
-    for _ in range(NORTON_DRAWS):
+    unit = np.array([int(c) % p for c in alg.unit], dtype=np.int64)
+    transposes = gens.transpose(0, 2, 1)
+
+    def draw():
         coeffs = np.array([rng.randrange(p) for _ in gens], dtype=np.int64)
-        y = (coeffs[:, None, None] * gens % p).sum(axis=0) % p
+        return (coeffs[:, None, None] * gens % p).sum(axis=0) % p
+
+    def dual_spin_full(shifted):
+        dual = np_kernel(shifted.T, p)
+        return len(_spin(dual[:1], transposes, d, p)[0]) == d
+
+    x = draw()
+    for _ in range(NORTON_DRAWS):
+        y = draw()
         x = (np_matmul(x, y, p) + y) % p
+        x = (x - np.tensordot(x @ unit % p, gens[:d], 1)) % p  # x(1) = 0
+        if len(np_kernel(x.T, p)) == k:
+            return dual_spin_full(x)
         v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
         for lam in _min_poly_roots(x, v, p):
+            if not lam:     # its kernel, read off the transpose, failed
+                continue
             shifted = (x - lam * eye) % p
             null = np_kernel(shifted, p)
             if len(null) != k:
                 continue
             if len(_spin(null[:1], gens, d, p)[0]) < d:
                 return False
-            dual = np_kernel(shifted.T, p)
-            return len(_spin(dual[:1], gens.transpose(0, 2, 1), d, p)[0]) == d
+            return dual_spin_full(shifted)
     return None
+
+
+def _irreducible(alg: Algebra, gens: np.ndarray,
+                 density: bool = True) -> bool | None:
+    """Whether A over F_p is irreducible under the associative algebra
+    generated by the stack `gens`; None when undecided.  Norton's test
+    runs for d >= 5, and the density test, when `density` allows it, for
+    d <= 4, where it is the cheaper one, and when Norton's test is
+    undecided; each only where int64 holds its products (`_norton_fits`,
+    `_density_fits`)."""
+    p, d = alg.field.p, alg.dim
+    verdict = None
+    if d >= 5 and _norton_fits(p, d):
+        verdict = _norton_irreducible(alg, gens)
+    if verdict is None and density and _density_fits(p, d):
+        verdict = _density_irreducible(alg, gens)
+    return verdict
 
 
 def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
@@ -770,29 +874,27 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     the L_{e_j}, R_{e_j} and the extra maps?  The sweep is the
     `projective_walk` of the subspaces, refused past the budget before
     anything runs.
-    A test of irreducibility runs first when int64 holds its products: for
-    d >= 5, Norton's test once the sweep would visit more than d points;
-    past d^2 points, the density test, alone for d <= 4, where it is the
-    cheaper one, and for d >= 5 when Norton's test is undecided.  An
+    Once the sweep would visit more than d points, `_irreducible` decides
+    first, the one test of irreducibility that the reduction of an algebra
+    over Q runs too: Norton's test for d >= 5, and past d^2 points the
+    density test, for d <= 4 and when Norton's test is undecided.  An
     irreducible A is then decided without the sweep, which otherwise runs
     to name the same first witness.  The crossover is measured: on the
-    16-dimensional graded crossed products over F_3, with its commutant
-    read off the cached `Algebra._center`, one Norton call, its products
-    on BLAS (`np_matmul`), costs about as much as 3-7 closures of the
-    sweep (median 4).  The gate at d points was set when it cost 8-10: a
-    reducible A pays for the test and for the sweep, so sweeps of up to d
-    points, as of crossed products with a one-dimensional T, run
-    alone."""
+    graded crossed products of H and M_2 by C2, C3 and C4 over F_3
+    (d = 8 to 16), one Norton call, its draws planting the eigenvalue 0,
+    costs about as much as 1.4-3.5 closures of the sweep (median 2.6;
+    2.4-7.1 before the planted draws).  The gate at d
+    points was set when it cost 8-10: a reducible A pays for the test and
+    for the sweep, so sweeps of up to d points, as of crossed products with
+    a one-dimensional T, run alone."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
-    p, d = alg.field.p, alg.dim
+    d = alg.dim
     total, points = projective_walk(spaces, budget, what)
     gens = _np_generators(alg, maps)
     irreducible = None
-    if d >= 5 and total > d and _norton_fits(p, d):
-        irreducible = _norton_irreducible(alg, gens)
-    if irreducible is None and total > d * d and _density_fits(p, d):
-        irreducible = _density_irreducible(alg, gens)
+    if total > d:
+        irreducible = _irreducible(alg, gens, density=total > d * d)
     if irreducible:
         return SimplicityVerdict(True, None, "exact", total)
     for checked, pt in enumerate(points, 1):
@@ -805,18 +907,21 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
 
 
 def _reduction_irreducible(alg: Algebra, maps) -> bool:
-    """Whether the density test finds the reduction mod P of A over Q, with
-    the maps reduced too, irreducible.  True proves A simple under the maps
-    (see `Algebra._reduced`); False settles nothing.  Maps with a
-    denominator divisible by P do not reduce, and give False."""
+    """Whether `_irreducible`, the test that exact verdicts run, proves the
+    reduction mod P of A over Q, with the maps reduced too, irreducible:
+    Norton's test for d >= 5, the density test for d <= 4 and when no draw
+    of Norton's test decides.  True proves A simple under the maps (see
+    `Algebra._reduced`); False, reducible or undecided, settles nothing.
+    Maps with a denominator divisible by P do not reduce, and give
+    False."""
     red = alg._reduced
-    if red is None or not _density_fits(red.field.p, red.dim):
+    if red is None:
         return False
     try:
         maps = [coerce_matrix(red.field, m, red.dim) for m in maps]
     except ZeroDivisionError:
         return False
-    return _density_irreducible(red, _np_generators(red, maps))
+    return _irreducible(red, _np_generators(red, maps)) is True
 
 
 def simple_under(alg: Algebra, maps=(),
@@ -832,8 +937,9 @@ def simple_under(alg: Algebra, maps=(),
 def sample_simple(alg: Algebra, maps=(), trials: int = 1000,
                   seed: int = 0) -> SimplicityVerdict:
     """Randomized verdict: samples can only refute or report
-    no-counterexample.  Over Q it first runs the density test on the
-    reduction mod P; an irreducible reduction proves A simple, and every
+    no-counterexample.  Over Q it first tests the reduction mod P
+    (`_reduction_irreducible`: Norton's test for d >= 5, the density test
+    for d <= 4); an irreducible reduction proves A simple, and every
     sample would find a full closure, so the verdict is the "randomized"
     simple one with `checked = trials`, drawn without sampling.  Otherwise,
     and always over F_p, the samples are drawn."""

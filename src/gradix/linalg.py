@@ -268,6 +268,13 @@ def np_mod(a: np.ndarray, p: int | None) -> np.ndarray:
     return a if p is None else a % p
 
 
+def _on_blas(k: int, p: int | None, *arrays) -> bool:
+    """Whether residue products of contraction length k run exactly on
+    float64 BLAS: over F_p, on int64 arrays, while k (p - 1)^2 < 2^53."""
+    return (p is not None and all(a.dtype != object for a in arrays)
+            and k * (p - 1) ** 2 < 2 ** 53)
+
+
 def np_matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
     """a @ b mod p, for arrays (or stacks, broadcast as `@` does) whose
     entries have absolute value at most p - 1.  numpy's integer `@` is a
@@ -276,11 +283,9 @@ def np_matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
     order BLAS adds and with or without fused multiply-adds, is an integer
     of absolute value at most k (p - 1)^2; below 2^53 each one is a float64
     exactly, so no step rounds.  Past that bound (at P = 33554393 from
-    k = 8 on), on object arrays, or over Z (p None), the product is `@` in
-    the arrays' own dtype."""
-    k = np.shape(a)[-1]
-    if (p is not None and a.dtype != object and b.dtype != object
-            and k * (p - 1) ** 2 < 2 ** 53):
+    k = 9 on, as 8 (P - 1)^2 < 2^53), on object arrays, or over Z (p None),
+    the product is `@` in the arrays' own dtype."""
+    if _on_blas(np.shape(a)[-1], p, a, b):
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64) % p
     return np_mod(a @ b, p)
@@ -288,16 +293,22 @@ def np_matmul(a: np.ndarray, b: np.ndarray, p: int | None) -> np.ndarray:
 
 def np_mat_pow(x: np.ndarray, e: int, p: int | None) -> np.ndarray:
     """x**e, e >= 1, for a square matrix or a stack of them, by repeated
-    squaring with `np_matmul`: mod p over F_p, in integers over Z (p None),
-    where the power of a cleared matrix carries its scale to the e."""
+    squaring: mod p over F_p, in integers over Z (p None), where the power
+    of a cleared matrix carries its scale to the e.  Where `np_matmul`
+    would run on BLAS, every step stays in float64, whose remainder mod p
+    is exact, and only the result returns to int64."""
+    blas = _on_blas(np.shape(x)[-1], p, x)
+    if blas:
+        x = x.astype(np.float64)
+    mul = (lambda a, b: a @ b % p) if blas else (lambda a, b: np_matmul(a, b, p))
     out = None
     while e:
         if e & 1:
-            out = x if out is None else np_matmul(out, x, p)
+            out = x if out is None else mul(out, x)
         e >>= 1
         if e:
-            x = np_matmul(x, x, p)
-    return out
+            x = mul(x, x)
+    return out.astype(np.int64) if blas else out
 
 
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -316,10 +327,10 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(n):
         if r == m:
             break
-        i = r + int(np.argmax(a[r:, c]))
+        i = r + int(a[r:, c].argmax())
         if not a[i, c]:
             continue
-        row = a[i] * pow(int(a[i, c]), p - 2, p) % p
+        row = a[i] * pow(int(a[i, c]), -1, p) % p
         if i != r:
             a[i] = a[r]
         a[r] = row

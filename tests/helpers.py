@@ -889,6 +889,24 @@ def commutant_field_loop(alg, gens):
     return k
 
 
+def min_poly_roots_by_scan(x, v, p):
+    """`algebra._min_poly_roots` by evaluation: the minimal polynomial of x
+    on v, read off one RREF of its Krylov vectors as columns, evaluated at
+    every element of F_p by Horner's rule, 2^16 of them per array."""
+    krylov = [v]
+    for _ in range(len(v)):
+        krylov.append(x @ krylov[-1] % p)
+    red, piv = np_rref(np.stack(krylov, axis=1), p)
+    roots = []
+    for start in range(0, p, 1 << 16):
+        lam = np.arange(start, min(p, start + (1 << 16)), dtype=np.int64)
+        vals = np.ones_like(lam)
+        for a in red[::-1, len(piv)]:
+            vals = (vals * lam - a) % p
+        roots += lam[vals == 0].tolist()
+    return roots
+
+
 # (module, name, loop): patched in together, they run the library on the
 # loops in place of the contractions
 LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),

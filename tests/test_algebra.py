@@ -37,10 +37,12 @@ from helpers import (NONZERO_Q, associator_defect_loop, closure_loop,
                      commutant_field_loop, conjugation_matrix,
                      extension_field, fixed_center_loop, fixed_subspace,
                      intersect, inverse_system_loop, left_by_basis, mat_mul,
-                     nuclear_mask_loop, nucleus_blocks_loop, points,
+                     min_poly_roots_by_scan, nuclear_mask_loop,
+                     nucleus_blocks_loop, points,
                      product_mismatch_loop,
                      product_table_loop, product_with_swap,
-                     random_unital_algebra, rescaled, right_by_basis,
+                     random_graded_algebra, random_unital_algebra, rescaled,
+                     right_by_basis,
                      tensor_algebra, unit_failure_loop, upper_triangular,
                      walk_without_points)
 
@@ -408,10 +410,10 @@ def test_norton_verdicts_match_sweep(case):
 
 
 def test_undecided_norton_falls_back_to_the_density_test(monkeypatch):
-    # no draw finds an eigenvalue: Norton's test is undecided; past d^2
-    # points the density test runs, and a reducible A goes on to the sweep,
-    # which gives the verdict, witness and checked included
-    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    # no draw: Norton's test is undecided; past d^2 points the density test
+    # runs, and a reducible A goes on to the sweep, which gives the
+    # verdict, witness and checked included
+    monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
     cases = [(random_unital_algebra(F2, 5, random.Random(0)), ()),
              (upper_triangular(F3, 3), ()),
              (product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),))]
@@ -427,14 +429,149 @@ def test_undecided_norton_falls_back_to_the_density_test(monkeypatch):
 
 
 def test_min_poly_roots_scan_every_block_of_the_field():
-    # p past the 2^16 elements of one evaluation block: the eigenvalues 3
-    # and 70 000 of a diagonal x lie in different blocks
+    # p past 2^16: the eigenvalues 3 and 70 000 of a diagonal x lie in
+    # different blocks of 2^16 elements of F_p, as the scan by evaluation
+    # (`helpers.min_poly_roots_by_scan`) visits them
     p = 100003
     x = np.diag([3, 70000, 70000, 5]).astype(np.int64)
     v = np.array([1, 1, 0, 0], dtype=np.int64)
     assert algebra._min_poly_roots(x, v, p) == [3, 70000]
     assert algebra._min_poly_roots(x, np.ones(4, dtype=np.int64), p) == \
         [3, 5, 70000]
+
+
+def conjugated(p, blocks, rng):
+    """S D S^-1 mod p for a random invertible S and the block diagonal D of
+    the square blocks, with v = S (1, ..., 1): v has coordinate 1 on every
+    basis vector of D, so the minimal polynomial of x on v is that of D on
+    (1, ..., 1), the lcm of the blocks' own."""
+    f = prime_field(p)
+    d = sum(len(b) for b in blocks)
+    dmat = np.zeros((d, d), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        dmat[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    while True:
+        s = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        inv = linalg.mat_inverse(f, s)
+        if inv is not None:
+            break
+    s, inv = np.array(s, dtype=np.int64), np.array(inv, dtype=np.int64)
+    x = linalg.np_matmul(linalg.np_matmul(s, dmat, p), inv, p)
+    return x, s @ np.ones(d, dtype=np.int64) % p
+
+
+def rootless_block(p):
+    """The companion matrix of X^2 + X + 1 over F_2, else of X^2 - c for
+    the first non-square c: a block with no eigenvalue in F_p."""
+    if p == 2:
+        return [[0, 1], [1, 1]]
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    return [[0, c], [1, 0]]
+
+
+@st.composite
+def min_poly_cases(draw):
+    """(x, v, p, roots) over F_p for p in 2, 3, 5, 7, 101 and 65537,
+    d <= 16: a random x; a diagonal x with eigenvalues among a few, so
+    repeated; x conjugated from such a diagonal, two of its eigenvalues
+    traded for a `rootless_block`; and, when p <= d, a diagonal x holding
+    every element of F_p with v = (1, ..., 1), whose minimal polynomial is
+    X^p - X, so roots = F_p (None for the others)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 65537]))
+    d = draw(st.integers(1, 16))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["random", "repeated", "conjugated", "all"]))
+    if kind == "all" and p <= d:
+        diag = list(range(p)) + [rng.randrange(p) for _ in range(d - p)]
+        rng.shuffle(diag)
+        x = np.diag(diag).astype(np.int64)
+        return x, np.ones(d, dtype=np.int64), p, list(range(p))
+    v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+    if kind == "random":
+        x = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+                     dtype=np.int64)
+        return x, v, p, None
+    few = [rng.randrange(p) for _ in range(3)]
+    diag = [rng.choice(few) for _ in range(d)]
+    if kind != "conjugated" or d < 3:
+        return np.diag(diag).astype(np.int64), v, p, None
+    blocks = [rootless_block(p)] + [[[c]] for c in diag[2:]]
+    return (*conjugated(p, blocks, rng), p, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(min_poly_cases())
+def test_min_poly_roots_match_the_scan(case):
+    x, v, p, want = case
+    roots = algebra._min_poly_roots(x, v, p)
+    assert roots == min_poly_roots_by_scan(x, v, p)
+    assert want is None or roots == want
+
+
+@pytest.mark.parametrize("p", [algebra.REDUCTION_FIELD.p, 1_000_003])
+def test_min_poly_roots_find_planted_eigenvalues(p):
+    # eigenvalues planted in x = S D S^-1, some repeated, beside a
+    # `rootless_block`, whose eigenvalues lie outside F_p: only the planted
+    # ones are found
+    rng = random.Random(p)
+    for d in (1, 2, 5, 8, 12):
+        eigs = [rng.randrange(p) for _ in range(d)]
+        eigs[-1] = eigs[0]
+        blocks = [[[e]] for e in eigs] + ([rootless_block(p)] if d >= 5 else [])
+        x, v = conjugated(p, blocks, rng)
+        assert algebra._min_poly_roots(x, v, p) == sorted(set(eigs))
+    # every root of a diagonal x by splitting alone: 16 distinct eigenvalues
+    eigs = rng.sample(range(p), 16)
+    x = np.diag(eigs).astype(np.int64)
+    assert algebra._min_poly_roots(x, np.ones(16, dtype=np.int64), p) == \
+        sorted(eigs)
+
+
+def test_planted_eigenvalue_proves_reducible(monkeypatch):
+    # small random algebras whose draw kills the unit with a kernel of
+    # dimension k = 1: the dual spin alone finds them reducible, without
+    # the root finder, as the density test and the sweep do
+    def refuse(*args):
+        raise AssertionError("root finder entered")
+    monkeypatch.setattr(algebra, "_min_poly_roots", refuse)
+    for p, seed in [(2, 4), (3, 1), (3, 2)]:
+        alg = random_unital_algebra(prime_field(p), 3, random.Random(seed))
+        gens = algebra._np_generators(alg)
+        assert algebra._commutant_field(alg, gens) == 1
+        assert algebra._norton_irreducible(alg, gens) is False
+        assert not algebra._density_irreducible(alg, gens)
+        assert not sweep_verdict(alg).simple
+
+
+@st.composite
+def small_norton_cases(draw):
+    """A random unital algebra of dimension 3 to 6 over F_2 or F_3, or a
+    random C2-graded one with its component projections as extra maps:
+    a few in ten are reducible with a commutant that is a field."""
+    f = prime_field(draw(st.sampled_from([2, 3])))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return random_unital_algebra(f, draw(st.integers(3, 6)), rng), ()
+    a = draw(st.integers(2, 3))
+    alg, grad = random_graded_algebra(f, cyclic(2),
+                                      [0] * a + [1] * draw(st.integers(1, a)),
+                                      rng)
+    proj = [tuple(tuple(int(i == j and grad.degrees[i] == g)
+                        for j in range(alg.dim)) for i in range(alg.dim))
+            for g in (0, 1)]
+    return alg, proj
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_norton_cases())
+def test_norton_agrees_with_the_density_test(case):
+    alg, maps = case
+    gens = algebra._np_generators(alg, maps)
+    verdict = algebra._norton_irreducible(alg, gens)
+    if verdict is not None:
+        assert verdict == algebra._density_irreducible(alg, gens)
 
 
 def test_norton_reducible_without_a_witness_is_an_error(monkeypatch):
@@ -964,9 +1101,15 @@ def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     octo = field_algebra(Q)
     for mu in (-1, -1, -1):
         octo, _ = cayley_double(octo, mu)
-    for alg in (matrix_algebra(Q, 2), octo):
-        v = is_simple(alg, trials=25)
-        assert v == SimplicityVerdict(True, None, "randomized", 25)
+    want = SimplicityVerdict(True, None, "randomized", 25)
+    assert is_simple(matrix_algebra(Q, 2), trials=25) == want
+    # d >= 5: Norton's test proves the reduction irreducible, and the
+    # density test never runs
+    def no_density(*args):
+        raise AssertionError("density test entered")
+    monkeypatch.setattr(algebra, "_density_irreducible", no_density)
+    for alg in (random_unital_algebra(Q, 5, random.Random(1)), octo):
+        assert is_simple(alg, trials=25) == want
     # all six subspaces of the octonions have rank 1 mod P: no solve over Q
     blocks = algebra._nucleus_blocks
     monkeypatch.setattr(algebra, "_nucleus_blocks", lambda alg: (
@@ -975,6 +1118,65 @@ def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     unit_line = Subspace.span(Q, 8, [octo.unit])
     assert nucleus_and_center(octo) == algebra.CentralSubspaces(*[unit_line] * 6)
     assert not is_associative(octo)
+
+
+def test_undecided_reduction_falls_back_to_the_density_test(monkeypatch):
+    # Norton's test decides all five reductions; on T_3(F_P) the kernel
+    # of every draw at the planted eigenvalue 0 is too large, and an
+    # eigenvalue from the root finder decides it.  With `_min_poly_roots`
+    # stubbed to [] only 0 is left, so the density test decides T_3; with
+    # no draw at all it decides every one; and every verdict is the same
+    algs = [random_unital_algebra(Q, d, random.Random(d)) for d in (5, 6, 8)]
+    algs += [upper_triangular(Q, 3),
+             tensor_algebra(matrix_algebra(Q, 2), quadratic_q(3))]
+    with mock.patch.object(algebra, "_density_irreducible",
+                           wraps=algebra._density_irreducible) as spy:
+        want = [algebra._reduction_irreducible(alg, ()) for alg in algs]
+    assert want == [True, True, True, False, True] and not spy.called
+    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    with mock.patch.object(algebra, "_density_irreducible",
+                           wraps=algebra._density_irreducible) as spy:
+        assert [algebra._reduction_irreducible(alg, ()) for alg in algs] == want
+        assert [c.args[0] for c in spy.call_args_list] == [algs[3]._reduced]
+        monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
+        assert [algebra._reduction_irreducible(alg, ()) for alg in algs] == want
+    assert spy.call_count == 1 + len(algs)
+
+
+@st.composite
+def q_reduction_cases(draw):
+    """An algebra over Q of dimension 5 to 8 and maybe its involution, for
+    its reduction mod P: random unital algebras; T_3(Q), reducible though
+    its center is Q; M_2(Q) (x) Q[x]/(x^2 - c), whose reduction has
+    commutant F_{P^2} or F_P x F_P as c is a non-square mod P or not; and
+    Cayley doubles of dimension 8, at small nonzero mu."""
+    kind = draw(st.sampled_from(["random", "triangular", "matrix", "double"]))
+    if kind == "random":
+        return random_unital_algebra(Q, draw(st.integers(5, 8)),
+                                     draw(st.randoms(use_true_random=False))), ()
+    if kind == "triangular":
+        return upper_triangular(Q, 3), ()
+    if kind == "matrix":
+        c = draw(st.integers(-6, 6).filter(lambda c: c not in (0, 1, 4)))
+        return tensor_algebra(matrix_algebra(Q, 2), quadratic_q(c)), ()
+    alg = field_algebra(Q)
+    small = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                      st.integers(1, 6))
+    for mu in draw(st.lists(small, min_size=3, max_size=3)):
+        alg, _ = cayley_double(alg, mu)
+    return alg, draw(st.sampled_from([(), (alg.involution,)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q_reduction_cases())
+def test_reduction_norton_agrees_with_the_density_test(case):
+    alg, maps = case
+    red = alg._reduced
+    gens = algebra._np_generators(
+        red, [linalg.coerce_matrix(red.field, m, red.dim) for m in maps])
+    verdict = algebra._norton_irreducible(red, gens)
+    if verdict is not None:
+        assert verdict == algebra._density_irreducible(red, gens)
 
 
 # -- over Q: the contractions on cleared denominators against the loops ----------

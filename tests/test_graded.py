@@ -218,7 +218,7 @@ def test_undecided_norton_within_d_squared_falls_back_to_the_sweep(monkeypatch):
     # 14 homogeneous points at d = 6: past d, so Norton's test runs, but
     # not past d^2, so when no draw decides the sweep does, not the density
     # test
-    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
     with mock.patch.object(algebra, "_density_irreducible",
                            wraps=algebra._density_irreducible) as density, \
             mock.patch.object(algebra, "_norton_irreducible",
@@ -263,8 +263,8 @@ def twisted_product(t, twist, group, sign):
 def test_thirty_two_homogeneous_points_go_to_norton(monkeypatch):
     # F_9 x| C2xC4 with the Galois twist and F_3 x F_3 x| D4 with the swap:
     # d = 16 and 32 homogeneous points, past d, so Norton's test proves
-    # them graded simple without a sweep point; with every draw undecided
-    # the sweep gives the same verdict
+    # them graded simple without a sweep point; with no draw, Norton's test
+    # undecided, the sweep gives the same verdict
     ext = quadratic_field_extension(F3)
     cases = [twisted_product(ext, ext.involution, *TWISTED_GROUPS[4]),
              twisted_product(product_algebra(F3, 2), swap_matrix(F3),
@@ -274,7 +274,7 @@ def test_thirty_two_homogeneous_points_go_to_norton(monkeypatch):
         mp.setattr(algebra, "projective_walk",
                    walk_without_points(projective_walk))
         assert [is_graded_simple(*case) for case in cases] == [want, want]
-    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+    monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
     assert [is_graded_simple(*case) for case in cases] == [want, want]
 
 

@@ -56,6 +56,15 @@ def test_replay_kinds_times_each_kind():
     assert all(seconds > 0 for seconds in out.values())
 
 
+def test_replay_kinds_splits_algebra_requests_by_dimension():
+    out = json.loads(run_script(["replay_kinds.py", "--workload", "rationals",
+                                 "--rounds", "1", "--passes", "1",
+                                 "--by-dim"]))
+    assert sorted(out) == ["algebra d=3", "algebra d=4", "algebra d=5",
+                           "algebra d=8"]
+    assert all(seconds > 0 for seconds in out.values())
+
+
 def bench_pair():
     spec = importlib.util.spec_from_file_location(
         "bench_pair", ROOT / "scripts" / "bench_pair.py")
