@@ -32,9 +32,9 @@ from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      np_mod, projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
-# prime below 2^25, so Norton's test runs in int64 up to d = 8192 and the
-# density test up to d = 90; Norton's test finds its eigenvalues in time
-# polynomial in log P, where a scan of F_P would visit 2^25 elements.
+# prime below 2^25, so Norton's test runs in int64 up to d = 8192; it finds
+# its eigenvalues in time polynomial in log P, where a scan of F_P would
+# visit 2^25 elements.
 REDUCTION_FIELD = FieldSpec(33554393)
 
 
@@ -521,25 +521,22 @@ def _np_generators(alg: Algebra, maps=()) -> np.ndarray:
     return np.concatenate([alg._np_ops, _np_vectors(alg, maps)[0]])
 
 
-def _spin(rows: np.ndarray, gens: np.ndarray, target: int, p: int):
+def _spin(rows: np.ndarray, gens: np.ndarray, p: int):
     """The frontier spin of the MeatAxe (Parker 1984; Holt & Rees 1994) over
-    F_p: the span of `rows` under the stack `gens` of d x d matrices, where
-    a row of width d c is a d x c matrix that each generator multiplies on
-    the left (c = 1 for vectors, c = d for operators).  It stops once the
-    span reaches dimension `target` or stops growing.  Each round maps only
-    the rows that the last round added, reduced against the echelon so
-    far, so one `np_rref` call per round sees only the new directions.
-    Returns the RREF rows in pivot order and their pivots.  An entry of the
-    reduction sums one residue product per pivot, at most one per column:
-    inside `np_dtype` for a closure, `_norton_fits` for the spins of
-    Norton's test, `_density_fits` for the density test."""
+    F_p: the span of the vectors `rows` under the stack `gens` of d x d
+    matrices.  It stops once the span is all of F_p^d or stops growing.
+    Each round maps only the rows that the last round added, reduced
+    against the echelon so far, so one `np_rref` call per round sees only
+    the new directions.  Returns the RREF rows in pivot order and their
+    pivots.  An entry of the reduction sums one residue product per pivot,
+    at most one per column: inside `np_dtype` for a closure, and
+    `_norton_fits` for the spins of Norton's test."""
     from .linalg import np_rref
-    d, width = gens.shape[1], rows.shape[1]
+    d = gens.shape[1]
     ech, piv = np_rref(rows, p)
     frontier = ech
-    while len(ech) < target:
-        prods = gens @ frontier.reshape(-1, 1, d, width // d)
-        prods = prods.reshape(-1, width) % p
+    while len(ech) < d:
+        prods = (gens @ frontier[:, None, :, None]).reshape(-1, d) % p
         new, npiv = np_rref(prods - prods[:, piv] @ ech, p)
         if not len(new):
             break
@@ -551,10 +548,10 @@ def _spin(rows: np.ndarray, gens: np.ndarray, target: int, p: int):
 
 def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
     """The least subspace containing the seeds that every generator in the
-    stack maps into itself: `_spin` of the seeds, up to dimension d."""
+    stack maps into itself: `_spin` of the seeds."""
     rows = np.array([[int(c) for c in v] for v in seeds],
                     dtype=gens.dtype).reshape(-1, alg.dim)
-    return _spin(rows, gens, alg.dim, alg.field.p)
+    return _spin(rows, gens, alg.field.p)
 
 
 def _closure_echelon(alg: Algebra, seeds, maps=()):
@@ -613,11 +610,6 @@ def random_element(alg: Algebra, rng: random.Random) -> Vec:
     return alg.basis_vector(0)
 
 
-def _density_fits(p: int, d: int) -> bool:
-    """int64 holds the products of `_density_irreducible` over F_p."""
-    return d * d * (p - 1) ** 2 < 2 ** 63
-
-
 def _norton_fits(p: int, d: int) -> bool:
     """int64 holds the products of `_norton_irreducible` over F_p: sums of
     d residue products, on vectors and matrices of width d."""
@@ -669,27 +661,8 @@ def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
     return k
 
 
-def _density_irreducible(alg: Algebra, gens: np.ndarray) -> bool:
-    """Jacobson density test over F_p (Holt & Rees, "Testing modules for
-    irreducibility", 1994): A is irreducible under the associative algebra M
-    generated by the stack `gens` (from `_np_generators`) exactly when the
-    commutant C = End_M(A) is a division algebra of dimension k and
-    dim M = d^2 / k, that is M = End_C(A).  M is the `_spin` of the
-    identity matrix under the generators, the loop that closes ideals, here
-    on d x d matrices flattened to rows.  Needs d^2 (p - 1)^2 < 2^63, the
-    bound of the int64 products of that spin."""
-    p, d = alg.field.p, alg.dim
-    k = _commutant_field(alg, gens)
-    if k is None:
-        return False
-    target = d * d // k
-    span, _ = _spin(np.eye(d, dtype=np.int64).reshape(1, d * d), gens,
-                    target, p)
-    return len(span) == target
-
-
-# draws before Norton's test gives up; then the density test or the
-# sweep decides
+# draws before Norton's test gives up; then the sweep decides over F_p,
+# and sampling over Q
 NORTON_DRAWS = 16
 
 
@@ -808,9 +781,11 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     `_min_poly_roots`, at a cost polynomial in log p and d.  The draws
     x <- x y + y, y a random combination of the generators, and the
     vectors come from a fixed seed, so the answer is deterministic.  Needs
-    d (p - 1)^2 < 2^63 (`_norton_fits`)."""
+    d (p - 1)^2 < 2^63 (`_norton_fits`), and is None past it."""
     from .linalg import np_kernel
     p, d = alg.field.p, alg.dim
+    if not _norton_fits(p, d):
+        return None
     gens = np.asarray(gens, dtype=np.int64)
     k = _commutant_field(alg, gens)
     if k is None:
@@ -828,7 +803,7 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
 
     def dual_spin_full(shifted):
         dual = np_kernel(shifted.T, p)
-        return len(_spin(dual[:1], transposes, d, p)[0]) == d
+        return len(_spin(dual[:1], transposes, p)[0]) == d
 
     x = draw()
     for _ in range(NORTON_DRAWS):
@@ -845,27 +820,10 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
             null = np_kernel(shifted, p)
             if len(null) != k:
                 continue
-            if len(_spin(null[:1], gens, d, p)[0]) < d:
+            if len(_spin(null[:1], gens, p)[0]) < d:
                 return False
             return dual_spin_full(shifted)
     return None
-
-
-def _irreducible(alg: Algebra, gens: np.ndarray,
-                 density: bool = True) -> bool | None:
-    """Whether A over F_p is irreducible under the associative algebra
-    generated by the stack `gens`; None when undecided.  Norton's test
-    runs for d >= 5, and the density test, when `density` allows it, for
-    d <= 4, where it is the cheaper one, and when Norton's test is
-    undecided; each only where int64 holds its products (`_norton_fits`,
-    `_density_fits`)."""
-    p, d = alg.field.p, alg.dim
-    verdict = None
-    if d >= 5 and _norton_fits(p, d):
-        verdict = _norton_irreducible(alg, gens)
-    if verdict is None and density and _density_fits(p, d):
-        verdict = _density_irreducible(alg, gens)
-    return verdict
 
 
 def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
@@ -874,27 +832,29 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     the L_{e_j}, R_{e_j} and the extra maps?  The sweep is the
     `projective_walk` of the subspaces, refused past the budget before
     anything runs.
-    Once the sweep would visit more than d points, `_irreducible` decides
-    first, the one test of irreducibility that the reduction of an algebra
-    over Q runs too: Norton's test for d >= 5, and past d^2 points the
-    density test, for d <= 4 and when Norton's test is undecided.  An
-    irreducible A is then decided without the sweep, which otherwise runs
-    to name the same first witness.  The crossover is measured: on the
-    graded crossed products of H and M_2 by C2, C3 and C4 over F_3
-    (d = 8 to 16), one Norton call, its draws planting the eigenvalue 0,
-    costs about as much as 1.4-3.5 closures of the sweep (median 2.6;
-    2.4-7.1 before the planted draws).  The gate at d
-    points was set when it cost 8-10: a reducible A pays for the test and
-    for the sweep, so sweeps of up to d points, as of crossed products with
-    a one-dimensional T, run alone."""
+    Past the gate below, `_norton_irreducible` decides first, the one test
+    of irreducibility, which the reduction of an algebra over Q runs too.
+    An irreducible A is then decided without the sweep, which otherwise
+    runs, also when no draw decides, to name the same first witness.  The
+    crossover is measured: on the graded crossed products of H and M_2 by
+    C2, C3 and C4 over F_3 (d = 8 to 16), one Norton call, its draws
+    planting the eigenvalue 0, costs about as much as 1.4-3.5 closures of
+    the sweep (median 2.6; 2.4-7.1 before the planted draws).  The gate at
+    d points was set when it cost 8-10."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     d = alg.dim
     total, points = projective_walk(spaces, budget, what)
     gens = _np_generators(alg, maps)
     irreducible = None
-    if total > d:
-        irreducible = _irreducible(alg, gens, density=total > d * d)
+    # A reducible A pays for the test and for the sweep, so short sweeps
+    # run alone: up to d points, as of crossed products with a
+    # one-dimensional T, and at d <= 4 up to d^2 points.  The second bound
+    # keeps the smallest requests on the sweep alone; the benchmark's tests
+    # pin the eliminations of the group algebra of C2 over F_2 (d = 2, 3
+    # points).  Whether a lower gate pays at d <= 4 is not measured.
+    if total > (d if d >= 5 else d * d):
+        irreducible = _norton_irreducible(alg, gens)
     if irreducible:
         return SimplicityVerdict(True, None, "exact", total)
     for checked, pt in enumerate(points, 1):
@@ -907,10 +867,9 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
 
 
 def _reduction_irreducible(alg: Algebra, maps) -> bool:
-    """Whether `_irreducible`, the test that exact verdicts run, proves the
-    reduction mod P of A over Q, with the maps reduced too, irreducible:
-    Norton's test for d >= 5, the density test for d <= 4 and when no draw
-    of Norton's test decides.  True proves A simple under the maps (see
+    """Whether `_norton_irreducible`, the test that exact verdicts run,
+    proves the reduction mod P of A over Q, with the maps reduced too,
+    irreducible.  True proves A simple under the maps (see
     `Algebra._reduced`); False, reducible or undecided, settles nothing.
     Maps with a denominator divisible by P do not reduce, and give
     False."""
@@ -921,7 +880,7 @@ def _reduction_irreducible(alg: Algebra, maps) -> bool:
         maps = [coerce_matrix(red.field, m, red.dim) for m in maps]
     except ZeroDivisionError:
         return False
-    return _irreducible(red, _np_generators(red, maps)) is True
+    return _norton_irreducible(red, _np_generators(red, maps)) is True
 
 
 def simple_under(alg: Algebra, maps=(),
@@ -938,11 +897,11 @@ def sample_simple(alg: Algebra, maps=(), trials: int = 1000,
                   seed: int = 0) -> SimplicityVerdict:
     """Randomized verdict: samples can only refute or report
     no-counterexample.  Over Q it first tests the reduction mod P
-    (`_reduction_irreducible`: Norton's test for d >= 5, the density test
-    for d <= 4); an irreducible reduction proves A simple, and every
-    sample would find a full closure, so the verdict is the "randomized"
-    simple one with `checked = trials`, drawn without sampling.  Otherwise,
-    and always over F_p, the samples are drawn."""
+    (`_reduction_irreducible`, Norton's test at every d); an irreducible
+    reduction proves A simple, and every sample would find a full closure,
+    so the verdict is the "randomized" simple one with `checked = trials`,
+    drawn without sampling.  Otherwise, and always over F_p, the samples
+    are drawn."""
     if _reduction_irreducible(alg, maps):
         return SimplicityVerdict(True, None, "randomized", trials)
     rng = random.Random(seed)

@@ -7,6 +7,7 @@ tuples of those, which keeps every computation exact.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,9 @@ from typing import Union
 from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
+
+# a scalar string: an ASCII integer or ratio of integers, each signed
+SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 def parse_int(text: str, error: type = ValidationError) -> int:
@@ -118,16 +122,24 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def parse(self, text: str) -> Scalar:
-        """Parse "2" or "-1/3" style scalar strings."""
+        """Parse "2" or "-1/3" style scalar strings: ASCII digits with an
+        optional sign, and optionally "/" and a signed denominator, around
+        which only `str.strip` whitespace may stand.  Python's `int` would
+        also take "1_000", inner spaces and non-ASCII digits; these are
+        refused.  A ratio becomes one Fraction over Q and one residue
+        division over F_p."""
         text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.div(self.coerce(parse_int(num)),
-                                self.coerce(parse_int(den)))
-            return self.coerce(parse_int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad scalar {text!r}: {exc}") from None
+        match = SCALAR.fullmatch(text)
+        if match is None:
+            raise ValidationError(f"bad scalar {text!r}: expected an integer "
+                                  "or a ratio of integers")
+        num, den = match.groups()
+        num, den, p = parse_int(num), parse_int(den or "1"), self.p
+        if not (den if p is None else den % p):
+            raise ValidationError(f"bad scalar {text!r}: inverse of zero")
+        if p is None:
+            return Fraction(num, den)
+        return num * pow(den, -1, p) % p
 
     def format(self, x: Scalar) -> str:
         return str(x)

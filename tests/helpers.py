@@ -907,6 +907,27 @@ def min_poly_roots_by_scan(x, v, p):
     return roots
 
 
+def density_irreducible(alg, gens):
+    """The Jacobson density test over F_p (Holt & Rees, "Testing modules
+    for irreducibility", 1994), the oracle of Norton's test where no sweep
+    is possible: A is irreducible under the associative algebra M generated
+    by the stack `gens` exactly when the commutant C = End_M(A) is a
+    division algebra of dimension k and dim M = d^2 / k, that is
+    M = End_C(A).  M is the `algebra._spin` of the identity matrix, d x d
+    matrices flattened to rows, under left multiplication by each
+    generator g, the d^2 x d^2 matrix kron(g, I).  int64 holds its
+    products while d^2 (p - 1)^2 < 2^63."""
+    p, d = alg.field.p, alg.dim
+    assert d * d * (p - 1) ** 2 < 2 ** 63
+    k = algebra._commutant_field(alg, gens)
+    if k is None:
+        return False
+    eye = np.eye(d, dtype=np.int64)
+    ops = np.array([np.kron(g, eye) for g in np.asarray(gens, dtype=np.int64)])
+    span, _ = algebra._spin(eye.reshape(1, d * d), ops, p)
+    return len(span) == d * d // k
+
+
 # (module, name, loop): patched in together, they run the library on the
 # loops in place of the contractions
 LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),

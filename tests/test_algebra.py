@@ -23,7 +23,7 @@ from gradix.algebra import (Algebra, SimplicityVerdict, associator,
 from gradix.catalog import (field_algebra, frobenius_matrix, group_algebra,
                             matrix_algebra, octonions, product_algebra,
                             quadratic_field_extension, quaternions,
-                            truncated_dual)
+                            swap_matrix, truncated_dual)
 from gradix.cayley import cayley_double, is_star_simple
 from gradix.crossed import (build_crossed_product, crossed_center,
                             trivial_system, validate_crossed_system)
@@ -37,7 +37,8 @@ from helpers import (NONZERO_Q, associator_defect_loop, closure_loop,
                      commutant_field_loop, conjugation_matrix,
                      extension_field, fixed_center_loop, fixed_subspace,
                      intersect, inverse_system_loop, left_by_basis, mat_mul,
-                     min_poly_roots_by_scan, nuclear_mask_loop,
+                     density_irreducible, min_poly_roots_by_scan,
+                     nuclear_mask_loop,
                      nucleus_blocks_loop, points,
                      product_mismatch_loop,
                      product_table_loop, product_with_swap,
@@ -297,7 +298,8 @@ def test_simple_under_invariant_maps():
 
 
 def sweep_verdict(alg, maps=()):
-    """The projective sweep alone: the reference for the density test."""
+    """The projective sweep alone: the reference for Norton's test and for
+    the density test of `helpers`."""
     checked = 0
     for pt in projective_points(alg.field.p, alg.dim):
         checked += 1
@@ -307,9 +309,14 @@ def sweep_verdict(alg, maps=()):
 
 
 def assert_density_matches_sweep(alg, maps=()):
+    """The sweep's verdict is that of the density test, the oracle of
+    Norton's test at P, of Norton's test where it decides, and of
+    `simple_under`."""
     ref = sweep_verdict(alg, maps)
     gens = algebra._np_generators(alg, maps)
-    assert algebra._density_irreducible(alg, gens) == ref.simple
+    assert density_irreducible(alg, gens) == ref.simple
+    norton = algebra._norton_irreducible(alg, gens)
+    assert norton is None or norton == ref.simple
     assert simple_under(alg, maps=maps) == ref
 
 
@@ -409,23 +416,26 @@ def test_norton_verdicts_match_sweep(case):
     assert spy.call_count == 1
 
 
-def test_undecided_norton_falls_back_to_the_density_test(monkeypatch):
-    # no draw: Norton's test is undecided; past d^2 points the density test
-    # runs, and a reducible A goes on to the sweep, which gives the
-    # verdict, witness and checked included
+def test_undecided_norton_falls_back_to_the_sweep(monkeypatch):
+    # no draw: Norton's test is undecided, at d >= 5 past d points and at
+    # d <= 4 past d^2, and the sweep gives the verdict, witness and checked
+    # included
     monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
     cases = [(random_unital_algebra(F2, 5, random.Random(0)), ()),
              (upper_triangular(F3, 3), ()),
-             (product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),))]
+             (product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),)),
+             (quaternions(F3)[0], ()),
+             (random_unital_algebra(F3, 3, random.Random(1)), ()),
+             (product_algebra(F3, 3), (permutation_matrix([1, 2, 0]),))]
     for alg, maps in cases:
         gens = algebra._np_generators(alg, maps)
         assert algebra._norton_irreducible(alg, gens) is None
-        with mock.patch.object(algebra, "_density_irreducible",
-                               wraps=algebra._density_irreducible) as spy:
+        with mock.patch.object(algebra, "_norton_irreducible",
+                               wraps=algebra._norton_irreducible) as spy:
             assert simple_under(alg, maps) == sweep_verdict(alg, maps)
         assert spy.call_count == 1
     assert [simple_under(alg, maps).simple for alg, maps in cases] == \
-        [True, False, True]
+        [True, False, True, True, False, True]
 
 
 def test_min_poly_roots_scan_every_block_of_the_field():
@@ -541,7 +551,7 @@ def test_planted_eigenvalue_proves_reducible(monkeypatch):
         gens = algebra._np_generators(alg)
         assert algebra._commutant_field(alg, gens) == 1
         assert algebra._norton_irreducible(alg, gens) is False
-        assert not algebra._density_irreducible(alg, gens)
+        assert not density_irreducible(alg, gens)
         assert not sweep_verdict(alg).simple
 
 
@@ -571,7 +581,7 @@ def test_norton_agrees_with_the_density_test(case):
     gens = algebra._np_generators(alg, maps)
     verdict = algebra._norton_irreducible(alg, gens)
     if verdict is not None:
-        assert verdict == algebra._density_irreducible(alg, gens)
+        assert verdict == density_irreducible(alg, gens)
 
 
 def test_norton_reducible_without_a_witness_is_an_error(monkeypatch):
@@ -580,17 +590,28 @@ def test_norton_reducible_without_a_witness_is_an_error(monkeypatch):
         simple_under(product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),))
 
 
-def test_small_dimensions_keep_the_density_test(monkeypatch):
-    # d <= 4: past d^2 points the density test decides, never Norton's
+def test_small_dimensions_run_norton_past_d_squared(monkeypatch):
+    # d <= 4: past d^2 points Norton's test decides, and the F_19
+    # quaternions are simple without a closure of the sweep
     def refuse(*args):
-        raise AssertionError("Norton's test entered")
-    monkeypatch.setattr(algebra, "_norton_irreducible", refuse)
+        raise AssertionError("entered")
     h = quaternions(prime_field(19))[0]
-    with mock.patch.object(algebra, "_density_irreducible",
-                           wraps=algebra._density_irreducible) as spy:
-        assert simple_under(h) == SimplicityVerdict(True, None, "exact", 7240)
-        assert is_star_simple(h) == SimplicityVerdict(True, None, "exact", 7240)
-    assert spy.call_count == 2
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra, "_closure_np", refuse)
+        with mock.patch.object(algebra, "_norton_irreducible",
+                               wraps=algebra._norton_irreducible) as spy:
+            assert simple_under(h) == SimplicityVerdict(True, None, "exact",
+                                                        7240)
+            assert is_star_simple(h) == SimplicityVerdict(True, None, "exact",
+                                                          7240)
+        assert spy.call_count == 2
+    # up to d^2 points the sweep runs alone: the 3 of the group algebra of
+    # C2 over F_2, the 4 of F_3 x F_3 and the 7 of F_2^3 with a 3-cycle
+    monkeypatch.setattr(algebra, "_norton_irreducible", refuse)
+    cases = [(group_algebra(F2, cyclic(2))[0], ()), (product_algebra(F3, 2), ()),
+             (product_algebra(F2, 3), (permutation_matrix([1, 2, 0]),))]
+    for alg, maps in cases:
+        assert simple_under(alg, maps) == sweep_verdict(alg, maps)
 
 
 @st.composite
@@ -684,14 +705,24 @@ def test_is_simple_and_the_sampler_agree_with_simple_under(case, seed):
         assert not exact.simple
 
 
-def test_huge_prime_skips_density(monkeypatch):
-    # d^2 (p - 1)^2 >= 2^63: the sweep alone decides, and finds e2 first
-    def refuse(alg, maps=()):
-        raise AssertionError("density test entered")
-    monkeypatch.setattr(algebra, "_density_irreducible", refuse)
-    alg = product_algebra(prime_field(2 ** 31 - 1), 2)
+def test_huge_prime_runs_norton_at_d_2(monkeypatch):
+    # p = 2^31 - 1, d = 2: d (p - 1)^2 < 2^63, so Norton's test runs in
+    # int64.  It finds F_p x F_p reducible, and the sweep then finds e2
+    # first; with the swap, and for F_{p^2}, it proves A simple without a
+    # closure of the sweep's 2^31 points
+    f = prime_field(2 ** 31 - 1)
+    alg = product_algebra(f, 2)
+    gens = algebra._np_generators(alg)
+    assert algebra._norton_irreducible(alg, gens) is False
     v = is_simple(alg, budget=2 ** 31)
     assert (v.simple, v.witness, v.checked) == (False, (0, 1), 1)
+
+    def refuse(*args):
+        raise AssertionError("sweep entered")
+    monkeypatch.setattr(algebra, "_closure_np", refuse)
+    want = SimplicityVerdict(True, None, "exact", f.p + 1)
+    assert simple_under(alg, (swap_matrix(f),), budget=2 ** 31) == want
+    assert simple_under(quadratic_field_extension(f), budget=2 ** 31) == want
 
 
 def test_randomized_mode_deterministic_and_consistent():
@@ -1080,7 +1111,7 @@ def test_degenerate_reduction_falls_back(monkeypatch):
     field_q = quadratic_q(P)
     red = field_q._reduced
     assert red is not None and red.mult == truncated_dual(red.field).mult
-    assert not algebra._density_irreducible(red, algebra._np_generators(red))
+    assert algebra._norton_irreducible(red, algebra._np_generators(red)) is False
     assert is_simple(field_q, trials=10) == SimplicityVerdict(
         True, None, "randomized", 10)
     # x y = P x: associative and commutative mod P, neither over Q
@@ -1101,14 +1132,11 @@ def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     octo = field_algebra(Q)
     for mu in (-1, -1, -1):
         octo, _ = cayley_double(octo, mu)
+    # Norton's test proves each reduction irreducible, at d = 4 as at
+    # d >= 5
     want = SimplicityVerdict(True, None, "randomized", 25)
-    assert is_simple(matrix_algebra(Q, 2), trials=25) == want
-    # d >= 5: Norton's test proves the reduction irreducible, and the
-    # density test never runs
-    def no_density(*args):
-        raise AssertionError("density test entered")
-    monkeypatch.setattr(algebra, "_density_irreducible", no_density)
-    for alg in (random_unital_algebra(Q, 5, random.Random(1)), octo):
+    for alg in (matrix_algebra(Q, 2),
+                random_unital_algebra(Q, 5, random.Random(1)), octo):
         assert is_simple(alg, trials=25) == want
     # all six subspaces of the octonions have rank 1 mod P: no solve over Q
     blocks = algebra._nucleus_blocks
@@ -1120,27 +1148,33 @@ def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     assert not is_associative(octo)
 
 
-def test_undecided_reduction_falls_back_to_the_density_test(monkeypatch):
+def test_undecided_reduction_falls_back_to_sampling(monkeypatch):
     # Norton's test decides all five reductions; on T_3(F_P) the kernel
     # of every draw at the planted eigenvalue 0 is too large, and an
     # eigenvalue from the root finder decides it.  With `_min_poly_roots`
-    # stubbed to [] only 0 is left, so the density test decides T_3; with
-    # no draw at all it decides every one; and every verdict is the same
+    # stubbed to [] only 0 is left, and T_3 is undecided, which proves no
+    # more than reducible does; with no draw at all every reduction is
+    # undecided, and sampling gives the same verdicts
     algs = [random_unital_algebra(Q, d, random.Random(d)) for d in (5, 6, 8)]
     algs += [upper_triangular(Q, 3),
              tensor_algebra(matrix_algebra(Q, 2), quadratic_q(3))]
-    with mock.patch.object(algebra, "_density_irreducible",
-                           wraps=algebra._density_irreducible) as spy:
-        want = [algebra._reduction_irreducible(alg, ()) for alg in algs]
-    assert want == [True, True, True, False, True] and not spy.called
-    monkeypatch.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
-    with mock.patch.object(algebra, "_density_irreducible",
-                           wraps=algebra._density_irreducible) as spy:
-        assert [algebra._reduction_irreducible(alg, ()) for alg in algs] == want
-        assert [c.args[0] for c in spy.call_args_list] == [algs[3]._reduced]
-        monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
-        assert [algebra._reduction_irreducible(alg, ()) for alg in algs] == want
-    assert spy.call_count == 1 + len(algs)
+    reds = [alg._reduced for alg in algs]
+    gens = [algebra._np_generators(red) for red in reds]
+    assert [algebra._reduction_irreducible(alg, ()) for alg in algs] == \
+        [True, True, True, False, True]
+    want = [sample_simple(alg, trials=10) for alg in algs]
+    assert [v.simple for v in want] == [True, True, True, False, True]
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
+        assert [algebra._norton_irreducible(red, g)
+                for red, g in zip(reds, gens)] == [True, True, True, None, True]
+    monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
+    assert all(algebra._norton_irreducible(red, g) is None
+               for red, g in zip(reds, gens))
+    with mock.patch.object(algebra, "_closure_echelon",
+                           wraps=algebra._closure_echelon) as spy:
+        assert [sample_simple(alg, trials=10) for alg in algs] == want
+    assert spy.call_count == 3 * 10 + want[3].checked + 10
 
 
 @st.composite
@@ -1176,7 +1210,7 @@ def test_reduction_norton_agrees_with_the_density_test(case):
         red, [linalg.coerce_matrix(red.field, m, red.dim) for m in maps])
     verdict = algebra._norton_irreducible(red, gens)
     if verdict is not None:
-        assert verdict == algebra._density_irreducible(red, gens)
+        assert verdict == density_irreducible(red, gens)
 
 
 # -- over Q: the contractions on cleared denominators against the loops ----------
@@ -1384,8 +1418,8 @@ def test_reduction_refuses_a_denominator_of_P_and_drops_a_constant_P():
 
 def test_randomized_mode_over_fp_samples(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("density test entered")
-    monkeypatch.setattr(algebra, "_density_irreducible", refuse)
+        raise AssertionError("Norton's test entered")
+    monkeypatch.setattr(algebra, "_norton_irreducible", refuse)
     v = sample_simple(matrix_algebra(F3, 2), trials=30)
     assert v == SimplicityVerdict(True, None, "randomized", 30)
 

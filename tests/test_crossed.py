@@ -213,7 +213,7 @@ def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
     # H x| C4 over F_3: the product's center has rank 4, and the graded
     # verdict's commutant imposes the four component projections on it in
     # one kernel, one np_rref; nothing is solved for the L_{e_j}, R_{e_j}.
-    # The density test of G-simplicity finds the center of H to be the unit
+    # Norton's test of G-simplicity finds the center of H to be the unit
     # line, and solves nothing at all.
     kind, text = CASES["crossed_h_c4_sign"]
     rrefs = []

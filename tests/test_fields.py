@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from gradix.errors import ValidationError
 from gradix.fields import PSI_13, _is_prime, prime_field, rationals
 
 F5 = prime_field(5)
+F7 = prime_field(7)
 Q = rationals()
 
 rationals_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -90,3 +92,57 @@ def test_coerce():
     assert Q.coerce(2) == Fraction(2)
     assert Q.coerce("3/4") == Fraction(3, 4)
 
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0/3", "\u0661\u0662", "1/\u0663",
+                                  "\uff11", "1 / 2", "- 1", "1/", "/2", "1/2/3",
+                                  "+", "", "0x10", "1e3", "1.5", "--1"])
+@pytest.mark.parametrize("field", [F5, Q], ids=repr)
+def test_parse_refuses_what_is_not_an_ascii_integer_or_ratio(field, text):
+    # Python's int takes "1_000" as 1000, Arabic-Indic and full-width
+    # digits, and spaces inside a ratio's parts; a scalar string is only
+    # [+-]?[0-9]+(/[+-]?[0-9]+)? after strip()
+    with pytest.raises(ValidationError, match="expected an integer or a "
+                                              "ratio of integers"):
+        field.parse(text)
+
+
+def test_parse_takes_signs_and_outer_whitespace():
+    assert Q.parse(" +3/-6\n") == Fraction(-1, 2)
+    assert Q.parse("-0/5") == 0
+    assert F7.parse("\t-1/-3 ") == 5     # 3 * 5 = 15 = 1 mod 7
+    assert F7.parse("22/4") == 2          # 22 = 1 and 4 * 2 = 8 = 1 mod 7
+
+
+@pytest.mark.parametrize("field, text", [(Q, "1/0"), (F5, "1/0"), (F7, "1/7"),
+                                         (F7, "3/-14"), (Q, "2/-0")])
+def test_parse_names_a_zero_denominator(field, text):
+    with pytest.raises(ValidationError) as err:
+        field.parse(text)
+    assert str(err.value) == f"bad scalar {text!r}: inverse of zero"
+
+
+def test_parse_builds_one_fraction_over_q(monkeypatch):
+    # a ratio over Q is one Fraction, already in lowest terms
+    from gradix import fields
+    built = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+    monkeypatch.setattr(fields, "Fraction", Spy)
+    assert Q.parse("-6/4") == Fraction(-3, 2)
+    assert built == [(-6, 4)]
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integers of any length")
+@pytest.mark.parametrize("text", ["1" * 5_000, "1/" + "1" * 5_000,
+                                  "-" + "2" * 5_000 + "/3"])
+def test_parse_names_the_digit_count_past_the_limit(text):
+    with pytest.raises(ValidationError) as err:
+        Q.parse(text)
+    assert str(err.value) == (
+        "integer of 5000 digits is over the limit of "
+        f"{sys.get_int_max_str_digits()} digits for integer string conversion")

@@ -1,7 +1,10 @@
 """Every name that a module of the package or of `scripts/` imports is used
-in that module.  CI runs no linter, and a change that removes the last use
-of a helper would otherwise leave its import behind.  The package's
-`__init__.py` is exempt: its imports are the public names it re-exports."""
+in that module, and every private name that a module of the package defines
+is read by the package.  CI runs no linter, and a change that removes the
+last use of a helper would otherwise leave its import, or the helper
+itself, behind; code that only tests use belongs in `tests/helpers.py`.
+The package's `__init__.py` is exempt from the first check: its imports are
+the public names it re-exports."""
 
 import ast
 from pathlib import Path
@@ -9,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = [path for path in sorted((ROOT / "src" / "gradix").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gradix").glob("*.py"))
+MODULES = [path for path in PACKAGE
            if path.name != "__init__.py"] + sorted((ROOT / "scripts").glob("*.py"))
 
 
@@ -38,3 +42,63 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _read(node: ast.AST) -> set[str]:
+    """The names a statement reads: loaded names, attributes, and the names
+    a `from` import takes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(a.name for a in sub.names)
+    return out
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """The private names ("_x", not dunders) defined at the top level of a
+    module of `sources`, as "module.name", that no module reads outside
+    the definition itself; a function that only calls itself is unread."""
+    trees = {name: ast.parse(text).body for name, text in sources.items()}
+    reads = {name: [_read(node) for node in body]
+             for name, body in trees.items()}
+    unread = []
+    for module, body in trees.items():
+        for i, node in enumerate(body):
+            for name in filter(_is_private, _defined(node)):
+                if not any(name in r for m, rs in reads.items()
+                           for j, r in enumerate(rs) if (m, j) != (module, i)):
+                    unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_the_checker_finds_an_unread_private_name():
+    sources = {"a": ("_LIMIT = 3\n_SPARE = 4\n__version__ = '1'\n"
+                     "def _grow(n):\n    return _grow(n - 1) if n else 0\n"
+                     "def _shrink(n):\n    return n - _LIMIT\n"
+                     "class _Box:\n    pass\n"),
+               "b": ("from .a import _Box\nfrom . import a\n"
+                     "def f():\n    return a._shrink(1), _Box\n")}
+    assert unread_privates(sources) == ["a._SPARE", "a._grow"]
+
+
+def test_every_private_name_is_read_by_the_package():
+    assert unread_privates({p.stem: p.read_text() for p in PACKAGE}) == []
