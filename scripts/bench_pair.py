@@ -17,6 +17,7 @@ BENCHMARK.json, its median and its run values on each side, with the
 parent's quartiles and the number of pairs the change won (better in the
 metric's `better` direction, ties lost).  Every run lasts the
 `run_seconds` of BENCHMARK.json; by default every workload runs 10 pairs.
+A malformed `--pairs` item is refused before git or the harness runs.
 """
 
 import argparse
@@ -92,8 +93,15 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", nargs="*", default=[], metavar="WORKLOAD=N")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    plan = ({w: int(n) for w, n in (x.split("=") for x in args.pairs)} or
-            {w["name"]: 10 for w in bench["workloads"]})
+    names = [w["name"] for w in bench["workloads"]]
+    plan = {}
+    for item in args.pairs:
+        name, _, n = item.partition("=")
+        if name not in names or not (n.isascii() and n.isdigit() and int(n)):
+            ap.error(f"--pairs takes WORKLOAD=N with N >= 1 and WORKLOAD one "
+                     f"of {', '.join(names)}: {item!r}")
+        plan[name] = int(n)
+    plan = plan or {name: 10 for name in names}
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", args.rev], check=True,
                          capture_output=True, text=True).stdout.strip()

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     rounds = dict(ROUNDS)
     for item in args.rounds:
         name, _, n = item.partition("=")
-        if name not in rounds or not n.isdigit():
+        if name not in rounds or not (n.isascii() and n.isdigit()):
             ap.error(f"--rounds takes WORKLOAD=N with WORKLOAD one of "
                      f"{', '.join(rounds)}: {item!r}")
         rounds[name] = int(n)

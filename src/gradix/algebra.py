@@ -32,9 +32,9 @@ from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      np_mod, projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
-# prime below 2^25, so Norton's test runs in int64 up to d = 8192; it finds
-# its eigenvalues in time polynomial in log P, where a scan of F_P would
-# visit 2^25 elements.
+# prime below 2^25, so Norton's test runs in int64 up to d = 8192; its
+# draws plant the eigenvalue 0 and search F_P for none, so a large P costs
+# them nothing.
 REDUCTION_FIELD = FieldSpec(33554393)
 
 
@@ -666,92 +666,6 @@ def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
 NORTON_DRAWS = 16
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int):
-    """(quotient, remainder) of a by the monic b over F_p; polynomials are
-    coefficient lists, lowest degree first, and 0 is []."""
-    a, m = list(a), len(b) - 1
-    q = [0] * max(len(a) - m, 0)
-    for k in range(len(q) - 1, -1, -1):
-        t = q[k] = a[k + m] % p
-        for i, c in enumerate(b):
-            a[k + i] -= t * c
-    return q, _trim([c % p for c in a[:m]])
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd over F_p of two polynomials, not both 0."""
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        a, b = b, _poly_divmod(a, [c * inv % p for c in b], p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _power_mod(a: int, e: int, f: list[int], p: int) -> list[int]:
-    """(X + a)^e mod the monic f over F_p, for e >= 1 and deg f >= 1: the
-    first column of the e-th power of the companion matrix of f plus a,
-    the matrix of multiplication by X + a on F_p[X] / (f), by
-    `np_mat_pow`."""
-    m = len(f) - 1
-    comp = np.zeros((m, m), dtype=np.int64)
-    comp[np.arange(1, m), np.arange(m - 1)] = 1
-    comp[:, -1] = [-c % p for c in f[:m]]
-    comp[np.diag_indices(m)] += a
-    return _trim(np_mat_pow(comp % p, e, p)[:, 0].tolist())
-
-
-def _split_roots(g: list[int], p: int) -> list[int]:
-    """The roots, ascending, of a monic g over F_p that divides X^p - X:
-    the one root if deg g = 1; all of F_p if g = X^p - X, which covers
-    p = 2; otherwise the equal-degree splitting of Cantor & Zassenhaus
-    (Math. Comp. 36, 1981) by gcd(g, (X + a)^((p - 1) / 2) - 1) for
-    a = 0, 1, 2, ...  That gcd collects the roots r with r + a a nonzero
-    square.  For two roots r != s the sum over a of chi(r + a) chi(s + a)
-    is -1 for the quadratic character chi, so some a parts them, and the
-    loop ends."""
-    r = len(g) - 1
-    if r <= 1:
-        return [-g[0] % p] if r else []
-    if r == p:
-        return list(range(p))
-    for a in range(p):
-        h = _power_mod(a, (p - 1) // 2, g, p) or [0]
-        h[0] -= 1
-        part = _poly_gcd(g, h, p)
-        if 0 < len(part) - 1 < r:
-            rest = _poly_divmod(g, part, p)[0]
-            return sorted(_split_roots(part, p) + _split_roots(rest, p))
-    raise AssertionError("no a parts the roots")
-
-
-def _min_poly_roots(x: np.ndarray, v: np.ndarray, p: int) -> list[int]:
-    """The roots in F_p, ascending, of the minimal polynomial f of x on v:
-    X^m - sum_i a_i X^i, where x^m v = sum_i a_i x^i v is the first relation
-    of the Krylov vectors v, x v, ..., x^d v, read off one RREF of them as
-    columns.  Every root is an eigenvalue of x.  The roots are those of
-    g = gcd(f, X^p - X), with X^p mod f found by `_power_mod` in about
-    2 log2(p) products of m x m matrices; `_split_roots` reads them off g.
-    So a draw costs time polynomial in log p and d, not a scan of F_p."""
-    from .linalg import np_rref
-    krylov = [v]
-    for _ in range(len(v)):
-        krylov.append(x @ krylov[-1] % p)
-    red, piv = np_rref(np.stack(krylov, axis=1), p)
-    f = [-int(a) % p for a in red[:, len(piv)]] + [1]
-    if len(f) == 1:
-        return []
-    xp = _power_mod(0, p, f, p) + [0, 0]
-    xp[1] -= 1
-    return _split_roots(_poly_gcd(f, xp, p), p)
-
-
 def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     """Norton's irreducibility test (Parker's MeatAxe, in the form of Holt &
     Rees, "Testing modules for irreducibility", 1994) over F_p: whether A is
@@ -760,28 +674,23 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
 
     The commutant C = End_M(A) must be a field of some dimension k, or a
     singular X in C has a proper invariant kernel (`_commutant_field`); if
-    k = d, A = C is a field and irreducible.  Otherwise draw x in M and find
-    an eigenvalue lambda in F_p of x with dim ker(x - lambda) = k, so that
-    the kernel N = C v is a line over C for any nonzero v in N.  Let U be a
-    proper nonzero invariant subspace.  If U holds some c v, c in C, then
-    c^-1 U is one too and holds v, so the spin of v under the generators is
-    proper.  Otherwise N injects into A / U, where ker(x - lambda) is then
-    at least k-dimensional, so U's annihilator in the dual, invariant under
-    the transposes, holds the whole k-dimensional kernel of the transpose
-    of x - lambda, and the spin of any vector of it is proper.  So both
-    spins full prove A irreducible, and either one proper proves it
-    reducible.
-
-    Each draw plants the eigenvalue 0: x <- x - L_{x(1)}, still in M as
-    the L_{e_j} are generators, sends the unit to 0, so ker x holds the
-    k-dimensional C 1 (C is the L_c, c in the center; `_commutant_field`).
-    The spin of 1 holds every L_a 1 = a and is all of A, so when
-    dim ker x = k, read off the kernel of the transpose, the dual spin
-    alone decides.  Otherwise the other eigenvalues of x come from
-    `_min_poly_roots`, at a cost polynomial in log p and d.  The draws
-    x <- x y + y, y a random combination of the generators, and the
-    vectors come from a fixed seed, so the answer is deterministic.  Needs
-    d (p - 1)^2 < 2^63 (`_norton_fits`), and is None past it."""
+    k = d, A = C is a field and irreducible.  Otherwise each draw x in M
+    plants the eigenvalue 0: x <- x - L_{x(1)}, still in M as the L_{e_j}
+    are generators, sends the unit to 0, so ker x holds the k-dimensional
+    C 1 (C is the L_c, c in the center; `_commutant_field`).  The draw
+    decides when dim ker x = k, that is ker x = C 1.  Let U be a proper
+    nonzero invariant subspace.  U holds no c 1 with c != 0 in C, or
+    c^-1 U would be one too and hold 1, whose spin holds every L_a 1 = a
+    and is all of A.  So ker x injects into A / U, where the kernel of x
+    is then at least k-dimensional, and U's annihilator in the dual,
+    invariant under the transposes, holds the whole k-dimensional kernel
+    of x^T: the spin of any nonzero w in it is proper.  Conversely, a
+    proper spin of w under the transposes has a proper nonzero invariant
+    annihilator in A.  So the dual spin of one w decides both ways, and a
+    draw with a larger kernel is passed over.  The draws x <- x y + y,
+    y a random combination of the generators, come from a fixed seed, so
+    the answer is deterministic.  Needs d (p - 1)^2 < 2^63
+    (`_norton_fits`), and is None past it."""
     from .linalg import np_kernel
     p, d = alg.field.p, alg.dim
     if not _norton_fits(p, d):
@@ -793,7 +702,6 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     if k == d:
         return True
     rng = random.Random(0)
-    eye = np.eye(d, dtype=np.int64)
     unit = np.array([int(c) % p for c in alg.unit], dtype=np.int64)
     transposes = gens.transpose(0, 2, 1)
 
@@ -801,28 +709,14 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
         coeffs = np.array([rng.randrange(p) for _ in gens], dtype=np.int64)
         return (coeffs[:, None, None] * gens % p).sum(axis=0) % p
 
-    def dual_spin_full(shifted):
-        dual = np_kernel(shifted.T, p)
-        return len(_spin(dual[:1], transposes, p)[0]) == d
-
     x = draw()
     for _ in range(NORTON_DRAWS):
         y = draw()
         x = (np_matmul(x, y, p) + y) % p
         x = (x - np.tensordot(x @ unit % p, gens[:d], 1)) % p  # x(1) = 0
-        if len(np_kernel(x.T, p)) == k:
-            return dual_spin_full(x)
-        v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-        for lam in _min_poly_roots(x, v, p):
-            if not lam:     # its kernel, read off the transpose, failed
-                continue
-            shifted = (x - lam * eye) % p
-            null = np_kernel(shifted, p)
-            if len(null) != k:
-                continue
-            if len(_spin(null[:1], gens, p)[0]) < d:
-                return False
-            return dual_spin_full(shifted)
+        dual = np_kernel(x.T, p)
+        if len(dual) == k:
+            return len(_spin(dual[:1], transposes, p)[0]) == d
     return None
 
 
@@ -837,10 +731,10 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     An irreducible A is then decided without the sweep, which otherwise
     runs, also when no draw decides, to name the same first witness.  The
     crossover is measured: on the graded crossed products of H and M_2 by
-    C2, C3 and C4 over F_3 (d = 8 to 16), one Norton call, its draws
-    planting the eigenvalue 0, costs about as much as 1.4-3.5 closures of
-    the sweep (median 2.6; 2.4-7.1 before the planted draws).  The gate at
-    d points was set when it cost 8-10."""
+    C2, C3 and C4 over F_3 (d = 8 to 16), one Norton call, a kernel and a
+    dual spin per draw, costs about as much as 2.1-2.8 closures of the
+    first 20 sweep points (median 2.5, on a 2-core VM).  The gate at d
+    points was set when it cost 8-10."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     d = alg.dim

@@ -18,8 +18,10 @@ from .errors import ValidationError
 
 Scalar = Union[int, Fraction]
 
-# a scalar string: an ASCII integer or ratio of integers, each signed
-SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+# an integer string: ASCII digits with an optional sign; a scalar string:
+# an integer or a ratio of integers
+INTEGER = re.compile(r"[+-]?[0-9]+")
+SCALAR = re.compile(rf"({INTEGER.pattern})(?:/({INTEGER.pattern}))?")
 
 
 def parse_int(text: str, error: type = ValidationError) -> int:

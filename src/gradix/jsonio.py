@@ -18,7 +18,7 @@ from .cayley import DoublingReport, tower
 from .crossed import (CrossedSystem, build_crossed_product, crossed_center,
                       is_G_simple, validate_crossed_system)
 from .errors import ExactModeUnavailable, ParseError, ValidationError
-from .fields import FieldSpec, parse_int, prime_field, rationals
+from .fields import INTEGER, FieldSpec, parse_int, prime_field, rationals
 from .graded import (Gradation, is_faithful, is_graded_simple, is_strong,
                      simplicity_equivalence, validate_gradation)
 from .groups import FiniteGroup, central_series, validate_group
@@ -59,15 +59,14 @@ def _list(value, where: str) -> list:
 
 
 def _int(value, where: str) -> int:
-    """An integer given as a JSON number or a decimal string; floats,
-    booleans and anything else are refused."""
+    """An integer given as a JSON number or as a string of ASCII digits with
+    an optional sign (`fields.INTEGER`), around which only `str.strip`
+    whitespace may stand; floats, booleans, "1_0", non-ASCII digits and
+    anything else are refused."""
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        try:
-            return parse_int(value)
-        except ValueError:
-            pass
+    if isinstance(value, str) and INTEGER.fullmatch(value.strip()):
+        return parse_int(value)
     raise ValidationError(f"{where} must be an integer, got {value!r}")
 
 

@@ -30,6 +30,7 @@ from gradix.crossed import (build_crossed_product, crossed_center,
 from gradix.errors import (BudgetExceeded, DimensionMismatch,
                            ExactModeUnavailable, ValidationError)
 from gradix.fields import prime_field, rationals
+from gradix.graded import is_graded_simple
 from gradix.groups import cyclic
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
                            projective_points, projective_walk, rref)
@@ -37,13 +38,13 @@ from helpers import (NONZERO_Q, associator_defect_loop, closure_loop,
                      commutant_field_loop, conjugation_matrix,
                      extension_field, fixed_center_loop, fixed_subspace,
                      intersect, inverse_system_loop, left_by_basis, mat_mul,
-                     density_irreducible, min_poly_roots_by_scan,
+                     density_irreducible,
                      nuclear_mask_loop,
                      nucleus_blocks_loop, points,
                      product_mismatch_loop,
                      product_table_loop, product_with_swap,
                      random_graded_algebra, random_unital_algebra, rescaled,
-                     right_by_basis,
+                     right_by_basis, sedenions,
                      tensor_algebra, unit_failure_loop, upper_triangular,
                      walk_without_points)
 
@@ -438,114 +439,10 @@ def test_undecided_norton_falls_back_to_the_sweep(monkeypatch):
         [True, False, True, True, False, True]
 
 
-def test_min_poly_roots_scan_every_block_of_the_field():
-    # p past 2^16: the eigenvalues 3 and 70 000 of a diagonal x lie in
-    # different blocks of 2^16 elements of F_p, as the scan by evaluation
-    # (`helpers.min_poly_roots_by_scan`) visits them
-    p = 100003
-    x = np.diag([3, 70000, 70000, 5]).astype(np.int64)
-    v = np.array([1, 1, 0, 0], dtype=np.int64)
-    assert algebra._min_poly_roots(x, v, p) == [3, 70000]
-    assert algebra._min_poly_roots(x, np.ones(4, dtype=np.int64), p) == \
-        [3, 5, 70000]
-
-
-def conjugated(p, blocks, rng):
-    """S D S^-1 mod p for a random invertible S and the block diagonal D of
-    the square blocks, with v = S (1, ..., 1): v has coordinate 1 on every
-    basis vector of D, so the minimal polynomial of x on v is that of D on
-    (1, ..., 1), the lcm of the blocks' own."""
-    f = prime_field(p)
-    d = sum(len(b) for b in blocks)
-    dmat = np.zeros((d, d), dtype=np.int64)
-    at = 0
-    for b in blocks:
-        dmat[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    while True:
-        s = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-        inv = linalg.mat_inverse(f, s)
-        if inv is not None:
-            break
-    s, inv = np.array(s, dtype=np.int64), np.array(inv, dtype=np.int64)
-    x = linalg.np_matmul(linalg.np_matmul(s, dmat, p), inv, p)
-    return x, s @ np.ones(d, dtype=np.int64) % p
-
-
-def rootless_block(p):
-    """The companion matrix of X^2 + X + 1 over F_2, else of X^2 - c for
-    the first non-square c: a block with no eigenvalue in F_p."""
-    if p == 2:
-        return [[0, 1], [1, 1]]
-    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-    return [[0, c], [1, 0]]
-
-
-@st.composite
-def min_poly_cases(draw):
-    """(x, v, p, roots) over F_p for p in 2, 3, 5, 7, 101 and 65537,
-    d <= 16: a random x; a diagonal x with eigenvalues among a few, so
-    repeated; x conjugated from such a diagonal, two of its eigenvalues
-    traded for a `rootless_block`; and, when p <= d, a diagonal x holding
-    every element of F_p with v = (1, ..., 1), whose minimal polynomial is
-    X^p - X, so roots = F_p (None for the others)."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 101, 65537]))
-    d = draw(st.integers(1, 16))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    kind = draw(st.sampled_from(["random", "repeated", "conjugated", "all"]))
-    if kind == "all" and p <= d:
-        diag = list(range(p)) + [rng.randrange(p) for _ in range(d - p)]
-        rng.shuffle(diag)
-        x = np.diag(diag).astype(np.int64)
-        return x, np.ones(d, dtype=np.int64), p, list(range(p))
-    v = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-    if kind == "random":
-        x = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
-                     dtype=np.int64)
-        return x, v, p, None
-    few = [rng.randrange(p) for _ in range(3)]
-    diag = [rng.choice(few) for _ in range(d)]
-    if kind != "conjugated" or d < 3:
-        return np.diag(diag).astype(np.int64), v, p, None
-    blocks = [rootless_block(p)] + [[[c]] for c in diag[2:]]
-    return (*conjugated(p, blocks, rng), p, None)
-
-
-@settings(max_examples=150, deadline=None)
-@given(min_poly_cases())
-def test_min_poly_roots_match_the_scan(case):
-    x, v, p, want = case
-    roots = algebra._min_poly_roots(x, v, p)
-    assert roots == min_poly_roots_by_scan(x, v, p)
-    assert want is None or roots == want
-
-
-@pytest.mark.parametrize("p", [algebra.REDUCTION_FIELD.p, 1_000_003])
-def test_min_poly_roots_find_planted_eigenvalues(p):
-    # eigenvalues planted in x = S D S^-1, some repeated, beside a
-    # `rootless_block`, whose eigenvalues lie outside F_p: only the planted
-    # ones are found
-    rng = random.Random(p)
-    for d in (1, 2, 5, 8, 12):
-        eigs = [rng.randrange(p) for _ in range(d)]
-        eigs[-1] = eigs[0]
-        blocks = [[[e]] for e in eigs] + ([rootless_block(p)] if d >= 5 else [])
-        x, v = conjugated(p, blocks, rng)
-        assert algebra._min_poly_roots(x, v, p) == sorted(set(eigs))
-    # every root of a diagonal x by splitting alone: 16 distinct eigenvalues
-    eigs = rng.sample(range(p), 16)
-    x = np.diag(eigs).astype(np.int64)
-    assert algebra._min_poly_roots(x, np.ones(16, dtype=np.int64), p) == \
-        sorted(eigs)
-
-
-def test_planted_eigenvalue_proves_reducible(monkeypatch):
+def test_planted_eigenvalue_proves_reducible():
     # small random algebras whose draw kills the unit with a kernel of
-    # dimension k = 1: the dual spin alone finds them reducible, without
-    # the root finder, as the density test and the sweep do
-    def refuse(*args):
-        raise AssertionError("root finder entered")
-    monkeypatch.setattr(algebra, "_min_poly_roots", refuse)
+    # dimension k = 1: the dual spin finds them reducible, as the density
+    # test and the sweep do
     for p, seed in [(2, 4), (3, 1), (3, 2)]:
         alg = random_unital_algebra(prime_field(p), 3, random.Random(seed))
         gens = algebra._np_generators(alg)
@@ -553,6 +450,52 @@ def test_planted_eigenvalue_proves_reducible(monkeypatch):
         assert algebra._norton_irreducible(alg, gens) is False
         assert not density_irreducible(alg, gens)
         assert not sweep_verdict(alg).simple
+
+
+def test_planted_eigenvalue_decides_every_irreducible_class(monkeypatch):
+    # one class per irreducible presentation that the requests meet: the
+    # planted eigenvalue 0 alone proves each irreducible, so Norton's test
+    # returns True and no closure of a sweep or a sample runs
+    F7 = prime_field(7)
+    octo = octonions(F3)[0]
+    sed = sedenions(F3)[0]
+    twist = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+    ident = identity_matrix(F3, 4)
+    h = quaternions(F3)[0]
+    prod, grad = build_crossed_product(validate_crossed_system(
+        h, cyclic(4), (ident, twist, ident, twist),
+        tuple(tuple(h.unit for _ in range(4)) for _ in range(4))))
+    double_q = field_algebra(Q)
+    for mu in (-1, 2, -3):
+        double_q, _ = cayley_double(double_q, mu)
+    verdicts = [
+        lambda: simple_under(h), lambda: simple_under(octo),
+        lambda: is_star_simple(octo),
+        lambda: simple_under(matrix_algebra(F3, 2)),
+        lambda: simple_under(tensor_algebra(matrix_algebra(F7, 2),
+                                            quadratic_field_extension(F7))),
+        lambda: simple_under(extension_field(F3, 5, random.Random(5))),
+        lambda: simple_under(sed, budget=3 ** 16),
+        lambda: is_star_simple(sed, budget=3 ** 16),
+        lambda: is_graded_simple(prod, grad),
+        lambda: sample_simple(random_unital_algebra(Q, 5, random.Random(5)),
+                              trials=10),
+        lambda: sample_simple(random_unital_algebra(Q, 8, random.Random(8)),
+                              trials=10),
+        lambda: sample_simple(double_q, trials=10)]
+    answers, norton = [], algebra._norton_irreducible
+
+    def recorded(alg, gens):
+        answers.append(norton(alg, gens))
+        return answers[-1]
+    monkeypatch.setattr(algebra, "_norton_irreducible", recorded)
+    with mock.patch.object(algebra, "_closure_np",
+                           wraps=algebra._closure_np) as closure_np, \
+            mock.patch.object(algebra, "_closure_echelon",
+                              wraps=algebra._closure_echelon) as closure_q:
+        assert all(verdict().simple for verdict in verdicts)
+    assert answers == [True] * len(verdicts)
+    assert closure_np.call_count == closure_q.call_count == 0
 
 
 @st.composite
@@ -1149,12 +1092,11 @@ def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
 
 
 def test_undecided_reduction_falls_back_to_sampling(monkeypatch):
-    # Norton's test decides all five reductions; on T_3(F_P) the kernel
-    # of every draw at the planted eigenvalue 0 is too large, and an
-    # eigenvalue from the root finder decides it.  With `_min_poly_roots`
-    # stubbed to [] only 0 is left, and T_3 is undecided, which proves no
-    # more than reducible does; with no draw at all every reduction is
-    # undecided, and sampling gives the same verdicts
+    # Norton's test proves four reductions irreducible; on T_3(F_P) the
+    # kernel of every draw at the planted eigenvalue 0 is too large, and T_3
+    # is undecided, which proves no more than reducible does; with no draw
+    # at all every reduction is undecided, and sampling gives the same
+    # verdicts
     algs = [random_unital_algebra(Q, d, random.Random(d)) for d in (5, 6, 8)]
     algs += [upper_triangular(Q, 3),
              tensor_algebra(matrix_algebra(Q, 2), quadratic_q(3))]
@@ -1164,10 +1106,8 @@ def test_undecided_reduction_falls_back_to_sampling(monkeypatch):
         [True, True, True, False, True]
     want = [sample_simple(alg, trials=10) for alg in algs]
     assert [v.simple for v in want] == [True, True, True, False, True]
-    with monkeypatch.context() as mp:
-        mp.setattr(algebra, "_min_poly_roots", lambda x, v, p: [])
-        assert [algebra._norton_irreducible(red, g)
-                for red, g in zip(reds, gens)] == [True, True, True, None, True]
+    assert [algebra._norton_irreducible(red, g)
+            for red, g in zip(reds, gens)] == [True, True, True, None, True]
     monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
     assert all(algebra._norton_irreducible(red, g) is None
                for red, g in zip(reds, gens))

@@ -512,6 +512,24 @@ def test_an_integer_past_the_digit_limit_names_its_length(capsys, tmp_path,
                    f"conversion"}
 
 
+@pytest.mark.parametrize("text, message", [
+    (ALGEBRA % ('{"kind": "Fp", "p": 2}', '"1_0"', '"1"'),
+     "algebra dim must be an integer, got '1_0'"),
+    (ALGEBRA % ('{"kind": "Fp", "p": "\\u0663"}', "1", '"1"'),
+     "field p must be an integer, got '\u0663'"),
+], ids=["underscore", "arabic-indic-digit"])
+def test_an_integer_string_is_ascii_digits_only(capsys, tmp_path, text,
+                                                message):
+    # Python's int reads "1_0" as 10 and the Arabic-Indic three as 3; an
+    # integer string, like a scalar string, is ASCII digits and a sign
+    path = tmp_path / "req.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, ["verdict", str(path)])
+    assert code == 1 and len(out.splitlines()) == 1
+    assert json.loads(out)["error"] == {"type": "ValidationError",
+                                        "message": message}
+
+
 def test_an_algebra_too_large_to_allocate_exits_2(capsys, tmp_path):
     # well-formed, but its structure tensor takes 10^15 entries, which
     # numpy refuses at once

@@ -48,6 +48,19 @@ def test_report_digests_match_the_golden():
             == json.loads(golden.read_text()))
 
 
+@pytest.mark.parametrize("item", ["crossed", "crossed=x", "crossed=\u00b2",
+                                  "nosuch=3"])
+def test_report_digests_refuses_a_bad_rounds_item(item):
+    # a usage error, exit 2, before any request is built
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "report_digests.py"),
+                           "--rounds", item], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--rounds takes WORKLOAD=N" in proc.stderr
+
+
 def test_replay_kinds_times_each_kind():
     out = json.loads(run_script(["replay_kinds.py", "--rounds", "2",
                                  "--passes", "1"]))
@@ -152,3 +165,21 @@ def test_bench_pair_needs_the_parent_rev(monkeypatch, capsys):
         bench_pair().main(["--label", "x"])
     assert exc.value.code == 2
     assert "--rev" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["crossed", "crossed=0", "crossed=x",
+                                  "crossed=\u00b2", "nosuch=3", "=3"])
+def test_bench_pair_refuses_a_bad_pairs_item_before_any_run(monkeypatch,
+                                                             capsys, item):
+    # usage error, exit 2, before git extracts the parent or a run starts
+    module = bench_pair()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subprocess ran")
+    monkeypatch.setattr(module.subprocess, "run", refuse)
+    monkeypatch.setattr(module, "compare", refuse)
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--label", "x", "--rev", "r", "--pairs", "towers=2", item])
+    assert exc.value.code == 2
+    assert "--pairs takes WORKLOAD=N with N >= 1" in capsys.readouterr().err
