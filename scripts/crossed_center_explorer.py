@@ -7,7 +7,8 @@ rings (trivial sigma, nontrivial alpha), and plain group rings.
 
 import argparse
 
-from gradix.algebra import is_associative, nucleus_and_center, subfield_check
+from gradix.algebra import (is_associative, multiply, nucleus_and_center,
+                            subfield_check)
 from gradix.catalog import (field_algebra, octonions, product_algebra,
                             quadratic_field_extension, quaternions,
                             swap_matrix, truncated_dual)
@@ -38,7 +39,8 @@ def systems(p):
     qa = quaternions(f)[0]
     g4 = elementary_abelian_two(2)
     base = field_algebra(f)
-    alpha = [[(qa.product_table[a][b][g4.mul(a, b)],) for b in range(4)]
+    e = qa.basis_vector
+    alpha = [[(multiply(qa, e(a), e(b))[g4.mul(a, b)],) for b in range(4)]
              for a in range(4)]
     out.append(("quaternion cocycle x| (Z2)^2", validate_crossed_system(
         base, g4, [identity_matrix(f, 1)] * 4, alpha)))

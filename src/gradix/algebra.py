@@ -1,19 +1,20 @@
 """Finite-dimensional unital algebras given by structure constants.
 
-An algebra of dimension d stores its multiplication sparsely as entries
-(i, j, k, c) meaning e_i * e_j contains c * e_k; products of arbitrary
-vectors expand bilinearly.  No associativity or commutativity is assumed
-anywhere.  An algebra is built and checked on its structure tensor: the
-product table, the unit and involution checks, inverses, the reduction
-mod P and every contraction (associators, nuclei, centers, product and
-cocycle checks) are one numpy code path for every field: over F_p on
-residues, in int64 while products fit and in Python ints past that
-(`linalg.np_dtype`); over Q on Python ints, each array the rationals
-times the lcm of their denominators and carried with that scale
-(`_np_vectors`, read back by `_np_scalars`).  Only `Algebra.multiply` of
-two vectors stays on Python scalars.  Over Q most answers are first
-settled on `Algebra._reduced`, the reduction mod one large prime;
-elimination over Q, for the rest, is `linalg`'s Echelon path.
+An algebra of dimension d is its structure tensor C, where C[i, j, k]
+is the coefficient of e_k in e_i * e_j; products of arbitrary vectors
+expand bilinearly.  No associativity or commutativity is assumed
+anywhere.  An algebra is built and checked on that tensor: products,
+the unit and involution checks, inverses, the reduction mod P and every
+contraction (associators, nuclei, centers, product and cocycle checks)
+are one numpy code path for every field: over F_p on residues, in int64
+while products fit and in Python ints past that (`linalg.np_dtype`);
+over Q on Python ints, each array the rationals times the lcm of their
+denominators and carried with that scale (`_np_vectors`, read back by
+`_np_scalars`).  `make_algebra` takes the entries (i, j, k, c), meaning
+e_i * e_j contains c * e_k, and sums them into the tensor once.  Over Q
+most answers are first settled on `Algebra._reduced`, the reduction mod
+one large prime; elimination over Q, for the rest, is `linalg`'s Echelon
+path.
 """
 
 from __future__ import annotations
@@ -38,19 +39,37 @@ from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
 REDUCTION_FIELD = FieldSpec(33554393)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebra:
+    """`_np_tensor[i, j, k]`, read-only, is `_np_scale` times the
+    coefficient of e_k in e_i e_j: residues and scale 1 over F_p, Python
+    ints and the lcm of the denominators over Q (`_canonical`).  Equality
+    and hashing read the tensor's cells, whatever the subclass."""
     field: FieldSpec
     dim: int
-    mult: tuple[tuple[int, int, int, Scalar], ...]  # sorted (i, j, k, c), c != 0
+    _np_tensor: np.ndarray
+    _np_scale: int
     unit: Vec
     involution: tuple[tuple[Scalar, ...], ...] | None = None
     labels: tuple[str, ...] | None = None
 
+    @cached_property
+    def _key(self) -> tuple:
+        t = self._np_tensor
+        cells = tuple(t.flat) if t.dtype == object else t.tobytes()
+        return (self.field, self.dim, cells, self._np_scale, self.unit,
+                self.involution, self.labels)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Algebra) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
     # -- element helpers ------------------------------------------------
 
-    def element(self, coords) -> Vec:
-        coords = tuple(self.field.coerce(c) for c in coords)
+    def element(self, coords, coerce=None) -> Vec:
+        coords = tuple(map(coerce or self.field.coerce, coords))
         if len(coords) != self.dim:
             raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(coords)}")
         return coords
@@ -70,9 +89,6 @@ class Algebra:
         f = self.field
         return tuple(f.sub(a, b) for a, b in zip(x, y))
 
-    def neg_vec(self, x: Vec) -> Vec:
-        return tuple(self.field.neg(a) for a in x)
-
     def scale(self, c: Scalar, x: Vec) -> Vec:
         f = self.field
         return tuple(f.mul(c, a) for a in x)
@@ -81,27 +97,6 @@ class Algebra:
         return self.labels[i] if self.labels else f"e{i}"
 
     # -- cached derived tables -------------------------------------------
-
-    @cached_property
-    def product_table(self) -> tuple:
-        """Dense e_i * e_j vectors, read off `_np_tensor`."""
-        return _np_scalars(self.field, self._np_tensor, self._np_scale)
-
-    @cached_property
-    def _np_scale(self) -> int:
-        """The scale of `_np_tensor`: the lcm of the denominators of the
-        structure constants, 1 over F_p."""
-        return math.lcm(*(c.denominator for *_, c in self.mult))
-
-    @cached_property
-    def _np_tensor(self) -> np.ndarray:
-        """C[i, j, k] times `_np_scale`, in the dtype of rows of width dim:
-        residues over F_p, Python ints over Q."""
-        c = np.zeros((self.dim,) * 3, dtype=np_dtype(self.field.p, self.dim))
-        s = self._np_scale
-        for i, j, k, x in self.mult:
-            c[i, j, k] = x.numerator * (s // x.denominator)
-        return c
 
     @cached_property
     def _np_ops(self) -> np.ndarray:
@@ -153,31 +148,26 @@ class Algebra:
         nucleus or center of the reduction is the unit line over Q, an
         irreducible reduction proves A simple, and a nonzero associator of
         the reduction proves A not associative.  As a ring map keeps the unit
-        a two-sided identity, the reduced tensor needs no `make_algebra`."""
-        p = REDUCTION_FIELD.p
+        a two-sided identity, the reduced tensor, the tensor mod P over the
+        scale mod P, needs no checks."""
+        f, p = REDUCTION_FIELD, REDUCTION_FIELD.p
         if (self.field.is_finite or self._np_scale % p == 0
                 or any(c.denominator % p == 0 for c in self.unit)):
             return None
-        idx, vals = _np_entries(REDUCTION_FIELD, self._np_tensor % p,
-                                self._np_scale)
-        mult = tuple(zip(*(a.tolist() for a in idx), vals))
-        return Algebra(REDUCTION_FIELD, self.dim, mult,
-                       tuple(REDUCTION_FIELD.coerce(c) for c in self.unit))
+        tensor, _ = _canonical(f, self.dim, self._np_tensor % p,
+                               self._np_scale)
+        return Algebra(f, self.dim, tensor, 1,
+                       tuple(f.coerce(c) for c in self.unit))
 
     # -- products ---------------------------------------------------------
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, j, k, c in self.mult:
-            a = x[i]
-            if not a:
-                continue
-            b = y[j]
-            if not b:
-                continue
-            out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
-        return tuple(out)
+        """x y: x, then y, contracted with the structure tensor."""
+        d, p = self.dim, self.field.p
+        (a, sa), (b, sb) = _np_vectors(self, x), _np_vectors(self, y)
+        left = np_mod(a @ self._np_tensor.reshape(d, d * d), p)  # x e_j
+        return _np_scalars(self.field, np_mod(b @ left.reshape(d, d), p),
+                           sa * sb * self._np_scale)
 
     def star(self, v: Vec) -> Vec:
         if self.involution is None:
@@ -187,23 +177,17 @@ class Algebra:
 
 def make_algebra(field: FieldSpec, dim: int, entries, unit,
                  involution=None, labels=None) -> Algebra:
-    """Coerce, canonicalize, and validate a structure-constant algebra."""
-    return _make(Algebra, field, dim, entries, unit, involution, labels)
-
-
-def _make(cls, field: FieldSpec, dim: int, entries, unit, involution=None,
-          labels=None, **fields):
-    """`make_algebra` as an instance of cls, a subclass of Algebra, with
-    its own `fields` (`crossed.CrossedProduct` and its system)."""
+    """The algebra of the entries (i, j, k, c), e_i e_j holding c e_k,
+    checked.  Each entry is coerced once, in input order, and repeated
+    indices are summed into the tensor by one `np.add.at`."""
     if dim < 1:
         raise ValidationError(f"algebra dim must be at least 1, got {dim}")
-    acc: dict[tuple[int, int, int], Scalar] = {}
+    idx, vals = [], []
     for i, j, k, c in entries:
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValidationError(f"tensor index {(i, j, k)} out of range for dim {dim}")
-        c, key = field.coerce(c), (i, j, k)
-        acc[key] = field.add(acc[key], c) if key in acc else c
-    mult = tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c)
+        idx.append((i, j, k))
+        vals.append(field.coerce(c))
     unit = tuple(field.coerce(c) for c in unit)
     if len(unit) != dim:
         raise DimensionMismatch("unit length != dim")
@@ -216,27 +200,72 @@ def _make(cls, field: FieldSpec, dim: int, entries, unit, involution=None,
         if len(labels) != dim:
             raise DimensionMismatch("labels length != dim")
 
-    alg = cls(field, dim, mult, unit, involution, labels, **fields)
-    # L_u = R_u = I times their scale; column j is u e_j and e_j u
-    u, s = _np_vectors(alg, unit)
-    ident = np_mod(np.eye(dim, dtype=u.dtype) * (s * alg._np_scale), field.p)
-    bad = (_np_mults(alg, u) != ident).any(axis=(0, 1))
-    if bad.any():
-        raise ValidationError("unit is not a two-sided identity at basis "
-                              f"{int(np.argmax(bad))}")
-    if involution is not None:
-        _check_involution(alg)
+    dtype = np_dtype(field.p, dim)
+    tensor, scale = np.zeros((dim,) * 3, dtype=dtype), 1
+    if vals:
+        if not field.is_finite:
+            scale = math.lcm(*(c.denominator for c in vals))
+            vals = [c.numerator * (scale // c.denominator) for c in vals]
+        np.add.at(tensor, tuple(np.array(idx).T), np.array(vals, dtype=dtype))
+    return _algebra(Algebra, field, dim, np_mod(tensor, field.p), scale, unit,
+                    involution, labels)
+
+
+def _canonical(field: FieldSpec, dim: int, tensor, scale: int):
+    """A tensor that carries the scale `scale` as an algebra stores it,
+    read-only in the dtype of rows of width dim: over F_p, where the tensor
+    must hold residues, times the inverse of the scale, with scale 1; over
+    Q divided by the gcd of tensor and scale, which leaves the lcm of the
+    denominators."""
+    p = field.p
+    if p is not None:
+        out = np.asarray(tensor).astype(np_dtype(p, dim))
+        if scale != 1:
+            out, scale = out * pow(scale, -1, p) % p, 1
+    else:
+        out = np.array(tensor, dtype=object)
+        if scale != 1:
+            g = math.gcd(scale, np.gcd.reduce(out, axis=None))
+            out, scale = out // g, scale // g
+    out.flags.writeable = False
+    return out, scale
+
+
+def _algebra(cls, field: FieldSpec, dim: int, tensor, scale: int, unit,
+             involution=None, labels=None, **fields) -> Algebra:
+    """The checked algebra of a tensor that carries the scale `scale`, an
+    instance of cls with its own `fields` (`crossed.CrossedProduct` and its
+    system); unit, involution and labels are tuples already coerced."""
+    tensor, scale = _canonical(field, dim, tensor, scale)
+    alg = cls(field, dim, tensor, scale, unit, involution, labels, **fields)
+    _check_unit_and_involution(alg)
     return alg
 
 
-def _check_involution(alg: Algebra) -> None:
-    p = alg.field.p
-    m, s = _np_vectors(alg, alg.involution)
-    u, _ = _np_vectors(alg, alg.unit)
-    eye = np.eye(alg.dim, dtype=m.dtype)
-    if (np_matmul(m, u, p) != np_mod(u * s, p)).any():
+def _check_unit_and_involution(alg: Algebra) -> None:
+    """L_u = R_u = I and S u = u as one product, of u with the operators
+    v -> e_j v, v -> v e_j (`Algebra._np_ops`) and S^T; then S^2 = I and
+    S(xy) = S(y) S(x) on all basis pairs, raising at the first failure."""
+    p, d = alg.field.p, alg.dim
+    u, su = _np_vectors(alg, alg.unit)
+    ops = alg._np_ops.reshape(2, d, d * d)
+    if alg.involution is not None:
+        m, sm = _np_vectors(alg, alg.involution)
+        ops = np.concatenate([*ops, m.T], axis=1)
+    # in the tensor's dtype: a float64 round trip costs more than 2 d^3
+    prods = np_mod(u @ ops, p).reshape(-1)
+    eye = np.eye(d, dtype=u.dtype)
+    # L_u and R_u carry the scale su times the tensor's, S u su sm
+    bad = (prods[:2 * d * d].reshape(2, d, d)
+           != np_mod(eye * (su * alg._np_scale), p)).any(axis=(0, 1))
+    if bad.any():
+        raise ValidationError("unit is not a two-sided identity at basis "
+                              f"{int(np.argmax(bad))}")
+    if alg.involution is None:
+        return
+    if (prods[2 * d * d:] != np_mod(u * sm, p)).any():
         raise ValidationError("involution does not fix the unit")
-    if (np_matmul(m, m, p) != np_mod(eye * s * s, p)).any():
+    if (np_mod(m @ m, p) != np_mod(eye * sm * sm, p)).any():
         raise ValidationError("involution does not square to the identity")
     bad = _product_mismatch(alg, alg.involution, reverse=True)
     if bad is not None:
@@ -315,23 +344,6 @@ def _np_scalars(f: FieldSpec, a: np.ndarray, s: int):
             return tuple(map(scalars, x))
         return f.mul(x, unscale)
     return scalars(a.tolist())
-
-
-def _np_entries(f: FieldSpec, a: np.ndarray, s: int) -> tuple[list, list]:
-    """The nonzero entries of an array that carries the scale s: their
-    index arrays, one per axis, and their field scalars a / s."""
-    idx = np.nonzero(a)
-    return idx, list(_np_scalars(f, a[idx], s))
-
-
-def _np_mults(alg: Algebra, x: np.ndarray) -> np.ndarray:
-    """The matrices of v -> x v and v -> v x for one vector x, as one
-    (2, d, d) array: x times the stack `Algebra._np_ops`, 2 d^3 products in
-    the tensor's dtype (a float64 round trip costs more than that).  Their
-    scale is x's times `Algebra._np_scale`."""
-    d = alg.dim
-    prods = np_mod(x @ alg._np_ops.reshape(2, d, d * d), alg.field.p)
-    return prods.reshape(2, d, d)
 
 
 def _np_left(alg: Algebra, x: np.ndarray) -> np.ndarray:
@@ -483,11 +495,14 @@ def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
 
 def inverse_system(alg: Algebra, r: Vec):
     """Equations for s with r s = 1 and s r = 1, as (rows, rhs): the rows of
-    the matrices of v -> r v and v -> v r, over the unit twice, both sides
-    times the scale of the rows (over Q integer rows)."""
+    the matrices of v -> r v and v -> v r (r times `Algebra._np_ops`, in
+    its dtype), over the unit twice, both sides times the scale of the
+    rows (over Q integer rows)."""
+    d, p = alg.dim, alg.field.p
     x, s = _np_vectors(alg, r)
     scale = alg.field.coerce(s * alg._np_scale)
-    rows = _np_mults(alg, x).reshape(2 * alg.dim, alg.dim).tolist()
+    rows = np_mod(x @ alg._np_ops.reshape(2, d, d * d), p).reshape(2 * d, d)
+    rows = rows.tolist()
     return rows, [alg.field.mul(c, scale) for c in alg.unit] * 2
 
 

@@ -15,6 +15,7 @@ Z_** are one contraction of that tensor with the involution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -22,15 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (Algebra, SimplicityVerdict, _np_entries, _np_mults,
-                      _np_right, _np_vectors, _restrict, fixed_center,
-                      make_algebra, simple_under, subfield_check)
+from .algebra import (Algebra, SimplicityVerdict, _algebra, _np_right,
+                      _np_vectors, _restrict, fixed_center, make_algebra,
+                      simple_under, subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
 from .graded import Gradation, validate_gradation
 from .groups import cyclic, elementary_abelian_two
-from .linalg import (Subspace, identity_matrix, np_dtype, np_matmul,
-                     np_mod, projective_count, projective_walk)
+from .linalg import (Subspace, identity_matrix, np_dtype, np_mod,
+                     projective_count, projective_walk)
 
 
 def _require_involution(alg: Algebra) -> None:
@@ -58,29 +59,16 @@ def cayley_double(alg: Algebra, mu, adjoined: str = "l") -> tuple[Algebra, Grada
     double[:d, d:, d:] = np_mod(c.transpose(1, 0, 2) * (ss * sc), p)
     double[d:, :d, d:] = np_mod(np.einsum("imk,mj->ijk", c, sm), p) * sc
     double[d:, d:, :d] = np_mod(np_mod(np.einsum("mj,mik->ijk", sm, c), p) * m, p)
-    idx, vals = _np_entries(f, double, ss * sc * alg._np_scale)
-    entries = zip(*(a.tolist() for a in idx), vals)
     unit = tuple(alg.unit) + (f.zero,) * d
-    invol = [list(row) + [f.zero] * d for row in alg.involution]
-    invol += [[f.zero] * (d + i) + [f.neg(f.one)] + [f.zero] * (d - 1 - i)
-              for i in range(d)]
+    invol = tuple(tuple(row) + (f.zero,) * d for row in alg.involution)
+    invol += tuple((f.zero,) * (d + i) + (f.neg(f.one),)
+                   + (f.zero,) * (d - 1 - i) for i in range(d))
     labels = None
     if alg.labels:
         labels = alg.labels + tuple(
             adjoined if s == "1" else s + adjoined for s in alg.labels)
-    doubled = make_algebra(f, 2 * d, entries, unit, invol, labels)
-
-    # sanity: l e_i l = mu e_i* for the adjoined unit l, column i of R_l L_l,
-    # which carries the scale (sl * `_np_scale`)^2 where mu S carries ss * sc
-    ell, sl = _np_vectors(doubled, (f.zero,) * d + tuple(alg.unit))
-    left, right = _np_mults(doubled, ell)
-    lel = np_mod(np_matmul(right, left, p)[:, :d] * (ss * sc), p)
-    want = np_mod(sm * m * (sl * doubled._np_scale) ** 2, p)
-    bad = (lel[:d] != want).any(axis=0) | lel[d:].any(axis=0)
-    if bad.any():
-        raise ValidationError("doubling identity fails at basis "
-                              f"{int(np.argmax(bad))}")
-
+    doubled = _algebra(Algebra, f, 2 * d, double, ss * sc * alg._np_scale,
+                       unit, invol, labels)
     return doubled, validate_gradation(doubled, cyclic(2), (0,) * d + (1,) * d)
 
 
@@ -110,7 +98,9 @@ def mu_square_in_center(alg: Algebra, center: Subspace, mu,
                         budget: int = 1_000_000) -> bool | None:
     """Is mu.1 a square inside `center` = Z(A)?  Over F_p: is w^2 = c.1 with
     c / mu a nonzero square, for a projective point w, as (l w)^2 = l^2 w^2?
-    Over Q decided only for the scalar line (perfect-square), else None."""
+    The points are squared 4096 at a time, each batch one contraction with
+    the structure tensor, up to the first batch that holds such a w.  Over
+    Q decided only for the scalar line (perfect-square), else None."""
     f = alg.field
     mu = f.coerce(mu)
     if f.is_finite:
@@ -118,12 +108,19 @@ def mu_square_in_center(alg: Algebra, center: Subspace, mu,
             return True
         _, points = projective_walk([center], budget,
                                     "projective points of a square check")
-        i = next(i for i, c in enumerate(alg.unit) if c)
-        for w in points:
-            sq = alg.multiply(w, w)
-            c = f.div(sq[i], alg.unit[i])    # sq = c.1 if sq is scalar
-            if (c and sq == alg.scalar_vec(c)
-                    and pow(f.div(c, mu), (f.p - 1) // 2, f.p) == 1):
+        p, d, c = f.p, alg.dim, alg._np_tensor
+        unit, _ = _np_vectors(alg, alg.unit)
+        i = int(np.flatnonzero(unit)[0])
+        while batch := list(itertools.islice(points, 4096)):
+            w = np.array(batch, dtype=c.dtype)
+            left = np_mod(w @ c.reshape(d, d * d), p).reshape(-1, d, d)
+            sq = np_mod(np.einsum("nj,njk->nk", w, left), p)      # w^2
+            # sq = scalar.1 if sq is scalar; scalar / mu is a square
+            # exactly when scalar mu is
+            scalar = sq[:, i] * pow(int(unit[i]), -1, p) % p
+            ok = (scalar != 0) & (sq == scalar[:, None] * unit % p).all(axis=1)
+            if any(pow(x * mu % p, (p - 1) // 2, p) == 1
+                   for x in scalar[ok].tolist()):
                 return True
         return False
     if center.rank == 1:

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (Algebra, SimplicityVerdict, _make, _np_entries,
-                      _np_left, _np_right, _np_vectors, _nucleus_blocks,
+from .algebra import (Algebra, SimplicityVerdict, _algebra, _np_left,
+                      _np_right, _np_vectors, _nucleus_blocks,
                       _twisted_commuter_rows, fixed_center,
                       is_ring_automorphism, nuclear_mask, simple_under,
                       two_sided_inverse)
@@ -65,15 +65,15 @@ class CrossedSystem:
         return w, ss * sa * t._np_scale ** 2
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class CrossedProduct(Algebra):
     """The algebra of `build_crossed_product`, with the system it was built
     from.  Its table respects the grading deg(e_i u_a) = a, so the
     associator of basis elements of degrees a, b, c lies in degree abc:
     only n^3 of the n^4 degree blocks of its associator tensor can be
     nonzero."""
-    # equality and hashing stay those of the algebra, its table
-    system: CrossedSystem = field(compare=False, repr=False)
+    # equality and hashing stay those of the algebra, its tensor
+    system: CrossedSystem = field(repr=False)
 
     @cached_property
     def _np_defect(self) -> np.ndarray:
@@ -106,7 +106,8 @@ class CrossedProduct(Algebra):
         blocks = np_mod(first.reshape((n, n, n) + (d,) * 4)
                         - second.transpose(0, 1, 2, 5, 3, 4, 6), p)
         out = np.zeros((n, d) * 4, dtype=self._np_tensor.dtype)
-        out[a, :, b, :, c, :, mul[ab, c], :] = blocks
+        if blocks.any():        # the product is often associative
+            out[a, :, b, :, c, :, mul[ab, c], :] = blocks
         return out.reshape((n * d,) * 4)
 
 
@@ -116,8 +117,9 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
         raise ValidationError(f"expected {n} automorphisms, got {len(sigma)}")
     if len(alpha) != n or any(len(row) != n for row in alpha):
         raise ValidationError("alpha is not an order x order table")
-    sigma = tuple(coerce_matrix(f, m, d) for m in sigma)
-    alpha = tuple(tuple(t.element(a) for a in row) for row in alpha)
+    coerce = _coerce_once(f)
+    sigma = tuple(coerce_matrix(f, m, d, coerce=coerce) for m in sigma)
+    alpha = tuple(tuple(t.element(a, coerce) for a in row) for row in alpha)
 
     # each distinct sigma is checked once, as the alpha values are below;
     # the first bad one in the order of sigma is named
@@ -147,6 +149,22 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
 
     _check_cocycle(t, g, sigma, alpha, alpha_inv)
     return CrossedSystem(t, g, sigma, alpha, alpha_inv)
+
+
+def _coerce_once(f):
+    """`f.coerce`, run once per distinct input of each type: a system's
+    tables repeat a few scalars, "0" and "1" most of all.  An unhashable
+    input, which `f.coerce` refuses, goes straight to it."""
+    memo = {}
+
+    def coerce(x):
+        try:
+            if (type(x), x) not in memo:
+                memo[type(x), x] = f.coerce(x)
+            return memo[type(x), x]
+        except TypeError:
+            return f.coerce(x)
+    return coerce
 
 
 def _check_cocycle(t: Algebra, g: FiniteGroup, sigma, alpha,
@@ -199,26 +217,27 @@ def canonical_units(sys: CrossedSystem) -> list[Vec]:
     return out
 
 
-def _product_entries(sys: CrossedSystem) -> list:
-    """The nonzero coefficients of the block table (`CrossedSystem._np_blocks`)
-    as entries (a d + i, b d + j, ab d + k, c) of the product's structure
-    constants; over Q each is divided back by the table's scale."""
-    d, mul = sys.algebra.dim, np.array(sys.group.table)
+def _product_tensor(sys: CrossedSystem) -> tuple[np.ndarray, int]:
+    """The product's tensor and scale: the block table w[a, b, i, j, k]
+    (`CrossedSystem._np_blocks`) scattered to [(a, i), (b, j), (ab, k)]."""
+    n, d = sys.group.order, sys.algebra.dim
     w, s = sys._np_blocks
-    (a, b, i, j, k), vals = _np_entries(sys.algebra.field, w, s)
-    return list(zip((a * d + i).tolist(), (b * d + j).tolist(),
-                    (mul[a, b] * d + k).tolist(), vals))
+    a, b = np.indices((n, n))
+    tensor = np.zeros((n, d) * 3, dtype=w.dtype)
+    tensor[a, :, b, :, np.array(sys.group.table)[a, b], :] = w
+    return tensor.reshape((n * d,) * 3), s
 
 
 def _inverse_pairs(alg: Algebra, xs, ys) -> bool:
     """Whether x y = y x = 1 for each pair of rows, all the products at
     once."""
-    p, c = alg.field.p, alg._np_tensor
+    p, d = alg.field.p, alg.dim
+    c = alg._np_tensor.reshape(d, d * d)
     (x, sx), (y, sy) = _np_vectors(alg, xs), _np_vectors(alg, ys)
     unit, su = _np_vectors(alg, alg.unit)
     scale = sx * sy * alg._np_scale        # the scale of each product
     return all((np_mod(np.einsum("rj,rjk->rk", v,
-                                 np_mod(np.tensordot(u, c, 1), p)), p) * su
+                                 np_matmul(u, c, p).reshape(-1, d, d)), p) * su
                 == unit * scale).all() for u, v in ((x, y), (y, x)))
 
 
@@ -232,7 +251,6 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[CrossedProduct, Gradation
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
 
-    entries = _product_entries(sys)
     e = g.identity
     unit = [f.zero] * (d * n)
     unit[e * d: (e + 1) * d] = list(t.unit)
@@ -250,8 +268,8 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[CrossedProduct, Gradation
                     labels.append(f"{head}u{g.label(a)}")
         labels = tuple(labels)
 
-    prod = _make(CrossedProduct, f, d * n, entries, tuple(unit),
-                 labels=labels, system=sys)
+    prod = _algebra(CrossedProduct, f, d * n, *_product_tensor(sys),
+                    tuple(unit), labels=labels, system=sys)
     degrees = tuple(a for a in range(n) for _ in range(d))
     grad = validate_gradation(prod, g, degrees)
 

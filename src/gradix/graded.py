@@ -48,11 +48,14 @@ def validate_gradation(alg: Algebra, group: FiniteGroup, degrees) -> Gradation:
     for d in degrees:
         if not 0 <= d < group.order:
             raise ValidationError(f"degree {d} out of range")
-    for i, j, k, _ in alg.mult:
-        if degrees[k] != group.mul(degrees[i], degrees[j]):
-            raise IncompatibleTensor(
-                f"entry {(i, j, k)} maps degrees "
-                f"{(degrees[i], degrees[j])} outside {degrees[k]}")
+    deg = np.array(degrees)
+    products = np.array(group.table)[deg[:, None], deg]     # deg i deg j
+    bad = np.argwhere((alg._np_tensor != 0) & (deg != products[..., None]))
+    if len(bad):    # the first in row-major order
+        i, j, k = bad[0].tolist()
+        raise IncompatibleTensor(
+            f"entry {(i, j, k)} maps degrees "
+            f"{(degrees[i], degrees[j])} outside {degrees[k]}")
     for i, c in enumerate(alg.unit):
         if c and degrees[i] != group.identity:
             raise UnitNotInIdentityComponent(f"unit has support at degree {degrees[i]}")

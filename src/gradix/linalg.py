@@ -205,12 +205,15 @@ def mat_inverse(field: FieldSpec, m: Sequence[Sequence[Scalar]]) -> Mat | None:
     return tuple(tuple(row[n:]) for row in aug.rows)
 
 
-def coerce_matrix(field: FieldSpec, rows, n: int, m: int | None = None) -> Mat:
+def coerce_matrix(field: FieldSpec, rows, n: int, m: int | None = None,
+                  coerce=None) -> Mat:
+    """The n x m (n x n) matrix, each entry through coerce (`field.coerce`)."""
     m = n if m is None else m
+    coerce = coerce or field.coerce
     rows = [list(r) for r in rows]
     if len(rows) != n or any(len(r) != m for r in rows):
         raise DimensionMismatch(f"expected {n}x{m} matrix")
-    return tuple(tuple(field.coerce(c) for c in r) for r in rows)
+    return tuple(tuple(map(coerce, r)) for r in rows)
 
 
 # -- projective enumeration --------------------------------------------------

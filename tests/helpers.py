@@ -3,6 +3,7 @@ which the library itself never needs."""
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed
-from gradix.algebra import make_algebra, two_sided_inverse
+from gradix.algebra import Algebra, make_algebra, two_sided_inverse
 from gradix.catalog import swap_matrix
 from gradix.cayley import tower_stages
 from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
@@ -19,8 +20,8 @@ from gradix.graded import validate_gradation
 from gradix.groups import validate_group
 from gradix.laurent import LaurentElement, laurent_element, sigma_power
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
-                           mat_inverse, mat_vec, np_kernel, np_mat_pow,
-                           np_matmul, np_rref, projective_walk)
+                           mat_inverse, mat_vec, np_dtype, np_kernel,
+                           np_mat_pow, np_matmul, np_rref, projective_walk)
 
 
 def fixed_rows_loop(alg, maps):
@@ -63,7 +64,7 @@ def conjugation_matrix(alg, u):
     uinv = two_sided_inverse(alg, u)
     if uinv is None:
         raise ValidationError("conjugation by a non-invertible element")
-    cols = [alg.multiply(alg.multiply(u, alg.basis_vector(j)), uinv)
+    cols = [multiply_loop(alg, multiply_loop(alg, u, alg.basis_vector(j)), uinv)
             for j in range(alg.dim)]
     return tuple(tuple(cols[j][k] for j in range(alg.dim)) for k in range(alg.dim))
 
@@ -71,10 +72,10 @@ def conjugation_matrix(alg, u):
 def tensor_algebra(a, b):
     """A (x) B on the basis a_i (x) b_j, ordered i-major."""
     f, db = a.field, b.dim
-    entries = [(i1 * db + j1, i2 * db + j2, k1 * db + k2, f.mul(c1, c2))
-               for i1, i2, k1, c1 in a.mult for j1, j2, k2, c2 in b.mult]
+    items = [(i1 * db + j1, i2 * db + j2, k1 * db + k2, f.mul(c1, c2))
+             for i1, i2, k1, c1 in entries(a) for j1, j2, k2, c2 in entries(b)]
     unit = tuple(f.mul(x, y) for x in a.unit for y in b.unit)
-    return make_algebra(f, a.dim * db, entries, unit)
+    return make_algebra(f, a.dim * db, items, unit)
 
 
 BIG = 2 ** 70
@@ -98,12 +99,12 @@ def rescaled(alg, scales):
     """The algebra over Q on the basis scales[i] e_i: an isomorphic copy whose
     structure constants, unit and involution carry the scales'
     denominators and numerators."""
-    entries = [(i, j, k, c * scales[i] * scales[j] / scales[k])
-               for i, j, k, c in alg.mult]
+    items = [(i, j, k, c * scales[i] * scales[j] / scales[k])
+             for i, j, k, c in entries(alg)]
     invol = (None if alg.involution is None
              else rescaled_matrix(alg.involution, scales))
     unit = tuple(Fraction(x) / s for x, s in zip(alg.unit, scales))
-    return make_algebra(alg.field, alg.dim, entries, unit, involution=invol)
+    return make_algebra(alg.field, alg.dim, items, unit, involution=invol)
 
 
 def _has_factor(p, poly):
@@ -214,7 +215,7 @@ def mu_square_by_vectors(alg, center, mu):
         for c, row in zip(coeffs, center.basis):
             if c:
                 v = alg.add_vec(v, alg.scale(c, row))
-        if alg.multiply(v, v) == target:
+        if multiply_loop(alg, v, v) == target:
             return True
     return False
 
@@ -342,7 +343,7 @@ def specialize(word, args, alg):
     def ev(t):
         if isinstance(t, int):
             return args[t]
-        return alg.multiply(ev(t[0]), ev(t[1]))
+        return multiply_loop(alg, ev(t[0]), ev(t[1]))
     return ev(word.tree)
 
 
@@ -407,7 +408,7 @@ def recognize_crossed_system(alg, grad, units=None):
 
     # the gradation keeps the products of R_e in R_e
     t = make_algebra(f, len(idx), [(pos[i], pos[j], pos[k], c)
-                                   for i, j, k, c in alg.mult
+                                   for i, j, k, c in entries(alg)
                                    if i in pos and j in pos],
                      restrict(alg.unit))
 
@@ -429,7 +430,7 @@ def recognize_crossed_system(alg, grad, units=None):
         chosen[a], inv[a] = found
 
     def in_t(x, y, z):                  # (x y) z, a vector of R_e
-        return restrict(alg.multiply(alg.multiply(x, y), z))
+        return restrict(multiply_loop(alg, multiply_loop(alg, x, y), z))
     embed = [alg.basis_vector(i) for i in idx]
     sigma = [tuple(zip(*(in_t(chosen[a], x, inv[a]) for x in embed)))
              for a in range(g.order)]
@@ -468,30 +469,122 @@ def mat_power(f, m, e):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def entries(alg):
+    """The nonzero entries (i, j, k, c) of the structure tensor, sorted, c
+    a field scalar: e_i e_j holds c e_k.  Cached per algebra, which hashes
+    by its tensor."""
+    f, t, s = alg.field, alg._np_tensor, alg._np_scale
+    out = []
+    for i, j, k in np.argwhere(t).tolist():
+        x = int(t[i, j, k])
+        out.append((i, j, k, x * pow(s, -1, f.p) % f.p if f.is_finite
+                    else Fraction(x, s)))
+    return tuple(out)
+
+
+def multiply_loop(alg, x, y):
+    """x y, summed entry by entry: the loop that `Algebra.multiply`, a
+    contraction of the structure tensor, replaces."""
+    f = alg.field
+    out = [f.zero] * alg.dim
+    for i, j, k, c in entries(alg):
+        a = x[i]
+        if not a:
+            continue
+        b = y[j]
+        if not b:
+            continue
+        out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
+    return tuple(out)
+
+
+def tensor_loop(field, dim, mult):
+    """The read-only structure tensor of entries with distinct indices,
+    filled entry by entry, and its scale: the lcm of the
+    denominators over Q, 1 over F_p."""
+    scale = math.lcm(*(c.denominator for *_, c in mult))
+    t = np.zeros((dim,) * 3, dtype=np_dtype(field.p, dim))
+    for i, j, k, x in mult:
+        t[i, j, k] = x.numerator * (scale // x.denominator)
+    t.flags.writeable = False
+    return t, scale
+
+
+def make_algebra_loop(field, dim, items, unit, involution=None,
+                      labels=None):
+    """`make_algebra` as a loop: the entries coerced and summed in a dict,
+    sorted, the tensor filled entry by entry (`tensor_loop`), and the unit
+    and the involution checked with products of vectors; the same algebra,
+    or the same error."""
+    if dim < 1:
+        raise ValidationError(f"algebra dim must be at least 1, got {dim}")
+    acc = {}
+    for i, j, k, c in items:
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ValidationError(f"tensor index {(i, j, k)} out of range for dim {dim}")
+        c, key = field.coerce(c), (i, j, k)
+        acc[key] = field.add(acc[key], c) if key in acc else c
+    mult = tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c)
+    unit = tuple(field.coerce(c) for c in unit)
+    if len(unit) != dim:
+        raise DimensionMismatch("unit length != dim")
+    if involution is not None:
+        involution = tuple(tuple(field.coerce(c) for c in row) for row in involution)
+        if len(involution) != dim or any(len(r) != dim for r in involution):
+            raise DimensionMismatch("involution matrix shape != dim x dim")
+    if labels is not None:
+        labels = tuple(str(s) for s in labels)
+        if len(labels) != dim:
+            raise DimensionMismatch("labels length != dim")
+    alg = Algebra(field, dim, *tensor_loop(field, dim, mult), unit,
+                  involution, labels)
+    j = unit_failure_loop(alg)
+    if j is not None:
+        raise ValidationError(f"unit is not a two-sided identity at basis {j}")
+    if involution is not None:
+        if mat_vec(field, involution, unit) != unit:
+            raise ValidationError("involution does not fix the unit")
+        if mat_mul(field, involution, involution) != identity_matrix(field, dim):
+            raise ValidationError("involution does not square to the identity")
+        bad = product_mismatch_loop(alg, involution, reverse=True)
+        if bad is not None:
+            raise ValidationError(f"involution does not reverse products at {bad}")
+    return alg
+
+
+def product_table(alg):
+    """The dense e_i e_j, each one `algebra.multiply` of basis vectors: the
+    contraction side of `product_table_loop`."""
+    e = alg.basis_vector
+    return tuple(tuple(algebra.multiply(alg, e(i), e(j)) for j in range(alg.dim))
+                 for i in range(alg.dim))
+
+
 def product_table_loop(alg):
-    """`Algebra.product_table`: the dense e_i e_j, summed from the entries."""
+    """The dense e_i e_j, summed from the entries."""
     f, d = alg.field, alg.dim
     table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
-    for i, j, k, c in alg.mult:
+    for i, j, k, c in entries(alg):
         table[i][j][k] = f.add(table[i][j][k], c)
     return tuple(tuple(map(tuple, row)) for row in table)
 
 
 def left_by_basis(alg, j, v):
     """e_j v"""
-    return alg.multiply(alg.basis_vector(j), v)
+    return multiply_loop(alg, alg.basis_vector(j), v)
 
 
 def right_by_basis(alg, j, v):
     """v e_j"""
-    return alg.multiply(v, alg.basis_vector(j))
+    return multiply_loop(alg, v, alg.basis_vector(j))
 
 
 def left_mult_matrix(alg, v):
     """Matrix of x -> v x."""
     f, d = alg.field, alg.dim
     m = [[f.zero] * d for _ in range(d)]
-    for i, j, k, c in alg.mult:
+    for i, j, k, c in entries(alg):
         if v[i]:
             m[k][j] = f.add(m[k][j], f.mul(v[i], c))
     return tuple(tuple(row) for row in m)
@@ -501,7 +594,7 @@ def right_mult_matrix(alg, v):
     """Matrix of x -> x v."""
     f, d = alg.field, alg.dim
     m = [[f.zero] * d for _ in range(d)]
-    for i, j, k, c in alg.mult:
+    for i, j, k, c in entries(alg):
         if v[j]:
             m[k][i] = f.add(m[k][i], f.mul(v[j], c))
     return tuple(tuple(row) for row in m)
@@ -512,7 +605,7 @@ def unit_failure_loop(alg):
     `make_algebra`), or None."""
     for j in range(alg.dim):
         e = alg.basis_vector(j)
-        if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
+        if multiply_loop(alg, alg.unit, e) != e or multiply_loop(alg, e, alg.unit) != e:
             return j
     return None
 
@@ -554,9 +647,9 @@ def cayley_double_loop(alg, mu):
             entries += [(i, j, k, c) for k, c in enumerate(prod[i][j]) if c]
             entries += [(i, d + j, d + k, c)
                         for k, c in enumerate(prod[j][i]) if c]
-            bc = alg.multiply(alg.basis_vector(i), star[j])
+            bc = multiply_loop(alg, alg.basis_vector(i), star[j])
             entries += [(d + i, j, d + k, c) for k, c in enumerate(bc) if c]
-            db = alg.multiply(star[j], alg.basis_vector(i))
+            db = multiply_loop(alg, star[j], alg.basis_vector(i))
             entries += [(d + i, d + j, k, f.mul(mu, c))
                         for k, c in enumerate(db) if c]
     return entries, tuple(alg.unit) + (f.zero,) * d
@@ -658,7 +751,7 @@ def laurent_multiply(ring, a, b):
         twist = sigma_power(ring, ma)
         for mb, cb in b.terms:
             m = tuple(x + y for x, y in zip(ma, mb))
-            w = alg.multiply(ca, mat_vec(f, twist, cb))
+            w = multiply_loop(alg, ca, mat_vec(f, twist, cb))
             acc[m] = alg.add_vec(acc[m], w) if m in acc else w
     return LaurentElement(tuple(sorted((m, c) for m, c in acc.items() if any(c))))
 
@@ -701,7 +794,7 @@ def product_mismatch_loop(alg, m, reverse=False):
     for i in range(alg.dim):
         for j in range(alg.dim):
             x, y = (images[j], images[i]) if reverse else (images[i], images[j])
-            if mat_vec(f, m, prod[i][j]) != alg.multiply(x, y):
+            if mat_vec(f, m, prod[i][j]) != multiply_loop(alg, x, y):
                 return i, j
     return None
 
@@ -783,7 +876,7 @@ def fixed_center_loop(alg, maps, twist=None):
 
 def inverse_pairs_loop(alg, xs, ys):
     """`crossed._inverse_pairs`: x y = y x = 1 for each pair."""
-    return all(alg.multiply(x, y) == alg.unit and alg.multiply(y, x) == alg.unit
+    return all(multiply_loop(alg, x, y) == alg.unit and multiply_loop(alg, y, x) == alg.unit
                for x, y in zip(xs, ys))
 
 
@@ -797,21 +890,29 @@ def check_cocycle_loop(t, g, sigma, alpha, alpha_inv):
             x, xi = alpha[a][b], alpha_inv[a][b]
             for i in range(d):
                 lhs = mat_vec(f, sigma[a], mat_vec(f, sigma[b], t.basis_vector(i)))
-                rhs = t.multiply(t.multiply(x, mat_vec(f, sigma[ab], t.basis_vector(i))), xi)
+                rhs = multiply_loop(t, multiply_loop(t, x, mat_vec(f, sigma[ab], t.basis_vector(i))), xi)
                 if lhs != rhs:
                     raise N1Violation(f"at (g,h,basis) = ({a},{b},{i})")
 
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                lhs = t.multiply(alpha[a][b], alpha[g.mul(a, b)][c])
-                rhs = t.multiply(mat_vec(f, sigma[a], alpha[b][c]), alpha[a][g.mul(b, c)])
+                lhs = multiply_loop(t, alpha[a][b], alpha[g.mul(a, b)][c])
+                rhs = multiply_loop(t, mat_vec(f, sigma[a], alpha[b][c]), alpha[a][g.mul(b, c)])
                 if lhs != rhs:
                     raise N2Violation(f"at (g,h,s) = ({a},{b},{c})")
 
 
+def product_tensor_loop(sys):
+    """`crossed._product_tensor`: the structure tensor of the crossed
+    product and its scale, filled from `product_entries_loop`."""
+    return tensor_loop(sys.algebra.field, sys.dim, product_entries_loop(sys))
+
+
 def product_entries_loop(sys):
-    """`crossed._product_entries`, in the loop's own order."""
+    """The entries of the crossed product's structure constants, one
+    product (e_i sigma_a(e_j)) alpha(a, b) at a time, in the loop's own
+    order."""
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
     entries = []
@@ -823,7 +924,7 @@ def product_entries_loop(sys):
             for j in range(d):
                 sj = mat_vec(f, sig, t.basis_vector(j))
                 for i in range(d):
-                    w = t.multiply(t.multiply(t.basis_vector(i), sj), x)
+                    w = multiply_loop(t, multiply_loop(t, t.basis_vector(i), sj), x)
                     for k, c in enumerate(w):
                         if c:
                             entries.append((a * d + i, b * d + j, ab * d + k, c))
@@ -917,6 +1018,6 @@ LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),
          (crossed, "fixed_center", fixed_center_loop),
          (crossed, "nuclear_mask", nuclear_mask_loop),
          (crossed, "_check_cocycle", check_cocycle_loop),
-         (crossed, "_product_entries", product_entries_loop),
+         (crossed, "_product_tensor", product_tensor_loop),
          (crossed, "_inverse_pairs", inverse_pairs_loop),
          (crossed, "_center_rows", center_rows_loop)]

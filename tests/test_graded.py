@@ -26,10 +26,11 @@ from gradix.graded import (Gradation, is_faithful, is_graded_simple,
 from gradix.groups import (cyclic, dihedral, direct_product,
                            elementary_abelian_two, subgroup, symmetric)
 from gradix.linalg import Subspace, identity_matrix, projective_walk
-from helpers import (NONZERO_Q, homogeneous_points, is_faithful_loop,
+from helpers import (NONZERO_Q, entries, homogeneous_points, is_faithful_loop,
                      is_strong_loop, left_by_basis, product_with_swap,
                      quotient_group, random_graded_algebra, rescaled,
-                     right_by_basis, sedenions, walk_without_points)
+                     right_by_basis, sedenions, tensor_loop,
+                     walk_without_points)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -356,7 +357,7 @@ def test_strength_and_faithfulness_match_the_product_table_loops(case, over_q, d
     alg, grad = case
     if over_q:
         q = rationals()
-        lifted = make_algebra(q, alg.dim, alg.mult, alg.unit)
+        lifted = make_algebra(q, alg.dim, entries(alg), alg.unit)
         alg = rescaled(lifted, [data.draw(NONZERO_Q) for _ in range(alg.dim)])
         grad = validate_gradation(alg, grad.group, grad.degrees)
     assert is_strong(alg, grad) == is_strong_loop(alg, grad)
@@ -398,7 +399,8 @@ def test_validate_gradation_rejects():
     # (compatible tensor + unitality force it), but the guard still fires on
     # a hand-built value
     from gradix.algebra import Algebra
-    fake = Algebra(F3, 2, ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)), (0, 1))
+    mult = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1))
+    fake = Algebra(F3, 2, *tensor_loop(F3, 2, mult), (0, 1))
     with pytest.raises(UnitNotInIdentityComponent):
         validate_gradation(fake, cyclic(2), [0, 1])
 

@@ -27,7 +27,7 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             laurent_element, laurent_simplicity_verdict,
                             make_laurent_ring, sigma_power, verify_central)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
-from helpers import (NONZERO_Q, conjugation_matrix,
+from helpers import (NONZERO_Q, conjugation_matrix, entries,
                      extension_field, fixed_subspace, intersect, laurent_add,
                      laurent_associator, laurent_commutator, laurent_multiply,
                      laurent_one, matrix_order_loop, rescaled, rescaled_matrix,
@@ -561,7 +561,7 @@ def central_by_all_pairs(ring, c):
     every pair of members at once, the batch axes broadcast."""
     alg, p, d = ring.algebra, ring.algebra.field.p, ring.algebra.dim
     tensor = np.zeros((d, d, d), dtype=np.int64)
-    for i, j, k, v in alg.mult:
+    for i, j, k, v in entries(alg):
         tensor[i, j, k] += v
     sigma = [np.array(m, dtype=np.int64) for m in ring.sigma]
 
