@@ -58,7 +58,7 @@ def main():
         prod, grad = build_crossed_product(sys_)
         z, ztg = crossed_center(sys_)
         brute = nucleus_and_center(prod).center
-        gs = is_G_simple(sys_.algebra, sys_.sigma)
+        gs = is_G_simple(sys_)
         field_ok = subfield_check(sys_.algebra, ztg) if gs.simple else None
         print(f"{name:<30} {prod.dim:>4} {str(is_associative(prod)):>6} "
               f"{str(gs.simple):>8} {z.rank:>7} "

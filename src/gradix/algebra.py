@@ -178,7 +178,8 @@ class Algebra:
 def make_algebra(field: FieldSpec, dim: int, entries, unit,
                  involution=None, labels=None) -> Algebra:
     """The algebra of the entries (i, j, k, c), e_i e_j holding c e_k,
-    checked.  Each entry is coerced once, in input order, and repeated
+    checked, unit and involution too: the one constructor of input from
+    outside.  Each entry is coerced once, in input order, and repeated
     indices are summed into the tensor by one `np.add.at`."""
     if dim < 1:
         raise ValidationError(f"algebra dim must be at least 1, got {dim}")
@@ -207,8 +208,10 @@ def make_algebra(field: FieldSpec, dim: int, entries, unit,
             scale = math.lcm(*(c.denominator for c in vals))
             vals = [c.numerator * (scale // c.denominator) for c in vals]
         np.add.at(tensor, tuple(np.array(idx).T), np.array(vals, dtype=dtype))
-    return _algebra(Algebra, field, dim, np_mod(tensor, field.p), scale, unit,
-                    involution, labels)
+    alg = _algebra(Algebra, field, dim, np_mod(tensor, field.p), scale, unit,
+                   involution, labels)
+    _check_unit_and_involution(alg)
+    return alg
 
 
 def _canonical(field: FieldSpec, dim: int, tensor, scale: int):
@@ -233,13 +236,12 @@ def _canonical(field: FieldSpec, dim: int, tensor, scale: int):
 
 def _algebra(cls, field: FieldSpec, dim: int, tensor, scale: int, unit,
              involution=None, labels=None, **fields) -> Algebra:
-    """The checked algebra of a tensor that carries the scale `scale`, an
-    instance of cls with its own `fields` (`crossed.CrossedProduct` and its
-    system); unit, involution and labels are tuples already coerced."""
+    """The algebra of a tensor that carries the scale `scale`, an instance
+    of cls with its own `fields` (`crossed.CrossedProduct` and its system);
+    unit, involution and labels are tuples already coerced, and correct by
+    the caller's construction: nothing is checked."""
     tensor, scale = _canonical(field, dim, tensor, scale)
-    alg = cls(field, dim, tensor, scale, unit, involution, labels, **fields)
-    _check_unit_and_involution(alg)
-    return alg
+    return cls(field, dim, tensor, scale, unit, involution, labels, **fields)
 
 
 def _check_unit_and_involution(alg: Algebra) -> None:

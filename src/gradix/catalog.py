@@ -7,13 +7,17 @@ quadratic extensions, the doubling tower stages) with fixed bases and labels.
 
 from __future__ import annotations
 
+import itertools
+import math
+import re
+
 from .algebra import Algebra, make_algebra
 from .cayley import tower_stages
-from .errors import ValidationError
-from .fields import FieldSpec
-from .graded import Gradation, validate_gradation
+from .errors import BudgetExceeded, ValidationError
+from .fields import FieldSpec, parse_int
+from .graded import Gradation
 from .groups import (FiniteGroup, cyclic, dihedral, direct_product,
-                     elementary_abelian_two, symmetric, trivial_group)
+                     elementary_abelian_two, symmetric)
 from .linalg import identity_matrix
 
 
@@ -47,7 +51,8 @@ def matrix_algebra(field: FieldSpec, n: int) -> Algebra:
 
 
 def group_algebra(field: FieldSpec, group: FiniteGroup) -> tuple[Algebra, Gradation]:
-    """F[G] with its canonical G-gradation deg(u_g) = g."""
+    """F[G] with its canonical G-gradation deg(u_g) = g, which holds as
+    u_a u_b = u_{ab}."""
     entries = [(a, b, group.mul(a, b), field.one)
                for a in group.elements() for b in group.elements()]
     unit = tuple(field.one if a == group.identity else field.zero
@@ -55,7 +60,7 @@ def group_algebra(field: FieldSpec, group: FiniteGroup) -> tuple[Algebra, Gradat
     labels = tuple("1" if a == group.identity else f"u{group.label(a)}"
                    for a in group.elements())
     alg = make_algebra(field, group.order, entries, unit, labels=labels)
-    return alg, validate_gradation(alg, group, tuple(group.elements()))
+    return alg, Gradation(group, tuple(group.elements()))
 
 
 def truncated_dual(field: FieldSpec) -> Algebra:
@@ -111,28 +116,35 @@ def octonions(field: FieldSpec) -> tuple[Algebra, Gradation]:
 
 # -- named groups ----------------------------------------------------------------
 
-def named_group(name: str) -> FiniteGroup:
-    """Compositional references: C<n>, D<n>, S<n>, E<k> ((Z/2)^k), "1",
-    joined by "x" for direct products."""
-    def atom(tok: str) -> FiniteGroup:
-        if tok == "1":
-            return trivial_group()
-        kind, rest = tok[:1], tok[1:]
-        if not rest.isdigit():
-            raise ValidationError(f"unknown group reference: {tok!r}")
-        n = int(rest)
-        if kind == "C":
-            return cyclic(n)
-        if kind == "D":
-            return dihedral(n)
-        if kind == "S":
-            return symmetric(n)
-        if kind == "E":
-            return elementary_abelian_two(n)
-        raise ValidationError(f"unknown group reference: {tok!r}")
+# the stock group of each letter of a group reference and the factors of its
+# order, one at a time; "1" names C1
+_LETTERS = {"C": (cyclic, lambda n: (n,)), "D": (dihedral, lambda n: (2, n)),
+            "S": (symmetric, lambda n: range(2, n + 1)),
+            "E": (elementary_abelian_two, lambda k: (2 for _ in range(k)))}
 
-    parts = [atom(tok) for tok in name.split("x")]
-    out = parts[0]
-    for g in parts[1:]:
+
+def named_group(name: str, budget: int = 1_000_000) -> FiniteGroup:
+    """Compositional references: C<n>, D<n>, S<n>, E<k> ((Z/2)^k), "1",
+    joined by "x" for direct products, n >= 1 and k in ASCII digits.  The
+    order is multiplied up from the name before any table is built, and
+    refused (`BudgetExceeded`) once the table's order^2 entries would pass
+    the budget, so no huge order is formed either."""
+    atoms = []
+    for tok in name.split("x"):
+        kind, digits = ("C", "1") if tok == "1" else (tok[:1], tok[1:])
+        if kind not in _LETTERS or not re.fullmatch("[0-9]+", digits):
+            raise ValidationError(f"unknown group reference: {tok!r}")
+        n = parse_int(digits)
+        if n == 0 and kind in "CD":
+            raise ValidationError(f"group reference {tok!r} has order 0")
+        atoms.append((kind, n))
+    order, cap = 1, math.isqrt(budget)
+    for factor in itertools.chain.from_iterable(_LETTERS[k][1](n) for k, n in atoms):
+        order *= factor
+        if order > cap:     # then order^2 > budget
+            raise BudgetExceeded(f"at least {order ** 2} group table entries "
+                                 f"exceed budget {budget}")
+    out, *rest = [_LETTERS[k][0](n) for k, n in atoms]
+    for g in rest:
         out = direct_product(out, g)
     return out

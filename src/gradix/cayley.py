@@ -24,11 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (Algebra, SimplicityVerdict, _algebra, _np_right,
-                      _np_vectors, _restrict, fixed_center, make_algebra,
-                      simple_under, subfield_check)
+                      _np_vectors, _restrict, fixed_center, simple_under,
+                      subfield_check)
 from .errors import MuZero, ValidationError
 from .fields import FieldSpec, Scalar
-from .graded import Gradation, validate_gradation
+from .graded import Gradation
 from .groups import cyclic, elementary_abelian_two
 from .linalg import (Subspace, identity_matrix, np_dtype, np_mod,
                      projective_count, projective_walk)
@@ -43,7 +43,10 @@ def cayley_double(alg: Algebra, mu, adjoined: str = "l") -> tuple[Algebra, Grada
     """The double C(A, mu), graded by C2, with its tensor assembled from
     four blocks of A's: with C the structure tensor and S the involution,
     a c is C, d a is C with i and j swapped, b c* is C contracted with S,
-    and mu d* b is mu times S contracted with C."""
+    and mu d* b is mu times S contracted with C.  Nothing is checked
+    again, as the product law makes (1, 0) the unit (1* = 1) and
+    (a, b)* = (a*, -b) an involution for every mu != 0, and the blocks
+    sit at the degrees 0 0 -> 0, 0 1 -> 1, 1 0 -> 1, 1 1 -> 0."""
     _require_involution(alg)
     f = alg.field
     mu = f.coerce(mu)
@@ -69,7 +72,7 @@ def cayley_double(alg: Algebra, mu, adjoined: str = "l") -> tuple[Algebra, Grada
             adjoined if s == "1" else s + adjoined for s in alg.labels)
     doubled = _algebra(Algebra, f, 2 * d, double, ss * sc * alg._np_scale,
                        unit, invol, labels)
-    return doubled, validate_gradation(doubled, cyclic(2), (0,) * d + (1,) * d)
+    return doubled, Gradation(cyclic(2), (0,) * d + (1,) * d)
 
 
 # -- star ideals and centers ---------------------------------------------------
@@ -194,18 +197,18 @@ class TowerStage:
 
 def tower_stages(field: FieldSpec, mus) -> Iterator[tuple[Algebra, Gradation]]:
     """The ground field and its iterated doubles along the given parameters,
-    each with its accumulated (Z/2)^k-gradation, built one at a time."""
-    alg = make_algebra(field, 1, [(0, 0, 0, field.one)], (field.one,),
-                       involution=((field.one,),), labels=("1",))
-    grad = Gradation(elementary_abelian_two(0), (0,))
-    yield alg, grad
+    each with its accumulated (Z/2)^k-gradation, built one at a time.  A
+    stage's e_i has degree i: with l of degree 2^k, each block of a double
+    multiplies degrees by xor, as A's table does and as the involution,
+    diagonal, keeps degrees."""
+    alg = _algebra(Algebra, field, 1, [[[1]]], 1, (field.one,),
+                   ((field.one,),), ("1",))
+    yield alg, Gradation(elementary_abelian_two(0), (0,))
     letters = "ijlmnpqr"
     for k, mu in enumerate(mus):
         letter = letters[k] if k < len(letters) else f"t{k}"
         alg, _ = cayley_double(alg, mu, adjoined=letter)
-        degrees = tuple(grad.degrees) + tuple(d + (1 << k) for d in grad.degrees)
-        grad = validate_gradation(alg, elementary_abelian_two(k + 1), degrees)
-        yield alg, grad
+        yield alg, Gradation(elementary_abelian_two(k + 1), tuple(range(alg.dim)))
 
 
 def tower(field: FieldSpec, mus, budget: int = 1_000_000) -> list[TowerStage]:

@@ -31,7 +31,7 @@ from .algebra import (Algebra, SimplicityVerdict, _algebra, _np_left,
                       two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                      N3Violation, NotAutomorphism, ValidationError)
-from .graded import Gradation, validate_gradation
+from .graded import Gradation
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      np_matmul, np_mod)
@@ -87,9 +87,9 @@ class CrossedProduct(Algebra):
         each sum one `np_matmul` of (d^2 x d) @ (d x d^2) blocks batched
         over all (a, b, c): n^3 d^5 products, where the dense contraction
         does (n d)^5.  The blocks are scattered into zeros; every other
-        block is zero because the table respects the grading, which
-        `validate_gradation` checks entry by entry.  Over Q w is first
-        rescaled to `_np_scale`, the scale of the generic tensor."""
+        block is zero because `_product_tensor` places each block w[a, b]
+        of the table at degree ab.  Over Q w is first rescaled to
+        `_np_scale`, the scale of the generic tensor."""
         sys, p = self.system, self.field.p
         n, d = sys.group.order, sys.algebra.dim
         mul = np.array(sys.group.table)
@@ -198,10 +198,11 @@ def _check_cocycle(t: Algebra, g: FiniteGroup, sigma, alpha,
 
 
 def trivial_system(t: Algebra, g: FiniteGroup) -> CrossedSystem:
-    """Group-ring system: sigma = id, alpha = 1."""
-    ident = identity_matrix(t.field, t.dim)
-    ones = tuple(tuple(t.unit for _ in range(g.order)) for _ in range(g.order))
-    return validate_crossed_system(t, g, (ident,) * g.order, ones)
+    """Group-ring system: sigma = id, alpha = alpha^-1 = 1, which meet
+    N1-N3 and every check of `validate_crossed_system` for any T and G."""
+    ones = ((t.unit,) * g.order,) * g.order
+    return CrossedSystem(t, g, (identity_matrix(t.field, t.dim),) * g.order,
+                         ones, ones)
 
 
 # -- the product ---------------------------------------------------------------
@@ -228,26 +229,14 @@ def _product_tensor(sys: CrossedSystem) -> tuple[np.ndarray, int]:
     return tensor.reshape((n * d,) * 3), s
 
 
-def _inverse_pairs(alg: Algebra, xs, ys) -> bool:
-    """Whether x y = y x = 1 for each pair of rows, all the products at
-    once."""
-    p, d = alg.field.p, alg.dim
-    c = alg._np_tensor.reshape(d, d * d)
-    (x, sx), (y, sy) = _np_vectors(alg, xs), _np_vectors(alg, ys)
-    unit, su = _np_vectors(alg, alg.unit)
-    scale = sx * sy * alg._np_scale        # the scale of each product
-    return all((np_mod(np.einsum("rj,rjk->rk", v,
-                                 np_matmul(u, c, p).reshape(-1, d, d)), p) * su
-                == unit * scale).all() for u, v in ((x, y), (y, x)))
-
-
 def build_crossed_product(sys: CrossedSystem) -> tuple[CrossedProduct, Gradation]:
-    """The crossed product of the system, graded by G, with each canonical
-    unit u_g checked to be a nuclear unit with inverse
-    alpha(g^-1, g)^-1 u_{g^-1}.  That check also makes the gradation
-    strong: for x in R_{gh}, x v_h lies in R_g, where v_h in R_{h^-1} is
-    the inverse of u_h, and (x v_h) u_h = x (v_h u_h) = x because u_h is
-    nuclear, so R_{gh} = R_g R_h."""
+    """The crossed product of the system, graded by G, checked no further:
+    `_product_tensor` puts e_i u_a e_j u_b in degree ab and the unit is
+    u_e, and N1-N3, with sigma_g automorphisms and alpha(g, h) nuclear
+    units, make each u_g a nuclear unit with inverse
+    v_g = alpha(g^-1, g)^-1 u_{g^-1} (N2 at (g, g^-1, g)).  So the
+    gradation is strong: for x in R_{gh}, x v_h lies in R_g and
+    (x v_h) u_h = x (v_h u_h) = x as u_h is nuclear, so R_{gh} = R_g R_h."""
     t, g, f = sys.algebra, sys.group, sys.algebra.field
     d, n = t.dim, g.order
 
@@ -270,29 +259,15 @@ def build_crossed_product(sys: CrossedSystem) -> tuple[CrossedProduct, Gradation
 
     prod = _algebra(CrossedProduct, f, d * n, *_product_tensor(sys),
                     tuple(unit), labels=labels, system=sys)
-    degrees = tuple(a for a in range(n) for _ in range(d))
-    grad = validate_gradation(prod, g, degrees)
-
-    # N2 at (g, g^-1, g) makes alpha(g^-1, g)^-1 u_{g^-1} the inverse of u_g
-    units = canonical_units(sys)
-    inverses = []
-    for a in range(n):
-        b = g.inv(a)
-        v = [f.zero] * (d * n)
-        v[b * d: (b + 1) * d] = sys.alpha_inv[b][a]
-        inverses.append(tuple(v))
-    if not (_inverse_pairs(prod, units, inverses) and all(nuclear_mask(prod, units))):
-        raise ValidationError("canonical unit is not a nuclear unit")
-    return prod, grad
+    return prod, Gradation(g, tuple(a for a in range(n) for _ in range(d)))
 
 
 # -- simplicity and centers ------------------------------------------------------
 
-def is_G_simple(t: Algebra, sigma,
+def is_G_simple(sys: CrossedSystem,
                 budget: int = 1_000_000) -> SimplicityVerdict:
     """No proper nonzero ideal of T closed under every sigma_g (exact)."""
-    maps = tuple(coerce_matrix(t.field, m, t.dim) for m in sigma)
-    return simple_under(t, maps=maps, budget=budget)
+    return simple_under(sys.algebra, maps=sys.sigma, budget=budget)
 
 
 def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:

@@ -1,8 +1,10 @@
-"""Finite groups as validated multiplication tables.
+"""Finite groups as multiplication tables.
 
 Everything is index-based: a group of order n has elements 0..n-1 and a
-dense n x n table.  Intended scale is tables of order <= 16, so the
-cubic associativity scan is fine.
+dense n x n table.  `validate_group` checks a table given from outside,
+associativity by a cubic scan over a table the input spells out entry by
+entry; the stock constructions are groups by construction and check
+nothing, and `catalog.named_group` refuses their tables past the budget.
 """
 
 from __future__ import annotations
@@ -154,10 +156,18 @@ def central_series(g: FiniteGroup) -> CentralSeries:
 
 # -- stock constructions -----------------------------------------------------
 
+def _stock(table, identity: int, labels) -> FiniteGroup:
+    """The group of a stock construction, a group's table by construction,
+    so nothing is checked: the inverse of a is the b with a b = e, read off
+    row a."""
+    table = tuple(map(tuple, table))
+    return FiniteGroup(table, identity,
+                       tuple(row.index(identity) for row in table), tuple(labels))
+
+
 def cyclic(n: int) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate_group(table, identity=0,
-                          labels=[f"r{i}" if i else "e" for i in range(n)])
+    return _stock(table, 0, [f"r{i}" if i else "e" for i in range(n)])
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -166,16 +176,14 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     table = [[index[(a.mul(p1, p2), b.mul(q1, q2))] for (p2, q2) in pairs]
              for (p1, q1) in pairs]
     labels = [f"({a.label(p)},{b.label(q)})" for (p, q) in pairs]
-    return validate_group(table, identity=index[(a.identity, b.identity)],
-                          labels=labels)
+    return _stock(table, index[(a.identity, b.identity)], labels)
 
 
 def elementary_abelian_two(k: int) -> FiniteGroup:
     """(Z/2)^k with element i carrying the bit pattern of i; product is xor."""
     n = 1 << k
     table = [[i ^ j for j in range(n)] for i in range(n)]
-    return validate_group(table, identity=0,
-                          labels=[format(i, f"0{max(k, 1)}b") for i in range(n)])
+    return _stock(table, 0, [format(i, f"0{max(k, 1)}b") for i in range(n)])
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -192,7 +200,7 @@ def dihedral(n: int) -> FiniteGroup:
         return (ib - ia) % n
     table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
     labels = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
-    return validate_group(table, identity=0, labels=labels)
+    return _stock(table, 0, labels)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -201,8 +209,8 @@ def symmetric(n: int) -> FiniteGroup:
     compose = lambda p, q: tuple(p[q[i]] for i in range(n))
     table = [[index[compose(p, q)] for q in perms] for p in perms]
     labels = ["".join(map(str, p)) for p in perms]
-    return validate_group(table, identity=index[tuple(range(n))], labels=labels)
+    return _stock(table, index[tuple(range(n))], labels)
 
 
 def trivial_group() -> FiniteGroup:
-    return validate_group([[0]], identity=0, labels=["e"])
+    return _stock([[0]], 0, ["e"])

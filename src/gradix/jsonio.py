@@ -114,9 +114,11 @@ def parse_field(obj) -> FieldSpec:
     raise ValidationError(f"unknown field kind {kind!r}")
 
 
-def parse_group(obj) -> FiniteGroup:
+def parse_group(obj, budget: int = DEFAULT_OPTIONS["budget"]) -> FiniteGroup:
+    """A named group (`catalog.named_group`, refused past the budget) or a
+    table, checked by `validate_group`."""
     if isinstance(obj, str):
-        return catalog.named_group(obj)
+        return catalog.named_group(obj, budget)
     if not isinstance(obj, dict):
         raise ValidationError("group must be an object or a name")
     table = [[_int(x, "group table entry") for x in _list(row, "group table row")]
@@ -147,16 +149,17 @@ def parse_algebra(obj) -> Algebra:
     return make_algebra(f, dim, entries, unit, involution=invol, labels=labels)
 
 
-def parse_gradation(alg: Algebra, obj) -> Gradation:
-    group = parse_group(_need(obj, "group", "gradation"))
+def parse_gradation(alg: Algebra, obj,
+                    budget: int = DEFAULT_OPTIONS["budget"]) -> Gradation:
+    group = parse_group(_need(obj, "group", "gradation"), budget)
     degrees = [_int(d, "gradation degree")
                for d in _list(_need(obj, "degrees", "gradation"), "gradation degrees")]
     return validate_gradation(alg, group, degrees)
 
 
-def parse_crossed(obj) -> CrossedSystem:
+def parse_crossed(obj, budget: int = DEFAULT_OPTIONS["budget"]) -> CrossedSystem:
     t = parse_algebra(_need(obj, "T", "crossed system"))
-    g = parse_group(_need(obj, "G", "crossed system"))
+    g = parse_group(_need(obj, "G", "crossed system"), budget)
     sigma = [_rows(m, "crossed sigma")
              for m in _list(_need(obj, "sigma", "crossed system"), "crossed sigma")]
     alpha = [_rows(row, "crossed alpha")
@@ -316,8 +319,8 @@ def crossed_block(sys: CrossedSystem, opts) -> dict:
         "group_order": sys.group.order,
         "product_dim": prod.dim,
         "product_associative": is_associative(prod),
-        # strong, since every canonical unit is a nuclear unit (the proof is
-        # in the docstring of build_crossed_product, which checks the units)
+        # strong, since every canonical unit of a validated system is a
+        # nuclear unit (the proof is in the docstring of build_crossed_product)
         "strong": True,
         "center": subspace_json(z),
         "centers_match": z.basis == brute_z.basis,
@@ -329,7 +332,7 @@ def crossed_block(sys: CrossedSystem, opts) -> dict:
     except ExactModeUnavailable:
         block["fixed_center_is_field"] = None
     try:
-        gv = is_G_simple(sys.algebra, sys.sigma, budget=opts["budget"])
+        gv = is_G_simple(sys, budget=opts["budget"])
         block["g_simple"] = verdict_json(f, gv)
         sv = is_graded_simple(prod, grad, budget=opts["budget"])
         block["graded_simplicity"] = verdict_json(f, sv)
@@ -425,7 +428,8 @@ def run_request(doc: dict) -> dict:
         report = algebra_block(alg, opts)
     elif kind == "graded":
         alg = parse_algebra(_need(payload, "algebra", "graded payload"))
-        grad = parse_gradation(alg, _need(payload, "gradation", "graded payload"))
+        grad = parse_gradation(alg, _need(payload, "gradation", "graded payload"),
+                               opts["budget"])
         report = algebra_block(alg, opts)
         report["gradation"] = gradation_block(alg, grad, opts)
         try:
@@ -433,7 +437,7 @@ def run_request(doc: dict) -> dict:
         except ExactModeUnavailable:
             report["simplicity_equivalence"] = None
     elif kind == "crossed":
-        sys = parse_crossed(payload)
+        sys = parse_crossed(payload, opts["budget"])
         report = crossed_block(sys, opts)
     elif kind == "laurent":
         ring = parse_laurent(payload)

@@ -875,9 +875,35 @@ def fixed_center_loop(alg, maps, twist=None):
 
 
 def inverse_pairs_loop(alg, xs, ys):
-    """`crossed._inverse_pairs`: x y = y x = 1 for each pair."""
+    """Whether x y = y x = 1 for each pair."""
     return all(multiply_loop(alg, x, y) == alg.unit and multiply_loop(alg, y, x) == alg.unit
                for x, y in zip(xs, ys))
+
+
+def canonical_inverses(sys):
+    """alpha(g^-1, g)^-1 u_{g^-1} for each g: the inverse of u_g in the
+    crossed product, by N2 at (g, g^-1, g)."""
+    t, g = sys.algebra, sys.group
+    out = []
+    for a in g.elements():
+        b = g.inv(a)
+        v = [t.field.zero] * sys.dim
+        v[b * t.dim: (b + 1) * t.dim] = sys.alpha_inv[b][a]
+        out.append(tuple(v))
+    return out
+
+
+def assert_crossed_product_checks(sys, prod, grad):
+    """The checks that `build_crossed_product` leaves to the validation of
+    its system hold on what it built: the unit, the G-grading, and each
+    canonical unit u_g a nuclear unit with inverse
+    alpha(g^-1, g)^-1 u_{g^-1}."""
+    algebra._check_unit_and_involution(prod)
+    assert validate_gradation(prod, grad.group, grad.degrees) == grad
+    units = crossed.canonical_units(sys)
+    assert inverse_pairs_loop(prod, units, canonical_inverses(sys))
+    nucleus = algebra.nucleus_and_center(prod).nucleus
+    assert all(nucleus.contains(u) for u in units)
 
 
 def check_cocycle_loop(t, g, sigma, alpha, alpha_inv):
@@ -1019,5 +1045,4 @@ LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),
          (crossed, "nuclear_mask", nuclear_mask_loop),
          (crossed, "_check_cocycle", check_cocycle_loop),
          (crossed, "_product_tensor", product_tensor_loop),
-         (crossed, "_inverse_pairs", inverse_pairs_loop),
          (crossed, "_center_rows", center_rows_loop)]

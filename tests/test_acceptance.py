@@ -206,7 +206,7 @@ def test_criterion_4_crossed_product_suite(capsys):
         from gradix.algebra import is_associative
         associativity[name] = is_associative(prod)
 
-        gs = is_G_simple(sys_.algebra, sys_.sigma)
+        gs = is_G_simple(sys_)
         assert gs.simple == is_graded_simple(prod, grad).simple, name
 
         z, ztg = crossed_center(sys_)

@@ -138,6 +138,46 @@ def test_budget_exit_code(capsys, graded_file):
     assert json.loads(out)["error"]["type"] == "BudgetExceeded"
 
 
+def _named_group_request(tmp_path, group):
+    """GRADED_REQ graded by the named group, both basis vectors in the
+    identity component."""
+    req = copy.deepcopy(GRADED_REQ)
+    req["payload"]["gradation"] = {"group": group, "degrees": [0, 0]}
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(req))
+    return str(path)
+
+
+@pytest.mark.parametrize("group", ["E\u00b2", "C\u00b3", "S\u2460", "C\u0663",
+                                   "D\u0662", "C" + "7" * 5000, "C0", "D0xE9"])
+def test_a_group_name_takes_ascii_digits_and_a_positive_order(capsys, tmp_path,
+                                                               group):
+    # superscripts, circled and Arabic-Indic digits, more digits than Python
+    # converts, and the order 0 are malformed: a JSON error with exit 1
+    code, out = run_cli(capsys, ["analyze", _named_group_request(tmp_path, group)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("group, flags, code", [
+    ("S9", [], 2), ("E200", [], 2), ("E10", [], 2),
+    ("E10", ["--budget", "2000000"], 0), ("S6", [], 0)])
+def test_a_named_group_is_refused_by_its_order_before_its_table(
+        capsys, tmp_path, group, flags, code):
+    # E10 has 1024^2 = 1048576 table entries, over the default budget
+    started = time.perf_counter()
+    got, out = run_cli(capsys, ["analyze", _named_group_request(tmp_path, group),
+                                *flags])
+    assert got == code
+    if code == 2:
+        assert time.perf_counter() - started < 1.0
+        err = json.loads(out)["error"]
+        assert err["type"] == "BudgetExceeded"
+        assert err["message"].endswith(" group table entries exceed budget 1000000")
+    else:
+        assert json.loads(out)["report"]["gradation"]
+
+
 def test_unbounded_exit_code(capsys, tmp_path):
     doc = {"kind": "laurent",
            "payload": {"T": {"field": {"kind": "Q"}, "dim": 1,

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import random
 import re
@@ -237,35 +236,21 @@ def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
 
 def test_an_associative_product_skips_its_zero_associators(monkeypatch):
     # H x| C4 over F_3 is associative: none of the 4 096 basis associators
-    # of the 16-dimensional product reaches an elimination, and its units'
-    # nuclearity needs no contraction of the all-zero tensor
+    # of the 16-dimensional product reaches an elimination
     kind, text = CASES["crossed_h_c4_sign"]
     rows = []
     np_rref = linalg.np_rref
     monkeypatch.setattr(linalg, "np_rref",
                         lambda a, p: rows.append(np.shape(a)[0]) or np_rref(a, p))
-    mask_dims, mask_matmuls = [], []
-    np_matmul = algebra.np_matmul
-
-    def matmul_spy(a, b, p):
-        if inspect.currentframe().f_back.f_code.co_name == "nuclear_mask":
-            mask_matmuls.append(np.shape(a)[1])
-        return np_matmul(a, b, p)
-    monkeypatch.setattr(algebra, "np_matmul", matmul_spy)
-    mask = crossed.nuclear_mask
-    monkeypatch.setattr(crossed, "nuclear_mask",
-                        lambda alg, vecs: mask_dims.append(alg.dim) or mask(alg, vecs))
     report = jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
     assert report["report"]["product_associative"] is True
-    assert 16 in mask_dims
     assert rows and max(rows) <= 16 ** 2
-    assert 16 not in mask_matmuls
 
 
 def test_a_crossed_request_never_builds_the_dense_defect(monkeypatch):
-    # H x| C4 over F_3: the unit check, `is_associative`, the center's
-    # nuclear part and the graded verdict all read the 16-dimensional
-    # product's block tensor, built once
+    # H x| C4 over F_3: `is_associative`, the center's nuclear part and the
+    # graded verdict all read the 16-dimensional product's block tensor,
+    # built once
     kind, text = CASES["crossed_h_c4_sign"]
     dense, blocks = [], []
     for cls, calls in ((Algebra, dense), (crossed.CrossedProduct, blocks)):
@@ -292,21 +277,18 @@ def test_associativity_transfers_from_coefficients():
 def test_graded_simple_iff_g_simple(mk):
     sys = mk()
     prod, grad = build_crossed_product(sys)
-    gs = is_G_simple(sys.algebra, sys.sigma)
+    gs = is_G_simple(sys)
     graded = is_graded_simple(prod, grad)
     assert gs.simple == graded.simple
 
 
 def test_g_simple_known_answers():
-    assert is_G_simple(frobenius_system().algebra,
-                       frobenius_system().sigma).simple
+    assert is_G_simple(frobenius_system()).simple
     sw = swap_system()
-    assert is_G_simple(sw.algebra, sw.sigma).simple
+    assert is_G_simple(sw).simple
     # without the swap the product ring has invariant ideals
-    assert not is_G_simple(sw.algebra,
-                           [identity_matrix(F3, 2)] * 2).simple
-    dual = truncated_dual(F3)
-    assert not is_G_simple(dual, [identity_matrix(F3, 2)] * 2).simple
+    assert not is_G_simple(trivial_system(sw.algebra, cyclic(2))).simple
+    assert not is_G_simple(trivial_system(truncated_dual(F3), cyclic(2))).simple
 
 
 @pytest.mark.parametrize("mk", SYSTEMS)
@@ -533,7 +515,7 @@ def test_contractions_match_the_generic_loops(mk, f, change, data):
     def build():
         if change == "unchecked":
             # past validation: the product of an alpha that may break N2, or
-            # whose inverse is wrong, meets the canonical-unit check
+            # whose inverse is wrong, is built as it is
             inv = two_sided_inverse(t, alpha[a][b]) or t.unit
             rows = [list(row) for row in sys.alpha_inv]
             rows[a][b] = inv
@@ -634,27 +616,12 @@ def test_twisted_centers_match_the_loop(f, coefficients, data):
             assert fixed_center(t, maps, tw) == fixed_center_loop(t, maps, tw)
 
 
-def test_canonical_unit_check_refuses_on_both_paths():
-    # alpha(r, r) = e_1, an invertible octonion outside the nucleus: the
-    # product builds, and u_r is a unit but not nuclear
-    o = octonions(F3)[0]
-    g = cyclic(2)
-    e1 = o.basis_vector(1)
-    alpha = ((o.unit, o.unit), (o.unit, e1))
-    inv = ((o.unit, o.unit), (o.unit, two_sided_inverse(o, e1)))
-    sys = crossed.CrossedSystem(o, g, (identity_matrix(F3, 8),) * 2, alpha, inv)
-    fast, slow = _on_both_paths(lambda: build_crossed_product(sys))
-    assert fast == slow == (ValidationError, "canonical unit is not a nuclear unit")
-    with pytest.raises(AlphaNotNuclearUnit, match=r"alpha\[1\]\[1\]"):
-        validate_crossed_system(o, g, sys.sigma, alpha)
-
-
 # -- the block associator tensor ------------------------------------------------
 
 def non_nuclear_alpha_system(f):
     """O x| C2 built past validation with alpha(r, r) = e_1, an invertible
-    octonion outside the nucleus: the product builds, and then fails its
-    canonical-unit check."""
+    octonion outside the nucleus, which `validate_crossed_system` refuses:
+    the product builds, and u_r is a unit but not nuclear."""
     o = octonions(f)[0]
     e1 = o.basis_vector(1)
     inv = two_sided_inverse(o, e1) or o.unit
@@ -665,41 +632,61 @@ def non_nuclear_alpha_system(f):
 
 def _block_and_generic(sys):
     """The associator tensor of the product `build_crossed_product(sys)`
-    builds, whether or not its checks then pass, and
-    `Algebra._np_defect` of it, the dense contraction."""
-    built = []
-    grade = crossed.validate_gradation
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crossed, "validate_gradation",
-                   lambda alg, g, degrees: built.append(alg) or grade(alg, g, degrees))
-        _outcome(lambda: build_crossed_product(sys))
-    [prod] = built
+    builds, and `Algebra._np_defect` of it, the dense contraction."""
+    prod = build_crossed_product(sys)[0]
     assert isinstance(prod, crossed.CrossedProduct)
     return prod._np_defect, Algebra._np_defect.func(prod)
 
 
+def swap_d3_system(f):
+    """F x F crossed with D3, whose reflections act by the swap: a group
+    that is not abelian, so a table placed at degree ba is not graded."""
+    t, g = product_algebra(f, 2), dihedral(3)
+    sigma = [swap_matrix(f) if a >= 3 else identity_matrix(f, 2)
+             for a in g.elements()]
+    return validate_crossed_system(t, g, sigma, [[t.unit] * 6] * 6)
+
+
 BLOCK_SYSTEMS = dict(zip(
     ["frobenius", "swap", "rotation", "quaternion_cocycle", "dual_c2",
-     "octonions_c2", "octonions_c3", "non_nuclear_alpha"],
+     "octonions_c2", "octonions_c3", "swap_d3", "non_nuclear_alpha"],
     FIELD_SYSTEMS + [lambda f: trivial_system(octonions(f)[0], cyclic(3)),
-                     non_nuclear_alpha_system]))
+                     swap_d3_system, non_nuclear_alpha_system]))
 BLOCK_FIELDS = {"F2": F2, "F3": F3, "F5": prime_field(5),
                 "F4294967311": prime_field(4294967311), "Q": rationals()}
 
 
 # every system over every field, once each (the Frobenius twist has no
 # meaning over Q): a failing pair is reported as it is, not shrunk
-@pytest.mark.parametrize("mk, f", [
-    pytest.param(mk, f, id=f"{sname}-{fname}")
-    for sname, mk in BLOCK_SYSTEMS.items()
-    for fname, f in BLOCK_FIELDS.items()
-    if f.is_finite or mk is not frobenius_system])
+BLOCK_GRID = [pytest.param(mk, f, id=f"{sname}-{fname}")
+              for sname, mk in BLOCK_SYSTEMS.items()
+              for fname, f in BLOCK_FIELDS.items()
+              if f.is_finite or mk is not frobenius_system]
+
+
+@pytest.mark.parametrize("mk, f", BLOCK_GRID)
 def test_block_defect_is_the_generic_tensor(mk, f):
     # past the int64 bound (p = 4294967311) and over Q both hold Python
     # ints; outside F_2 the octonion products are not associative
     fast, slow = _block_and_generic(mk(f))
     assert fast.dtype == slow.dtype
     assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("mk, f", [p for p in BLOCK_GRID
+                                   if p.values[0] is not non_nuclear_alpha_system])
+def test_validated_products_pass_the_checks_left_to_validation(mk, f):
+    sys = mk(f)
+    helpers.assert_crossed_product_checks(sys, *build_crossed_product(sys))
+
+
+@pytest.mark.parametrize("f", BLOCK_FIELDS.values(), ids=BLOCK_FIELDS)
+def test_trivial_systems_are_the_validated_ones(f):
+    # `trivial_system` builds its system unchecked
+    for t in (truncated_dual(f), octonions(f)[0]):
+        for g in (cyclic(2), dihedral(3)):
+            sys = trivial_system(t, g)
+            assert sys == validate_crossed_system(t, g, sys.sigma, sys.alpha)
 
 
 def test_the_first_alpha_outside_the_nuclear_units_is_named():
@@ -714,6 +701,10 @@ def test_the_first_alpha_outside_the_nuclear_units_is_named():
         alpha = [[one] * 3, [one, one, a12], [one, a21, one]]
         with pytest.raises(AlphaNotNuclearUnit, match=re.escape(f"alpha{bad} =")):
             validate_crossed_system(o, cyclic(3), sigma, alpha)
+    # by C2, the system that `non_nuclear_alpha_system` builds past validation
+    sys = non_nuclear_alpha_system(F3)
+    with pytest.raises(AlphaNotNuclearUnit, match=re.escape("alpha[1][1] =")):
+        validate_crossed_system(o, cyclic(2), sys.sigma, sys.alpha)
 
 
 # -- crossed products over Q ---------------------------------------------------------
@@ -805,9 +796,10 @@ def q_systems(draw):
        st.data())
 def test_q_contractions_match_the_loops(system, change, data):
     """Over Q, with numerators and denominators past 2^63: the cocycle
-    check (the same first violation and message), the product's entries,
-    the canonical-unit check and the center rows' kernel against the
-    loops, on valid systems and on systems with one entry moved."""
+    check (the same first violation and message), the product's entries
+    and the center rows' kernel against the loops, on valid systems and on
+    systems with one entry moved; a valid system's product passes the
+    checks left to validation."""
     t, g, sigma, alpha = system
     n = g.order
     a = data.draw(st.integers(0, n - 1), label="g")
@@ -824,8 +816,8 @@ def test_q_contractions_match_the_loops(system, change, data):
 
     def build():
         if change == "unchecked":
-            # past validation: an alpha that may break N1 or N2, with its own
-            # inverse or the unit, meets the canonical-unit check
+            # past validation: the product of an alpha that may break N1 or
+            # N2, with its own inverse or the unit, is built as it is
             valid = validate_crossed_system(t, g, sigma, alpha)
             inv = [list(row) for row in valid.alpha_inv]
             inv[a][b] = two_sided_inverse(t, moved[a][b]) or t.unit
@@ -842,14 +834,12 @@ def test_q_contractions_match_the_loops(system, change, data):
 
     if change == "none":
         sys = validate_crossed_system(t, g, sigma, alpha)
-        prod, _ = build_crossed_product(sys)
-        units = canonical_units(sys)
-        inverses = [prod.element([0] * (g.inv(x) * t.dim) + list(sys.alpha_inv[g.inv(x)][x])
-                                 + [0] * ((n - 1 - g.inv(x)) * t.dim))
-                    for x in range(n)]
+        prod, grad = build_crossed_product(sys)
+        helpers.assert_crossed_product_checks(sys, prod, grad)
+        # a unit's two-sided inverse is unique, so a moved one is no inverse
+        inverses = helpers.canonical_inverses(sys)
         inverses[a] = prod.add_vec(inverses[a], prod.scale(shift, prod.basis_vector(k)))
-        assert (crossed._inverse_pairs(prod, units, inverses) ==
-                inverse_pairs_loop(prod, units, inverses))
+        assert not inverse_pairs_loop(prod, canonical_units(sys), inverses)
 
 
 @settings(max_examples=30, deadline=None)
