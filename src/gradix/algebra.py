@@ -311,12 +311,15 @@ def _combine(space: Subspace, coords: Subspace) -> Subspace:
 def _restrict(alg: Algebra, space: Subspace, rows: np.ndarray) -> Subspace:
     """The x of `space` with rows x = 0: the a K, K the k x d basis of
     `space`, with (rows K^T) a = 0, a system on the k coordinates a only.
-    Over Q the rows may be any nonzero multiple of the equations."""
+    Over Q the rows may be any nonzero multiple of the equations.  When
+    every a solves them (an associative A's slots, a commutative A's
+    commuter), the answer is `space` itself."""
     if space.is_zero:
         return space
     x, _ = _np_vectors(alg, space.basis)
     eqs = np_matmul(rows, x.T, alg.field.p)
-    return _combine(space, kernel(alg.field, _nonzero_rows(eqs), space.rank))
+    coords = kernel(alg.field, _nonzero_rows(eqs), space.rank)
+    return space if coords.is_full else _combine(space, coords)
 
 
 def _nuclear_part(alg: Algebra, space: Subspace, stop: int) -> Subspace:
@@ -466,21 +469,43 @@ CENTRAL_NAMES = ("left", "middle", "right", "nucleus", "commuter", "center")
 
 
 def _central(alg: Algebra, names) -> dict:
-    """The named central subspaces, each the kernel of its blocks of
-    `_nucleus_blocks` stacked."""
+    """The named central subspaces.  Left, middle, right and the commuter
+    are one kernel each, of their blocks of `_nucleus_blocks`.  The others
+    are solved on the survivors of a space that holds them: the nucleus is
+    `_restrict` of the left nucleus by the middle and right rows, and the
+    center `_restrict` of the nucleus by the commuter rows.  The unit lies
+    in all six, so a space of rank at most 1 is the unit line, and so is
+    every space inside it, with no solve: the nucleus once a slot has rank
+    1, the center once the nucleus or the commuter has.  `names` must hold,
+    with the nucleus, the three slots, and with the center, the nucleus
+    and the commuter."""
     left, middle, right, comm = _nucleus_blocks(alg)
-    systems = {"left": [left], "middle": [middle], "right": [right],
-               "nucleus": [left, middle, right], "commuter": [comm],
-               "center": [left, middle, right, comm]}
-    return {n: kernel(alg.field, np.concatenate(systems[n]), alg.dim)
-            for n in names}
+    out = {n: kernel(alg.field, rows, alg.dim)
+           for n, rows in zip(("left", "middle", "right", "commuter"),
+                              (left, middle, right, comm)) if n in names}
+
+    def on_survivors(holders, rows):
+        line = min((out[n] for n in holders), key=lambda s: s.rank)
+        if line.rank <= 1:
+            return line
+        return _restrict(alg, out[holders[0]], rows)
+    if "nucleus" in names:
+        out["nucleus"] = on_survivors(("left", "middle", "right"),
+                                      np.concatenate([middle, right]))
+    if "center" in names:
+        out["center"] = on_survivors(("nucleus", "commuter"), comm)
+    return {n: out[n] for n in names}
 
 
 def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
-    """The nuclei, the commuter and the center, each as the kernel of its
-    equations.  Over Q each of the six that has rank 1 in the reduction mod
-    P (`Algebra._reduced`) is the line of the unit, which lies in all six;
-    only the others are solved, on the integer rows of the same blocks."""
+    """The nuclei, the commuter and the center (`_central`).  Over Q each
+    of the six that has rank 1 in the reduction mod P (`Algebra._reduced`)
+    is the line of the unit, which lies in all six; only the others are
+    solved, on the integer rows of the same blocks.  In the reduction a
+    space has at least the rank of every space inside it, so the spaces
+    left to solve, of rank above 1 there, hold every space that holds one
+    of them: the nucleus comes with the three slots, the center with the
+    nucleus and the commuter, and one `_central` serves both passes."""
     out = {}
     red = alg._reduced
     if red is not None:

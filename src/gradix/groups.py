@@ -4,13 +4,17 @@ Everything is index-based: a group of order n has elements 0..n-1 and a
 dense n x n table.  `validate_group` checks a table given from outside,
 associativity by a cubic scan over a table the input spells out entry by
 entry; the stock constructions are groups by construction and check
-nothing, and `catalog.named_group` refuses their tables past the budget.
+nothing but that the table is not empty, and `catalog.named_group`
+refuses their tables past the budget.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (MissingIdentity, MissingInverse, NonAssociativeTable,
                      ValidationError)
@@ -49,6 +53,25 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return all(self.table[a][b] == self.table[b][a]
                    for a in self.elements() for b in self.elements())
+
+    @cached_property
+    def central_series(self) -> CentralSeries:
+        """The ascending central series, once per group: Z_{i+1} is the a
+        whose commutators [a, h] all lie in Z_i, read off the n x n array
+        of commutators (a h) a^-1 h^-1.  Each Z_i is a subgroup by
+        construction, so none is checked."""
+        t, inv = np.array(self.table), np.array(self.inverses)
+        comm = t[t[t, inv[:, None]], inv[None, :]]
+        member = np.zeros(self.order, dtype=bool)
+        member[self.identity] = True
+        chain = []
+        while True:
+            chain.append(Subgroup(self, tuple(np.flatnonzero(member).tolist())))
+            nxt = member[comm].all(axis=1)
+            if (nxt == member).all():
+                break
+            member = nxt
+        return CentralSeries(tuple(chain), chain[-1].order == self.order)
 
 
 def validate_group(table, identity: int | None = None,
@@ -143,15 +166,8 @@ class CentralSeries:
 
 
 def central_series(g: FiniteGroup) -> CentralSeries:
-    chain = [subgroup(g, [g.identity])]
-    while True:
-        current = chain[-1]._memberset
-        nxt = frozenset(a for a in g.elements()
-                        if all(g.commutator(a, h) in current for h in g.elements()))
-        if nxt == current:
-            break
-        chain.append(subgroup(g, nxt))
-    return CentralSeries(tuple(chain), chain[-1].order == g.order)
+    """The ascending central series of g (`FiniteGroup.central_series`)."""
+    return g.central_series
 
 
 # -- stock constructions -----------------------------------------------------
@@ -159,8 +175,10 @@ def central_series(g: FiniteGroup) -> CentralSeries:
 def _stock(table, identity: int, labels) -> FiniteGroup:
     """The group of a stock construction, a group's table by construction,
     so nothing is checked: the inverse of a is the b with a b = e, read off
-    row a."""
+    row a.  An empty table, of no group, is refused."""
     table = tuple(map(tuple, table))
+    if not table:
+        raise ValidationError("a group has order at least 1")
     return FiniteGroup(table, identity,
                        tuple(row.index(identity) for row in table), tuple(labels))
 

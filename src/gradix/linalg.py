@@ -5,8 +5,11 @@ with plain Python scalars; it eliminates over Q and is the reference for
 the other.  `np_rref` eliminates over F_p on arrays reduced mod p, because
 the ideal-closure loops enumerate thousands of subspaces; it holds int64
 while a row's sums of products fit (`np_dtype`) and Python ints past that,
-and drops the all-zero rows before its pivot loop.  `kernel` takes
-equations as an array as well as a list of rows, over either field.
+and drops the all-zero rows before its pivot loop.  `kernel` and
+`solve_affine` eliminate on `np_rref` over F_p and on `Echelon` only over
+Q, once per system: an affine solve reads its particular solution and its
+kernel off one elimination of [A | b].  `kernel` takes equations as an
+array as well as a list of rows, over either field.
 
 Products of arrays are one path for both fields: `np_matmul`,
 `np_mat_pow` and `np_mod` reduce mod p over F_p, and over Z (p None)
@@ -142,6 +145,25 @@ def rref(field: FieldSpec, rows: Iterable[Sequence[Scalar]], width: int) -> Eche
     return ech
 
 
+def _rref_kernel(field: FieldSpec, red, pivots: list[int],
+                 width: int) -> Subspace:
+    """The kernel of a system of width `width` from its RREF (rows `red`,
+    pivot columns `pivots`): one vector per free column f, 1 at f and
+    -row[f] at the pivot of each row, then put in canonical form.  Columns
+    of `red` past `width` are not read."""
+    if field.is_finite and width:
+        rows = _np_free_rows(red, pivots, width, field.p)
+        return np_to_subspace(field, rows, width)
+    vecs = []
+    for fcol in (j for j in range(width) if j not in pivots):
+        v = [field.zero] * width
+        v[fcol] = field.one
+        for row, p in zip(red, pivots):
+            v[p] = field.neg(row[fcol])
+        vecs.append(v)
+    return Subspace.span(field, width, vecs)
+
+
 def kernel(field: FieldSpec, equations: Sequence[Sequence[Scalar]] | np.ndarray,
            width: int) -> Subspace:
     """Solution space of the homogeneous system (one equation per row).
@@ -153,29 +175,29 @@ def kernel(field: FieldSpec, equations: Sequence[Sequence[Scalar]] | np.ndarray,
         rows = np_kernel(eqs.reshape(-1, width), field.p)
         return np_to_subspace(field, rows, width)
     ech = rref(field, equations, width)
-    piv = set(ech.pivots)
-    free = [j for j in range(width) if j not in piv]
-    vecs = []
-    for fcol in free:
-        v = [field.zero] * width
-        v[fcol] = field.one
-        for row, p in zip(ech.rows, ech.pivots):
-            v[p] = field.neg(row[fcol])
-        vecs.append(v)
-    return Subspace.span(field, width, vecs)
+    return _rref_kernel(field, ech.rows, ech.pivots, width)
 
 
 def solve_affine(field: FieldSpec, equations: Sequence[Sequence[Scalar]],
                  rhs: Sequence[Scalar]) -> tuple[Vec | None, Subspace]:
-    """Particular solution of A x = b (or None) plus the homogeneous kernel."""
+    """Particular solution of A x = b (or None) plus the homogeneous kernel,
+    both read off one elimination of [A | b], by `np_rref` over F_p and
+    `Echelon` over Q.  A pivot in the last column makes the system
+    inconsistent; the other rows, without their last column, are RREF(A).
+    The particular solution has its free coordinates zero."""
     width = len(equations[0]) if equations else 0
-    aug = rref(field, [list(e) + [b] for e, b in zip(equations, rhs)], width + 1)
-    if width in aug.pivots:
-        return None, kernel(field, equations, width)
+    aug = [list(e) + [b] for e, b in zip(equations, rhs)]
+    if field.is_finite and width:
+        red, pivots = np_rref(aug, field.p)
+    else:
+        ech = rref(field, aug, width + 1)
+        red, pivots = ech.rows, ech.pivots
+    if pivots and pivots[-1] == width:
+        return None, _rref_kernel(field, red[:-1], pivots[:-1], width)
     x = [field.zero] * width
-    for row, p in zip(aug.rows, aug.pivots):
-        x[p] = row[width]
-    return tuple(x), kernel(field, equations, width)
+    for row, p in zip(red, pivots):
+        x[p] = field.coerce(row[width])
+    return tuple(x), _rref_kernel(field, red, pivots, width)
 
 
 # -- matrix helpers ----------------------------------------------------------
@@ -346,17 +368,21 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
+def _np_free_rows(red: np.ndarray, pivots: list[int], width: int,
+                  p: int) -> np.ndarray:
+    """Basis rows of the kernel of an RREF mod p (rows `red`, pivot
+    columns `pivots`) of width `width`: per free column f, 1 at f and
+    -red[:, f] at the pivots.  Columns of `red` past `width` are not read."""
+    free = [j for j in range(width) if j not in pivots]
+    out = np.zeros((len(free), width), dtype=np_dtype(p, width))
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = -red[:, free].T % p
+    return out
+
+
 def np_kernel(a: np.ndarray, p: int) -> np.ndarray:
     """Basis rows of the right kernel of a mod p."""
-    red, pivots = np_rref(a, p)
-    n = a.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    out = np.zeros((len(free), n), dtype=np_dtype(p, n))
-    for k, fcol in enumerate(free):
-        out[k, fcol] = 1
-        for row, piv in zip(red, pivots):
-            out[k, piv] = (-row[fcol]) % p
-    return out
+    return _np_free_rows(*np_rref(a, p), a.shape[1], p)
 
 
 def np_to_subspace(field: FieldSpec, rows: np.ndarray, ambient: int) -> Subspace:

@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 
 from gradix import algebra, crossed
 from gradix.algebra import Algebra, make_algebra, two_sided_inverse
-from gradix.catalog import swap_matrix
+from gradix.catalog import named_group, swap_matrix
 from gradix.cayley import tower_stages
 from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
                            ValidationError)
 from gradix.graded import validate_gradation
-from gradix.groups import validate_group
+from gradix.groups import (CentralSeries, cyclic, dihedral,
+                           direct_product, elementary_abelian_two, subgroup,
+                           symmetric, trivial_group, validate_group)
 from gradix.laurent import LaurentElement, laurent_element, sigma_power
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
                            mat_inverse, mat_vec, np_dtype, np_kernel,
-                           np_mat_pow, np_matmul, np_rref, projective_walk)
+                           np_mat_pow, np_matmul, np_rref, projective_walk,
+                           rref)
 
 
 def fixed_rows_loop(alg, maps):
@@ -178,6 +181,34 @@ def quotient_group(g, n):
                                       if proj[a] == i) + "}"
                        for i in range(len(reps)))
     return validate_group(table, identity=proj[g.identity], labels=labels), proj
+
+
+def central_series_loop(g):
+    """The ascending central series by commutators one at a time, each Z_i
+    checked as a subgroup."""
+    chain = [subgroup(g, [g.identity])]
+    while True:
+        current = chain[-1]._memberset
+        nxt = frozenset(a for a in g.elements()
+                        if all(g.commutator(a, h) in current for h in g.elements()))
+        if nxt == current:
+            break
+        chain.append(subgroup(g, nxt))
+    return CentralSeries(tuple(chain), chain[-1].order == g.order)
+
+
+# every stock construction up to order 64: C1-C12, D1-D8, S1-S4, E0-E6, the
+# trivial group and 39 direct products
+STOCK_GROUPS = ([cyclic(n) for n in range(1, 13)]
+                + [dihedral(n) for n in range(1, 9)]
+                + [symmetric(n) for n in range(1, 5)]
+                + [elementary_abelian_two(k) for k in range(7)] + [trivial_group()])
+_SMALL_GROUPS = [cyclic(2), cyclic(3), cyclic(4), dihedral(3), dihedral(4),
+                 elementary_abelian_two(2)]
+STOCK_GROUPS += [direct_product(a, b)
+                 for a, b in itertools.product(_SMALL_GROUPS, repeat=2)]
+STOCK_GROUPS += [direct_product(direct_product(cyclic(2), dihedral(4)), cyclic(4)),
+                 named_group("E2xS3xC2"), named_group("1xD4x1")]
 
 
 def points(space):
@@ -827,6 +858,55 @@ def nucleus_blocks_loop(alg):
             comm.append([alg.field.sub(prod[i][j][l], prod[j][i][l])
                          for i in range(d)])
     return left, middle, right, comm
+
+
+def echelon_kernel(f, rows, d):
+    """Solution space through the Python Echelon path: rref, then one basis
+    vector per free column, as in the generic branch of `kernel`."""
+    ech = rref(f, rows, d)
+    vecs = []
+    for fcol in (j for j in range(d) if j not in ech.pivots):
+        v = [f.zero] * d
+        v[fcol] = f.one
+        for row, piv in zip(ech.rows, ech.pivots):
+            v[piv] = f.neg(row[fcol])
+        vecs.append(v)
+    return Subspace.span(f, d, vecs)
+
+
+def echelon_solve(f, equations, rhs):
+    """A x = b on the Python Echelon path, over any field: the particular
+    solution (free coordinates zero) off the RREF of [A | b], or None, and
+    the kernel of A eliminated on its own."""
+    width = len(equations[0]) if equations else 0
+    aug = rref(f, [list(e) + [b] for e, b in zip(equations, rhs)], width + 1)
+    hom = echelon_kernel(f, equations, width)
+    if width in aug.pivots:
+        return None, hom
+    x = [f.zero] * width
+    for row, piv in zip(aug.rows, aug.pivots):
+        x[piv] = row[width]
+    return tuple(x), hom
+
+
+def central_stacked(alg, names):
+    """The named central subspaces, each the kernel of its blocks of
+    `algebra._nucleus_blocks` stacked: the nucleus of the three slots', the
+    center of all four."""
+    left, middle, right, comm = algebra._nucleus_blocks(alg)
+    systems = {"left": [left], "middle": [middle], "right": [right],
+               "nucleus": [left, middle, right], "commuter": [comm],
+               "center": [left, middle, right, comm]}
+    return {n: kernel(alg.field, np.concatenate(systems[n]), alg.dim)
+            for n in names}
+
+
+def commutative_not_associative(f):
+    """1, x, y with x x = y and y y = x, x y = y x = 0: commutative, and
+    (x x) y = x while x (x y) = 0, so its center is smaller than its
+    commuter."""
+    unit = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in (1, 2)]
+    return make_algebra(f, 3, unit + [(1, 1, 2, 1), (2, 2, 1, 1)], (1, 0, 0))
 
 
 def nucleus_equation_rows_loop(alg):

@@ -33,9 +33,11 @@ from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
 from gradix.groups import cyclic
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
-                           projective_points, projective_walk, rref)
-from helpers import (NONZERO_Q, associator_defect_loop, closure_loop, entries,
-                     commutant_field_loop, conjugation_matrix,
+                           projective_points, projective_walk)
+from helpers import (NONZERO_Q, associator_defect_loop, central_stacked,
+                     closure_loop, entries, commutant_field_loop,
+                     commutative_not_associative, conjugation_matrix,
+                     echelon_kernel,
                      extension_field, fixed_center_loop, fixed_subspace,
                      intersect, inverse_system_loop, left_by_basis, mat_mul,
                      density_irreducible,
@@ -141,20 +143,6 @@ def test_nuclei_against_enumeration(idx):
         assert members == set(brute[name]), name
 
 
-def echelon_kernel(f, rows, d):
-    """Solution space through the Python Echelon path: rref, then one basis
-    vector per free column, as in the generic branch of `kernel`."""
-    ech = rref(f, rows, d)
-    vecs = []
-    for fcol in (j for j in range(d) if j not in ech.pivots):
-        v = [f.zero] * d
-        v[fcol] = f.one
-        for row, piv in zip(ech.rows, ech.pivots):
-            v[piv] = f.neg(row[fcol])
-        vecs.append(v)
-    return Subspace.span(f, d, vecs)
-
-
 NUCLEUS_CASES = [
     lambda f, rng: random_unital_algebra(f, rng.randint(1, 5), rng),
     lambda f, rng: product_algebra(f, rng.randint(1, 4)),
@@ -162,6 +150,10 @@ NUCLEUS_CASES = [
     lambda f, rng: truncated_dual(f),
     lambda f, rng: product_with_swap(f),
     lambda f, rng: octonions(f)[0],
+    # a slot of rank 1 under a commuter of rank 3, and a nucleus of rank 3
+    # inside a left nucleus of rank 5
+    lambda f, rng: commutative_not_associative(f),
+    lambda f, rng: one_sided_nuclei_algebra(f, rng),
 ]
 
 
@@ -179,6 +171,49 @@ def test_nucleus_and_center_match_echelon_path(p, case, seed):
     assert got.nucleus == echelon_kernel(f, left + middle + right, dim)
     assert got.commuter == echelon_kernel(f, comm, dim)
     assert got.center == echelon_kernel(f, left + middle + right + comm, dim)
+    names = algebra.CENTRAL_NAMES
+    assert algebra._central(alg, names) == central_stacked(alg, names)
+
+
+# (algebra, solves on survivors): nucleus and center unit lines at once
+# (a slot of rank 1 under a commuter of rank 3), the nucleus solved and the
+# center a unit line through the commuter (associative M_2), and both solved
+# (the one-sided nuclei, and associative and commutative F^3)
+CENTRAL_BRANCH_CASES = [
+    (commutative_not_associative, 0),
+    (lambda f: matrix_algebra(f, 2), 1),
+    (lambda f: one_sided_nuclei_algebra(f, random.Random(0)), 2),
+    (lambda f: product_algebra(f, 3), 2),
+]
+
+
+@pytest.mark.parametrize("f", [F3, Q], ids=repr)
+@pytest.mark.parametrize("case", range(len(CENTRAL_BRANCH_CASES)))
+def test_central_solves_each_branch_on_survivors(f, case):
+    make, solves = CENTRAL_BRANCH_CASES[case]
+    alg = make(f)
+    names = algebra.CENTRAL_NAMES
+    with mock.patch.object(algebra, "_restrict", wraps=algebra._restrict) as spy:
+        got = algebra._central(alg, names)
+    assert got == central_stacked(alg, names)
+    # the nucleus is solved unless a slot has rank 1, the center unless the
+    # nucleus or the commuter has; a unit-line nucleus makes a unit-line
+    # center, so the count of solves tells the branches apart
+    nucleus_solved = min(got[n].rank for n in ("left", "middle", "right")) > 1
+    center_solved = min(got["nucleus"].rank, got["commuter"].rank) > 1
+    assert spy.call_count == nucleus_solved + center_solved == solves
+    if solves == 1:
+        assert got["commuter"].rank == 1 < got["nucleus"].rank
+
+
+def test_a_rank_1_slot_leaves_four_kernels():
+    alg = commutative_not_associative(F3)
+    with mock.patch.object(linalg, "np_rref", wraps=linalg.np_rref) as spy:
+        got = nucleus_and_center(alg)
+    assert got.left.rank == 1 and got.commuter.rank == 3
+    # left, middle, right and the commuter: `np_rref` of the equations and
+    # of the kernel basis each
+    assert spy.call_count == 8
 
 
 def test_center_is_triple_intersection():
@@ -1157,12 +1192,15 @@ def test_reduction_norton_agrees_with_the_density_test(case):
 
 @st.composite
 def q_algebras(draw):
-    """An algebra over Q of dimension at most 4, rescaled by nonzero
-    rationals: a random unital one, the skew x y = c x, F x F, M_2(Q), or
-    one or two Cayley doubles of Q with their involutions."""
+    """An algebra over Q of dimension at most 6, rescaled by nonzero
+    rationals: a random unital one, the skew x y = c x, F x F, M_2(Q), one
+    or two Cayley doubles of Q with their involutions, the commutative
+    `commutative_not_associative` (a slot of rank 1 under a commuter of
+    rank 3) or `one_sided_nuclei_algebra` (a nucleus of rank 3 inside
+    one-sided nuclei of rank 5)."""
     rng = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["random", "skew", "product", "matrix",
-                                 "double"]))
+                                 "double", "commutative", "one-sided"]))
     if kind == "random":
         alg = random_unital_algebra(Q, draw(st.integers(1, 4)), rng)
     elif kind == "skew":
@@ -1171,6 +1209,10 @@ def q_algebras(draw):
         alg = product_algebra(Q, 2)
     elif kind == "matrix":
         alg = matrix_algebra(Q, 2)
+    elif kind == "commutative":
+        alg = commutative_not_associative(Q)
+    elif kind == "one-sided":
+        alg = one_sided_nuclei_algebra(Q, rng)
     else:
         alg = field_algebra(Q)
         for _ in range(draw(st.integers(1, 2))):
@@ -1191,8 +1233,9 @@ def test_q_central_subspaces_match_the_loops(alg):
         *(echelon_kernel(Q, rows, alg.dim) for rows in (
             left, middle, right, left + middle + right, comm,
             left + middle + right + comm)))
-    assert algebra.CentralSubspaces(
-        **algebra._central(alg, algebra.CENTRAL_NAMES)) == expected
+    names = algebra.CENTRAL_NAMES
+    assert algebra._central(alg, names) == central_stacked(alg, names)
+    assert algebra.CentralSubspaces(**algebra._central(alg, names)) == expected
     assert nucleus_and_center(alg) == expected
 
 

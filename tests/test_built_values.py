@@ -9,7 +9,6 @@ golden requests and one round of every benchmark workload shows the checks
 running at the boundary only."""
 
 import importlib.util
-import itertools
 import random
 import sys
 from pathlib import Path
@@ -21,15 +20,14 @@ from hypothesis import strategies as st
 import gradix
 from gradix import algebra, crossed, graded, groups, jsonio
 from gradix.algebra import _check_unit_and_involution
-from gradix.catalog import (field_algebra, group_algebra, named_group,
+from gradix.catalog import (field_algebra, group_algebra,
                             quadratic_field_extension, quaternions)
 from gradix.cayley import cayley_double, tower_stages
 from gradix.fields import prime_field, rationals
 from gradix.graded import validate_gradation
 from gradix.groups import (cyclic, dihedral, direct_product,
-                           elementary_abelian_two, symmetric, trivial_group,
-                           validate_group)
-from helpers import NONZERO_Q, product_with_swap, rescaled
+                           elementary_abelian_two, symmetric, validate_group)
+from helpers import NONZERO_Q, STOCK_GROUPS, product_with_swap, rescaled
 from test_cayley import exchange_algebra
 from test_golden import CASES
 
@@ -88,17 +86,7 @@ def test_doubles_pass_the_unit_involution_and_grading_checks(f, kind, rng, data)
     assert_graded(double, c2)
 
 
-STOCK = ([cyclic(n) for n in range(1, 13)] + [dihedral(n) for n in range(1, 9)]
-         + [symmetric(n) for n in range(1, 5)]
-         + [elementary_abelian_two(k) for k in range(7)] + [trivial_group()])
-SMALL = [cyclic(2), cyclic(3), cyclic(4), dihedral(3), dihedral(4),
-         elementary_abelian_two(2)]
-PRODUCTS = [direct_product(a, b) for a, b in itertools.product(SMALL, repeat=2)]
-PRODUCTS += [direct_product(direct_product(cyclic(2), dihedral(4)), cyclic(4)),
-             named_group("E2xS3xC2"), named_group("1xD4x1")]
-
-
-@pytest.mark.parametrize("g", STOCK + PRODUCTS,
+@pytest.mark.parametrize("g", STOCK_GROUPS,
                          ids=lambda g: f"order{g.order}")
 def test_stock_groups_pass_validate_group(g):
     assert g.order <= 64

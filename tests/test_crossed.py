@@ -30,7 +30,8 @@ from gradix.graded import is_graded_simple, is_strong, validate_gradation
 from gradix.groups import cyclic, dihedral, elementary_abelian_two
 from gradix.linalg import Subspace, identity_matrix, projective_walk
 import helpers
-from helpers import (LOOPS, NONZERO_Q, NoNuclearUnit, conjugation_matrix, entries,
+from helpers import (LOOPS, NONZERO_Q, NoNuclearUnit,
+                     commutative_not_associative, conjugation_matrix, entries,
                      fixed_center_loop, fixed_subspace, homogeneous_points,
                      inverse_pairs_loop, random_graded_algebra,
                      recognize_crossed_system, rescaled, rescaled_matrix,
@@ -548,14 +549,6 @@ def homs_to_c2(group):
     return [m for m in maps if all(m[group.mul(a, b)] == m[a] ^ m[b]
                                    for a in group.elements()
                                    for b in group.elements())]
-
-
-def commutative_not_associative(f):
-    """1, x, y with x x = y and y y = x, x y = y x = 0: commutative, and
-    (x x) y = x while x (x y) = 0, so its center is smaller than its
-    commuter."""
-    unit = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in (1, 2)]
-    return make_algebra(f, 3, unit + [(1, 1, 2, 1), (2, 2, 1, 1)], (1, 0, 0))
 
 
 # (T, an automorphism of T), small enough with the groups below that the

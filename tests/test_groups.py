@@ -1,11 +1,19 @@
+import json
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
+from gradix import groups, jsonio
 from gradix.errors import (MissingIdentity, MissingInverse,
                            NonAssociativeTable, ValidationError)
 from gradix.groups import (center, central_series, cyclic, dihedral,
                            direct_product, elementary_abelian_two, subgroup,
                            symmetric, validate_group)
-from helpers import NotNormal, quotient_group
+from helpers import (STOCK_GROUPS, NotNormal, central_series_loop,
+                     quotient_group)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def element_order(g, a):
@@ -107,3 +115,26 @@ def test_elementary_abelian_xor():
     assert g.order == 8
     assert g.mul(3, 5) == 6
     assert all(g.inv(a) == a for a in g.elements())
+
+
+@pytest.mark.parametrize("g", STOCK_GROUPS, ids=lambda g: f"order{g.order}")
+def test_central_series_matches_the_loop(g):
+    assert central_series(g) == central_series_loop(g)
+
+
+def test_a_graded_request_computes_the_central_series_once():
+    # the gradation block and the simplicity equivalence both read it
+    doc = json.loads((ROOT / "sample_requests/group_algebra_z2.json").read_text())
+    doc["payload"]["gradation"].update(group="D4", degrees=[0, 4])
+    with mock.patch.object(groups, "CentralSeries",
+                           wraps=groups.CentralSeries) as spy:
+        report = jsonio.run_request(jsonio.parse_request(json.dumps(doc)))
+    assert report["report"]["simplicity_equivalence"] is not None
+    assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("make", [cyclic, dihedral])
+def test_a_stock_group_of_order_0_is_refused(make):
+    with pytest.raises(ValidationError) as info:
+        make(0)
+    assert str(info.value) == "a group has order at least 1"

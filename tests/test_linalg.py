@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
                            mat_vec, np_dtype, np_mat_pow, np_matmul, np_rref,
                            projective_count, projective_points,
                            projective_walk, rref, solve_affine)
-from helpers import intersect, mat_mul, mat_power
+from helpers import echelon_solve, intersect, mat_mul, mat_power
 
 BIG_P = 4294967311  # past the int64 bound of np_dtype
+# the largest prime that `np_dtype` keeps in int64 at width 16,
+# 2 * 16 * (p - 1)^2 < 2^63
+EDGE_P = 536870909
 
 F3 = prime_field(3)
 Q = rationals()
@@ -312,16 +316,72 @@ def test_np_matmul_is_exact(m, k, n, where, small, stack, entries, dtype, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7, 33554393, BIG_P]), st.integers(1, 9),
-       st.integers(1, 9), st.integers(0, 2 ** 32))
+@given(st.sampled_from([2, 3, 5, 7, 33554393, EDGE_P, BIG_P]),
+       st.integers(1, 16), st.integers(1, 16), st.integers(0, 2 ** 32))
 def test_np_rref_matches_the_generic_echelon(p, m, n, seed):
-    # sparse rows with repeats and multiples: the pivot search and the row
-    # moves of the numpy loop, against the Fraction-free generic echelon
+    # sparse or dense rows with repeats and multiples: the pivot search and
+    # the row moves of the numpy loop, against the Fraction-free generic
+    # echelon; at EDGE_P and width 16 the rows are int64 at its bound
     rng = random.Random(seed)
-    rows = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(n)]
-            for _ in range(m)]
+    density = rng.choice([0.4, 1.0])
+    rows = [[rng.randrange(p) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
     rows += [[c * rng.randrange(p) % p for c in rng.choice(rows)]
              for _ in range(rng.randrange(3))]
     red, piv = np_rref(np.array(rows, dtype=np_dtype(p, n)), p)
     ech = rref(prime_field(p), rows, n)
     assert piv == ech.pivots and red.tolist() == ech.rows
+
+
+AFFINE_KINDS = ["consistent", "inconsistent", "width-1", "all-zero",
+                "singular"]
+
+
+def affine_system(kind, p, rng):
+    """(A, b) over F_p of the given kind: A x = b for a random x; with a
+    row that sums two others but whose right-hand side does not; with one
+    unknown; all zero, b as well or not; square of rank below its size."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "width-1":
+        n = 1
+    draw = lambda: rng.randrange(p)
+    a = [[draw() for _ in range(n)] for _ in range(m)]
+    if kind == "all-zero":
+        a = [[0] * n for _ in range(m)]
+    if kind == "singular":
+        a = [[draw() for _ in range(n)] for _ in range(n - 1)] or [[0] * n]
+        a.append([sum(col) % p for col in zip(*a)])
+    x = [draw() for _ in range(n)]
+    b = [sum(c * v for c, v in zip(row, x)) % p for row in a]
+    if kind == "inconsistent":
+        a.append([(u + v) % p for u, v in zip(a[0], a[-1])])
+        b.append((b[0] + b[-1] + 1 + draw() % (p - 1)) % p)
+    if kind == "all-zero" and rng.random() < 0.5:
+        b[-1] = 1
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 33554393, BIG_P]), st.sampled_from(AFFINE_KINDS),
+       st.integers(0, 2 ** 32))
+def test_fp_affine_solve_matches_the_generic_echelon(p, kind, seed):
+    f = prime_field(p)
+    a, b = affine_system(kind, p, random.Random(seed))
+    x, hom = solve_affine(f, a, b)
+    assert (x, hom) == echelon_solve(f, a, b)
+    if kind == "inconsistent":
+        assert x is None
+    if x is not None:
+        assert mat_vec(f, a, x) == tuple(c % p for c in b)
+        assert all(type(c) is int for c in x)
+
+
+def test_fp_affine_solve_is_one_elimination_and_its_kernel():
+    rows = [(1, 1, 0), (0, 1, 2)]
+    with mock.patch.object(linalg, "np_rref", wraps=linalg.np_rref) as rref_spy, \
+            mock.patch.object(linalg.Echelon, "add",
+                              autospec=True, side_effect=linalg.Echelon.add) as add_spy:
+        x, hom = solve_affine(F3, rows, (2, 1))
+    assert mat_vec(F3, rows, x) == (2, 1) and hom.rank == 1
+    # [A | b], then the kernel basis into canonical form
+    assert rref_spy.call_count == 2 and add_spy.call_count == 0
