@@ -150,11 +150,24 @@ class DoublingReport:
     consistent: bool
 
 
+def _square_in_field(p: int, r: int, mu: int) -> bool:
+    """Whether mu in F_p^* is a square in F_{p^r}: always when p = 2, and
+    else when mu^((p^r - 1)/2) = 1.  That exponent is (p - 1)/2 times
+    1 + p + ... + p^(r-1), a sum of r odd terms, so the power is 1 when r
+    is even, and when r is odd it is 1 exactly when mu^((p - 1)/2) is."""
+    return p == 2 or r % 2 == 0 or pow(mu, (p - 1) // 2, p) == 1
+
+
 def doubling_report(alg: Algebra, mu, doubled: Algebra,
                     budget: int = 1_000_000) -> DoublingReport:
     """Predict simplicity of the double `doubled` = C(alg, mu) from data of
     (A, *, mu) and, when the double is small enough, confront the prediction
-    with brute enumeration."""
+    with brute enumeration.  The criterion's field questions, whether Z(A)
+    and Z_*(A) are fields, are `subfield_check`, which over F_p is
+    Berlekamp's test and walks no points.  When Z(A) is a field over F_p
+    it is F_{p^r} with r its rank, and whether mu.1 is a square there is
+    read off r, p and mu (`_square_in_field`); otherwise
+    `mu_square_in_center` walks Z(A)'s points."""
     _require_involution(alg)
     f = alg.field
     mu = f.coerce(mu)
@@ -165,7 +178,10 @@ def doubling_report(alg: Algebra, mu, doubled: Algebra,
     trivial = alg.involution == identity_matrix(f, alg.dim)
     center = fixed_center(alg, ())
     zfield = subfield_check(alg, center, budget)
-    musq = mu_square_in_center(alg, center, mu, budget)
+    if zfield and f.is_finite:
+        musq = _square_in_field(f.p, center.rank, mu)
+    else:
+        musq = mu_square_in_center(alg, center, mu, budget)
     zsfield = subfield_check(alg, fixed_center(alg, (alg.involution,)), budget)
 
     if trivial:

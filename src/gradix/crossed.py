@@ -31,6 +31,7 @@ from .algebra import (Algebra, SimplicityVerdict, _algebra, _np_left,
                       two_sided_inverse)
 from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                      N3Violation, NotAutomorphism, ValidationError)
+from .fields import _coerce_once
 from .graded import Gradation
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
@@ -149,22 +150,6 @@ def validate_crossed_system(t: Algebra, g: FiniteGroup, sigma, alpha) -> Crossed
 
     _check_cocycle(t, g, sigma, alpha, alpha_inv)
     return CrossedSystem(t, g, sigma, alpha, alpha_inv)
-
-
-def _coerce_once(f):
-    """`f.coerce`, run once per distinct input of each type: a system's
-    tables repeat a few scalars, "0" and "1" most of all.  An unhashable
-    input, which `f.coerce` refuses, goes straight to it."""
-    memo = {}
-
-    def coerce(x):
-        try:
-            if (type(x), x) not in memo:
-                memo[type(x), x] = f.coerce(x)
-            return memo[type(x), x]
-        except TypeError:
-            return f.coerce(x)
-    return coerce
 
 
 def _check_cocycle(t: Algebra, g: FiniteGroup, sigma, alpha,

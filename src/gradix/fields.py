@@ -150,6 +150,26 @@ class FieldSpec:
         return "Q" if self.p is None else f"F{self.p}"
 
 
+def _coerce_once(f: FieldSpec):
+    """`f.coerce`, run once per distinct input of each type: structure
+    constants and a system's tables repeat a few scalars, "0" and "1" most
+    of all.  A refused input is not remembered, so it raises wherever it
+    stands, and an unhashable input, which `f.coerce` refuses, goes
+    straight to it."""
+    memo = {}
+
+    def coerce(x):
+        key = (type(x), x)
+        try:
+            out = memo.get(key)
+        except TypeError:
+            return f.coerce(x)
+        if out is None:
+            out = memo[key] = f.coerce(x)
+        return out
+    return coerce
+
+
 def prime_field(p: int) -> FieldSpec:
     return FieldSpec(p)
 

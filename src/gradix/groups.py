@@ -51,8 +51,9 @@ class FiniteGroup:
         return self.labels[i] if self.labels else f"g{i}"
 
     def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in self.elements() for b in self.elements())
+        """Whether the table equals its transpose, as one array comparison."""
+        t = np.array(self.table)
+        return bool((t == t.T).all())
 
     @cached_property
     def central_series(self) -> CentralSeries:

@@ -24,14 +24,14 @@ from gradix.catalog import (field_algebra, frobenius_matrix, group_algebra,
                             matrix_algebra, octonions, product_algebra,
                             quadratic_field_extension, quaternions,
                             swap_matrix, truncated_dual)
-from gradix.cayley import cayley_double, is_star_simple
+from gradix.cayley import cayley_double, is_star_simple, tower_stages
 from gradix.crossed import (build_crossed_product, crossed_center,
                             trivial_system, validate_crossed_system)
 from gradix.errors import (BudgetExceeded, DimensionMismatch,
                            ExactModeUnavailable, ValidationError)
 from gradix.fields import prime_field, rationals
 from gradix.graded import is_graded_simple
-from gradix.groups import cyclic
+from gradix.groups import cyclic, symmetric
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
                            projective_points, projective_walk)
 from helpers import (NONZERO_Q, associator_defect_loop, central_stacked,
@@ -757,16 +757,94 @@ def test_subfield_check():
 
 
 def test_field_check_refused_past_the_budget(monkeypatch):
-    # F_3^4: 40 projective points; refused before the first at budget 39
+    # F_3^4: 40 projective points; the walk is refused before the first at
+    # budget 39, while Berlekamp's test answers at any budget
     monkeypatch.setattr(algebra, "projective_walk",
                         walk_without_points(projective_walk))
     alg = product_algebra(F3, 4)
     center = nucleus_and_center(alg).center
     with pytest.raises(BudgetExceeded,
                        match="40 projective points of a field check exceed budget 39"):
-        subfield_check(alg, center, budget=39)
+        algebra._field_walk(alg, center, budget=39)
     with pytest.raises(AssertionError, match="visited"):
-        subfield_check(alg, center, budget=40)
+        algebra._field_walk(alg, center, budget=40)
+    assert subfield_check(alg, center, budget=0) is False
+    assert subfield_check(quadratic_field_extension(F3),
+                          Subspace.span(F3, 2, [(1, 0), (0, 1)]), 0) is True
+
+
+def involutive_product(f, n, rng):
+    """F^n with a random permutation of order at most 2 of its factors as
+    the involution: F^n is commutative, so such an automorphism is one."""
+    perm = list(range(n))
+    for i in range(0, n - 1, 2):
+        if rng.random() < 0.5:
+            perm[i], perm[i + 1] = i + 1, i
+    return make_algebra(f, n, entries(product_algebra(f, n)), (1,) * n,
+                        involution=permutation_matrix(perm))
+
+
+FIELD_CHECK_ALGEBRAS = {
+    "product": lambda f, rng: involutive_product(f, rng.randint(1, 4), rng),
+    "extension": lambda f, rng: extension_field(f, rng.randint(1, 4), rng),
+    "group": lambda f, rng: group_algebra(f, rng.choice(
+        [cyclic(3), cyclic(4), cyclic(5), symmetric(3)]))[0],
+    "dual": lambda f, rng: truncated_dual(f),
+    "matrix": lambda f, rng: rng.choice([
+        matrix_algebra(f, 3), tensor_algebra(
+            matrix_algebra(f, 2), extension_field(f, rng.randint(1, 3), rng))]),
+    "tower": lambda f, rng: list(tower_stages(f, [
+        rng.randrange(1, f.p) for _ in range(rng.randint(1, 3))]))[-1][0],
+}
+
+
+def test_berlekamp_answers_as_the_field_walk():
+    """Z and Z_* (with an involution) over F_2 to F_7: F^n with a swap of
+    factors, F_{p^k}, group algebras of C3, C4, C5 and S3, dual numbers,
+    M_3 and M_2(F_{p^k}), and tower stages up to three doublings."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from(sorted(FIELD_CHECK_ALGEBRAS)),
+           st.randoms(use_true_random=False))
+    def check(p, kind, rng):
+        alg = FIELD_CHECK_ALGEBRAS[kind](prime_field(p), rng)
+        spaces = [fixed_center(alg, ())]
+        if alg.involution is not None:
+            spaces.append(fixed_center(alg, (alg.involution,)))
+        for s in spaces:
+            want = algebra._field_walk(alg, s, 10 ** 6)
+            assert subfield_check(alg, s) == want, (p, kind, s.rank)
+            seen.add((kind, s.rank > 1, want))
+
+    check()
+    assert {(r, w) for _, r, w in seen} == {(True, True), (True, False),
+                                             (False, True)}
+    assert {k for k, r, _ in seen if r} == set(FIELD_CHECK_ALGEBRAS)
+
+
+def test_the_field_check_walks_only_where_berlekamp_does_not_fit(monkeypatch):
+    """The walk answers over Q, past the int64 bound and off the unit; over
+    F_p Berlekamp's test answers alone, at any budget."""
+    walked = []
+    walk = algebra._field_walk
+    monkeypatch.setattr(algebra, "_field_walk",
+                        lambda *args: walked.append(args[0].field) or walk(*args))
+    ext = quadratic_field_extension(F3)
+    assert subfield_check(ext, nucleus_and_center(ext).center, budget=1)
+    assert walked == []
+    big = prime_field(4294967311)
+    ext = quadratic_field_extension(big)
+    with pytest.raises(BudgetExceeded, match="4294967312 projective points"):
+        subfield_check(ext, nucleus_and_center(ext).center)
+    assert walked == [big]
+    q2 = product_algebra(Q, 2)
+    with pytest.raises(ExactModeUnavailable):
+        subfield_check(q2, nucleus_and_center(q2).center)
+    walked.clear()
+    prod = product_algebra(F3, 2)
+    assert subfield_check(prod, Subspace.span(F3, 2, [(1, 0)])) is False
+    assert walked == [F3]
 
 
 def test_conjugation_is_automorphism():

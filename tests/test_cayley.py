@@ -1,12 +1,14 @@
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradix import catalog, cayley
+from gradix import algebra, catalog, cayley, jsonio
 from gradix.algebra import (center_is_field, is_associative, make_algebra,
                             multiply, nucleus_and_center, simple_under,
                             two_sided_inverse)
@@ -26,10 +28,12 @@ from helpers import (NONZERO_Q, cayley_double_loop, entries, extension_field,
                      product_with_swap, random_unital_algebra, rescaled,
                      sedenions, star_rows_loop, tensor_algebra,
                      walk_without_points)
+from test_golden import CASES
 
 F3 = prime_field(3)
 F5 = prime_field(5)
 Q = rationals()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bases_f3():
@@ -384,3 +388,83 @@ def test_quadratic_extension_of_a_large_prime_field():
     c = multiply(ext, (0, 1), (0, 1))[0]
     assert pow(c, (f.p - 1) // 2, f.p) == f.p - 1
     assert all(pow(b, (f.p - 1) // 2, f.p) == 1 for b in range(2, c))
+
+
+# -- the field questions without a walk ------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_square_rule_matches_the_vector_walk(p):
+    """On every tower stage up to three doublings whose center is a field,
+    and on F_{p^r} for r up to 4: mu.1 is a square in the center exactly
+    when `_square_in_field` says so, for every nonzero mu."""
+    f, rng = prime_field(p), random.Random(p)
+    algs = {stage for mu in range(1, p) for stage, _ in tower_stages(
+        f, [mu, rng.randrange(1, p), rng.randrange(1, p)])}
+    algs |= {extension_field(f, r, rng) for r in range(1, 5)}
+    seen = set()
+    for alg in algs:
+        center = nucleus_and_center(alg).center
+        if not center_is_field(alg):
+            continue
+        for mu in range(1, p):
+            got = cayley._square_in_field(p, center.rank, mu)
+            assert got == mu_square_by_vectors(alg, center, mu), (alg, mu)
+            seen.add((center.rank, got))
+    assert {r for r, _ in seen} == {1, 2, 3, 4}
+    assert {g for _, g in seen} == ({True} if p == 2 else {True, False})
+
+
+def test_towers_and_crossed_requests_walk_no_field_question(monkeypatch):
+    """The tower requests and the H x| C4 crossed request decide Z, Z_*
+    and Z(T)^G being fields by Berlekamp's test, and mu a square in a field
+    Z by its rule: no walk's `two_sided_inverse`, and the square walk only
+    on a center that is not a field.  The graded request's
+    `center_is_field` still walks."""
+    inverses, squares = [], []
+    inverse = algebra.two_sided_inverse
+    monkeypatch.setattr(algebra, "two_sided_inverse",
+                        lambda alg, r: inverses.append(r) or inverse(alg, r))
+    walk = cayley.mu_square_in_center
+    monkeypatch.setattr(cayley, "mu_square_in_center",
+                        lambda *args: squares.append(args) or walk(*args))
+    split = 0
+    for name in ("tower_f3", "tower_f3_sedenions", "crossed_h_c4_sign"):
+        kind, text = CASES[name]
+        report = jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+        split += sum(not s["report"]["center_is_field"]
+                     for s in report["report"].get("stages", [])
+                     if s["report"] is not None)
+    assert inverses == []
+    assert split == len(squares) == 1
+    kind, text = CASES["group_algebra_z2"]
+    jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+    assert inverses     # the spy sees the walks that remain
+
+
+def test_an_over_budget_request_reports_or_names_the_next_walk():
+    """The field questions no longer refuse: a crossed request on F_9 with
+    the trivial C2 action, Z(T)^G = F_9 of 4 projective points, refused at
+    budget 3 by its G-simplicity sweep over T, where the field check used
+    to refuse first; a tower request still refused by its first
+    star-simplicity sweep, and answered at the budget of that sweep."""
+    doc = json.loads((ROOT / "sample_requests/crossed_f9_c2.json").read_text())
+    doc["payload"]["sigma"] = [[["1", "0"], ["0", "1"]]] * 2
+    doc["payload"]["alpha"] = [[["1", "0"]] * 2] * 2
+    doc["options"] = {"budget": 3}
+    with pytest.raises(BudgetExceeded) as info:
+        jsonio.run_request(jsonio.parse_request(json.dumps(doc)))
+    assert str(info.value) == "4 projective points exceed budget 3"
+    doc["options"] = {"budget": 8}
+    report = jsonio.run_request(jsonio.parse_request(json.dumps(doc)))["report"]
+    assert report["fixed_center_is_field"] is True
+    tower_doc = {"kind": "cayley-tower",
+                 "payload": {"field": {"kind": "Fp", "p": 3}, "mus": ["-1", "-1"]},
+                 "options": {"budget": 1}}
+    with pytest.raises(BudgetExceeded) as info:
+        jsonio.run_request(jsonio.parse_request(json.dumps(tower_doc)))
+    assert str(info.value) == "4 projective points exceed budget 1"
+    tower_doc["options"] = {"budget": 4}
+    stages = jsonio.run_request(jsonio.parse_request(json.dumps(tower_doc)))[
+        "report"]["stages"]
+    assert [s["report"]["center_is_field"] for s in stages[1:]] == [True, True]
+    assert stages[2]["report"]["mu_square_in_center"] is True

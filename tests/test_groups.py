@@ -122,6 +122,13 @@ def test_central_series_matches_the_loop(g):
     assert central_series(g) == central_series_loop(g)
 
 
+@pytest.mark.parametrize("g", STOCK_GROUPS, ids=lambda g: f"order{g.order}")
+def test_is_abelian_matches_the_pair_loop(g):
+    want = all(g.mul(a, b) == g.mul(b, a)
+               for a in g.elements() for b in g.elements())
+    assert g.is_abelian() is want
+
+
 def test_a_graded_request_computes_the_central_series_once():
     # the gradation block and the simplicity equivalence both read it
     doc = json.loads((ROOT / "sample_requests/group_algebra_z2.json").read_text())

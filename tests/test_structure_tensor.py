@@ -277,3 +277,38 @@ def test_array_built_constructors_coerce_at_most_mu(f, coerce_calls):
     assert coerce_calls == []
     cayley_double(t, -1)
     assert coerce_calls == [-1]
+
+
+@pytest.mark.parametrize("f", [F3, Q], ids=repr)
+def test_make_algebra_coerces_each_distinct_scalar_once(f, coerce_calls):
+    """M_2 with its entries, unit and involution as strings: twelve "1"s
+    and "0"s, and each distinct string coerced once."""
+    items = [(r * 2 + c, c * 2 + s, r * 2 + s, "1")
+             for r in range(2) for c in range(2) for s in range(2)]
+    make_algebra(f, 4, items, ["1", "0", "0", "1"],
+                 involution=[["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                             ["0", "1", "0", "0"], ["0", "0", "0", "1"]])
+    assert sorted(coerce_calls) == ["0", "1"]
+
+
+@pytest.mark.parametrize("f", [F3, Q], ids=repr)
+@pytest.mark.parametrize("first, second", [("x", "1.5"), ("1.5", "x"),
+                                           ("1/0", "x"), ("x", [1])])
+def test_a_bad_scalar_is_named_at_its_first_position(f, first, second):
+    """Good scalars repeated around two bad ones, the first of them
+    repeated after the second: the error is the first one's, as the entry
+    loop raises it, wherever the repeats stand."""
+    unit_entries = [(0, 0, 0, "1"), (0, 1, 1, "1"), (1, 0, 1, "1")]
+    items = (unit_entries + [(1, 1, 0, first)] + unit_entries
+             + [(1, 1, 1, second), (1, 1, 0, first)])
+    want = outcome(lambda: make_algebra_loop(f, 2, items, ["1", "0"]))
+    assert want[0] is not Algebra and repr(first) in want[1]
+    assert outcome(lambda: make_algebra(f, 2, items, ["1", "0"])) == want
+    # a bad unit scalar after good entries, and a bad index before a bad
+    # scalar, are named as before
+    bad_unit = outcome(lambda: make_algebra(f, 2, unit_entries, ["1", first]))
+    assert bad_unit == outcome(lambda: make_algebra_loop(f, 2, unit_entries,
+                                                         ["1", first]))
+    items = unit_entries + [(2, 0, 0, "1"), (1, 1, 0, first)]
+    assert outcome(lambda: make_algebra(f, 2, items, ["1", "0"])) == outcome(
+        lambda: make_algebra_loop(f, 2, items, ["1", "0"]))
