@@ -832,6 +832,13 @@ def test_the_field_check_walks_only_where_berlekamp_does_not_fit(monkeypatch):
                         lambda *args: walked.append(args[0].field) or walk(*args))
     ext = quadratic_field_extension(F3)
     assert subfield_check(ext, nucleus_and_center(ext).center, budget=1)
+    # 2^31 - 1 at d = 2: an object tensor, whose products int64 still holds
+    mersenne = prime_field(2 ** 31 - 1)
+    for alg, want in ((quadratic_field_extension(mersenne), True),
+                      (product_algebra(mersenne, 2), False),
+                      (truncated_dual(mersenne), False)):
+        assert alg._np_tensor.dtype == object
+        assert subfield_check(alg, nucleus_and_center(alg).center) is want
     assert walked == []
     big = prime_field(4294967311)
     ext = quadratic_field_extension(big)
