@@ -93,7 +93,7 @@ class CrossedProduct(Algebra):
         `_np_scale`, the scale of the generic tensor."""
         sys, p = self.system, self.field.p
         n, d = sys.group.order, sys.algebra.dim
-        mul = np.array(sys.group.table)
+        mul = sys.group.arrays[0]
         w, s = sys._np_blocks
         w = w * self._np_scale // s        # exact: the scalars are w / s
         a, b, c = np.indices((n, n, n))
@@ -160,7 +160,7 @@ def _check_cocycle(t: Algebra, g: FiniteGroup, sigma, alpha,
     side's scale.  Raises at the first violation in row-major order of
     (g, h, basis) for N1 and (g, h, s) for N2."""
     p, n, st = t.field.p, g.order, t._np_scale
-    mul = np.array(g.table)
+    mul = g.arrays[0]
     s, ss = _np_vectors(t, sigma)               # s[a] @ v = sigma_a(v)
     al, sa = _np_vectors(t, alpha)              # al[a, b] = alpha(a, b)
     inv, si = _np_vectors(t, alpha_inv)
@@ -210,7 +210,7 @@ def _product_tensor(sys: CrossedSystem) -> tuple[np.ndarray, int]:
     w, s = sys._np_blocks
     a, b = np.indices((n, n))
     tensor = np.zeros((n, d) * 3, dtype=w.dtype)
-    tensor[a, :, b, :, np.array(sys.group.table)[a, b], :] = w
+    tensor[a, :, b, :, sys.group.arrays[0][a, b], :] = w
     return tensor.reshape((n * d,) * 3), s
 
 
@@ -290,7 +290,8 @@ def _center_rows(sys: CrossedSystem) -> np.ndarray:
     first = np.zeros((n, own.shape[1], n, d), dtype=s.dtype)
     first[np.arange(n), :, np.arange(n)] = own
 
-    conj = np.array([[g.conj(a, h) for a in range(n)] for h in range(n)])
+    mul, ginv = g.arrays
+    conj = mul[mul, ginv[:, None]]                       # conj[h, a] = h a h^-1
     h, a = np.indices((n, n))
     al, sa = _np_vectors(t, sys.alpha)
     inv, si = _np_vectors(t, sys.alpha_inv)

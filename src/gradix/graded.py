@@ -49,7 +49,7 @@ def validate_gradation(alg: Algebra, group: FiniteGroup, degrees) -> Gradation:
         if not 0 <= d < group.order:
             raise ValidationError(f"degree {d} out of range")
     deg = np.array(degrees)
-    products = np.array(group.table)[deg[:, None], deg]     # deg i deg j
+    products = group.arrays[0][deg[:, None], deg]     # deg i deg j
     bad = np.argwhere((alg._np_tensor != 0) & (deg != products[..., None]))
     if len(bad):    # the first in row-major order
         i, j, k = bad[0].tolist()

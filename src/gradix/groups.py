@@ -50,9 +50,18 @@ class FiniteGroup:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"g{i}"
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table and the inverses as arrays, built once per group and
+        read-only, so that every array computation on the group indexes
+        the same two."""
+        t, inv = np.array(self.table), np.array(self.inverses)
+        t.flags.writeable = inv.flags.writeable = False
+        return t, inv
+
     def is_abelian(self) -> bool:
         """Whether the table equals its transpose, as one array comparison."""
-        t = np.array(self.table)
+        t = self.arrays[0]
         return bool((t == t.T).all())
 
     @cached_property
@@ -61,7 +70,7 @@ class FiniteGroup:
         whose commutators [a, h] all lie in Z_i, read off the n x n array
         of commutators (a h) a^-1 h^-1.  Each Z_i is a subgroup by
         construction, so none is checked."""
-        t, inv = np.array(self.table), np.array(self.inverses)
+        t, inv = self.arrays
         comm = t[t[t, inv[:, None]], inv[None, :]]
         member = np.zeros(self.order, dtype=bool)
         member[self.identity] = True

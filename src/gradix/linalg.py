@@ -2,10 +2,15 @@
 
 Elimination has two implementations.  `Echelon` works over any FieldSpec
 with plain Python scalars; it eliminates over Q and is the reference for
-the other.  `np_rref` eliminates over F_p on arrays reduced mod p, because
-the ideal-closure loops enumerate thousands of subspaces; it holds int64
-while a row's sums of products fit (`np_dtype`) and Python ints past that,
-and drops the all-zero rows before its pivot loop.  `kernel` and
+the other.  `np_rref` eliminates over F_p on residues mod p, because the
+ideal-closure loops enumerate thousands of subspaces, most of them tiny;
+it returns int64 while a row's sums of products fit (`np_dtype`) and
+Python ints past that, and drops the all-zero rows first.  It has two
+regimes, selected on p: while (p - 1)^2 fits in one CPython digit, small
+or sparse systems are eliminated on Python lists and large ones by blocks
+of rows on lists, each block's reduction of the remaining rows one numpy
+product; dense mid-sized systems, and every system mod a larger prime,
+take the pivot loop on the array.  `kernel` and
 `solve_affine` eliminate on `np_rref` over F_p and on `Echelon` only over
 Q, once per system: an affine solve reads its particular solution and its
 kernel off one elimination of [A | b].  `kernel` takes equations as an
@@ -26,6 +31,7 @@ ranks over Q from below.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -336,16 +342,53 @@ def np_mat_pow(x: np.ndarray, e: int, p: int | None) -> np.ndarray:
     return out.astype(np.int64) if blas else out
 
 
+_ONE_DIGIT = 2 ** sys.int_info.bits_per_digit
+# Where eliminating on lists stops paying: a pivot on lists costs about
+# one numpy call per row it updates, the array loop about ten calls per
+# pivot, and a block's product about as much as two pivots of it.
+_BLOCK = 8
+_LARGE = 512
+
+
 def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of a matrix mod p; returns (nonzero rows, pivot columns).
-    All-zero rows are dropped before the pivot loop: they change neither
-    the canonical form nor its pivots, and the nucleus systems are mostly
-    made of them.  Residues are at least 0, so a column below row r has a
-    nonzero exactly when its largest entry, the one `argmax` finds, is
-    nonzero; that row becomes the pivot row (the RREF is canonical, so the
-    choice does not show in the result)."""
-    a = np.array(a, dtype=np_dtype(p, np.shape(a)[1])) % p
+    """RREF of a matrix mod p, given as an array or a list of rows, which
+    is left unchanged; returns (the nonzero rows as an `np_dtype(p,
+    width)` array, the pivot columns).  The RREF is canonical, so which
+    rows serve as pivots below never shows in the result.  All-zero rows
+    are dropped first: they change neither the RREF nor its pivots, and
+    the nucleus systems are mostly made of them.
+
+    Two regimes, selected on p.  While the product of two residues fits
+    in one CPython digit, (p - 1)^2 < 2^30 on the usual builds (the bound
+    is read from `sys.int_info`), a system goes to Python lists when that
+    is cheaper than the array loop, which makes about ten numpy calls per
+    pivot: on lists a pivot costs one list operation per row that is
+    nonzero in its column.  So a system of at most `_BLOCK` nonzero rows,
+    or with at most 3 nonzeros per column on average, is one
+    `_gauss_jordan`, and a system of `_LARGE` entries or more, on which
+    each pass of the array loop would sweep every entry, goes by blocks
+    (`_rref_by_blocks`).  A dense system between the two keeps the array
+    loop (`_rref_loop`), which Python lists do not beat there.  Past the
+    one-digit bound every residue product is a multi-digit int, slower
+    than numpy's, and every system takes the array loop."""
+    a = np.asarray(a, dtype=np_dtype(p, np.shape(a)[1])) % p
+    on_rows = (p - 1) ** 2 < _ONE_DIGIT
+    if on_rows and len(a) <= _BLOCK:
+        return _rows_rref([r for r in a.tolist() if any(r)], p, a)
     a = a[(a != 0).any(axis=1)]
+    if on_rows:
+        if len(a) <= _BLOCK or np.count_nonzero(a) <= 3 * a.shape[1]:
+            return _rows_rref(a.tolist(), p, a)
+        if a.size >= _LARGE:
+            return _rref_by_blocks(a, p)
+    return _rref_loop(a, p)
+
+
+def _rref_loop(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`np_rref` of an array of nonzero residue rows, in place, one pivot
+    column at a time.  Residues are at least 0, so a column below row r
+    has a nonzero exactly when its largest entry, the one `argmax` finds,
+    is nonzero; that row becomes the pivot row."""
     m, n = a.shape
     r = 0
     pivots: list[int] = []
@@ -368,6 +411,73 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
+def _rows_rref(rows: list[list[int]], p: int,
+               like: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """`np_rref` of nonzero residue rows given as lists, as an array of the
+    dtype and width of `like`."""
+    red, pivots = _gauss_jordan(rows, p)
+    red = np.array(red, dtype=like.dtype)
+    return red.reshape(len(pivots), like.shape[1]), pivots
+
+
+def _gauss_jordan(rows: list[list[int]],
+                  p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan mod p of nonzero rows of residues, on the lists
+    themselves; returns the RREF rows and their pivot columns, in column
+    order.  A row with no pivot yet is zero before the current column, so
+    each elimination touches only the rows nonzero in the pivot column,
+    and in them only the columns from the pivot on."""
+    m = len(rows)
+    r = 0
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        row = rows[i]
+        rows[i] = rows[r]
+        rows[r] = row
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            row[c:] = [x * inv % p for x in row[c:]]
+        tail = row[c:]
+        for other in rows:
+            f = other[c]
+            if f and other is not row:
+                other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
+
+
+def _rref_by_blocks(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`np_rref` of a large array of nonzero residue rows, `_BLOCK` rows at
+    a time: `_gauss_jordan` of the block, then one product and one `%`
+    clear the block's pivot columns from the echelon so far and from the
+    rows not yet seen, whose zero rows are dropped.  Those rows are then
+    zero in every pivot column so far, so the next block finds only new
+    pivots; blocks of 8 rows keep each pivot on lists to at most 7 row
+    operations.  Stops once every column has a pivot."""
+    n = a.shape[1]
+    ech, pivots = a[:0], []
+    while len(a) and len(pivots) < n:
+        new, npiv = _gauss_jordan(a[:_BLOCK].tolist(), p)
+        new = np.array(new, dtype=a.dtype)
+        k = len(ech)
+        rest = np.concatenate([ech, a[_BLOCK:]])
+        rest = (rest - rest[:, npiv] @ new) % p
+        ech = np.concatenate([rest[:k], new])
+        a = rest[k:]
+        a = a[a.any(axis=1)]
+        pivots += npiv
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return ech[order], [pivots[i] for i in order]
+
+
 def _np_free_rows(red: np.ndarray, pivots: list[int], width: int,
                   p: int) -> np.ndarray:
     """Basis rows of the kernel of an RREF mod p (rows `red`, pivot
@@ -387,6 +497,5 @@ def np_kernel(a: np.ndarray, p: int) -> np.ndarray:
 
 def np_to_subspace(field: FieldSpec, rows: np.ndarray, ambient: int) -> Subspace:
     red, pivots = np_rref(rows.reshape(-1, ambient), field.p)
-    return Subspace(field, ambient,
-                    tuple(tuple(int(c) for c in row) for row in red),
+    return Subspace(field, ambient, tuple(map(tuple, red.tolist())),
                     tuple(pivots))

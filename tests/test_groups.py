@@ -129,6 +129,18 @@ def test_is_abelian_matches_the_pair_loop(g):
     assert g.is_abelian() is want
 
 
+@pytest.mark.parametrize("g", STOCK_GROUPS, ids=lambda g: f"order{g.order}")
+def test_the_table_arrays_are_built_once_and_read_only(g):
+    t, inv = g.arrays
+    assert g.arrays[0] is t and g.arrays[1] is inv
+    assert t.tolist() == [list(row) for row in g.table]
+    assert inv.tolist() == list(g.inverses)
+    assert not t.flags.writeable and not inv.flags.writeable
+    # conjugation as the crossed product's equations read it: h a h^-1 at [h, a]
+    assert t[t, inv[:, None]].tolist() == [[g.conj(a, h) for a in g.elements()]
+                                           for h in g.elements()]
+
+
 def test_a_graded_request_computes_the_central_series_once():
     # the gradation block and the simplicity equivalence both read it
     doc = json.loads((ROOT / "sample_requests/group_algebra_z2.json").read_text())

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -315,22 +316,139 @@ def test_np_matmul_is_exact(m, k, n, where, small, stack, entries, dtype, seed):
     assert got.reshape(-1, m, n).tolist() == want
 
 
-@settings(max_examples=60, deadline=None)
+def planted_rows(rng, p, m, n):
+    """m rows of width n spanning at most r <= n dimensions: zero rows,
+    multiples of r sparse or dense basis rows, and random combinations
+    of them, some shifted by multiples of p so that they are residues
+    only mod p."""
+    r = rng.randint(0, n)
+    density = rng.choice([0.3, 1.0])
+    basis = [[rng.randrange(p) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(r)]
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if not basis or kind < 0.2:
+            row = [0] * n
+        elif kind < 0.5:
+            c = rng.randrange(p)
+            row = [c * x % p for x in rng.choice(basis)]
+        else:
+            cs = [rng.randrange(p) for _ in basis]
+            row = [sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(n)]
+        if rng.random() < 0.2:
+            row = [x + p * rng.randint(-2, 2) for x in row]
+        rows.append(row)
+    return rows, r
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 33554393, EDGE_P, BIG_P]),
-       st.integers(1, 16), st.integers(1, 16), st.integers(0, 2 ** 32))
-def test_np_rref_matches_the_generic_echelon(p, m, n, seed):
-    # sparse or dense rows with repeats and multiples: the pivot search and
-    # the row moves of the numpy loop, against the Fraction-free generic
-    # echelon; at EDGE_P and width 16 the rows are int64 at its bound
+       st.one_of(st.integers(1, 16), st.integers(17, 200)), st.integers(1, 16),
+       st.sampled_from(["random", "planted"]), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_np_rref_matches_the_generic_echelon(p, m, n, kind, as_list, seed):
+    # sparse or dense rows with repeats and multiples, or up to 200 rows of
+    # a planted rank: every regime of np_rref (lists, blocks, the array
+    # loop), tall systems of several blocks included, against the
+    # generic echelon; at EDGE_P and width 16 the rows are int64 at its
+    # bound.  The input, a list or an array, is left as it was, and the
+    # result has the dtype in which `_spin` multiplies it.
     rng = random.Random(seed)
-    density = rng.choice([0.4, 1.0])
-    rows = [[rng.randrange(p) if rng.random() < density else 0
-             for _ in range(n)] for _ in range(m)]
-    rows += [[c * rng.randrange(p) % p for c in rng.choice(rows)]
-             for _ in range(rng.randrange(3))]
-    red, piv = np_rref(np.array(rows, dtype=np_dtype(p, n)), p)
+    if kind == "random":
+        density = rng.choice([0.4, 1.0])
+        rows = [[rng.randrange(p) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(min(m, 16))]
+        rows += [[c * rng.randrange(p) % p for c in rng.choice(rows)]
+                 for _ in range(rng.randrange(3))]
+        rank = n
+    else:
+        rows, rank = planted_rows(rng, p, m, n)
+    given_rows = [list(r) for r in rows]
+    a = given_rows if as_list else np.array(rows, dtype=np_dtype(p, n))
+    before = a.copy() if not as_list else None
+    red, piv = np_rref(a, p)
+    ech = rref(prime_field(p), [[x % p for x in r] for r in rows], n)
+    assert piv == ech.pivots and red.tolist() == ech.rows
+    assert red.dtype == np_dtype(p, n) and red.shape == (len(piv), n)
+    assert len(piv) <= rank
+    if as_list:
+        assert given_rows == rows
+    else:
+        assert a.dtype == before.dtype and (a == before).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("seed", range(8))
+def test_np_rref_by_blocks_matches_the_generic_echelon(p, seed):
+    # tall systems of a planted rank, dense enough for the block regime:
+    # several blocks, rows left zero by a block's reduction, and ranks
+    # below the width, where every block runs
+    rng = random.Random(seed)
+    n = rng.randint(8, 16)
+    r = rng.randint(1, n)
+    basis = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+    rows = [[sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(n)]
+            for cs in ([rng.randrange(p) for _ in basis]
+                       for _ in range(rng.randint(64, 200)))]
+    a = np.array(rows, dtype=np_dtype(p, n))
+    with mock.patch.object(linalg, "_rref_by_blocks",
+                           wraps=linalg._rref_by_blocks) as blocks:
+        red, piv = np_rref(a, p)
+    assert blocks.called
     ech = rref(prime_field(p), rows, n)
     assert piv == ech.pivots and red.tolist() == ech.rows
+    assert (a == np.array(rows)).all()
+
+
+@pytest.mark.parametrize("p, m, n, density, regime", [
+    (3, 8, 16, 1.0, "lists"),           # at most _BLOCK rows
+    (3, 40, 16, 0.05, "lists"),         # at most 3 nonzeros per column
+    (3, 16, 16, 1.0, "loop"),           # dense, under _LARGE entries
+    (3, 64, 16, 1.0, "blocks"),         # _LARGE entries and up
+    (7, 200, 4, 1.0, "blocks"),
+    (181, 12, 6, 1.0, "loop"),
+    (32749, 8, 16, 1.0, "lists"),       # the largest p with (p - 1)^2 < 2^30
+    (32771, 8, 16, 1.0, "loop"),        # the least prime past it
+    (33554393, 4, 2, 1.0, "loop"),
+    (33554393, 64, 16, 1.0, "loop"),
+    (BIG_P, 4, 2, 1.0, "loop"),
+])
+def test_np_rref_selects_its_regime(p, m, n, density, regime):
+    # lists while a residue product is one CPython digit (30 bits on the
+    # usual builds) and the system is small or sparse, blocks for a large
+    # one, the array loop for the rest and for every system past the bound
+    if (p - 1) ** 2 >= 2 ** sys.int_info.bits_per_digit:
+        regime = "loop"
+    rng = random.Random(m * n + p)
+    rows = [[rng.randrange(1, p) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+    spies = {name: mock.patch.object(linalg, name, wraps=getattr(linalg, name))
+             for name in ("_gauss_jordan", "_rref_by_blocks", "_rref_loop")}
+    with spies["_gauss_jordan"] as lists, spies["_rref_by_blocks"] as blocks, \
+            spies["_rref_loop"] as loop:
+        red, piv = np_rref(np.array(rows, dtype=np_dtype(p, n)), p)
+    assert (loop.called, blocks.called) == (regime == "loop", regime == "blocks")
+    assert lists.called == (regime != "loop")
+    ech = rref(prime_field(p), rows, n)
+    assert piv == ech.pivots and red.tolist() == ech.rows
+
+
+@pytest.mark.parametrize("p", [3, BIG_P])
+def test_np_to_subspace_holds_python_ints(p):
+    # one tolist() gives the basis the old per-entry int() gave, for int64
+    # and object arrays alike
+    f = prime_field(p)
+    rng = random.Random(23)
+    for _ in range(20):
+        rows = np.array([[rng.randrange(p) for _ in range(5)]
+                         for _ in range(rng.randrange(1, 7))],
+                        dtype=np_dtype(p, 5))
+        space = linalg.np_to_subspace(f, rows, 5)
+        red, piv = np_rref(rows, p)
+        assert space.basis == tuple(tuple(int(c) for c in row) for row in red)
+        assert all(type(c) is int for row in space.basis for c in row)
+        assert space == Subspace.span(f, 5, rows.tolist())
 
 
 AFFINE_KINDS = ["consistent", "inconsistent", "width-1", "all-zero",

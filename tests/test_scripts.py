@@ -4,8 +4,9 @@ tower_survey.py asserts the doubling criterion of the reporting tower
 against brute-force simplicity itself, so exit 0 means they agree.
 report_digests.py, at its default seeds and rounds, prints the digests of
 tests/golden/report_digests.json: the benchmark's requests render the same
-reports byte for byte.  replay_kinds.py times the same requests by kind.  A stated change of the report schema, or a change
-of perfbench/gen.py, regenerates that file with
+reports byte for byte.  replay_kinds.py times the same requests by kind,
+and rref_shapes.py their np_rref calls by shape.  A stated change of the
+report schema, or a change of perfbench/gen.py, regenerates that file with
 `python scripts/report_digests.py > tests/golden/report_digests.json`.
 bench_pair.py runs the benchmark for minutes, so its pairing, medians and
 refusals are tested on a stand-in for the harness."""
@@ -76,6 +77,19 @@ def test_replay_kinds_splits_algebra_requests_by_dimension():
     assert sorted(out) == ["algebra d=3", "algebra d=4", "algebra d=5",
                            "algebra d=8"]
     assert all(seconds > 0 for seconds in out.values())
+
+
+def test_rref_shapes_counts_every_call_by_shape_class():
+    out = run_script(["rref_shapes.py", "--workload", "towers", "--seeds", "1",
+                      "--rounds", "1", "--passes", "1"]).splitlines()
+    assert out[0].split() == ["side", "rows", "width", "rank", "calls",
+                              "seconds"]
+    classes = [line.split() for line in out[1:-1]]
+    total = out[-1].split()
+    assert classes and all(c[0] in ("rows", "array") for c in classes)
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(c[4]) for c in classes)
+    assert all(float(c[5]) > 0 for c in classes)
 
 
 def bench_pair():
