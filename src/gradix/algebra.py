@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, ExactModeUnavailable, ValidationError
 from .fields import FieldSpec, Scalar, _coerce_once
-from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
-                     mat_inverse, mat_vec, np_dtype, np_mat_pow, np_matmul,
-                     np_mod, projective_walk, solve_affine)
+from .linalg import (Echelon, Subspace, Vec, coerce_matrix, identity_matrix,
+                     kernel, mat_inverse, mat_vec, np_dtype, np_mat_pow,
+                     np_matmul, np_mod, projective_walk, solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
 # prime below 2^25, so Norton's test runs in int64 up to d = 8192; its
@@ -78,9 +78,6 @@ class Algebra:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
 
-    def scalar_vec(self, c) -> Vec:
-        return self.scale(self.field.coerce(c), self.unit)
-
     def add_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
         return tuple(f.add(a, b) for a, b in zip(x, y))
@@ -88,10 +85,6 @@ class Algebra:
     def sub_vec(self, x: Vec, y: Vec) -> Vec:
         f = self.field
         return tuple(f.sub(a, b) for a, b in zip(x, y))
-
-    def scale(self, c: Scalar, x: Vec) -> Vec:
-        f = self.field
-        return tuple(f.mul(c, a) for a in x)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i}"
@@ -168,11 +161,6 @@ class Algebra:
         left = np_mod(a @ self._np_tensor.reshape(d, d * d), p)  # x e_j
         return _np_scalars(self.field, np_mod(b @ left.reshape(d, d), p),
                            sa * sb * self._np_scale)
-
-    def star(self, v: Vec) -> Vec:
-        if self.involution is None:
-            raise ValidationError("algebra has no involution")
-        return mat_vec(self.field, self.involution, v)
 
 
 def make_algebra(field: FieldSpec, dim: int, entries, unit,
@@ -286,6 +274,12 @@ def _np_vectors(alg: Algebra, vecs) -> tuple[np.ndarray, int]:
     f = alg.field
     if f.is_finite:
         return np.array(vecs, dtype=alg._np_tensor.dtype) % f.p, 1
+    return _cleared(vecs)
+
+
+def _cleared(vecs) -> tuple[np.ndarray, int]:
+    """Rationals (a nested sequence) times the lcm s of their
+    denominators, as an array of Python ints, and s."""
     a = np.array(vecs, dtype=object)
     s = math.lcm(*(x.denominator for x in a.flat))
     ints = [x.numerator * (s // x.denominator) for x in a.flat]
@@ -553,77 +547,95 @@ def first_unit(alg: Algebra, space: Subspace,
                  if (inv := two_sided_inverse(alg, u)) is not None), None)
 
 
-# -- ideal closures ----------------------------------------------------------
+# -- invariant subspaces -----------------------------------------------------
 
-def _np_generators(alg: Algebra, maps=()) -> np.ndarray:
-    """The operators L_{e_j}, R_{e_j} followed by the extra maps (matrices,
-    or one array stack), in the dtype of the structure tensor; over Q each
-    a nonzero multiple of its map, which has the same invariant
-    subspaces."""
-    if not len(maps):
-        return alg._np_ops
-    return np.concatenate([alg._np_ops, _np_vectors(alg, maps)[0]])
+@dataclass(frozen=True, eq=False)
+class _Module:
+    """F^d as a module for the algebra generated by `gens`, a read-only
+    stack of d x d matrices, of which every invariant-subspace question is
+    asked.  The module of an algebra (`_module`) stacks L_{e_j}, R_{e_j},
+    then the extra maps, in the dtype of the structure tensor, over Q each
+    a nonzero multiple of its map, which has the same invariant subspaces;
+    `left` and `maps` read that layout, here and nowhere else."""
+    field: FieldSpec
+    gens: np.ndarray
+
+    def __post_init__(self):
+        self.gens.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.gens.shape[1]
+
+    @property
+    def left(self) -> np.ndarray:
+        """L_{e_j}, the first d generators."""
+        return self.gens[:self.dim]
+
+    @property
+    def maps(self) -> np.ndarray:
+        """The extra maps, after the L_{e_j} and the R_{e_j}."""
+        return self.gens[2 * self.dim:]
+
+    def spin(self, rows) -> tuple[np.ndarray, list[int]]:
+        """The frontier spin of the MeatAxe (Parker 1984; Holt & Rees 1994):
+        the least invariant subspace holding the vectors `rows`, as its
+        RREF rows in pivot order and their pivots.  It stops once the span
+        is all of F^d or stops growing.  Each round maps only the
+        directions that the last round added (`join`): over F_p the images
+        reduced against the echelon so far, one `np_rref` call per round;
+        over Q, on cleared denominators, the images that raise the rank of
+        an `Echelon`.  An entry of the F_p reduction sums one residue
+        product per pivot, at most one per column: inside `np_dtype` for a
+        closure, and `_norton_fits` for the spins of Norton's test."""
+        p, gens = self.field.p, self.gens
+        d = gens.shape[1]
+        if p is not None:
+            from .linalg import np_rref
+            ech, piv = np_rref(np.array(rows, gens.dtype).reshape(-1, d), p)
+            frontier = ech
+
+            def join(vecs):
+                nonlocal ech, piv
+                new, npiv = np_rref(vecs - vecs[:, piv] @ ech, p)
+                ech = np.concatenate([(ech - ech[:, npiv] @ new) % p, new])
+                piv = piv + npiv
+                return new
+        else:
+            span = Echelon(self.field, d)
+
+            def join(vecs):
+                return np.array([v for v in vecs if span.add(v)],
+                                dtype=object).reshape(-1, d)
+            frontier = join(_cleared(rows)[0].reshape(-1, d))
+        rank = len(frontier)
+        while rank < d:
+            images = (gens @ frontier[:, None, :, None]).reshape(-1, d)
+            frontier = join(np_mod(images, p))
+            if not len(frontier):
+                break
+            rank += len(frontier)
+        if p is not None:
+            return ech[np.argsort(piv)], sorted(piv)
+        return np.array(span.rows, dtype=object).reshape(-1, d), span.pivots
 
 
-def _spin(rows: np.ndarray, gens: np.ndarray, p: int):
-    """The frontier spin of the MeatAxe (Parker 1984; Holt & Rees 1994) over
-    F_p: the span of the vectors `rows` under the stack `gens` of d x d
-    matrices.  It stops once the span is all of F_p^d or stops growing.
-    Each round maps only the rows that the last round added, reduced
-    against the echelon so far, so one `np_rref` call per round sees only
-    the new directions.  Returns the RREF rows in pivot order and their
-    pivots.  An entry of the reduction sums one residue product per pivot,
-    at most one per column: inside `np_dtype` for a closure, and
-    `_norton_fits` for the spins of Norton's test."""
-    from .linalg import np_rref
-    d = gens.shape[1]
-    ech, piv = np_rref(rows, p)
-    frontier = ech
-    while len(ech) < d:
-        prods = (gens @ frontier[:, None, :, None]).reshape(-1, d) % p
-        new, npiv = np_rref(prods - prods[:, piv] @ ech, p)
-        if not len(new):
-            break
-        ech = np.concatenate([(ech - ech[:, npiv] @ new) % p, new])
-        piv = piv + npiv
-        frontier = new
-    return ech[np.argsort(piv)], sorted(piv)
-
-
-def _closure_np(alg: Algebra, seeds, gens: np.ndarray):
-    """The least subspace containing the seeds that every generator in the
-    stack maps into itself: `_spin` of the seeds."""
-    rows = np.array([[int(c) for c in v] for v in seeds],
-                    dtype=gens.dtype).reshape(-1, alg.dim)
-    return _spin(rows, gens, alg.field.p)
-
-
-def _closure_echelon(alg: Algebra, seeds, maps=()):
-    """The closure of the seeds in `linalg.Echelon`: each round adds the
-    images of every row under every generator of `_np_generators`."""
-    from .linalg import Echelon
-    gens = _np_generators(alg, maps)
-    ech = Echelon(alg.field, alg.dim)
-    ech.extend(seeds)
-    while 0 < ech.rank < alg.dim:
-        rows, _ = _np_vectors(alg, ech.rows)
-        images = np_mod(rows @ gens.transpose(0, 2, 1), alg.field.p)
-        if not ech.extend(images.reshape(-1, alg.dim).tolist()):
-            break
-    return ech
+def _module(alg: Algebra, maps=()) -> _Module:
+    """The module of A under the L_{e_j}, the R_{e_j} and the extra maps
+    (matrices, or one array stack): built once per verdict."""
+    gens = alg._np_ops
+    if len(maps):
+        gens = np.concatenate([gens, _np_vectors(alg, maps)[0]])
+    return _Module(alg.field, gens)
 
 
 def ideal_closure(alg: Algebra, generators, maps=()) -> Subspace:
     """Least subspace containing the generators that is closed under left and
     right multiplication by the whole algebra (and under the extra linear
     maps, when given)."""
-    gens = [alg.element(v) for v in generators]
-    if alg.field.is_finite:
-        ech, piv = _closure_np(alg, gens, _np_generators(alg, maps))
-        return Subspace(alg.field, alg.dim,
-                        tuple(tuple(int(c) for c in row) for row in ech),
-                        tuple(piv))
-    return _closure_echelon(alg, gens, maps).to_subspace()
+    rows, piv = _module(alg, maps).spin([alg.element(v) for v in generators])
+    return Subspace(alg.field, alg.dim, tuple(map(tuple, rows.tolist())),
+                    tuple(piv))
 
 
 # -- simplicity --------------------------------------------------------------
@@ -660,12 +672,12 @@ def _norton_fits(p: int, d: int) -> bool:
     return d * (p - 1) ** 2 < 2 ** 63
 
 
-def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
+def _commutant_field(module: _Module, unit: Vec,
+                     center: Subspace) -> int | None:
     """The dimension k of the commutant C = End_M(A) of the associative
-    algebra M generated by the stack `gens` when C is a field, else None.
-    `gens` must begin with the 2d operators `Algebra._np_ops`, L_{e_j} then
-    R_{e_j}, as `_np_generators` stacks them; only the maps after them
-    are imposed here.
+    algebra M generated by the module of A (`_module`) when C is a field,
+    else None; `unit` and `center` are A's unit and Z(A).  Only the
+    module's extra maps are imposed here.
 
     The operators that commute with every L_a and R_a are the L_c for c in
     Z(A) (the centroid of a unital algebra is its center; Schafer, "An
@@ -678,24 +690,24 @@ def _commutant_field(alg: Algebra, gens: np.ndarray) -> int | None:
       - and then (xy)c = c(xy) = (cx)y = (xc)y = x(cy) = x(yc), so
         (x, y, c) = 0 and c in N_r.
     Conversely every c in Z(A) gives such an L_c.  So C is found from
-    `Algebra._center` as the c with [L_c, T] = 0 for the extra maps T
+    `center` as the c with [L_c, T] = 0 for the extra maps T
     only, and nothing is solved for the L_{e_j}, R_{e_j}.  The c form a
     unital subalgebra of Z(A), so `_is_field` decides whether C is a
     field."""
     from .linalg import np_kernel
-    p, d = alg.field.p, alg.dim
-    cbasis = np.array(alg._center.basis, dtype=gens.dtype).reshape(-1, d)
-    extra = gens[2 * d:]
+    p, d = module.field.p, module.dim
+    cbasis = np.array(center.basis, dtype=module.gens.dtype).reshape(-1, d)
+    extra = module.maps
     if len(cbasis) > 1 and len(extra):
-        left = gens[:d].reshape(d, d * d)
+        left = module.left.reshape(d, d * d)
         ls = np_matmul(cbasis, left, p).reshape(-1, 1, d, d)  # L_c per basis c
         comm = np_matmul(ls, extra, p) - np_matmul(extra, ls, p)
         rows = _nonzero_rows(comm.reshape(len(cbasis), -1).T)
         cbasis = np_kernel(rows, p) @ cbasis % p
-    return len(cbasis) if _is_field(alg, cbasis) else None
+    return len(cbasis) if _is_field(module, unit, cbasis) else None
 
 
-def _is_field(alg: Algebra, rows) -> bool:
+def _is_field(module: _Module, unit: Vec, rows) -> bool:
     """Whether the unital subalgebra S of Z(A) with basis the rows, over
     F_p with d (p - 1)^2 < 2^63 (`_norton_fits`), is a field.  S is
     commutative and associative, as Z(A) is, so it is a field exactly when
@@ -704,16 +716,17 @@ def _is_field(alg: Algebra, rows) -> bool:
     nilpotent, so S is a product of fields F_{p^r}, and each factor adds one
     dimension to the fixed points.  x^p is L_x^p applied to 1, as x is
     nuclear; its coordinates on the RREF basis of S are its entries at the
-    pivot columns."""
+    pivot columns.  The L_x are read off the module of A (`_module`), and
+    `unit` is A's unit."""
     from .linalg import np_rref
-    p, d = alg.field.p, alg.dim
+    p, d = module.field.p, module.dim
     k = len(rows)
     if k <= 1:
         return True
     basis, piv = np_rref(np.asarray(rows).reshape(k, d), p)
-    left = np.asarray(alg._np_ops[:d], dtype=np.int64).reshape(d, d * d)
+    left = np.asarray(module.left, dtype=np.int64).reshape(d, d * d)
     xs = np_matmul(basis.astype(np.int64), left, p).reshape(-1, d, d)
-    unit = np.array([int(c) % p for c in alg.unit], dtype=np.int64)
+    unit = np.array([int(c) % p for c in unit], dtype=np.int64)
     frob = (np_mat_pow(xs, p, p) @ unit % p)[:, piv]  # rows: x_j^p in S
     return (len(np_rref(frob, p)[0]) == k and
             len(np_rref(frob - np.eye(k, dtype=frob.dtype), p)[0]) == k - 1)
@@ -724,11 +737,13 @@ def _is_field(alg: Algebra, rows) -> bool:
 NORTON_DRAWS = 16
 
 
-def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
+def _norton_irreducible(module: _Module, unit: Vec,
+                        center: Subspace) -> bool | None:
     """Norton's irreducibility test (Parker's MeatAxe, in the form of Holt &
-    Rees, "Testing modules for irreducibility", 1994) over F_p: whether A is
-    irreducible under the associative algebra M generated by the stack
-    `gens` (from `_np_generators`); None when no draw decides.
+    Rees, "Testing modules for irreducibility", 1994) over F_p: whether the
+    module of A (`_module`) is irreducible, that is A under the associative
+    algebra M its generators generate; None when no draw decides.  `unit`
+    and `center` are A's unit and Z(A).
 
     The commutant C = End_M(A) must be a field of some dimension k, or a
     singular X in C has a proper invariant kernel (`_commutant_field`); if
@@ -747,21 +762,20 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     annihilator in A.  So the dual spin of one w decides both ways, and a
     draw with a larger kernel is passed over.  The draws x <- x y + y,
     y a random combination of the generators, come from a fixed seed, so
-    the answer is deterministic.  Needs d (p - 1)^2 < 2^63
-    (`_norton_fits`), and is None past it."""
+    the answer is deterministic.  The caller checks d (p - 1)^2 < 2^63
+    (`_norton_fits`), under which it runs in int64."""
     from .linalg import np_kernel
-    p, d = alg.field.p, alg.dim
-    if not _norton_fits(p, d):
-        return None
-    gens = np.asarray(gens, dtype=np.int64)
-    k = _commutant_field(alg, gens)
+    p, d = module.field.p, module.dim
+    module = _Module(module.field, np.asarray(module.gens, dtype=np.int64))
+    k = _commutant_field(module, unit, center)
     if k is None:
         return False
     if k == d:
         return True
     rng = random.Random(0)
-    unit = np.array([int(c) % p for c in alg.unit], dtype=np.int64)
-    transposes = gens.transpose(0, 2, 1)
+    u = np.array([int(c) % p for c in unit], dtype=np.int64)
+    gens = module.gens
+    dual = _Module(module.field, gens.transpose(0, 2, 1))
 
     def draw():
         coeffs = np.array([rng.randrange(p) for _ in gens], dtype=np.int64)
@@ -771,10 +785,10 @@ def _norton_irreducible(alg: Algebra, gens: np.ndarray) -> bool | None:
     for _ in range(NORTON_DRAWS):
         y = draw()
         x = (np_matmul(x, y, p) + y) % p
-        x = (x - np.tensordot(x @ unit % p, gens[:d], 1)) % p  # x(1) = 0
-        dual = np_kernel(x.T, p)
-        if len(dual) == k:
-            return len(_spin(dual[:1], transposes, p)[0]) == d
+        x = (x - np.tensordot(x @ u % p, module.left, 1)) % p  # x(1) = 0
+        w = np_kernel(x.T, p)
+        if len(w) == k:
+            return len(dual.spin(w[:1])[0]) == d
     return None
 
 
@@ -797,7 +811,7 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     d = alg.dim
     total, points = projective_walk(spaces, budget, what)
-    gens = _np_generators(alg, maps)
+    module = _module(alg, maps)
     irreducible = None
     # A reducible A pays for the test and for the sweep, so short sweeps
     # run alone: up to d points, as of crossed products with a
@@ -805,12 +819,12 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     # keeps the smallest requests on the sweep alone; the benchmark's tests
     # pin the eliminations of the group algebra of C2 over F_2 (d = 2, 3
     # points).  Whether a lower gate pays at d <= 4 is not measured.
-    if total > (d if d >= 5 else d * d):
-        irreducible = _norton_irreducible(alg, gens)
+    if total > (d if d >= 5 else d * d) and _norton_fits(alg.field.p, d):
+        irreducible = _norton_irreducible(module, alg.unit, alg._center)
     if irreducible:
         return SimplicityVerdict(True, None, "exact", total)
     for checked, pt in enumerate(points, 1):
-        if len(_closure_np(alg, [pt], gens)[0]) < d:
+        if len(module.spin([pt])[0]) < d:
             return SimplicityVerdict(False, pt, "exact", checked)
     if irreducible is False:
         raise RuntimeError("the irreducibility test found A reducible but "
@@ -826,13 +840,14 @@ def _reduction_irreducible(alg: Algebra, maps) -> bool:
     Maps with a denominator divisible by P do not reduce, and give
     False."""
     red = alg._reduced
-    if red is None:
+    if red is None or not _norton_fits(red.field.p, red.dim):
         return False
     try:
         maps = [coerce_matrix(red.field, m, red.dim) for m in maps]
     except ZeroDivisionError:
         return False
-    return _norton_irreducible(red, _np_generators(red, maps)) is True
+    return _norton_irreducible(_module(red, maps), red.unit,
+                               red._center) is True
 
 
 def simple_under(alg: Algebra, maps=(),
@@ -853,13 +868,14 @@ def sample_simple(alg: Algebra, maps=(), trials: int = 1000,
     reduction proves A simple, and every sample would find a full closure,
     so the verdict is the "randomized" simple one with `checked = trials`,
     drawn without sampling.  Otherwise, and always over F_p, the samples
-    are drawn."""
+    are drawn, each spun in the module of A under the maps."""
     if _reduction_irreducible(alg, maps):
         return SimplicityVerdict(True, None, "randomized", trials)
+    module = _module(alg, maps)
     rng = random.Random(seed)
     for t in range(trials):
         v = random_element(alg, rng)
-        if not ideal_closure(alg, [v], maps).is_full:
+        if len(module.spin([v])[0]) < alg.dim:
             return SimplicityVerdict(False, v, "randomized", t + 1)
     return SimplicityVerdict(True, None, "randomized", trials)
 
@@ -892,7 +908,7 @@ def subfield_check(alg: Algebra, s: Subspace, budget: int = 1_000_000) -> bool:
     if not (f.is_finite and _norton_fits(f.p, alg.dim)
             and s.contains(alg.unit)):
         return _field_walk(alg, s, budget)
-    return s.rank == 1 or _is_field(alg, s.basis)
+    return s.rank == 1 or _is_field(_module(alg), alg.unit, s.basis)
 
 
 def _field_walk(alg: Algebra, s: Subspace, budget: int) -> bool:

@@ -39,7 +39,8 @@ def _read_input(path: str) -> str:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="request document (path or - for stdin)")
     sub.add_argument("--budget", type=int, default=None,
-                     help="enumeration cap on projective points (default 1000000)")
+                     help="enumeration cap on projective points and on the "
+                     "powers of a Laurent automorphism (default 1000000)")
     sub.add_argument("--trials", type=int, default=None,
                      help="randomized-mode sample count (default 1000)")
     sub.add_argument("--seed", type=int, default=None,
@@ -53,7 +54,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _apply_flags(doc: dict, args) -> dict:
     flags = {k: getattr(args, k) for k in ("budget", "trials", "seed", "window")
              if getattr(args, k, None) is not None}
-    doc["options"] = jsonio.merge_options(flags, doc["kind"], doc["options"])
+    doc["options"] = jsonio.merge_options(flags, doc["kind"], doc["options"],
+                                          doc["payload"])
     return doc
 
 

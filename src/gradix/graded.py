@@ -33,13 +33,6 @@ class Gradation:
     def indices_of(self, g: int) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degrees) if d == g)
 
-    def degree_of(self, v) -> int | None:
-        """Degree of a homogeneous vector; None for zero or mixed vectors."""
-        degs = {self.degrees[i] for i, c in enumerate(v) if c}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
 
 def validate_gradation(alg: Algebra, group: FiniteGroup, degrees) -> Gradation:
     degrees = tuple(int(d) for d in degrees)

@@ -37,13 +37,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def conj(self, a: int, h: int) -> int:
-        """h a h^-1"""
-        return self.mul(self.mul(h, a), self.inv(h))
-
-    def commutator(self, a: int, b: int) -> int:
-        return self.mul(self.mul(self.mul(a, b), self.inv(a)), self.inv(b))
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -148,25 +141,6 @@ class Subgroup:
         return frozenset(self.members)
 
 
-def subgroup(g: FiniteGroup, members) -> Subgroup:
-    mem = frozenset(members)
-    if g.identity not in mem:
-        raise ValidationError("subgroup misses the identity")
-    for a in mem:
-        if g.inv(a) not in mem:
-            raise ValidationError(f"subgroup not closed under inverse of {a}")
-        for b in mem:
-            if g.mul(a, b) not in mem:
-                raise ValidationError(f"subgroup not closed at {(a, b)}")
-    return Subgroup(g, tuple(sorted(mem)))
-
-
-def center(g: FiniteGroup) -> Subgroup:
-    members = [a for a in g.elements()
-               if all(g.mul(a, b) == g.mul(b, a) for b in g.elements())]
-    return Subgroup(g, tuple(members))
-
-
 @dataclass(frozen=True)
 class CentralSeries:
     """Ascending central series {e} = Z_0 <= Z_1 <= ... until it stabilizes."""
@@ -238,7 +212,3 @@ def symmetric(n: int) -> FiniteGroup:
     table = [[index[compose(p, q)] for q in perms] for p in perms]
     labels = ["".join(map(str, p)) for p in perms]
     return _stock(table, index[tuple(range(n))], labels)
-
-
-def trivial_group() -> FiniteGroup:
-    return _stock([[0]], 0, ["e"])

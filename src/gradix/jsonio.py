@@ -75,11 +75,13 @@ def _rows(value, where: str) -> list:
     return [_list(row, where) for row in _list(value, where)]
 
 
-def merge_options(options, kind: str, base=None) -> dict:
+def merge_options(options, kind: str, base=None, payload=None) -> dict:
     """`base` (DEFAULT_OPTIONS when None) overridden by `options`, every
     value checked: the one validation site for request options, CLI flags
     and the defaults of a bare payload.  An option given explicitly to a
-    kind on which it has no effect (`OPTION_KINDS`) is refused."""
+    kind on which it has no effect (`OPTION_KINDS`) is refused, and so are
+    trials and seed given to an algebra or graded `payload` over F_p,
+    whose verdicts are exact and sample nothing."""
     if not isinstance(options, dict):
         raise ValidationError("options must be an object")
     merged = dict(DEFAULT_OPTIONS if base is None else base)
@@ -102,6 +104,15 @@ def merge_options(options, kind: str, base=None) -> dict:
                             for pair in _list(merged["window"], "option window")]
         if any(len(pair) != 2 for pair in merged["window"]):
             raise ValidationError("option window must hold [lo, hi] pairs")
+    sampling = [k for k in ("trials", "seed") if options.get(k) is not None]
+    if sampling and kind in ("algebra", "graded") and payload is not None:
+        alg = (payload if kind == "algebra"
+               else _need(payload, "algebra", "graded payload"))
+        f = parse_field(_need(alg, "field", "algebra"))
+        if f.is_finite:
+            raise ValidationError(f"option {sampling[0]} applies to algebra "
+                                  "and graded requests over Q only, not over "
+                                  f"F_{f.p}")
     return merged
 
 
@@ -167,14 +178,14 @@ def parse_crossed(obj, budget: int = DEFAULT_OPTIONS["budget"]) -> CrossedSystem
     return validate_crossed_system(t, g, sigma, alpha)
 
 
-def parse_laurent(obj) -> LaurentRing:
+def parse_laurent(obj, budget: int = DEFAULT_OPTIONS["budget"]) -> LaurentRing:
     t = parse_algebra(_need(obj, "T", "laurent ring"))
     n = _int(_need(obj, "n", "laurent ring"), "laurent ring n")
     sigma = [_rows(m, "laurent sigma")
              for m in _list(_need(obj, "sigma", "laurent ring"), "laurent sigma")]
     if len(sigma) != n:
         raise ValidationError(f"laurent ring: {len(sigma)} matrices for rank {n}")
-    return make_laurent_ring(t, sigma)
+    return make_laurent_ring(t, sigma, budget)
 
 
 def parse_tower(obj) -> tuple[FieldSpec, list]:
@@ -209,7 +220,8 @@ def _request(doc) -> dict:
         raise ValidationError(f"kind must be one of {', '.join(KINDS)}")
     payload = _need(doc, "payload", "request")
     return {"kind": kind, "payload": payload,
-            "options": merge_options(doc.get("options", {}), kind)}
+            "options": merge_options(doc.get("options", {}), kind,
+                                     payload=payload)}
 
 
 def wrap_bare_payload(text: str, kind: str) -> dict:
@@ -440,7 +452,7 @@ def run_request(doc: dict) -> dict:
         sys = parse_crossed(payload, opts["budget"])
         report = crossed_block(sys, opts)
     elif kind == "laurent":
-        ring = parse_laurent(payload)
+        ring = parse_laurent(payload, opts["budget"])
         report = laurent_block(ring, opts)
     elif kind == "cayley-tower":
         f, mus = parse_tower(payload)

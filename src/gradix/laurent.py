@@ -121,7 +121,10 @@ def _is_identity_power(x: np.ndarray, s: int, n: int) -> bool:
     return t == 1 and (y == np.eye(len(y), dtype=object)).all()
 
 
-def make_laurent_ring(t: Algebra, sigma) -> LaurentRing:
+def make_laurent_ring(t: Algebra, sigma,
+                      budget: int = 1_000_000) -> LaurentRing:
+    """T[x_i^{pm1}; sigma_i]; over F_p each order is walked through the
+    powers of sigma_i up to the budget, past which BudgetExceeded."""
     f, p = t.field, t.field.p
     sigma = tuple(coerce_matrix(f, m, t.dim) for m in sigma)
     for i, m in enumerate(sigma):
@@ -133,7 +136,7 @@ def make_laurent_ring(t: Algebra, sigma) -> LaurentRing:
             if (np_matmul(arrays[i], arrays[j], p)
                     != np_matmul(arrays[j], arrays[i], p)).any():
                 raise ValidationError(f"sigma[{i}] and sigma[{j}] do not commute")
-    orders = tuple(_matrix_order(t, m, 1_000_000) for m in sigma)
+    orders = tuple(_matrix_order(t, m, budget) for m in sigma)
     return LaurentRing(t, len(sigma), sigma, orders)
 
 

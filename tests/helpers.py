@@ -17,9 +17,9 @@ from gradix.cayley import tower_stages
 from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
                            ValidationError)
 from gradix.graded import validate_gradation
-from gradix.groups import (CentralSeries, cyclic, dihedral,
-                           direct_product, elementary_abelian_two, subgroup,
-                           symmetric, trivial_group, validate_group)
+from gradix.groups import (CentralSeries, Subgroup, cyclic, dihedral,
+                           direct_product, elementary_abelian_two, symmetric,
+                           validate_group)
 from gradix.laurent import LaurentElement, laurent_element, sigma_power
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
                            mat_inverse, mat_vec, np_dtype, np_kernel,
@@ -147,6 +147,65 @@ def extension_field(f, n, rng):
     return make_algebra(f, n, entries, (1,) + (0,) * (n - 1))
 
 
+def scale_vec(alg, c, x):
+    """c x, for a scalar c and a vector x of the algebra."""
+    return tuple(alg.field.mul(c, a) for a in x)
+
+
+def star_vec(alg, v):
+    """The involution of the algebra applied to v."""
+    if alg.involution is None:
+        raise ValidationError("algebra has no involution")
+    return mat_vec(alg.field, alg.involution, v)
+
+
+def scalar_vec(alg, c):
+    """c times the unit of the algebra."""
+    return scale_vec(alg, alg.field.coerce(c), alg.unit)
+
+
+def degree_of(grad, v):
+    """The degree of a homogeneous vector; None for zero or mixed vectors."""
+    degs = {grad.degrees[i] for i, c in enumerate(v) if c}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def conj(g, a, h):
+    """h a h^-1 in the group g."""
+    return g.mul(g.mul(h, a), g.inv(h))
+
+
+def group_commutator(g, a, b):
+    """a b a^-1 b^-1 in the group g."""
+    return g.mul(g.mul(g.mul(a, b), g.inv(a)), g.inv(b))
+
+
+def trivial_group():
+    """The group of order 1."""
+    return validate_group([[0]], labels=["e"])
+
+
+def subgroup(g, members):
+    """The subgroup of g on the members, each group axiom checked."""
+    mem = frozenset(members)
+    if g.identity not in mem:
+        raise ValidationError("subgroup misses the identity")
+    for a in mem:
+        if g.inv(a) not in mem:
+            raise ValidationError(f"subgroup not closed under inverse of {a}")
+        for b in mem:
+            if g.mul(a, b) not in mem:
+                raise ValidationError(f"subgroup not closed at {(a, b)}")
+    return Subgroup(g, tuple(sorted(mem)))
+
+
+def group_center(g):
+    """Z(G), by all products."""
+    members = [a for a in g.elements()
+               if all(g.mul(a, b) == g.mul(b, a) for b in g.elements())]
+    return Subgroup(g, tuple(members))
+
+
 class NotNormal(ValidationError):
     """The subgroup of a quotient is not normal."""
 
@@ -154,7 +213,7 @@ class NotNormal(ValidationError):
 def is_normal(n):
     """Whether the subgroup n is closed under conjugation in its group."""
     g = n.group
-    return all(g.conj(a, h) in n for a in n.members for h in g.elements())
+    return all(conj(g, a, h) in n for a in n.members for h in g.elements())
 
 
 def quotient_group(g, n):
@@ -190,7 +249,8 @@ def central_series_loop(g):
     while True:
         current = chain[-1]._memberset
         nxt = frozenset(a for a in g.elements()
-                        if all(g.commutator(a, h) in current for h in g.elements()))
+                        if all(group_commutator(g, a, h) in current
+                               for h in g.elements()))
         if nxt == current:
             break
         chain.append(subgroup(g, nxt))
@@ -240,12 +300,12 @@ def mu_square_by_vectors(alg, center, mu):
     """Whether v^2 = mu.1 for some v of `center`, over all p^r vectors v:
     the oracle of `cayley.mu_square_in_center` over F_p."""
     f = alg.field
-    target = alg.scalar_vec(f.coerce(mu))
+    target = scalar_vec(alg, f.coerce(mu))
     for coeffs in itertools.product(range(f.p), repeat=center.rank):
-        v = alg.scalar_vec(0)
+        v = scalar_vec(alg, 0)
         for c, row in zip(coeffs, center.basis):
             if c:
-                v = alg.add_vec(v, alg.scale(c, row))
+                v = alg.add_vec(v, scale_vec(alg, c, row))
         if multiply_loop(alg, v, v) == target:
             return True
     return False
@@ -648,9 +708,26 @@ def inverse_system_loop(alg, r):
             list(alg.unit) * 2)
 
 
+def closure_echelon(alg, seeds, maps=()):
+    """The ideal closure in `linalg.Echelon`, the oracle of the module's
+    frontier spin (`algebra._Module.spin`): each round adds the images of
+    every row, not only of the new ones, under every generator of the
+    module."""
+    gens = algebra._module(alg, maps).gens
+    ech = Echelon(alg.field, alg.dim)
+    ech.extend(seeds)
+    while 0 < ech.rank < alg.dim:
+        rows, _ = algebra._np_vectors(alg, ech.rows)
+        images = (rows @ gens.transpose(0, 2, 1)).reshape(-1, alg.dim)
+        if alg.field.is_finite:
+            images %= alg.field.p
+        if not ech.extend(images.tolist()):
+            break
+    return ech.to_subspace()
+
+
 def closure_loop(alg, seeds, maps=()):
-    """`algebra._closure_echelon`: the ideal closure, e_j v and v e_j by
-    products."""
+    """The ideal closure, e_j v and v e_j by products."""
     ech = Echelon(alg.field, alg.dim)
     ech.extend(seeds)
     while ech.rank < alg.dim:
@@ -671,7 +748,7 @@ def cayley_double_loop(alg, mu):
     f, d = alg.field, alg.dim
     mu = f.coerce(mu)
     prod = product_table_loop(alg)
-    star = [alg.star(alg.basis_vector(i)) for i in range(d)]
+    star = [star_vec(alg, alg.basis_vector(i)) for i in range(d)]
     entries = []
     for i in range(d):
         for j in range(d):
@@ -691,7 +768,8 @@ def star_rows_loop(alg):
     Z_**."""
     rows = []
     for j in range(alg.dim):
-        v = alg.sub_vec(alg.basis_vector(j), alg.star(alg.basis_vector(j)))
+        e = alg.basis_vector(j)
+        v = alg.sub_vec(e, star_vec(alg, e))
         rows.extend(right_mult_matrix(alg, v))
     return rows
 
@@ -766,7 +844,8 @@ def laurent_add(ring, a, b):
 
 def laurent_neg(ring, a):
     alg = ring.algebra
-    return LaurentElement(tuple((m, alg.scale(alg.field.neg(alg.field.one), c))
+    minus = alg.field.neg(alg.field.one)
+    return LaurentElement(tuple((m, scale_vec(alg, minus, c))
                                 for m, c in a.terms))
 
 
@@ -1058,7 +1137,7 @@ def center_rows_loop(sys):
     ident = identity_matrix(f, d)
     for h in range(n):
         for a in range(n):
-            k = g.conj(a, h)
+            k = conj(g, a, h)
             m = mat_mul(f, right_mult_matrix(t, sys.alpha[h][a]), sys.sigma[h])
             m = mat_mul(f, right_mult_matrix(t, sys.alpha_inv[k][h]), m)
             if k == a:
@@ -1069,13 +1148,13 @@ def center_rows_loop(sys):
     return rows
 
 
-def commutant_field_loop(alg, gens):
+def commutant_field_loop(module, unit):
     """`algebra._commutant_field` without the center: the c with
-    [L_c, T] = 0 for every generator T, the L_{e_j} and R_{e_j} included,
-    solved from the identity four generators at a time on the solutions
-    so far; then the same Frobenius test of a field."""
-    p, d = alg.field.p, alg.dim
-    left = gens[:d].reshape(d, d * d)
+    [L_c, T] = 0 for every generator T of the module, the L_{e_j} and
+    R_{e_j} included, solved from the identity four generators at a time
+    on the solutions so far; then the same Frobenius test of a field."""
+    p, d, gens = module.field.p, module.dim, module.gens
+    left = module.left.reshape(d, d * d)
     cbasis = np.eye(d, dtype=gens.dtype)
     for start in range(0, len(gens), 4):
         if len(cbasis) == 1:
@@ -1088,7 +1167,7 @@ def commutant_field_loop(alg, gens):
     k = len(cbasis)
     if k > 1:
         xs = np_matmul(cbasis, left, p).reshape(-1, d, d)
-        unit = np.array([int(c) % p for c in alg.unit], dtype=xs.dtype)
+        unit = np.array([int(c) % p for c in unit], dtype=xs.dtype)
         frob = (np_mat_pow(xs, p, p) @ unit % p)[:, cpiv]  # rows: x_j^p in C
         if (len(np_rref(frob, p)[0]) < k or
                 len(np_rref(frob - np.eye(k, dtype=frob.dtype), p)[0]) != k - 1):
@@ -1096,24 +1175,32 @@ def commutant_field_loop(alg, gens):
     return k
 
 
-def density_irreducible(alg, gens):
+def norton(alg, maps=()):
+    """Norton's test of the module of A under the maps."""
+    return algebra._norton_irreducible(algebra._module(alg, maps), alg.unit,
+                                       alg._center)
+
+
+def density_irreducible(alg, maps=()):
     """The Jacobson density test over F_p (Holt & Rees, "Testing modules
     for irreducibility", 1994), the oracle of Norton's test where no sweep
-    is possible: A is irreducible under the associative algebra M generated
-    by the stack `gens` exactly when the commutant C = End_M(A) is a
-    division algebra of dimension k and dim M = d^2 / k, that is
-    M = End_C(A).  M is the `algebra._spin` of the identity matrix, d x d
-    matrices flattened to rows, under left multiplication by each
-    generator g, the d^2 x d^2 matrix kron(g, I).  int64 holds its
-    products while d^2 (p - 1)^2 < 2^63."""
+    is possible: A is irreducible under the associative algebra M that the
+    module of A under the maps generates exactly when the commutant
+    C = End_M(A) is a division algebra of dimension k and dim M = d^2 / k,
+    that is M = End_C(A).  M is the spin of the identity matrix, d x d
+    matrices flattened to rows, in the module of F_p^(d^2) under left
+    multiplication by each generator g, the d^2 x d^2 matrix kron(g, I).
+    int64 holds its products while d^2 (p - 1)^2 < 2^63."""
+    module = algebra._module(alg, maps)
     p, d = alg.field.p, alg.dim
     assert d * d * (p - 1) ** 2 < 2 ** 63
-    k = algebra._commutant_field(alg, gens)
+    k = algebra._commutant_field(module, alg.unit, alg._center)
     if k is None:
         return False
     eye = np.eye(d, dtype=np.int64)
-    ops = np.array([np.kron(g, eye) for g in np.asarray(gens, dtype=np.int64)])
-    span, _ = algebra._spin(eye.reshape(1, d * d), ops, p)
+    ops = np.array([np.kron(g, eye)
+                    for g in np.asarray(module.gens, dtype=np.int64)])
+    span, _ = algebra._Module(alg.field, ops).spin(eye.reshape(1, d * d))
     return len(span) == d * d // k
 
 
@@ -1126,3 +1213,26 @@ LOOPS = [(algebra, "_product_mismatch", product_mismatch_loop),
          (crossed, "_check_cocycle", check_cocycle_loop),
          (crossed, "_product_tensor", product_tensor_loop),
          (crossed, "_center_rows", center_rows_loop)]
+
+
+def spins_outside_norton(monkeypatch):
+    """The seeds of every spin of `algebra._Module` that runs outside
+    Norton's test, that is every closure of a sweep or of a sample, as a
+    list that fills in while the patches hold."""
+    outside, inside = [], []
+    norton_test, spin = algebra._norton_irreducible, algebra._Module.spin
+
+    def in_norton(*args):
+        inside.append(True)
+        try:
+            return norton_test(*args)
+        finally:
+            inside.pop()
+
+    def spied(self, rows):
+        if not inside:
+            outside.append(rows)
+        return spin(self, rows)
+    monkeypatch.setattr(algebra, "_norton_irreducible", in_norton)
+    monkeypatch.setattr(algebra._Module, "spin", spied)
+    return outside

@@ -345,10 +345,12 @@ def test_criterion_6_doubling_suite(capsys):
 
 def test_criterion_7_deterministic_reports(capsys, tmp_path):
     started = time.perf_counter()
+    # over Q, where the seed and the trials drive the sampled verdict; over
+    # F_p a graded request refuses them
     graded_req = {
         "kind": "graded",
         "payload": {
-            "algebra": {"field": {"kind": "Fp", "p": 2}, "dim": 2,
+            "algebra": {"field": {"kind": "Q"}, "dim": 2,
                         "unit": ["1", "0"],
                         "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"},
                                  {"i": 0, "j": 1, "k": 1, "c": "1"},

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, linalg
@@ -35,18 +35,20 @@ from gradix.groups import cyclic, symmetric
 from gradix.linalg import (Subspace, identity_matrix, kernel, np_rref,
                            projective_points, projective_walk)
 from helpers import (NONZERO_Q, associator_defect_loop, central_stacked,
-                     closure_loop, entries, commutant_field_loop,
+                     closure_echelon, closure_loop, entries,
+                     commutant_field_loop,
                      commutative_not_associative, conjugation_matrix,
                      echelon_kernel,
                      extension_field, fixed_center_loop, fixed_subspace,
                      intersect, inverse_system_loop, left_by_basis, mat_mul,
                      density_irreducible,
                      nuclear_mask_loop,
-                     nucleus_blocks_loop, points,
+                     norton, nucleus_blocks_loop, points,
                      product_mismatch_loop,
                      product_table, product_table_loop, product_with_swap,
                      random_graded_algebra, random_unital_algebra, rescaled,
-                     right_by_basis, sedenions,
+                     right_by_basis, scalar_vec, scale_vec, sedenions,
+                     spins_outside_norton, star_vec,
                      tensor_algebra, unit_failure_loop, upper_triangular,
                      walk_without_points)
 
@@ -100,15 +102,15 @@ def test_multiply_bilinear_unital():
     for _ in range(30):
         x, y, z = (tuple(rng.randrange(3) for _ in range(4)) for _ in range(3))
         c = rng.randrange(3)
-        lhs = multiply(a, a.add_vec(x, a.scale(c, y)), z)
-        rhs = a.add_vec(multiply(a, x, z), a.scale(c, multiply(a, y, z)))
+        lhs = multiply(a, a.add_vec(x, scale_vec(a, c, y)), z)
+        rhs = a.add_vec(multiply(a, x, z), scale_vec(a, c, multiply(a, y, z)))
         assert lhs == rhs
         assert multiply(a, a.unit, x) == x == multiply(a, x, a.unit)
 
 
 def brute_membership_spaces(alg):
     """Oracle: classify every vector by the defining identities directly."""
-    z = alg.scalar_vec(0)
+    z = scalar_vec(alg, 0)
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     sets = {"left": [], "middle": [], "right": [], "commuter": [], "center": []}
     for v in all_vectors(alg):
@@ -281,33 +283,69 @@ def test_ideal_closure_is_smallest_ideal():
 
 @st.composite
 def closure_cases(draw):
-    """An algebra over F_p with d <= 6, maybe a permutation map, and 0-2
-    seeds, some of them zero."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 4294967311]))
-    f = prime_field(p)
-    dim = draw(st.integers(1, 6))
+    """An algebra over F_2-F_7, over a prime past int64 (object arrays) or
+    over Q, some extra maps, and the seeds: none, the zero vector, a full
+    basis, or one or two vectors.  The maps are an automorphism sigma (a
+    permutation of the factors of F^d), the involution of a Cayley double,
+    the component projections of a graded algebra (a group algebra of a
+    cyclic group, or a Cayley double with its E_k-grading), or none."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 4294967311, None]))
+    f = Q if p is None else prime_field(p)
     rng = draw(st.randoms(use_true_random=False))
-    alg = (product_algebra(f, dim) if draw(st.booleans())
-           else random_unital_algebra(f, dim, rng))
-    maps = ()
-    if draw(st.booleans()):
-        perm = list(range(dim))
+    kind = draw(st.sampled_from(["product", "random", "group", "double"]))
+    maps, grad = (), None
+    if kind == "product":
+        alg = product_algebra(f, draw(st.integers(1, 6)))
+        perm = list(range(alg.dim))
         rng.shuffle(perm)
-        maps = (tuple(tuple(int(perm[j] == i) for j in range(dim))
-                      for i in range(dim)),)
-    vec = st.one_of(st.just((0,) * dim),
-                    st.tuples(*[st.integers(0, p - 1)] * dim),
-                    st.tuples(*[st.sampled_from([0, 1, p - 1])] * dim))
-    return alg, maps, draw(st.lists(vec, max_size=2))
+        maps = draw(st.sampled_from([(), (permutation_matrix(perm),)]))
+    elif kind == "random":
+        alg = random_unital_algebra(f, draw(st.integers(1, 6)), rng)
+    elif kind == "group":
+        alg, grad = group_algebra(f, cyclic(draw(st.integers(1, 6))))
+    else:
+        mus = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3))
+        *_, (alg, grad) = tower_stages(f, mus)
+        maps = draw(st.sampled_from([(), (alg.involution,)]))
+    if grad is not None and not maps and draw(st.booleans()):
+        maps = tuple(tuple(tuple(int(i == j and grad.degrees[i] == g)
+                                 for j in range(alg.dim))
+                           for i in range(alg.dim)) for g in grad.support)
+    dim = alg.dim
+    if p is None:
+        scalar = st.sampled_from([0, 1, -1]) | st.builds(
+            Fraction, st.integers(-3, 3), st.integers(1, 4))
+    else:
+        scalar = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    basis = [alg.basis_vector(i) for i in range(dim)]
+    seeds = draw(st.one_of(st.just([]), st.just([(0,) * dim]), st.just(basis),
+                           st.lists(st.tuples(*[scalar] * dim), min_size=1,
+                                    max_size=2)))
+    return alg, maps, seeds
+
+
+# M_2 (x) (F x F), that is M_2 x M_2, with the seed E11 in both blocks,
+# whose closure needs a second round from several new directions, and with
+# one seed per block: a spin that maps only some of the new directions
+# stops short
+BLOCKS = [tensor_algebra(matrix_algebra(f, 2), product_algebra(f, 2))
+          for f in (F3, Q)]
+BLOCK_SEEDS = ([(1, 1, 0, 0, 0, 0, 0, 0)],
+               [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(closure_cases())
+@example((BLOCKS[0], (), BLOCK_SEEDS[0]))
+@example((BLOCKS[0], (), BLOCK_SEEDS[1]))
+@example((BLOCKS[1], (), BLOCK_SEEDS[0]))
+@example((BLOCKS[1], (), BLOCK_SEEDS[1]))
 def test_ideal_closure_matches_echelon_path(case):
-    """The frontier spin over F_p against the field-generic Echelon loop."""
+    """The module's frontier spin, over F_p and over Q, against the closure
+    that maps every row in every round."""
     alg, maps, seeds = case
-    assert ideal_closure(alg, seeds, maps) == \
-        algebra._closure_echelon(alg, seeds, maps).to_subspace()
+    assert ideal_closure(alg, seeds, maps) == closure_echelon(
+        alg, [alg.element(v) for v in seeds], maps)
 
 
 def test_simplicity_known_answers():
@@ -349,10 +387,9 @@ def assert_density_matches_sweep(alg, maps=()):
     Norton's test at P, of Norton's test where it decides, and of
     `simple_under`."""
     ref = sweep_verdict(alg, maps)
-    gens = algebra._np_generators(alg, maps)
-    assert density_irreducible(alg, gens) == ref.simple
-    norton = algebra._norton_irreducible(alg, gens)
-    assert norton is None or norton == ref.simple
+    assert density_irreducible(alg, maps) == ref.simple
+    verdict = norton(alg, maps)
+    assert verdict is None or verdict == ref.simple
     assert simple_under(alg, maps=maps) == ref
 
 
@@ -464,8 +501,7 @@ def test_undecided_norton_falls_back_to_the_sweep(monkeypatch):
              (random_unital_algebra(F3, 3, random.Random(1)), ()),
              (product_algebra(F3, 3), (permutation_matrix([1, 2, 0]),))]
     for alg, maps in cases:
-        gens = algebra._np_generators(alg, maps)
-        assert algebra._norton_irreducible(alg, gens) is None
+        assert norton(alg, maps) is None
         with mock.patch.object(algebra, "_norton_irreducible",
                                wraps=algebra._norton_irreducible) as spy:
             assert simple_under(alg, maps) == sweep_verdict(alg, maps)
@@ -480,10 +516,10 @@ def test_planted_eigenvalue_proves_reducible():
     # test and the sweep do
     for p, seed in [(2, 4), (3, 1), (3, 2)]:
         alg = random_unital_algebra(prime_field(p), 3, random.Random(seed))
-        gens = algebra._np_generators(alg)
-        assert algebra._commutant_field(alg, gens) == 1
-        assert algebra._norton_irreducible(alg, gens) is False
-        assert not density_irreducible(alg, gens)
+        module = algebra._module(alg)
+        assert algebra._commutant_field(module, alg.unit, alg._center) == 1
+        assert norton(alg) is False
+        assert not density_irreducible(alg)
         assert not sweep_verdict(alg).simple
 
 
@@ -518,19 +554,16 @@ def test_planted_eigenvalue_decides_every_irreducible_class(monkeypatch):
         lambda: sample_simple(random_unital_algebra(Q, 8, random.Random(8)),
                               trials=10),
         lambda: sample_simple(double_q, trials=10)]
-    answers, norton = [], algebra._norton_irreducible
+    answers, norton_test = [], algebra._norton_irreducible
 
-    def recorded(alg, gens):
-        answers.append(norton(alg, gens))
+    def recorded(*args):
+        answers.append(norton_test(*args))
         return answers[-1]
     monkeypatch.setattr(algebra, "_norton_irreducible", recorded)
-    with mock.patch.object(algebra, "_closure_np",
-                           wraps=algebra._closure_np) as closure_np, \
-            mock.patch.object(algebra, "_closure_echelon",
-                              wraps=algebra._closure_echelon) as closure_q:
-        assert all(verdict().simple for verdict in verdicts)
+    closures = spins_outside_norton(monkeypatch)
+    assert all(verdict().simple for verdict in verdicts)
     assert answers == [True] * len(verdicts)
-    assert closure_np.call_count == closure_q.call_count == 0
+    assert closures == []
 
 
 @st.composite
@@ -556,14 +589,13 @@ def small_norton_cases(draw):
 @given(small_norton_cases())
 def test_norton_agrees_with_the_density_test(case):
     alg, maps = case
-    gens = algebra._np_generators(alg, maps)
-    verdict = algebra._norton_irreducible(alg, gens)
+    verdict = norton(alg, maps)
     if verdict is not None:
-        assert verdict == density_irreducible(alg, gens)
+        assert verdict == density_irreducible(alg, maps)
 
 
 def test_norton_reducible_without_a_witness_is_an_error(monkeypatch):
-    monkeypatch.setattr(algebra, "_norton_irreducible", lambda alg, gens: False)
+    monkeypatch.setattr(algebra, "_norton_irreducible", lambda *args: False)
     with pytest.raises(RuntimeError, match="sweep found no proper"):
         simple_under(product_algebra(F3, 5), (permutation_matrix([1, 2, 3, 4, 0]),))
 
@@ -575,7 +607,7 @@ def test_small_dimensions_run_norton_past_d_squared(monkeypatch):
         raise AssertionError("entered")
     h = quaternions(prime_field(19))[0]
     with monkeypatch.context() as mp:
-        mp.setattr(algebra, "_closure_np", refuse)
+        closures = spins_outside_norton(mp)
         with mock.patch.object(algebra, "_norton_irreducible",
                                wraps=algebra._norton_irreducible) as spy:
             assert simple_under(h) == SimplicityVerdict(True, None, "exact",
@@ -583,6 +615,7 @@ def test_small_dimensions_run_norton_past_d_squared(monkeypatch):
             assert is_star_simple(h) == SimplicityVerdict(True, None, "exact",
                                                           7240)
         assert spy.call_count == 2
+        assert closures == []
     # up to d^2 points the sweep runs alone: the 3 of the group algebra of
     # C2 over F_2, the 4 of F_3 x F_3 and the 7 of F_2^3 with a 3-cycle
     monkeypatch.setattr(algebra, "_norton_irreducible", refuse)
@@ -690,17 +723,15 @@ def test_huge_prime_runs_norton_at_d_2(monkeypatch):
     # closure of the sweep's 2^31 points
     f = prime_field(2 ** 31 - 1)
     alg = product_algebra(f, 2)
-    gens = algebra._np_generators(alg)
-    assert algebra._norton_irreducible(alg, gens) is False
+    assert norton(alg) is False
     v = is_simple(alg, budget=2 ** 31)
     assert (v.simple, v.witness, v.checked) == (False, (0, 1), 1)
 
-    def refuse(*args):
-        raise AssertionError("sweep entered")
-    monkeypatch.setattr(algebra, "_closure_np", refuse)
+    closures = spins_outside_norton(monkeypatch)
     want = SimplicityVerdict(True, None, "exact", f.p + 1)
     assert simple_under(alg, (swap_matrix(f),), budget=2 ** 31) == want
     assert simple_under(quadratic_field_extension(f), budget=2 ** 31) == want
+    assert closures == []
 
 
 def test_randomized_mode_deterministic_and_consistent():
@@ -737,8 +768,8 @@ def test_inverses_match_the_norm():
     qa = quaternions(F3)[0]
     seen_zero_divisor = False
     for v in projective_points(3, qa.dim):
-        norm = multiply(qa, v, qa.star(v))
-        assert norm[1:] == qa.scalar_vec(0)[1:]
+        norm = multiply(qa, v, star_vec(qa, v))
+        assert norm[1:] == scalar_vec(qa, 0)[1:]
         inv = two_sided_inverse(qa, v)
         assert (inv is not None) == bool(norm[0])
         seen_zero_divisor |= inv is None
@@ -914,7 +945,7 @@ def test_in_nucleus_matches_the_solved_nucleus(f, kind, rng):
     alg = nucleus_test_algebra(f, kind, rng)
     c = nucleus_and_center(alg)
     nuc = c.nucleus
-    inside = [alg.add_vec(u, alg.scale(f.coerce(rng.randint(1, 9)), v))
+    inside = [alg.add_vec(u, scale_vec(alg, f.coerce(rng.randint(1, 9)), v))
               for u, v in zip(nuc.basis, nuc.basis[1:])]
     # elements of two one-sided nuclei that may miss the third
     two_sided = [v for a, b in ((c.left, c.middle), (c.left, c.right),
@@ -1029,8 +1060,9 @@ def test_commutant_from_the_center_matches_the_full_solve(f, kind, extra, rng):
         degrees = (grad.degrees if grad is not None
                    else [rng.randrange(3) for _ in range(alg.dim)])
         maps = projections(alg, degrees)
-    gens = algebra._np_generators(alg, maps)
-    assert algebra._commutant_field(alg, gens) == commutant_field_loop(alg, gens)
+    module = algebra._module(alg, maps)
+    assert (algebra._commutant_field(module, alg.unit, alg._center)
+            == commutant_field_loop(module, alg.unit))
 
 
 def test_commutant_cases_reach_every_kind_of_answer():
@@ -1042,15 +1074,15 @@ def test_commutant_cases_reach_every_kind_of_answer():
              (ext, 3), (product_algebra(F2, 2), None),
              (truncated_dual(prime_field(7)), None)]
     for alg, k in cases:
-        gens = algebra._np_generators(alg)
-        assert algebra._commutant_field(alg, gens) == k
-        assert commutant_field_loop(alg, gens) == k
+        module = algebra._module(alg)
+        assert algebra._commutant_field(module, alg.unit, alg._center) == k
+        assert commutant_field_loop(module, alg.unit) == k
     # the Frobenius of F_27 commutes only with the prime field
     frob = tuple(zip(*(algebra.multiply(ext, v, algebra.multiply(ext, v, v))
                        for v in map(ext.basis_vector, range(3)))))
-    gens = algebra._np_generators(ext, [frob])
-    assert algebra._commutant_field(ext, gens) == 1 == \
-        commutant_field_loop(ext, gens)
+    module = algebra._module(ext, [frob])
+    assert algebra._commutant_field(module, ext.unit, ext._center) == 1 == \
+        commutant_field_loop(module, ext.unit)
 
 
 def test_involution_errors_keep_their_order_and_first_pair():
@@ -1174,7 +1206,7 @@ def test_degenerate_reduction_falls_back(monkeypatch):
     field_q = quadratic_q(P)
     red = field_q._reduced
     assert red is not None and entries(red) == entries(truncated_dual(red.field))
-    assert algebra._norton_irreducible(red, algebra._np_generators(red)) is False
+    assert norton(red) is False
     assert is_simple(field_q, trials=10) == SimplicityVerdict(
         True, None, "randomized", 10)
     # x y = P x: associative and commutative mod P, neither over Q
@@ -1191,7 +1223,7 @@ def test_degenerate_reduction_falls_back(monkeypatch):
 def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled")
-    monkeypatch.setattr(algebra, "_closure_echelon", refuse)
+    closures = spins_outside_norton(monkeypatch)
     octo = field_algebra(Q)
     for mu in (-1, -1, -1):
         octo, _ = cayley_double(octo, mu)
@@ -1201,6 +1233,7 @@ def test_simple_q_algebra_is_proved_without_sampling(monkeypatch):
     for alg in (matrix_algebra(Q, 2),
                 random_unital_algebra(Q, 5, random.Random(1)), octo):
         assert is_simple(alg, trials=25) == want
+    assert closures == []
     # all six subspaces of the octonions have rank 1 mod P: no solve over Q
     blocks = algebra._nucleus_blocks
     monkeypatch.setattr(algebra, "_nucleus_blocks", lambda alg: (
@@ -1221,20 +1254,16 @@ def test_undecided_reduction_falls_back_to_sampling(monkeypatch):
     algs += [upper_triangular(Q, 3),
              tensor_algebra(matrix_algebra(Q, 2), quadratic_q(3))]
     reds = [alg._reduced for alg in algs]
-    gens = [algebra._np_generators(red) for red in reds]
     assert [algebra._reduction_irreducible(alg, ()) for alg in algs] == \
         [True, True, True, False, True]
     want = [sample_simple(alg, trials=10) for alg in algs]
     assert [v.simple for v in want] == [True, True, True, False, True]
-    assert [algebra._norton_irreducible(red, g)
-            for red, g in zip(reds, gens)] == [True, True, True, None, True]
+    assert [norton(red) for red in reds] == [True, True, True, None, True]
     monkeypatch.setattr(algebra, "NORTON_DRAWS", 0)
-    assert all(algebra._norton_irreducible(red, g) is None
-               for red, g in zip(reds, gens))
-    with mock.patch.object(algebra, "_closure_echelon",
-                           wraps=algebra._closure_echelon) as spy:
-        assert [sample_simple(alg, trials=10) for alg in algs] == want
-    assert spy.call_count == 3 * 10 + want[3].checked + 10
+    assert all(norton(red) is None for red in reds)
+    closures = spins_outside_norton(monkeypatch)
+    assert [sample_simple(alg, trials=10) for alg in algs] == want
+    assert len(closures) == 3 * 10 + want[3].checked + 10
 
 
 @st.composite
@@ -1266,11 +1295,10 @@ def q_reduction_cases(draw):
 def test_reduction_norton_agrees_with_the_density_test(case):
     alg, maps = case
     red = alg._reduced
-    gens = algebra._np_generators(
-        red, [linalg.coerce_matrix(red.field, m, red.dim) for m in maps])
-    verdict = algebra._norton_irreducible(red, gens)
+    maps = [linalg.coerce_matrix(red.field, m, red.dim) for m in maps]
+    verdict = norton(red, maps)
     if verdict is not None:
-        assert verdict == density_irreducible(red, gens)
+        assert verdict == density_irreducible(red, maps)
 
 
 # -- over Q: the contractions on cleared denominators against the loops ----------
@@ -1329,7 +1357,7 @@ def test_q_central_subspaces_match_the_loops(alg):
 def test_q_nuclear_mask_defect_and_center_rows_match_the_loops(alg, data):
     d = alg.dim
     nucleus = nucleus_and_center(alg).nucleus
-    vecs = [alg.scale(data.draw(NONZERO_Q), row) for row in nucleus.basis]
+    vecs = [scale_vec(alg, data.draw(NONZERO_Q), row) for row in nucleus.basis]
     vecs += [q_vector(data.draw, d) for _ in range(2)]
     assert algebra.nuclear_mask(alg, vecs) == nuclear_mask_loop(alg, vecs)
     assert associator_defect(alg) == associator_defect_loop(alg)
@@ -1416,8 +1444,8 @@ def test_inverse_rows_and_product_table_match_the_loops(case):
 @settings(max_examples=60, deadline=None)
 @given(algebras_and_vectors(), st.data())
 def test_q_and_fp_closures_match_the_loop(case, data):
-    """The ideal closure under the L, R and one extra map: over Q the
-    Echelon path batches its images from `_np_generators`."""
+    """The ideal closure under the L, R and one extra map, over F_p and
+    over Q, against closures by products."""
     alg, v = case
     f, d = alg.field, alg.dim
     entry = (st.integers(0, f.p - 1) if f.is_finite
@@ -1435,7 +1463,7 @@ def test_a_wrong_unit_is_refused_at_the_first_basis(case, shift):
     find it, over F_p and over Q."""
     alg, v = case
     f = alg.field
-    unit = alg.unit if not any(v) else alg.add_vec(alg.unit, alg.scale(
+    unit = alg.unit if not any(v) else alg.add_vec(alg.unit, scale_vec(alg, 
         f.coerce(shift + 1), v))
     first = unit_failure_loop(Algebra(f, alg.dim, alg._np_tensor,
                                       alg._np_scale, unit))

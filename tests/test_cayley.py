@@ -26,7 +26,8 @@ from gradix.linalg import Subspace, kernel, projective_points, projective_walk
 from helpers import (NONZERO_Q, cayley_double_loop, entries, extension_field,
                      first_nonsquare_by_squares, fixed_subspace, intersect, mu_square_by_vectors, product_table, product_table_loop,
                      product_with_swap, random_unital_algebra, rescaled,
-                     sedenions, star_rows_loop, tensor_algebra,
+                     scalar_vec, scale_vec, sedenions, star_rows_loop,
+                     star_vec, tensor_algebra,
                      walk_without_points)
 from test_golden import CASES
 
@@ -52,9 +53,9 @@ def test_double_product_law():
                       for _ in range(4))
         left = multiply(dbl, a + b, c + e)
         first = base.add_vec(multiply(base, a, c),
-                             base.scale(mu, multiply(base, base.star(e), b)))
+                             scale_vec(base, mu, multiply(base, star_vec(base, e), b)))
         second = base.add_vec(multiply(base, e, a),
-                              multiply(base, b, base.star(c)))
+                              multiply(base, b, star_vec(base, c)))
         assert left == first + second
 
 
@@ -66,10 +67,10 @@ def test_double_involution_and_adjoined_square():
     a = (1, 2)
     b = (0, 1)
     v = a + b
-    assert dbl.star(v) == base.star(a) + tuple(F3.neg(c) for c in b)
+    assert star_vec(dbl, v) == star_vec(base, a) + tuple(F3.neg(c) for c in b)
     # l * l = mu
     l = dbl.basis_vector(d)
-    assert multiply(dbl, l, l) == dbl.scalar_vec(mu)
+    assert multiply(dbl, l, l) == scalar_vec(dbl, mu)
     # gradation puts the old part in degree 0 and the new part in degree 1
     assert grad.degrees == (0,) * d + (1,) * d
 

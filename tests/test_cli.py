@@ -90,10 +90,13 @@ def test_verdict_is_trimmed(capsys, graded_file):
     assert doc["verdict"]["simplicity_equivalence"]["consistent"]
 
 
-def test_reports_byte_identical(capsys, graded_file):
-    _, first = run_cli(capsys, ["analyze", graded_file, "--seed", "7"])
-    _, second = run_cli(capsys, ["analyze", graded_file, "--seed", "7"])
-    assert first == second
+def test_reports_byte_identical(capsys, tmp_path, graded_file):
+    # the seed over Q, where it drives the sampled verdict
+    for argv in (["analyze", graded_file],
+                 ["analyze", write(tmp_path, Q_REQ), "--seed", "7"]):
+        code, first = run_cli(capsys, argv)
+        _, second = run_cli(capsys, argv)
+        assert code == 0 and first == second
 
 
 def test_timing_only_when_asked(capsys, graded_file):
@@ -392,30 +395,62 @@ def _as_request(kind, name):
     return doc if "kind" in doc else {"kind": kind, "payload": doc}
 
 
-@pytest.mark.parametrize("kind", sorted(KIND_SAMPLES))
+def _fp_request(kind):
+    """group_algebra_z2.json, F_2[C2] with its C2-grading, as a request of
+    the kind: graded as it stands, or its algebra alone."""
+    doc = _as_request("graded", "group_algebra_z2.json")
+    if kind == "graded":
+        return doc
+    return {"kind": "algebra", "payload": doc["payload"]["algebra"]}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SAMPLES) + ["algebra", "graded"])
 @pytest.mark.parametrize("option, value", [("trials", 5), ("seed", 3)])
 def test_sampling_options_are_refused_where_nothing_samples(
         capsys, tmp_path, kind, option, value):
-    """No crossed, laurent or tower verdict samples, so trials and seed are
-    refused there, in the document and as flags, while the report still
-    echoes their defaults."""
-    command, name = KIND_SAMPLES[kind]
-    doc = _as_request(kind, name)
-    message = (f"option {option} applies to algebra and graded requests "
-               f"only, not to {kind}")
+    """No crossed, laurent or tower verdict samples, and no algebra or
+    graded verdict over F_p, so trials and seed are refused there, in the
+    document and as flags, while the report still echoes their
+    defaults."""
+    if kind in KIND_SAMPLES:
+        command, name = KIND_SAMPLES[kind]
+        doc = _as_request(kind, name)
+        message = (f"option {option} applies to algebra and graded requests "
+                   f"only, not to {kind}")
+    else:
+        command, name = "analyze", "group_algebra_z2.json"
+        doc = _fp_request(kind)
+        message = (f"option {option} applies to algebra and graded requests "
+                   "over Q only, not over F_2")
     refused = tmp_path / "refused.json"
     refused.write_text(json.dumps(
         {**doc, "options": {**doc.get("options", {}), option: value}}))
-    for argv in ([command, str(refused)],
-                 [command, write(tmp_path, doc), f"--{option}", str(value)],
-                 [command, os.path.join(SAMPLES, name), f"--{option}", str(value)]):
+    argvs = [[command, str(refused)],
+             [command, write(tmp_path, doc), f"--{option}", str(value)]]
+    if kind != "algebra":
+        argvs.append([command, os.path.join(SAMPLES, name), f"--{option}",
+                      str(value)])
+    for argv in argvs:
         code, out = run_cli(capsys, argv)
         assert code == 1
         assert json.loads(out) == {"error": {"type": "ValidationError",
                                              "message": message}}
-    code, out = run_cli(capsys, [command, os.path.join(SAMPLES, name)])
+    code, out = run_cli(capsys, [command, write(tmp_path, doc)])
     assert code == 0
     assert json.loads(out)["options"][option] == jsonio.DEFAULT_OPTIONS[option]
+
+
+@pytest.mark.parametrize("kind", ["algebra", "graded"])
+def test_sampling_options_are_taken_over_q(capsys, tmp_path, kind):
+    # the same requests over Q sample, and echo the options they set
+    doc = _fp_request(kind)
+    algebra = doc["payload"] if kind == "algebra" else doc["payload"]["algebra"]
+    algebra["field"] = {"kind": "Q"}
+    code, out = run_cli(capsys, ["analyze", write(tmp_path, doc),
+                                 "--trials", "5", "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["options"] == {"budget": 1_000_000, "seed": 3,
+                                          "trials": 5}
 
 
 SAMPLE_COMMANDS = {"group_algebra_z2.json": "analyze",

@@ -35,7 +35,7 @@ from helpers import (LOOPS, NONZERO_Q, NoNuclearUnit,
                      fixed_center_loop, fixed_subspace, homogeneous_points,
                      inverse_pairs_loop, random_graded_algebra,
                      recognize_crossed_system, rescaled, rescaled_matrix,
-                     walk_without_points)
+                     scalar_vec, scale_vec, walk_without_points)
 from test_golden import CASES
 
 F2 = prime_field(2)
@@ -223,10 +223,10 @@ def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
     commutant = algebra._commutant_field
     counts = []
 
-    def spy(alg, gens):
+    def spy(module, unit, center):
         before = len(rrefs)
-        k = commutant(alg, gens)
-        counts.append((alg.dim, len(gens), len(rrefs) - before, k))
+        k = commutant(module, unit, center)
+        counts.append((module.dim, len(module.gens), len(rrefs) - before, k))
         return k
     monkeypatch.setattr(algebra, "_commutant_field", spy)
     built = _spy_center(monkeypatch)
@@ -509,7 +509,7 @@ def test_contractions_match_the_generic_loops(mk, f, change, data):
         sigma[a][b % t.dim] = _nudge(data, f, sigma[a][b % t.dim], "sigma")
     elif change in ("alpha", "unchecked") and other and f.p > 2:
         c = data.draw(st.integers(2, f.p - 1), label="scalar")
-        alpha[a][b] = t.scale(c, alpha[a][b])
+        alpha[a][b] = scale_vec(t, c, alpha[a][b])
     elif change in ("alpha", "unchecked"):
         alpha[a][b] = _nudge(data, f, alpha[a][b], "alpha")
 
@@ -579,7 +579,7 @@ def test_center_rows_match_the_generic_loop(f, coefficients, hom_group, data):
                      for name in ("phi", "psi", "chi"))
     ident = identity_matrix(f, t.dim)
     sigma = [twist if phi[a] else ident for a in group.elements()]
-    alpha = [[t.scalar_vec(-1 if psi[a] and chi[b] else 1)
+    alpha = [[scalar_vec(t, -1 if psi[a] and chi[b] else 1)
               for b in group.elements()] for a in group.elements()]
     sys = validate_crossed_system(t, group, sigma, alpha)
     fast, slow = _on_both_paths(lambda: crossed_center(sys))
@@ -688,7 +688,7 @@ def test_the_first_alpha_outside_the_nuclear_units_is_named():
     # row-major order is named whichever way it fails
     o = octonions(F3)[0]
     sigma = (identity_matrix(F3, 8),) * 3
-    zero, e1, one = o.scalar_vec(0), o.basis_vector(1), o.unit
+    zero, e1, one = scalar_vec(o, 0), o.basis_vector(1), o.unit
     for a12, a21, bad in [(e1, zero, "[1][2]"), (zero, e1, "[1][2]"),
                           (one, zero, "[2][1]"), (one, e1, "[2][1]")]:
         alpha = [[one] * 3, [one, one, a12], [one, a21, one]]
@@ -765,7 +765,7 @@ def q_systems(draw):
         if two_sided_inverse(t, u) is None:
             u = t.unit
         sigma = [identity_matrix(QQ, 4), conjugation_matrix(t, u)]
-        alpha = [[t.unit, t.unit], [t.unit, t.scale(c, t.multiply(u, u))]]
+        alpha = [[t.unit, t.unit], [t.unit, scale_vec(t, c, t.multiply(u, u))]]
         return t, cyclic(2), sigma, alpha
     group, homs = draw(st.sampled_from(
         [(g, homs_to_c2(g)) for g in (cyclic(3), elementary_abelian_two(2),
@@ -778,7 +778,7 @@ def q_systems(draw):
          for a in group.elements()}
     sigma = [swap if phi[a] else identity_matrix(QQ, 2)
              for a in group.elements()]
-    alpha = [[t.scale((-1) ** (psi[a] * chi[b]) * f[a] * f[b]
+    alpha = [[scale_vec(t, (-1) ** (psi[a] * chi[b]) * f[a] * f[b]
                       / f[group.mul(a, b)], t.unit)
               for b in group.elements()] for a in group.elements()]
     return t, group, sigma, alpha
@@ -831,7 +831,8 @@ def test_q_contractions_match_the_loops(system, change, data):
         helpers.assert_crossed_product_checks(sys, prod, grad)
         # a unit's two-sided inverse is unique, so a moved one is no inverse
         inverses = helpers.canonical_inverses(sys)
-        inverses[a] = prod.add_vec(inverses[a], prod.scale(shift, prod.basis_vector(k)))
+        inverses[a] = prod.add_vec(inverses[a],
+                                   scale_vec(prod, shift, prod.basis_vector(k)))
         assert not inverse_pairs_loop(prod, canonical_units(sys), inverses)
 
 
@@ -849,7 +850,7 @@ def test_q_block_defect_is_the_generic_tensor(system, move, data):
         b = data.draw(st.sampled_from(others), label="h")
         moved = [list(row) for row in sys.alpha]
         inv = [list(row) for row in sys.alpha_inv]
-        moved[a][b] = t.add_vec(moved[a][b], t.scale(data.draw(NONZERO_Q),
+        moved[a][b] = t.add_vec(moved[a][b], scale_vec(t, data.draw(NONZERO_Q),
                                                      t.basis_vector(t.dim - 1)))
         inv[a][b] = two_sided_inverse(t, moved[a][b]) or t.unit
         sys = crossed.CrossedSystem(t, g, sys.sigma, tuple(map(tuple, moved)),

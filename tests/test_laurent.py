@@ -1,7 +1,9 @@
 import gc
 import itertools
+import json
 import math
 import random
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +29,8 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             laurent_element, laurent_simplicity_verdict,
                             make_laurent_ring, sigma_power, verify_central)
 from gradix.linalg import identity_matrix, mat_vec, projective_points
-from helpers import (NONZERO_Q, conjugation_matrix, entries,
+from helpers import (NONZERO_Q, conjugation_matrix, entries, scalar_vec,
+                     scale_vec,
                      extension_field, fixed_subspace, intersect, laurent_add,
                      laurent_associator, laurent_commutator, laurent_multiply,
                      laurent_one, matrix_order_loop, rescaled, rescaled_matrix,
@@ -377,6 +380,37 @@ def test_unit_search_takes_the_request_budget():
         inner_witness_search(fresh)
 
 
+def long_order_request(budget: int) -> str:
+    """T = F_3 + V with V^2 = 0 and dim V = 13, and sigma = 1 + the
+    companion matrix of x^13 + 2x + 1, whose order passes 10^6: at the
+    default budget its walk takes seconds before it is refused."""
+    d = 14
+    mult = [(0, 0, 0)] + [t for j in range(1, d) for t in ((0, j, j), (j, 0, j))]
+    sigma = [[int(r == c == 0) for c in range(d)] for r in range(d)]
+    for r in range(2, d):
+        sigma[r][r - 1] = 1
+    sigma[1][d - 1], sigma[2][d - 1] = 2, 1      # x^13 = 2 + x
+    return json.dumps({"kind": "laurent", "options": {"budget": budget},
+                       "payload": {"T": {"field": {"kind": "Fp", "p": 3},
+                                         "dim": d, "unit": [1] + [0] * 13,
+                                         "mult": [{"i": i, "j": j, "k": k, "c": 1}
+                                                  for i, j, k in mult]},
+                                   "n": 1, "sigma": [sigma]}})
+
+
+def test_the_order_walk_takes_the_request_budget():
+    # sigma's powers are walked up to the budget, which the refusal names
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^automorphism order exceeds 10$"):
+        jsonio.run_request(jsonio.parse_request(long_order_request(10)))
+    assert time.perf_counter() - started < 0.5
+    # the Frobenius of F_4 has order 2: a budget of 2 reaches it, 1 does not
+    f4 = quadratic_field_extension(F2)
+    assert make_laurent_ring(f4, [f4.involution], budget=2).orders == (2,)
+    with pytest.raises(BudgetExceeded, match="^automorphism order exceeds 1$"):
+        make_laurent_ring(f4, [f4.involution], budget=1)
+
+
 def test_window_over_budget_is_refused_before_any_solve(monkeypatch):
     ring = frobenius_ring()
     monkeypatch.setattr(laurent, "center_coefficient_space", None)
@@ -664,9 +698,10 @@ def near_central_elements(draw, ring):
     terms, central = [], True
     for _ in range(draw(st.integers(1, 3))):
         m = [draw(st.integers(-o, o)) for o in ring.orders]
-        coeff = alg.scalar_vec(0)
+        coeff = scalar_vec(alg, 0)
         for row in center_coefficient_space(ring, m).basis:
-            coeff = alg.add_vec(coeff, alg.scale(draw(st.integers(0, 2)), row))
+            coeff = alg.add_vec(coeff,
+                                scale_vec(alg, draw(st.integers(0, 2)), row))
         if draw(st.integers(0, 3)) == 0:
             coeff = alg.add_vec(coeff, draw(st.sampled_from(fixed)))
             central = False
@@ -708,10 +743,10 @@ def test_central_check_matches_the_loop_over_q(ring, data):
         m = [data.draw(st.integers(-3, 3)) for _ in range(ring.rank)]
         rows = (center_coefficient_space(ring, m).basis if data.draw(st.booleans())
                 else [alg.basis_vector(b) for b in range(alg.dim)])
-        coeff = alg.scalar_vec(0)
+        coeff = scalar_vec(alg, 0)
         for row in rows:
             scalar = data.draw(st.sampled_from([0, 1]) | NONZERO_Q)
-            coeff = alg.add_vec(coeff, alg.scale(Fraction(scalar), row))
+            coeff = alg.add_vec(coeff, scale_vec(alg, Fraction(scalar), row))
         terms.append((m, coeff))
     c = laurent_element(ring, terms)
     assert verify_central(ring, c) == verify_central_loop(ring, c)

@@ -353,7 +353,7 @@ def test_np_rref_matches_the_generic_echelon(p, m, n, kind, as_list, seed):
     # loop), tall systems of several blocks included, against the
     # generic echelon; at EDGE_P and width 16 the rows are int64 at its
     # bound.  The input, a list or an array, is left as it was, and the
-    # result has the dtype in which `_spin` multiplies it.
+    # result has the dtype in which the module's spin multiplies it.
     rng = random.Random(seed)
     if kind == "random":
         density = rng.choice([0.4, 1.0])
