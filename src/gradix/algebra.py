@@ -792,8 +792,8 @@ def _norton_irreducible(module: _Module, unit: Vec,
     return None
 
 
-def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
-                   what: str) -> SimplicityVerdict:
+def _exact_verdict(alg: Algebra, maps, spaces, budget: int, what: str,
+                   irreducible: bool | None = None) -> SimplicityVerdict:
     """The exact verdict of every simplicity notion: is A irreducible under
     the L_{e_j}, R_{e_j} and the extra maps?  The sweep is the
     `projective_walk` of the subspaces, refused past the budget before
@@ -806,20 +806,24 @@ def _exact_verdict(alg: Algebra, maps, spaces, budget: int,
     C2, C3 and C4 over F_3 (d = 8 to 16), one Norton call, a kernel and a
     dual spin per draw, costs about as much as 2.1-2.8 closures of the
     first 20 sweep points (median 2.5, on a 2-core VM).  The gate at d
-    points was set when it cost 8-10."""
+    points was set when it cost 8-10.
+    A caller that already knows the answer, as the crossed-product theorem
+    gives it, passes it as `irreducible`, which stands in for Norton's
+    test: True is the simple verdict, with no module built, and False runs
+    the sweep alone, to name the witness."""
     if not alg.field.is_finite:
         raise ExactModeUnavailable("exact enumeration needs a finite field")
     d = alg.dim
     total, points = projective_walk(spaces, budget, what)
-    module = _module(alg, maps)
-    irreducible = None
+    module = None if irreducible else _module(alg, maps)
     # A reducible A pays for the test and for the sweep, so short sweeps
     # run alone: up to d points, as of crossed products with a
     # one-dimensional T, and at d <= 4 up to d^2 points.  The second bound
     # keeps the smallest requests on the sweep alone; the benchmark's tests
     # pin the eliminations of the group algebra of C2 over F_2 (d = 2, 3
     # points).  Whether a lower gate pays at d <= 4 is not measured.
-    if total > (d if d >= 5 else d * d) and _norton_fits(alg.field.p, d):
+    if (irreducible is None and total > (d if d >= 5 else d * d)
+            and _norton_fits(alg.field.p, d)):
         irreducible = _norton_irreducible(module, alg.unit, alg._center)
     if irreducible:
         return SimplicityVerdict(True, None, "exact", total)

@@ -15,6 +15,9 @@ and carries the canonical G-gradation deg(e_i u_g) = g.  Since the alphas
 are nuclear, products involving them need no parenthesization.  The
 product is a `CrossedProduct`, which keeps its system and builds its
 associator tensor from the n^3 blocks that the grading leaves nonzero.
+Its graded ideals are the J u = sum_g J u_g for the G-invariant ideals J
+of T, so its graded verdict is read off T's G-verdict
+(`_graded_simplicity`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .algebra import (Algebra, SimplicityVerdict, _algebra, _np_left,
 from .errors import (AlphaNotNuclearUnit, N1Violation, N2Violation,
                      N3Violation, NotAutomorphism, ValidationError)
 from .fields import _coerce_once
-from .graded import Gradation
+from .graded import Gradation, _graded_verdict
 from .groups import FiniteGroup
 from .linalg import (Subspace, Vec, coerce_matrix, identity_matrix, kernel,
                      np_matmul, np_mod)
@@ -253,6 +256,37 @@ def is_G_simple(sys: CrossedSystem,
                 budget: int = 1_000_000) -> SimplicityVerdict:
     """No proper nonzero ideal of T closed under every sigma_g (exact)."""
     return simple_under(sys.algebra, maps=sys.sigma, budget=budget)
+
+
+def _graded_simplicity(prod: CrossedProduct, grad: Gradation,
+                       g_simple: SimplicityVerdict,
+                       budget: int = 1_000_000) -> SimplicityVerdict:
+    """`is_graded_simple(prod, grad)` of a product and its G-gradation from
+    `build_crossed_product`, read off `g_simple`, the `is_G_simple` of its
+    system: the product is graded simple exactly when T is G-simple.  So
+    a G-simple T gives the simple verdict, whose `checked` counts the
+    homogeneous points and which is refused past the budget as the sweep
+    is, with no module built and no Norton's test; otherwise the
+    homogeneous sweep alone runs, to name the product's first witness,
+    and finding none raises `_exact_verdict`'s `RuntimeError`.
+
+    The proof.  Write A for the product and A_g = T u_g.  a -> a u_e is a
+    ring isomorphism T -> A_e, as u_e = 1; identify the two.  The u_g are
+    nuclear units (`build_crossed_product`), and u_g a = sigma_g(a) u_g
+    for a in T, by the product rule with alpha(g, e) = 1.
+      - Let I be a graded ideal of A and J = I n A_e, an ideal of T.  For
+        x in I n A_g, x u_g^-1 lies in I n A_e = J (u_g^-1 has degree
+        g^-1), and x = (x u_g^-1) u_g as u_g is nuclear: so I n A_g = J u_g
+        and I = J u.  For a in J, sigma_g(a) = (u_g a) u_g^-1, again by
+        nuclearity, lies in I n A_e = J: J is G-invariant.
+      - Conversely, let J be a G-invariant ideal of T.  If a or b lies in
+        J, then so does a sigma_g(b), and (a u_g)(b u_h) =
+        a sigma_g(b) alpha(g, h) u_{gh} lies in J u_{gh}.  So J u is an
+        ideal, graded by its construction, and J u n A_e = J.
+    The two maps are inverse to each other and take 0 to 0 and T to A, so
+    A has a proper nonzero graded ideal exactly when T has a proper
+    nonzero G-invariant one."""
+    return _graded_verdict(prod, grad, budget, irreducible=g_simple.simple)
 
 
 def crossed_center(sys: CrossedSystem) -> tuple[Subspace, Subspace]:

@@ -106,11 +106,19 @@ def is_graded_simple(alg: Algebra, grad: Gradation,
     contains a nonzero homogeneous element, so the homogeneous points,
     component by component in support order, are the sweep, and `checked`
     counts them."""
+    return _graded_verdict(alg, grad, budget)
+
+
+def _graded_verdict(alg: Algebra, grad: Gradation, budget: int,
+                    irreducible: bool | None = None) -> SimplicityVerdict:
+    """`is_graded_simple`, with `irreducible` handed to `_exact_verdict`
+    in place of Norton's test when the caller knows the answer."""
     d, spaces = alg.dim, component_spaces(alg, grad)
     proj = np.zeros((len(spaces), d, d), dtype=np.int64)
     for n, s in enumerate(spaces):
         proj[n, s.pivots, s.pivots] = 1
-    return _exact_verdict(alg, proj, spaces, budget, "homogeneous points")
+    return _exact_verdict(alg, proj, spaces, budget, "homogeneous points",
+                          irreducible)
 
 
 # -- the simplicity equivalence over hypercentral grading groups -------------

@@ -377,6 +377,10 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         return _rows_rref([r for r in a.tolist() if any(r)], p, a)
     a = a[(a != 0).any(axis=1)]
     if on_rows:
+        # the average column, not the busiest: a bound of 3 on the busiest
+        # column was measured slower on towers, crossed and small_mixed
+        # (`scripts/rref_shapes.py`), as its test costs three numpy calls to
+        # one and the systems it keeps off the lists ran faster on them
         if len(a) <= _BLOCK or np.count_nonzero(a) <= 3 * a.shape[1]:
             return _rows_rref(a.tolist(), p, a)
         if a.size >= _LARGE:

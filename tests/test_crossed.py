@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradix import algebra, crossed, jsonio, linalg
-from gradix.algebra import (Algebra, fixed_center, is_associative, multiply,
-                            make_algebra, nucleus_and_center, simple_under,
+from gradix.algebra import (Algebra, SimplicityVerdict, fixed_center,
+                            is_associative, multiply, make_algebra,
+                            nucleus_and_center, simple_under,
                             two_sided_inverse)
 from gradix.catalog import (field_algebra, frobenius_matrix, matrix_algebra,
                             octonions, product_algebra,
@@ -210,11 +212,12 @@ def test_a_crossed_request_solves_each_nucleus_once(monkeypatch):
 
 def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
         monkeypatch):
-    # H x| C4 over F_3: the product's center has rank 4, and the graded
-    # verdict's commutant imposes the four component projections on it in
-    # one kernel, one np_rref; nothing is solved for the L_{e_j}, R_{e_j}.
-    # Norton's test of G-simplicity finds the center of H to be the unit
-    # line, and solves nothing at all.
+    # H x| C4 over F_3: Norton's test of G-simplicity finds the center of H
+    # to be the unit line, and solves nothing at all; the request reads the
+    # product's graded verdict off it, with no Norton's test.  The
+    # product-level verdict, its oracle, finds the product's center of
+    # rank 4 and imposes the four component projections on it in one
+    # kernel, one np_rref; nothing is solved for the L_{e_j}, R_{e_j}.
     kind, text = CASES["crossed_h_c4_sign"]
     rrefs = []
     np_rref = linalg.np_rref
@@ -231,8 +234,12 @@ def test_the_commutants_of_a_crossed_request_solve_only_the_extra_maps(
     monkeypatch.setattr(algebra, "_commutant_field", spy)
     built = _spy_center(monkeypatch)
     jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
-    assert counts == [(4, 2 * 4 + 4, 0, 1), (16, 2 * 16 + 4, 1, 1)]
+    assert counts == [(4, 2 * 4 + 4, 0, 1)]
+    # the product's center is solved once, for `centers_match`
     assert sorted(alg.dim for alg in built) == [4, 16]
+    prod, grad = build_crossed_product(jsonio.parse_crossed(json.loads(text)))
+    assert is_graded_simple(prod, grad).simple
+    assert counts[1:] == [(16, 2 * 16 + 4, 1, 1)]
 
 
 def test_an_associative_product_skips_its_zero_associators(monkeypatch):
@@ -249,9 +256,8 @@ def test_an_associative_product_skips_its_zero_associators(monkeypatch):
 
 
 def test_a_crossed_request_never_builds_the_dense_defect(monkeypatch):
-    # H x| C4 over F_3: `is_associative`, the center's nuclear part and the
-    # graded verdict all read the 16-dimensional product's block tensor,
-    # built once
+    # H x| C4 over F_3: `is_associative` and the center's nuclear part both
+    # read the 16-dimensional product's block tensor, built once
     kind, text = CASES["crossed_h_c4_sign"]
     dense, blocks = [], []
     for cls, calls in ((Algebra, dense), (crossed.CrossedProduct, blocks)):
@@ -276,11 +282,14 @@ def test_associativity_transfers_from_coefficients():
 
 @pytest.mark.parametrize("mk", SYSTEMS)
 def test_graded_simple_iff_g_simple(mk):
+    # the product-level verdict is the oracle of the one read off the
+    # G-verdict: witness and checked included
     sys = mk()
     prod, grad = build_crossed_product(sys)
     gs = is_G_simple(sys)
     graded = is_graded_simple(prod, grad)
     assert gs.simple == graded.simple
+    assert crossed._graded_simplicity(prod, grad, gs) == graded
 
 
 def test_g_simple_known_answers():
@@ -607,6 +616,146 @@ def test_twisted_centers_match_the_loop(f, coefficients, data):
     for tw in twists:
         for maps in ((), (sigma,)):
             assert fixed_center(t, maps, tw) == fixed_center_loop(t, maps, tw)
+
+
+# -- the graded verdict read off the G-verdict -------------------------------------
+
+ORACLE_GROUPS = [(g, homs_to_c2(g)) for g in (
+    cyclic(2), cyclic(3), cyclic(4), elementary_abelian_two(2), dihedral(3))]
+
+# (T, an automorphism of order at most 2): fields, and H and M_2 with the
+# conjugation by i and by diag(1, -1)
+ORACLE_COEFFICIENTS = {
+    "F_p": lambda f: (field_algebra(f), identity_matrix(f, 1)),
+    "F_p^2": lambda f: (quadratic_field_extension(f), frobenius_matrix(f)),
+    "H": lambda f: (quaternions(f)[0], diagonal(f, [1, 1, -1, -1])),
+    "M_2": lambda f: (matrix_algebra(f, 2), diagonal(f, [1, -1, -1, 1]))}
+
+
+def coset_action(f, group, s):
+    """The permutation matrices over f of G acting on the left cosets of
+    the subgroup generated by s, a transitive action: F^k with its factors
+    permuted so is G-simple, and not simple past k = 1."""
+    sub, x = [group.identity], s
+    while x != group.identity:
+        sub.append(x)
+        x = group.mul(x, s)
+    cosets = list(dict.fromkeys(frozenset(group.mul(a, h) for h in sub)
+                                for a in group.elements()))
+
+    def image(a, c):
+        return cosets.index(frozenset(group.mul(a, x) for x in c))
+    k = len(cosets)
+    return [tuple(tuple(int(image(a, cosets[j]) == i) for j in range(k))
+                  for i in range(k)) for a in group.elements()]
+
+
+@st.composite
+def derived_verdict_systems(draw):
+    """A validated system over F_2, F_3 or F_5 by C2, C3, C4, C2 x C2 or S3,
+    with T one of: a field, H or M_2, with sigma_g the automorphism of
+    `ORACLE_COEFFICIENTS` to the phi(g); F_p^k with G permuting the factors
+    (`coset_action`), G-simple; or F_p^k, k = 2 or 3, with the trivial
+    system, not G-simple.  alpha(g, h) = (-1)^(psi(g) chi(h)), central and
+    fixed by every sigma_g, for maps phi, psi, chi: G -> Z/2."""
+    f = draw(st.sampled_from([F2, F3, prime_field(5)]), label="field")
+    group, homs = draw(st.sampled_from(ORACLE_GROUPS), label="group")
+    kind = draw(st.sampled_from(sorted(ORACLE_COEFFICIENTS)
+                                + ["permuted", "trivial"]), label="T")
+    if kind == "trivial":
+        return trivial_system(product_algebra(f, draw(st.integers(2, 3))),
+                              group)
+    phi, psi, chi = (draw(st.sampled_from(homs), label=name)
+                     for name in ("phi", "psi", "chi"))
+    if kind == "permuted":
+        s = draw(st.sampled_from(list(group.elements())), label="s")
+        sigma = coset_action(f, group, s)
+        t = product_algebra(f, len(sigma[0]))
+    else:
+        t, twist = ORACLE_COEFFICIENTS[kind](f)
+        ident = identity_matrix(f, t.dim)
+        sigma = [twist if phi[a] else ident for a in group.elements()]
+    alpha = [[scalar_vec(t, -1 if psi[a] and chi[b] else 1)
+              for b in group.elements()] for a in group.elements()]
+    return validate_crossed_system(t, group, sigma, alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(derived_verdict_systems())
+def test_the_verdict_read_off_the_g_verdict_is_the_products(sys):
+    prod, grad = build_crossed_product(sys)
+    derived = crossed._graded_simplicity(prod, grad, is_G_simple(sys))
+    assert derived == is_graded_simple(prod, grad)
+
+
+def test_the_permuted_factors_are_g_simple_and_not_simple():
+    # S3 on the cosets of a reflection and C4 on those of r^2: transitive
+    for group, s, k in ((dihedral(3), 3, 3), (cyclic(4), 2, 2)):
+        sigma = coset_action(F3, group, s)
+        t = product_algebra(F3, k)
+        sys = validate_crossed_system(t, group, sigma,
+                                      [[t.unit] * group.order] * group.order)
+        assert is_G_simple(sys).simple and not simple_under(t).simple
+
+
+def test_the_derived_verdict_is_refused_past_the_budget():
+    # H x| C4 (G-simple: 40 points of T, 160 homogeneous points of the
+    # product) and F_3^2 x| C4 trivially (4 and 16): T's verdict fits the
+    # budget, the product's is refused as the product-level verdict is
+    h = CASES["crossed_h_c4_sign"][1]
+    for sys, budget, total in (
+            (jsonio.parse_crossed(json.loads(h)), 100, 160),
+            (trivial_system(product_algebra(F3, 2), cyclic(4)), 10, 16)):
+        prod, grad = build_crossed_product(sys)
+        gs = is_G_simple(sys, budget)
+        message = f"^{total} homogeneous points exceed budget {budget}$"
+        with pytest.raises(BudgetExceeded, match=message):
+            is_graded_simple(prod, grad, budget)
+        with pytest.raises(BudgetExceeded, match=message):
+            crossed._graded_simplicity(prod, grad, gs, budget)
+    doc = jsonio.wrap_bare_payload(h, "crossed")
+    doc["options"]["budget"] = 100
+    with pytest.raises(BudgetExceeded,
+                       match="^160 homogeneous points exceed budget 100$"):
+        jsonio.run_request(doc)
+
+
+def test_a_q_request_leaves_the_graded_verdict_unchecked():
+    kind, text = CASES["q_product_swap_c2"]
+    report = jsonio.run_request(jsonio.wrap_bare_payload(text, kind))["report"]
+    assert report["g_simple"] == {"simple": None, "mode": "unchecked"}
+    assert report["graded_simplicity"] == {"simple": None, "mode": "unchecked"}
+    assert report["agree"] is None
+
+
+def test_a_wrong_g_verdict_raises_instead_of_reporting(monkeypatch):
+    # H x| C4 over F_3 is G-simple; told that it is not, the crossed path
+    # sweeps the product for a witness, finds none and raises
+    kind, text = CASES["crossed_h_c4_sign"]
+
+    def not_simple(sys, budget):
+        return SimplicityVerdict(False, sys.algebra.unit, "exact", 1)
+    monkeypatch.setattr(jsonio, "is_G_simple", not_simple)
+    with pytest.raises(RuntimeError, match="sweep found no proper"):
+        jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+
+
+def test_norton_runs_on_t_and_never_on_the_product(monkeypatch):
+    # the two crossed goldens: every Norton's test of a crossed request is
+    # G-simplicity's, at the dimension of T
+    dims, norton = [], algebra._norton_irreducible
+    monkeypatch.setattr(algebra, "_norton_irreducible",
+                        lambda module, *args: dims.append(module.dim)
+                        or norton(module, *args))
+    seen = []
+    for name in ("crossed_f9_c2", "crossed_h_c4_sign"):
+        kind, text = CASES[name]
+        dims.clear()
+        report = jsonio.run_request(jsonio.wrap_bare_payload(text, kind))["report"]
+        assert report["product_dim"] not in dims
+        assert dims == [report["coefficient_dim"]] * len(dims)
+        seen += dims
+    assert seen        # H's 40 points are past Norton's gate
 
 
 # -- the block associator tensor ------------------------------------------------
