@@ -8,8 +8,9 @@ each seed's warm-up requests and N rounds, as the benchmark does.  Every
 request is run once in this process with `np_rref` wrapped, which records
 a copy of each input as it was passed, list or array.  An input's shape
 class is the side of np_rref's selection on p ("rows" while a product of
-two residues, (p - 1)^2, fits in one CPython digit, "array" past it), and
-its nonzero rows mod p, its width and its rank, each bucketed to a power
+two residues, (p - 1)^2, fits in one CPython digit, "array" past it, and
+"Q" over the rationals), and its nonzero rows (mod p over F_p), its width
+and its rank, each bucketed to a power
 of two ("4-7").  Each pass then eliminates the recorded inputs again, class
 by class, and a class's seconds are the least of its K passes.  The output
 is one table line per class and a total line, which sums the classes'
@@ -36,10 +37,14 @@ def bucket(k: int) -> str:
     return f"{low}-{2 * low - 1}"
 
 
-def shape_class(a, p: int, rank: int) -> tuple:
-    """(side, nonzero rows, width, rank), the three counts bucketed."""
-    rows = np.array(a, dtype=object) % p
-    side = "rows" if (p - 1) ** 2 < 2 ** sys.int_info.bits_per_digit else "array"
+def shape_class(a, p: int | None, rank: int) -> tuple:
+    """(side, nonzero rows, width, rank), the three counts bucketed; the
+    side of a system over Q (p None) is "Q"."""
+    rows = linalg.np_mod(np.array(a, dtype=object), p)
+    if p is None:
+        side = "Q"
+    else:
+        side = "rows" if (p - 1) ** 2 < 2 ** sys.int_info.bits_per_digit else "array"
     return (side, bucket(int(rows.any(axis=1).sum())), bucket(rows.shape[1]),
             bucket(rank))
 

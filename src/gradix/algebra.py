@@ -13,8 +13,10 @@ denominators and carried with that scale (`_np_vectors`, read back by
 `_np_scalars`).  `make_algebra` takes the entries (i, j, k, c), meaning
 e_i * e_j contains c * e_k, and sums them into the tensor once.  Over Q
 most answers are first settled on `Algebra._reduced`, the reduction mod
-one large prime; elimination over Q, for the rest, is `linalg`'s Echelon
-path.
+one large prime.  Every elimination goes through `linalg.np_rref` (and
+the solvers on it), whose p None is Q, so no routine here chooses an
+eliminator by field; the one exception is the incremental Q join of
+`_Module.spin`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import numpy as np
 from .errors import DimensionMismatch, ExactModeUnavailable, ValidationError
 from .fields import FieldSpec, Scalar, _coerce_once
 from .linalg import (Echelon, Subspace, Vec, coerce_matrix, identity_matrix,
-                     kernel, mat_inverse, mat_vec, np_dtype, np_mat_pow,
-                     np_matmul, np_mod, projective_walk, solve_affine)
+                     kernel, np_dtype, np_kernel, np_mat_pow, np_matmul,
+                     np_mod, np_rref, np_to_subspace, projective_walk,
+                     solve_affine)
 
 # The prime of the reduction that certifies answers over Q: the largest
 # prime below 2^25, so Norton's test runs in int64 up to d = 8192; its
@@ -505,7 +508,8 @@ def nucleus_and_center(alg: Algebra) -> CentralSubspaces:
     out = {}
     red = alg._reduced
     if red is not None:
-        unit_line = Subspace.span(alg.field, alg.dim, [alg.unit])
+        unit = np.array([alg.unit], dtype=object)
+        unit_line = np_to_subspace(alg.field, unit, alg.dim)
         out = {n: unit_line for n, space in _central(red, CENTRAL_NAMES).items()
                if space.rank == 1}
     rest = [n for n in CENTRAL_NAMES if n not in out]
@@ -585,13 +589,17 @@ class _Module:
         directions that the last round added (`join`): over F_p the images
         reduced against the echelon so far, one `np_rref` call per round;
         over Q, on cleared denominators, the images that raise the rank of
-        an `Echelon`.  An entry of the F_p reduction sums one residue
-        product per pivot, at most one per column: inside `np_dtype` for a
-        closure, and `_norton_fits` for the spins of Norton's test."""
+        an `Echelon`, one at a time: a batched join through `np_rref`'s Q
+        regime measured 6-7 times slower on Q sampling (`sample_simple` on
+        M_2(Q) x M_2(Q), 1000 trials: 2.0-2.5 s against 0.35 s), as its
+        dense products of Fraction arrays cannot skip zero coefficients as
+        `Echelon.add` does.  An entry of the F_p reduction sums one
+        residue product per pivot, at most one per column: inside
+        `np_dtype` for a closure, and `_norton_fits` for the spins of
+        Norton's test."""
         p, gens = self.field.p, self.gens
         d = gens.shape[1]
         if p is not None:
-            from .linalg import np_rref
             ech, piv = np_rref(np.array(rows, gens.dtype).reshape(-1, d), p)
             frontier = ech
 
@@ -694,7 +702,6 @@ def _commutant_field(module: _Module, unit: Vec,
     only, and nothing is solved for the L_{e_j}, R_{e_j}.  The c form a
     unital subalgebra of Z(A), so `_is_field` decides whether C is a
     field."""
-    from .linalg import np_kernel
     p, d = module.field.p, module.dim
     cbasis = np.array(center.basis, dtype=module.gens.dtype).reshape(-1, d)
     extra = module.maps
@@ -718,7 +725,6 @@ def _is_field(module: _Module, unit: Vec, rows) -> bool:
     nuclear; its coordinates on the RREF basis of S are its entries at the
     pivot columns.  The L_x are read off the module of A (`_module`), and
     `unit` is A's unit."""
-    from .linalg import np_rref
     p, d = module.field.p, module.dim
     k = len(rows)
     if k <= 1:
@@ -764,7 +770,6 @@ def _norton_irreducible(module: _Module, unit: Vec,
     y a random combination of the generators, come from a fixed seed, so
     the answer is deterministic.  The caller checks d (p - 1)^2 < 2^63
     (`_norton_fits`), under which it runs in int64."""
-    from .linalg import np_kernel
     p, d = module.field.p, module.dim
     module = _Module(module.field, np.asarray(module.gens, dtype=np.int64))
     k = _commutant_field(module, unit, center)
@@ -951,10 +956,7 @@ def associator_defect(alg: Algebra) -> Subspace:
     """Span of all basis associators, eliminating the nonzero rows of
     `_np_defect` only; zero exactly for associative algebras."""
     defect = _nonzero_rows(alg._np_defect.reshape(-1, alg.dim))
-    if alg.field.is_finite:
-        from .linalg import np_to_subspace
-        return np_to_subspace(alg.field, defect, alg.dim)
-    return Subspace.span(alg.field, alg.dim, defect)
+    return np_to_subspace(alg.field, defect, alg.dim)
 
 
 def is_associative(alg: Algebra) -> bool:
@@ -969,12 +971,14 @@ def is_associative(alg: Algebra) -> bool:
 
 
 def is_ring_automorphism(alg: Algebra, m) -> bool:
-    """Bijective, unit-fixing, multiplicative on all basis pairs."""
-    if mat_inverse(alg.field, m) is None:
-        return False
-    if mat_vec(alg.field, m, alg.unit) != alg.unit:
-        return False
-    return _product_mismatch(alg, m) is None
+    """Bijective (of rank d, by `np_rref`), unit-fixing (m u = u, one
+    product) and multiplicative on all basis pairs (`_product_mismatch`)."""
+    p, (mm, s) = alg.field.p, _np_vectors(alg, m)
+    u, _ = _np_vectors(alg, alg.unit)
+    # mm @ u carries the scales of both factors, s u the same
+    return (len(np_rref(mm, p)[1]) == alg.dim
+            and (np_matmul(mm, u, p) == np_mod(u * s, p)).all()
+            and _product_mismatch(alg, m) is None)
 
 
 # -- twisted centers -----------------------------------------------------------

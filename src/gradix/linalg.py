@@ -1,31 +1,31 @@
 """Exact linear algebra: reduced row echelon forms, subspaces, kernels.
 
-Elimination has two implementations.  `Echelon` works over any FieldSpec
-with plain Python scalars; it eliminates over Q and is the reference for
-the other.  `np_rref` eliminates over F_p on residues mod p, because the
-ideal-closure loops enumerate thousands of subspaces, most of them tiny;
-it returns int64 while a row's sums of products fit (`np_dtype`) and
-Python ints past that, and drops the all-zero rows first.  It has two
-regimes, selected on p: while (p - 1)^2 fits in one CPython digit, small
-or sparse systems are eliminated on Python lists and large ones by blocks
-of rows on lists, each block's reduction of the remaining rows one numpy
-product; dense mid-sized systems, and every system mod a larger prime,
-take the pivot loop on the array.  `kernel` and
-`solve_affine` eliminate on `np_rref` over F_p and on `Echelon` only over
-Q, once per system: an affine solve reads its particular solution and its
-kernel off one elimination of [A | b].  `kernel` takes equations as an
-array as well as a list of rows, over either field.
+Every elimination of the solvers is one entry point, `np_rref(a, p)`, and
+p None means Q, as it does for `np_dtype`, `np_mod` and `np_matmul`.  Over
+Q it runs `Echelon`, which works over any FieldSpec with plain Python
+scalars and is also the tests' reference for the F_p regimes.  Over F_p
+it eliminates on residues mod p, because the ideal-closure loops
+enumerate thousands of subspaces, most of them tiny; it returns int64
+while a row's sums of products fit (`np_dtype`) and Python ints past
+that, and drops the all-zero rows first.  It has two regimes there,
+selected on p: while (p - 1)^2 fits in one CPython digit, small or sparse
+systems are eliminated on Python lists and large ones by blocks of rows
+on lists, each block's reduction of the remaining rows one numpy product;
+dense mid-sized systems, and every system mod a larger prime, take the
+pivot loop on the array.  `kernel`, `solve_affine` and `mat_inverse` have
+one body for both fields and eliminate each system once: an affine solve
+reads its particular solution and its kernel off one elimination of
+[A | b], and an inverse is the right half of the RREF of [m | I].
 
 Products of arrays are one path for both fields: `np_matmul`,
 `np_mat_pow` and `np_mod` reduce mod p over F_p, and over Z (p None)
 leave the Python-int arrays by which `algebra` carries rationals with
 their denominators cleared.  Every product of matrices is one of them;
-the routines on Python scalars left are `mat_vec`, `identity_matrix`,
-`mat_inverse` (an Echelon solve) and `coerce_matrix`.  Residue products
-run on float64 BLAS while k (p - 1)^2 < 2^53 for contraction length k.
-Over Q most answers never reach elimination here: `algebra` reduces an
-algebra mod one large prime (`Algebra._reduced`), whose ranks bound the
-ranks over Q from below.
+the arithmetic left on Python scalars is `Echelon`'s and that of
+`np_rref`'s list regimes.  Residue products run on float64 BLAS while
+k (p - 1)^2 < 2^53 for contraction length k.  Over Q most answers never
+reach elimination here: `algebra` reduces an algebra mod one large prime
+(`Algebra._reduced`), whose ranks bound the ranks over Q from below.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, rationals
 
 Vec = tuple  # coordinate vector, entries are field scalars
 Mat = tuple  # tuple of row tuples
+_Q = rationals()
 
 
 # -- generic echelon forms ---------------------------------------------------
@@ -151,73 +152,45 @@ def rref(field: FieldSpec, rows: Iterable[Sequence[Scalar]], width: int) -> Eche
     return ech
 
 
-def _rref_kernel(field: FieldSpec, red, pivots: list[int],
+def _rref_kernel(field: FieldSpec, red: np.ndarray, pivots: list[int],
                  width: int) -> Subspace:
     """The kernel of a system of width `width` from its RREF (rows `red`,
-    pivot columns `pivots`): one vector per free column f, 1 at f and
-    -row[f] at the pivot of each row, then put in canonical form.  Columns
-    of `red` past `width` are not read."""
-    if field.is_finite and width:
-        rows = _np_free_rows(red, pivots, width, field.p)
-        return np_to_subspace(field, rows, width)
-    vecs = []
-    for fcol in (j for j in range(width) if j not in pivots):
-        v = [field.zero] * width
-        v[fcol] = field.one
-        for row, p in zip(red, pivots):
-            v[p] = field.neg(row[fcol])
-        vecs.append(v)
-    return Subspace.span(field, width, vecs)
+    pivot columns `pivots`, as `np_rref` returns them), in canonical form.
+    Columns of `red` past `width` are not read."""
+    return np_to_subspace(field, _np_free_rows(red, pivots, width, field.p),
+                          width)
 
 
 def kernel(field: FieldSpec, equations: Sequence[Sequence[Scalar]] | np.ndarray,
            width: int) -> Subspace:
-    """Solution space of the homogeneous system (one equation per row).
-    Over F_p every system goes to `np_kernel`, an empty one included, and
-    the equations may be a 2-d array of residues, which needs no detour
-    through Python lists."""
-    if field.is_finite and width:
-        eqs = np.asarray(equations, dtype=np_dtype(field.p, width))
-        rows = np_kernel(eqs.reshape(-1, width), field.p)
-        return np_to_subspace(field, rows, width)
-    ech = rref(field, equations, width)
-    return _rref_kernel(field, ech.rows, ech.pivots, width)
+    """Solution space of the homogeneous system (one equation per row),
+    given as a list of rows or a 2-d array: `np_kernel`, an empty system
+    included, then its rows in canonical form."""
+    eqs = np.asarray(equations, dtype=np_dtype(field.p, width))
+    rows = np_kernel(eqs.reshape(len(eqs), width), field.p)
+    return np_to_subspace(field, rows, width)
 
 
 def solve_affine(field: FieldSpec, equations: Sequence[Sequence[Scalar]],
                  rhs: Sequence[Scalar]) -> tuple[Vec | None, Subspace]:
     """Particular solution of A x = b (or None) plus the homogeneous kernel,
-    both read off one elimination of [A | b], by `np_rref` over F_p and
-    `Echelon` over Q.  A pivot in the last column makes the system
-    inconsistent; the other rows, without their last column, are RREF(A).
-    The particular solution has its free coordinates zero."""
+    both read off one `np_rref` of [A | b].  A pivot in the last column
+    makes the system inconsistent; the other rows, without their last
+    column, are RREF(A).  The particular solution has its free coordinates
+    zero."""
     width = len(equations[0]) if equations else 0
-    aug = [list(e) + [b] for e, b in zip(equations, rhs)]
-    if field.is_finite and width:
-        red, pivots = np_rref(aug, field.p)
-    else:
-        ech = rref(field, aug, width + 1)
-        red, pivots = ech.rows, ech.pivots
+    aug = np.array([list(e) + [b] for e, b in zip(equations, rhs)],
+                   dtype=np_dtype(field.p, width + 1))
+    red, pivots = np_rref(aug.reshape(len(aug), width + 1), field.p)
     if pivots and pivots[-1] == width:
         return None, _rref_kernel(field, red[:-1], pivots[:-1], width)
     x = [field.zero] * width
-    for row, p in zip(red, pivots):
-        x[p] = field.coerce(row[width])
+    for p, c in zip(pivots, red[:, width].tolist()):
+        x[p] = c
     return tuple(x), _rref_kernel(field, red, pivots, width)
 
 
 # -- matrix helpers ----------------------------------------------------------
-
-def mat_vec(field: FieldSpec, m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vec:
-    out = []
-    for row in m:
-        acc = field.zero
-        for a, b in zip(row, v):
-            if a and b:
-                acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
-    return tuple(out)
-
 
 def identity_matrix(field: FieldSpec, n: int) -> Mat:
     return tuple(tuple(field.one if i == j else field.zero for j in range(n))
@@ -225,12 +198,14 @@ def identity_matrix(field: FieldSpec, n: int) -> Mat:
 
 
 def mat_inverse(field: FieldSpec, m: Sequence[Sequence[Scalar]]) -> Mat | None:
+    """The inverse of the square matrix m, the right half of the `np_rref`
+    of [m | I], or None when its pivots are not the columns of m."""
     n = len(m)
-    aug = rref(field, [list(row) + list(ident) for row, ident in
-                       zip(m, identity_matrix(field, n))], 2 * n)
-    if aug.pivots[:n] != list(range(n)) or aug.rank != n:
+    red, pivots = np_rref([list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(m)], field.p)
+    if pivots != list(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in aug.rows)
+    return tuple(map(tuple, red[:, n:].tolist()))
 
 
 def coerce_matrix(field: FieldSpec, rows, n: int, m: int | None = None,
@@ -350,15 +325,17 @@ _BLOCK = 8
 _LARGE = 512
 
 
-def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of a matrix mod p, given as an array or a list of rows, which
-    is left unchanged; returns (the nonzero rows as an `np_dtype(p,
-    width)` array, the pivot columns).  The RREF is canonical, so which
-    rows serve as pivots below never shows in the result.  All-zero rows
-    are dropped first: they change neither the RREF nor its pivots, and
-    the nucleus systems are mostly made of them.
+def np_rref(a: np.ndarray, p: int | None) -> tuple[np.ndarray, list[int]]:
+    """RREF of a matrix mod p, or over Q when p is None, given as an array
+    or a list of rows, which is left unchanged; returns (the nonzero rows
+    as an `np_dtype(p, width)` array, the pivot columns).  The RREF is
+    canonical, so which rows serve as pivots below never shows in the
+    result.  All-zero rows are dropped first: they change neither the RREF
+    nor its pivots, and the nucleus systems are mostly made of them.
 
-    Two regimes, selected on p.  While the product of two residues fits
+    Over Q the rows, rationals or integers, are eliminated by `Echelon`,
+    and the RREF is an object array of Fractions.  Over F_p there are two
+    regimes, selected on p.  While the product of two residues fits
     in one CPython digit, (p - 1)^2 < 2^30 on the usual builds (the bound
     is read from `sys.int_info`), a system goes to Python lists when that
     is cheaper than the array loop, which makes about ten numpy calls per
@@ -371,7 +348,11 @@ def np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     loop (`_rref_loop`), which Python lists do not beat there.  Past the
     one-digit bound every residue product is a multi-digit int, slower
     than numpy's, and every system takes the array loop."""
-    a = np.asarray(a, dtype=np_dtype(p, np.shape(a)[1])) % p
+    a = np_mod(np.asarray(a, dtype=np_dtype(p, np.shape(a)[1])), p)
+    if p is None:
+        ech = rref(_Q, a, a.shape[1])
+        red = np.array(ech.rows, dtype=object)
+        return red.reshape(ech.rank, a.shape[1]), ech.pivots
     on_rows = (p - 1) ** 2 < _ONE_DIGIT
     if on_rows and len(a) <= _BLOCK:
         return _rows_rref([r for r in a.tolist() if any(r)], p, a)
@@ -483,23 +464,25 @@ def _rref_by_blocks(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _np_free_rows(red: np.ndarray, pivots: list[int], width: int,
-                  p: int) -> np.ndarray:
-    """Basis rows of the kernel of an RREF mod p (rows `red`, pivot
-    columns `pivots`) of width `width`: per free column f, 1 at f and
-    -red[:, f] at the pivots.  Columns of `red` past `width` are not read."""
+                  p: int | None) -> np.ndarray:
+    """Basis rows of the kernel of an RREF mod p or over Q (p None), rows
+    `red` and pivot columns `pivots`, of width `width`: per free column f,
+    1 at f and -red[:, f] at the pivots.  Columns of `red` past `width` are
+    not read."""
     free = [j for j in range(width) if j not in pivots]
     out = np.zeros((len(free), width), dtype=np_dtype(p, width))
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = -red[:, free].T % p
+    out[:, pivots] = np_mod(-red[:, free].T, p)
     return out
 
 
-def np_kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis rows of the right kernel of a mod p."""
+def np_kernel(a: np.ndarray, p: int | None) -> np.ndarray:
+    """Basis rows of the right kernel of a, mod p or over Q (p None)."""
     return _np_free_rows(*np_rref(a, p), a.shape[1], p)
 
 
 def np_to_subspace(field: FieldSpec, rows: np.ndarray, ambient: int) -> Subspace:
-    red, pivots = np_rref(rows.reshape(-1, ambient), field.p)
+    """The span of the rows of a 2-d array, `np_rref` of them."""
+    red, pivots = np_rref(rows, field.p)
     return Subspace(field, ambient, tuple(map(tuple, red.tolist())),
                     tuple(pivots))

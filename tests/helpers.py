@@ -22,9 +22,8 @@ from gradix.groups import (CentralSeries, Subgroup, cyclic, dihedral,
                            validate_group)
 from gradix.laurent import LaurentElement, laurent_element, sigma_power
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
-                           mat_inverse, mat_vec, np_dtype, np_kernel,
-                           np_mat_pow, np_matmul, np_rref, projective_walk,
-                           rref)
+                           mat_inverse, np_dtype, np_kernel, np_mat_pow,
+                           np_matmul, np_rref, projective_walk, rref)
 
 
 def fixed_rows_loop(alg, maps):
@@ -536,6 +535,18 @@ def recognize_crossed_system(alg, grad, units=None):
 # computes, vector by vector in the field's own arithmetic, and serves as its
 # reference over F_p and over Q.
 
+def mat_vec(f, m, v):
+    """m v over the field f, entry by entry."""
+    out = []
+    for row in m:
+        acc = f.zero
+        for a, b in zip(row, v):
+            if a and b:
+                acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
 def mat_mul(f, a, b):
     """The matrix product a b, entry by entry."""
     def dot(row, col):
@@ -907,6 +918,16 @@ def product_mismatch_loop(alg, m, reverse=False):
             if mat_vec(f, m, prod[i][j]) != multiply_loop(alg, x, y):
                 return i, j
     return None
+
+
+def is_ring_automorphism_loop(alg, m):
+    """`algebra.is_ring_automorphism` on Python scalars: m has an inverse,
+    fixes the unit entry by entry, and is multiplicative on the basis
+    pairs."""
+    f = alg.field
+    return (mat_inverse(f, m) is not None
+            and mat_vec(f, m, alg.unit) == alg.unit
+            and algebra._product_mismatch(alg, m) is None)
 
 
 def associator_triples(alg):

@@ -40,7 +40,8 @@ from helpers import (NONZERO_Q, associator_defect_loop, central_stacked,
                      commutative_not_associative, conjugation_matrix,
                      echelon_kernel,
                      extension_field, fixed_center_loop, fixed_subspace,
-                     intersect, inverse_system_loop, left_by_basis, mat_mul,
+                     intersect, inverse_system_loop, is_ring_automorphism_loop,
+                     left_by_basis, mat_mul,
                      density_irreducible,
                      nuclear_mask_loop,
                      norton, nucleus_blocks_loop, points,
@@ -891,6 +892,73 @@ def test_conjugation_is_automorphism():
     g = conjugation_matrix(m, u)
     assert is_ring_automorphism(m, g)
     assert not is_ring_automorphism(m, ((1, 0, 0, 0),) * 4)
+
+
+AUTOMORPHISM_KINDS = ["swap", "frobenius", "conjugation", "involution",
+                      "singular", "moves-unit", "random"]
+
+
+@st.composite
+def algebra_and_map(draw):
+    """(algebra, map, kind): the swap of F x F, the Frobenius of F_{p^2}
+    (over Q the swap again), a conjugation of H, H's involution (an
+    anti-automorphism), a map of M_2 of rank 3, I + E_{k0} (invertible, it
+    moves the unit e_0), or a random matrix on a random unital algebra,
+    half of them fixing its unit e_0."""
+    p = draw(st.sampled_from([2, 3, 5, 4294967311, None]))
+    f = Q if p is None else prime_field(p)
+    kind = draw(st.sampled_from(AUTOMORPHISM_KINDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def scalar():
+        return rng.randrange(p) if p else Fraction(rng.randint(-4, 4),
+                                                   rng.randint(1, 3))
+    if kind == "frobenius" and p is not None:
+        return quadratic_field_extension(f), frobenius_matrix(f), kind
+    if kind in ("swap", "frobenius"):
+        return product_algebra(f, 2), swap_matrix(f), kind
+    if kind in ("conjugation", "involution"):
+        h, _ = quaternions(f)
+        if kind == "involution":
+            return h, h.involution, kind
+        u = tuple(scalar() for _ in range(4))
+        u = u if two_sided_inverse(h, u) is not None else h.unit
+        return h, conjugation_matrix(h, tuple(map(f.coerce, u))), kind
+    if kind == "random":
+        alg = random_unital_algebra(f, draw(st.integers(1, 4)), rng)
+        m = [[f.coerce(scalar()) for _ in range(alg.dim)]
+             for _ in range(alg.dim)]
+        if rng.random() < 0.5:      # fixing the unit e_0
+            for i, row in enumerate(m):
+                row[0] = f.one if i == 0 else f.zero
+        return alg, tuple(map(tuple, m)), kind
+    alg = matrix_algebra(f, 2)
+    m = [list(row) for row in identity_matrix(f, 4)]
+    k = rng.randrange(1, 4)
+    if kind == "singular":
+        c = f.coerce(scalar())
+        m[k] = [f.mul(c, x) for x in m[rng.randrange(k)]]
+    else:
+        m[k][0] = f.one
+    return alg, tuple(map(tuple, m)), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_map())
+def test_is_ring_automorphism_matches_its_definition(case):
+    # the rank of np_rref and one product against an inverse solve and the
+    # unit's image entry by entry, over F_2, F_3, F_5, a prime past int64
+    # products and Q
+    alg, m, kind = case
+    got = is_ring_automorphism(alg, m)
+    assert got == is_ring_automorphism_loop(alg, m)
+    if kind in ("swap", "frobenius", "conjugation"):
+        assert got
+    elif kind in ("singular", "moves-unit"):
+        assert not got
+    elif kind == "involution":
+        table = product_table(alg)
+        assert got == (table == tuple(zip(*table)))
 
 
 def one_sided_nuclei_algebra(f, rng):

@@ -28,12 +28,13 @@ from gradix.laurent import (center_coefficient_space, check_window,
                             laurent_center_structure, LaurentElement,
                             laurent_element, laurent_simplicity_verdict,
                             make_laurent_ring, sigma_power, verify_central)
-from gradix.linalg import identity_matrix, mat_vec, projective_points
+from gradix.linalg import identity_matrix, projective_points
 from helpers import (NONZERO_Q, conjugation_matrix, entries, scalar_vec,
                      scale_vec,
                      extension_field, fixed_subspace, intersect, laurent_add,
                      laurent_associator, laurent_commutator, laurent_multiply,
-                     laurent_one, matrix_order_loop, rescaled, rescaled_matrix,
+                     laurent_one, mat_vec, matrix_order_loop, rescaled,
+                     rescaled_matrix,
                      sigma_power_loop, verify_central_loop, x_power)
 
 ZERO = LaurentElement(())

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -13,10 +14,11 @@ from gradix import linalg
 from gradix.errors import BudgetExceeded, DimensionMismatch
 from gradix.fields import _is_prime, prime_field, rationals
 from gradix.linalg import (Subspace, identity_matrix, kernel, mat_inverse,
-                           mat_vec, np_dtype, np_mat_pow, np_matmul, np_rref,
+                           np_dtype, np_mat_pow, np_matmul, np_rref,
                            projective_count, projective_points,
                            projective_walk, rref, solve_affine)
-from helpers import echelon_solve, intersect, mat_mul, mat_power
+from helpers import (NONZERO_Q, echelon_kernel, echelon_solve, intersect,
+                     mat_mul, mat_power, mat_vec)
 
 BIG_P = 4294967311  # past the int64 bound of np_dtype
 # the largest prime that `np_dtype` keeps in int64 at width 16,
@@ -239,9 +241,9 @@ def test_np_rref_ignores_zero_rows(p):
         assert red.shape == (0, 5) and piv == []
 
 
-@pytest.mark.parametrize("p", [2, 3, BIG_P])
+@pytest.mark.parametrize("p", [2, 3, BIG_P, None])
 def test_kernel_of_no_equations_is_the_whole_space(p, monkeypatch):
-    f = prime_field(p)
+    f = Q if p is None else prime_field(p)
     calls = []
     np_rref = linalg.np_rref
     monkeypatch.setattr(linalg, "np_rref",
@@ -265,6 +267,78 @@ def test_kernel_takes_arrays(p):
                  for _ in range(width)] for _ in range(rng.randrange(1, 8))]
         arr = np.array(rows, dtype=np_dtype(p, width))
         assert kernel(f, arr, width) == kernel(f, arr.tolist(), width)
+
+
+# rational entries: zero, small integers, and small or huge fractions
+Q_ENTRIES = st.one_of(st.just(0), st.integers(-9, 9), st.just(Fraction(0)),
+                      NONZERO_Q)
+
+
+@st.composite
+def rational_system(draw):
+    """(rows, width), widths 1-6: rows of int and Fraction entries, zero
+    rows among them or only zero rows, and a multiple of a row."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(Q_ENTRIES, min_size=width, max_size=width)
+    zero = st.just([0] * width) | st.just([Fraction(0)] * width)
+    rows = draw(st.lists(row | zero, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        c = draw(NONZERO_Q)
+        rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return rows, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_system(), st.booleans())
+def test_np_rref_over_q_matches_the_generic_echelon(system, as_list):
+    # the Q regime: a list or an object array, left as it was, eliminated
+    # to the canonical RREF in Fractions with its zero rows dropped
+    rows, width = system
+    given_rows = [list(r) for r in rows]
+    a = given_rows if as_list else np.array(rows, dtype=object)
+    red, piv = np_rref(a, None)
+    ech = rref(Q, rows, width)
+    assert piv == ech.pivots and red.tolist() == ech.rows
+    assert red.dtype == object and red.shape == (len(piv), width)
+    assert all(type(c) is Fraction for row in red.tolist() for c in row)
+    if as_list:
+        assert given_rows == rows
+    else:
+        assert a.tolist() == rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_system(), st.booleans())
+def test_kernel_over_q_matches_the_generic_echelon(system, as_list):
+    rows, width = system
+    eqs = rows if as_list else np.array(rows, dtype=object)
+    space = kernel(Q, eqs, width)
+    assert space == echelon_kernel(Q, rows, width)
+    assert all(not any(mat_vec(Q, rows, v)) for v in space.basis)
+    assert all(type(c) is Fraction for v in space.basis for c in v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, BIG_P, None]), st.integers(1, 5),
+       st.booleans(), st.data())
+def test_mat_inverse_is_a_two_sided_inverse(p, n, singular, data):
+    # over F_p and Q: the product with the inverse both ways is I, and a
+    # square of rank below n, its last row a combination of the others,
+    # has none
+    f = Q if p is None else prime_field(p)
+    entry = Q_ENTRIES if p is None else st.integers(0, p - 1)
+    m = [[f.coerce(data.draw(entry)) for _ in range(n)] for _ in range(n)]
+    if singular:
+        cs = [f.coerce(data.draw(entry)) for _ in range(n - 1)]
+        m[-1] = [functools.reduce(f.add, (f.mul(c, row[j]) for c, row in
+                                          zip(cs, m)), f.zero)
+                 for j in range(n)]
+    inv = mat_inverse(f, m)
+    if rref(f, m, n).rank < n:
+        assert inv is None
+    else:
+        assert mat_mul(f, m, inv) == mat_mul(f, inv, m) == identity_matrix(f, n)
+    assert singular <= (inv is None)
 
 
 def int_matmul(a, b, p):
@@ -455,27 +529,35 @@ AFFINE_KINDS = ["consistent", "inconsistent", "width-1", "all-zero",
                 "singular"]
 
 
-def affine_system(kind, p, rng):
-    """(A, b) over F_p of the given kind: A x = b for a random x; with a
-    row that sums two others but whose right-hand side does not; with one
-    unknown; all zero, b as well or not; square of rank below its size."""
+def affine_system(kind, f, rng):
+    """(A, b) over the field f of the given kind: A x = b for a random x;
+    with a row that sums two others but whose right-hand side does not;
+    with one unknown; all zero, b as well or not; square of rank below its
+    size.  Over Q the entries are small fractions."""
     m, n = rng.randint(1, 6), rng.randint(1, 6)
     if kind == "width-1":
         n = 1
-    draw = lambda: rng.randrange(p)
+    if f.is_finite:
+        draw = lambda: rng.randrange(f.p)
+        nonzero = lambda: 1 + draw() % (f.p - 1)
+    else:
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        nonzero = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                   rng.randint(1, 6))
+    total = lambda xs: functools.reduce(f.add, xs, f.zero)
     a = [[draw() for _ in range(n)] for _ in range(m)]
     if kind == "all-zero":
-        a = [[0] * n for _ in range(m)]
+        a = [[f.zero] * n for _ in range(m)]
     if kind == "singular":
-        a = [[draw() for _ in range(n)] for _ in range(n - 1)] or [[0] * n]
-        a.append([sum(col) % p for col in zip(*a)])
+        a = [[draw() for _ in range(n)] for _ in range(n - 1)] or [[f.zero] * n]
+        a.append([total(col) for col in zip(*a)])
     x = [draw() for _ in range(n)]
-    b = [sum(c * v for c, v in zip(row, x)) % p for row in a]
+    b = [total(f.mul(c, v) for c, v in zip(row, x)) for row in a]
     if kind == "inconsistent":
-        a.append([(u + v) % p for u, v in zip(a[0], a[-1])])
-        b.append((b[0] + b[-1] + 1 + draw() % (p - 1)) % p)
+        a.append([f.add(u, v) for u, v in zip(a[0], a[-1])])
+        b.append(f.add(f.add(b[0], b[-1]), nonzero()))
     if kind == "all-zero" and rng.random() < 0.5:
-        b[-1] = 1
+        b[-1] = f.one
     return a, b
 
 
@@ -484,7 +566,7 @@ def affine_system(kind, p, rng):
        st.integers(0, 2 ** 32))
 def test_fp_affine_solve_matches_the_generic_echelon(p, kind, seed):
     f = prime_field(p)
-    a, b = affine_system(kind, p, random.Random(seed))
+    a, b = affine_system(kind, f, random.Random(seed))
     x, hom = solve_affine(f, a, b)
     assert (x, hom) == echelon_solve(f, a, b)
     if kind == "inconsistent":
@@ -492,6 +574,19 @@ def test_fp_affine_solve_matches_the_generic_echelon(p, kind, seed):
     if x is not None:
         assert mat_vec(f, a, x) == tuple(c % p for c in b)
         assert all(type(c) is int for c in x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(AFFINE_KINDS), st.integers(0, 2 ** 32))
+def test_q_affine_solve_matches_the_generic_echelon(kind, seed):
+    a, b = affine_system(kind, Q, random.Random(seed))
+    x, hom = solve_affine(Q, a, b)
+    assert (x, hom) == echelon_solve(Q, a, b)
+    if kind == "inconsistent":
+        assert x is None
+    if x is not None:
+        assert mat_vec(Q, a, x) == tuple(b)
+        assert all(type(c) is Fraction for c in x)
 
 
 def test_fp_affine_solve_is_one_elimination_and_its_kernel():

@@ -5,8 +5,9 @@ against brute-force simplicity itself, so exit 0 means they agree.
 report_digests.py, at its default seeds and rounds, prints the digests of
 tests/golden/report_digests.json: the benchmark's requests render the same
 reports byte for byte.  replay_kinds.py times the same requests by kind,
-and rref_shapes.py their np_rref calls by shape.  A stated change of the
-report schema, or a change of perfbench/gen.py, regenerates that file with
+and rref_shapes.py their np_rref calls by shape, over F_p and over Q.  A
+stated change of the report schema, or a change of perfbench/gen.py,
+regenerates that file with
 `python scripts/report_digests.py > tests/golden/report_digests.json`.
 bench_pair.py runs the benchmark for minutes, so its pairing, medians and
 refusals are tested on a stand-in for the harness."""
@@ -90,6 +91,15 @@ def test_rref_shapes_counts_every_call_by_shape_class():
     assert total[0] == "total"
     assert int(total[1]) == sum(int(c[4]) for c in classes)
     assert all(float(c[5]) > 0 for c in classes)
+
+
+def test_rref_shapes_puts_the_systems_over_q_on_their_own_side():
+    # the Q systems of the solvers reach np_rref with p None, whose shape
+    # class reads their nonzero rows without reducing mod p
+    out = run_script(["rref_shapes.py", "--workload", "rationals", "--seeds",
+                      "1", "--rounds", "1", "--passes", "1"]).splitlines()
+    sides = {line.split()[0] for line in out[1:-1]}
+    assert "Q" in sides and sides <= {"Q", "rows", "array"}
 
 
 def bench_pair():
