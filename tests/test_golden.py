@@ -9,9 +9,12 @@ change to the report schema, rewrite the files with
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradix import jsonio
+from gradix.catalog import octonions
+from gradix.fields import prime_field
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -116,10 +119,27 @@ def _q_product_swap_c2() -> str:
         "alpha": [[one, one], [one, half]]}})
 
 
+def _octonions_c2() -> str:
+    """O x| C2 over F_3 with the trivial system (sigma = id, alpha = 1), O
+    the octonions of `catalog.octonions`: a product that is not associative,
+    whose center is cut down by the nuclear slots."""
+    o = octonions(prime_field(3))[0]
+    mult = [(i, j, k, int(o._np_tensor[i, j, k]))
+            for i, j, k in np.argwhere(o._np_tensor).tolist()]
+    ident = [[str(int(r == c)) for c in range(8)] for r in range(8)]
+    one = [str(c) for c in o.unit]
+    return json.dumps({"kind": "crossed", "payload": {
+        "T": _algebra_json({"kind": "Fp", "p": 3}, 8, o.unit, mult),
+        "G": {"table": [[0, 1], [1, 0]]},
+        "sigma": [ident, ident],
+        "alpha": [[one, one], [one, one]]}})
+
+
 CASES = {
     "crossed_f9_c2": ("crossed", (ROOT / "sample_requests"
                                   / "crossed_f9_c2.json").read_text()),
     "crossed_h_c4_sign": ("crossed", _quaternions_c4_sign()),
+    "crossed_octonions_c2": ("crossed", _octonions_c2()),
     "group_algebra_z2": ("graded", (ROOT / "sample_requests"
                                     / "group_algebra_z2.json").read_text()),
     "laurent_f4_frobenius": ("laurent", (ROOT / "sample_requests"
