@@ -117,6 +117,12 @@ class Algebra:
         return np_mod(first.reshape((d,) * 4) - second, p)
 
     @cached_property
+    def _associative(self) -> bool:
+        """Whether every basis associator vanishes: `_np_defect` is all
+        zero."""
+        return not self._np_defect.any()
+
+    @cached_property
     def _center(self) -> Subspace:
         """Z(A), smallest system first: the kernel of the d^2 commuter
         rows, then `_nuclear_part` of it.  The unit lies in Z(A), so once
@@ -325,10 +331,11 @@ def _nuclear_part(alg: Algebra, space: Subspace, stop: int) -> Subspace:
     """The x of `space` in N(A): each associator slot (x, -, -),
     (-, x, -), (-, -, x) imposed on the survivors of the slots before it
     (`_restrict` by the d^3 rows of `_np_defect` in that slot), stopping
-    once at most `stop` of them survive.  An associative A (`_np_defect`
-    all zero) needs no slot."""
+    once at most `stop` of them survive.  An associative A
+    (`Algebra._associative`, which a crossed product reads off T without
+    building its own defect) needs no slot."""
     d = alg.dim
-    if space.rank <= stop or not alg._np_defect.any():
+    if space.rank <= stop or alg._associative:
         return space
     for slot in range(3):
         rows = np.moveaxis(alg._np_defect, slot, 0).reshape(d, d ** 3).T
@@ -447,15 +454,15 @@ def nuclear_mask(alg: Algebra, vecs) -> list[bool]:
     """Per vector, whether it lies in the nucleus, tested without solving:
     the associators (v, e_j, e_k), (e_i, v, e_k) and (e_i, e_j, v) of all
     the vectors at once are one `np_matmul` with `_np_defect` per slot, or
-    none when that tensor is all zero: every associator is a combination
-    of basis ones, so then every vector is nuclear."""
+    none when A is associative (`Algebra._associative`): every associator
+    is a combination of basis ones, so then every vector is nuclear."""
     vecs = list(vecs)
     for v in vecs:
         if len(v) != alg.dim:
             raise DimensionMismatch(f"vector length {len(v)} != dim {alg.dim}")
-    defect, d, p = alg._np_defect, alg.dim, alg.field.p
-    if not defect.any():
+    if alg._associative:
         return [True] * len(vecs)
+    defect, d, p = alg._np_defect, alg.dim, alg.field.p
     x = _np_vectors(alg, vecs)[0].reshape(-1, d)
     bad = np.zeros(len(x), dtype=bool)
     for s in range(3):

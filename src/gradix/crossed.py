@@ -13,8 +13,10 @@ The crossed product lives on basis {e_i u_g} with
 
 and carries the canonical G-gradation deg(e_i u_g) = g.  Since the alphas
 are nuclear, products involving them need no parenthesization.  The
-product is a `CrossedProduct`, which keeps its system and builds its
-associator tensor from the n^3 blocks that the grading leaves nonzero.
+product is a `CrossedProduct`, which keeps its system.  It is associative
+exactly when T is, so its associativity is read off T, and its associator
+tensor is built, from the n^3 blocks that the grading leaves nonzero, only
+when T is not associative.
 Its graded ideals are the J u = sum_g J u_g for the G-invariant ideals J
 of T, so its graded verdict is read off T's G-verdict
 (`_graded_simplicity`).
@@ -72,12 +74,32 @@ class CrossedSystem:
 @dataclass(frozen=True, eq=False, kw_only=True)
 class CrossedProduct(Algebra):
     """The algebra of `build_crossed_product`, with the system it was built
-    from.  Its table respects the grading deg(e_i u_a) = a, so the
-    associator of basis elements of degrees a, b, c lies in degree abc:
-    only n^3 of the n^4 degree blocks of its associator tensor can be
-    nonzero."""
+    from.  It is associative exactly when T is (`_associative`), so its
+    associator tensor is read only when T is not associative.  Its table
+    respects the grading deg(e_i u_a) = a, so the associator of basis
+    elements of degrees a, b, c lies in degree abc: only n^3 of the n^4
+    degree blocks of that tensor can be nonzero (`_np_defect`)."""
     # equality and hashing stay those of the algebra, its tensor
     system: CrossedSystem = field(repr=False)
+
+    @cached_property
+    def _associative(self) -> bool:
+        """T's `_associative`, with no associator of the product built.
+        This holds for every system that meets N1-N3 with sigma_g
+        automorphisms and invertible alpha(g, h): every system of
+        `validate_crossed_system` and of `trivial_system`.
+
+        The proof.  If T is associative, both bracketings of
+        (a u_g)(b u_h)(c u_k) are a sigma_g(b) alpha(g, h) sigma_gh(c)
+        alpha(gh, k) u_ghk: the left one by the product rule twice, and
+        the right one is a sigma_g(b sigma_h(c) alpha(h, k)) alpha(g, hk)
+        u_ghk, where sigma_g is multiplicative, sigma_g(sigma_h(c)) =
+        alpha(g, h) sigma_gh(c) alpha(g, h)^-1 by N1 and sigma_g(alpha(h,
+        k)) alpha(g, hk) = alpha(g, h) alpha(gh, k) by N2.  So every basis
+        associator vanishes.  Conversely, a -> a u_e is an injective ring
+        map T -> T u_e, as sigma_e = id and alpha(e, e) = 1 (N3), so a
+        nonzero associator of T is one of the product."""
+        return self.system.algebra._associative
 
     @cached_property
     def _np_defect(self) -> np.ndarray:
@@ -90,7 +112,9 @@ class CrossedProduct(Algebra):
 
         each sum one `np_matmul` of (d^2 x d) @ (d x d^2) blocks batched
         over all (a, b, c): n^3 d^5 products, where the dense contraction
-        does (n d)^5.  The blocks are scattered into zeros; every other
+        does (n d)^5.  Only the nuclear slots of the center of a product
+        whose T is not associative read it (`_associative`).  The blocks
+        are scattered into zeros; every other
         block is zero because `_product_tensor` places each block w[a, b]
         of the table at degree ab.  Over Q w is first rescaled to
         `_np_scale`, the scale of the generic tensor."""

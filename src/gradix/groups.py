@@ -1,11 +1,11 @@
 """Finite groups as multiplication tables.
 
 Everything is index-based: a group of order n has elements 0..n-1 and a
-dense n x n table.  `validate_group` checks a table given from outside,
-associativity by a cubic scan over a table the input spells out entry by
-entry; the stock constructions are groups by construction and check
-nothing but that the table is not empty, and `catalog.named_group`
-refuses their tables past the budget.
+dense n x n table.  `validate_group` checks a table given from outside
+by array comparisons, associativity over all n^3 triples of a table the
+input spells out entry by entry; the stock constructions are groups by
+construction and check nothing but that the table is not empty, and
+`catalog.named_group` refuses their tables past the budget.
 """
 
 from __future__ import annotations
@@ -77,9 +77,19 @@ class FiniteGroup:
         return CentralSeries(tuple(chain), chain[-1].order == self.order)
 
 
+# the most entries of one block of the associativity check, 32 MiB of int64
+_BLOCK_ENTRIES = 1 << 22
+
+
 def validate_group(table, identity: int | None = None,
                    labels=None) -> FiniteGroup:
-    """Check identity, inverses, and associativity; raise on the first failure."""
+    """Check identity, inverses, and associativity; raise on the first
+    failure.  Past the shape and range checks, each is an array comparison
+    on the table t: a is an identity where row a and column a are
+    0..n-1, b an inverse of a where t[a, b] and t[b, a] are the identity,
+    and associativity is t[t] = t[:, t], (ab)c = a(bc) for all (a, b, c),
+    compared a few rows of a at a time so that no array passes
+    `_BLOCK_ENTRIES`; the first failure is named in row-major order."""
     n = len(table)
     table = tuple(tuple(row) for row in table)
     if any(len(row) != n for row in table):
@@ -88,34 +98,34 @@ def validate_group(table, identity: int | None = None,
         for x in row:
             if not 0 <= x < n:
                 raise ValidationError(f"table entry {x} out of range")
+    t, ar = np.array(table, dtype=np.int64).reshape(n, n), np.arange(n)
 
     if identity is None:
-        identity = next((e for e in range(n)
-                         if all(table[e][a] == a and table[a][e] == a for a in range(n))),
-                        None)
-        if identity is None:
+        ok = np.flatnonzero((t == ar).all(axis=1) & (t.T == ar).all(axis=1))
+        if not len(ok):
             raise MissingIdentity("no two-sided identity in table")
+        identity = int(ok[0])
     elif not 0 <= identity < n:
         raise ValidationError(f"identity {identity} out of range for order {n}")
     else:
-        for a in range(n):
-            if table[identity][a] != a or table[a][identity] != a:
-                raise MissingIdentity(f"element {identity} is not an identity at {a}")
+        bad = np.flatnonzero((t[identity] != ar) | (t[:, identity] != ar))
+        if len(bad):
+            raise MissingIdentity(
+                f"element {identity} is not an identity at {bad[0]}")
 
-    inverses = []
-    for a in range(n):
-        b = next((b for b in range(n)
-                  if table[a][b] == identity and table[b][a] == identity), None)
-        if b is None:
-            raise MissingInverse(f"element {a} has no two-sided inverse")
-        inverses.append(b)
+    pairs = (t == identity) & (t.T == identity)
+    lonely = np.flatnonzero(~pairs.any(axis=1))
+    if len(lonely):
+        raise MissingInverse(f"element {lonely[0]} has no two-sided inverse")
+    inverses = pairs.argmax(axis=1).tolist()
 
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise NonAssociativeTable(f"associativity fails at {(a, b, c)}")
+    step = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    for lo in range(0, n, step):
+        bad = np.argwhere(t[t[lo:lo + step]] != t[lo:lo + step, t])
+        if len(bad):
+            a, b, c = bad[0].tolist()
+            raise NonAssociativeTable(
+                f"associativity fails at {(a + lo, b, c)}")
 
     if labels is not None:
         labels = tuple(str(x) for x in labels)

@@ -324,8 +324,12 @@ def equivalence_block(alg: Algebra, grad: Gradation, opts) -> dict:
 def crossed_block(sys: CrossedSystem, opts) -> dict:
     """The crossed report.  `graded_simplicity` is read off `g_simple` by
     the crossed-product theorem, so `agree` is true whenever both are
-    decided; `centers_match` checks the center formula against an
-    independent dense solve of the product's center."""
+    decided.  The product is associative exactly when T is
+    (`CrossedProduct._associative`), so `product_associative` is T's.
+    `centers_match` checks the center formula against an independent
+    solve of the product's center on the product's own tensor: the kernel
+    of its commuter rows, cut by its nuclear slots when T is not
+    associative."""
     f = sys.algebra.field
     prod, grad = build_crossed_product(sys)
     z, ztg = crossed_center(sys)
@@ -334,7 +338,7 @@ def crossed_block(sys: CrossedSystem, opts) -> dict:
         "coefficient_dim": sys.algebra.dim,
         "group_order": sys.group.order,
         "product_dim": prod.dim,
-        "product_associative": is_associative(prod),
+        "product_associative": is_associative(sys.algebra),
         # strong, since every canonical unit of a validated system is a
         # nuclear unit (the proof is in the docstring of build_crossed_product)
         "strong": True,

@@ -14,12 +14,13 @@ from gradix import algebra, crossed
 from gradix.algebra import Algebra, make_algebra, two_sided_inverse
 from gradix.catalog import named_group, swap_matrix
 from gradix.cayley import tower_stages
-from gradix.errors import (DimensionMismatch, N1Violation, N2Violation,
+from gradix.errors import (DimensionMismatch, MissingIdentity, MissingInverse,
+                           N1Violation, N2Violation, NonAssociativeTable,
                            ValidationError)
 from gradix.graded import validate_gradation
-from gradix.groups import (CentralSeries, Subgroup, cyclic, dihedral,
-                           direct_product, elementary_abelian_two, symmetric,
-                           validate_group)
+from gradix.groups import (CentralSeries, FiniteGroup, Subgroup, cyclic,
+                           dihedral, direct_product, elementary_abelian_two,
+                           symmetric, validate_group)
 from gradix.laurent import LaurentElement, laurent_element, sigma_power
 from gradix.linalg import (Echelon, Subspace, identity_matrix, kernel,
                            mat_inverse, np_dtype, np_kernel, np_mat_pow,
@@ -239,6 +240,49 @@ def quotient_group(g, n):
                                       if proj[a] == i) + "}"
                        for i in range(len(reps)))
     return validate_group(table, identity=proj[g.identity], labels=labels), proj
+
+
+def validate_group_loop(table, identity=None, labels=None):
+    """`groups.validate_group` entry by entry: the identity, the inverses
+    and every (a, b, c) of associativity in loops, each failure named as
+    there."""
+    n = len(table)
+    table = tuple(tuple(row) for row in table)
+    if any(len(row) != n for row in table):
+        raise ValidationError("table is not square")
+    for row in table:
+        for x in row:
+            if not 0 <= x < n:
+                raise ValidationError(f"table entry {x} out of range")
+    if identity is None:
+        identity = next((e for e in range(n)
+                         if all(table[e][a] == a and table[a][e] == a
+                                for a in range(n))), None)
+        if identity is None:
+            raise MissingIdentity("no two-sided identity in table")
+    elif not 0 <= identity < n:
+        raise ValidationError(f"identity {identity} out of range for order {n}")
+    else:
+        for a in range(n):
+            if table[identity][a] != a or table[a][identity] != a:
+                raise MissingIdentity(f"element {identity} is not an identity at {a}")
+    inverses = []
+    for a in range(n):
+        b = next((b for b in range(n)
+                  if table[a][b] == identity and table[b][a] == identity), None)
+        if b is None:
+            raise MissingInverse(f"element {a} has no two-sided inverse")
+        inverses.append(b)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise NonAssociativeTable(f"associativity fails at {(a, b, c)}")
+    if labels is not None:
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != n:
+            raise ValidationError("labels length != order")
+    return FiniteGroup(table, identity, tuple(inverses), labels)
 
 
 def central_series_loop(g):

@@ -255,10 +255,11 @@ def test_an_associative_product_skips_its_zero_associators(monkeypatch):
     assert rows and max(rows) <= 16 ** 2
 
 
-def test_a_crossed_request_never_builds_the_dense_defect(monkeypatch):
-    # H x| C4 over F_3: `is_associative` and the center's nuclear part both
-    # read the 16-dimensional product's block tensor, built once
-    kind, text = CASES["crossed_h_c4_sign"]
+def _defects_built(monkeypatch, name):
+    """The dimensions of the algebras whose dense `Algebra._np_defect` and
+    whose block `CrossedProduct._np_defect` the golden request `name`
+    builds."""
+    kind, text = CASES[name]
     dense, blocks = [], []
     for cls, calls in ((Algebra, dense), (crossed.CrossedProduct, blocks)):
         build = cls.__dict__["_np_defect"].func
@@ -267,6 +268,22 @@ def test_a_crossed_request_never_builds_the_dense_defect(monkeypatch):
         spy.__set_name__(cls, "_np_defect")
         monkeypatch.setattr(cls, "_np_defect", spy)
     jsonio.run_request(jsonio.wrap_bare_payload(text, kind))
+    return dense, blocks
+
+
+def test_a_crossed_request_never_builds_the_dense_defect(monkeypatch):
+    # H x| C4 over F_3: the product is associative because H is, so neither
+    # associator tensor of the 16-dimensional product is built
+    dense, blocks = _defects_built(monkeypatch, "crossed_h_c4_sign")
+    assert blocks == []
+    assert 16 not in dense
+
+
+def test_a_non_associative_crossed_request_builds_the_block_defect_once(
+        monkeypatch):
+    # O x| C2 over F_3: the center's nuclear slots read the 16-dimensional
+    # product's block tensor, built once, and never the dense one
+    dense, blocks = _defects_built(monkeypatch, "crossed_octonions_c2")
     assert blocks == [16]
     assert 16 not in dense
 
@@ -813,6 +830,24 @@ def test_block_defect_is_the_generic_tensor(mk, f):
     fast, slow = _block_and_generic(mk(f))
     assert fast.dtype == slow.dtype
     assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("mk, f", BLOCK_GRID)
+def test_a_product_is_associative_exactly_when_its_coefficients_are(mk, f):
+    # read off T, against the dense associator tensor of the product
+    prod = build_crossed_product(mk(f))[0]
+    assert prod._associative == (not Algebra._np_defect.func(prod).any())
+
+
+@pytest.mark.parametrize("mk, f", BLOCK_GRID)
+def test_the_product_center_is_the_center_of_its_tensor(mk, f):
+    # the solve behind `centers_match` against the center of a plain
+    # algebra on the product's tensor, whose nuclear slots read the dense
+    # associator tensor
+    prod = build_crossed_product(mk(f))[0]
+    plain = Algebra(prod.field, prod.dim, prod._np_tensor, prod._np_scale,
+                    prod.unit)
+    assert fixed_center(prod, ()).basis == fixed_center(plain, ()).basis
 
 
 @pytest.mark.parametrize("mk, f", [p for p in BLOCK_GRID

@@ -3,6 +3,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradix import groups, jsonio
 from gradix.errors import (MissingIdentity, MissingInverse,
@@ -10,7 +12,8 @@ from gradix.errors import (MissingIdentity, MissingInverse,
 from gradix.groups import (central_series, cyclic, dihedral, direct_product,
                            elementary_abelian_two, symmetric, validate_group)
 from helpers import (STOCK_GROUPS, NotNormal, central_series_loop, conj,
-                     group_center, quotient_group, subgroup)
+                     group_center, quotient_group, subgroup,
+                     validate_group_loop)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +42,93 @@ def test_validate_rejects_bad_tables():
         validate_group([[0, 1], [1, 1]])
     with pytest.raises(ValidationError):
         validate_group([[0, 1], [1]])
+
+
+def _outcome(validate, table, identity):
+    """The group, or the type and message of the refusal."""
+    try:
+        return validate(table, identity)
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+def _random_loop(n, rng):
+    """A random Latin square on 0..n-1 whose row and column 0 are 0..n-1,
+    a loop with identity 0, filled cell by cell with backtracking; for
+    n >= 5 most of them are not associative."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            return fill(cell + 1)
+        free = ({*range(n)} - set(rows[i]) - {rows[r][j] for r in range(n)})
+        for x in rng.sample(sorted(free), len(free)):
+            rows[i][j] = x
+            if fill(cell + 1):
+                return True
+        rows[i][j] = None
+        return False
+    assert fill(0)
+    return rows
+
+
+def _relabel(table, perm):
+    """The table with element a renamed perm[a]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+@st.composite
+def non_group_tables(draw):
+    """An n x n table on 0..n-1 that is mostly not a group: arbitrary
+    entries (no identity, as a rule), a stock group with a few cells
+    overwritten off its identity's row and column (a missing inverse or a
+    failure of associativity), or a relabeled random loop (a Latin square
+    that is not associative)."""
+    kind = draw(st.sampled_from(["any", "damaged", "loop"]))
+    if kind == "any":
+        n = draw(st.integers(1, 6))
+        return draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                      max_size=n), min_size=n, max_size=n))
+    if kind == "damaged":
+        g = draw(st.sampled_from([g for g in STOCK_GROUPS if 1 < g.order <= 8]))
+        n, e = g.order, g.identity
+        table = [list(row) for row in g.table]
+        others = [a for a in range(n) if a != e]
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+            table[a][b] = draw(st.integers(0, n - 1))
+    else:
+        n = draw(st.integers(5, 7))
+        table = _random_loop(n, draw(st.randoms(use_true_random=False)))
+    return _relabel(table, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_group_tables(), st.data())
+def test_validate_group_is_the_loop_on_tables_that_are_not_groups(table, data):
+    # the same exception type and message as the entry loop, or the same
+    # group where a table happens to be one; with blocks of one row of a
+    # as well, so that a failure past the first block is named at its a
+    identity = data.draw(st.none() | st.integers(0, len(table) - 1))
+    expected = _outcome(validate_group_loop, table, identity)
+    assert _outcome(validate_group, table, identity) == expected
+    with mock.patch.object(groups, "_BLOCK_ENTRIES", 1):
+        assert _outcome(validate_group, table, identity) == expected
+
+
+@pytest.mark.parametrize("g", STOCK_GROUPS, ids=lambda g: f"order{g.order}")
+def test_validate_group_is_the_loop_on_stock_groups(g):
+    for identity in (None, g.identity):
+        assert (validate_group(g.table, identity, g.labels)
+                == validate_group_loop(g.table, identity, g.labels))
 
 
 @pytest.mark.parametrize("identity", [2, 5, -1, -2])
