@@ -124,13 +124,6 @@ def test_validate_group_is_the_loop_on_tables_that_are_not_groups(table, data):
         assert _outcome(validate_group, table, identity) == expected
 
 
-@pytest.mark.parametrize("g", STOCK_GROUPS, ids=lambda g: f"order{g.order}")
-def test_validate_group_is_the_loop_on_stock_groups(g):
-    for identity in (None, g.identity):
-        assert (validate_group(g.table, identity, g.labels)
-                == validate_group_loop(g.table, identity, g.labels))
-
-
 @pytest.mark.parametrize("identity", [2, 5, -1, -2])
 def test_identity_out_of_range_is_refused(identity):
     # -2 used to pass the identity check through negative indexing and then
