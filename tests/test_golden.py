@@ -122,7 +122,7 @@ def _q_product_swap_c2() -> str:
 def _octonions_c2() -> str:
     """O x| C2 over F_3 with the trivial system (sigma = id, alpha = 1), O
     the octonions of `catalog.octonions`: a product that is not associative,
-    whose center is cut down by the nuclear slots."""
+    whose center solve runs the nuclear slots on its rank-2 commuter."""
     o = octonions(prime_field(3))[0]
     mult = [(i, j, k, int(o._np_tensor[i, j, k]))
             for i, j, k in np.argwhere(o._np_tensor).tolist()]
